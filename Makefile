@@ -8,10 +8,10 @@ PYTHONPATH := src
 
 .PHONY: check lint lint-full lint-mutants test copy-budget \
 	schedule-smoke bench-smoke bench-wallclock bench-topology \
-	bench-collectives sarif
+	bench-collectives bench-e2e sarif
 
 check: lint lint-mutants test copy-budget schedule-smoke bench-smoke \
-	bench-wallclock bench-topology bench-collectives
+	bench-wallclock bench-topology bench-collectives bench-e2e
 
 # Incremental: per-file results and call-graph summaries are cached by
 # content hash in .repro-lint-cache.json; the interprocedural phase
@@ -54,15 +54,12 @@ bench-smoke:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro.tools.trace bench \
 		BENCH_smoke.json
 
-# Wall-clock smoke: quick sizes, schema validity, plus the switch
-# backend gate at a conservative 3x (shared CI runners are noisy; the
-# committed full document carries the real 10x margin).  The committed
-# full document is BENCH_wallclock.json, regenerated with
-# `python -m benchmarks.run --wallclock --gate-backend-speedup 10`.
+# Wall-clock smoke: quick sizes, schema validity.  The committed full
+# document is BENCH_wallclock.json, regenerated with
+# `python -m benchmarks.run --wallclock`.
 bench-wallclock:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m benchmarks.run --wallclock \
-		--quick --gate-backend-speedup 3 \
-		--out BENCH_wallclock_smoke.json
+		--quick --out BENCH_wallclock_smoke.json
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro.tools.trace bench \
 		BENCH_wallclock_smoke.json
 
@@ -89,6 +86,14 @@ bench-collectives:
 		--out BENCH_collectives_smoke.json
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro.tools.trace bench \
 		BENCH_collectives_smoke.json
+
+# The repo benchmark (BENCHMARK.json) at ~1/20 size — all six workloads,
+# plain and ledger-traced — then its self-test.  The result document
+# goes to a scratch path; nothing under benchmarks/e2e/ is written.
+bench-e2e:
+	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m benchmarks.e2e --smoke \
+		--out BENCH_e2e_smoke.json
+	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest benchmarks/e2e -q
 
 # SARIF findings for CI/PR annotation (exit status intentionally ignored:
 # the gating run is `lint`, this one only produces the report artifact)

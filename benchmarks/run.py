@@ -28,13 +28,6 @@ aware replay is bit-identical to the flat oracle) — the CI smoke slice
 is ``make bench-collectives``.  ``--gate-wan-crossings`` additionally
 fails the run unless the aware bcast crossed the WAN exactly sites − 1
 times per call at every measured grid size.
-
-``--gate-backend-speedup N`` (wall-clock mode only) fails the run
-unless the fastest non-thread switch backend clears ``N``x the thread
-backend on the ``wallclock.kernel.switch`` series measured in the same
-run.  CI smoke uses a conservative bar (quick sizes on shared runners
-are noisy); regenerating the committed full document uses the
-acceptance bar of 10.
 """
 
 from __future__ import annotations
@@ -126,19 +119,6 @@ def _check_wan_crossings(results: list[BenchResult]) -> list[str]:
     return bad
 
 
-def _backend_speedup(results: list[BenchResult]) -> float | None:
-    """Best non-thread rate over the thread rate on the
-    ``wallclock.kernel.switch`` series; None if thread is the only
-    backend measured."""
-    series = next(r for r in results
-                  if r.name == "wallclock.kernel.switch")
-    rates = dict(series.points)
-    others = [rate for name, rate in rates.items() if name != "thread"]
-    if not others:
-        return None
-    return max(others) / rates["thread"]
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="benchmarks.run",
@@ -155,11 +135,6 @@ def main(argv: list[str] | None = None) -> int:
                         help="run only the wallclock.topology.scaling "
                              "series (grid-scale hierarchical-solver "
                              "bench); implies the wall-clock schema")
-    parser.add_argument("--gate-backend-speedup", type=float, default=None,
-                        metavar="N",
-                        help="with --wallclock: fail unless the fastest "
-                             "non-thread switch backend reaches N x the "
-                             "thread backend on wallclock.kernel.switch")
     parser.add_argument("--collectives", action="store_true",
                         help="run only the wallclock.collectives series "
                              "(flat vs topology-aware MPI collectives on "
@@ -171,8 +146,6 @@ def main(argv: list[str] | None = None) -> int:
                              "every measured grid size")
     args = parser.parse_args(argv)
 
-    if args.gate_backend_speedup is not None and not args.wallclock:
-        parser.error("--gate-backend-speedup requires --wallclock")
     if args.topology_scaling and args.wallclock:
         parser.error("--topology-scaling already implies the wall-clock "
                      "schema; drop --wallclock")
@@ -200,19 +173,6 @@ def main(argv: list[str] | None = None) -> int:
         results = collect_wallclock(args.quick, log=print)
         write_bench_json(out, results, meta=document_meta(args.quick),
                          schema=WALLCLOCK_SCHEMA)
-        if args.gate_backend_speedup is not None:
-            speedup = _backend_speedup(results)
-            bar = args.gate_backend_speedup
-            if speedup is None:
-                print("backend-speedup gate: only the thread backend is "
-                      "available; nothing to compare")
-            elif speedup < bar:
-                print(f"backend-speedup gate FAILED: best non-thread "
-                      f"backend is {speedup:.1f}x thread (< {bar:g}x)")
-                return 1
-            else:
-                print(f"backend-speedup gate: {speedup:.1f}x thread "
-                      f"(>= {bar:g}x)")
     else:
         out = args.out or "BENCH_padico.json"
         results = collect(args.quick, log=print)

@@ -6,17 +6,9 @@ itself runs.  This module measures the reproduction's three hot paths
 on the **process wall clock**:
 
 * ``wallclock.kernel`` — bare event-loop throughput (events/s): chains
-  of self-rescheduling timers exercising heap push/pop and dispatch,
-  run on the default switch backend;
-* ``wallclock.kernel.switch`` — context-switch throughput (events/s)
-  per switch backend: coroutine processes ping-ponging through
-  zero-delay sleeps, the workload where the backend choice dominates.
-  One categorical point per backend constructible here (``thread``
-  always; ``greenlet`` when the package is installed; ``trampoline``
-  always).  Each point is a median of three runs — the thread backend's
-  OS semaphore handshake is noisy — and the meta records the speedup of
-  every backend over ``thread``, which is what the CI gate
-  (``--gate-backend-speedup``) checks;
+  of self-rescheduling timers exercising heap push/pop and dispatch
+  (no process switches — the whole-run switch cost is the
+  ``sim.switch_s`` line of the ``benchmarks/e2e`` ledger);
 * ``wallclock.flows`` — concurrent-flow churn (flows completed per
   wall-clock second) at F ∈ {10, 100, 1000} concurrent flows, the
   scenario the incremental max-min solver exists for.  Each run is
@@ -83,7 +75,7 @@ from repro.corba.idl.types import PrimitiveType, SequenceType, StructType
 from repro.net import MYRINET_2000, Topology, build_cluster, build_grid
 from repro.net.flows import FlowNetwork
 from repro.obs import BenchResult, TraceRecorder
-from repro.sim import SimKernel, available_backends
+from repro.sim import SimKernel
 
 #: concurrent-flow levels for the churn series (the ISSUE's F axis)
 FLOW_LEVELS = (10, 100, 1000)
@@ -124,70 +116,7 @@ def bench_kernel(quick: bool) -> BenchResult:
     return BenchResult(
         name="wallclock.kernel", unit="events/s", points=tuple(points),
         meta={"workload": "8 self-rescheduling timer chains",
-              "backend": "thread (default)", "clock": "wall"})
-
-
-# ---------------------------------------------------------------------------
-# per-backend context-switch throughput
-# ---------------------------------------------------------------------------
-
-#: same-instant switch storm: every event is a process switch, so the
-#: backend's transfer-of-control cost dominates the measurement
-SWITCH_PROCS = 8
-SWITCH_REPEATS = 3
-
-
-def kernel_switch_rate(backend: str, n_switches: int,
-                       procs: int = SWITCH_PROCS,
-                       repeats: int = SWITCH_REPEATS) -> float:
-    """Median events/s of ``procs`` coroutine processes ping-ponging
-    through zero-delay sleeps on ``backend``.
-
-    The coroutine (generator) process style runs on every backend — the
-    thread and greenlet backends drive generators through the same echo
-    loop the trampoline uses — so the workload is backend-portable by
-    construction.  Median of ``repeats`` fresh kernels: the thread
-    backend's per-switch OS semaphore handshake makes single runs noisy.
-    """
-    per_proc = n_switches // procs
-
-    def worker(proc, n):
-        for _ in range(n):
-            yield proc.sleep(0.0)
-
-    rates = []
-    for _ in range(repeats):
-        kernel = SimKernel(backend=backend)
-        for i in range(procs):
-            kernel.spawn(worker, per_proc, name=f"switcher-{i}")
-        t0 = time.perf_counter()
-        kernel.run()
-        elapsed = time.perf_counter() - t0
-        rates.append(kernel.events_processed / elapsed)
-    rates.sort()
-    return rates[len(rates) // 2]
-
-
-def bench_kernel_switch(quick: bool) -> BenchResult:
-    n_switches = 8_000 if quick else 40_000
-    points = []
-    meta: dict[str, object] = {
-        "workload": f"{SWITCH_PROCS} coroutine processes x zero-delay "
-                    f"sleeps, same-instant batch drain",
-        "n_switches": n_switches,
-        "repeats": f"median of {SWITCH_REPEATS}",
-        "clock": "wall",
-    }
-    for name in available_backends():
-        points.append((name, kernel_switch_rate(name, n_switches)))
-    rates = dict(points)
-    for name, rate in points:
-        if name != "thread":
-            meta[f"speedup_vs_thread_{name}"] = round(
-                rate / rates["thread"], 2)
-    meta["best_backend"] = max(rates, key=rates.get)
-    return BenchResult(name="wallclock.kernel.switch", unit="events/s",
-                       points=tuple(points), meta=meta)
+              "clock": "wall"})
 
 
 # ---------------------------------------------------------------------------
@@ -829,8 +758,6 @@ def collect_wallclock(quick: bool,
                       log=lambda msg: None) -> list[BenchResult]:
     results = [bench_kernel(quick)]
     log(results[-1].render())
-    results.append(bench_kernel_switch(quick))
-    log(results[-1].render())
     results.append(bench_flows(quick))
     log(results[-1].render())
     results.append(bench_topology_scaling(quick))
@@ -852,7 +779,6 @@ def document_meta(quick: bool) -> dict[str, object]:
         "suite": "padico-wallclock",
         "mode": "quick" if quick else "full",
         "clock": "wall",
-        "backends": list(available_backends()),
         "python": "%d.%d.%d" % sys.version_info[:3],
         "platform": sys.platform,
     }

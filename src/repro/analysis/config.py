@@ -84,18 +84,15 @@ DEFAULT_LAYER_EXCEPTIONS: dict[tuple[str, str], str] = {
 #: Keep this list short and justified — it is the config-level analogue
 #: of an inline ``# repro-lint: disable=`` comment.
 DEFAULT_FILE_ALLOW: dict[tuple[str, str], str] = {
-    # The cooperative kernel's semaphore handshake is the one place real
-    # threading primitives are legal: each SimProcess parks on its own
-    # semaphore and the kernel serialises execution.  The handshake
-    # lived in kernel.py until the switch-backend refactor extracted it
-    # into ThreadBackend (backends.py); same audit, same justification
-    # — kernel.py itself is threading-free now, and the
-    # greenlet/trampoline backends in backends.py use no threading
-    # primitives at all, so this remains the single ker-thread
-    # exemption.
+    # The cooperative kernel's semaphore hand-off is the one place real
+    # threading primitives are legal: each SimProcess is an OS thread
+    # parked on its own semaphore and the kernel serialises execution.
+    # ThreadBackend (backends.py) is the only class in that file and
+    # the only switch mechanism; kernel.py itself is threading-free, so
+    # this is the single ker-thread exemption.
     ("src/repro/sim/backends.py", "ker-thread"):
-        "ThreadBackend hosts the extracted one-at-a-time semaphore "
-        "handshake (historical kernel core)",
+        "ThreadBackend is the one-at-a-time semaphore hand-off between "
+        "the kernel and its process threads",
     # The linter measures its own wall time for --stats; that is
     # tooling latency, not simulated time, and the clock reads are
     # confined to stats.clock() (same reasoning that keeps the

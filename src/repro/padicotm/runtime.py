@@ -8,7 +8,6 @@ threads (the paper's Marcel threads)."""
 
 from __future__ import annotations
 
-import warnings
 from contextlib import contextmanager
 from typing import Any, Callable, Iterator
 
@@ -59,22 +58,12 @@ class PadicoRuntime:
         runtime.kernel.run()
     """
 
-    def __init__(self, topology: Topology, kernel: SimKernel | None = None,
-                 incremental: bool = True, sharded: bool = True,
-                 shard_threshold: int | None = None,
-                 vec_threshold: int | None = None):
+    def __init__(self, topology: Topology, kernel: SimKernel | None = None):
         self.kernel = kernel or SimKernel()
         self.topology = topology
-        #: ``incremental=False`` forces from-scratch max-min re-solves
-        #: (differential testing; results are bit-for-bit identical);
-        #: ``sharded``/``shard_threshold``/``vec_threshold`` plumb the
-        #: hierarchical site-sharded solver tier straight through to
-        #: the flow network (see repro.net.flows)
-        self.network = FlowNetwork(self.kernel, topology,
-                                   incremental=incremental,
-                                   sharded=sharded,
-                                   shard_threshold=shard_threshold,
-                                   vec_threshold=vec_threshold)
+        #: replaceable before the first process is created (differential
+        #: tests install a FlowNetwork with non-default solver settings)
+        self.network = FlowNetwork(self.kernel, topology)
         self.processes: dict[str, PadicoProcess] = {}
         #: socket listener registry: (process_name, port) -> SocketListener
         self.socket_listeners: dict[tuple[str, str], Any] = {}
@@ -99,18 +88,6 @@ class PadicoRuntime:
         monitors that implement it, in attach order.
         """
         return self._monitor_fan if self._monitors else None
-
-    @monitor.setter
-    def monitor(self, value: Any) -> None:
-        # legacy compat: assigning the bare attribute replaces the whole
-        # monitor set (None clears it)
-        warnings.warn(
-            "assigning PadicoRuntime.monitor directly is deprecated; use "
-            "observe()/unobserve()", DeprecationWarning, stacklevel=2)
-        for member in list(self._monitors):
-            self.unobserve(member)
-        if value is not None:
-            self.observe(value)
 
     def observe(self, monitor: Any) -> Any:
         """Attach a monitor/recorder to this runtime; returns it.

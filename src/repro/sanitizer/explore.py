@@ -25,9 +25,7 @@ instead, so crashes are first-class divergences with the seed stamped
 on the failure.
 
 ``python -m repro.sanitizer --seeds 5`` runs a built-in
-producer/consumer smoke scenario (the ``make check`` schedule gate),
-once per available switch backend that supports sync primitives —
-the seeded order must reproduce bit-for-bit on every backend.
+producer/consumer smoke scenario (the ``make check`` schedule gate).
 """
 
 from __future__ import annotations
@@ -97,13 +95,10 @@ class ScheduleDivergenceError(AssertionError):
             + report.render())
 
 
-def run_scenario(scenario: Scenario, seed: int | None = None,
-                 backend: str | None = None) -> ScheduleRun:
-    """Run ``scenario`` on a fresh (optionally seeded) kernel.
-
-    ``backend`` picks the switch backend (None honours
-    ``REPRO_SIM_BACKEND`` / the default, like any other kernel)."""
-    kernel = SimKernel(seed=seed, backend=backend)
+def run_scenario(scenario: Scenario, seed: int | None = None
+                 ) -> ScheduleRun:
+    """Run ``scenario`` on a fresh (optionally seeded) kernel."""
+    kernel = SimKernel(seed=seed)
     error: BaseException | None = None
     try:
         with kernel:
@@ -117,32 +112,28 @@ def run_scenario(scenario: Scenario, seed: int | None = None,
 
 
 def explore_schedules(scenario: Scenario,
-                      seeds: int | Sequence[int] = 5,
-                      backend: str | None = None) -> ScheduleReport:
+                      seeds: int | Sequence[int] = 5) -> ScheduleReport:
     """Run ``scenario`` under the canonical order plus ``seeds`` seeded
     permutations; diff the fingerprints bit-for-bit.
 
     ``seeds`` is either a count (seeds ``1..N``) or an explicit seed
-    sequence.  The unseeded run is always the baseline.  ``backend``
-    selects the switch backend for every run (the exploration must be
-    deterministic on any of them).
+    sequence.  The unseeded run is always the baseline.
     """
     if isinstance(seeds, int):
         seed_list: Sequence[int] = range(1, seeds + 1)
     else:
         seed_list = seeds
-    baseline = run_scenario(scenario, None, backend)
-    runs = tuple(run_scenario(scenario, s, backend) for s in seed_list)
+    baseline = run_scenario(scenario, None)
+    runs = tuple(run_scenario(scenario, s) for s in seed_list)
     return ScheduleReport(runs, baseline)
 
 
 def assert_schedule_deterministic(scenario: Scenario,
-                                  seeds: int | Sequence[int] = 5,
-                                  backend: str | None = None
+                                  seeds: int | Sequence[int] = 5
                                   ) -> ScheduleReport:
     """Pytest helper: raise :class:`ScheduleDivergenceError` unless every
     seed reproduces the baseline bit-for-bit; returns the report."""
-    report = explore_schedules(scenario, seeds, backend)
+    report = explore_schedules(scenario, seeds)
     if not report.deterministic:
         raise ScheduleDivergenceError(report)
     return report
@@ -184,34 +175,16 @@ def main(argv: list[str] | None = None) -> int:
                     "the results bit-for-bit.")
     parser.add_argument("--seeds", type=int, default=5,
                         help="number of seeded permutations (default 5)")
-    parser.add_argument("--backend", default="each",
-                        help="switch backend to explore under: a backend "
-                             "name, or 'each' (default) for every "
-                             "available backend that can run the sync-"
-                             "primitive smoke scenario")
     args = parser.parse_args(argv)
-    if args.backend == "each":
-        # the smoke scenario blocks inside Mailbox, a nested call frame
-        # the trampoline backend rejects by design
-        from repro.sim.backends import available_backends
-        backends = [name for name in available_backends()
-                    if name != "trampoline"]
-    else:
-        backends = [args.backend]
-    failed = 0
-    for backend in backends:
-        report = explore_schedules(smoke_scenario, seeds=args.seeds,
-                                   backend=backend)
-        print(f"--- backend={backend} ---")
-        print(report.render())
-        if not report.deterministic:
-            print(f"schedule exploration [{backend}]: "
-                  f"{len(report.divergent)} divergent seed(s)")
-            failed += 1
-        else:
-            print(f"schedule exploration [{backend}]: "
-                  f"{len(report.runs)} seed(s) bit-identical to baseline")
-    return 1 if failed else 0
+    report = explore_schedules(smoke_scenario, seeds=args.seeds)
+    print(report.render())
+    if not report.deterministic:
+        print(f"schedule exploration: {len(report.divergent)} divergent "
+              f"seed(s)")
+        return 1
+    print(f"schedule exploration: {len(report.runs)} seed(s) "
+          f"bit-identical to baseline")
+    return 0
 
 
 if __name__ == "__main__":  # pragma: no cover

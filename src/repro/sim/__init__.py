@@ -12,31 +12,23 @@ reported by the benchmarks are read off this clock.
 Public API
 ----------
 - :class:`SimKernel` — event loop, virtual clock, process management.
-- :class:`SimProcess` — a simulated process, run by a switch backend.
+- :class:`SimProcess` — a simulated process (an OS thread that runs only
+  while it holds the run token).
 - :class:`Timer` — cancellable scheduled callback handle.
 - :func:`run_processes` — run a batch of process functions to completion.
 - Exceptions: :class:`SimShutdown`, :class:`SimInterrupt`,
-  :class:`SimDeadlockError`, :class:`SimProcessError`,
-  :class:`BackendUnavailableError`.
-- Switch backends (:mod:`repro.sim.backends`): :class:`SwitchBackend`
-  protocol, :class:`ThreadBackend`, :class:`GreenletBackend`,
-  :class:`TrampolineBackend`, plus :func:`available_backends` and
-  :func:`best_available_backend`.
+  :class:`SimDeadlockError`, :class:`SimProcessError`.
+- :class:`ThreadBackend` (:mod:`repro.sim.backends`) — the one switch
+  mechanism, a semaphore hand-off between OS threads; each kernel owns
+  one as ``kernel.backend``.
 - Synchronisation primitives in :mod:`repro.sim.sync`: :class:`Mailbox`,
   :class:`SimEvent`, :class:`SimLock`, :class:`SimSemaphore`,
   :class:`SimCondition`, :class:`SimBarrier`, :class:`WaitQueue`.
 
-Backend selection contract
---------------------------
-``SimKernel(backend=...)`` accepts a backend name (``"thread"`` — the
-default, ``"greenlet"``, ``"trampoline"``), a :class:`SwitchBackend`
-instance, or None.  With None, the ``REPRO_SIM_BACKEND`` environment
-variable is consulted before falling back to the default.  Unknown
-names raise ``ValueError`` listing the valid set; ``"greenlet"``
-raises :class:`BackendUnavailableError` when the optional package (the
-``repro[sim-fast]`` extra) is missing.  Every backend preserves the
-same event order bit for bit — see :mod:`repro.sim.backends` for the
-determinism contract and ``docs/KERNEL.md`` for the architecture.
+``SimKernel(seed=None)`` is the whole constructor: there is nothing to
+select.  ``docs/KERNEL.md`` states the determinism contract (total event
+order, run-token exclusivity, tracer hook order) and the observation
+contract (every yield goes through ``kernel.backend.block``).
 """
 
 from repro.sim.kernel import (
@@ -49,15 +41,7 @@ from repro.sim.kernel import (
     Timer,
     run_processes,
 )
-from repro.sim.backends import (
-    BackendUnavailableError,
-    GreenletBackend,
-    SwitchBackend,
-    ThreadBackend,
-    TrampolineBackend,
-    available_backends,
-    best_available_backend,
-)
+from repro.sim.backends import ThreadBackend
 from repro.sim.sync import (
     Mailbox,
     SimTimeout,
@@ -80,13 +64,7 @@ __all__ = [
     "SimInterrupt",
     "SimDeadlockError",
     "SimProcessError",
-    "BackendUnavailableError",
-    "SwitchBackend",
     "ThreadBackend",
-    "GreenletBackend",
-    "TrampolineBackend",
-    "available_backends",
-    "best_available_backend",
     "Mailbox",
     "MatchQueue",
     "SimTimeout",

@@ -8,15 +8,14 @@ kernel, which pops the next event off the heap.  Because the event
 order is a total order and only one process ever runs, simulations are
 exactly reproducible — a property the test-suite checks.
 
-*How* control moves between the kernel and a process is delegated to a
-pluggable :class:`~repro.sim.backends.SwitchBackend`
-(``SimKernel(backend=...)`` or the ``REPRO_SIM_BACKEND`` environment
-variable).  The default ``"thread"`` backend is the classic "threads as
-coroutines" pattern — each process owns a semaphore, the backend owns
-one, and a switch is a release/acquire pair on each side; the
-``"greenlet"`` and ``"trampoline"`` backends swap that OS handshake for
-userspace switching while preserving the event order bit for bit (see
-:mod:`repro.sim.backends` for the determinism contract).
+*How* control moves between the kernel and a process is the classic
+"threads as coroutines" pattern — each process owns a semaphore, the
+kernel side owns one, and a switch is a release/acquire pair on each
+side.  That hand-off is the one piece of real threading in the
+simulator and lives in :mod:`repro.sim.backends`
+(:class:`~repro.sim.backends.ThreadBackend`, reachable as
+``kernel.backend``); this module never touches a thread.  See
+``docs/KERNEL.md`` for the determinism and observation contracts.
 
 Two opt-in hooks support the dynamic sanitizer (:mod:`repro.sanitizer`);
 both are free when unused:
@@ -26,9 +25,7 @@ both are free when unused:
   (``on_schedule``/``on_fire``/``on_switch``/``on_exit``), which is
   enough for a happens-before race detector to maintain per-process
   vector clocks.  Every call site is guarded by an ``is not None``
-  test, so the disabled cost is one attribute load.  (Direct
-  ``kernel.tracer = x`` assignment is deprecated; it warns and
-  delegates to ``attach_tracer``.)
+  test, so the disabled cost is one attribute load.
 - ``SimKernel(seed=...)`` — deterministically permutes the pop order of
   same-instant events (schedule exploration).  With ``seed=None`` (the
   default) the event order is exactly the historical ``(time, seq)``
@@ -46,7 +43,7 @@ object for the tracer to annotate.
 from __future__ import annotations
 
 import heapq
-import warnings
+import inspect
 from typing import Any, Callable, Iterable
 
 
@@ -197,21 +194,18 @@ class SimProcess:
 
     Created via :meth:`SimKernel.spawn`.  The target function receives
     the process object as its first argument, giving access to
-    :meth:`sleep`, :meth:`suspend` and the kernel.  The execution
-    context behind it (OS thread, greenlet, or generator trampoline)
-    belongs to the kernel's switch backend.
+    :meth:`sleep`, :meth:`suspend` and the kernel.  The OS thread behind
+    it belongs to ``kernel.backend``.
     """
 
     # slots keep the per-event attribute traffic on fast descriptors;
     # ``__dict__`` stays available for layers that tack extra state onto
-    # a process (corba_principal, security_policy, ...), and the
-    # backend-owned execution handles (_thread/_go/_glet/_gen) are
-    # declared here so every backend can attach its own
+    # a process (corba_principal, security_policy, ...); ``_thread`` and
+    # ``_go`` are the execution handles ``kernel.backend`` attaches
     __slots__ = ("kernel", "name", "daemon", "result", "exc", "_fn",
                  "_args", "_state", "_wake_value", "_pending_exc",
-                 "_wake_token", "_joiners", "_waiting_on",
-                 "_pending_join", "_thread", "_go", "_glet", "_gen",
-                 "__dict__", "__weakref__")
+                 "_wake_token", "_joiners", "_waiting_on", "_thread",
+                 "_go", "__dict__", "__weakref__")
 
     _STATE_NEW = "new"
     _STATE_READY = "ready"
@@ -238,10 +232,7 @@ class SimProcess:
         #: SimProcess being joined, or a waker hint from ``suspend``);
         #: drives the deadlock wait-for graph
         self._waiting_on: Any = None
-        #: target of an in-flight coroutine-mode join (trampoline
-        #: backend); the dispatch path emits ``on_join`` from it
-        self._pending_join: SimProcess | None = None
-        kernel._backend.create(self)
+        kernel.backend.create(self)
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -294,7 +285,7 @@ class SimProcess:
             if kernel._tracer is not None:
                 kernel._tracer.on_schedule(timer)
         heapq.heappush(kernel._heap, (timer._key, timer))
-        return kernel._leaf(self)
+        return kernel.backend.block(self)
 
     def suspend(self, waiting_on: Any = None) -> Any:
         """Block until another actor calls :meth:`SimKernel.wake` on us.
@@ -310,7 +301,7 @@ class SimProcess:
         self._wake_token += 1
         if self._waiting_on is None:
             self._waiting_on = "suspend" if waiting_on is None else waiting_on
-        return kernel._leaf(self)
+        return kernel.backend.block(self)
 
     def yield_(self) -> None:
         """Let every other ready process at the current instant run."""
@@ -321,8 +312,6 @@ class SimProcess:
         """Block until ``target`` finishes; returns its result."""
         kernel = self.kernel
         kernel._check_current(self)
-        if kernel._backend.inline_join:
-            return kernel._backend.join_leaf(self, target)
         if target.alive:
             target._joiners.append(self)
             self._waiting_on = target
@@ -348,11 +337,7 @@ class SimProcess:
     def _yield(self) -> Any:
         """Give the run token back to the kernel from an arbitrary call
         frame (the sync primitives block through here)."""
-        return self.kernel._backend.block(self)
-
-    def _block_leaf(self) -> Any:
-        """Give the run token back from a kernel leaf primitive."""
-        return self.kernel._backend.block_leaf(self)
+        return self.kernel.backend.block(self)
 
     def interrupt(self, cause: Any = None) -> None:
         """Inject a :class:`SimInterrupt` into this process.
@@ -371,12 +356,6 @@ class SimProcess:
 class SimKernel:
     """Event loop + virtual clock for a deterministic simulation.
 
-    ``backend`` selects the switch backend (``"thread"`` — the default,
-    ``"greenlet"``, ``"trampoline"``, or a
-    :class:`~repro.sim.backends.SwitchBackend` instance); unknown names
-    are rejected with the valid set.  When no backend is passed the
-    ``REPRO_SIM_BACKEND`` environment variable is consulted.
-
     Use as a context manager in tests so that processes still blocked at
     the end of a run are cleanly shut down::
 
@@ -385,20 +364,20 @@ class SimKernel:
             k.run()
     """
 
-    def __init__(self, seed: int | None = None,
-                 backend: Any = None) -> None:
-        from repro.sim.backends import resolve_backend  # lazy: avoids cycle
+    def __init__(self, seed: int | None = None) -> None:
+        from repro.sim.backends import ThreadBackend  # lazy: avoids cycle
 
         self.now: float = 0.0
         #: event heap of ``(key, Timer)`` pairs — entry comparisons stay
         #: C-level tuple comparisons (``seq`` makes every key unique)
         self._heap: list[tuple[tuple[float, int, int], Timer]] = []
         self._seq = 0
-        self._backend = resolve_backend(backend)
-        self._backend.attach(self)
+        #: the thread hand-off; every yield calls ``backend.block(proc)``
+        #: through this attribute at call time — never cache the bound
+        #: method, profilers wrap it on the instance after construction
+        self.backend = ThreadBackend()
         # bound once: the per-switch hot path skips two attribute hops
-        self._switch = self._backend.run_until_yield
-        self._leaf = self._backend.block_leaf
+        self._switch = self.backend.run_until_yield
         self._processes: list[SimProcess] = []
         self._current: SimProcess | None = None
         self._running = False
@@ -417,11 +396,6 @@ class SimKernel:
         #: (lazy timer cancellation leaves them in the heap until popped)
         self.events_skipped = 0
 
-    @property
-    def backend(self) -> Any:
-        """The attached :class:`~repro.sim.backends.SwitchBackend`."""
-        return self._backend
-
     # ------------------------------------------------------------------
     # spawning and scheduling
     # ------------------------------------------------------------------
@@ -434,6 +408,11 @@ class SimKernel:
         :class:`SimProcessError`; daemon process failures are recorded on
         ``process.exc`` but do not abort the simulation.
         """
+        if inspect.isgeneratorfunction(fn):
+            raise TypeError(
+                f"process body {getattr(fn, '__name__', fn)!r} is a "
+                f"generator function and would never run: bodies are "
+                f"plain functions that call p.sleep()/p.suspend() directly")
         if name is None:
             name = f"proc-{len(self._processes)}"
         proc = SimProcess(self, fn, args, name, daemon)
@@ -455,17 +434,6 @@ class SimKernel:
         in attach order.
         """
         return self._tracer
-
-    @tracer.setter
-    def tracer(self, value: Any) -> None:
-        warnings.warn(
-            "assigning SimKernel.tracer directly is deprecated; use "
-            "attach_tracer()/detach_tracer()", DeprecationWarning,
-            stacklevel=2)
-        if value is None:
-            self._tracer = None
-        else:
-            self.attach_tracer(value)
 
     def attach_tracer(self, tracer: Any) -> None:
         """Install a scheduling tracer, composing with any already there.
@@ -600,19 +568,7 @@ class SimKernel:
             self._tracer.on_exit(proc)
         for joiner in proc._joiners:
             if joiner.alive:
-                token = joiner._wake_token
-                if joiner._pending_join is proc:
-                    # coroutine-mode join: the wake itself must carry
-                    # the join outcome (the trampoline cannot re-enter
-                    # the joiner's frame to compute it after the fact)
-                    if proc.exc is not None:
-                        self._schedule_wake(
-                            0.0, joiner, token, None,
-                            SimProcessError(proc, proc.exc))
-                    else:
-                        self._schedule_wake(0.0, joiner, token, proc.result)
-                else:
-                    self._schedule_wake(0.0, joiner, token)
+                self._schedule_wake(0.0, joiner, joiner._wake_token)
         proc._joiners.clear()
 
     def _check_current(self, proc: SimProcess) -> None:
@@ -734,11 +690,14 @@ class SimKernel:
     # ------------------------------------------------------------------
     def shutdown(self) -> None:
         """Terminate every live process by raising :class:`SimShutdown`
-        at its current blocking point."""
+        at its current blocking point — and at every later one, until
+        the body has unwound and its thread has ended."""
         self._shutdown = True
         for proc in self._processes:
-            if proc.alive and proc._state in (SimProcess._STATE_BLOCKED,
-                                              SimProcess._STATE_READY):
+            # ``while``: a body that blocks again while unwinding (a
+            # ``finally:`` that sleeps) is shut down again, not re-parked
+            while proc._state in (SimProcess._STATE_BLOCKED,
+                                  SimProcess._STATE_READY):
                 proc._arm()
                 proc._pending_exc = SimShutdown()
                 self._dispatch(proc)
@@ -751,14 +710,10 @@ class SimKernel:
 
 
 def run_processes(fns: Iterable[Callable], until: float | None = None,
-                  args: tuple = (), backend: Any = None) -> list[Any]:
-    """Convenience: run ``fns`` as processes to completion, return results.
-
-    ``backend`` is forwarded to :class:`SimKernel` (None keeps the
-    default selection, including ``REPRO_SIM_BACKEND``).
-    """
+                  args: tuple = ()) -> list[Any]:
+    """Convenience: run ``fns`` as processes to completion, return results."""
     from repro.sim.waitgraph import format_wait_graph
-    with SimKernel(backend=backend) as kernel:
+    with SimKernel() as kernel:
         procs = [kernel.spawn(fn, *args, name=getattr(fn, "__name__", None))
                  for fn in fns]
         kernel.run(until=until)

@@ -46,9 +46,9 @@ def test_true_negative(source):
 
 
 def test_backend_file_is_allowlisted():
-    """The ThreadBackend semaphore handshake is exempt — in backends.py
-    only (where the switch-backend refactor moved it out of kernel.py),
-    and only for ker-thread."""
+    """backends.py holds one class, ThreadBackend — the semaphore
+    hand-off every simulated process yields through.  It is exempt in
+    that file only, and only for ker-thread."""
     source = """
         import threading
         sem = threading.Semaphore(0)
@@ -56,7 +56,7 @@ def test_backend_file_is_allowlisted():
     assert ker(source) == ["ker-thread"]
     assert ker(source, path="src/repro/sim/backends.py",
                module="repro.sim.backends") == []
-    # kernel.py itself is threading-free now and no longer exempt
+    # kernel.py is threading-free and not exempt
     assert ker(source, path="src/repro/sim/kernel.py",
                module="repro.sim.kernel") == ["ker-thread"]
     # the exemption is per-rule: a time.sleep in backends.py still fires

@@ -1,12 +1,11 @@
-"""Cross-backend byte-equality gate for the §4.4 CORBA+MPI workload.
+"""Rerun-determinism gate for the §4.4 CORBA+MPI workload.
 
-The switch backends may only change *how* the kernel transfers control,
-never what the simulation does: the flow log (every transfer the
-network carried, with start/end times and sizes) and the observability
-trace must come out byte-identical whichever backend ran the workload.
-This is the PR 3/4 equality-gate idea pointed at the backend seam —
-the same discipline that makes `BENCH_padico.json` regenerable bit for
-bit.
+Two fresh runs of the same workload must produce the same bytes: the
+flow log (every transfer the network carried, with start/end times and
+sizes) and the observability trace.  OS threads carry the simulated
+processes, so this is the check that nothing of the host scheduler
+leaks into a run — the same discipline that makes `BENCH_padico.json`
+regenerable bit for bit.
 
 The workload is the paper's §4.4 cohabitation shape: CORBA and MPI in
 the same two PadicoTM processes, transferring over the same Myrinet NIC
@@ -16,7 +15,6 @@ at the same instant.
 import json
 
 import numpy as np
-import pytest
 
 from repro.corba import OMNIORB4, Orb, compile_idl
 from repro.mpi import create_world, spmd
@@ -24,7 +22,6 @@ from repro.net import Topology, build_cluster
 from repro.obs import TraceRecorder
 from repro.obs.export import chrome_trace
 from repro.padicotm import PadicoRuntime
-from repro.sim import SimKernel, available_backends
 
 IDL = """
 module Bench {
@@ -33,17 +30,12 @@ module Bench {
 };
 """
 
-#: backends able to run the full PadicoTM stack (the trampoline cannot:
-#: the sync primitives block from nested call frames by design)
-FULL_STACK_BACKENDS = [n for n in available_backends() if n != "trampoline"]
 
-
-def _run_cohabitation(backend):
+def _run_cohabitation():
     """CORBA push + MPI send sharing one NIC; returns the trace bytes."""
-    kernel = SimKernel(backend=backend)
     topo = Topology()
     build_cluster(topo, "a", 2)
-    rt = PadicoRuntime(topo, kernel=kernel)
+    rt = PadicoRuntime(topo)
     recorder = rt.observe(TraceRecorder())
 
     p0 = rt.create_process("a0", "p0")
@@ -90,21 +82,7 @@ def _run_cohabitation(backend):
     return flow_bytes, obs_bytes, results
 
 
-def test_flow_log_and_obs_trace_bytes_match_across_backends():
-    reference = _run_cohabitation("thread")
-    assert reference[2]  # the workload really ran
-    for name in FULL_STACK_BACKENDS:
-        if name == "thread":
-            continue
-        assert _run_cohabitation(name) == reference, name
-    if FULL_STACK_BACKENDS == ["thread"]:
-        pytest.skip("only the thread backend can run the full stack here "
-                    "(greenlet not installed); rerun-determinism still "
-                    "pinned below")
-
-
-def test_workload_is_rerun_deterministic_per_backend():
-    """Same backend, fresh kernel: the bytes must also be stable run to
-    run (the property the cross-backend gate builds on)."""
-    for name in FULL_STACK_BACKENDS:
-        assert _run_cohabitation(name) == _run_cohabitation(name), name
+def test_cohabitation_workload_is_rerun_deterministic():
+    first = _run_cohabitation()
+    assert first[2]  # the workload really ran
+    assert _run_cohabitation() == first

@@ -168,7 +168,8 @@ def _sharing_trace(incremental: bool) -> str:
     """
     topo = Topology()
     build_cluster(topo, "n", 2)
-    rt = PadicoRuntime(topo, incremental=incremental)
+    rt = PadicoRuntime(topo)
+    rt.network = FlowNetwork(rt.kernel, topo, incremental=incremental)
     recorder = rt.observe(TraceRecorder())
     p0 = rt.create_process("n0", "p0")
     p1 = rt.create_process("n1", "p1")

@@ -1,27 +1,13 @@
-"""Backend matrix for the sanitizer tests.
+"""Test ids in this directory end in ``[thread]``.
 
-The dynamic sanitizer (race detector, typestate monitors, schedule
-exploration) instruments the kernel through the tracer hooks, which the
-switch backends must keep semantics-identical; running the whole
-directory under each available general-purpose backend pins that.
+The suffix dates from when the directory ran as a switch-mechanism
+matrix; the CI floor list names every test by that id, so the
+one-value parameter stays to keep the ids stable.
 """
 
 import pytest
 
-from repro.sim.backends import BACKEND_ENV_VAR, available_backends
 
-_MATRIX = [
-    pytest.param("thread", id="thread"),
-    pytest.param(
-        "greenlet", id="greenlet",
-        marks=pytest.mark.skipif(
-            "greenlet" not in available_backends(),
-            reason="greenlet package not installed (repro[sim-fast])")),
-]
-
-
-@pytest.fixture(autouse=True, params=_MATRIX)
-def sim_backend(request, monkeypatch):
-    """Select the switch backend for every kernel the test constructs."""
-    monkeypatch.setenv(BACKEND_ENV_VAR, request.param)
+@pytest.fixture(autouse=True, params=["thread"])
+def switch_mechanism(request):
     return request.param

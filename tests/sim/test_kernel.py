@@ -1,8 +1,12 @@
 """Unit tests for the deterministic simulation kernel."""
 
+import threading
+import time
+
 import pytest
 
 from repro.sim import (
+    Mailbox,
     SimDeadlockError,
     SimInterrupt,
     SimKernel,
@@ -276,6 +280,15 @@ def test_primitive_from_wrong_context_rejected():
         k.run()
 
 
+def test_generator_function_body_is_rejected_at_spawn():
+    def body(p):
+        yield p.sleep(1.0)
+
+    with SimKernel() as k:
+        with pytest.raises(TypeError, match="generator function"):
+            k.spawn(body)
+
+
 def test_run_processes_helper():
     def f(p):
         p.sleep(1.0)
@@ -300,3 +313,44 @@ def test_many_processes_scale():
             k.spawn(proc, i)
         k.run()
         assert sorted(done) == list(range(200))
+
+
+# ----------------------------------------------------------------------
+# shutdown: every process ends, every thread is gone
+# ----------------------------------------------------------------------
+def _cleanup_blocks_again(p):
+    try:
+        p.suspend()
+    finally:
+        p.sleep(1.0)  # a second blocking point, entered while unwinding
+
+
+def test_shutdown_terminates_process_whose_cleanup_blocks_again():
+    k = SimKernel()
+    pr = k.spawn(_cleanup_blocks_again)
+    k.run()
+    k.shutdown()
+    assert pr.state == "done"
+    assert pr.exc is None
+
+
+def test_shutdown_leaves_no_threads_behind():
+    baseline = threading.active_count()
+    k = SimKernel()
+    box = Mailbox(k)
+    k.spawn(lambda p: p.sleep(0.1), name="finished")
+    k.spawn(box.get, name="in-mailbox-get")
+    k.spawn(lambda p: None, name="never-started", delay=5.0)
+    k.spawn(lambda p: p.suspend(), name="daemon", daemon=True)
+    k.spawn(_cleanup_blocks_again, name="blocking-cleanup")
+    k.run(until=1.0)
+    assert [p.name for p in k._processes if p.alive] == [
+        "in-mailbox-get", "never-started", "daemon", "blocking-cleanup"]
+    k.shutdown()
+    assert not any(p.alive for p in k._processes)
+    # a thread ends just after its last hand-off to the kernel: settle
+    deadline = time.monotonic() + 2.0
+    while threading.active_count() > baseline \
+            and time.monotonic() < deadline:
+        time.sleep(0.005)
+    assert threading.active_count() <= baseline
