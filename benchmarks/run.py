@@ -17,7 +17,7 @@ flow churn, CDR MB/s) under the machine-varying ``padico-wallclock/1``
 schema.  The default output path follows the mode.
 
 ``--topology-scaling`` runs just the grid-scale
-``wallclock.topology.scaling`` series (hierarchical site-sharded solver
+``wallclock.topology.scaling`` series (whole-shard + vectorized solves
 on :func:`repro.net.build_grid` topologies up to 10k hosts / 100k
 flows) and writes it under the wall-clock schema — the CI smoke slice
 is ``make bench-topology``.

@@ -10,21 +10,19 @@ on the **process wall clock**:
   (no process switches — the whole-run switch cost is the
   ``sim.switch_s`` line of the ``benchmarks/e2e`` ledger);
 * ``wallclock.flows`` — concurrent-flow churn (flows completed per
-  wall-clock second) at F ∈ {10, 100, 1000} concurrent flows, the
-  scenario the incremental max-min solver exists for.  Each run is
-  executed under both solver modes; the solver-iteration counts (the
-  ``net.maxmin.iterations`` obs counter) land in the series meta, where
-  CI asserts the incremental solver does ≥ 5× less work at F = 1000;
+  wall-clock second) at F ∈ {10, 100, 1000} concurrent flows over
+  disjoint host pairs, the regime the solver's component walk exists
+  for; the solver-iteration counts (the ``net.maxmin.iterations`` obs
+  counter) land in the series meta;
 * ``wallclock.topology.scaling`` — grid-scale event throughput
   (events/s) on :func:`repro.net.build_grid` topologies at 100 / 1 000 /
   10 000 hosts (500 hosts per site, 10 ring flows per host plus one WAN
-  flow per site — 100k+ concurrent flows at the top size), solved by
-  the hierarchical site-sharded tier with the vectorized fill.  At
-  sizes the flat incremental solver can still stomach the identical
-  workload is replayed flat: the run asserts the flow logs are
-  byte-identical (exactness at scale) and the meta records the sharded
-  speedup, which is what ``--topology-scaling`` publishes and CI's
-  smoke slice (``make bench-topology``) keeps honest;
+  flow per site — 100k+ concurrent flows at the top size), the regime
+  of the whole-shard solves and the vectorized fill; published by
+  ``--topology-scaling``, smoke slice ``make bench-topology``.
+  (Exactness at this scale is gated where it is measured: the
+  ``flow_churn`` oracle of ``benchmarks/e2e`` and the fuzz in
+  ``tests/net/test_solver_fuzz.py``);
 * ``wallclock.collectives`` — flat vs topology-aware MPI collectives
   on :func:`repro.net.build_grid` grids at 2 / 4 / 8 sites (5 hosts per
   site, 1 MiB payloads).  The one deterministic series in this
@@ -123,15 +121,15 @@ def bench_kernel(quick: bool) -> BenchResult:
 # concurrent-flow churn
 # ---------------------------------------------------------------------------
 
-def _run_churn(n_flows: int, total_flows: int,
-               incremental: bool) -> tuple[float, FlowNetwork, SimKernel]:
+def _run_churn(n_flows: int,
+               total_flows: int) -> tuple[float, FlowNetwork, SimKernel]:
     """Drive ``n_flows`` concurrent flows (refilled up to ``total_flows``
     completions) over disjoint host pairs; returns (wall s, net, kernel)."""
     pairs = min(n_flows, MAX_PAIRS)
     topo = Topology()
     build_cluster(topo, "h", 2 * pairs, san=MYRINET_2000, lan=None)
     kernel = SimKernel()
-    net = FlowNetwork(kernel, topo, incremental=incremental)
+    net = FlowNetwork(kernel, topo)
     routes = [topo.route(f"h{2 * i}", f"h{2 * i + 1}", "h-san")
               for i in range(pairs)]
     launched = [0]
@@ -173,25 +171,15 @@ def bench_flows(quick: bool) -> BenchResult:
     meta["max_pairs"] = MAX_PAIRS
     for f in levels:
         total = f * rounds
-        elapsed, net, kernel = _run_churn(f, total, incremental=True)
-        # replay the identical (virtual-clock deterministic) workload
-        # with the from-scratch solver to count the work saved
-        _, net_scratch, _ = _run_churn(f, total, incremental=False)
+        elapsed, net, kernel = _run_churn(f, total)
         points.append((f, total / elapsed))
         # above MAX_PAIRS the F "concurrent" flows share min(F, MAX_PAIRS)
         # routes, so record what the level actually exercised
         meta[f"effective_pairs_F{f}"] = min(f, MAX_PAIRS)
-        # the new obs counter: solver rounds per churn level, recorded
-        # post-run so the traced run itself stays mode-independent
+        # solver rounds per churn level, recorded post-run
         recorder.counter(f"net.maxmin.iterations.incremental.F{f}",
                          net.solver_iterations)
-        recorder.counter(f"net.maxmin.iterations.fromscratch.F{f}",
-                         net_scratch.solver_iterations)
         meta[f"solver_iterations_incremental_F{f}"] = net.solver_iterations
-        meta[f"solver_iterations_fromscratch_F{f}"] = \
-            net_scratch.solver_iterations
-        meta[f"solver_iteration_speedup_F{f}"] = round(
-            net_scratch.solver_iterations / net.solver_iterations, 2)
         meta[f"events_skipped_F{f}"] = kernel.events_skipped
         meta[f"timer_reuses_F{f}"] = net.timer_reuses
     meta["counter_names"] = sorted(recorder.counters)
@@ -200,7 +188,7 @@ def bench_flows(quick: bool) -> BenchResult:
 
 
 # ---------------------------------------------------------------------------
-# grid-scale topology churn (the hierarchical solver's reason to exist)
+# grid-scale topology churn (the whole-shard tier's reason to exist)
 # ---------------------------------------------------------------------------
 
 #: host-count axis for the scaling series
@@ -219,10 +207,6 @@ GRID_SWITCH_FANOUT = 32
 #: every completion contributes two solves to each side of it)
 GRID_CHURN_TARGETS = {100: 2_000, 1_000: 600, 10_000: 200}
 QUICK_GRID_CHURN_TARGETS = {100: 500}
-#: largest size replayed with the flat (non-sharded) incremental solver
-#: for the speedup comparison; batched admission and refills keep the
-#: flat replay tractable even at the 10k-host / 100k-flow top size
-GRID_FLAT_MAX_HOSTS = 10_000
 #: virtual-clock chunk the churn window advances by between completion
 #: checks; chunking run(until=...) never changes the event order
 GRID_CHUNK_S = 2e-3
@@ -235,11 +219,10 @@ def _instrument_solver(net: FlowNetwork) -> Callable[[], float]:
     wall-clock accumulation; returns a ``read()`` closure.
 
     The instrumented quantity is exactly the per-event allocator work
-    the solver modes differ on — the component/shard walk plus the
-    progressive fill — excluding the mode-independent kernel costs
-    (event dispatch, eager byte accounting, completion-timer scans)
-    that both replays pay identically.  Wall-clock reads live here in
-    the bench harness because the src tree bans them (det-wallclock).
+    — the component walk plus the progressive fill — excluding the
+    kernel costs around it (event dispatch, eager byte accounting,
+    completion-timer scans).  Wall-clock reads live here in the bench
+    harness because the src tree bans them (det-wallclock).
     """
     acc = [0.0]
     solve, component = net._solve, net._component
@@ -260,18 +243,17 @@ def _instrument_solver(net: FlowNetwork) -> Callable[[], float]:
     return lambda: acc[0]
 
 
-def _run_grid_churn(n_hosts: int, sharded: bool, churn_target: int,
-                    ) -> dict:
+def _run_grid_churn(n_hosts: int, churn_target: int) -> dict:
     """Self-refilling flow churn on a :func:`build_grid` topology.
 
     Each host sends ``GRID_FLOWS_PER_HOST - 1`` flows one switch-leaf
     over (host *i* → host *i + fanout*, so the traffic crosses the
     site's leaf-spine links) and one flow to the site's first host.
     The shared spine links and the hub's downlink weld every site into
-    a single link-connected component — the regime where the flat
-    solver's per-event component walk covers the whole site and the
-    hierarchical shard tier earns its keep.  One cross-site WAN flow
-    per site feeds the coupling tier.
+    a single link-connected component — the regime where a per-event
+    component walk would cover the whole site and the whole-shard
+    tier earns its keep.  One cross-site WAN flow per site feeds the
+    coupling tier.
 
     The ramp admits flows in :data:`GRID_RAMP_BATCH`-sized
     ``start_flows`` batches (bit-identical to sequential same-instant
@@ -286,7 +268,7 @@ def _run_grid_churn(n_hosts: int, sharded: bool, churn_target: int,
     topo, sites = build_grid(sites=n_sites, hosts_per_site=per_site,
                              switch_fanout=GRID_SWITCH_FANOUT)
     kernel = SimKernel()
-    net = FlowNetwork(kernel, topo, incremental=True, sharded=sharded)
+    net = FlowNetwork(kernel, topo)
     solver_wall = _instrument_solver(net)
     site_names = list(sites)
     intra: list = []
@@ -313,8 +295,8 @@ def _run_grid_churn(n_hosts: int, sharded: bool, churn_target: int,
     # churn refills are collected per completion instant and re-issued
     # as one ``start_flows`` batch at the same virtual time (symmetric
     # rates complete flows in large simultaneous batches; re-admitting
-    # them one by one would re-solve the allocation once per flow in
-    # both modes, drowning the workload in driver-induced solves)
+    # them one by one would re-solve the allocation once per flow,
+    # drowning the workload in driver-induced solves)
     pending: list = []
 
     def flush() -> None:
@@ -379,15 +361,11 @@ def bench_topology_scaling(quick: bool) -> BenchResult:
                     f"one WAN flow per site, {GRID_HOSTS_PER_SITE} "
                     f"hosts/site, switch fanout {GRID_SWITCH_FANOUT}",
         "churn_targets": {f"H{n}": t for n, t in sorted(targets.items())},
-        "flat_max_hosts": GRID_FLAT_MAX_HOSTS,
-        "speedup_metric": "flat churn-window solver wall (component walk "
-                          "+ fill) over sharded ditto, same virtual "
-                          "workload",
     }
     recorder = TraceRecorder()
     for n in levels:
         churn = targets[n]
-        run = _run_grid_churn(n, sharded=True, churn_target=churn)
+        run = _run_grid_churn(n, churn)
         net, topo = run["net"], run["topo"]
         points.append((n, run["events"] / run["churn_wall"]))
         hits, misses = topo.route_cache_stats()
@@ -403,16 +381,6 @@ def bench_topology_scaling(quick: bool) -> BenchResult:
             run["completions"] / run["churn_wall"], 1)
         meta[f"route_cache_hit_rate_H{n}"] = round(
             hits / (hits + misses), 3) if hits + misses else 0.0
-        if n <= GRID_FLAT_MAX_HOSTS:
-            flat = _run_grid_churn(n, sharded=False, churn_target=churn)
-            # exactness at scale: flat and sharded replays of the same
-            # virtual workload must transfer the very same bytes
-            assert flat["net"].flow_log == net.flow_log, \
-                f"sharded solve diverged from flat at {n} hosts"
-            meta[f"flat_solver_wall_s_H{n}"] = round(
-                flat["solver_ramp"] + flat["solver_churn"], 3)
-            meta[f"sharded_speedup_H{n}"] = round(
-                flat["solver_churn"] / run["solver_churn"], 2)
     meta["counter_names"] = sorted(recorder.counters)
     return BenchResult(name="wallclock.topology.scaling", unit="events/s",
                        points=tuple(points), meta=meta)

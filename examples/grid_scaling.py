@@ -4,16 +4,15 @@
 The paper's Figure-1 environment scaled up: a multi-site grid —
 Myrinet islands behind leaf/spine switches, joined by WAN links — with
 per-site flow rings plus cross-site WAN transfers, admitted in batches
-and re-solved by the hierarchical site-sharded max-min tier (the
-default).  The same workload is then replayed with ``sharded=False``
-to show the allocations are byte-identical while the sharded run does
-its solver work per-site.
+and re-solved per site by the max-min solver.  Midway through the
+second wave the live allocation is checked against a from-scratch
+:func:`maxmin_rates` solve over every flow: bit-for-bit equal.
 
 Run:  python examples/grid_scaling.py
 """
 
 from repro.net import build_grid
-from repro.net.flows import FlowNetwork
+from repro.net.flows import FlowNetwork, maxmin_rates
 from repro.sim import SimKernel
 
 SITES = 8
@@ -21,12 +20,12 @@ HOSTS_PER_SITE = 32
 FLOW_MB = 4.0
 
 
-def run(sharded: bool) -> FlowNetwork:
+def main() -> None:
     topo, site_hosts = build_grid(sites=SITES,
                                   hosts_per_site=HOSTS_PER_SITE,
                                   switch_fanout=16)
     kernel = SimKernel()
-    net = FlowNetwork(kernel, topo, sharded=sharded)
+    net = FlowNetwork(kernel, topo)
 
     def ramp() -> None:
         batch = []
@@ -47,24 +46,18 @@ def run(sharded: bool) -> FlowNetwork:
 
     kernel.schedule(0.0, ramp)
     kernel.schedule(5.0, ramp)  # second wave: same routes, cache hits
+    kernel.run(until=5.001)
+    live = net.active_flows
+    assert {f: f.rate for f in live} == maxmin_rates(live)  # bit-for-bit
     kernel.run()
-    return net
-
-
-def main() -> None:
-    sharded = run(sharded=True)
-    flat = run(sharded=False)
-    assert sharded.flow_log == flat.flow_log  # bit-for-bit, always
     n = SITES * HOSTS_PER_SITE
     print(f"{SITES} sites x {HOSTS_PER_SITE} hosts "
-          f"({n} hosts, {len(sharded.flow_log)} flows)")
-    print(f"  sharded solver: {sharded.solver_solves} solves, "
-          f"{sharded.solver_iterations} bottleneck rounds")
-    print(f"  flat solver:    {flat.solver_solves} solves, "
-          f"{flat.solver_iterations} bottleneck rounds")
-    hits, misses = sharded.topology.route_cache_stats()
+          f"({n} hosts, {len(net.flow_log)} flows)")
+    print(f"  solver:         {net.solver_solves} solves, "
+          f"{net.solver_iterations} bottleneck rounds")
+    hits, misses = topo.route_cache_stats()
     print(f"  route cache:    {hits} hits / {misses} misses")
-    print("  flow logs byte-identical across modes")
+    print(f"  {len(live)} live rates equal the from-scratch solve")
 
 
 if __name__ == "__main__":

@@ -8,9 +8,9 @@ over the WAN — crosses it exactly ``sites - 1`` times.  This module
 holds the site hierarchy the communicator routes through:
 
 - :class:`CollTuning` — the per-communicator knobs (``aware`` on/off,
-  alltoall aggregation threshold), resolvable from the
-  ``REPRO_MPI_COLL`` environment variable so any run can be replayed in
-  flat mode as the differential-testing oracle;
+  alltoall aggregation threshold), passed explicitly to
+  :func:`repro.mpi.create_world`; ``aware=False`` is the
+  differential-testing oracle;
 - :class:`SiteMap` — each group rank resolved to its host's topology
   ``site`` tag, with per-site member lists and the deterministic leader
   rule (lowest rank per site, except the root's site where the root
@@ -32,7 +32,6 @@ guards.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -51,8 +50,8 @@ class CollTuning:
 
     ``aware``
         route collectives through the site hierarchy (default).  Flat
-        mode — ``CollTuning(aware=False)`` or ``REPRO_MPI_COLL=flat`` —
-        keeps the original rank-order binomial trees and serves as the
+        mode — ``CollTuning(aware=False)`` — keeps the original
+        rank-order binomial trees and serves as the
         differential-testing oracle.
     ``alltoall_threshold``
         per-destination-site aggregate size (bytes) below which an
@@ -62,20 +61,6 @@ class CollTuning:
 
     aware: bool = True
     alltoall_threshold: int = 0
-
-    @classmethod
-    def resolve(cls, explicit: "CollTuning | None" = None) -> "CollTuning":
-        """Pick the tuning: an explicit value wins, else the
-        ``REPRO_MPI_COLL`` environment variable, else aware."""
-        if explicit is not None:
-            return explicit
-        mode = os.environ.get("REPRO_MPI_COLL", "aware").strip().lower()
-        if mode == "flat":
-            return cls(aware=False)
-        if mode in ("", "aware"):
-            return cls()
-        raise ValueError(
-            f"REPRO_MPI_COLL must be 'aware' or 'flat', got {mode!r}")
 
 
 class CollStats:

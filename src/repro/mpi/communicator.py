@@ -19,9 +19,9 @@ Collectives are *topology aware* by default (MPICH-G2 style, see
 through cluster-local binomial subtrees under per-site leaders, with
 only leaders crossing the WAN — intra-site edges ride a per-site
 subcircuit whose fabric the PadicoTM selector picks (the site SAN on a
-grid).  ``CollTuning(aware=False)`` or ``REPRO_MPI_COLL=flat`` selects
-the original flat rank-order binomial trees, the differential-testing
-oracle; single-site groups always take the flat path unchanged.  Both
+grid).  ``CollTuning(aware=False)`` selects the original flat
+rank-order binomial trees, the differential-testing oracle;
+single-site groups always take the flat path unchanged.  Both
 modes maintain per-communicator WAN-crossing/byte counters
 (:attr:`Comm.coll_stats`) and, when a monitor is attached, the
 ``mpi.wan_crossings`` / ``mpi.wan_bytes.<op>`` obs counters.
@@ -130,7 +130,7 @@ class Comm:
         self._context = context
         self._coll_seq = 0
         self._proc: SimProcess | None = None
-        self._tuning = CollTuning.resolve(tuning)
+        self._tuning = tuning or CollTuning()
         self._shared_memo: CollShared | None = None
 
     # ------------------------------------------------------------------

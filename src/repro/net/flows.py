@@ -13,39 +13,40 @@ This is the mechanism behind the paper's concurrency experiment
 bandwidth is efficiently shared: each gets 120 MB/s"): two flows across
 one 240 MB/s Myrinet host link each receive exactly half.
 
-Scaling (see docs/PERFORMANCE.md): the solver state decomposes into
-*link-connected components* — flows in different components share no
-link, so progressive filling never couples them.  :class:`FlowNetwork`
-keeps a persistent link→flows index and, on every flow add/remove,
-re-solves only the component(s) touched by the change.  Because the
-component-restricted fill performs bit-for-bit the same float
-operations as the full fill restricted to that component (same flow
-order, same link insertion order, same subtraction sequence), the
-incremental rates are *exactly* — not approximately — equal to the
-from-scratch ones.  ``FlowNetwork(..., incremental=False)`` keeps the
-historical full re-solve for differential testing.
+Scaling (see docs/PERFORMANCE.md): there is one solve pipeline,
+:meth:`FlowNetwork._reallocate`, and it picks its own tier from what it
+observes — no caller-facing switch selects among them, because every
+tier computes bit-for-bit the same rates:
 
-Grid scale adds a second, *hierarchical* tier on top of the component
-machinery.  Fabrics carry an optional ``site`` locality tag
-(:class:`repro.net.topology.Fabric`); a flow whose route stays inside
-one site's fabrics belongs to that site's **shard**, everything else
-(wide-area traffic, mixed routes) to the site-less **coupling tier**.
-A shard is a union of link-connected components — intra-site links are
-never shared with another site — so re-solving a whole dirty shard is
-exactly as bit-for-bit correct as re-solving the minimal component,
-but needs no per-event graph search: shard membership is one dict
-lookup.  A dirty shard is solved wholesale once it holds
-``shard_threshold`` live flows *and* the last component walked inside
-it spanned at least half the shard (a decaying estimate — densely
-coupled sites graduate to shard solves, shards full of small disjoint
-components keep the cheaper PR 4 component walk).  Large
-subsets additionally switch from the scalar progressive fill to a
-numpy-vectorised twin (:func:`_progressive_fill_vec`) above
-``vec_threshold`` — same shares, same rounds, same subtraction
-sequence, so the results remain byte-identical (the differential suite
-pins the cross-over).  Topologies where a flow's route mixes tagged and
-untagged fabrics *taint* the sites it touches, and tainted shards fall
-back to the always-correct component walk.
+* The solver state decomposes into *link-connected components* — flows
+  in different components share no link, so progressive filling never
+  couples them.  :class:`FlowNetwork` keeps a persistent link→flows
+  index and re-solves only the component(s) a change touches.  The
+  component-restricted fill performs the same float operations as the
+  full fill restricted to that component (same flow order, same link
+  insertion order, same subtraction sequence), so the rates are
+  *exactly* — not approximately — the from-scratch ones
+  (:func:`maxmin_rates`, the reference the test oracles call).
+* Fabrics carry an optional ``site`` locality tag
+  (:class:`repro.net.topology.Fabric`); a flow whose route stays inside
+  one site's fabrics belongs to that site's **shard**, everything else
+  (wide-area traffic, mixed routes) to the site-less **coupling tier**.
+  A shard is a union of link-connected components — intra-site links
+  are never shared with another site — so re-solving a whole dirty
+  shard is exactly as correct as re-solving the minimal component, but
+  needs no per-event graph search: shard membership is one dict lookup.
+  A dirty shard is solved wholesale once it holds
+  :data:`_VEC_MIN_FLOWS` live flows *and* the last component walked
+  inside it spanned at least half the shard (a decaying estimate —
+  densely coupled sites graduate to shard solves, shards full of small
+  disjoint components keep the cheaper component walk).  A route
+  mixing tagged and untagged fabrics *taints* the sites it touches, and
+  tainted shards fall back to the always-correct component walk.
+* Subsets of at least :data:`_VEC_MIN_FLOWS` flows — every whole-shard
+  solve, and any component walk that large — are filled by a
+  numpy-vectorised twin of the scalar loop
+  (:func:`_progressive_fill_vec`): same shares, same rounds, same
+  subtraction sequence, byte-identical results.
 """
 
 from __future__ import annotations
@@ -62,6 +63,12 @@ from repro.sim.kernel import SimKernel, SimProcess, Timer
 #: Residual byte count below which a flow is considered complete
 #: (guards against floating-point drift in progress accounting).
 _EPS_BYTES = 1e-6
+
+#: Live flows a subset needs before the numpy fill's setup cost
+#: amortises over the saved per-round link scans — and before re-solving
+#: a whole shard (one dict lookup) beats the per-event component walk.
+#: One number for both: a whole-shard solve is always a vectorised one.
+_VEC_MIN_FLOWS = 64
 
 
 class TransferError(RuntimeError):
@@ -192,7 +199,7 @@ def _progressive_fill(
 
     Returns ``(rates, iterations)`` where ``rates`` assigns every input
     flow a rate and ``iterations`` counts bottleneck-fixing rounds (the
-    quantity the incremental solver saves; exported via the
+    quantity component-local re-solving saves; exported via the
     ``net.maxmin.iterations`` obs counter).
     """
     link_flows: dict[Link, list[Flow]] = {}
@@ -254,12 +261,9 @@ def _route_shard(route: Sequence[Link]) -> str | None:
 
 
 def _progressive_fill_vec(
-        flows: Sequence[Flow],
-        n_ids: int | None = None,
-        groups: Sequence[int] | None = None,
+        flows: Sequence[Flow], n_ids: int,
         buffers: tuple[bytes, bytes, bytes] | None = None,
-        out_array: bool = False,
-) -> tuple[list[float] | np.ndarray, int]:
+) -> tuple[np.ndarray, int]:
     """Vectorised progressive fill for large flow sets.
 
     Performs *bit-for-bit* the same computation as
@@ -271,21 +275,14 @@ def _progressive_fill_vec(
     ``np.subtract.at`` cannot change the result) — but replaces the
     per-round Python scan over all links with numpy reductions over
     flat link arrays, themselves assembled by array ops from the
-    ``route_ids``/``route_bw`` arrays cached per flow at add time.  The
-    per-round cost drops from O(L) dict iterations to a handful of
-    array ops and the setup cost to a concatenate-and-rank pass, which
-    is what lets one shard hold 100k concurrent flows.
+    ``route_id_bytes``/``route_bw_bytes`` buffers cached per flow at add
+    time.  The per-round cost drops from O(L) dict iterations to a
+    handful of array ops and the setup cost to a concatenate-and-rank
+    pass, which is what lets one shard hold 100k concurrent flows.
 
-    ``groups`` (optional) declares ``flows`` to be a concatenation of
-    *link-disjoint* blocks of the given sizes — the shape
-    ``_reallocate_sharded`` produces when several dirty shards pass the
-    whole-shard gate in one event.  Because first-appearance ranking
-    assigns each block a contiguous link range, the round loop can run
-    per block over array *views*: the same rounds, the same float ops
-    (rounds of different blocks never touch each other's links, so the
-    global fill's interleaving of them is immaterial), but each round's
-    reductions cost O(block links) instead of O(all links).  With one
-    group (or ``None``) this degenerates to the plain global loop.
+    Returns ``(rates, iterations)``, ``rates`` a float64 array in
+    ``flows`` order.  ``n_ids`` bounds the interned link ids on the
+    routes (``len(FlowNetwork._link_ids)``).
 
     ``buffers`` (optional) supplies the three concatenated byte buffers
     — ``(lens, ids, bw)``, as produced by joining :class:`_ShardBuf`
@@ -294,60 +291,38 @@ def _progressive_fill_vec(
     for ``flows``; the shard caches guarantee that by construction.
     """
     n = len(flows)
-    if n == 0:
-        return (np.empty(0, dtype=np.float64) if out_array else []), 0
     inf = float("inf")
-    if buffers is not None:
-        lens_b, ids_b, bw_b = buffers
-        lens = np.frombuffer(lens_b, dtype=np.int64)
-    else:
-        lens = np.frombuffer(b"".join([f.route_len_bytes for f in flows]),
-                             dtype=np.int64)
-    total = int(lens.sum())
-    if total == 0:  # no flow crosses any link (empty routes)
-        if out_array:
-            return np.full(n, inf, dtype=np.float64), 1
-        return [inf] * n, 1
     # assemble the subset's link arrays from the per-flow id/bandwidth
     # buffers cached at add time — one bytes join + frombuffer per
     # array, no Link objects and no per-flow numpy calls on this path
     # (or zero joins at all when the caller hands in shard-cache blobs)
-    if buffers is not None:
-        gids = np.frombuffer(ids_b, dtype=np.int64)
-        bw = np.frombuffer(bw_b, dtype=np.float64)
-    else:
-        gids = np.frombuffer(b"".join([f.route_id_bytes for f in flows]),
-                             dtype=np.int64)
-        bw = np.frombuffer(b"".join([f.route_bw_bytes for f in flows]),
-                           dtype=np.float64)
+    if buffers is None:
+        buffers = (b"".join([f.route_len_bytes for f in flows]),
+                   b"".join([f.route_id_bytes for f in flows]),
+                   b"".join([f.route_bw_bytes for f in flows]))
+    lens = np.frombuffer(buffers[0], dtype=np.int64)
+    gids = np.frombuffer(buffers[1], dtype=np.int64)
+    bw = np.frombuffer(buffers[2], dtype=np.float64)
+    total = len(gids)
+    if total == 0:  # no flow crosses any link (empty routes)
+        return np.full(n, inf, dtype=np.float64), 1
     offsets = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(lens, out=offsets[1:])
     # local link ids must follow *first-appearance* order (the scalar
-    # fill's link insertion order, which is what ties break on)
-    if n_ids is None:
-        # np.unique sorts by global id: rank the uniques by their first
-        # position in ``gids`` to recover first-appearance order
-        uniq, first, inv = np.unique(gids, return_index=True,
-                                     return_inverse=True)
-        n_links = len(uniq)
-        order = np.argsort(first)
-        rank = np.empty(n_links, dtype=np.intp)
-        rank[order] = np.arange(n_links, dtype=np.intp)
-        local = rank[inv]
-    else:
-        # ids are dense per-network interns below ``n_ids``: a reversed
-        # scatter records each id's first position (last write wins, so
-        # writing positions back-to-front leaves the smallest), and
-        # only the *present* ids get sorted — much smaller than the 2E
-        # element sort np.unique would do
-        first = np.full(n_ids, total, dtype=np.int64)
-        first[gids[::-1]] = np.arange(total - 1, -1, -1, dtype=np.int64)
-        present = np.flatnonzero(first < total)
-        n_links = len(present)
-        order = np.argsort(first[present], kind="stable")
-        rank = np.empty(n_ids, dtype=np.intp)
-        rank[present[order]] = np.arange(n_links, dtype=np.intp)
-        local = rank[gids]
+    # fill's link insertion order, which is what ties break on).  The
+    # ids are dense per-network interns below ``n_ids``: a reversed
+    # scatter records each id's first position (last write wins, so
+    # writing positions back-to-front leaves the smallest), and only
+    # the *present* ids get sorted — much smaller than the 2E element
+    # sort np.unique would do
+    first = np.full(n_ids, total, dtype=np.int64)
+    first[gids[::-1]] = np.arange(total - 1, -1, -1, dtype=np.int64)
+    present = np.flatnonzero(first < total)
+    n_links = len(present)
+    order = np.argsort(first[present], kind="stable")
+    rank = np.empty(n_ids, dtype=np.intp)
+    rank[present[order]] = np.arange(n_links, dtype=np.intp)
+    local = rank[gids]
     cap = np.empty(n_links, dtype=np.float64)
     cap[local] = bw  # duplicate writes all carry the same bandwidth
     counts = np.bincount(local, minlength=n_links)
@@ -363,77 +338,56 @@ def _progressive_fill_vec(
     fixed = np.zeros(n, dtype=bool)
     rate_of = np.zeros(n, dtype=np.float64)
     iterations = 0
-    if groups is None:
-        groups = (n,)
-    f_lo = 0
-    l_lo = 0
-    for gsize in groups:
-        f_hi = f_lo + gsize
-        e_lo, e_hi = int(offsets[f_lo]), int(offsets[f_hi])
-        if e_hi == e_lo:  # block of route-less flows: uncapacitated
-            rate_of[f_lo:f_hi] = inf
-            iterations += 1
-            f_lo = f_hi
-            continue
-        # first-appearance ranking gives each link-disjoint block the
-        # contiguous rank range [l_lo, l_hi); rounds run on views of it
-        l_hi = int(local[e_lo:e_hi].max()) + 1
-        cap_b = cap[l_lo:l_hi]
-        cnt_b = cnt[l_lo:l_hi]
-        shares_b = shares[l_lo:l_hi]
-        remaining = f_hi - f_lo
-        while remaining:
-            iterations += 1
-            valid = cnt_b > 0
-            shares_b.fill(inf)
-            # max(cap, 0.0) keeps -0.0 (Python max semantics), so
-            # compare strictly against 0.0 rather than clipping
-            np.divide(np.where(cap_b < 0.0, 0.0, cap_b), cnt_b,
-                      out=shares_b, where=valid)
-            bi = int(np.argmin(shares_b))
-            if not bool(valid[bi]):
-                if not valid.any():
-                    # only route-less flows remain: uncapacitated
-                    unfixed = ~fixed[f_lo:f_hi]
-                    rate_of[f_lo:f_hi][unfixed] = inf
-                    break
-                # every live share is inf (infinite-bandwidth links):
-                # the scalar scan settles on the first live link
-                # instead of the inf placeholder of a drained one
-                bi = int(np.argmax(valid))
-            best = float(shares_b[bi])
-            gi = l_lo + bi
-            mem = grouped[bounds[gi]:bounds[gi + 1]]
-            newly = mem[~fixed[mem]]
-            fixed[newly] = True
-            rate_of[newly] = best
-            # gather the newly-fixed flows' link rows — the
-            # concatenation of ranges [offsets[fi], offsets[fi] +
-            # lens[fi]) built with the cumsum range trick, no per-flow
-            # Python loop.  Every grouped flow crosses >= 1 link, so
-            # no zero-length range can corrupt the boundary steps.
-            # subtract.at applies element-by-element (unbuffered), so
-            # repeated hits on one link reproduce the scalar fill's
-            # sequential same-value subtractions exactly.
-            if len(newly) == 1:
-                # churn rounds usually fix one straggler: its link rows
-                # are a single contiguous slice, no range trick needed
-                s0 = int(offsets[newly[0]])
-                seg = local[s0:s0 + int(lens[newly[0]])]
-            else:
-                sel_start = offsets[newly]
-                sel_len = lens[newly]
-                step = np.ones(int(sel_len.sum()), dtype=np.int64)
-                ends = np.cumsum(sel_len)
-                step[0] = sel_start[0]
-                step[ends[:-1]] = sel_start[1:] - sel_start[:-1] \
-                    - sel_len[:-1] + 1
-                seg = local[np.cumsum(step)]
-            np.subtract.at(cap, seg, best)
-            np.subtract.at(cnt, seg, 1)
-            remaining -= len(newly)
-        f_lo, l_lo = f_hi, l_hi
-    return (rate_of if out_array else rate_of.tolist()), iterations
+    remaining = n
+    while remaining:
+        iterations += 1
+        valid = cnt > 0
+        shares.fill(inf)
+        # max(cap, 0.0) keeps -0.0 (Python max semantics), so compare
+        # strictly against 0.0 rather than clipping
+        np.divide(np.where(cap < 0.0, 0.0, cap), cnt, out=shares,
+                  where=valid)
+        bi = int(np.argmin(shares))
+        if not bool(valid[bi]):
+            if not valid.any():
+                # only route-less flows remain: uncapacitated
+                rate_of[~fixed] = inf
+                break
+            # every live share is inf (infinite-bandwidth links): the
+            # scalar scan settles on the first live link instead of the
+            # inf placeholder of a drained one
+            bi = int(np.argmax(valid))
+        best = float(shares[bi])
+        mem = grouped[bounds[bi]:bounds[bi + 1]]
+        newly = mem[~fixed[mem]]
+        fixed[newly] = True
+        rate_of[newly] = best
+        # gather the newly-fixed flows' link rows — the concatenation
+        # of ranges [offsets[fi], offsets[fi] + lens[fi]) built with
+        # the cumsum range trick, no per-flow Python loop.  Every
+        # grouped flow crosses >= 1 link, so no zero-length range can
+        # corrupt the boundary steps.  subtract.at applies
+        # element-by-element (unbuffered), so repeated hits on one link
+        # reproduce the scalar fill's sequential same-value
+        # subtractions exactly.
+        if len(newly) == 1:
+            # churn rounds usually fix one straggler: its link rows are
+            # a single contiguous slice, no range trick needed
+            s0 = int(offsets[newly[0]])
+            seg = local[s0:s0 + int(lens[newly[0]])]
+        else:
+            sel_start = offsets[newly]
+            sel_len = lens[newly]
+            step = np.ones(int(sel_len.sum()), dtype=np.int64)
+            ends = np.cumsum(sel_len)
+            step[0] = sel_start[0]
+            step[ends[:-1]] = sel_start[1:] - sel_start[:-1] \
+                - sel_len[:-1] + 1
+            seg = local[np.cumsum(step)]
+        np.subtract.at(cap, seg, best)
+        np.subtract.at(cnt, seg, 1)
+        remaining -= len(newly)
+    return rate_of, iterations
 
 
 def maxmin_rates(flows: Sequence[Flow]) -> dict[Flow, float]:
@@ -444,8 +398,8 @@ def maxmin_rates(flows: Sequence[Flow]) -> dict[Flow, float]:
     an equal or smaller rate.  Deterministic: ties broken by link
     insertion order.  The returned dict lists flows in *input* order
     (not fixing order), so two solves over the same flows compare equal
-    including iteration order — the property the incremental solver's
-    differential tests rely on.
+    including iteration order — the property the differential tests
+    rely on.
     """
     rates, _ = _progressive_fill(flows)
     return {f: rates[f] for f in flows}
@@ -458,46 +412,24 @@ class FlowNetwork:
     it from inside simulated processes.  Bytes crossing each link are
     accounted in :attr:`link_bytes` for white-box assertions in tests.
 
-    With ``incremental=True`` (the default) rate re-solves are
-    restricted to the link-connected component of the changed flows —
-    exactly equivalent to the full solve (see module docstring) but
-    O(component) instead of O(network) per event.
-
-    ``sharded=True`` (the default) adds the hierarchical tier: dirty
-    flows whose shard (site tag) holds at least ``shard_threshold``
-    live flows skip the component walk and re-solve the whole shard,
-    and any subset of at least ``vec_threshold`` flows is solved by the
-    vectorised fill.  Both paths are bit-for-bit equal to the scalar
-    from-scratch solve; the thresholds only move work between
-    equally-exact implementations.
+    Rate re-solves are restricted to what a change can affect — the
+    link-connected component of the changed flows, or their whole site
+    shard when that is cheaper — and large subsets go through the
+    vectorised fill (see the module docstring).  Every tier is
+    bit-for-bit equal to a from-scratch :func:`maxmin_rates` solve over
+    all live flows; which one runs is decided from the subset's size
+    and structure, never by the caller.
     """
 
-    #: live flows a shard needs before whole-shard re-solving beats the
-    #: per-event component walk (dict lookup vs O(component) BFS)
-    SHARD_THRESHOLD = 64
-    #: subset size where the numpy fill's setup cost amortises over the
-    #: saved per-round link scans
-    VEC_THRESHOLD = 64
-
-    def __init__(self, kernel: SimKernel, topology: Topology,
-                 incremental: bool = True, sharded: bool = True,
-                 shard_threshold: int | None = None,
-                 vec_threshold: int | None = None):
+    def __init__(self, kernel: SimKernel, topology: Topology):
         self.kernel = kernel
         self.topology = topology
-        self.incremental = incremental
-        self.sharded = sharded
-        self.shard_threshold = (self.SHARD_THRESHOLD
-                                if shard_threshold is None
-                                else shard_threshold)
-        self.vec_threshold = (self.VEC_THRESHOLD if vec_threshold is None
-                              else vec_threshold)
         self._flows: list[Flow] = []
         #: persistent link→flows index (insertion-ordered dicts used as
-        #: ordered sets); maintained in both modes, consulted for
-        #: component discovery and link-failure victim lookup
+        #: ordered sets), consulted for component discovery and
+        #: link-failure victim lookup
         self._link_flows: dict[Link, dict[Flow, None]] = {}
-        #: hierarchical tier: site tag → live flows of that shard, plus
+        #: shard membership: site tag → live flows of that shard, plus
         #: the site-less coupling tier (wide-area / mixed routes); both
         #: insertion-ordered, so iteration follows Flow.seq
         self._shard_flows: dict[str, dict[Flow, None]] = {}
@@ -516,7 +448,7 @@ class FlowNetwork:
         #: flows leave.  Whole-shard solving only pays off when the
         #: dirty component covers most of the shard, and this estimate
         #: is how the solver knows without running the BFS; see
-        #: _reallocate_sharded
+        #: _reallocate
         self._shard_comp: dict[str | None, int] = {}
         #: per-shard-key concatenated route byte caches (None keys the
         #: coupling tier), kept in lockstep with _shard_flows /
@@ -535,7 +467,7 @@ class FlowNetwork:
         self._flow_seq = 0
         self._flow_counter = 0
         #: solver work counters (plain ints — never routed through the
-        #: monitor, so traces stay identical across solver modes; the
+        #: monitor, so a trace does not depend on which fill ran; the
         #: wall-clock bench reports them via obs counters after the run)
         self.solver_solves = 0
         self.solver_iterations = 0
@@ -671,20 +603,18 @@ class FlowNetwork:
         self._advance()
         flow = Flow(route, nbytes, waiter, callback, self.kernel.now)
         flow.shard = _route_shard(flow.route)
-        if self.sharded:
-            ids = self._link_ids
-            fids = []
-            for link in flow.route:
-                li = ids.get(link)
-                if li is None:
-                    li = len(ids)
-                    ids[link] = li
-                fids.append(li)
-            flow.route_id_bytes = np.array(fids, dtype=np.int64).tobytes()
-            flow.route_bw_bytes = np.array(
-                [l.bandwidth for l in flow.route],
-                dtype=np.float64).tobytes()
-            flow.route_len_bytes = np.int64(len(fids)).tobytes()
+        ids = self._link_ids
+        fids = []
+        for link in flow.route:
+            li = ids.get(link)
+            if li is None:
+                li = len(ids)
+                ids[link] = li
+            fids.append(li)
+        flow.route_id_bytes = np.array(fids, dtype=np.int64).tobytes()
+        flow.route_bw_bytes = np.array(
+            [l.bandwidth for l in flow.route], dtype=np.float64).tobytes()
+        flow.route_len_bytes = np.int64(len(fids)).tobytes()
         self._flow_counter += 1
         flow.seq = self._flow_counter
         self._flows.append(flow)
@@ -724,11 +654,10 @@ class FlowNetwork:
             for tag in self._coupling_tags(flow):
                 self._site_taint[tag] = self._site_taint.get(tag, 0) + 1
                 self._taint_total += 1
-        if self.sharded:
-            buf = self._shard_buf.get(shard)
-            if buf is None:
-                buf = self._shard_buf[shard] = _ShardBuf()
-            buf.add(flow)
+        buf = self._shard_buf.get(shard)
+        if buf is None:
+            buf = self._shard_buf[shard] = _ShardBuf()
+        buf.add(flow)
 
     def _index_remove(self, flow: Flow) -> None:
         link_flows = self._link_flows
@@ -745,10 +674,7 @@ class FlowNetwork:
             # estimate came from; decaying it forces an eventual BFS
             # re-probe, so the estimate cannot stay optimistic forever
             self._shard_comp[shard] = comp - 1
-        if self.sharded:
-            buf = self._shard_buf.get(shard)
-            if buf is not None:
-                buf.remove(flow)
+        self._shard_buf[shard].remove(flow)
         if shard is not None:
             members = self._shard_flows.get(shard)
             if members is not None:
@@ -820,34 +746,12 @@ class FlowNetwork:
                     link_bytes[link] = link_bytes.get(link, 0.0) + moved
         self._last_update = now
 
-    def _reallocate(self, dirty: Sequence[Flow] | None = None) -> None:
+    def _reallocate(self, dirty: Sequence[Flow]) -> None:
         """Re-solve fair-share rates after a flow-set change.
 
-        ``dirty`` lists the flows added/removed since the last solve.
-        In incremental mode only their link-connected component — or,
-        with ``sharded=True``, their whole site shard when that is
-        cheaper — is re-solved (flows elsewhere keep their — provably
-        unchanged — rates); with ``dirty=None`` or
-        ``incremental=False`` the whole network is re-solved from
-        scratch by the historical scalar fill, the exactness oracle the
-        differential suite compares every other path against.
-        """
-        if self.incremental and dirty is not None:
-            if self.sharded:
-                self._reallocate_sharded(dirty)
-                return
-            subset = [f for f in self._component(dirty) if not f.done]
-            # iterate in active-list order so link insertion order (and
-            # therefore every tie-break and float op) matches the full
-            # solve restricted to this component
-            subset.sort(key=_flow_seq_key)
-            self._solve(subset, vec_ok=False)
-        else:
-            self._solve(self._flows, vec_ok=False)
-        self._reschedule()
-
-    def _reallocate_sharded(self, dirty: Sequence[Flow]) -> None:
-        """Hierarchical re-solve: dirty site shards wholesale, the rest
+        ``dirty`` lists the flows added/removed since the last solve;
+        flows their change cannot reach keep their — provably unchanged
+        — rates.  Dirty site shards are re-solved wholesale, the rest
         through the component walk.
 
         A shard is a union of link-connected components (see module
@@ -856,60 +760,60 @@ class FlowNetwork:
         coupling flow touching its fabrics.  Exact, but only *cheaper*
         when the dirty component covers most of the shard: a shard full
         of small disjoint components (the disjoint-pair churn bench) is
-        better served by the PR 4 walk.  The ``_shard_comp`` estimate —
+        better served by the walk.  The ``_shard_comp`` estimate —
         size of the last component the walk solved inside the shard,
         decayed as members leave — decides: whole-shard solving engages
         once a probed component spans at least half the shard, and the
         decay forces a re-probe every ~half-shard's worth of departures
         so the estimate tracks fragmentation.  Seeds whose shard is too
         small, tainted, or fragmented fall back to one combined
-        component walk, the always-correct PR 4 path.
+        component walk, which is always correct.
         """
         groups: dict[str | None, list[Flow]] = {}
         for f in dirty:
             groups.setdefault(f.shard, []).append(f)
         residual: list[Flow] = []
-        threshold = self.shard_threshold
         comp_est = self._shard_comp
         # every gate-passing shard lands in one combined subset solved
         # by a single fill: shards are link-disjoint by construction, so
         # a union fill performs exactly the per-shard fills' arithmetic
         # (each link only ever meets subtractions from its own shard's
         # rounds, in the same relative order) while paying the vec
-        # setup once per *event* instead of once per shard; the block
-        # sizes ride along so the fill's round loop can work per shard
-        # over array views instead of the whole concatenated link range,
-        # and the shard-cache blobs ride along so the fill starts from
+        # setup once per *event* instead of once per shard; the
+        # shard-cache blobs ride along so the fill starts from
         # ready-made link buffers instead of per-flow listcomps
         combined: list[Flow] = []
-        combined_sizes: list[int] = []
         bufs: list[_ShardBuf] = []
         for key, seeds in groups.items():
             if key is not None:
                 members = self._shard_flows.get(key)
-                if members is not None and len(members) >= threshold \
+                if members is not None and len(members) >= _VEC_MIN_FLOWS \
                         and not self._site_taint.get(key) \
                         and 2 * comp_est.get(key, 0) >= len(members):
                     combined.extend(members)
-                    combined_sizes.append(len(members))
                     bufs.append(self._shard_buf[key])
                     continue
             elif self._taint_total == 0 \
-                    and len(self._coupling_flows) >= threshold \
+                    and len(self._coupling_flows) >= _VEC_MIN_FLOWS \
                     and 2 * comp_est.get(None, 0) \
-                    >= len(self._coupling_flows):
+                    >= len(self._coupling_flows) \
+                    and not any(map(self._coupling_tags, seeds)):
+                # the last test: a *departed* seed no longer counts in
+                # the taint, yet its route still couples this tier to
+                # every site it crossed — only the walk reaches those
                 combined.extend(self._coupling_flows)
-                combined_sizes.append(len(self._coupling_flows))
                 bufs.append(self._shard_buf[None])
                 continue
             residual.extend(seeds)
         if combined:
-            self._solve(combined, vec_ok=True, groups=combined_sizes,
-                        bufs=bufs)
+            self._solve(combined, bufs)
         if residual:
             subset = [f for f in self._component(residual) if not f.done]
+            # iterate in active-list order so link insertion order (and
+            # therefore every tie-break and float op) matches the full
+            # solve restricted to this component
             subset.sort(key=_flow_seq_key)
-            self._solve(subset, vec_ok=True)
+            self._solve(subset)
             keys = {f.shard for f in subset}
             if len(keys) == 1:
                 # the walk just measured one shard's component structure:
@@ -917,76 +821,63 @@ class FlowNetwork:
                 comp_est[keys.pop()] = len(subset)
         self._reschedule()
 
-    def _solve(self, subset: Sequence[Flow], vec_ok: bool,
-               groups: Sequence[int] | None = None,
+    def _solve(self, subset: Sequence[Flow],
                bufs: Sequence[_ShardBuf] | None = None) -> None:
         """One fill over ``subset``; applies rates and counts the work.
 
         ``bufs`` (whole-shard solves only) supplies the shard caches
-        whose concatenated members *are* ``subset``: the fill then
-        starts from their ready-made byte buffers, and the new rates
-        are diffed against the caches' rate mirrors in numpy so only
-        the flows whose rate actually changed get attribute writes.
+        whose concatenated members *are* ``subset``: the vectorised
+        fill then starts from their ready-made byte buffers, and the new
+        rates are diffed against the caches' rate mirrors in numpy so
+        only the flows whose rate actually changed get attribute writes.
         Skipping a write when old and new compare equal is exactly what
         the scalar assignment loop's ``!=`` guard does (including the
         ``-0.0 == 0.0`` case), so both paths leave identical state.
         """
-        if vec_ok and len(subset) >= self.vec_threshold:
-            if bufs is not None:
-                buffers = (b"".join([b.lens for b in bufs]),
-                           b"".join([b.ids for b in bufs]),
-                           b"".join([b.bw for b in bufs]))
-                rate_arr, iterations = _progressive_fill_vec(
-                    subset, len(self._link_ids), groups, buffers,
-                    out_array=True)
-                if all(b.rates_valid for b in bufs):
-                    old = np.frombuffer(b"".join([b.rates for b in bufs]),
-                                        dtype=np.float64)
-                    for i in np.flatnonzero(rate_arr != old).tolist():
-                        subset[i].rate = float(rate_arr[i])
-                else:
-                    for f, new_rate in zip(subset, rate_arr.tolist()):
-                        if new_rate != f.rate:
-                            f.rate = new_rate
-                lo = 0
-                for buf, size in zip(bufs, groups):
-                    hi = lo + size
-                    buf.rates = bytearray(rate_arr[lo:hi].tobytes())
-                    buf.rates_valid = True
-                    lo = hi
+        if bufs is not None:
+            buffers = (b"".join([b.lens for b in bufs]),
+                       b"".join([b.ids for b in bufs]),
+                       b"".join([b.bw for b in bufs]))
+            rate_arr, iterations = _progressive_fill_vec(
+                subset, len(self._link_ids), buffers)
+            if all(b.rates_valid for b in bufs):
+                old = np.frombuffer(b"".join([b.rates for b in bufs]),
+                                    dtype=np.float64)
+                for i in np.flatnonzero(rate_arr != old).tolist():
+                    subset[i].rate = float(rate_arr[i])
             else:
-                rate_list, iterations = _progressive_fill_vec(
-                    subset, len(self._link_ids), groups)
-                for f, new_rate in zip(subset, rate_list):
+                for f, new_rate in zip(subset, rate_arr.tolist()):
                     if new_rate != f.rate:
                         f.rate = new_rate
-                self._stale_rate_mirrors(subset)
+            lo = 0
+            for buf in bufs:
+                hi = lo + len(buf.seqs)
+                buf.rates = bytearray(rate_arr[lo:hi].tobytes())
+                buf.rates_valid = True
+                lo = hi
         else:
-            rates, iterations = _progressive_fill(subset)
-            for f in subset:
-                new_rate = rates[f]
-                if new_rate != f.rate:
-                    f.rate = new_rate
-            self._stale_rate_mirrors(subset)
+            if len(subset) >= _VEC_MIN_FLOWS:
+                rate_arr, iterations = _progressive_fill_vec(
+                    subset, len(self._link_ids))
+                for f, new_rate in zip(subset, rate_arr.tolist()):
+                    if new_rate != f.rate:
+                        f.rate = new_rate
+            else:
+                rates, iterations = _progressive_fill(subset)
+                for f in subset:
+                    new_rate = rates[f]
+                    if new_rate != f.rate:
+                        f.rate = new_rate
+            # this solve wrote ``Flow.rate`` without going through the
+            # shard caches: the touched shards' mirrors no longer
+            # reflect their members, so the next whole-shard solve
+            # falls back to the per-flow assignment loop once (and then
+            # rebuilds the mirror from its own result)
+            for key in dict.fromkeys(f.shard for f in subset):
+                self._shard_buf[key].rates_valid = False
         self.solver_solves += 1
         self.solver_iterations += iterations
         self.solver_flows_resolved += len(subset)
-
-    def _stale_rate_mirrors(self, subset: Sequence[Flow]) -> None:
-        """Mark shard rate mirrors stale after a non-whole-shard solve.
-
-        Component walks and full re-solves write ``Flow.rate`` without
-        going through the shard caches; the touched shards' mirrors no
-        longer reflect their members, so the next whole-shard solve
-        must fall back to the per-flow assignment loop once (and then
-        rebuilds the mirror from its own result).
-        """
-        if not self.sharded:
-            return
-        for key in dict.fromkeys(f.shard for f in subset):
-            buf = self._shard_buf.get(key)
-            if buf is not None:
-                buf.rates_valid = False
 
     def _reschedule(self) -> None:
         next_finish = None
@@ -1019,6 +910,16 @@ class FlowNetwork:
         self._timer = None
         self._advance()
         finished = [f for f in self._flows if f.remaining <= _EPS_BYTES]
+        if not finished:
+            # Far enough into virtual time one ulp of the clock moves
+            # more bytes than _EPS_BYTES (3.4e-6 B at 240 MB/s once
+            # now > 64 s), so a flow can sit above the threshold with a
+            # residual time that rounds to ``now + 0``: the timer would
+            # re-arm for this same instant, advance nothing, and refire
+            # forever.  Such a flow is complete at this instant.
+            now = self.kernel.now
+            finished = [f for f in self._flows
+                        if f.rate > 0 and now + f.remaining / f.rate == now]
         for f in finished:
             f.remaining = 0.0
             f.done = True

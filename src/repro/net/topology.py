@@ -293,8 +293,7 @@ def build_cluster(topo: Topology, name: str, n_hosts: int,
     Mirrors the paper's testbed: every node has a Myrinet-2000 NIC into
     the SAN switch and a Fast-Ethernet NIC into the site LAN switch.
     Fabrics are named ``{name}-san`` / ``{name}-lan`` and carry the
-    cluster's site as their locality tag (the hierarchical solver's
-    shard key).
+    cluster's site as their locality tag (the flow solver's shard key).
 
     ``switch_fanout`` bounds the port count of one switch: above it,
     hosts are spread over leaf switches (``{name}-san-sw0``, ``-sw1``,

@@ -226,39 +226,6 @@ def test_non_power_of_two_and_uneven_roots():
     assert out[True] == out[False]
 
 
-def test_env_var_selects_flat_mode(monkeypatch):
-    monkeypatch.setenv("REPRO_MPI_COLL", "flat")
-    rt, site_hosts = _grid(2, 2)
-    procs = _procs(rt, site_hosts)
-    world = create_world(rt, "w", procs)  # no explicit tuning
-
-    def body(proc, comm):
-        assert not comm.coll_aware
-        comm.bcast(b"x" if comm.rank == 0 else None, root=0)
-
-    threads = spmd(world, body)
-    rt.kernel.run()
-    assert all(t.exc is None for t in threads)
-    # flat 2x2 bcast from rank 0: edges 0->1 (intra), 0->2, 1->3 cross
-    assert world.comm(0).coll_stats.wan_crossings == 2
-    rt.shutdown()
-
-
-def test_explicit_tuning_beats_env(monkeypatch):
-    monkeypatch.setenv("REPRO_MPI_COLL", "flat")
-    rt, site_hosts = _grid(2, 2)
-    world = create_world(rt, "w", _procs(rt, site_hosts),
-                         coll=CollTuning(aware=True))
-
-    def body(proc, comm):
-        assert comm.coll_aware
-
-    threads = spmd(world, body)
-    rt.kernel.run()
-    assert all(t.exc is None for t in threads)
-    rt.shutdown()
-
-
 @pytest.mark.parametrize("threshold", [0, 1 << 30])
 def test_alltoall_threshold_modes(threshold):
     """Aggregated (0) and all-direct (huge threshold) alltoall both

@@ -1,6 +1,10 @@
 """Unit tests for the flow-level transfer engine."""
 
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.net import FlowNetwork, Topology, TransferError, build_cluster
 from repro.sim import SimKernel
@@ -212,3 +216,75 @@ def test_start_flow_rejects_empty_size(grid):
     route = topo.route("a0", "a1", "a-san")
     with pytest.raises(ValueError):
         net.start_flow(route, 0, lambda f: None)
+
+
+# ---------------------------------------------------------------------------
+# completion far into virtual time: the timer must not livelock
+# ---------------------------------------------------------------------------
+#
+# Past ~64 virtual seconds one ulp of the clock carries more bytes at
+# 240 MB/s than the completion threshold, so a flow can be left with a
+# residual whose transfer time rounds to ``now + 0``.  The network used
+# here fails the test instead of spinning if that ever re-arms the
+# completion timer forever.
+
+class _BoundedFlowNetwork(FlowNetwork):
+    FIRINGS_PER_FLOW = 8  # one completion + a few one-ulp catch-ups
+
+    def __init__(self, kernel, topology):
+        super().__init__(kernel, topology)
+        self.firings = 0
+        self.budget = 0
+
+    def start_flow(self, route, nbytes, callback):
+        self.budget += self.FIRINGS_PER_FLOW
+        return super().start_flow(route, nbytes, callback)
+
+    def _on_completion(self):
+        self.firings += 1
+        assert self.firings <= self.budget, \
+            f"completion timer is spinning at t={self.kernel.now!r}"
+        super()._on_completion()
+
+
+def _late_flows(starts_and_sizes):
+    topo = Topology()
+    build_cluster(topo, "c", 2)
+    kernel = SimKernel()
+    net = _BoundedFlowNetwork(kernel, topo)
+    route = topo.route("c0", "c1", "c-san")
+    flows = []
+    for start, size in starts_and_sizes:
+        kernel.schedule(start, lambda size=size: flows.append(
+            net.start_flow(route, size, lambda f: None)))
+    kernel.run()
+    return kernel, net, flows
+
+
+def test_completion_does_not_livelock_late_in_virtual_time():
+    # at t = 100 s this size leaves 1.25e-6 B after the first firing:
+    # above the 1e-6 B threshold, yet only 5e-15 s from done
+    kernel, net, (flow,) = _late_flows([(100.0, 1_000_001.0)])
+    assert flow.done and flow.error is None and flow.remaining == 0.0
+    assert kernel.events_processed <= 4
+    assert kernel.now == pytest.approx(100.0 + 1_000_001.0 / 240e6,
+                                       abs=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.floats(0.0, 1e6, allow_nan=False),
+                          st.floats(1.0, 1e10, allow_nan=False)),
+                min_size=1, max_size=3))
+def test_flows_drain_at_any_virtual_time(starts_and_sizes):
+    kernel, net, flows = _late_flows(starts_and_sizes)
+    assert not net.active_flows
+    assert len(flows) == len(starts_and_sizes)
+    for flow in flows:
+        assert flow.done and flow.error is None
+        assert flow.remaining == 0.0
+    # finishing a flow whose residual cannot move the clock must not
+    # skip real work: nothing beats the link's line rate by more than
+    # clock rounding
+    for start, end, size, _link, ok in net.flow_log:
+        assert ok
+        assert end - start >= size / 240e6 * (1 - 1e-9) - 4 * math.ulp(end)

@@ -1,7 +1,7 @@
 """Grid topologies and the machinery behind grid-scale runs: the
 :func:`build_grid` generator, the per-fabric route cache, batch flow
-admission, and the hierarchical (site-sharded + vectorized) solver's
-exactness against the flat modes — including WAN link failure
+admission, and the whole-shard + vectorized solver tiers' exactness
+against the from-scratch oracle — including WAN link failure
 mid-transfer."""
 
 from __future__ import annotations
@@ -11,7 +11,8 @@ import pytest
 from repro.net import Topology, build_grid
 from repro.net.flows import FlowNetwork, TransferError
 from repro.sim.kernel import SimKernel
-from tests.net.test_incremental_maxmin import CheckedFlowNetwork
+from tests.net.test_incremental_maxmin import CheckedFlowNetwork, \
+    ScratchFlowNetwork
 
 
 # ---------------------------------------------------------------------------
@@ -94,10 +95,10 @@ def test_route_cache_invalidated_by_link_state():
 # batch admission
 # ---------------------------------------------------------------------------
 
-def _grid_net(**kw) -> tuple[Topology, SimKernel, FlowNetwork]:
+def _grid_net() -> tuple[Topology, SimKernel, FlowNetwork]:
     topo, _ = build_grid(sites=2, hosts_per_site=4)
     kernel = SimKernel()
-    return topo, kernel, FlowNetwork(kernel, topo, **kw)
+    return topo, kernel, FlowNetwork(kernel, topo)
 
 
 def test_start_flows_matches_sequential_same_instant():
@@ -143,26 +144,23 @@ def test_start_flows_validation_is_atomic():
 
 
 # ---------------------------------------------------------------------------
-# hierarchical solver vs the flat modes
+# whole-shard / vectorized tiers vs the from-scratch oracle
 # ---------------------------------------------------------------------------
 #
 # A multi-site schedule with intra-site rings, WAN coupling flows and a
-# WAN link failure mid-transfer, replayed under every solver mode with
-# thresholds forced low enough that the sharded run actually exercises
-# the whole-shard gate and the vectorized fill.
+# WAN link failure mid-transfer.  Every ring holds RING_FLOWS flows per
+# host pair — 80 per site, comfortably above the solver's 64-flow
+# threshold — so the production run really goes through the whole-shard
+# gate and the vectorized fill before completions thin the sites out.
 
-def _run_grid_schedule(*, incremental, sharded=False, checked=False,
-                       shard_threshold=None, vec_threshold=None):
+RING_FLOWS = 20
+
+
+def _run_grid_schedule(cls):
     topo, site_hosts = build_grid(sites=3, hosts_per_site=4,
                                   switch_fanout=2)
     kernel = SimKernel()
-    cls = CheckedFlowNetwork if checked else FlowNetwork
-    kw = {}
-    if shard_threshold is not None:
-        kw["shard_threshold"] = shard_threshold
-    if vec_threshold is not None:
-        kw["vec_threshold"] = vec_threshold
-    net = cls(kernel, topo, incremental=incremental, sharded=sharded, **kw)
+    net = cls(kernel, topo)
 
     def start(a, b, fab, size):
         try:
@@ -180,7 +178,8 @@ def _run_grid_schedule(*, incremental, sharded=False, checked=False,
 
     for s in range(3):
         ring = [(f"g{s}n{i}", f"g{s}n{(i + 1) % 4}", f"g{s}-san",
-                 1e6 * (i + 1 + s)) for i in range(4)]
+                 1e5 * (i + 1 + s) + 1e3 * j)
+                for j in range(RING_FLOWS) for i in range(4)]
         kernel.schedule(0.0, start_batch, ring)
     kernel.schedule(1e-4, start, "g0n0", "g1n0", "g-wan", 5e6)
     kernel.schedule(1e-4, start, "g1n2", "g2n3", "g-wan", 7e6)
@@ -193,35 +192,30 @@ def _run_grid_schedule(*, incremental, sharded=False, checked=False,
 
 
 def test_wan_failure_identical_across_all_solver_modes():
-    ref, k_ref = _run_grid_schedule(incremental=False)
-    flat, k_flat = _run_grid_schedule(incremental=True)
-    sharded, k_sh = _run_grid_schedule(incremental=True, sharded=True,
-                                       shard_threshold=2, vec_threshold=2)
-    assert ref.flow_log == flat.flow_log == sharded.flow_log
-    assert k_ref.now == k_flat.now == k_sh.now
+    ref, k_ref = _run_grid_schedule(ScratchFlowNetwork)
+    prod, k_prod = _run_grid_schedule(FlowNetwork)
+    assert ref.flow_log == prod.flow_log
+    assert k_ref.now == k_prod.now
     # the WAN failure aborted the two flows crossing site g0's uplink
     assert sum(not ok for *_rest, ok in ref.flow_log) == 2
-    assert [(l.name, v) for l, v in sharded.link_bytes.items()] == \
+    assert [(l.name, v) for l, v in prod.link_bytes.items()] == \
         [(l.name, v) for l, v in ref.link_bytes.items()]
 
 
 def test_sharded_vectorized_run_checked_against_oracle():
     # CheckedFlowNetwork re-derives the global max-min allocation from
-    # scratch after every reallocation: the hierarchical tier and the
+    # scratch after every reallocation: the whole-shard tier and the
     # vectorized fill must match it bit-for-bit, every event
-    net, _ = _run_grid_schedule(incremental=True, sharded=True,
-                                checked=True, shard_threshold=2,
-                                vec_threshold=2)
+    net, _ = _run_grid_schedule(CheckedFlowNetwork)
     assert net.completed_flows > 0
-    # the vectorized path actually ran: each site ring alone crosses
-    # the forced threshold
-    assert net.solver_flows_resolved > 0
+    # (that the whole-shard and vectorized tiers really run at this
+    # size is pinned by tests/net/test_solver_fuzz.py)
 
 
 def test_flow_shard_tags():
     topo, _ = build_grid(sites=2, hosts_per_site=4)
     kernel = SimKernel()
-    net = FlowNetwork(kernel, topo, sharded=True)
+    net = FlowNetwork(kernel, topo)
     intra = net.start_flow(topo.route("g0n0", "g0n1", "g0-san"), 1e6,
                            lambda f: None)
     wan = net.start_flow(topo.route("g0n0", "g1n0", "g-wan"), 1e6,

@@ -1,19 +1,21 @@
-"""Differential tests: incremental max-min solver ≡ from-scratch solver.
+"""Differential tests: the production solve pipeline ≡ from-scratch solves.
 
-The incremental solver's whole claim (docs/PERFORMANCE.md) is that
-restricting progressive filling to the link-connected component of a
-change is *exact* — bit-for-bit, not approximately.  These tests check
-that claim three ways:
+The solver's whole claim (docs/PERFORMANCE.md) is that restricting
+progressive filling to the link-connected component (or site shard) of
+a change is *exact* — bit-for-bit, not approximately.  The slow-but-
+obviously-right variants live here, on the test side, as two
+``FlowNetwork`` subclasses, and the claim is checked three ways:
 
-1. an invariant-checking ``FlowNetwork`` subclass asserts, after every
-   single reallocation of a randomised workload, that the live rates
-   equal a from-scratch :func:`maxmin_rates` solve — same values, same
-   flow order;
-2. whole runs replayed under both solver modes must agree on the flow
-   log, the final virtual clock, and per-link byte accounting;
+1. :class:`CheckedFlowNetwork` asserts, after every single reallocation
+   of a randomised workload, that the live rates equal a from-scratch
+   :func:`maxmin_rates` solve — same values, same flow order;
+2. whole runs replayed on :class:`ScratchFlowNetwork` (every
+   reallocation re-solves every live flow with the scalar fill) must
+   agree with production on the flow log, the final virtual clock, and
+   per-link byte accounting;
 3. the concurrent CORBA+MPI sharing workload (the paper's §4.4
-   experiment) must export the *identical* observability trace under
-   both modes.
+   experiment) must export the *identical* observability trace on
+   both.
 """
 
 from __future__ import annotations
@@ -25,18 +27,33 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.net import NoRouteError, Topology, build_cluster
-from repro.net.flows import FlowNetwork, TransferError, maxmin_rates
+from repro.net.flows import FlowNetwork, TransferError, \
+    _progressive_fill, maxmin_rates
 from repro.sim.kernel import SimKernel
 
 
 class CheckedFlowNetwork(FlowNetwork):
-    """Asserts the incremental invariant after every reallocation."""
+    """Asserts the exactness invariant after every reallocation."""
 
-    def _reallocate(self, dirty=None):
+    def _reallocate(self, dirty):
         super()._reallocate(dirty)
         expected = maxmin_rates(self._flows)
         # bit-for-bit: exact float equality AND identical flow order
         assert [(f, f.rate) for f in self._flows] == list(expected.items())
+
+
+class ScratchFlowNetwork(FlowNetwork):
+    """The from-scratch oracle: every reallocation ignores ``dirty`` and
+    re-solves *all* live flows with the scalar fill."""
+
+    def _reallocate(self, dirty):
+        rates, iterations = _progressive_fill(self._flows)
+        for f in self._flows:
+            f.rate = rates[f]
+        self.solver_solves += 1
+        self.solver_iterations += iterations
+        self.solver_flows_resolved += len(self._flows)
+        self._reschedule()
 
 
 # ---------------------------------------------------------------------------
@@ -44,7 +61,7 @@ class CheckedFlowNetwork(FlowNetwork):
 # ---------------------------------------------------------------------------
 #
 # A schedule is pure data — (kind, time, ...) events over small random
-# clusters — so the identical workload replays under either solver mode.
+# clusters — so the identical workload replays on either network class.
 
 @st.composite
 def schedules(draw):
@@ -69,14 +86,13 @@ def schedules(draw):
     return clusters, events
 
 
-def run_schedule(spec, incremental, checked):
+def run_schedule(spec, cls):
     clusters, events = spec
     topo = Topology()
     for ci, n_hosts in enumerate(clusters):
         build_cluster(topo, f"c{ci}", n_hosts)
     kernel = SimKernel()
-    cls = CheckedFlowNetwork if checked else FlowNetwork
-    net = cls(kernel, topo, incremental=incremental)
+    net = cls(kernel, topo)
 
     def start(ci, src, dst, fabric, size):
         try:
@@ -84,7 +100,7 @@ def run_schedule(spec, incremental, checked):
                                f"c{ci}-{fabric}")
             net.start_flow(route, size, lambda flow: None)
         except (NoRouteError, TransferError):
-            pass  # a link failed earlier; both modes raise identically
+            pass  # a link failed earlier; both classes raise identically
 
     def fail(ci, src, dst, fabric):
         try:
@@ -109,9 +125,9 @@ def run_schedule(spec, incremental, checked):
 @given(schedules())
 def test_incremental_exactness_and_cross_mode_equality(spec):
     # (1) invariant checked after every single reallocation
-    net_inc, kernel_inc = run_schedule(spec, incremental=True, checked=True)
+    net_inc, kernel_inc = run_schedule(spec, CheckedFlowNetwork)
     # (2) whole-run observables identical to the from-scratch solver
-    net_ref, kernel_ref = run_schedule(spec, incremental=False, checked=False)
+    net_ref, kernel_ref = run_schedule(spec, ScratchFlowNetwork)
     assert net_inc.flow_log == net_ref.flow_log
     assert kernel_inc.now == kernel_ref.now
     # links are per-topology objects: compare by name, in insertion
@@ -119,7 +135,7 @@ def test_incremental_exactness_and_cross_mode_equality(spec):
     assert [(l.name, v) for l, v in net_inc.link_bytes.items()] == \
         [(l.name, v) for l, v in net_ref.link_bytes.items()]
     assert net_inc.completed_flows == net_ref.completed_flows
-    # the incremental solver never does more bottleneck rounds
+    # the production pipeline never does more bottleneck rounds
     assert net_inc.solver_iterations <= net_ref.solver_iterations
 
 
@@ -130,8 +146,8 @@ def test_incremental_saves_iterations_on_disjoint_components():
                   ("flow", 0.0, 0, 2, 3, "san", 2e6),
                   ("flow", 0.001, 0, 0, 1, "san", 3e6),
                   ("flow", 0.001, 0, 2, 3, "san", 4e6)])
-    net_inc, _ = run_schedule(spec, incremental=True, checked=True)
-    net_ref, _ = run_schedule(spec, incremental=False, checked=False)
+    net_inc, _ = run_schedule(spec, CheckedFlowNetwork)
+    net_ref, _ = run_schedule(spec, ScratchFlowNetwork)
     assert net_inc.flow_log == net_ref.flow_log
     assert net_inc.solver_iterations < net_ref.solver_iterations
 
@@ -141,8 +157,8 @@ def test_fail_link_matches_from_scratch():
                   ("flow", 0.0, 0, 1, 2, "san", 5e7),
                   ("fail", 0.001, 0, 0, 1, "san"),
                   ("flow", 0.002, 0, 1, 2, "san", 1e6)])
-    net_inc, k_inc = run_schedule(spec, incremental=True, checked=True)
-    net_ref, k_ref = run_schedule(spec, incremental=False, checked=False)
+    net_inc, k_inc = run_schedule(spec, CheckedFlowNetwork)
+    net_ref, k_ref = run_schedule(spec, ScratchFlowNetwork)
     assert net_inc.flow_log == net_ref.flow_log
     assert k_inc.now == k_ref.now
 
@@ -151,9 +167,10 @@ def test_fail_link_matches_from_scratch():
 # obs trace equality on the concurrent-sharing workload
 # ---------------------------------------------------------------------------
 
-def _sharing_trace(incremental: bool) -> str:
+def _sharing_trace(scratch: bool) -> str:
     """The §4.4 concurrency experiment (CORBA and MPI bulk streams over
-    one SAN at the same time), exported as a canonical trace string."""
+    one SAN at the same time), exported as a canonical trace string;
+    ``scratch`` swaps the runtime's network for the from-scratch oracle."""
     from repro.corba import OMNIORB4, Orb, compile_idl
     from repro.mpi import create_world, spmd
     from repro.obs import TraceRecorder, chrome_trace
@@ -169,7 +186,8 @@ def _sharing_trace(incremental: bool) -> str:
     topo = Topology()
     build_cluster(topo, "n", 2)
     rt = PadicoRuntime(topo)
-    rt.network = FlowNetwork(rt.kernel, topo, incremental=incremental)
+    if scratch:
+        rt.network = ScratchFlowNetwork(rt.kernel, topo)
     recorder = rt.observe(TraceRecorder())
     p0 = rt.create_process("n0", "p0")
     p1 = rt.create_process("n1", "p1")
@@ -208,5 +226,4 @@ def _sharing_trace(incremental: bool) -> str:
 
 
 def test_sharing_benchmark_trace_identical_across_modes():
-    assert _sharing_trace(incremental=True) == \
-        _sharing_trace(incremental=False)
+    assert _sharing_trace(scratch=False) == _sharing_trace(scratch=True)

@@ -1,0 +1,210 @@
+"""Fuzz the production solve pipeline at its production threshold.
+
+The small-cluster schedules of ``test_incremental_maxmin`` never hold
+more than a dozen live flows, so they only ever reach the scalar fill.
+The schedules here are built on :func:`build_grid` and sized so the
+pipeline's other tiers run *at the real* ``_VEC_MIN_FLOWS``: a
+``start_flows`` ramp puts more than 64 flows into at least one site
+shard, later events add batches (per site, across all sites, over the
+WAN), single flows, *mixed* SAN+WAN routes (which taint a site until
+they complete) and link failures, and the drain at the end decays the
+shards' component estimates back below the whole-shard gate.
+Everything runs under
+:class:`CheckedFlowNetwork` — a from-scratch ``maxmin_rates`` after
+every reallocation, values and order — and the test finally asserts
+that the examples really executed all four fills the pipeline selects
+between.
+"""
+
+from __future__ import annotations
+
+from collections import Counter
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from repro.net import NoRouteError, build_grid
+from repro.net import flows as flows_mod
+from repro.net.flows import _VEC_MIN_FLOWS
+from repro.sim.kernel import SimKernel
+from tests.net.test_incremental_maxmin import CheckedFlowNetwork
+
+HOSTS = 4  # per site: few hosts, many flows per link, big components
+
+
+def _batch(count, base, salt):
+    """``count`` ``(src, dst, size)`` requests spread over every host
+    pair of one site."""
+    out = []
+    for j in range(count):
+        src = (j + salt) % HOSTS
+        dst = (src + 1 + (j // HOSTS + salt) % (HOSTS - 1)) % HOSTS
+        out.append((src, dst, base * (1 + (7 * j + salt) % 11 / 10)))
+    return out
+
+
+@st.composite
+def grid_schedules(draw):
+    n_sites = draw(st.integers(2, 3))
+    site = st.integers(0, n_sites - 1)
+    host = st.integers(0, HOSTS - 1)
+    hop = st.integers(1, HOSTS - 1)
+    other = st.integers(1, n_sites - 1)
+    san_size = st.floats(1e4, 2e5, allow_nan=False)
+    wan_size = st.floats(1e3, 5e4, allow_nan=False)
+    salt = st.integers(0, 50)
+    # the ramp: one batch per site at t = 0, one of them above the gate
+    big = draw(site)
+    over_gate = st.integers(_VEC_MIN_FLOWS + 8, 2 * _VEC_MIN_FLOWS)
+    any_size = st.integers(0, 2 * _VEC_MIN_FLOWS)
+    events = [
+        (0.0, "batch", s, draw(over_gate if s == big else any_size),
+         draw(san_size), draw(salt))
+        for s in range(n_sites)]
+    t = 0.0
+    for _ in range(draw(st.integers(3, 10))):
+        t += draw(st.floats(0.0, 3e-3, allow_nan=False))
+        events.append((t,) + draw(st.one_of(
+            st.tuples(st.just("batch"), site, st.integers(1, 40),
+                      san_size, salt),
+            st.tuples(st.just("flow"), site, host, hop, san_size),
+            st.tuples(st.just("spread"), host, hop, san_size),
+            st.tuples(st.just("wan"), site, st.integers(1, 80), other,
+                      wan_size),
+            st.tuples(st.just("mixed"), site, host, hop, other, host,
+                      wan_size),
+            st.tuples(st.just("fail_san"), site, host),
+            st.tuples(st.just("fail_wan"), site))))
+    return n_sites, events
+
+
+def run_grid_schedule(spec, cls):
+    n_sites, events = spec
+    topo, _ = build_grid(sites=n_sites, hosts_per_site=HOSTS,
+                         switch_fanout=2)
+    kernel = SimKernel()
+    net = cls(kernel, topo)
+
+    def route(src, dst, fabric):
+        try:
+            return topo.route(src, dst, fabric)
+        except NoRouteError:
+            return None  # an earlier failure cut the path
+
+    def san(s, a, b):
+        return route(f"g{s}n{a}", f"g{s}n{b}", f"g{s}-san")
+
+    def wan(s, a, s2, b):
+        return route(f"g{s}n{a}", f"g{s2}n{b}", "g-wan")
+
+    def admit(routes_and_sizes):
+        net.start_flows([(r, size, lambda flow: None)
+                         for r, size in routes_and_sizes if r is not None])
+
+    def fire(kind, *args):
+        if kind == "batch":
+            s, count, base, salt = args
+            admit([(san(s, a, b), size)
+                   for a, b, size in _batch(count, base, salt)])
+        elif kind == "flow":
+            s, a, hop, size = args
+            admit([(san(s, a, (a + hop) % HOSTS), size)])
+        elif kind == "spread":
+            # one batch dirtying every site's shard at once
+            a, hop, size = args
+            admit([(san(s, a, (a + hop) % HOSTS), size)
+                   for s in range(n_sites)])
+        elif kind == "wan":
+            # pure wide-area flows: coupling tier, no taint
+            s, count, other, size = args
+            admit([(wan(s, j % HOSTS, (s + other) % n_sites,
+                        (j // HOSTS) % HOSTS), size * (1 + j % 5))
+                   for j in range(count)])
+        elif kind == "mixed":
+            # a relayed transfer: site SAN to a gateway host, then the
+            # WAN — its route mixes tagged and untagged fabrics, so it
+            # joins the coupling tier and taints site ``s``
+            s, a, hop, other, c, size = args
+            gw = (a + hop) % HOSTS
+            legs = san(s, a, gw), wan(s, gw, (s + other) % n_sites, c)
+            admit([(None if None in legs else legs[0] + legs[1], size)])
+        elif kind == "fail_san":
+            s, a = args
+            uplink = san(s, a, (a + 1) % HOSTS)
+            if uplink is not None:
+                net.fail_link(uplink[0])
+        else:
+            (s,) = args
+            net.fail_link(
+                topo.fabrics["g-wan"].link(f"g-wan-r{s}", "g-wan-core"))
+
+    for t, kind, *args in events:
+        kernel.schedule(t, fire, kind, *args)
+    kernel.run()
+    assert not net.active_flows
+    return net
+
+
+#: ramp site 0 over the gate (component-walk vectorised, then whole-shard
+#: with a stale and then a valid mirror), taint it with a short relayed
+#: flow and let that complete (walk while tainted, shard solves after),
+#: then drain (estimate decay re-probes; the tail is scalar)
+ALL_PATHS = (2, [(0.0, "batch", 0, 100, 1e5, 0),
+                 (0.0, "batch", 1, 10, 1e5, 3),
+                 (1e-4, "flow", 0, 0, 1, 5e4),
+                 (2e-4, "flow", 0, 1, 2, 5e4),
+                 (5e-4, "mixed", 0, 0, 1, 1, 2, 2e3),
+                 (4e-3, "batch", 0, 5, 1e5, 1),
+                 (5e-3, "fail_san", 0, 3),
+                 (6e-3, "wan", 1, 3, 1, 1e4)])
+
+
+#: found by this fuzz: 64 pure WAN flows put the coupling tier over the
+#: gate, then the one relayed flow tainting site 2 completes — the taint
+#: count drops to zero, and a whole-tier solve would leave the site-2
+#: flows that shared its SAN links on their stale rates
+TAINT_DEPARTS = (3, [(0.0, "batch", 0, 62, 46746.83260039316, 20),
+                     (0.0, "batch", 1, 27, 96314.41670142303, 40),
+                     (0.0, "batch", 2, 94, 150131.11872346402, 27),
+                     (0.004058020802700825, "wan", 2, 64, 2,
+                      18545.36259487846),
+                     (0.004078020802700825, "mixed", 2, 2, 2, 2, 2, 1000.0)])
+
+
+def test_production_path_fuzz_reaches_every_fill(monkeypatch):
+    fill_vec = flows_mod._progressive_fill_vec
+    vec_calls = [0]
+
+    def counting_fill_vec(*args):
+        vec_calls[0] += 1
+        return fill_vec(*args)
+
+    monkeypatch.setattr(flows_mod, "_progressive_fill_vec",
+                        counting_fill_vec)
+    paths = Counter()
+
+    class Recording(CheckedFlowNetwork):
+        def _solve(self, subset, bufs=None):
+            mirror = None if bufs is None else \
+                all(b.rates_valid for b in bufs)
+            before = vec_calls[0]
+            super()._solve(subset, bufs)
+            vec = vec_calls[0] > before
+            # the fill is chosen by subset size at the real constant
+            assert vec == (len(subset) >= _VEC_MIN_FLOWS)
+            paths["vec" if vec else "scalar", mirror] += 1
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @example(ALL_PATHS)
+    @example(TAINT_DEPARTS)
+    @given(grid_schedules())
+    def fuzz(spec):
+        run_grid_schedule(spec, Recording)
+
+    fuzz()
+    assert set(paths) == {
+        ("vec", True),      # whole shard, rate mirror valid
+        ("vec", False),     # whole shard, mirror staled by a walk
+        ("vec", None),      # component walk, vectorised fill
+        ("scalar", None),   # component walk, scalar fill
+    }, paths
