@@ -54,12 +54,13 @@ bench-smoke:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro.tools.trace bench \
 		BENCH_smoke.json
 
-# Wall-clock smoke: quick sizes, schema validity.  The committed full
+# Wall-clock smoke: quick sizes, schema validity, and the GridCCM
+# scaling gate (8 nodes >= 1/3 of 2 nodes in MB/s).  The committed full
 # document is BENCH_wallclock.json, regenerated with
 # `python -m benchmarks.run --wallclock`.
 bench-wallclock:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m benchmarks.run --wallclock \
-		--quick --out BENCH_wallclock_smoke.json
+		--quick --gate-gridccm-scaling --out BENCH_wallclock_smoke.json
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro.tools.trace bench \
 		BENCH_wallclock_smoke.json
 

@@ -27,7 +27,9 @@ vs topology-aware MPI collectives on grids up to 8 sites, asserting the
 aware replay is bit-identical to the flat oracle) — the CI smoke slice
 is ``make bench-collectives``.  ``--gate-wan-crossings`` additionally
 fails the run unless the aware bcast crossed the WAN exactly sites − 1
-times per call at every measured grid size.
+times per call at every measured grid size.  ``--gate-gridccm-scaling``
+(with ``--wallclock``) fails it when the 8-node point of
+``wallclock.gridccm.scaling`` is below a third of the 2-node point.
 """
 
 from __future__ import annotations
@@ -119,6 +121,25 @@ def _check_wan_crossings(results: list[BenchResult]) -> list[str]:
     return bad
 
 
+def _check_gridccm_scaling(results: list[BenchResult]) -> list[str]:
+    """The simulator's own cost must not swamp the Figure-8 experiment
+    as nodes are added: on ``wallclock.gridccm.scaling`` the 8-node
+    point may not fall below one third of the 2-node point (a planner
+    that is O(global length x ranks) per rank reads 0.10x)."""
+    series = next((r for r in results
+                   if r.name == "wallclock.gridccm.scaling"), None)
+    if series is None:
+        return ["no wallclock.gridccm.scaling series in this run"]
+    mbps = dict(series.points)
+    if 2 not in mbps or 8 not in mbps:
+        return [f"series lacks the 2- or 8-node point: {sorted(mbps)}"]
+    if mbps[8] * 3 < mbps[2]:
+        return [f"8 nodes: {mbps[8]:.1f} MB/s is below a third of "
+                f"2 nodes: {mbps[2]:.1f} MB/s "
+                f"({mbps[8] / mbps[2]:.2f}x)"]
+    return []
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="benchmarks.run",
@@ -144,6 +165,10 @@ def main(argv: list[str] | None = None) -> int:
                              "unless the topology-aware bcast crossed the "
                              "WAN exactly sites - 1 times per call at "
                              "every measured grid size")
+    parser.add_argument("--gate-gridccm-scaling", action="store_true",
+                        help="with --wallclock: fail when the 8-node "
+                             "point of wallclock.gridccm.scaling is below "
+                             "one third of the 2-node point")
     args = parser.parse_args(argv)
 
     if args.topology_scaling and args.wallclock:
@@ -155,6 +180,8 @@ def main(argv: list[str] | None = None) -> int:
     if args.gate_wan_crossings and not (args.collectives or args.wallclock):
         parser.error("--gate-wan-crossings requires --collectives or "
                      "--wallclock")
+    if args.gate_gridccm_scaling and not args.wallclock:
+        parser.error("--gate-gridccm-scaling requires --wallclock")
 
     if args.collectives:
         out = args.out or "BENCH_collectives.json"
@@ -189,6 +216,14 @@ def main(argv: list[str] | None = None) -> int:
             return 1
         print("wan-crossings gate: aware bcast crossed the WAN exactly "
               "sites - 1 times at every measured grid size")
+    if args.gate_gridccm_scaling:
+        violations = _check_gridccm_scaling(results)
+        if violations:
+            for v in violations:
+                print(f"gridccm-scaling gate FAILED: {v}")
+            return 1
+        print("gridccm-scaling gate: the 8-node point holds at least a "
+              "third of the 2-node point")
     print(f"wrote {len(results)} series to {out}")
     return 0
 

@@ -48,19 +48,26 @@ class Distribution:
         """Positions of ``global_idx`` within ``part``'s local array."""
         raise NotImplementedError
 
+    def owners_in(self, lo: int, hi: int) -> list[int]:
+        """Sorted parts owning some index of the non-empty interval
+        ``[lo, hi)`` — by interval arithmetic, without an index array."""
+        raise NotImplementedError
+
     # -- shared helpers ----------------------------------------------------
     def _check_part(self, part: int) -> None:
         if not 0 <= part < self.parts:
             raise DistributionError(
                 f"part {part} out of range (parts={self.parts})")
 
+    def _key(self) -> tuple:
+        """The defining fields: equality and hashing see nothing else."""
+        return (type(self), self.parts, self.length)
+
     def __eq__(self, other: object) -> bool:
-        return (type(other) is type(self)
-                and other.__dict__ == self.__dict__)
+        return isinstance(other, Distribution) and other._key() == self._key()
 
     def __hash__(self) -> int:
-        return hash((type(self).__name__, tuple(sorted(
-            self.__dict__.items()))))
+        return hash(self._key())
 
     def __repr__(self) -> str:
         return (f"<{type(self).__name__} parts={self.parts} "
@@ -73,42 +80,44 @@ class BlockDistribution(Distribution):
 
     kind = "block"
 
-    def _bounds(self) -> np.ndarray:
-        base, extra = divmod(self.length, self.parts)
-        sizes = np.full(self.parts, base, dtype=np.int64)
-        sizes[:extra] += 1
-        return np.concatenate(([0], np.cumsum(sizes)))
+    def __init__(self, parts: int, length: int):
+        super().__init__(parts, length)
+        base, extra = divmod(length, parts)
+        p = np.arange(parts + 1, dtype=np.int64)
+        #: part p owns [_bounds[p], _bounds[p + 1])
+        self._bounds = p * base + np.minimum(p, extra)
 
     def start(self, part: int) -> int:
         self._check_part(part)
-        return int(self._bounds()[part])
+        return int(self._bounds[part])
 
     def end(self, part: int) -> int:
         self._check_part(part)
-        return int(self._bounds()[part + 1])
+        return int(self._bounds[part + 1])
 
     def owner(self, index):
-        idx = np.asarray(index)
         if self.length == 0:
             raise DistributionError("empty distribution has no owners")
-        if np.any((idx < 0) | (idx >= self.length)):
+        if isinstance(index, np.ndarray):
+            bad = np.any((index < 0) | (index >= self.length))
+        else:  # a scalar: no array temporaries for the range check
+            bad = not 0 <= index < self.length
+        if bad:
             raise DistributionError(f"index out of range: {index}")
-        bounds = self._bounds()
-        out = np.searchsorted(bounds, idx, side="right") - 1
+        out = np.searchsorted(self._bounds, index, side="right") - 1
         return out if isinstance(index, np.ndarray) else int(out)
 
     def global_indices(self, part: int) -> np.ndarray:
-        self._check_part(part)
-        bounds = self._bounds()
-        return np.arange(bounds[part], bounds[part + 1], dtype=np.int64)
+        return np.arange(self.start(part), self.end(part), dtype=np.int64)
 
     def local_size(self, part: int) -> int:
-        self._check_part(part)
-        bounds = self._bounds()
-        return int(bounds[part + 1] - bounds[part])
+        return self.end(part) - self.start(part)
 
     def local_of_global(self, part: int, global_idx: np.ndarray) -> np.ndarray:
         return np.asarray(global_idx, dtype=np.int64) - self.start(part)
+
+    def owners_in(self, lo: int, hi: int) -> list[int]:
+        return list(range(self.owner(lo), self.owner(hi - 1) + 1))
 
 
 class CyclicDistribution(Distribution):
@@ -137,6 +146,9 @@ class CyclicDistribution(Distribution):
         g = np.asarray(global_idx, dtype=np.int64)
         return (g - part) // self.parts
 
+    def owners_in(self, lo: int, hi: int) -> list[int]:
+        return _residues(lo, hi - 1, self.parts)
+
 
 class BlockCyclicDistribution(Distribution):
     """Blocks of ``block_size`` dealt round-robin (HPF CYCLIC(k))."""
@@ -157,16 +169,40 @@ class BlockCyclicDistribution(Distribution):
         out = (idx // self.block_size) % self.parts
         return out if isinstance(index, np.ndarray) else int(out)
 
+    def _key(self) -> tuple:
+        return super()._key() + (self.block_size,)
+
     def global_indices(self, part: int) -> np.ndarray:
         self._check_part(part)
-        all_idx = np.arange(self.length, dtype=np.int64)
-        return all_idx[(all_idx // self.block_size) % self.parts == part]
+        bs = self.block_size
+        blocks = np.arange(part, -(-self.length // bs), self.parts,
+                           dtype=np.int64)
+        idx = (blocks[:, None] * bs + np.arange(bs, dtype=np.int64)).ravel()
+        return idx[idx < self.length]  # the globally last block may be short
+
+    def local_size(self, part: int) -> int:
+        self._check_part(part)
+        full, rest = divmod(self.length, self.block_size)
+        mine = max(0, -(-(full - part) // self.parts))  # full blocks owned
+        return mine * self.block_size + (rest if full % self.parts == part
+                                         else 0)
 
     def local_of_global(self, part: int, global_idx: np.ndarray) -> np.ndarray:
         g = np.asarray(global_idx, dtype=np.int64)
         block = g // self.block_size
         round_idx = block // self.parts
         return round_idx * self.block_size + g % self.block_size
+
+    def owners_in(self, lo: int, hi: int) -> list[int]:
+        return _residues(lo // self.block_size, (hi - 1) // self.block_size,
+                         self.parts)
+
+
+def _residues(first: int, last: int, parts: int) -> list[int]:
+    """Sorted ``{b % parts for b in range(first, last + 1)}``."""
+    if last - first + 1 >= parts:
+        return list(range(parts))
+    return sorted(b % parts for b in range(first, last + 1))
 
 
 def make_distribution(kind: str, parts: int, length: int,

@@ -65,8 +65,25 @@ GRIDCCM_COPY_COST = 2.55e-9
 GRIDCCM_CALL_OVERHEAD = 0.5e-6
 
 
+#: redistribution plans each layer keeps (oldest evicted): a plan per
+#: distinct (length, distribution) a caller alternates between
+_PLAN_CACHE_SIZE = 16
+
+
 class GridCcmError(RuntimeError):
     """GridCCM layer usage or protocol error."""
+
+
+def _cached_plan(cache: dict[tuple, RedistributionPlan], key: tuple,
+                 build: Callable[[], RedistributionPlan]
+                 ) -> RedistributionPlan:
+    """The layer's plan for ``key``, built on first use."""
+    plan = cache.get(key)
+    if plan is None:
+        if len(cache) >= _PLAN_CACHE_SIZE:
+            del cache[next(iter(cache))]
+        plan = cache[key] = build()
+    return plan
 
 
 def _target_distribution(info: ParallelOpInfo, pos: int, parts: int,
@@ -304,9 +321,7 @@ class _ServerPortLayer:
                 if len(data) == 0:
                     continue  # kick piece
                 plan = self._plan(src_parts, total, target)
-                transfer = next(
-                    (t for t in plan.outgoing(src_rank)
-                     if t.dst == self.rank), None)
+                transfer = plan.transfer(src_rank, self.rank)
                 if transfer is None or transfer.size != len(data):
                     raise GridCcmError(
                         f"{info.name}: piece from rank {src_rank} does "
@@ -324,14 +339,12 @@ class _ServerPortLayer:
 
     def _plan(self, src_parts: int, total: int,
               target: Distribution) -> RedistributionPlan:
+        """This node's column of the clients' block → ``target`` plan."""
         key = (src_parts, total, target.kind,
                getattr(target, "block_size", None))
-        plan = self._plan_cache.get(key)
-        if plan is None:
-            plan = redistribute_schedule(
-                BlockDistribution(src_parts, total), target)
-            self._plan_cache[key] = plan
-        return plan
+        return _cached_plan(
+            self._plan_cache, key, lambda: redistribute_schedule(
+                BlockDistribution(src_parts, total), target, dst=self.rank))
 
 
 def _make_server_method(layer: _ServerPortLayer,
@@ -420,19 +433,18 @@ class _CallEngine:
             dist_data[pos] = _as_dist_array(seqtype, args[pos])
             pname = info.original.in_params[pos][0]
             spec = info.spec.arg(pname)
-            cache_key = (n, m, total, spec.distribution, spec.block_size)
-            plan = self._plan_cache.get(cache_key)
-            if plan is None:
-                plan = redistribute_schedule(
-                    src, _target_distribution(info, pos, m, total))
-                self._plan_cache[cache_key] = plan
-            plans[pos] = plan
+            # this rank's row only; plan.senders still covers every node
+            plans[pos] = _cached_plan(
+                self._plan_cache,
+                (n, m, total, spec.distribution, spec.block_size),
+                lambda: redistribute_schedule(
+                    src, _target_distribution(info, pos, m, total), src=me))
 
         # expected pieces per server node (union across arguments)
         senders: dict[int, set[int]] = {r: set() for r in range(m)}
         for plan in plans.values():
-            for t in plan.transfers:
-                senders[t.dst].add(t.src)
+            for r, srcs in plan.senders.items():
+                senders[r].update(srcs)
         kick_targets = [r for r in range(m) if not senders[r]]
         expected = {r: max(len(s), 1) for r, s in senders.items()}
 
@@ -496,8 +508,7 @@ class _CallEngine:
         for pos, (pname, _t) in enumerate(info.original.in_params):
             if pos in info.dist_positions:
                 plan = plans[pos]
-                transfer = next((t for t in plan.outgoing(me)
-                                 if t.dst == target), None)
+                transfer = plan.transfer(me, target)
                 data = dist_data[pos]
                 if transfer is None:
                     piece = data[:0]

@@ -104,3 +104,79 @@ def test_equality():
     assert BlockDistribution(2, 10) == BlockDistribution(2, 10)
     assert BlockDistribution(2, 10) != BlockDistribution(3, 10)
     assert BlockDistribution(2, 10) != CyclicDistribution(2, 10)
+
+
+def test_equality_and_hash_survive_every_method_call():
+    """Equality and hashing read the defining fields only: exercising
+    one of two equal distributions (anything it caches included) must
+    not tell them apart.  Fails at the parent for any cached attribute,
+    because ``__eq__``/``__hash__`` compared ``__dict__``."""
+    for make in (lambda: BlockDistribution(3, 10),
+                 lambda: CyclicDistribution(3, 10),
+                 lambda: BlockCyclicDistribution(3, 10, 2)):
+        used, fresh = make(), make()
+        for part in range(3):
+            gidx = used.global_indices(part)
+            used.owner(gidx)
+            used.owner(int(gidx[0]))
+            used.local_size(part)
+            used.local_of_global(part, gidx)
+        used.owners_in(2, 9)
+        if isinstance(used, BlockDistribution):
+            used.start(1), used.end(1)
+        used.scratch = np.arange(4)  # what a cached attribute looks like
+        assert used == fresh and fresh == used
+        assert hash(used) == hash(fresh)
+        assert len({used, fresh}) == 1
+    assert BlockCyclicDistribution(3, 10, 2) != \
+        BlockCyclicDistribution(3, 10, 5)
+
+
+# ---------------------------------------------------------------------------
+# brute force: a pure-Python definition that shares no code with the
+# closed forms (the e2e benchmark's oracle trusts ``global_indices``)
+# ---------------------------------------------------------------------------
+
+def _owner_by_definition(kind, parts, length, block_size, g):
+    if kind == "block":  # HPF BLOCK: the first length % parts get one more
+        bounds, at = [], 0
+        for p in range(parts):
+            at += length // parts + (1 if p < length % parts else 0)
+            bounds.append(at)
+        return next(p for p in range(parts) if g < bounds[p])
+    if kind == "cyclic":
+        return g % parts
+    return (g // block_size) % parts
+
+
+def _check_against_definition(kind, parts, length, block_size):
+    dist = make_distribution(kind, parts, length, block_size)
+    owners = [_owner_by_definition(kind, parts, length, block_size, g)
+              for g in range(length)]
+    if length:
+        assert dist.owner(np.arange(length)).tolist() == owners
+        assert [dist.owner(g) for g in (0, length // 2, length - 1)] == \
+            [owners[0], owners[length // 2], owners[length - 1]]
+    for part in range(parts):
+        mine = [g for g in range(length) if owners[g] == part]
+        gidx = dist.global_indices(part)
+        assert gidx.dtype == np.int64 and gidx.tolist() == mine
+        assert dist.local_size(part) == len(mine)
+        assert dist.local_of_global(part, gidx).tolist() == \
+            list(range(len(mine)))
+    # interval ownership (the redistribution sender table rests on it)
+    for lo, hi in ((0, length), (length // 3, length // 3 + parts - 1),
+                   (length // 2, length // 2 + 1),
+                   (length // 4, length - length // 4)):
+        if 0 <= lo < hi <= length:
+            assert dist.owners_in(lo, hi) == sorted(set(owners[lo:hi]))
+
+
+@pytest.mark.parametrize("parts", range(1, 8))
+def test_distributions_match_brute_force_definition(parts):
+    for length in range(201):
+        _check_against_definition("block", parts, length, None)
+        _check_against_definition("cyclic", parts, length, None)
+        for block_size in range(1, 10):
+            _check_against_definition("block-cyclic", parts, length,
+                                      block_size)

@@ -325,3 +325,101 @@ def test_gridccm_aggregate_bandwidth_scales(rt):
     # per-pair bandwidth in the 43 MB/s régime, aggregate ~doubles
     assert measured[1] / 1e6 == pytest.approx(43, rel=0.10)
     assert measured[2] > measured[1] * 1.7
+
+
+# ---------------------------------------------------------------------------
+# schedule check and plan caches
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("forged", [
+    # (src_rank, elements) per caller of one invocation on node 0, which
+    # under block(2, 10) → block(2, 10) expects rank 0's five elements
+    [(0, 4)],            # listed rank, wrong length
+    [(0, 5), (1, 3)],    # rank 1 sends node 0 nothing in this schedule
+])
+def test_piece_off_the_schedule_fails_every_caller(rt, forged):
+    from repro.corba import SystemException
+
+    comp = _deploy(rt, 2)
+    url = comp.proxy_url("input")
+    cli = rt.create_process("a4", "cli")
+    idl, plan = _client_plan()
+    orb = Orb(cli, OMNIORB4, idl)
+    caught = []
+
+    def caller(proc, node, src_rank, count):
+        try:
+            node.norm2("forged#1", src_rank, 2, len(forged), 10,
+                       np.ones(count))
+        except SystemException as exc:
+            caught.append((src_rank, exc.detail))
+
+    def body(proc):
+        pc = ParallelClient.attach(orb, plan, "input", url)
+        node0 = pc._engine.nodes[0]
+        workers = [cli.spawn(caller, node0, src_rank, count)
+                   for src_rank, count in forged]
+        for w in workers:
+            proc.join(w)
+
+    cli.spawn(body)
+    rt.run()
+    assert sorted(r for r, _d in caught) == [r for r, _c in forged]
+    for _rank, detail in caught:
+        assert "GridCcmError" in detail
+        assert "does not match the redistribution schedule" in detail
+    layer = comp.nodes[0].layers["input"]
+    assert layer._pending == {}
+    assert all(e.calls == 0 for e in comp.executors())
+
+
+def _call_lengths(rt, monkeypatch, lengths):
+    """One sequential client calls ``store`` once per length; returns
+    (plans built, [the client's cache, each server layer's cache])."""
+    from repro.core import runtime as gridccm
+
+    comp = _deploy(rt, 2)
+    url = comp.proxy_url("input")
+    cli = rt.create_process("a4", "cli")
+    idl, plan = _client_plan()
+    orb = Orb(cli, OMNIORB4, idl)
+    built, caches = [], []
+    planner = gridccm.redistribute_schedule
+
+    def counting(source, target, **restrict):
+        built.append((source.length, tuple(restrict)))
+        return planner(source, target, **restrict)
+
+    def body(proc):
+        pc = ParallelClient.attach(orb, plan, "input", url)
+        for length in lengths:
+            pc.store(np.arange(length, dtype="f8"))
+        caches.append(pc._engine._plan_cache)
+
+    monkeypatch.setattr(gridccm, "redistribute_schedule", counting)
+    cli.spawn(body)
+    rt.run()
+    caches += [node.layers["input"]._plan_cache for node in comp.nodes]
+    return built, caches
+
+
+def test_plan_caches_are_bounded(rt, monkeypatch):
+    from repro.core.runtime import _PLAN_CACHE_SIZE
+
+    built, caches = _call_lengths(rt, monkeypatch, range(10, 110))
+    assert len(caches) == 3
+    for cache in caches:
+        assert len(cache) == _PLAN_CACHE_SIZE < 100
+        # the newest plans survive: the oldest was evicted each time
+        assert {plan.source.length for plan in cache.values()} == \
+            set(range(110 - _PLAN_CACHE_SIZE, 110))
+    assert len(built) == 3 * 100
+
+
+def test_alternating_lengths_build_each_plan_once(rt, monkeypatch):
+    built, caches = _call_lengths(rt, monkeypatch, [40, 60] * 6)
+    # one row on the client, one column per server node, per length
+    assert sorted(built) == sorted(
+        [(length, ("src",)) for length in (40, 60)]
+        + [(length, ("dst",)) for length in (40, 60)] * 2)
+    assert all(len(cache) == 2 for cache in caches)
