@@ -9,7 +9,7 @@ simulation.  Hence:
 
 ``ker-thread``
     Real :mod:`threading` primitives (Lock/Event/Condition/Thread/...).
-    The kernel's own semaphore handshake in ``sim/kernel.py`` is the
+    The kernel's own lock hand-off in ``sim/backends.py`` is the
     single registered exemption (see ``config.DEFAULT_FILE_ALLOW``).
 ``ker-sleep``
     ``time.sleep`` — use ``SimProcess.sleep`` (virtual time).
@@ -27,7 +27,7 @@ simulation.  Hence:
     site of that helper, with the root primitive and the call chain in
     the message.  Facts are *sanitized* before propagation: a blocking
     use that is inline-suppressed or config-allowlisted at its own site
-    (e.g. the kernel's semaphore handshake) has been justified as safe
+    (e.g. the kernel's lock hand-off) has been justified as safe
     and must not poison its callers.
 """
 

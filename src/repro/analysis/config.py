@@ -84,15 +84,15 @@ DEFAULT_LAYER_EXCEPTIONS: dict[tuple[str, str], str] = {
 #: Keep this list short and justified — it is the config-level analogue
 #: of an inline ``# repro-lint: disable=`` comment.
 DEFAULT_FILE_ALLOW: dict[tuple[str, str], str] = {
-    # The cooperative kernel's semaphore hand-off is the one place real
+    # The cooperative kernel's lock hand-off is the one place real
     # threading primitives are legal: each SimProcess is an OS thread
-    # parked on its own semaphore and the kernel serialises execution.
+    # parked on its own lock and the run token serialises execution.
     # ThreadBackend (backends.py) is the only class in that file and
     # the only switch mechanism; kernel.py itself is threading-free, so
     # this is the single ker-thread exemption.
     ("src/repro/sim/backends.py", "ker-thread"):
-        "ThreadBackend is the one-at-a-time semaphore hand-off between "
-        "the kernel and its process threads",
+        "ThreadBackend is the one-at-a-time lock hand-off (baton passing) "
+        "between the run() caller and the process threads",
     # The linter measures its own wall time for --stats; that is
     # tooling latency, not simulated time, and the clock reads are
     # confined to stats.clock() (same reasoning that keeps the

@@ -19,8 +19,8 @@ Public API
 - Exceptions: :class:`SimShutdown`, :class:`SimInterrupt`,
   :class:`SimDeadlockError`, :class:`SimProcessError`.
 - :class:`ThreadBackend` (:mod:`repro.sim.backends`) — the one switch
-  mechanism, a semaphore hand-off between OS threads; each kernel owns
-  one as ``kernel.backend``.
+  mechanism, a lock hand-off from the OS thread that yields straight to
+  the next one (baton passing); each kernel owns one as ``kernel.backend``.
 - Synchronisation primitives in :mod:`repro.sim.sync`: :class:`Mailbox`,
   :class:`SimEvent`, :class:`SimLock`, :class:`SimSemaphore`,
   :class:`SimCondition`, :class:`SimBarrier`, :class:`WaitQueue`.

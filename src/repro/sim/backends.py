@@ -1,10 +1,14 @@
-"""The switch mechanism: how a SimProcess yields and resumes.
+"""The switch mechanism: how the run token moves between OS threads.
 
-Every simulated process is an OS thread parked on its own semaphore;
-the kernel side waits on one control semaphore.  A switch is a
-release/acquire pair on each side, so exactly one thread — the kernel's
-or one process's — is ever runnable (the *run token*), and a process
-may yield from any call frame, however deep inside the middleware.
+Every simulated process is an OS thread parked on a lock of its own
+(``proc._go``); the caller of ``run()`` / ``shutdown()`` parks on one
+more.  A parked thread waits to re-acquire a lock it holds, so handing
+it the run token is one ``release()``: exactly one thread is ever
+runnable, and a process may yield from any call frame, however deep in
+the middleware.  There is no kernel thread: the thread that gives up
+the token runs the event loop itself (``kernel._carry``) and passes the
+token straight on (*baton passing*), or keeps it when the next wake-up
+is its own.
 
 The kernel's determinism comes from its event loop, not from here: this
 file never schedules, reorders or drops an event.  It lives apart from
@@ -27,34 +31,67 @@ from repro.sim.kernel import SimProcess, SimShutdown
 
 
 class ThreadBackend:
-    """OS threads as coroutines: one semaphore per process, one for the
-    kernel.  No other locking exists because the run token serialises
-    every access to kernel state."""
+    """OS threads as coroutines: one raw lock per process, one for the
+    caller of ``run()``.  No other locking exists because the run token
+    serialises every access to kernel state."""
 
     def __init__(self) -> None:
-        self._control = threading.Semaphore(0)
+        # threading.Lock is the bare C lock (_thread.allocate_lock)
+        self._caller = threading.Lock()
+        self._caller.acquire()
+        #: True while process threads hold the token for a parked caller
+        self._away = False
+        #: times the run token moved between OS threads (a plain count:
+        #: identical run after run, see docs/KERNEL.md)
+        self.handoffs = 0
 
-    # -- kernel side ---------------------------------------------------
+    def _give(self, proc: SimProcess | None) -> None:
+        """Move the run token to ``proc``'s thread (None: the caller's)."""
+        self.handoffs += 1
+        if proc is None:
+            self._away = False
+            self._caller.release()
+        else:
+            proc._go.release()
+
+    # -- caller side ---------------------------------------------------
     def create(self, proc: SimProcess) -> None:
         """Start the (parked) thread behind a freshly spawned process."""
-        proc._go = threading.Semaphore(0)
+        proc._go = threading.Lock()
+        proc._go.acquire()
         proc._thread = threading.Thread(
             target=self._run, args=(proc,), name=f"sim:{proc.name}",
             daemon=True)
         proc._thread.start()
 
-    def run_until_yield(self, proc: SimProcess) -> None:
-        """Hand the run token to ``proc`` until it blocks or exits."""
-        proc._go.release()
-        self._control.acquire()
+    def run_until_back(self, proc: SimProcess) -> None:
+        """Hand the run token to ``proc`` and park the calling thread
+        until the run is over (outside a run: until ``proc`` yields).
+        If the wait itself is interrupted (``KeyboardInterrupt``), stop
+        the loop and take the token back before unwinding: no second
+        thread is left inside the kernel."""
+        self._away = True
+        self._give(proc)
+        try:
+            self._caller.acquire()
+        except BaseException:
+            proc.kernel._running = False  # carriers stop at the next event
+            # wait only while the token is out; if it is back already,
+            # just leave the lock held for the next park
+            self._caller.acquire(self._away)
+            raise
 
     # -- process side --------------------------------------------------
     def block(self, proc: SimProcess) -> Any:
-        """Give the run token back from any call frame; on resume return
-        the wake value or raise the delivered exception."""
+        """Give up the run token from any call frame: carry the event
+        loop until the token has a new holder, park unless that is
+        ``proc`` itself; on resume return the wake value or raise the
+        delivered exception."""
         proc._state = SimProcess._STATE_BLOCKED
-        self._control.release()
-        proc._go.acquire()
+        target = proc.kernel._carry()
+        if target is not proc:
+            self._give(target)
+            proc._go.acquire()
         proc._waiting_on = None
         proc._state = SimProcess._STATE_RUNNING
         if proc._pending_exc is not None:
@@ -64,7 +101,7 @@ class ThreadBackend:
         return proc._wake_value
 
     def _run(self, proc: SimProcess) -> None:
-        proc._go.acquire()  # wait for first dispatch from the kernel
+        proc._go.acquire()  # parked until the first dispatch
         try:
             if proc._pending_exc is not None:  # shut down before first run
                 exc = proc._pending_exc
@@ -74,11 +111,9 @@ class ThreadBackend:
             proc._state = SimProcess._STATE_DONE
         except SimShutdown:
             proc._state = SimProcess._STATE_DONE
-        except BaseException as exc:  # noqa: BLE001 - report to kernel
+        except BaseException as exc:  # noqa: BLE001 - reported by _carry
             proc.exc = exc
             proc._state = SimProcess._STATE_FAILED
         finally:
-            try:
-                proc.kernel._on_process_exit(proc)
-            finally:
-                self._control.release()
+            # this thread's last act: carry the loop to the next holder
+            self._give(proc.kernel._carry(proc))

@@ -8,14 +8,17 @@ kernel, which pops the next event off the heap.  Because the event
 order is a total order and only one process ever runs, simulations are
 exactly reproducible — a property the test-suite checks.
 
-*How* control moves between the kernel and a process is the classic
-"threads as coroutines" pattern — each process owns a semaphore, the
-kernel side owns one, and a switch is a release/acquire pair on each
-side.  That hand-off is the one piece of real threading in the
-simulator and lives in :mod:`repro.sim.backends`
-(:class:`~repro.sim.backends.ThreadBackend`, reachable as
-``kernel.backend``); this module never touches a thread.  See
-``docs/KERNEL.md`` for the determinism and observation contracts.
+*How* control moves is "threads as coroutines" with **baton passing**:
+each process is an OS thread parked on its own lock, and whichever
+thread gives up the run token — a process that yields or exits, the
+caller of :meth:`SimKernel.run` — carries the event loop itself
+(:meth:`SimKernel._carry`; callbacks run there, in kernel context) and
+hands the token straight to the next process's thread: one lock
+hand-off per switch, none when a process wakes itself.  Locks and
+threads, the one piece of real threading in the simulator, live in
+:mod:`repro.sim.backends` (:class:`~repro.sim.backends.ThreadBackend`,
+reachable as ``kernel.backend``); this module never touches a thread.
+See ``docs/KERNEL.md`` for the determinism and observation contracts.
 
 Two opt-in hooks support the dynamic sanitizer (:mod:`repro.sanitizer`);
 both are free when unused:
@@ -31,13 +34,12 @@ both are free when unused:
   default) the event order is exactly the historical ``(time, seq)``
   order, bit for bit.
 
-Two hot-path optimisations ride below the hooks, both invisible to the
-event order: same-instant events with equal heap keys are drained in a
-batch per loop iteration, and the internal process wake-up timers (the
-bulk of all events) are pooled on a free-list — wake timers never
-escape the kernel, so recycling them is safe.  The pool stands down
-whenever a tracer is attached, keeping every traced timer a fresh
-object for the tracer to annotate.
+One hot-path optimisation rides below the hooks, invisible to the
+event order: the internal process wake-up timers (the bulk of all
+events) are pooled on a free-list — wake timers never escape the
+kernel, so recycling them is safe.  The pool stands down whenever a
+tracer is attached, keeping every traced timer a fresh object for the
+tracer to annotate.
 """
 
 from __future__ import annotations
@@ -279,7 +281,7 @@ class SimProcess:
             timer.trace_clock = None
             timer._key = (time, shuffle, seq)
         else:
-            timer = Timer(kernel.now + duration, seq, kernel._wake,
+            timer = Timer(kernel.now + duration, seq, kernel._wake_fn,
                           (self, token, None, None), shuffle)
             timer._pooled = kernel._tracer is None
             if kernel._tracer is not None:
@@ -335,8 +337,8 @@ class SimProcess:
         return self._wake_token
 
     def _yield(self) -> Any:
-        """Give the run token back to the kernel from an arbitrary call
-        frame (the sync primitives block through here)."""
+        """Give up the run token from an arbitrary call frame (the sync
+        primitives block through here)."""
         return self.kernel.backend.block(self)
 
     def interrupt(self, cause: Any = None) -> None:
@@ -376,8 +378,14 @@ class SimKernel:
         #: through this attribute at call time — never cache the bound
         #: method, profilers wrap it on the instance after construction
         self.backend = ThreadBackend()
-        # bound once: the per-switch hot path skips two attribute hops
-        self._switch = self.backend.run_until_yield
+        #: ``_fn`` of every wake timer, bound once: the loop tells wake-ups
+        #: by identity (each ``self._wake`` access is a new bound method)
+        self._wake_fn = self._wake
+        #: the wake-up a callback or :meth:`shutdown` asked the loop for
+        self._woken: tuple | None = None
+        self._until: float | None = None
+        #: what ended the run abnormally; :meth:`_drive` re-raises it
+        self._failure: BaseException | None = None
         self._processes: list[SimProcess] = []
         self._current: SimProcess | None = None
         self._running = False
@@ -514,7 +522,7 @@ class SimKernel:
             timer.trace_clock = None
             timer._key = (time, shuffle, seq)
         else:
-            timer = Timer(self.now + delay, seq, self._wake,
+            timer = Timer(self.now + delay, seq, self._wake_fn,
                           (proc, token, value, exc), shuffle)
             timer._pooled = self._tracer is None
             if self._tracer is not None:
@@ -532,36 +540,11 @@ class SimKernel:
 
     def _wake(self, proc: SimProcess, token: int, value: Any = None,
               exc: BaseException | None = None) -> None:
-        if token != proc._wake_token or proc._state in ("done", "failed"):
-            return  # stale wake-up (process was interrupted or finished)
-        if exc is not None:
-            proc._pending_exc = exc
-        proc._wake_value = value
-        if self._tracer is not None:
-            self._tracer.on_switch(proc)
-        prev = self._current
-        self._current = proc
-        self._switch(proc)
-        self._current = prev
-        if proc._state == SimProcess._STATE_FAILED and not proc.daemon \
-                and not self._shutdown:
-            raise SimProcessError(proc, proc.exc)
-
-    def _dispatch(self, proc: SimProcess) -> None:
-        """Hand the run token to ``proc`` and wait for it to yield.
-
-        (:meth:`_wake` inlines this sequence on the hot path; keep the
-        two in step.)
-        """
-        if self._tracer is not None:
-            self._tracer.on_switch(proc)
-        prev = self._current
-        self._current = proc
-        self._switch(proc)
-        self._current = prev
-        if proc._state == SimProcess._STATE_FAILED and not proc.daemon \
-                and not self._shutdown:
-            raise SimProcessError(proc, proc.exc)
+        """Ask the loop to resume ``proc`` within the current event: it
+        delivers once the calling timer callback (``WaitQueue._expire``,
+        in tail position) returns, or :meth:`shutdown` drives it.  Wake
+        *timers* never call this: the loop takes their arguments."""
+        self._woken = (proc, token, value, exc)
 
     def _on_process_exit(self, proc: SimProcess) -> None:
         if self._tracer is not None:
@@ -590,81 +573,101 @@ class SimKernel:
 
         Returns the final virtual time.  Processes still blocked when the
         heap drains simply remain blocked (use :meth:`shutdown`, or the
-        context-manager form, to terminate them).
-
-        Each loop iteration drains the *batch* of same-instant events
-        with equal ``(time, shuffle)`` heap keys; events a fired
-        callback schedules at the same instant sort after the batch (a
-        larger ``seq``) and are picked up by the next iteration, so the
-        fired order is exactly the historical one-pop-per-iteration
-        order, including cancellations landing mid-batch.
+        context-manager form, to terminate them).  An exception raised
+        in kernel context — on whichever thread was carrying the loop —
+        and the :class:`SimProcessError` of a failed non-daemon process
+        are raised here, in the caller's thread.
         """
         if self._running:
             raise RuntimeError("kernel is already running")
         self._running = True
+        self._until = until
+        try:
+            self._drive()
+        finally:
+            self._running = False
+        return self.now
+
+    def _drive(self) -> None:
+        """Carry the loop on the calling thread, park it while process
+        threads hold the run token, and re-raise what a carrier stored."""
+        try:
+            proc = self._carry()
+            if proc is not None:
+                self.backend.run_until_back(proc)
+        finally:
+            failure, self._failure = self._failure, None
+        if failure is not None:
+            raise failure
+
+    def _carry(self, exited: SimProcess | None = None) -> SimProcess | None:
+        """Run the event loop on the thread that just gave up the run
+        token (``exited``: because its process finished) until the token
+        has a new holder.
+
+        Returns the process to resume — wake value delivered,
+        ``on_switch`` reported, ``_current`` set; the calling thread
+        hands over unless that is its own process — or None when the
+        token goes back to the caller of :meth:`run` / :meth:`shutdown`:
+        heap drained, ``until`` reached, no run in progress (any more),
+        or an exception, stored for :meth:`_drive`.
+        """
+        self._current = None
         heap = self._heap
         heappop = heapq.heappop
         pool = self._timer_pool
-        wake = self._wake
-        switch = self._switch
-        failed = SimProcess._STATE_FAILED
+        wake_fn = self._wake_fn
+        until = self._until
         try:
-            while heap:
+            if exited is not None:
+                self._on_process_exit(exited)
+                if exited._state == SimProcess._STATE_FAILED \
+                        and not exited.daemon and not self._shutdown:
+                    raise SimProcessError(exited, exited.exc)
+            wake = self._woken  # shutdown()'s request, if any
+            while True:
+                if wake is not None:
+                    self._woken = None
+                    proc, token, value, exc = wake
+                    if token == proc._wake_token \
+                            and proc._state not in ("done", "failed"):
+                        if exc is not None:
+                            proc._pending_exc = exc
+                        proc._wake_value = value
+                        if self._tracer is not None:
+                            self._tracer.on_switch(proc)
+                        self._current = proc
+                        return proc  # (else stale: interrupted or finished)
+                if not self._running:
+                    return None
+                if not heap:
+                    if until is not None and until > self.now:
+                        self.now = until
+                    return None
                 key, timer = heap[0]
                 if timer.cancelled:
                     heappop(heap)
                     self.events_skipped += 1
-                    if timer._pooled:
-                        pool.append(timer)
-                    continue
-                time = key[0]
-                if until is not None and time > until:
+                    wake = None
+                elif until is not None and key[0] > until:
                     self.now = until
-                    break
-                heappop(heap)
-                self.now = time
-                shuffle = key[1]
-                while True:
+                    return None
+                else:
+                    heappop(heap)
+                    self.now = key[0]
                     self.events_processed += 1
-                    tracer = self._tracer
-                    if tracer is not None:
-                        tracer.on_fire(timer)
-                    if timer._fn is wake:
-                        # inlined process wake — mirror of _wake(); the
-                        # overwhelmingly common event deserves one less
-                        # Python frame per switch
-                        proc, token, value, exc = timer._args
-                        if token == proc._wake_token \
-                                and proc._state not in ("done", "failed"):
-                            if exc is not None:
-                                proc._pending_exc = exc
-                            proc._wake_value = value
-                            if tracer is not None:
-                                tracer.on_switch(proc)
-                            prev = self._current
-                            self._current = proc
-                            switch(proc)
-                            self._current = prev
-                            if proc._state == failed and not proc.daemon \
-                                    and not self._shutdown:
-                                raise SimProcessError(proc, proc.exc)
+                    if self._tracer is not None:
+                        self._tracer.on_fire(timer)
+                    if timer._fn is wake_fn:
+                        wake = timer._args  # what _wake() would leave
                     else:
                         timer._fn(*timer._args)
-                    if timer._pooled:
-                        pool.append(timer)
-                    if not heap:
-                        break
-                    key, timer = heap[0]
-                    if key[0] != time or key[1] != shuffle \
-                            or timer.cancelled:
-                        break  # next instant, or outer-loop accounting
-                    heappop(heap)
-            else:
-                if until is not None and until > self.now:
-                    self.now = until
-        finally:
-            self._running = False
-        return self.now
+                        wake = self._woken
+                if timer._pooled:
+                    pool.append(timer)
+        except BaseException as exc:  # noqa: BLE001 - re-raised by _drive
+            self._failure = exc
+            return None
 
     def run_until_complete(self, proc: SimProcess,
                            until: float | None = None) -> Any:
@@ -698,9 +701,8 @@ class SimKernel:
             # ``finally:`` that sleeps) is shut down again, not re-parked
             while proc._state in (SimProcess._STATE_BLOCKED,
                                   SimProcess._STATE_READY):
-                proc._arm()
-                proc._pending_exc = SimShutdown()
-                self._dispatch(proc)
+                self._wake(proc, proc._arm(), None, SimShutdown())
+                self._drive()
 
     def __enter__(self) -> "SimKernel":
         return self

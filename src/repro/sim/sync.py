@@ -89,8 +89,9 @@ class WaitQueue:
         if entry[1] or entry not in self._waiters:
             return  # already woken (the timer lost the race)
         self._waiters.remove(entry)
-        # _wake drops the exception if ``token`` is stale, so an
-        # interrupt armed after us always wins over the timeout
+        # tail call: the loop resumes ``proc`` as part of this event, and
+        # drops the exception if ``token`` is stale, so an interrupt
+        # armed after us always wins over the timeout
         self.kernel._wake(proc, token, None,
                           SimTimeout(f"timed out after {timeout} s"))
 

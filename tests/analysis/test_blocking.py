@@ -46,9 +46,9 @@ def test_true_negative(source):
 
 
 def test_backend_file_is_allowlisted():
-    """backends.py holds one class, ThreadBackend — the semaphore
-    hand-off every simulated process yields through.  It is exempt in
-    that file only, and only for ker-thread."""
+    """backends.py holds one class, ThreadBackend — the lock hand-off
+    (baton passing) every simulated process yields through.  It is
+    exempt in that file only, and only for ker-thread."""
     source = """
         import threading
         sem = threading.Semaphore(0)

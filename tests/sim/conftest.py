@@ -11,3 +11,38 @@ import pytest
 @pytest.fixture(autouse=True, params=["thread"])
 def switch_mechanism(request):
     return request.param
+
+
+class HookLog:
+    """Full tracer hook surface, recorded as ``(hook, id)`` pairs: the
+    ``seq`` of a timer, the name of a process, the type of a sync
+    object — stable across runs and across kernel implementations."""
+
+    def __init__(self):
+        self.log = []
+
+    def on_schedule(self, timer):
+        self.log.append(("schedule", timer.seq))
+
+    def on_fire(self, timer):
+        self.log.append(("fire", timer.seq))
+
+    def on_switch(self, proc):
+        self.log.append(("switch", proc.name))
+
+    def on_exit(self, proc):
+        self.log.append(("exit", proc.name))
+
+    def on_join(self, proc, target):
+        self.log.append(("join", f"{proc.name}->{target.name}"))
+
+    def hb_release(self, obj):
+        self.log.append(("hb_release", type(obj).__name__))
+
+    def hb_acquire(self, obj):
+        self.log.append(("hb_acquire", type(obj).__name__))
+
+
+@pytest.fixture
+def hook_log():
+    return HookLog()

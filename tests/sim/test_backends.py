@@ -1,13 +1,20 @@
 """The hand-off and what rides directly on it: the observation contract
-of ``kernel.backend.block``, the wait-graph labels ``suspend`` leaves,
-the tracer attach surface, and the run-loop fast paths (wake-timer
-pool, same-instant batch drain) that must stay invisible to the event
-order.
+of ``kernel.backend.block``, the hand-off count and the tracer hook
+order, the wait-graph labels ``suspend`` leaves, the tracer attach
+surface, and the run-loop fast paths (wake-timer pool, wake events
+taken without a ``_wake()`` frame) that must stay invisible to the
+event order.
 """
 
 import pytest
 
-from repro.sim import Mailbox, SimEvent, SimKernel, format_wait_graph
+from repro.sim import (
+    Mailbox,
+    SimEvent,
+    SimKernel,
+    SimTimeout,
+    format_wait_graph,
+)
 
 
 # ----------------------------------------------------------------------
@@ -44,6 +51,96 @@ def test_every_yield_reaches_backend_block_patched_after_construction():
     k.shutdown()
     assert c.result == "go"
     assert seen == ["worker", "consumer", "worker", "consumer", "consumer"]
+
+
+# ----------------------------------------------------------------------
+# the permanent gate on the switch cost is a count: backend.handoffs
+# ----------------------------------------------------------------------
+def _solo_handoffs(n):
+    with SimKernel() as k:
+        k.spawn(lambda p: [p.sleep(0.01) for _ in range(n)], name="solo")
+        k.run()
+        return k.backend.handoffs
+
+
+def test_solo_sleeper_resumes_itself_without_a_handoff():
+    # caller -> process, and back when it exits; every sleep in between
+    # finds its own wake-up next and just returns
+    assert _solo_handoffs(5) == _solo_handoffs(500) == 2
+
+
+def _ping_pong(rounds, seed=None):
+    switches = _CountingTracer()
+    with SimKernel(seed=seed) as k:
+        k.attach_tracer(switches)
+        there, back = Mailbox(k), Mailbox(k)
+
+        def ping(p):
+            for i in range(rounds):
+                there.put(p, i)
+                back.get(p)
+
+        def pong(p):
+            for _ in range(rounds):
+                back.put(p, there.get(p))
+
+        k.spawn(ping, name="ping")
+        k.spawn(pong, name="pong")
+        k.run()
+        return k.backend.handoffs, switches.switches
+
+
+def test_at_most_one_handoff_per_switch():
+    handoffs, switches = _ping_pong(100)
+    assert switches >= 200
+    # one lock hand-off per on_switch, plus the caller's way in and out
+    # (a kernel-thread relay costs two per switch)
+    assert handoffs <= switches + 2
+    more, more_switches = _ping_pong(200)
+    assert more - handoffs <= more_switches - switches
+
+
+def test_handoff_count_repeats_exactly():
+    assert _ping_pong(50) == _ping_pong(50)
+    assert _ping_pong(50, seed=7) == _ping_pong(50, seed=7)
+
+
+def test_hook_order_matches_the_relay_kernel(hook_log):
+    """Two processes, a plain callback and a timeout: the tracer sees
+    the literal sequence captured at the last relay commit (d1df33f)."""
+    with SimKernel() as k:
+        k.attach_tracer(hook_log)
+        box, quiet = Mailbox(k), Mailbox(k)
+
+        def ping(p):
+            p.sleep(0.1)
+            box.put(p, "ball")
+            try:
+                quiet.get(p, timeout=0.05)
+            except SimTimeout:
+                return "timed-out"
+
+        def pong(p, other):
+            got = box.get(p)
+            p.sleep(0.2)
+            p.join(other)
+            return got
+
+        a = k.spawn(ping, name="ping")
+        b = k.spawn(pong, a, name="pong")
+        k.schedule(0.12, box.put_nowait, "late")
+        k.run()
+        assert (a.result, b.result, k.events_processed) \
+            == ("timed-out", "ball", 7)
+        assert hook_log.log == [
+            ("schedule", 1), ("schedule", 2), ("schedule", 3), ("fire", 1),
+            ("switch", "ping"), ("schedule", 4), ("fire", 2),
+            ("switch", "pong"), ("fire", 4), ("switch", "ping"),
+            ("hb_release", "Mailbox"), ("schedule", 5), ("schedule", 6),
+            ("fire", 5), ("switch", "pong"), ("hb_acquire", "Mailbox"),
+            ("schedule", 7), ("fire", 3), ("hb_release", "Mailbox"),
+            ("fire", 6), ("switch", "ping"), ("exit", "ping"), ("fire", 7),
+            ("switch", "pong"), ("join", "pong->ping"), ("exit", "pong")]
 
 
 # ----------------------------------------------------------------------
@@ -150,6 +247,32 @@ def test_pooling_stands_down_while_traced():
         k.spawn(lambda p: [p.sleep(0.01) for _ in range(10)], name="t")
         k.run()
         assert k._timer_pool == []  # every traced timer stays unique
+
+
+def test_wake_events_skip_the_wake_frame_but_timeouts_use_it(monkeypatch):
+    """The loop recognises wake timers by identity and takes their
+    arguments directly; ``SimKernel._wake`` is only the entry point for
+    a timer callback's tail (``WaitQueue._expire``)."""
+    calls = []
+    inner = SimKernel._wake
+
+    def counting_wake(self, proc, *args):
+        calls.append(proc.name)
+        return inner(self, proc, *args)
+
+    monkeypatch.setattr(SimKernel, "_wake", counting_wake)
+    with SimKernel() as k:  # built after the patch: _wake_fn wraps it
+        k.spawn(lambda p: [p.sleep(0.01) for _ in range(50)], name="solo")
+        k.run()
+        assert (k.events_processed, calls) == (51, [])
+
+        def waiter(p):
+            with pytest.raises(SimTimeout):
+                Mailbox(k).get(p, timeout=0.5)
+
+        k.spawn(waiter, name="waiter")
+        k.run()
+        assert calls == ["waiter"]
 
 
 def test_batched_drain_honours_mid_batch_cancellation():

@@ -1,5 +1,6 @@
 """Unit tests for the deterministic simulation kernel."""
 
+import signal
 import threading
 import time
 
@@ -11,6 +12,7 @@ from repro.sim import (
     SimInterrupt,
     SimKernel,
     SimProcessError,
+    SimTimeout,
 )
 from repro.sim.kernel import run_processes
 
@@ -354,3 +356,198 @@ def test_shutdown_leaves_no_threads_behind():
             and time.monotonic() < deadline:
         time.sleep(0.005)
     assert threading.active_count() <= baseline
+
+
+# ----------------------------------------------------------------------
+# the loop runs on whichever thread gave up the run token: failure paths
+# ----------------------------------------------------------------------
+def _no_thread_left(baseline):
+    """A thread ends just after its last hand-off: let it settle."""
+    deadline = time.monotonic() + 2.0
+    while threading.active_count() > baseline \
+            and time.monotonic() < deadline:
+        time.sleep(0.005)
+    return threading.active_count() <= baseline
+
+
+def _thread_name():
+    return threading.current_thread().name
+
+
+def test_callback_error_on_a_carrying_process_surfaces_from_run():
+    baseline = threading.active_count()
+    k = SimKernel()
+    boom = ValueError("boom")
+    ran_on = []
+
+    def bad_callback():
+        ran_on.append(_thread_name())
+        raise boom
+
+    def body(p):
+        p.sleep(1.0)
+        p.sleep(1.0)  # carries the loop through t=1.5
+        return "done"
+
+    pr = k.spawn(body, name="carrier")
+    k.schedule(1.5, bad_callback)
+    with pytest.raises(ValueError) as ei:
+        k.run()
+    assert ei.value is boom  # the same object, in the caller's thread
+    assert ran_on == ["sim:carrier"]
+    assert k.now == 1.5
+    assert k.current is None
+    assert pr.state == "blocked"  # parked, its wake-up still pending
+    assert k.run() == 2.0
+    assert pr.result == "done"
+    k.shutdown()
+    assert _no_thread_left(baseline)
+
+
+def test_successive_run_until_calls_park_and_resume_processes():
+    with SimKernel() as k:
+        a = k.spawn(lambda p: p.sleep(1.0), name="a")
+        b = k.spawn(lambda p: (p.sleep(0.4), p.sleep(2.0)), name="b")
+        assert k.run(until=0.5) == 0.5
+        assert (a.state, b.state, k.current) == ("blocked", "blocked", None)
+        assert k.run(until=1.5) == 1.5
+        assert (a.state, b.state, k.current) == ("done", "blocked", None)
+        assert k.run() == 2.4
+        assert b.state == "done"
+        assert k.run(until=3.0) == 3.0  # drained heap: the clock still moves
+
+
+def _raise_boom(p):
+    raise ValueError("boom")
+
+
+@pytest.mark.parametrize("daemon", [False, True])
+@pytest.mark.parametrize("entered_from", ["caller", "process"])
+def test_process_failure_by_entering_thread(entered_from, daemon):
+    """Non-daemon: raised from run() before any later same-instant
+    event; daemon: recorded, and the dead process's thread carries on."""
+    with SimKernel() as k:
+        later = []
+        at = 0.0
+        if entered_from == "process":
+            # "other" yields at t=0 and carries the loop into bad's start
+            k.spawn(lambda p: p.sleep(2.0), name="other")
+            at = 1.0
+        bad = k.spawn(_raise_boom, name="bad", daemon=daemon, delay=at)
+        k.schedule(at, lambda: later.append(_thread_name()))
+        if daemon:
+            k.run()
+            assert later == ["sim:bad"]
+        else:
+            with pytest.raises(SimProcessError) as ei:
+                k.run()
+            assert ei.value.process is bad
+            assert (later, k.now, k.current) == ([], at, None)
+            k.run()  # the rest of the simulation is intact
+            assert later == [_thread_name()]  # now the caller carries
+        assert isinstance(bad.exc, ValueError)
+        assert k.now == (2.0 if entered_from == "process" else 0.0)
+
+
+def test_timeout_and_interrupt_beating_timeout_keep_the_hook_sequence(
+        hook_log):
+    """``WaitQueue._expire`` resumes its process inside the timer's own
+    event; literals captured at the last relay commit (d1df33f)."""
+    with SimKernel() as k:
+        k.attach_tracer(hook_log)
+        quiet = Mailbox(k)
+        seen = []
+
+        def waiter(p):
+            try:
+                quiet.get(p, timeout=0.05)
+            except SimTimeout:
+                seen.append("timeout")
+            try:
+                quiet.get(p, timeout=0.05)  # expires at 0.1, as below
+            except SimInterrupt as exc:
+                seen.append(exc.cause)
+
+        w = k.spawn(waiter, name="waiter")
+        # scheduled first, so it fires before _expire and arms a newer
+        # token: the timeout's wake-up is stale and is dropped
+        k.schedule(0.1, w.interrupt, "stop")
+        assert k.run() == 0.1
+        assert seen == ["timeout", "stop"]
+        assert (k.events_processed, k.events_skipped) == (5, 0)
+        assert hook_log.log == [
+            ("schedule", 1), ("schedule", 2), ("fire", 1),
+            ("switch", "waiter"), ("schedule", 3), ("fire", 3),
+            ("switch", "waiter"), ("schedule", 4), ("fire", 2),
+            ("schedule", 5), ("fire", 4), ("fire", 5),
+            ("switch", "waiter"), ("exit", "waiter")]
+
+
+def test_spawn_from_process_body_and_from_callback_on_process_thread():
+    with SimKernel() as k:
+        kids, ran_on = [], []
+
+        def child(p, tag):
+            p.sleep(0.1)
+            return tag
+
+        def parent(p):
+            kids.append(k.spawn(child, "from-body", name="kid-body"))
+            p.sleep(1.0)
+            return [p.join(kid) for kid in kids]
+
+        def callback():
+            ran_on.append(_thread_name())
+            kids.append(k.spawn(child, "from-callback", name="kid-cb"))
+
+        k.schedule(0.05, callback)  # while kid-body sleeps and carries
+        pr = k.spawn(parent, name="parent")
+        k.run()
+        assert ran_on == ["sim:kid-body"]
+        assert pr.result == ["from-body", "from-callback"]
+
+
+def test_many_processes_many_yields_leave_no_thread():
+    baseline = threading.active_count()
+    k = SimKernel()
+
+    def proc(p, i):
+        for step in range(50):
+            p.sleep(float((i + step) % 7) * 0.001)
+        return i
+
+    procs = [k.spawn(proc, i) for i in range(200)]
+    k.run()
+    assert [p.result for p in procs] == list(range(200))
+    k.shutdown()
+    assert _no_thread_left(baseline)
+
+
+@pytest.mark.skipif(not hasattr(signal, "pthread_kill"), reason="POSIX")
+def test_keyboard_interrupt_in_run_takes_the_run_token_back():
+    if threading.current_thread() is not threading.main_thread():
+        pytest.skip("signals are delivered to the main thread")
+    baseline = threading.active_count()
+    k = SimKernel()
+
+    def ticker(p):
+        for _ in range(20_000):
+            p.sleep(0.001)
+        return "done"
+
+    pr = k.spawn(ticker, name="ticker")
+    # fires on ticker's thread, which is carrying the loop; run()'s
+    # caller is parked and is the one interrupted
+    k.schedule(0.0105, signal.pthread_kill, threading.main_thread().ident,
+               signal.SIGINT)
+    with pytest.raises(KeyboardInterrupt):
+        k.run()
+    assert k.current is None
+    assert pr.state == "blocked"
+    fired = k.events_processed
+    time.sleep(0.05)
+    assert k.events_processed == fired  # nobody simulates behind our back
+    assert k.run() == pytest.approx(20.0)
+    assert pr.result == "done"
+    k.shutdown()
+    assert _no_thread_left(baseline)
