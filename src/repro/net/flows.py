@@ -47,6 +47,10 @@ tier computes bit-for-bit the same rates:
   numpy-vectorised twin of the scalar loop
   (:func:`_progressive_fill_vec`): same shares, same rounds, same
   subtraction sequence, byte-identical results.
+* A lone dirty flow — no link on its route carries another live flow:
+  most events on an idle network — is its own component, and a one-flow
+  fill is one round: :meth:`FlowNetwork._solve_lone` writes that round's
+  result (the route's smallest bandwidth) without walking or filling.
 """
 
 from __future__ import annotations
@@ -611,10 +615,10 @@ class FlowNetwork:
                 li = len(ids)
                 ids[link] = li
             fids.append(li)
-        flow.route_id_bytes = np.array(fids, dtype=np.int64).tobytes()
-        flow.route_bw_bytes = np.array(
-            [l.bandwidth for l in flow.route], dtype=np.float64).tobytes()
-        flow.route_len_bytes = np.int64(len(fids)).tobytes()
+        n = len(fids)  # native order and size: numpy's tobytes() layout
+        flow.route_id_bytes = pack(f"={n}q", *fids)
+        flow.route_bw_bytes = pack(f"={n}d", *[l.bandwidth for l in route])
+        flow.route_len_bytes = pack("=q", n)
         self._flow_counter += 1
         flow.seq = self._flow_counter
         self._flows.append(flow)
@@ -807,7 +811,8 @@ class FlowNetwork:
             residual.extend(seeds)
         if combined:
             self._solve(combined, bufs)
-        if residual:
+        if residual and not (len(residual) == 1
+                             and self._solve_lone(residual[0])):
             subset = [f for f in self._component(residual) if not f.done]
             # iterate in active-list order so link insertion order (and
             # therefore every tie-break and float op) matches the full
@@ -820,6 +825,33 @@ class FlowNetwork:
                 # remember it so the next dirty event can skip the walk
                 comp_est[keys.pop()] = len(subset)
         self._reschedule()
+
+    def _solve_lone(self, flow: Flow) -> bool:
+        """Closed form for a dirty flow sharing no link with a live one:
+        the walk would fill it alone, in one round — share
+        ``max(bandwidth, 0.0) / 1`` per link, first minimum in route
+        order.  Leaves exactly the walk's state and counters (a departed
+        flow re-solves nothing); False when a link is shared."""
+        link_flows = self._link_flows
+        route = flow.route
+        for link in route:
+            peers = link_flows.get(link)
+            if peers is not None and (len(peers) > 1 or flow not in peers):
+                return False
+        if not flow.done:
+            if len(set(route)) != len(route):  # a link shared with itself
+                return False
+            # min() keeps the first minimum, as the fill's strict < does
+            rate = min([max(link.bandwidth, 0.0) / 1 for link in route],
+                       default=float("inf"))  # empty route: uncapacitated
+            if rate != flow.rate:
+                flow.rate = rate
+            self._shard_buf[flow.shard].rates_valid = False
+            self._shard_comp[flow.shard] = 1
+            self.solver_iterations += 1
+            self.solver_flows_resolved += 1
+        self.solver_solves += 1
+        return True
 
     def _solve(self, subset: Sequence[Flow],
                bufs: Sequence[_ShardBuf] | None = None) -> None:

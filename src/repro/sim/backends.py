@@ -1,6 +1,6 @@
 """The switch mechanism: how the run token moves between OS threads.
 
-Every simulated process is an OS thread parked on a lock of its own
+Every simulated process runs on an OS thread parked on a lock of its own
 (``proc._go``); the caller of ``run()`` / ``shutdown()`` parks on one
 more.  A parked thread waits to re-acquire a lock it holds, so handing
 it the run token is one ``release()``: exactly one thread is ever
@@ -8,7 +8,10 @@ runnable, and a process may yield from any call frame, however deep in
 the middleware.  There is no kernel thread: the thread that gives up
 the token runs the event loop itself (``kernel._carry``) and passes the
 token straight on (*baton passing*), or keeps it when the next wake-up
-is its own.
+is its own.  Threads are *workers*: one whose process has ended parks on
+an idle list and runs the next process spawned (starting a thread costs
+more than a short-lived process does), and every idle worker is let go
+when the token returns to the caller.
 
 The kernel's determinism comes from its event loop, not from here: this
 file never schedules, reorders or drops an event.  It lives apart from
@@ -44,6 +47,10 @@ class ThreadBackend:
         #: times the run token moved between OS threads (a plain count:
         #: identical run after run, see docs/KERNEL.md)
         self.handoffs = 0
+        #: OS threads started (same rule: a count, not a clock)
+        self.threads_started = 0
+        #: workers between processes: ``(lock, thread, job slot)``
+        self._idle: list[tuple] = []
 
     def _give(self, proc: SimProcess | None) -> None:
         """Move the run token to ``proc``'s thread (None: the caller's)."""
@@ -56,13 +63,22 @@ class ThreadBackend:
 
     # -- caller side ---------------------------------------------------
     def create(self, proc: SimProcess) -> None:
-        """Start the (parked) thread behind a freshly spawned process."""
-        proc._go = threading.Lock()
-        proc._go.acquire()
-        proc._thread = threading.Thread(
-            target=self._run, args=(proc,), name=f"sim:{proc.name}",
-            daemon=True)
-        proc._thread.start()
+        """Put a (parked) worker behind a freshly spawned process: an
+        idle one, else a new thread.  No lock is touched for an idle
+        worker: the first dispatch releases it, as for a new one."""
+        if self._idle:
+            go, thread, job = self._idle.pop()
+            thread.name = f"sim:{proc.name}"
+        else:
+            go, job = threading.Lock(), []
+            go.acquire()
+            thread = threading.Thread(
+                target=self._work, args=(go, job), name=f"sim:{proc.name}",
+                daemon=True)
+            self.threads_started += 1
+            thread.start()
+        job.append(proc)
+        proc._go, proc._thread = go, thread
 
     def run_until_back(self, proc: SimProcess) -> None:
         """Hand the run token to ``proc`` and park the calling thread
@@ -80,6 +96,12 @@ class ThreadBackend:
             # just leave the lock held for the next park
             self._caller.acquire(self._away)
             raise
+        finally:
+            # the token is back: idle workers end here (released with
+            # no job), so none outlives a run()/shutdown() call
+            for go, _thread, _job in self._idle:
+                go.release()
+            self._idle.clear()
 
     # -- process side --------------------------------------------------
     def block(self, proc: SimProcess) -> Any:
@@ -100,8 +122,15 @@ class ThreadBackend:
             raise exc
         return proc._wake_value
 
-    def _run(self, proc: SimProcess) -> None:
-        proc._go.acquire()  # parked until the first dispatch
+    def _work(self, go: Any, job: list) -> None:
+        """Worker loop: run one process after another until let go."""
+        while True:
+            go.acquire()  # parked until the first dispatch
+            if not job:
+                return
+            self._run(job.pop(), job)
+
+    def _run(self, proc: SimProcess, job: list) -> None:
         try:
             if proc._pending_exc is not None:  # shut down before first run
                 exc = proc._pending_exc
@@ -115,5 +144,9 @@ class ThreadBackend:
             proc.exc = exc
             proc._state = SimProcess._STATE_FAILED
         finally:
-            # this thread's last act: carry the loop to the next holder
-            self._give(proc.kernel._carry(proc))
+            # this process's last act: carry the loop to the next holder;
+            # go idle *before* giving the token away (after, nothing
+            # shared may be touched)
+            target = proc.kernel._carry(proc)
+            self._idle.append((proc._go, proc._thread, job))
+            self._give(target)

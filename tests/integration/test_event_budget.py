@@ -1,0 +1,117 @@
+"""What one small message costs the simulator, pinned as counts.
+
+The ``rpc_small`` shape at 1/20 size, through the public API only: two
+hosts on Myrinet-2000, one runtime, a CORBA caller pushing 50 small
+blobs while an MPI pair does 50 ``Send``/``Recv`` round trips in the
+same two processes.  Every number below repeats exactly, so a change
+that moves one did so on purpose — see :func:`test_event_budget`.
+"""
+
+import numpy as np
+
+from repro.corba import OMNIORB4, Orb, compile_idl
+from repro.mpi import create_world
+from repro.net import Topology, build_cluster
+from repro.net.topology import MYRINET_2000
+from repro.padicotm import PadicoRuntime
+
+IDL = """
+module Bench {
+    typedef sequence<octet> Blob;
+    interface Sink { void push(in Blob data); };
+};
+"""
+SIZES = [0, 8, 64, 512, 4096]
+OPS = 50
+
+
+def _run():
+    topo = Topology()
+    build_cluster(topo, "n", 2, san=MYRINET_2000)
+    rt = PadicoRuntime(topo)
+    p0 = rt.create_process("n0", "p0")
+    p1 = rt.create_process("n1", "p1")
+    s_orb = Orb(p1, OMNIORB4, compile_idl(IDL))
+    s_orb.start()
+    c_orb = Orb(p0, OMNIORB4, compile_idl(IDL))
+    pushed = []
+
+    class Sink(s_orb.servant_base("Bench::Sink")):
+        def push(self, data):
+            pushed.append(len(data))
+
+    url = s_orb.object_to_string(s_orb.poa.activate_object(Sink()))
+    world = create_world(rt, "bench", [p0, p1])
+    sizes = [SIZES[i % len(SIZES)] for i in range(OPS)]
+
+    def corba_main(proc):
+        stub = c_orb.string_to_object(url)
+        for size in sizes:
+            stub.push(bytes(size))
+
+    def mpi_sender(proc):
+        comm = world.comm(0).bind(proc)
+        for size in sizes:
+            comm.Send(np.zeros(size, dtype=np.uint8), dest=1)
+            comm.Recv(np.empty(size, dtype=np.uint8), source=1)
+
+    def mpi_receiver(proc):
+        comm = world.comm(1).bind(proc)
+        for size in sizes:
+            buf = np.empty(size, dtype=np.uint8)
+            comm.Recv(buf, source=0)
+            comm.Send(buf, dest=0)
+
+    p0.spawn(corba_main, name="corba-client")
+    p0.spawn(mpi_sender, name="mpi-rank0")
+    p1.spawn(mpi_receiver, name="mpi-rank1")
+    try:
+        rt.run()
+    finally:
+        rt.shutdown()
+    assert pushed == sizes
+    kernel, net = rt.kernel, rt.network
+    return {
+        "events_processed": kernel.events_processed,
+        "events_skipped": kernel.events_skipped,
+        "handoffs": kernel.backend.handoffs,
+        "threads_started": kernel.backend.threads_started,
+        "solver_solves": net.solver_solves,
+        "solver_iterations": net.solver_iterations,
+        "completed_flows": net.completed_flows,
+        "now": repr(kernel.now),
+    }
+
+
+def test_event_budget():
+    """100 operations: 50 CORBA ``push`` + 50 MPI round trips.
+
+    The baseline for ROADMAP item 1 ("events per operation"); all but
+    ``threads_started`` were captured at 56b5edf, before the lone-flow
+    closed form and thread recycling, neither of which may move them:
+
+    * lever (a), accruing modelled software costs instead of sleeping
+      each one, is expected to lower ``events_processed`` and leave
+      ``handoffs``, the solver counts and ``now`` alone;
+    * lever (b), the uncontended-flow fast path, lowers host time per
+      solve only: ``solver_solves`` / ``solver_iterations`` count the
+      closed form as the one-flow fill it replaces;
+    * lever (c), the ORB's per-request work: fewer servant wake-ups
+      would lower ``handoffs`` (and ``events_processed`` with them);
+      recycling the request threads keeps ``threads_started`` at the
+      long-lived processes plus one worker instead of one per request.
+    """
+    assert _run() == BUDGET
+    assert _run() == BUDGET  # and again: counts, not clocks
+
+
+BUDGET = {
+    "events_processed": 1469,   # 14.7 per operation
+    "events_skipped": 24,
+    "handoffs": 648,
+    "threads_started": 7,       # one per request at 56b5edf
+    "solver_solves": 360,       # one per admission, one per completion
+    "solver_iterations": 191,
+    "completed_flows": 180,
+    "now": "0.0021549999999999907",
+}

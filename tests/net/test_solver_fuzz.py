@@ -14,6 +14,10 @@ Everything runs under
 every reallocation, values and order — and the test finally asserts
 that the examples really executed all four fills the pipeline selects
 between.
+
+A second, *sparse* profile fuzzes the other end: mostly idle links,
+where a dirty flow that shares no link takes the lone-flow closed form
+instead of any fill — and must leave it the moment a link is shared.
 """
 
 from __future__ import annotations
@@ -78,9 +82,9 @@ def grid_schedules(draw):
     return n_sites, events
 
 
-def run_grid_schedule(spec, cls):
+def run_grid_schedule(spec, cls, hosts=HOSTS):
     n_sites, events = spec
-    topo, _ = build_grid(sites=n_sites, hosts_per_site=HOSTS,
+    topo, _ = build_grid(sites=n_sites, hosts_per_site=hosts,
                          switch_fanout=2)
     kernel = SimKernel()
     net = cls(kernel, topo)
@@ -109,6 +113,12 @@ def run_grid_schedule(spec, cls):
         elif kind == "flow":
             s, a, hop, size = args
             admit([(san(s, a, (a + hop) % HOSTS), size)])
+        elif kind == "one":
+            # a single start_flow between two named hosts
+            s, a, b, size = args
+            path = san(s, a, b)
+            if path is not None:
+                net.start_flow(path, size, lambda flow: None)
         elif kind == "spread":
             # one batch dirtying every site's shard at once
             a, hop, size = args
@@ -208,3 +218,93 @@ def test_production_path_fuzz_reaches_every_fill(monkeypatch):
         ("vec", None),      # component walk, vectorised fill
         ("scalar", None),   # component walk, scalar fill
     }, paths
+
+
+# ---------------------------------------------------------------------------
+# sparse traffic: where the lone-flow closed form switches on and off
+# ---------------------------------------------------------------------------
+SPARSE_HOSTS = 6  # leaf switches (0,1) (2,3) (4,5): batches never reach 4, 5
+
+
+@st.composite
+def sparse_schedules(draw):
+    site = st.integers(0, 1)
+    host = st.integers(0, SPARSE_HOSTS - 1)
+    size = st.floats(1e3, 1e5, allow_nan=False)
+    events = []
+    if draw(st.booleans()):  # one shard already past the whole-shard gate
+        events.append((0.0, "batch", draw(site),
+                       draw(st.integers(_VEC_MIN_FLOWS + 8, 100)), 1e5,
+                       draw(st.integers(0, 50))))
+    t = 0.0
+    for _ in range(draw(st.integers(4, 16))):
+        # half the events land back to back on the previous one's instant
+        t += draw(st.one_of(st.just(0.0), st.floats(0.0, 5e-4,
+                                                    allow_nan=False)))
+        a = draw(host)
+        events.append((t,) + draw(st.one_of(
+            st.tuples(st.just("one"), site, st.just(a),
+                      host.filter(lambda b: b != a), size),
+            st.tuples(st.just("wan"), site, st.just(1), st.just(1), size),
+            st.tuples(st.just("mixed"), site, st.integers(0, HOSTS - 1),
+                      st.integers(1, HOSTS - 1), st.just(1),
+                      st.integers(0, HOSTS - 1), size),
+            st.tuples(st.just("fail_san"), site, host))))
+    return 2, events
+
+
+#: every way in and out of the closed form, in order: two lone admissions
+#: on disjoint pairs at one instant, a second flow joining the first
+#: one's links (walk), the shorter sharer leaving (walk) and the longer
+#: one finishing alone (closed form), a lone flow aborted by fail_link, a
+#: lone relayed SAN+WAN flow tainting site 1, then site 0 ramped past the
+#: whole-shard gate and a flow on the untouched pair (4, 5): link-lone,
+#: but its shard is solved wholesale — the gates come first
+SPARSE = (2, [(0.0, "one", 0, 0, 1, 5e4),
+              (0.0, "one", 0, 2, 3, 5e4),
+              (1e-5, "one", 0, 0, 1, 2e4),
+              (1e-3, "one", 1, 4, 5, 1e6),
+              (1.1e-3, "fail_san", 1, 4),
+              (1.2e-3, "mixed", 1, 2, 1, 1, 2, 2e3),
+              (5e-3, "batch", 0, 100, 1e5, 0),
+              (5.1e-3, "one", 0, 4, 5, 3e4)])
+#: (solver_solves, solver_iterations, solver_flows_resolved) of SPARSE on
+#: the parent of the closed form (56b5edf), which walked every event
+SPARSE_WORK = (61, 204, 3073)
+
+
+def test_sparse_fuzz_enters_and_leaves_the_closed_form():
+    taken = Counter()
+
+    class Recording(CheckedFlowNetwork):
+        def _solve_lone(self, flow):
+            lone = super()._solve_lone(flow)
+            taken["lone" if lone else "shared", flow.done] += 1
+            return lone
+
+        def _solve(self, subset, bufs=None):
+            taken["walk" if bufs is None else "shard"] += 1
+            super()._solve(subset, bufs)
+
+    net = run_grid_schedule(SPARSE, Recording, SPARSE_HOSTS)
+    assert (net.solver_solves, net.solver_iterations,
+            net.solver_flows_resolved) == SPARSE_WORK
+    # four lone admissions and departures; the joiner and the first of
+    # the two sharers to leave are turned away; the flow on (4, 5) never
+    # asks, and every solve went one way: closed form, walk, whole shard
+    assert taken == {("lone", False): 4, ("lone", True): 4,
+                     ("shared", False): 1, ("shared", True): 1,
+                     "walk": 21, "shard": 32}
+    assert net.solver_solves == 4 + 4 + 21 + 32
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @example(SPARSE)
+    @given(sparse_schedules())
+    def fuzz(spec):
+        run_grid_schedule(spec, Recording, SPARSE_HOSTS)
+
+    taken.clear()
+    fuzz()
+    assert taken["lone", False] and taken["lone", True], taken
+    assert taken["shared", False] and taken["shared", True], taken
+    assert taken["shard"], taken

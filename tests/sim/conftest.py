@@ -5,7 +5,20 @@ matrix; the CI floor list names every test by that id, so the
 one-value parameter stays to keep the ids stable.
 """
 
+import threading
+import time
+
 import pytest
+
+
+def no_thread_left(baseline):
+    """True once ``threading.active_count()`` is back at ``baseline``: a
+    thread ends just after its last hand-off, so wait up to 2 s."""
+    deadline = time.monotonic() + 2.0
+    while threading.active_count() > baseline \
+            and time.monotonic() < deadline:
+        time.sleep(0.005)
+    return threading.active_count() <= baseline
 
 
 @pytest.fixture(autouse=True, params=["thread"])

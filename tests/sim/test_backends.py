@@ -6,15 +6,21 @@ taken without a ``_wake()`` frame) that must stay invisible to the
 event order.
 """
 
+import sys
+import threading
+
 import pytest
 
 from repro.sim import (
     Mailbox,
     SimEvent,
+    SimInterrupt,
     SimKernel,
+    SimProcessError,
     SimTimeout,
     format_wait_graph,
 )
+from tests.sim.conftest import no_thread_left
 
 
 # ----------------------------------------------------------------------
@@ -141,6 +147,152 @@ def test_hook_order_matches_the_relay_kernel(hook_log):
             ("schedule", 7), ("fire", 3), ("hb_release", "Mailbox"),
             ("fire", 6), ("switch", "ping"), ("exit", "ping"), ("fire", 7),
             ("switch", "pong"), ("join", "pong->ping"), ("exit", "pong")]
+
+
+# ----------------------------------------------------------------------
+# ... and on thread recycling another: backend.threads_started
+# ----------------------------------------------------------------------
+def _dispatch_loop(n, seed=None):
+    """The ORB's dispatch shape: a long-lived parent spawns one
+    short-lived process per request, one after another."""
+    names = []
+
+    def request(p, i):
+        names.append((p.name, threading.current_thread().name))
+        p.sleep(0.001)
+        return i
+
+    def parent(p):
+        return [p.join(p.kernel.spawn(request, i, name=f"req-{i}"))
+                for i in range(n)]
+
+    with SimKernel(seed=seed) as k:
+        pr = k.spawn(parent, name="parent")
+        k.run()
+        assert pr.result == list(range(n))
+        return k.backend.threads_started, k.backend.handoffs, names
+
+
+def test_short_lived_processes_recycle_one_thread():
+    started, _, names = _dispatch_loop(1000)
+    assert started <= 1 + 2  # the parent's, and at most two for 1 000 children
+    # a recycled thread carries the name of the process it runs now
+    assert names == [(f"req-{i}", f"sim:req-{i}") for i in range(1000)]
+
+
+def test_thread_count_repeats_exactly():
+    plain, seeded = _dispatch_loop(50)[:2], _dispatch_loop(50, seed=7)[:2]
+    assert _dispatch_loop(50)[:2] == plain
+    assert _dispatch_loop(50, seed=7)[:2] == seeded
+    assert seeded[0] == plain[0]  # a seed permutes events, not lifetimes
+
+
+def test_processes_alive_at_once_each_get_a_thread():
+    with SimKernel() as k:
+        procs = [k.spawn(lambda p: p.sleep(1.0)) for _ in range(20)]
+        k.run()
+        assert k.backend.threads_started == 20
+        assert len({p._thread for p in procs}) == 20
+
+
+def test_recycling_under_a_hostile_thread_scheduler():
+    """Workers park, are re-assigned and re-dispatched while the host
+    preempts them every few bytecodes: a worker that read its job slot
+    early, or was released twice, would lose or repeat a process."""
+    baseline = threading.active_count()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        def parent(p, i):
+            return sum(p.join(p.kernel.spawn(
+                lambda q, j=j: q.sleep(0.001 * ((i + j) % 3)) or j))
+                for j in range(60))
+
+        runs = []
+        for _ in range(2):
+            with SimKernel() as k:
+                procs = [k.spawn(parent, i) for i in range(8)]
+                k.run()
+                assert [p.result for p in procs] == [sum(range(60))] * 8
+                runs.append((k.backend.threads_started, k.backend.handoffs))
+        assert runs[0] == runs[1] and runs[0][0] <= 2 * 8
+    finally:
+        sys.setswitchinterval(interval)
+    assert no_thread_left(baseline)
+
+
+def test_idle_threads_do_not_outlive_run():
+    baseline = threading.active_count()
+    k = SimKernel()
+    k.spawn(lambda p: [p.join(k.spawn(lambda q: None)) for _ in range(10)])
+    k.run()
+    assert k.backend._idle == []
+    del k  # dropped without shutdown(): nothing is parked
+    assert no_thread_left(baseline)
+
+
+def _failing(p):
+    p.sleep(0.1)
+    raise ValueError("boom")
+
+
+def test_failed_daemon_process_returns_a_reusable_thread():
+    baseline = threading.active_count()
+    k = SimKernel()
+
+    def parent(p):
+        bad = k.spawn(_failing, name="bad", daemon=True)
+        p.sleep(1.0)
+        assert (bad.state, k.backend._idle[0][1]) == ("failed", bad._thread)
+        good = k.spawn(lambda q: q.sleep(0.1) or "ok", name="good")
+        assert good._thread is bad._thread
+        return p.join(good)
+
+    pr = k.spawn(parent, name="parent")
+    k.run()
+    assert (pr.result, k.backend.threads_started) == ("ok", 2)
+    k.shutdown()
+    assert no_thread_left(baseline)
+
+
+def test_failed_process_that_ends_the_run_leaves_a_working_backend():
+    baseline = threading.active_count()
+    k = SimKernel()
+    k.spawn(_failing, name="bad")
+    with pytest.raises(SimProcessError, match="boom"):
+        k.run()
+    # the run ended on the failing thread: it went idle and was let go
+    assert k.backend._idle == []
+    good = k.spawn(lambda q: q.sleep(0.1) or "ok", name="good")
+    k.run()
+    assert (good.result, k.backend.threads_started) == ("ok", 2)
+    k.shutdown()
+    assert no_thread_left(baseline)
+
+
+def test_process_ended_before_its_first_dispatch_returns_a_reusable_thread():
+    baseline = threading.active_count()
+    k = SimKernel()
+
+    def parent(p):
+        never = k.spawn(lambda q: "ran", name="never", daemon=True, delay=5.0)
+        never.interrupt("cancelled")  # delivered at its first dispatch
+        p.sleep(0.1)
+        assert isinstance(never.exc, SimInterrupt)
+        again = k.spawn(lambda q: "ran", name="again")
+        assert again._thread is never._thread
+        return p.join(again)
+
+    pr = k.spawn(parent, name="parent")
+    k.spawn(lambda p: None, name="unstarted", delay=9.0)
+    assert k.run(until=1.0) == 1.0
+    assert pr.result == "ran"
+    k.shutdown()  # "unstarted" is shut down before its first dispatch
+    after = k.spawn(lambda p: "after", name="after")
+    k.run()
+    assert after.result == "after"
+    assert k.backend.threads_started == 4
+    assert no_thread_left(baseline)
 
 
 # ----------------------------------------------------------------------

@@ -15,6 +15,7 @@ from repro.sim import (
     SimTimeout,
 )
 from repro.sim.kernel import run_processes
+from tests.sim.conftest import no_thread_left
 
 
 def test_clock_starts_at_zero():
@@ -350,26 +351,12 @@ def test_shutdown_leaves_no_threads_behind():
         "in-mailbox-get", "never-started", "daemon", "blocking-cleanup"]
     k.shutdown()
     assert not any(p.alive for p in k._processes)
-    # a thread ends just after its last hand-off to the kernel: settle
-    deadline = time.monotonic() + 2.0
-    while threading.active_count() > baseline \
-            and time.monotonic() < deadline:
-        time.sleep(0.005)
-    assert threading.active_count() <= baseline
+    assert no_thread_left(baseline)
 
 
 # ----------------------------------------------------------------------
 # the loop runs on whichever thread gave up the run token: failure paths
 # ----------------------------------------------------------------------
-def _no_thread_left(baseline):
-    """A thread ends just after its last hand-off: let it settle."""
-    deadline = time.monotonic() + 2.0
-    while threading.active_count() > baseline \
-            and time.monotonic() < deadline:
-        time.sleep(0.005)
-    return threading.active_count() <= baseline
-
-
 def _thread_name():
     return threading.current_thread().name
 
@@ -401,7 +388,7 @@ def test_callback_error_on_a_carrying_process_surfaces_from_run():
     assert k.run() == 2.0
     assert pr.result == "done"
     k.shutdown()
-    assert _no_thread_left(baseline)
+    assert no_thread_left(baseline)
 
 
 def test_successive_run_until_calls_park_and_resume_processes():
@@ -520,7 +507,7 @@ def test_many_processes_many_yields_leave_no_thread():
     k.run()
     assert [p.result for p in procs] == list(range(200))
     k.shutdown()
-    assert _no_thread_left(baseline)
+    assert no_thread_left(baseline)
 
 
 @pytest.mark.skipif(not hasattr(signal, "pthread_kill"), reason="POSIX")
@@ -550,4 +537,4 @@ def test_keyboard_interrupt_in_run_takes_the_run_token_back():
     assert k.run() == pytest.approx(20.0)
     assert pr.result == "done"
     k.shutdown()
-    assert _no_thread_left(baseline)
+    assert no_thread_left(baseline)
