@@ -51,11 +51,17 @@ tier computes bit-for-bit the same rates:
   most events on an idle network — is its own component, and a one-flow
   fill is one round: :meth:`FlowNetwork._solve_lone` writes that round's
   result (the route's smallest bandwidth) without walking or filling.
+* Around the solve, every event credits, scans and re-times *every*
+  live flow.  From :data:`_TABLE_MIN_FLOWS` live flows on, a network
+  holds their state as columns (:class:`_FlowTable`) and those passes
+  are array operations — the loops' arithmetic, element by element, in
+  their order; below it nothing but the per-object loops exists.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from array import array
+from bisect import bisect_left, bisect_right
 from struct import pack
 from typing import Any, Callable, Sequence
 
@@ -74,15 +80,28 @@ _EPS_BYTES = 1e-6
 #: One number for both: a whole-shard solve is always a vectorised one.
 _VEC_MIN_FLOWS = 64
 
+#: Live flows at which a network enters column form (:class:`_FlowTable`);
+#: it leaves below three quarters of that, so a count hovering at either
+#: edge converts once, not per event.  From the sweep in
+#: docs/PERFORMANCE.md: the array passes break even with the per-object
+#: loops at about 120 flows — entered clearly above that, left at it.
+_TABLE_MIN_FLOWS = 160
+
 
 class TransferError(RuntimeError):
     """A transfer failed mid-flight (link down, aborted)."""
 
 
 class Flow:
-    """One in-flight message on the network."""
+    """One in-flight message on the network.
 
-    __slots__ = ("route", "size", "remaining", "rate", "waiter",
+    ``remaining`` (bytes left, read-only) and ``rate`` (bytes/s) are
+    live views: while the owning network is in column form the first is
+    read from, and an assignment to the second written through to, the
+    flow's :class:`_FlowTable` row.
+    """
+
+    __slots__ = ("route", "size", "_remaining", "_rate", "_table", "waiter",
                  "callback", "error", "done", "start_time", "fid", "seq",
                  "shard", "route_id_bytes", "route_bw_bytes",
                  "route_len_bytes")
@@ -92,8 +111,10 @@ class Flow:
                  start_time: float):
         self.route = list(route)
         self.size = float(size)
-        self.remaining = float(size)
-        self.rate = 0.0
+        self._remaining = float(size)
+        self._rate = 0.0
+        #: the owning network's column form while this flow has a row
+        self._table: _FlowTable | None = None
         self.waiter = waiter
         self.callback = callback
         self.error: Exception | None = None
@@ -116,6 +137,23 @@ class Flow:
         self.route_id_bytes: bytes = b""
         self.route_bw_bytes: bytes = b""
         self.route_len_bytes: bytes = b""
+
+    @property
+    def remaining(self) -> float:
+        table = self._table
+        return self._remaining if table is None \
+            else table.rem[bisect_left(table.seqs, self.seq)]
+
+    @property
+    def rate(self) -> float:
+        return self._rate
+
+    @rate.setter
+    def rate(self, value: float) -> None:
+        self._rate = value
+        table = self._table
+        if table is not None:
+            table.rates[bisect_left(table.seqs, self.seq)] = value
 
     @property
     def progress(self) -> float:
@@ -195,6 +233,87 @@ class _ShardBuf:
         del self.ids[8 * e0:8 * (e0 + n)]
         del self.bw[8 * e0:8 * (e0 + n)]
         del self.rates[8 * i:8 * (i + 1)]
+
+
+class _FlowTable:
+    """Column form of a network's live-flow state: one row per flow in
+    active-list (ascending ``Flow.seq``) order — bytes left, rate, route
+    length — plus the routes' interned link ids end to end and the byte
+    totals per link id.
+
+    The passes a network makes over every live flow at every event run
+    here on NumPy views of the columns: the per-object loops' arithmetic
+    per element, in their order (``np.add.at`` is unbuffered and takes
+    its indices in sequence: the loop's (flow, link) order).  A view
+    pins its ``array``; none outlives its method, as rows come and go.
+    """
+
+    __slots__ = ("seqs", "rem", "rates", "lens", "ids", "acc", "credited")
+
+    def __init__(self, flows: Sequence[Flow], link_bytes: dict[Link, float],
+                 link_ids: dict[Link, int]):
+        self.seqs, self.lens, self.ids = array("q"), array("q"), array("q")
+        self.rem, self.rates = array("d"), array("d")
+        self.acc = array("d", bytes(8 * len(link_ids)))
+        for link, moved in link_bytes.items():
+            self.acc[link_ids[link]] = moved
+        for f in flows:
+            self.add(f)
+        #: newest ``seq`` an advance has credited — here, all of them
+        self.credited = self.seqs[-1]
+
+    def add(self, flow: Flow) -> None:
+        self.seqs.append(flow.seq)
+        self.rem.append(flow._remaining)
+        self.rates.append(flow._rate)
+        self.lens.append(len(flow.route))
+        self.ids.frombytes(flow.route_id_bytes)
+        flow._table = self
+
+    def pop(self, flow: Flow) -> int:
+        """Splice the row of ``flow`` out — found by ``seq``, now: the
+        callbacks between two departures admit flows — and hand its
+        bytes left back; returns where the row was."""
+        i = bisect_left(self.seqs, flow.seq)
+        e0 = int(np.frombuffer(self.lens, dtype=np.int64, count=i).sum())
+        del self.ids[e0:e0 + self.lens.pop(i)]
+        del self.seqs[i]
+        del self.rates[i]
+        flow._remaining = self.rem.pop(i)
+        flow._table = None
+        return i
+
+    def advance(self, dt: float, flows: Sequence[Flow],
+                link_bytes: dict[Link, float], n_ids: int) -> None:
+        # flows not credited before are a suffix of the active list:
+        # their links join link_bytes in the order the loop would add them
+        for f in flows[bisect_right(self.seqs, self.credited):]:
+            for link in f.route:
+                link_bytes.setdefault(link, 0.0)
+        self.credited = self.seqs[-1]
+        self.acc.frombytes(bytes(8 * (n_ids - len(self.acc))))
+        moved = np.frombuffer(self.rates) * dt
+        rem = np.frombuffer(self.rem)
+        rem -= moved
+        np.add.at(np.frombuffer(self.acc),
+                  np.frombuffer(self.ids, dtype=np.int64),
+                  np.repeat(moved, np.frombuffer(self.lens, dtype=np.int64)))
+
+    def next_finish(self) -> float | None:
+        rates = np.frombuffer(self.rates)
+        live = rates > 0
+        finish = np.frombuffer(self.rem)[live] / rates[live]
+        return float(finish.min()) if len(finish) else None
+
+    def due(self, now: float) -> list[int]:
+        """Rows complete at ``now``: both clauses of ``_on_completion``."""
+        rem = np.frombuffer(self.rem)
+        rows = np.flatnonzero(rem <= _EPS_BYTES)
+        if not len(rows):
+            rates = np.frombuffer(self.rates)
+            live = np.flatnonzero(rates > 0)
+            rows = live[now + rem[live] / rates[live] == now]
+        return rows.tolist()
 
 
 def _progressive_fill(
@@ -414,7 +533,8 @@ class FlowNetwork:
 
     The blocking entry point is :meth:`transfer`; middleware layers call
     it from inside simulated processes.  Bytes crossing each link are
-    accounted in :attr:`link_bytes` for white-box assertions in tests.
+    accounted in :attr:`link_bytes` (derived on read, keys in
+    first-credited order) for white-box assertions in tests.
 
     Rate re-solves are restricted to what a change can affect — the
     link-connected component of the changed flows, or their whole site
@@ -458,9 +578,11 @@ class FlowNetwork:
         #: coupling tier), kept in lockstep with _shard_flows /
         #: _coupling_flows so whole-shard solves skip buffer assembly
         self._shard_buf: dict[str | None, _ShardBuf] = {}
+        #: the live-flow state in column form, while there are many
+        self._table: _FlowTable | None = None
         self._last_update = kernel.now
         self._timer: Timer | None = None
-        self.link_bytes: dict[Link, float] = {}
+        self._link_bytes: dict[Link, float] = {}
         self.completed_flows = 0
         #: completed-transfer records for timeline analysis:
         #: (start time, end time, size bytes, first link name, ok)
@@ -574,6 +696,16 @@ class FlowNetwork:
     def active_flows(self) -> list[Flow]:
         return list(self._flows)
 
+    @property
+    def link_bytes(self) -> dict[Link, float]:
+        """Bytes that crossed each link so far, in first-credited order;
+        refreshed on read while the column form holds the totals."""
+        totals, table, ids = self._link_bytes, self._table, self._link_ids
+        if table is not None:
+            for link in totals:
+                totals[link] = table.acc[ids[link]]
+        return totals
+
     def fail_link(self, link: Link) -> None:
         """Bring a link down and abort every flow crossing it."""
         link.up = False
@@ -622,6 +754,8 @@ class FlowNetwork:
         self._flow_counter += 1
         flow.seq = self._flow_counter
         self._flows.append(flow)
+        if self._table is not None:
+            self._table.add(flow)
         self._index_add(flow)
         return flow
 
@@ -738,17 +872,43 @@ class FlowNetwork:
         iterated IEEE-754 subtraction is not associative, so crediting
         lazily would change ``remaining`` in the last bits and break the
         byte-identical-results guarantee the solver work relies on.
+        Eager, and in column form vectorised: the same multiply,
+        subtract and per-link adds per flow, as array operations.
         """
         now = self.kernel.now
         dt = now - self._last_update
         if dt > 0:
-            link_bytes = self.link_bytes
-            for f in self._flows:
-                moved = f.rate * dt
-                f.remaining -= moved
-                for link in f.route:
-                    link_bytes[link] = link_bytes.get(link, 0.0) + moved
+            link_bytes = self._link_bytes
+            if self._table is not None:
+                self._table.advance(dt, self._flows, link_bytes,
+                                    len(self._link_ids))
+            else:
+                for f in self._flows:
+                    moved = f._rate * dt
+                    f._remaining -= moved
+                    for link in f.route:
+                        link_bytes[link] = link_bytes.get(link, 0.0) + moved
+                if len(self._flows) >= _TABLE_MIN_FLOWS:
+                    # enter column form; every live flow is credited now
+                    self._table = _FlowTable(self._flows, link_bytes,
+                                             self._link_ids)
         self._last_update = now
+
+    def _remove(self, flow: Flow) -> None:
+        """Take a live flow off the active list, its table row and the
+        indexes; a drained network leaves column form."""
+        flows, table = self._flows, self._table
+        if table is None:
+            flows.remove(flow)
+        else:
+            del flows[table.pop(flow)]
+            if 4 * len(flows) < 3 * _TABLE_MIN_FLOWS:
+                self._link_bytes = self.link_bytes  # read: refreshes it
+                for f, left in zip(flows, table.rem):
+                    f._remaining = left
+                    f._table = None
+                self._table = None
+        self._index_remove(flow)
 
     def _reallocate(self, dirty: Sequence[Flow]) -> None:
         """Re-solve fair-share rates after a flow-set change.
@@ -913,12 +1073,15 @@ class FlowNetwork:
 
     def _reschedule(self) -> None:
         next_finish = None
-        for f in self._flows:
-            if f.rate <= 0:
-                continue
-            finish = f.remaining / f.rate
-            if next_finish is None or finish < next_finish:
-                next_finish = finish
+        if self._table is not None:
+            next_finish = self._table.next_finish()
+        else:
+            for f in self._flows:
+                if f._rate <= 0:
+                    continue
+                finish = f._remaining / f._rate
+                if next_finish is None or finish < next_finish:
+                    next_finish = finish
         timer = self._timer
         if next_finish is None:
             if timer is not None:
@@ -941,24 +1104,28 @@ class FlowNetwork:
     def _on_completion(self) -> None:
         self._timer = None
         self._advance()
-        finished = [f for f in self._flows if f.remaining <= _EPS_BYTES]
-        if not finished:
-            # Far enough into virtual time one ulp of the clock moves
-            # more bytes than _EPS_BYTES (3.4e-6 B at 240 MB/s once
-            # now > 64 s), so a flow can sit above the threshold with a
-            # residual time that rounds to ``now + 0``: the timer would
-            # re-arm for this same instant, advance nothing, and refire
-            # forever.  Such a flow is complete at this instant.
-            now = self.kernel.now
-            finished = [f for f in self._flows
-                        if f.rate > 0 and now + f.remaining / f.rate == now]
+        flows, now = self._flows, self.kernel.now
+        if self._table is not None:
+            finished = [flows[i] for i in self._table.due(now)]
+        else:
+            finished = [f for f in flows if f._remaining <= _EPS_BYTES]
+            if not finished:
+                # Far enough into virtual time one ulp of the clock
+                # moves more bytes than _EPS_BYTES (3.4e-6 B at 240 MB/s
+                # once now > 64 s), so a flow can sit above the
+                # threshold with a residual time that rounds to
+                # ``now + 0``: the timer would re-arm for this instant,
+                # advance nothing, and refire forever.  It is complete.
+                finished = [f for f in flows if f._rate > 0
+                            and now + f._remaining / f._rate == now]
         for f in finished:
-            f.remaining = 0.0
+            if f.done:
+                continue  # an earlier callback's fail_link aborted it
+            self._remove(f)
+            f._remaining = 0.0
             f.done = True
-            self._flows.remove(f)
-            self._index_remove(f)
             self.completed_flows += 1
-            self.flow_log.append((f.start_time, self.kernel.now, f.size,
+            self.flow_log.append((f.start_time, now, f.size,
                                   f.route[0].name if f.route else "", True))
             mon = self.monitor
             if mon is not None and f.fid is not None:
@@ -968,14 +1135,15 @@ class FlowNetwork:
 
     def _abort_flow(self, flow: Flow, error: Exception, wake: bool,
                     advance: bool = True) -> None:
-        if flow.done or flow not in self._flows:
-            return
+        table = self._table
+        if flow.done or (flow not in self._flows if table is None
+                         else flow._table is not table):
+            return  # not live here: finished, or another network's
         if advance:
             self._advance()
         flow.error = error
         flow.done = True
-        self._flows.remove(flow)
-        self._index_remove(flow)
+        self._remove(flow)
         self.flow_log.append((flow.start_time, self.kernel.now, flow.size,
                               flow.route[0].name if flow.route else "",
                               False))

@@ -160,10 +160,11 @@ def collect_report(network: FlowNetwork,
     if elapsed is None:
         elapsed = network.kernel.now
     report = NetworkReport(elapsed)
+    link_bytes = network.link_bytes  # derived on read: once per report
     for fabric_name, fabric in network.topology.fabrics.items():
         fstats = FabricStats(fabric_name, fabric.technology.name)
         for link in fabric.links():
-            moved = network.link_bytes.get(link, 0.0)
+            moved = link_bytes.get(link, 0.0)
             if moved:
                 fstats.links.append(LinkStats(link, moved))
         fstats.total_bytes = sum(ls.bytes for ls in fstats.links)

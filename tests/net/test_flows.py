@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.net import FlowNetwork, Topology, TransferError, build_cluster
+from repro.net.flows import _TABLE_MIN_FLOWS
 from repro.sim import SimKernel
 
 
@@ -218,6 +219,61 @@ def test_start_flow_rejects_empty_size(grid):
         net.start_flow(route, 0, lambda f: None)
 
 
+@pytest.mark.parametrize("ballast", [0, _TABLE_MIN_FLOWS])
+def test_aborting_a_flow_that_is_not_live_here_is_a_no_op(grid, ballast):
+    kernel, topo, net = grid
+    other = FlowNetwork(kernel, topo)
+    for _ in range(ballast):  # long flows elsewhere: a network in column form
+        net.start_flow(topo.route("a2", "a3", "a-san"), 1e12, lambda f: None)
+    route = topo.route("a0", "a1", "a-san")
+    quick = net.start_flow(route, 240_000, lambda f: None)
+    kernel.run(until=0.01)
+    assert quick.done and quick.error is None
+    live = net.start_flow(route, 240e6, lambda f: None)
+    foreign = other.start_flow(route, 240e6, lambda f: None)
+    kernel.run(until=0.02)
+    assert (net._table is not None) == bool(ballast)
+
+    def state():
+        return (list(net.flow_log), dict(net.link_bytes), live.remaining,
+                net.active_flows, other.active_flows, net.solver_solves)
+
+    before = state()
+    for flow in (quick, foreign):  # finished; another network's
+        net._abort_flow(flow, TransferError("nope"), wake=True)
+    assert state() == before
+    assert quick.error is None and foreign.error is None
+    assert live in net.active_flows and other.active_flows == [foreign]
+
+
+@pytest.mark.parametrize("ballast", [0, _TABLE_MIN_FLOWS])
+def test_callback_failing_the_link_under_a_sibling_finishing_now(
+        grid, ballast):
+    """Two flows finish at one instant; the first one's callback fails
+    their link, which aborts the second before the completion loop
+    reaches it (``list.remove`` used to raise there)."""
+    kernel, topo, net = grid
+    for _ in range(ballast):
+        net.start_flow(topo.route("a2", "a3", "a-san"), 1e12, lambda f: None)
+    route = topo.route("a0", "a1", "a-san")
+    outcomes = []
+
+    def first_done(flow):
+        outcomes.append(("first", flow.error))
+        net.fail_link(route[0])
+
+    net.start_flow(route, 240_000, first_done)
+    second = net.start_flow(
+        route, 240_000, lambda f: outcomes.append(("second", str(f.error))))
+    kernel.run(until=0.01)
+    assert outcomes == [("first", None),
+                        ("second", f"link {route[0].name} went down")]
+    assert second.done and len(net.active_flows) == ballast
+    assert (net._table is not None) == bool(ballast)
+    assert [ok for *_, ok in net.flow_log] == [True, False]
+    assert net.completed_flows == 1
+
+
 # ---------------------------------------------------------------------------
 # completion far into virtual time: the timer must not livelock
 # ---------------------------------------------------------------------------
@@ -269,6 +325,36 @@ def test_completion_does_not_livelock_late_in_virtual_time():
     assert kernel.events_processed <= 4
     assert kernel.now == pytest.approx(100.0 + 1_000_001.0 / 240e6,
                                        abs=1e-12)
+
+
+def test_completion_does_not_livelock_late_in_column_form():
+    # the same flow at the same instant, on a network that holds enough
+    # long transfers on another host pair to be in column form: the
+    # residual-time clause has to find it among the columns
+    topo = Topology()
+    build_cluster(topo, "c", 4)
+    kernel = SimKernel()
+    net = _BoundedFlowNetwork(kernel, topo)
+    ballast = topo.route("c2", "c3", "c-san")
+    for _ in range(_TABLE_MIN_FLOWS + 8):
+        net.start_flow(ballast, 1e9, lambda f: None)
+    seen = []
+
+    def late_done(flow):
+        seen.append((kernel.now, net._table is not None,
+                     len(net.active_flows)))
+
+    late = []
+    kernel.schedule(100.0, lambda: late.append(net.start_flow(
+        topo.route("c0", "c1", "c-san"), 1_000_001.0, late_done)))
+    kernel.run()
+    (flow,) = late
+    assert flow.done and flow.error is None and flow.remaining == 0.0
+    (when, tabled, live), = seen
+    assert tabled and live == _TABLE_MIN_FLOWS + 8
+    assert when == pytest.approx(100.0 + 1_000_001.0 / 240e6, abs=1e-12)
+    # the ballast drains too, all at one instant, long after
+    assert not net.active_flows and net.completed_flows == live + 1
 
 
 @settings(max_examples=200, deadline=None)

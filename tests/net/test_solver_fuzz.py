@@ -82,12 +82,9 @@ def grid_schedules(draw):
     return n_sites, events
 
 
-def run_grid_schedule(spec, cls, hosts=HOSTS):
-    n_sites, events = spec
-    topo, _ = build_grid(sites=n_sites, hosts_per_site=hosts,
-                         switch_fanout=2)
-    kernel = SimKernel()
-    net = cls(kernel, topo)
+def grid_events(topo, net, n_sites):
+    """The schedules' event vocabulary on one network: returns
+    ``fire(kind, *args)`` (shared with ``test_flow_table_fuzz``)."""
 
     def route(src, dst, fabric):
         try:
@@ -148,6 +145,16 @@ def run_grid_schedule(spec, cls, hosts=HOSTS):
             net.fail_link(
                 topo.fabrics["g-wan"].link(f"g-wan-r{s}", "g-wan-core"))
 
+    return fire
+
+
+def run_grid_schedule(spec, cls, hosts=HOSTS):
+    n_sites, events = spec
+    topo, _ = build_grid(sites=n_sites, hosts_per_site=hosts,
+                         switch_fanout=2)
+    kernel = SimKernel()
+    net = cls(kernel, topo)
+    fire = grid_events(topo, net, n_sites)
     for t, kind, *args in events:
         kernel.schedule(t, fire, kind, *args)
     kernel.run()
