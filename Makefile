@@ -8,10 +8,10 @@ PYTHONPATH := src
 
 .PHONY: check lint lint-full lint-mutants test copy-budget \
 	schedule-smoke bench-smoke bench-wallclock bench-topology \
-	bench-collectives bench-e2e sarif
+	bench-e2e sarif
 
 check: lint lint-mutants test copy-budget schedule-smoke bench-smoke \
-	bench-wallclock bench-topology bench-collectives bench-e2e
+	bench-wallclock bench-topology bench-e2e
 
 # Incremental: per-file results and call-graph summaries are cached by
 # content hash in .repro-lint-cache.json; the interprocedural phase
@@ -74,19 +74,6 @@ bench-topology:
 		--topology-scaling --quick --out BENCH_topology_smoke.json
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro.tools.trace bench \
 		BENCH_topology_smoke.json
-
-# Hierarchical-collectives smoke: the 2-site slice of the
-# wallclock.collectives series (full 2/4/8-site sweep lives in the
-# committed BENCH_wallclock.json).  The run asserts the topology-aware
-# replay is bit-identical to the flat oracle and the gate pins the
-# MPICH-G2 invariant: aware bcast crosses the WAN exactly sites - 1
-# times per call.
-bench-collectives:
-	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m benchmarks.run \
-		--collectives --quick --gate-wan-crossings \
-		--out BENCH_collectives_smoke.json
-	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro.tools.trace bench \
-		BENCH_collectives_smoke.json
 
 # The repo benchmark (BENCHMARK.json) at ~1/20 size — all six workloads,
 # plain and ledger-traced — then its self-test.  The result document

@@ -22,14 +22,9 @@ on :func:`repro.net.build_grid` topologies up to 10k hosts / 100k
 flows) and writes it under the wall-clock schema — the CI smoke slice
 is ``make bench-topology``.
 
-``--collectives`` runs just the ``wallclock.collectives`` series (flat
-vs topology-aware MPI collectives on grids up to 8 sites, asserting the
-aware replay is bit-identical to the flat oracle) — the CI smoke slice
-is ``make bench-collectives``.  ``--gate-wan-crossings`` additionally
-fails the run unless the aware bcast crossed the WAN exactly sites − 1
-times per call at every measured grid size.  ``--gate-gridccm-scaling``
-(with ``--wallclock``) fails it when the 8-node point of
-``wallclock.gridccm.scaling`` is below a third of the 2-node point.
+``--gate-gridccm-scaling`` (with ``--wallclock``) fails the run when
+the 8-node point of ``wallclock.gridccm.scaling`` is below a third of
+the 2-node point.
 """
 
 from __future__ import annotations
@@ -48,7 +43,6 @@ from benchmarks.harness import (
     proxy_vs_direct,
 )
 from benchmarks.wallclock import (
-    bench_collectives,
     bench_topology_scaling,
     collect_wallclock,
     document_meta,
@@ -99,28 +93,6 @@ def collect(quick: bool, log=lambda msg: None) -> list[BenchResult]:
     return results
 
 
-def _check_wan_crossings(results: list[BenchResult]) -> list[str]:
-    """MPICH-G2 invariant on the ``wallclock.collectives`` series: a
-    topology-aware bcast must cross the WAN exactly sites - 1 times per
-    call (one leader-to-leader edge per non-root site, nothing else).
-    Returns a list of violations (empty = gate green)."""
-    series = next((r for r in results
-                   if r.name == "wallclock.collectives"), None)
-    if series is None:
-        return ["no wallclock.collectives series in this run"]
-    bad = []
-    for key, value in series.meta.items():
-        if not key.startswith("wan_crossings_bcast_aware_S"):
-            continue
-        sites = int(key.rsplit("S", 1)[1])
-        if value != sites - 1:
-            bad.append(f"{key} = {value}, expected {sites - 1}")
-    if not any(k.startswith("wan_crossings_bcast_aware_S")
-               for k in series.meta):
-        bad.append("no aware-bcast crossing counts in the series meta")
-    return bad
-
-
 def _check_gridccm_scaling(results: list[BenchResult]) -> list[str]:
     """The simulator's own cost must not swamp the Figure-8 experiment
     as nodes are added: on ``wallclock.gridccm.scaling`` the 8-node
@@ -156,15 +128,6 @@ def main(argv: list[str] | None = None) -> int:
                         help="run only the wallclock.topology.scaling "
                              "series (grid-scale hierarchical-solver "
                              "bench); implies the wall-clock schema")
-    parser.add_argument("--collectives", action="store_true",
-                        help="run only the wallclock.collectives series "
-                             "(flat vs topology-aware MPI collectives on "
-                             "build_grid); implies the wall-clock schema")
-    parser.add_argument("--gate-wan-crossings", action="store_true",
-                        help="with --collectives or --wallclock: fail "
-                             "unless the topology-aware bcast crossed the "
-                             "WAN exactly sites - 1 times per call at "
-                             "every measured grid size")
     parser.add_argument("--gate-gridccm-scaling", action="store_true",
                         help="with --wallclock: fail when the 8-node "
                              "point of wallclock.gridccm.scaling is below "
@@ -174,22 +137,10 @@ def main(argv: list[str] | None = None) -> int:
     if args.topology_scaling and args.wallclock:
         parser.error("--topology-scaling already implies the wall-clock "
                      "schema; drop --wallclock")
-    if args.collectives and (args.wallclock or args.topology_scaling):
-        parser.error("--collectives already implies the wall-clock "
-                     "schema; drop the other mode flags")
-    if args.gate_wan_crossings and not (args.collectives or args.wallclock):
-        parser.error("--gate-wan-crossings requires --collectives or "
-                     "--wallclock")
     if args.gate_gridccm_scaling and not args.wallclock:
         parser.error("--gate-gridccm-scaling requires --wallclock")
 
-    if args.collectives:
-        out = args.out or "BENCH_collectives.json"
-        results = [bench_collectives(args.quick)]
-        print(results[-1].render())
-        write_bench_json(out, results, meta=document_meta(args.quick),
-                         schema=WALLCLOCK_SCHEMA)
-    elif args.topology_scaling:
+    if args.topology_scaling:
         out = args.out or "BENCH_topology.json"
         results = [bench_topology_scaling(args.quick)]
         print(results[-1].render())
@@ -208,14 +159,6 @@ def main(argv: list[str] | None = None) -> int:
             "mode": "quick" if args.quick else "full",
             "clock": "virtual",
         })
-    if args.gate_wan_crossings:
-        violations = _check_wan_crossings(results)
-        if violations:
-            for v in violations:
-                print(f"wan-crossings gate FAILED: {v}")
-            return 1
-        print("wan-crossings gate: aware bcast crossed the WAN exactly "
-              "sites - 1 times at every measured grid size")
     if args.gate_gridccm_scaling:
         violations = _check_gridccm_scaling(results)
         if violations:

@@ -23,16 +23,6 @@ on the **process wall clock**:
   (Exactness at this scale is gated where it is measured: the
   ``flow_churn`` oracle of ``benchmarks/e2e`` and the fuzz in
   ``tests/net/test_solver_fuzz.py``);
-* ``wallclock.collectives`` — flat vs topology-aware MPI collectives
-  on :func:`repro.net.build_grid` grids at 2 / 4 / 8 sites (5 hosts per
-  site, 1 MiB payloads).  The one deterministic series in this
-  document: durations are *virtual*-clock seconds, because the
-  site-leader hierarchy is a simulated-time optimisation (WAN crossings
-  saved, not simulator cycles).  Each level replays the identical
-  workload under both modes, asserts the per-rank results are
-  bit-identical, and records per-op speedups plus the WAN-crossing and
-  WAN-byte deltas that ``--gate-wan-crossings`` checks (aware bcast
-  crosses the WAN exactly sites − 1 times per call);
 * ``wallclock.cdr.marshal`` / ``wallclock.cdr.unmarshal`` — CDR
   encode/decode throughput (MB/s, MB = 1e6 bytes) for bulk octet and
   double sequences plus a scalar-struct torture case;
@@ -389,137 +379,6 @@ def bench_topology_scaling(quick: bool) -> BenchResult:
 
 
 # ---------------------------------------------------------------------------
-# topology-aware collectives: flat vs hierarchical on the virtual clock
-# ---------------------------------------------------------------------------
-
-#: grid sizes for the collectives series (site count axis)
-COLL_SITES = (2, 4, 8)
-QUICK_COLL_SITES = (2,)
-COLL_HOSTS_PER_SITE = 5
-#: bulk payload: 1 MiB, the ISSUE's acceptance point
-COLL_PAYLOAD = 1024 * 1024
-#: per-rank payload for the gather-shaped ops, so the root-side total
-#: stays proportional to the rank count instead of quadratic
-COLL_CHUNK = 64 * 1024
-#: the collectives the series publishes, in run order
-COLL_OPS = ("bcast", "barrier", "gather", "allgather",
-            "allreduce", "alltoall")
-
-
-def _run_collectives(sites: int, aware: bool) -> dict:
-    """One pass of every published collective on a ``sites``-site grid.
-
-    Returns per-op virtual-clock durations (max rank end minus min rank
-    start, barrier-separated), per-op WAN-crossing/byte deltas from the
-    communicator's :class:`repro.mpi.CollStats`, and a per-rank value
-    digest the caller uses to assert the aware replay is bit-identical
-    to the flat oracle.
-    """
-    from repro.mpi import CollTuning, SUM, create_world, spmd
-    from repro.padicotm import PadicoRuntime
-
-    topo, site_hosts = build_grid(sites=sites,
-                                  hosts_per_site=COLL_HOSTS_PER_SITE,
-                                  san=MYRINET_2000)
-    rt = PadicoRuntime(topo)
-    procs = [rt.create_process(h, f"p-{h.name}")
-             for hs in site_hosts.values() for h in hs]
-    world = create_world(rt, "bench", procs, coll=CollTuning(aware=aware))
-    spans: dict[str, list[tuple[float, float]]] = {op: [] for op in COLL_OPS}
-    op_stats: dict[str, object] = {}
-    digests: dict[int, list] = {}
-
-    def main(proc, comm):
-        blob = bytes(COLL_PAYLOAD)
-        chunk = bytes(COLL_CHUNK)
-        vec = np.ones(COLL_PAYLOAD // 8)
-        mine: list = []
-
-        def timed(op, fn):
-            # each op runs on its own dup'd communicator: the dup's
-            # CollStats then hold the op's exact WAN totals (including
-            # tail forwards that land after rank 0 returns), read after
-            # the whole run drains.  The separating barriers stay on
-            # the parent comm, so their traffic is never misattributed.
-            sub = comm.dup()
-            if comm.rank == 0:
-                op_stats[op] = sub.coll_stats
-            comm.barrier()
-            t0 = comm.Wtime()
-            out = fn(sub)
-            t1 = comm.Wtime()
-            spans[op].append((t0, t1))
-            return out
-
-        timed("bcast", lambda c: c.bcast(
-            blob if c.rank == 0 else None, root=0))
-        timed("barrier", lambda c: c.barrier())
-        g = timed("gather", lambda c: c.gather((c.rank, chunk), root=0))
-        ag = timed("allgather", lambda c: c.allgather((c.rank, chunk)))
-        ar = timed("allreduce", lambda c: c.allreduce(vec, SUM))
-        a2a = timed("alltoall", lambda c: c.alltoall(
-            [bytes([d % 251]) * (COLL_PAYLOAD // c.size)
-             for d in range(c.size)]))
-        mine.append(g if comm.rank == 0 else None)
-        mine.append(ag)
-        mine.append(float(ar.sum()))
-        mine.append(a2a)
-        digests[comm.rank] = mine
-
-    spmd(world, main)
-    rt.run()
-    rt.shutdown()
-    durations = {op: max(t1 for _, t1 in ss) - min(t0 for t0, _ in ss)
-                 for op, ss in spans.items()}
-    crossings = {op: (s.wan_crossings, sum(s.wan_bytes.values()))
-                 for op, s in op_stats.items()}
-    return {"durations": durations, "crossings": crossings,
-            "digests": [digests[r] for r in sorted(digests)]}
-
-
-def bench_collectives(quick: bool) -> BenchResult:
-    """``wallclock.collectives``: flat vs topology-aware collectives.
-
-    Virtual-clock durations (this series rides in the wall-clock
-    document but is deterministic — the hierarchy is a *simulated-time*
-    optimisation, so the numbers are bit-for-bit reproducible).  Each
-    sites level replays the identical workload flat and aware; the run
-    asserts the per-rank results match exactly, and the meta records the
-    per-op speedups plus the WAN-crossing/byte deltas CI gates on
-    (``--gate-wan-crossings``: aware bcast crosses exactly sites - 1
-    times per call).
-    """
-    levels = QUICK_COLL_SITES if quick else COLL_SITES
-    points = []
-    meta: dict[str, object] = {
-        "clock": "virtual",
-        "hosts_per_site": COLL_HOSTS_PER_SITE,
-        "payload_bytes": COLL_PAYLOAD,
-        "chunk_bytes": COLL_CHUNK,
-        "workload": "barrier-separated collectives on build_grid, "
-                    "duration = max rank end - min rank start",
-    }
-    for n in levels:
-        flat = _run_collectives(n, aware=False)
-        hier = _run_collectives(n, aware=True)
-        assert hier["digests"] == flat["digests"], \
-            f"aware collectives diverged from the flat oracle at {n} sites"
-        for op in COLL_OPS:
-            points.append((f"{op}-flat-S{n}", flat["durations"][op]))
-            points.append((f"{op}-aware-S{n}", hier["durations"][op]))
-            meta[f"speedup_{op}_S{n}"] = round(
-                flat["durations"][op] / hier["durations"][op], 2)
-            meta[f"wan_crossings_{op}_flat_S{n}"] = flat["crossings"][op][0]
-            meta[f"wan_crossings_{op}_aware_S{n}"] = hier["crossings"][op][0]
-            meta[f"wan_bytes_{op}_aware_S{n}"] = int(
-                hier["crossings"][op][1])
-        meta[f"ranks_S{n}"] = n * COLL_HOSTS_PER_SITE
-    meta["oracle"] = "flat replay bit-identical (asserted in-run)"
-    return BenchResult(name="wallclock.collectives", unit="s",
-                       points=tuple(points), meta=meta)
-
-
-# ---------------------------------------------------------------------------
 # CDR marshal / unmarshal throughput
 # ---------------------------------------------------------------------------
 
@@ -731,8 +590,6 @@ def collect_wallclock(quick: bool,
     results.append(bench_flows(quick))
     log(results[-1].render())
     results.append(bench_topology_scaling(quick))
-    log(results[-1].render())
-    results.append(bench_collectives(quick))
     log(results[-1].render())
     for result in bench_cdr(quick):
         results.append(result)

@@ -6,19 +6,19 @@ communicator resolves its ranks to topology sites, elects one leader
 per site, and routes every collective through intra-site binomial
 subtrees glued by a leaders-only WAN tree — so a broadcast crosses the
 expensive wide-area links exactly ``sites - 1`` times instead of once
-per cross-site tree edge.
+per cross-site tree edge.  There is nothing to switch on: this is the
+one schedule ``repro.mpi`` has.
 
-The same workload runs twice, flat (``CollTuning(aware=False)``, the
-rank-order binomial oracle) and topology-aware (the default), asserts
-the results are identical, and prints the virtual-clock time and
-WAN-crossing count of each mode.
+Prints the virtual-clock time and the WAN-crossing count of each
+operation (each on its own ``dup()``, whose counters are then exactly
+that operation's).
 
 Run:  python examples/collectives_grid.py
 """
 
 import numpy as np
 
-from repro.mpi import SUM, CollTuning, create_world, spmd
+from repro.mpi import SUM, create_world, spmd
 from repro.net import build_grid
 from repro.net.devices import MYRINET_2000
 from repro.padicotm import PadicoRuntime
@@ -28,47 +28,45 @@ HOSTS_PER_SITE = 4
 PAYLOAD = 1024 * 1024  # 1 MiB
 
 
-def run(aware: bool) -> dict:
+def main() -> None:
     topo, site_hosts = build_grid(sites=SITES,
                                   hosts_per_site=HOSTS_PER_SITE,
                                   san=MYRINET_2000)
     rt = PadicoRuntime(topo)
     procs = [rt.create_process(h, f"p-{h.name}")
              for hosts in site_hosts.values() for h in hosts]
-    world = create_world(rt, "grid", procs, coll=CollTuning(aware=aware))
-    out: dict = {}
+    world = create_world(rt, "grid", procs)
+    ops = {
+        "bcast": lambda c: c.bcast(
+            bytes(PAYLOAD) if c.rank == 0 else None, root=0),
+        "allreduce": lambda c: c.allreduce(
+            np.full(PAYLOAD // 8, c.rank + 1.0), SUM),
+        "alltoall": lambda c: c.alltoall(
+            [bytes(PAYLOAD // c.size)] * c.size),
+        "barrier": lambda c: c.barrier(),
+    }
+    rows: dict[str, tuple[float, int]] = {}
 
-    def main(proc, comm):
-        blob = bytes(PAYLOAD) if comm.rank == 0 else None
-        got = comm.bcast(blob, root=0)
-        total = comm.allreduce(np.full(PAYLOAD // 8, comm.rank + 1.0), SUM)
-        comm.barrier()
-        if comm.rank == 0:
-            out["bcast_ok"] = len(got) == PAYLOAD
-            out["allreduce"] = float(total[0])
-            out["time"] = comm.Wtime()
-            out["wan_crossings"] = comm.coll_stats.wan_crossings
-            out["hierarchical"] = comm.coll_aware
+    def rank_main(proc, comm):
+        for op, fn in ops.items():
+            sub = comm.dup()
+            comm.barrier()
+            t0 = comm.Wtime()
+            fn(sub)
+            comm.barrier()  # rank 0 reads the clock once all are done
+            if comm.rank == 0:
+                rows[op] = (comm.Wtime() - t0,
+                            sub.coll_stats.wan_crossings)
 
-    spmd(world, main)
+    spmd(world, rank_main)
     rt.run()
     rt.shutdown()
-    return out
-
-
-def main() -> None:
-    flat = run(aware=False)
-    hier = run(aware=True)
-    assert flat["bcast_ok"] and hier["bcast_ok"]
-    assert flat["allreduce"] == hier["allreduce"]  # bit-identical values
-    n = SITES * HOSTS_PER_SITE
-    print(f"{SITES} sites x {HOSTS_PER_SITE} hosts ({n} ranks), "
-          f"1 MiB bcast + allreduce + barrier")
-    print(f"  flat  tree: {flat['time']:8.3f} sim-s, "
-          f"{flat['wan_crossings']:3d} WAN crossings")
-    print(f"  aware tree: {hier['time']:8.3f} sim-s, "
-          f"{hier['wan_crossings']:3d} WAN crossings")
-    print(f"  speedup {flat['time'] / hier['time']:.2f}x, results identical")
+    assert rows["bcast"][1] == SITES - 1
+    print(f"{SITES} sites x {HOSTS_PER_SITE} hosts "
+          f"({SITES * HOSTS_PER_SITE} ranks), 1 MiB payloads")
+    for op, (seconds, crossings) in rows.items():
+        print(f"  {op:<10}{seconds:8.3f} sim-s, "
+              f"{crossings:3d} WAN crossings")
 
 
 if __name__ == "__main__":

@@ -18,7 +18,7 @@ processes; :func:`spmd` runs one function per rank.
 """
 
 from repro.mpi.cartesian import PROC_NULL, CartComm
-from repro.mpi.coll import CollStats, CollTuning
+from repro.mpi.coll import CollStats
 from repro.mpi.communicator import (
     ANY_SOURCE,
     ANY_TAG,
@@ -32,7 +32,6 @@ from repro.mpi.world import MpiModule, World, create_world, spmd
 
 __all__ = [
     "Comm",
-    "CollTuning",
     "CollStats",
     "Status",
     "Request",

@@ -21,9 +21,8 @@ class CartComm(Comm):
     """A communicator with an attached Cartesian topology."""
 
     def __init__(self, circuit, group, rank, context,
-                 dims: Sequence[int], periods: Sequence[bool],
-                 tuning=None):
-        super().__init__(circuit, group, rank, context, tuning=tuning)
+                 dims: Sequence[int], periods: Sequence[bool]):
+        super().__init__(circuit, group, rank, context)
         self.dims = list(dims)
         self.periods = list(periods)
 
@@ -95,6 +94,6 @@ def create_cart(comm: Comm, dims: Sequence[int],
     comm.allgather(0)  # synchronise the context generation
     ctx = f"{comm._context}/cart{comm._coll_seq}"
     cart = CartComm(comm._circuit, list(comm._group), comm.rank, ctx,
-                    dims, periods, tuning=comm._tuning)
+                    dims, periods)
     cart.bind(comm.proc)
     return cart

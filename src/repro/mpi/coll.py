@@ -1,25 +1,27 @@
 """Topology-aware collective hierarchy (MPICH-G2 style, paper Fig. 8).
 
 MPICH-G2 (Karonis et al.) showed that multi-site MPI collectives must be
-*topology-depth aware*: a flat rank-order binomial tree crosses the WAN
-O(log N) times per broadcast, while a two-level tree — cluster-local
-binomial subtrees under a per-site *leader*, with only leaders talking
-over the WAN — crosses it exactly ``sites - 1`` times.  This module
-holds the site hierarchy the communicator routes through:
+*topology-depth aware*: a rank-order binomial tree over the whole group
+crosses the WAN O(log N) times per broadcast, while a two-level tree —
+cluster-local binomial subtrees under a per-site *leader*, with only
+leaders talking over the WAN — crosses it exactly ``sites - 1`` times.
+Every collective of :class:`repro.mpi.Comm` runs that two-level
+schedule; this module holds the site hierarchy it routes through:
 
-- :class:`CollTuning` — the per-communicator knobs (``aware`` on/off,
-  alltoall aggregation threshold), passed explicitly to
-  :func:`repro.mpi.create_world`; ``aware=False`` is the
-  differential-testing oracle;
 - :class:`SiteMap` — each group rank resolved to its host's topology
   ``site`` tag, with per-site member lists and the deterministic leader
   rule (lowest rank per site, except the root's site where the root
-  itself leads, so data never takes an extra intra-site hop);
+  itself leads, so data never takes an extra intra-site hop).  A map
+  with a single block is the degenerate case: the root leads everyone,
+  the leaders stage has one participant and vanishes, and what is left
+  is the classic whole-group binomial tree;
 - :class:`CollShared` — the state all ranks of one communicator share:
-  the site map, lazily-established per-site subcircuits (the PadicoTM
-  selector picks the site SAN for those, so intra-site tree edges ride
-  Myrinet instead of the WAN fabric's uplinks), and the plain-integer
-  WAN-crossing/byte counters behind ``Comm.coll_stats``.
+  the site map, the one-block map a reduction falls back to when the
+  site layout would reorder its operands, lazily-established per-site
+  subcircuits (the PadicoTM selector picks the site SAN for those, so
+  intra-site tree edges ride Myrinet instead of the WAN fabric's
+  uplinks), and the plain-integer WAN-crossing/byte counters behind
+  ``Comm.coll_stats``.
 
 Rank-local ``Comm`` objects cannot share state directly, so
 :func:`shared_state` caches one :class:`CollShared` per communicator
@@ -32,35 +34,9 @@ guards.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
-
 from repro.padicotm.abstraction.circuit import Circuit
 
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.padicotm.runtime import PadicoProcess
-
-__all__ = ["CollTuning", "CollStats", "SiteMap", "CollShared",
-           "shared_state"]
-
-
-@dataclass(frozen=True)
-class CollTuning:
-    """Collective-path tuning, fixed at communicator construction.
-
-    ``aware``
-        route collectives through the site hierarchy (default).  Flat
-        mode — ``CollTuning(aware=False)`` — keeps the original
-        rank-order binomial trees and serves as the
-        differential-testing oracle.
-    ``alltoall_threshold``
-        per-destination-site aggregate size (bytes) below which an
-        alltoall sender bypasses the leader relay and sends its
-        payloads directly (0 = always aggregate through leaders).
-    """
-
-    aware: bool = True
-    alltoall_threshold: int = 0
+__all__ = ["CollStats", "SiteMap", "CollShared", "shared_state"]
 
 
 class CollStats:
@@ -99,7 +75,7 @@ class SiteMap:
         for rank, si in enumerate(self.site_of):
             self.members[si].append(rank)
         # contiguous == every site's ranks form one unbroken block, which
-        # is what lets hierarchical reduce preserve flat operand order
+        # is what lets a per-site pre-reduction keep operands in rank order
         self.contiguous = all(
             m[-1] - m[0] + 1 == len(m) for m in self.members)
 
@@ -127,15 +103,13 @@ class CollShared:
     """State shared by all ranks of one communicator (cached on the
     Circuit, see :func:`shared_state`)."""
 
-    def __init__(self, circuit: Circuit, group: list[int], context: str,
-                 tuning: CollTuning):
-        self.tuning = tuning
+    def __init__(self, circuit: Circuit, group: list[int], context: str):
         self.stats = CollStats()
         self.sitemap = SiteMap(
             [circuit.members[g].host.site for g in group])
-        #: hierarchy engaged: aware tuning on a genuinely multi-site
-        #: group.  Single-site groups keep the flat path bit-for-bit.
-        self.active = tuning.aware and self.sitemap.multi_site
+        #: the whole group as a single block: what a reduction runs
+        #: over when the site layout would reorder its operands
+        self.one_block = SiteMap([""] * len(group))
         self._circuit = circuit
         self._group = list(group)
         self._context = context
@@ -145,31 +119,28 @@ class CollShared:
         """The per-site subcircuit and its group-rank -> local-rank map.
 
         Established lazily (first collective that routes an intra-site
-        edge); the PadicoTM selector picks the best fabric connecting
-        just the site's hosts — the site SAN on a grid topology."""
+        edge) as a subcircuit of the group circuit, so it closes with
+        it; the PadicoTM selector picks the best fabric connecting just
+        the site's hosts — the site SAN on a grid topology."""
         got = self._site_circuits.get(si)
         if got is None:
             ranks = self.sitemap.members[si]
-            procs: list["PadicoProcess"] = [
-                self._circuit.members[self._group[r]] for r in ranks]
-            sub = Circuit.establish(
-                self._circuit.runtime,
-                f"{self._context}|site:{self.sitemap.sites[si]}", procs)
+            sub = self._circuit.subcircuit(
+                f"{self._context}|site:{self.sitemap.sites[si]}",
+                [self._group[r] for r in ranks])
             got = (sub, {r: i for i, r in enumerate(ranks)})
             self._site_circuits[si] = got
         return got
 
 
-def shared_state(circuit: Circuit, group: list[int], context: str,
-                 tuning: CollTuning) -> CollShared:
+def shared_state(circuit: Circuit, group: list[int],
+                 context: str) -> CollShared:
     """One :class:`CollShared` per communicator, shared across its
-    rank-local ``Comm`` objects via a cache on the Circuit.
-
-    The first rank to ask builds it; the tuning of later askers is
-    ignored (SPMD discipline means they carry the same one anyway)."""
+    rank-local ``Comm`` objects via a cache on the Circuit (the first
+    rank to ask builds it)."""
     cache = circuit.__dict__.setdefault("_coll_shared", {})
     key = (context, tuple(group))
     shared = cache.get(key)
     if shared is None:
-        shared = cache[key] = CollShared(circuit, group, context, tuning)
+        shared = cache[key] = CollShared(circuit, group, context)
     return shared

@@ -14,16 +14,16 @@ Cost model (charged to the virtual clock):
   path, which is what lets MPI saturate Myrinet in Figure 7;
 - wire time and per-message overheads are charged by the Circuit layer.
 
-Collectives are *topology aware* by default (MPICH-G2 style, see
-:mod:`repro.mpi.coll`): on a multi-site group each collective routes
-through cluster-local binomial subtrees under per-site leaders, with
-only leaders crossing the WAN — intra-site edges ride a per-site
-subcircuit whose fabric the PadicoTM selector picks (the site SAN on a
-grid).  ``CollTuning(aware=False)`` selects the original flat
-rank-order binomial trees, the differential-testing oracle;
-single-site groups always take the flat path unchanged.  Both
-modes maintain per-communicator WAN-crossing/byte counters
-(:attr:`Comm.coll_stats`) and, when a monitor is attached, the
+Collectives are *topology aware* (MPICH-G2 style, see
+:mod:`repro.mpi.coll`) and there is one schedule for each: a binomial
+stage over the caller's site under a per-site leader, and a binomial
+stage over the leaders, the only ranks that cross the WAN — intra-site
+edges ride a per-site subcircuit whose fabric the PadicoTM selector
+picks (the site SAN on a grid).  A single-site group runs the same code
+over a one-block site map: the root leads everyone, the leaders stage
+has one participant, and what remains is the classic rank-order
+binomial tree.  Every communicator keeps WAN-crossing/byte counters
+(:attr:`Comm.coll_stats`) and, when a monitor is attached, emits the
 ``mpi.wan_crossings`` / ``mpi.wan_bytes.<op>`` obs counters.
 
 Wall-clock protocol selection (Madeleine-style, virtual clock
@@ -45,7 +45,7 @@ from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 import numpy as np
 
-from repro.mpi.coll import CollShared, CollStats, CollTuning, shared_state
+from repro.mpi.coll import CollShared, CollStats, SiteMap, shared_state
 from repro.mpi.ops import ReduceOp
 from repro.mpi.request import Request
 from repro.padicotm.abstraction.circuit import ANY_SOURCE as _CIRCUIT_ANY
@@ -123,14 +123,13 @@ class Comm:
     """
 
     def __init__(self, circuit: Circuit, group: list[int], rank: int,
-                 context: str, tuning: CollTuning | None = None):
+                 context: str):
         self._circuit = circuit
         self._group = group           # group index -> circuit rank
         self._rank = rank             # my index within the group
         self._context = context
         self._coll_seq = 0
         self._proc: SimProcess | None = None
-        self._tuning = tuning or CollTuning()
         self._shared_memo: CollShared | None = None
 
     # ------------------------------------------------------------------
@@ -250,44 +249,43 @@ class Comm:
     def _shared(self) -> CollShared:
         if self._shared_memo is None:
             self._shared_memo = shared_state(
-                self._circuit, self._group, self._context, self._tuning)
+                self._circuit, self._group, self._context)
         return self._shared_memo
 
     @property
     def coll_stats(self) -> CollStats:
         """Per-communicator WAN crossing/byte counters (shared across
-        all ranks of this communicator; maintained in both modes)."""
+        all ranks of this communicator)."""
         return self._shared().stats
 
     @property
     def coll_aware(self) -> bool:
-        """True when collectives route through the site hierarchy."""
-        return self._shared().active
+        """True when the group spans more than one site, so collectives
+        have a WAN to keep off."""
+        return self._shared().sitemap.multi_site
 
     def _xsend(self, proc: SimProcess, dest: int, tag: int, body: Any,
                nbytes: float, ctx: str, op: str,
                local: bool = False) -> None:
         """One collective tree edge.
 
-        Cross-site edges are counted against the communicator's WAN
-        stats (both modes — the flat-vs-aware comparison needs the flat
-        numbers too).  With ``local=True`` (hierarchy code only, where
-        the matching receive agrees) an intra-site edge is routed over
-        the per-site subcircuit instead of the group circuit."""
+        ``local=True`` (an edge inside a site, where the matching
+        receive agrees) routes over the per-site subcircuit; any other
+        edge rides the group circuit and, when it crosses sites, is
+        counted against the communicator's WAN stats."""
         shared = self._shared()
-        sm = shared.sitemap
-        if sm.multi_site:
-            if sm.site_of[self._rank] != sm.site_of[dest]:
-                shared.stats.count(op, nbytes)
-                mon = self._monitor()
-                if mon is not None:
-                    mon.on_counter("mpi.wan_crossings", 1.0)
-                    mon.on_counter(f"mpi.wan_bytes.{op}", float(nbytes))
-            elif local and shared.active:
-                sub, index = shared.site_channel(sm.site_of[self._rank])
-                sub.send(proc, index[self._rank], index[dest],
-                         (ctx, tag, body), nbytes)
-                return
+        site_of = shared.sitemap.site_of
+        if local:
+            sub, index = shared.site_channel(site_of[self._rank])
+            sub.send(proc, index[self._rank], index[dest],
+                     (ctx, tag, body), nbytes)
+            return
+        if site_of[self._rank] != site_of[dest]:
+            shared.stats.count(op, nbytes)
+            mon = self._monitor()
+            if mon is not None:
+                mon.on_counter("mpi.wan_crossings", 1.0)
+                mon.on_counter(f"mpi.wan_bytes.{op}", float(nbytes))
         self._send_body(proc, dest, tag, body, nbytes, ctx)
 
     def _xrecv(self, proc: SimProcess, source: int, tag: int, ctx: str,
@@ -295,21 +293,21 @@ class Comm:
         """Receive one collective tree edge; routing mirrors
         :meth:`_xsend` (``local=True`` with ``ANY_SOURCE`` matches any
         same-site sender on the subcircuit)."""
+        if not local:
+            return self._recv_body(proc, source, tag, ctx)
         shared = self._shared()
-        if local and shared.active:
-            si = shared.sitemap.site_of[self._rank]
-            sub, index = shared.site_channel(si)
-            csrc = _CIRCUIT_ANY if source == ANY_SOURCE else index[source]
+        si = shared.sitemap.site_of[self._rank]
+        sub, index = shared.site_channel(si)
+        csrc = _CIRCUIT_ANY if source == ANY_SOURCE else index[source]
 
-            def where(payload) -> bool:
-                mctx, mtag, _body = payload
-                return mctx == ctx and (tag == ANY_TAG or mtag == tag)
+        def where(payload) -> bool:
+            mctx, mtag, _body = payload
+            return mctx == ctx and (tag == ANY_TAG or mtag == tag)
 
-            src, payload, n = sub.recv(proc, index[self._rank],
-                                       source=csrc, where=where)
-            _ctx, mtag, body = payload
-            return shared.sitemap.members[si][src], mtag, body, n
-        return self._recv_body(proc, source, tag, ctx)
+        src, payload, n = sub.recv(proc, index[self._rank],
+                                   source=csrc, where=where)
+        _ctx, mtag, body = payload
+        return shared.sitemap.members[si][src], mtag, body, n
 
     # ------------------------------------------------------------------
     # point-to-point: pickle path (lowercase)
@@ -553,15 +551,16 @@ class Comm:
     # collective tree primitives
     #
     # The _seq_* helpers run a binomial schedule over an explicit
-    # participant list (global ranks) rooted at ``parts[rootpos]`` —
-    # the hierarchy uses them twice per collective: once over a site's
-    # members (``local=True``, subcircuit routing) and once over the
-    # per-site leaders (WAN edges, counted).  The classic whole-group
-    # _tree_* helpers below remain the flat path.
+    # participant list (global ranks) rooted at ``parts[rootpos]``.
+    # Every collective uses them twice: once over the caller's block of
+    # the site map (``local`` edges ride the site subcircuit) and once
+    # over the per-block leaders (WAN edges, counted).
     # ------------------------------------------------------------------
     def _seq_bcast(self, parts: list[int], rootpos: int, body: Any,
                    nbytes: float, tag: int, ctx: str, op: str,
                    local: bool) -> tuple[Any, float]:
+        """Each participant receives once (from its parent in the
+        virtual-rank tree), then forwards down."""
         k = len(parts)
         v = (parts.index(self._rank) - rootpos) % k
         mask = 1
@@ -627,17 +626,36 @@ class Comm:
             mask <<= 1
         return acc
 
-    def _hier(self, root: int) -> tuple[Any, int, int, bool] | None:
-        """Hierarchy context for a collective rooted at ``root``, or
-        None when the flat path applies: ``(sitemap, my site, my
-        leader, am-I-leader)``."""
+    def _sitemap(self, root: int, ordered: bool) -> SiteMap:
+        """The site map a collective rooted at ``root`` runs over.
+
+        ``ordered`` (reductions): the binomial tree combines operands
+        child-first in root-rotated rank order, and per-site
+        pre-reduction preserves that order for non-commutative ops only
+        when sites partition the ranks into contiguous blocks and the
+        root leads its block.  Any other layout reduces over the whole
+        group as one block (associativity is still assumed, as in any
+        tree reduction)."""
         shared = self._shared()
-        if not shared.active:
-            return None
         sm = shared.sitemap
+        if ordered and not (sm.contiguous
+                            and sm.members[sm.site_of[root]][0] == root):
+            return shared.one_block
+        return sm
+
+    def _hier(self, root: int, ordered: bool = False
+              ) -> tuple[SiteMap, list[int], int, bool]:
+        """Two-level shape of a collective rooted at ``root``: ``(site
+        map, my block, my block's leader, local)``.
+
+        ``local`` — do the block's edges ride its site subcircuit? —
+        follows the map in use, not the communicator: only a map with
+        several blocks has sites for blocks.  A one-block map spans
+        whatever the group spans, so its edges ride the group circuit,
+        where :meth:`_xsend` counts the ones that cross sites."""
+        sm = self._sitemap(root, ordered)
         si = sm.site_of[self._rank]
-        leader = sm.leader(si, root)
-        return sm, si, leader, self._rank == leader
+        return sm, sm.members[si], sm.leader(si, root), sm.multi_site
 
     # ------------------------------------------------------------------
     # collectives
@@ -648,47 +666,30 @@ class Comm:
 
         2·ceil(log2(size)) message hops on the critical path — the term
         the paper's Figure-8 latency column grows by with node count.
-        On a multi-site group the aware path fences each site under its
-        leader first, then runs both phases leader-only over the WAN:
-        2·(sites−1) crossings instead of O(size·log size).
+        Each site fences under its leader first, then both phases run
+        leader-only over the WAN: 2·(sites−1) crossings instead of
+        O(size·log size).
         """
         ctx = self._coll_context("barrier")
-        hier = self._hier(0)
-        if hier is None:
-            self._tree_gather_signal(ctx, "barrier")
-            self._tree_bcast(("p", b""), 0.0, 0, ctx, "barrier")
-            return
-        sm, si, leader, is_leader = hier
-        members = sm.members[si]
+        sm, members, leader, local = self._hier(0)
         lpos = members.index(leader)
         self._seq_gather_signal(members, lpos, 22, ctx, "barrier",
-                                local=True)
-        if is_leader:
-            self._seq_gather_signal(sm.leaders(0), sm.site_of[0], 23,
-                                    ctx, "barrier", local=False)
-            self._seq_bcast(sm.leaders(0), sm.site_of[0], ("p", b""),
-                            0.0, 24, ctx, "barrier", local=False)
+                                local=local)
+        if self._rank == leader:
+            leaders = sm.leaders(0)
+            self._seq_gather_signal(leaders, sm.site_of[0], 23, ctx,
+                                    "barrier", local=False)
+            self._seq_bcast(leaders, sm.site_of[0], ("p", b""), 0.0, 24,
+                            ctx, "barrier", local=False)
         self._seq_bcast(members, lpos, ("p", b""), 0.0, 25, ctx,
-                        "barrier", local=True)
+                        "barrier", local=local)
 
     Barrier = barrier
 
-    def _tree_gather_signal(self, ctx: str, op: str) -> None:
-        size, rank = self.size, self._rank
-        mask = 1
-        while mask < size:
-            if rank & mask:
-                self._xsend(self.proc, rank - mask, 0, ("p", b""), 0,
-                            ctx, op)
-                break
-            if rank + mask < size:
-                self._recv_body(self.proc, rank + mask, 0, ctx)
-            mask <<= 1
-
     @_collective("bcast")
     def bcast(self, obj: Any, root: int = 0) -> Any:
-        """Binomial-tree broadcast of a pickled object (leader-relayed
-        on a multi-site group: exactly sites−1 WAN crossings)."""
+        """Binomial-tree broadcast of a pickled object (leader-relayed:
+        exactly sites−1 WAN crossings)."""
         ctx = self._coll_context("bcast")
         if self._rank == root:
             data = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
@@ -697,7 +698,7 @@ class Comm:
             n = float(len(data))
         else:
             body, n = None, 0.0  # type: ignore[assignment]
-        body, n = self._any_bcast(body, n, root, ctx, "bcast")
+        body, n = self._bcast_body(body, n, root, ctx, "bcast")
         _kind, data = body
         self.proc.sleep(n * PICKLE_BYTE_COST)
         return pickle.loads(data)
@@ -718,98 +719,77 @@ class Comm:
             n = float(out.nbytes)
         else:
             body, n = None, 0.0  # type: ignore[assignment]
-        body, _n = self._any_bcast(body, n, root, ctx, "Bcast")
+        body, _n = self._bcast_body(body, n, root, ctx, "Bcast")
         if self._rank != root:
             np.copyto(out, body[1].reshape(out.shape))
             self._count_delivery(out.nbytes)
 
-    def _any_bcast(self, body: Any, nbytes: float, root: int, ctx: str,
-                   op: str) -> tuple[Any, float]:
-        """Route a broadcast body: flat whole-group tree, or WAN tree
-        over leaders followed by intra-site trees."""
-        hier = self._hier(root)
-        if hier is None:
-            return self._tree_bcast(body, nbytes, root, ctx, op)
-        sm, si, leader, is_leader = hier
-        if is_leader:
+    def _bcast_body(self, body: Any, nbytes: float, root: int, ctx: str,
+                    op: str) -> tuple[Any, float]:
+        """Route a broadcast body: WAN tree over the leaders, then a
+        tree inside each site."""
+        sm, members, leader, local = self._hier(root)
+        if self._rank == leader:
             body, nbytes = self._seq_bcast(
                 sm.leaders(root), sm.site_of[root], body, nbytes, 20,
                 ctx, op, local=False)
-        members = sm.members[si]
         return self._seq_bcast(members, members.index(leader), body,
-                               nbytes, 21, ctx, op, local=True)
+                               nbytes, 21, ctx, op, local=local)
 
-    def _tree_bcast(self, body: Any, nbytes: float, root: int,
-                    ctx: str, op: str) -> tuple[Any, float]:
-        """Binomial-tree broadcast: each node receives once (from its
-        parent in the virtual-rank tree) then forwards down."""
-        size = self.size
-        vrank = (self._rank - root) % size
-        mask = 1
-        while mask < size:
-            if vrank < mask:
-                if vrank + mask < size:
-                    dst = (vrank + mask + root) % size
-                    self._xsend(self.proc, dst, 2, body, nbytes, ctx, op)
-            elif vrank < mask << 1:
-                src = (vrank - mask + root) % size
-                _s, _t, body, nbytes = self._recv_body(self.proc, src, 2, ctx)
-            mask <<= 1
-        return body, nbytes
+    def _block_bodies(self, members: list[int], data: bytes, ctx: str,
+                      local: bool) -> list[tuple[int, bytes]]:
+        """Leader side of a gather: ``(rank, raw pickled body)`` for my
+        whole block, mine included, in rank order."""
+        entries = [(self._rank, data)]
+        for _ in range(len(members) - 1):
+            src, _t, body, _n = self._xrecv(self.proc, ANY_SOURCE, 26,
+                                            ctx, local=local)
+            entries.append((src, body[1]))
+        entries.sort()
+        return entries
+
+    def _forward_body(self, data: bytes, root: int, members: list[int],
+                      leader: int, ctx: str, op: str, local: bool) -> None:
+        """Non-root side of a gather: my raw body goes to my leader;
+        the leader forwards its block to the root as one bundle (one WAN
+        crossing per remote site, carrying only that site's bytes)."""
+        if self._rank != leader:
+            self._xsend(self.proc, leader, 26, ("p", data), len(data),
+                        ctx, op, local=local)
+            return
+        entries = self._block_bodies(members, data, ctx, local)
+        total = sum(len(d) for _r, d in entries)
+        self._xsend(self.proc, root, 27, ("rl", entries), total, ctx, op)
 
     @_collective("gather")
     def gather(self, obj: Any, root: int = 0) -> list[Any] | None:
         """Gather pickled objects to ``root`` (rank order preserved).
 
-        Aware path: raw pickled bodies are collected under each site
-        leader first, then forwarded to the root as one bundle per
-        remote site (sites−1 WAN crossings, each carrying only that
-        site's bytes); the root alone pays the unpickle cost, once per
-        contribution — exactly the flat path's accounting."""
+        Raw pickled bodies are collected under each site leader first,
+        then forwarded to the root as one bundle per remote site
+        (sites−1 WAN crossings); the root alone pays the unpickle cost,
+        once per contribution."""
         ctx = self._coll_context("gather")
-        hier = self._hier(root)
-        if self._rank == root:
-            out: list[Any] = [None] * self.size
-            out[root] = obj
-            if hier is None:
-                for _ in range(self.size - 1):
-                    src, _t, body, n = self._recv_body(
-                        self.proc, ANY_SOURCE, 3, ctx)
-                    out[src] = self._decode(self.proc, body, n)
-                return out
-            sm, si, _leader, _is_leader = hier
-            for _ in range(len(sm.members[si]) - 1):
-                src, _t, body, n = self._xrecv(self.proc, ANY_SOURCE, 26,
-                                               ctx, local=True)
-                out[src] = self._decode(self.proc, body, n)
-            for _ in range(sm.nsites - 1):
-                _s, _t, body, _n = self._recv_body(self.proc, ANY_SOURCE,
-                                                   27, ctx)
-                for src, data in body[1]:
-                    self.proc.sleep(len(data) * PICKLE_BYTE_COST)
-                    out[src] = pickle.loads(data)
-            return out
-        data = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
-        self.proc.sleep(len(data) * PICKLE_BYTE_COST)
-        if hier is None:
-            self._xsend(self.proc, root, 3, ("p", data), len(data), ctx,
-                        "gather")
+        sm, members, leader, local = self._hier(root)
+        if self._rank != root:
+            data = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
+            self.proc.sleep(len(data) * PICKLE_BYTE_COST)
+            self._forward_body(data, root, members, leader, ctx, "gather",
+                               local)
             return None
-        sm, si, leader, is_leader = hier
-        if not is_leader:
-            self._xsend(self.proc, leader, 26, ("p", data), len(data),
-                        ctx, "gather", local=True)
-            return None
-        entries = [(self._rank, data)]
-        for _ in range(len(sm.members[si]) - 1):
-            src, _t, body, _n = self._xrecv(self.proc, ANY_SOURCE, 26,
-                                            ctx, local=True)
-            entries.append((src, body[1]))
-        entries.sort()
-        total = sum(len(d) for _r, d in entries)
-        self._xsend(self.proc, root, 27, ("rl", entries), total, ctx,
-                    "gather")
-        return None
+        out: list[Any] = [None] * self.size
+        out[root] = obj
+        for _ in range(len(members) - 1):
+            src, _t, body, n = self._xrecv(self.proc, ANY_SOURCE, 26, ctx,
+                                           local=local)
+            out[src] = self._decode(self.proc, body, n)
+        for _ in range(sm.nsites - 1):
+            _s, _t, body, _n = self._recv_body(self.proc, ANY_SOURCE, 27,
+                                               ctx)
+            for src, data in body[1]:
+                self.proc.sleep(len(data) * PICKLE_BYTE_COST)
+                out[src] = pickle.loads(data)
+        return out
 
     @_collective("scatter")
     def scatter(self, objs: Sequence[Any] | None, root: int = 0) -> Any:
@@ -817,47 +797,36 @@ class Comm:
 
         The root pickles every part up front and charges the
         serialisation cost once (the per-iteration sleep used to
-        stretch the send loop); the aware path then ships one bundle
-        per remote site to its leader, which fans out locally."""
+        stretch the send loop), then ships one bundle per remote site
+        to its leader, which fans out locally."""
         if self._rank == root and (objs is None or len(objs) != self.size):
             # reject before allocating the collective context so a failed
             # call leaves the context sequence aligned across ranks
             raise MpiError(f"scatter needs exactly {self.size} items "
                            f"at the root")
         ctx = self._coll_context("scatter")
-        hier = self._hier(root)
+        sm, members, leader, local = self._hier(root)
         if self._rank == root:
             parts = {dst: pickle.dumps(item,
                                        protocol=pickle.HIGHEST_PROTOCOL)
                      for dst, item in enumerate(objs) if dst != root}
             self.proc.sleep(
                 sum(len(d) for d in parts.values()) * PICKLE_BYTE_COST)
-            if hier is None:
-                for dst in sorted(parts):
-                    data = parts[dst]
-                    self._xsend(self.proc, dst, 4, ("p", data),
-                                len(data), ctx, "scatter")
-                return objs[root]
-            sm, si, _leader, _is_leader = hier
             for s in range(sm.nsites):
-                if s == si:
-                    for dst in sm.members[s]:
+                if s == sm.site_of[root]:
+                    for dst in members:
                         if dst != root:
                             self._xsend(self.proc, dst, 29,
                                         ("p", parts[dst]),
                                         len(parts[dst]), ctx, "scatter",
-                                        local=True)
+                                        local=local)
                     continue
                 bundle = [(dst, parts[dst]) for dst in sm.members[s]]
                 total = sum(len(d) for _r, d in bundle)
                 self._xsend(self.proc, sm.leader(s, root), 28,
                             ("rl", bundle), total, ctx, "scatter")
             return objs[root]
-        if hier is None:
-            _s, _t, body, n = self._recv_body(self.proc, root, 4, ctx)
-            return self._decode(self.proc, body, n)
-        sm, si, leader, is_leader = hier
-        if is_leader:
+        if self._rank == leader:
             _s, _t, body, _n = self._recv_body(self.proc, root, 28, ctx)
             mine = None
             for dst, data in body[1]:
@@ -865,11 +834,12 @@ class Comm:
                     mine = data
                 else:
                     self._xsend(self.proc, dst, 29, ("p", data),
-                                len(data), ctx, "scatter", local=True)
+                                len(data), ctx, "scatter", local=local)
             self.proc.sleep(len(mine) * PICKLE_BYTE_COST)
             return pickle.loads(mine)
-        src = root if si == sm.site_of[root] else leader
-        _s, _t, body, n = self._xrecv(self.proc, src, 29, ctx, local=True)
+        # on the root's site the root is the leader
+        _s, _t, body, n = self._xrecv(self.proc, leader, 29, ctx,
+                                      local=local)
         return self._decode(self.proc, body, n)
 
     @_collective("allgather")
@@ -881,52 +851,25 @@ class Comm:
         composition unpickled everything at rank 0 and re-pickled the
         assembled list, paying ``PICKLE_BYTE_COST`` twice for every
         byte.  Bytes are now serialised once at their source and
-        deserialised once per consumer, in both modes."""
+        deserialised once per consumer."""
         ctx = self._coll_context("allgather")
-        hier = self._hier(0)
+        sm, members, leader, local = self._hier(0)
         data = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
         self.proc.sleep(len(data) * PICKLE_BYTE_COST)
-        entries: list[tuple[int, bytes]] | None = None
+        body, nbytes = None, 0.0
         if self._rank == 0:
-            entries = [(0, data)]
-            if hier is None:
-                for _ in range(self.size - 1):
-                    src, _t, body, _n = self._recv_body(
-                        self.proc, ANY_SOURCE, 3, ctx)
-                    entries.append((src, body[1]))
-            else:
-                sm, si, _leader, _is_leader = hier
-                for _ in range(len(sm.members[si]) - 1):
-                    src, _t, body, _n = self._xrecv(self.proc, ANY_SOURCE,
-                                                    26, ctx, local=True)
-                    entries.append((src, body[1]))
-                for _ in range(sm.nsites - 1):
-                    _s, _t, body, _n = self._recv_body(
-                        self.proc, ANY_SOURCE, 27, ctx)
-                    entries.extend(body[1])
+            entries = self._block_bodies(members, data, ctx, local)
+            for _ in range(sm.nsites - 1):
+                _s, _t, bundle, _n = self._recv_body(
+                    self.proc, ANY_SOURCE, 27, ctx)
+                entries.extend(bundle[1])
             entries.sort()
-        elif hier is None:
-            self._xsend(self.proc, 0, 3, ("p", data), len(data), ctx,
-                        "allgather")
+            body = ("rl", entries)
+            nbytes = float(sum(len(d) for _r, d in entries))
         else:
-            sm, si, leader, is_leader = hier
-            if not is_leader:
-                self._xsend(self.proc, leader, 26, ("p", data),
-                            len(data), ctx, "allgather", local=True)
-            else:
-                site_entries = [(self._rank, data)]
-                for _ in range(len(sm.members[si]) - 1):
-                    src, _t, body, _n = self._xrecv(self.proc, ANY_SOURCE,
-                                                    26, ctx, local=True)
-                    site_entries.append((src, body[1]))
-                site_entries.sort()
-                total = sum(len(d) for _r, d in site_entries)
-                self._xsend(self.proc, 0, 27, ("rl", site_entries),
-                            total, ctx, "allgather")
-        nbytes = float(sum(len(d) for _r, d in entries)) \
-            if entries is not None else 0.0
-        body = ("rl", entries) if entries is not None else None
-        body, _n = self._any_bcast(body, nbytes, 0, ctx, "allgather")
+            self._forward_body(data, 0, members, leader, ctx, "allgather",
+                               local)
+        body, _n = self._bcast_body(body, nbytes, 0, ctx, "allgather")
         out: list[Any] = [None] * self.size
         for src, raw in body[1]:
             self.proc.sleep(len(raw) * PICKLE_BYTE_COST)
@@ -938,14 +881,15 @@ class Comm:
         """Personalised all-to-all exchange.
 
         Every payload is pickled up front and the serialisation cost
-        charged once (hoisted out of the send loop).  The aware path
-        aggregates per-destination-site payloads through the two
-        leaders (source leader merges its site's traffic, destination
-        leader fans out), collapsing the flat path's
-        size·(size − site size) WAN crossings to sites·(sites − 1);
-        per-site aggregates below ``CollTuning.alltoall_threshold``
-        skip the relay and travel directly, announced through the
-        leader so receive counts stay deterministic."""
+        charged once (hoisted out of the send loop).  Payloads for my
+        own site travel directly; the rest is aggregated through the
+        two leaders (the source leader merges its site's traffic into
+        one message per destination site, the destination leader fans
+        out), so size·(size − site size) WAN crossings collapse to
+        sites·(sites − 1).  Every walk over destinations starts at the
+        walker's successor — ``rank + 1, rank + 2, …`` inside a site,
+        ``site + 1, site + 2, …`` between leaders — so no destination
+        is hit by all its senders at once."""
         if len(objs) != self.size:
             raise MpiError(f"alltoall needs exactly {self.size} items")
         ctx = self._coll_context("alltoall")
@@ -958,171 +902,102 @@ class Comm:
                  for dst in shifts}
         self.proc.sleep(
             sum(len(d) for d in parts.values()) * PICKLE_BYTE_COST)
-        hier = self._hier(0)
-        if hier is None:
-            for dst in shifts:
+        sm, members, leader, local = self._hier(0)
+        si = sm.site_of[self._rank]
+        for dst in shifts:
+            if sm.site_of[dst] == si:
                 self._xsend(self.proc, dst, 5, ("p", parts[dst]),
-                            len(parts[dst]), ctx, "alltoall")
-            for _ in range(self.size - 1):
-                src, _t, body, n = self._recv_body(self.proc, ANY_SOURCE,
-                                                   5, ctx)
-                out[src] = self._decode(self.proc, body, n)
-            return out
-        sm, si, leader, is_leader = hier
-        members = sm.members[si]
-        threshold = self._tuning.alltoall_threshold
-        for dst in members:
-            if dst != self._rank:
-                self._xsend(self.proc, dst, 5, ("p", parts[dst]),
-                            len(parts[dst]), ctx, "alltoall", local=True)
-        bundles: list[tuple[int, list[tuple[int, bytes]]]] = []
-        directs: list[tuple[int, list[int]]] = []
-        for s in range(sm.nsites):
-            if s == si:
-                continue
-            sub = [(dst, parts[dst]) for dst in sm.members[s]]
-            if sum(len(d) for _r, d in sub) >= threshold:
-                bundles.append((s, sub))
-            else:
-                directs.append((s, [dst for dst, _d in sub]))
-                for dst, data in sub:
-                    self._xsend(self.proc, dst, 5, ("p", data),
-                                len(data), ctx, "alltoall")
-        up = (self._rank, bundles, directs)
-        if not is_leader:
-            upn = sum(len(d) for _s, sub in bundles for _r, d in sub)
-            self._xsend(self.proc, leader, 60, ("a2a", up), upn, ctx,
-                        "alltoall", local=True)
-            _s, _t, body, _n = self._xrecv(self.proc, leader, 62, ctx,
-                                           local=True)
-            my_entries, my_ndirect = body[1]
-        else:
-            ups = [up]
-            for _ in range(len(members) - 1):
-                _s, _t, body, _n = self._xrecv(self.proc, ANY_SOURCE, 60,
-                                               ctx, local=True)
-                ups.append(body[1])
-            ups.sort(key=lambda u: u[0])
-            for s in range(sm.nsites):
-                if s == si:
-                    continue
-                entries = sorted(
-                    (src, dst, data)
-                    for src, ubundles, _ud in ups
-                    for bs, sub in ubundles if bs == s
-                    for dst, data in sub)
-                dcounts: dict[int, int] = {}
-                for _src, _ub, udirects in ups:
-                    for ds, dlist in udirects:
-                        if ds == s:
-                            for dst in dlist:
-                                dcounts[dst] = dcounts.get(dst, 0) + 1
-                total = sum(len(d) for _s2, _d2, d in entries)
-                self._xsend(self.proc, sm.leader(s, 0), 61,
-                            ("a2a", (entries, sorted(dcounts.items()))),
-                            total, ctx, "alltoall")
-            deliveries: dict[int, tuple[list, int]] = \
-                {m: ([], 0) for m in members}
-            for _ in range(sm.nsites - 1):
-                _s, _t, body, _n = self._recv_body(self.proc, ANY_SOURCE,
-                                                   61, ctx)
-                entries, dcount_items = body[1]
-                for src, dst, data in entries:
-                    deliveries[dst][0].append((src, data))
-                for dst, c in dcount_items:
-                    ent, n0 = deliveries[dst]
-                    deliveries[dst] = (ent, n0 + c)
-            my_entries, my_ndirect = deliveries[self._rank]
-            my_entries.sort()
-            for m in members:
-                if m == self._rank:
-                    continue
-                ent, ndir = deliveries[m]
-                ent.sort()
-                total = sum(len(d) for _r, d in ent)
-                self._xsend(self.proc, m, 62, ("a2a", (ent, ndir)),
-                            total, ctx, "alltoall", local=True)
+                            len(parts[dst]), ctx, "alltoall", local=local)
+        relayed: list[tuple[int, bytes]] = []
+        if sm.multi_site:  # a single block has no one to relay to or for
+            relayed = self._alltoall_relay(parts, sm, members, leader,
+                                           ctx, local)
         for _ in range(len(members) - 1):
             src, _t, body, n = self._xrecv(self.proc, ANY_SOURCE, 5, ctx,
-                                           local=True)
+                                           local=local)
             out[src] = self._decode(self.proc, body, n)
-        for src, data in my_entries:
+        for src, data in relayed:
             self.proc.sleep(len(data) * PICKLE_BYTE_COST)
             out[src] = pickle.loads(data)
-        for _ in range(my_ndirect):
-            src, _t, body, n = self._recv_body(self.proc, ANY_SOURCE, 5,
-                                               ctx)
-            out[src] = self._decode(self.proc, body, n)
         return out
 
-    def _hier_reduce(self, root: int) -> tuple[Any, int, int, bool] | None:
-        """Hierarchy context for a reduction, or None for the flat
-        path.
+    def _alltoall_relay(self, parts: dict[int, bytes], sm: SiteMap,
+                        members: list[int], leader: int, ctx: str,
+                        local: bool) -> list[tuple[int, bytes]]:
+        """The inter-site half of :meth:`alltoall`: returns the ``(src,
+        raw pickled body)`` pairs other sites addressed to me."""
+        si = sm.site_of[self._rank]
+        remote = [(si + k) % sm.nsites for k in range(1, sm.nsites)]
+        up = [(self._rank, dst, parts[dst])
+              for s in remote for dst in sm.members[s]]
+        if self._rank != leader:
+            self._xsend(self.proc, leader, 60, ("a2a", up),
+                        sum(len(d) for _s, _d, d in up), ctx, "alltoall",
+                        local=local)
+            _s, _t, body, _n = self._xrecv(self.proc, leader, 62, ctx,
+                                           local=local)
+            return body[1]
+        for _ in range(len(members) - 1):
+            _s, _t, body, _n = self._xrecv(self.proc, ANY_SOURCE, 60, ctx,
+                                           local=local)
+            up.extend(body[1])
+        outgoing: dict[int, list[tuple[int, int, bytes]]] = \
+            {s: [] for s in remote}  # keyed in walk order
+        for entry in sorted(up):
+            outgoing[sm.site_of[entry[1]]].append(entry)
+        for s, entries in outgoing.items():
+            self._xsend(self.proc, sm.leader(s, 0), 61, ("a2a", entries),
+                        sum(len(d) for _s, _d, d in entries), ctx,
+                        "alltoall")
+        deliveries: dict[int, list[tuple[int, bytes]]] = \
+            {m: [] for m in members}
+        for _ in remote:
+            _s, _t, body, _n = self._recv_body(self.proc, ANY_SOURCE, 61,
+                                               ctx)
+            for src, dst, data in body[1]:
+                deliveries[dst].append((src, data))
+        for m in members:
+            deliveries[m].sort()
+            if m != self._rank:
+                self._xsend(self.proc, m, 62, ("a2a", deliveries[m]),
+                            sum(len(d) for _r, d in deliveries[m]), ctx,
+                            "alltoall", local=local)
+        return deliveries[self._rank]
 
-        Beyond :meth:`_hier`, a reduction engages the hierarchy only
-        when sites partition the ranks into contiguous blocks and the
-        root leads its block: the flat tree combines operands
-        child-first in (root-rotated) rank order, and only then does
-        site-local pre-reduction preserve that operand order for
-        non-commutative ops (associativity is still assumed, as in any
-        tree reduction)."""
-        hier = self._hier(root)
-        if hier is None:
-            return None
-        sm = hier[0]
-        if not sm.contiguous or sm.members[sm.site_of[root]][0] != root:
-            return None
-        return hier
+    def _reduce_value(self, value: Any, redop: ReduceOp, root: int,
+                      tag: int, ctx: str, op: str, buffered: bool) -> Any:
+        """Each block pre-reduces under its leader, then the partials
+        combine over a leaders-only tree — sites−1 WAN crossings, each
+        carrying one partial (result meaningful only at ``root``)."""
+        sm, members, leader, local = self._hier(root, ordered=True)
+        acc = self._seq_reduce(members, members.index(leader), value,
+                               redop, tag, ctx, op, local=local,
+                               buffered=buffered)
+        if self._rank == leader:
+            acc = self._seq_reduce(sm.leaders(root), sm.site_of[root],
+                                   acc, redop, tag + 1, ctx, op,
+                                   local=False, buffered=buffered)
+        return acc
 
     @_collective("reduce")
     def reduce(self, obj: Any, op: ReduceOp, root: int = 0) -> Any:
         """Binomial-tree reduction of pickled objects towards ``root``.
 
-        Aware path (contiguous site blocks, block-leading root): each
-        site pre-reduces under its leader, then the site partials
-        combine over a leaders-only WAN tree — sites−1 crossings, each
-        carrying one partial."""
+        Operands combine in **root-rotated** rank order — ``root,
+        root + 1, …, size − 1, 0, …, root − 1`` — not in MPI's
+        canonical rank order; only a non-commutative ``op`` at
+        ``root != 0`` can tell the difference.  Sites pre-reduce under
+        their leaders when that preserves this order (contiguous site
+        blocks, block-leading root); otherwise the whole group reduces
+        as one block."""
         ctx = self._coll_context("reduce")
-        hier = self._hier_reduce(root)
-        if hier is None:
-            size = self.size
-            vrank = (self._rank - root) % size
-            acc = obj
-            mask = 1
-            while mask < size:
-                if vrank & mask:
-                    dst = (vrank - mask + root) % size
-                    data = pickle.dumps(acc,
-                                        protocol=pickle.HIGHEST_PROTOCOL)
-                    self.proc.sleep(len(data) * PICKLE_BYTE_COST)
-                    self._xsend(self.proc, dst, 6, ("p", data),
-                                len(data), ctx, "reduce")
-                    break
-                if vrank + mask < size:
-                    src = (vrank + mask + root) % size
-                    _s, _t, body, n = self._recv_body(self.proc, src, 6,
-                                                      ctx)
-                    contrib = self._decode(self.proc, body, n)
-                    # combine in child-first order so non-commutative
-                    # ops see operands in rank order
-                    acc = op(acc, contrib)
-                mask <<= 1
-            return acc if self._rank == root else None
-        sm, si, leader, is_leader = hier
-        members = sm.members[si]
-        acc = self._seq_reduce(members, members.index(leader), obj, op,
-                               30, ctx, "reduce", local=True,
-                               buffered=False)
-        if is_leader:
-            acc = self._seq_reduce(sm.leaders(root), sm.site_of[root],
-                                   acc, op, 31, ctx, "reduce",
-                                   local=False, buffered=False)
+        acc = self._reduce_value(obj, op, root, 30, ctx, "reduce",
+                                 buffered=False)
         return acc if self._rank == root else None
 
     @_collective("allreduce")
     def allreduce(self, obj: Any, op: ReduceOp) -> Any:
-        """Reduce to rank 0, then broadcast the result (each leg
-        hierarchical on a multi-site group)."""
+        """Reduce to rank 0, then broadcast the result."""
         reduced = self.reduce(obj, op, root=0)
         return self.bcast(reduced, root=0)
 
@@ -1148,41 +1023,16 @@ class Comm:
                op: ReduceOp, root: int = 0) -> None:
         """Buffer-path binomial reduction (no pickle cost).
 
-        The aware path mirrors :meth:`reduce`; partials stay on the
-        zero-copy path throughout (the initial accumulator is staged
-        once, op results are fresh arrays forwarded by reference)."""
+        Same schedule and operand order as :meth:`reduce`; partials stay
+        on the zero-copy path throughout (the initial accumulator is
+        staged once, op results are fresh arrays forwarded by
+        reference)."""
         ctx = self._coll_context("Reduce")
-        hier = self._hier_reduce(root)
         # ops are functional (no in-place accumulation), so the initial
         # accumulator can reference sendbuf on the rendezvous path
-        acc = self._stage(np.ascontiguousarray(sendbuf))
-        if hier is None:
-            size = self.size
-            vrank = (self._rank - root) % size
-            mask = 1
-            while mask < size:
-                if vrank & mask:
-                    dst = (vrank - mask + root) % size
-                    self._xsend(self.proc, dst, 8, ("b", acc),
-                                acc.nbytes, ctx, "Reduce")
-                    break
-                if vrank + mask < size:
-                    src = (vrank + mask + root) % size
-                    _s, _t, body, _n = self._recv_body(self.proc, src, 8,
-                                                       ctx)
-                    acc = op(acc, body[1])
-                mask <<= 1
-        else:
-            sm, si, leader, is_leader = hier
-            members = sm.members[si]
-            acc = self._seq_reduce(members, members.index(leader), acc,
-                                   op, 32, ctx, "Reduce", local=True,
-                                   buffered=True)
-            if is_leader:
-                acc = self._seq_reduce(sm.leaders(root),
-                                       sm.site_of[root], acc, op, 33,
-                                       ctx, "Reduce", local=False,
-                                       buffered=True)
+        acc = self._reduce_value(
+            self._stage(np.ascontiguousarray(sendbuf)), op, root, 32, ctx,
+            "Reduce", buffered=True)
         if self._rank == root:
             if recvbuf is None:
                 raise MpiError("root must supply recvbuf")
@@ -1217,8 +1067,7 @@ class Comm:
         group = [self._group[r] for _k, r in members]
         my_index = [r for _k, r in members].index(self._rank)
         ctx = f"{self._context}/split{seq}:{color}"
-        sub = Comm(self._circuit, group, my_index, ctx,
-                   tuning=self._tuning)
+        sub = Comm(self._circuit, group, my_index, ctx)
         sub.bind(self.proc)
         return sub
 
@@ -1233,7 +1082,6 @@ class Comm:
         triples = self.allgather(0)  # synchronise context generation
         del triples
         ctx = f"{self._context}/dup{self._coll_seq}"
-        dup = Comm(self._circuit, list(self._group), self._rank, ctx,
-                   tuning=self._tuning)
+        dup = Comm(self._circuit, list(self._group), self._rank, ctx)
         dup.bind(self.proc)
         return dup

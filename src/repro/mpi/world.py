@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Callable
 
-from repro.mpi.coll import CollTuning
 from repro.mpi.communicator import Comm
 from repro.padicotm.abstraction.circuit import Circuit
 from repro.padicotm.modules import PadicoModule
@@ -43,15 +42,12 @@ class World:
 
 def create_world(runtime: "PadicoRuntime", name: str,
                  processes: list["PadicoProcess"],
-                 fabric: str | None = None,
-                 coll: CollTuning | None = None) -> World:
+                 fabric: str | None = None) -> World:
     """Build an MPI world: one rank per PadicoTM process.
 
     Loads the MPI module into each process (idempotent per process) and
     establishes the underlying Circuit, letting the PadicoTM selector
-    pick the network unless ``fabric`` forces one.  ``coll`` pins the
-    collective tuning (topology-aware by default;
-    ``CollTuning(aware=False)`` selects the flat oracle).
+    pick the network unless ``fabric`` forces one.
     """
     for p in processes:
         if not p.modules.is_loaded(MpiModule.name):
@@ -59,7 +55,7 @@ def create_world(runtime: "PadicoRuntime", name: str,
     circuit = Circuit.establish(runtime, f"mpi:{name}", processes,
                                 fabric=fabric)
     group = list(range(len(processes)))
-    comms = [Comm(circuit, group, r, f"mpi:{name}", tuning=coll)
+    comms = [Comm(circuit, group, r, f"mpi:{name}")
              for r in range(len(processes))]
     return World(circuit, comms)
 

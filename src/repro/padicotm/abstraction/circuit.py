@@ -59,6 +59,7 @@ class Circuit:
         self._backend = backend
         self.choice = choice
         self.closed = False
+        self._subcircuits: list[Circuit] = []
 
     def _check_open(self, op: str) -> None:
         monitor = self.runtime.monitor
@@ -168,8 +169,23 @@ class Circuit:
         self._check_open("probe")
         return self._backend.wait_message(proc, my_rank, source, where)
 
+    def subcircuit(self, name: str, ranks: list[int]) -> "Circuit":
+        """Establish a circuit over the members at ``ranks`` (the
+        selector picks its fabric afresh) that shares this circuit's
+        lifetime: :meth:`close` retires it too."""
+        if self.closed:
+            raise RuntimeError(
+                f"Circuit {self.name!r} is closed (subcircuit after close)")
+        sub = Circuit.establish(self.runtime, name,
+                                [self.members[r] for r in ranks])
+        self._subcircuits.append(sub)
+        return sub
+
     def close(self) -> None:
-        """Retire the circuit: any further traffic is a lifecycle error."""
+        """Retire the circuit and its subcircuits: any further traffic
+        is a lifecycle error."""
+        for sub in self._subcircuits:
+            sub.close()
         monitor = self.runtime.monitor
         if monitor is not None:
             monitor.on_circuit(self, "close")

@@ -1,15 +1,20 @@
 """Topology-aware hierarchical collectives (MPICH-G2 style).
 
-Differential tests: the flat rank-order binomial path
-(``CollTuning(aware=False)``) is the oracle; the aware path must
-produce identical values for every collective, every root, and every
-rank layout, while crossing the WAN less.
+Differential tests: the flat rank-order binomial schedule
+(:class:`tests.mpi._flat.FlatComm`, the production code forced onto a
+one-block site map) is the oracle; production must produce identical
+values for every collective, every root, and every rank layout, while
+crossing the WAN less and staying within 3 % of flat's virtual time at
+worst on the committed table.  Digests captured at the
+parent of the one-schedule change pin what it must not have moved.
 """
+
+import hashlib
 
 import numpy as np
 import pytest
 
-from repro.mpi import CollTuning, create_world, spmd
+from repro.mpi import create_world, spmd
 from repro.mpi.ops import MAXLOC, SUM, ReduceOp
 from repro.net import (
     NoRouteError,
@@ -19,6 +24,8 @@ from repro.net import (
 from repro.net.devices import MYRINET_2000
 from repro.obs import TraceRecorder
 from repro.padicotm import PadicoRuntime
+from repro.sanitizer.monitors import TypestateMonitor
+from tests.mpi._flat import flat_world
 
 
 #: a non-commutative (but associative) op: string/tuple concatenation
@@ -33,10 +40,13 @@ def _grid(sites, hosts_per_site, **kw):
     return rt, site_hosts
 
 
-def _run(rt, procs, fn, *args, aware=True, tolerate_blocked=False,
-         coll=None):
-    world = create_world(rt, "w", procs,
-                         coll=coll or CollTuning(aware=aware))
+def _world(rt, procs, aware):
+    """Production (``aware``) or the flat oracle."""
+    return (create_world if aware else flat_world)(rt, "w", procs)
+
+
+def _run(rt, procs, fn, *args, aware=True, tolerate_blocked=False):
+    world = _world(rt, procs, aware)
     threads = spmd(world, fn, *args)
     rt.kernel.run()
     results = []
@@ -98,8 +108,7 @@ def test_flat_vs_aware_identical_for_every_root(sites, hps):
     flat = None
     for aware in (False, True):
         rt, site_hosts = _grid(sites, hps)
-        world = create_world(rt, "w", _procs(rt, site_hosts),
-                             coll=CollTuning(aware=aware))
+        world = _world(rt, _procs(rt, site_hosts), aware)
         per_root = []
         for root in range(sites * hps):
             threads = spmd(world, _all_collectives, root)
@@ -116,7 +125,7 @@ def test_flat_vs_aware_identical_for_every_root(sites, hps):
 
 
 def test_single_site_group_keeps_flat_path():
-    """A one-site group must not engage the hierarchy at all — same
+    """On a one-site group production *is* the flat schedule — same
     messages, same circuits, byte-identical observable traffic."""
     recs = []
     for aware in (False, True):
@@ -150,8 +159,8 @@ def test_bcast_crosses_wan_exactly_sites_minus_one():
 
 
 def test_flat_mode_crosses_more_and_both_modes_count():
-    """The comparison the bench publishes: both modes maintain the
-    counters; aware crosses strictly less on a multi-site group."""
+    """The oracle keeps the counters too (against the real site map);
+    production crosses strictly less on a multi-site group."""
     xings = {}
     for aware in (False, True):
         rt, site_hosts = _grid(3, 3)
@@ -226,30 +235,6 @@ def test_non_power_of_two_and_uneven_roots():
     assert out[True] == out[False]
 
 
-@pytest.mark.parametrize("threshold", [0, 1 << 30])
-def test_alltoall_threshold_modes(threshold):
-    """Aggregated (0) and all-direct (huge threshold) alltoall both
-    match the oracle; only the aggregated one reduces crossings."""
-    rt, site_hosts = _grid(3, 2)
-    procs = _procs(rt, site_hosts)
-
-    def body(proc, comm):
-        return comm.alltoall([(comm.rank, d) for d in range(comm.size)])
-
-    world, results = _run(
-        rt, procs, body,
-        coll=CollTuning(aware=True, alltoall_threshold=threshold))
-    n = len(procs)
-    expected = [[(s, d) for s in range(n)] for d in range(n)]
-    assert results == expected
-    xings = world.comm(0).coll_stats.wan_crossings
-    if threshold == 0:
-        assert xings == 3 * 2          # sites * (sites - 1) megas
-    else:
-        assert xings > 3 * 2           # every payload crossed directly
-    rt.shutdown()
-
-
 def test_split_inherits_tuning_and_subgroup_hierarchy():
     rt, site_hosts = _grid(2, 3)
     procs = _procs(rt, site_hosts)
@@ -297,8 +282,7 @@ def test_wan_failure_mid_collective_fails_both_modes():
             rt.topology.set_link_state("g-wan", "g-wan-r1",
                                        "g-wan-core", up=False)
 
-        world = create_world(rt, "w", procs,
-                             coll=CollTuning(aware=aware))
+        world = _world(rt, procs, aware)
         threads = spmd(world, body)
         procs[0].spawn(saboteur, name="saboteur")
         rt.kernel.run()
@@ -309,3 +293,198 @@ def test_wan_failure_mid_collective_fails_both_modes():
         errs[aware] = out.get(0)
         rt.shutdown()
     assert errs[False] == errs[True] == "TransferError"
+
+
+# ---------------------------------------------------------------------
+# pins captured at the parent of the one-schedule change
+# ---------------------------------------------------------------------
+def _timed_collectives(proc, comm):
+    """Every collective once, the rooted ones at roots 0, 1, n-1 and
+    n/2, each fenced by a barrier and timed on this rank; alltoall runs
+    last so nothing is measured after it."""
+    n, me = comm.size, comm.rank
+    spans = []
+
+    def timed(name, fn):
+        comm.barrier()
+        t0 = comm.Wtime()
+        fn()
+        spans.append((name, comm.Wtime() - t0))
+
+    for root in (0, 1, n - 1, n // 2):
+        timed(f"bcast@{root}", lambda: comm.bcast(
+            bytes(3000) if me == root else None, root=root))
+        buf = np.arange(512, dtype=np.int64)
+        timed(f"Bcast@{root}", lambda: comm.Bcast(buf, root=root))
+        timed(f"gather@{root}", lambda: comm.gather(
+            "g" * (100 + 10 * me), root=root))
+        timed(f"scatter@{root}", lambda: comm.scatter(
+            ["s" * (200 + i) for i in range(n)] if me == root else None,
+            root=root))
+        timed(f"reduce@{root}", lambda: comm.reduce(
+            f"r{me}.", CONCAT, root=root))
+        out = np.zeros(256)
+        timed(f"Reduce@{root}", lambda: comm.Reduce(
+            np.full(256, me + 1.0), out if me == root else None, SUM,
+            root=root))
+    timed("barrier", comm.barrier)
+    timed("allgather", lambda: comm.allgather("a" * (50 + me)))
+    timed("allreduce", lambda: comm.allreduce(me + 1, SUM))
+    sub = comm.split(color=me % 2, key=me)
+    timed("split.allreduce", lambda: sub.allreduce(me, SUM))
+    timed("alltoall", lambda: comm.alltoall(
+        ["x" * (64 + d) for d in range(n)]))
+    return spans
+
+
+def _pin(sites, hps, order, aware, skip=()):
+    """``(final virtual time, events, world crossings, digest of every
+    rank's per-operation virtual durations)`` of the pin workload."""
+    rt, site_hosts = _grid(sites, hps)
+    world, spans = _run(rt, _procs(rt, site_hosts, order),
+                        _timed_collectives, aware=aware)
+    h = hashlib.sha256()
+    for rank, rank_spans in enumerate(spans):
+        for name, dur in rank_spans:
+            if name not in skip:
+                h.update(f"{rank} {name} {dur!r}\n".encode())
+    pin = (repr(rt.kernel.now), rt.kernel.events_processed,
+           world.comm(0).coll_stats.wan_crossings, h.hexdigest()[:16])
+    rt.shutdown()
+    return pin
+
+
+@pytest.mark.parametrize("aware", [True, False])
+def test_single_site_schedule_is_the_parent_flat_path(aware):
+    """The one-block case *is* the old flat code: clock, event count
+    and every duration as the parent had them (in either of its modes),
+    from production and from the oracle alike."""
+    assert _pin(1, 8, "contiguous", aware) == \
+        ("0.0035482638333333384", 3658, 0, "d9d2868af46eb873")
+
+
+@pytest.mark.parametrize("layout,parent_flat", [
+    ((3, 3, "contiguous"),
+     ("1.9298511002857295", 4283, 516, "e5c1076e55368a22")),
+    ((3, 2, "interleaved"),
+     ("2.29605132995918", 2563, 464, "ce11f1e5550dfef2")),
+])
+def test_flat_oracle_is_the_parent_flat_mode(layout, parent_flat):
+    """``FlatComm`` reproduces the parent's ``CollTuning(aware=False)``
+    on multi-site grids, crossing counts included."""
+    assert _pin(*layout, aware=False) == parent_flat
+
+
+def test_only_alltoall_moved_on_a_multi_site_grid():
+    """4 sites x 5 hosts against the parent's ``aware=True``: every
+    duration but alltoall's is bit-identical, crossings unchanged."""
+    _now, _events, crossings, digest = _pin(
+        4, 5, "contiguous", aware=True, skip=("alltoall",))
+    assert (crossings, digest) == (300, "46821eed15069e86")
+
+
+# ---------------------------------------------------------------------
+# the flat-vs-hierarchy table (docs/PERFORMANCE.md, EXPERIMENTS.md A6)
+# ---------------------------------------------------------------------
+TABLE_OPS = ("bcast", "barrier", "gather", "allgather", "allreduce",
+             "alltoall")
+TABLE_PAYLOAD = 1024 * 1024
+#: per-rank payload of the gather-shaped ops (root-side total stays
+#: proportional to the rank count)
+TABLE_CHUNK = 64 * 1024
+
+
+def _table_run(sites, aware):
+    """Each table operation on its own ``dup()`` (whose stats then hold
+    exactly that operation's crossings) on ``sites`` x 5 hosts:
+    ``(virtual duration, crossings)`` per op and the per-rank values."""
+    rt, site_hosts = _grid(sites, 5)
+    spans = {op: [] for op in TABLE_OPS}
+    stats = {}
+
+    def body(proc, comm):
+        blob, chunk = bytes(TABLE_PAYLOAD), bytes(TABLE_CHUNK)
+        vec = np.ones(TABLE_PAYLOAD // 8)
+
+        def timed(op, fn):
+            sub = comm.dup()
+            if comm.rank == 0:
+                stats[op] = sub.coll_stats
+            comm.barrier()
+            t0 = comm.Wtime()
+            out = fn(sub)
+            spans[op].append((t0, comm.Wtime()))
+            return out
+
+        timed("bcast", lambda c: c.bcast(
+            blob if c.rank == 0 else None, root=0))
+        timed("barrier", lambda c: c.barrier())
+        return [
+            timed("gather", lambda c: c.gather((c.rank, chunk), root=0)),
+            timed("allgather", lambda c: c.allgather((c.rank, chunk))),
+            float(timed("allreduce",
+                        lambda c: c.allreduce(vec, SUM)).sum()),
+            timed("alltoall", lambda c: c.alltoall(
+                [bytes([d % 251]) * (TABLE_PAYLOAD // c.size)
+                 for d in range(c.size)]))]
+
+    _, values = _run(rt, _procs(rt, site_hosts), body, aware=aware)
+    rt.shutdown()
+    return {op: (max(t1 for _t0, t1 in ss) - min(t0 for t0, _t1 in ss),
+                 stats[op].wan_crossings)
+            for op, ss in spans.items()}, values
+
+
+@pytest.mark.parametrize("sites,speedups", [
+    (2, dict(bcast=5.26, barrier=2.50, gather=1.09, allgather=3.79,
+             allreduce=4.13, alltoall=1.07)),
+    (4, dict(bcast=5.98, barrier=1.75, gather=0.99, allgather=4.66,
+             allreduce=3.90, alltoall=0.99)),
+    (8, dict(bcast=5.91, barrier=1.50, gather=0.99, allgather=4.91,
+             allreduce=3.74, alltoall=1.03)),
+])
+def test_flat_vs_hierarchy_table(sites, speedups):
+    """Flat / hierarchy virtual time at 1 MiB on ``sites`` x 5 hosts.
+    The parent read 0.51x (4 sites) and 0.27x (8 sites) on alltoall:
+    every sender and every leader walked the destination sites in the
+    same order, so all of them hit site 0 first."""
+    flat, flat_values = _table_run(sites, aware=False)
+    hier, hier_values = _table_run(sites, aware=True)
+    assert hier_values == flat_values
+    assert hier["bcast"][1] == sites - 1
+    assert hier["alltoall"][1] == sites * (sites - 1)
+    assert flat["alltoall"][1] == 25 * sites * (sites - 1)
+    for op in TABLE_OPS:
+        ratio = flat[op][0] / hier[op][0]
+        assert ratio >= 0.97, f"{op} at {sites} sites: {ratio:.2f}x"
+        assert ratio == pytest.approx(speedups[op], abs=0.006), op
+
+
+def test_closed_world_fails_on_every_rank():
+    """Closing the world's circuit closes the per-site subcircuits with
+    it: no rank is left blocked on one."""
+    rt, site_hosts = _grid(2, 3)
+    monitor = rt.observe(TypestateMonitor())
+    procs = _procs(rt, site_hosts)
+    world = create_world(rt, "w", procs)
+
+    def body(proc, comm):
+        try:
+            return comm.bcast("x" if comm.rank == 1 else None, root=1)
+        except RuntimeError as exc:
+            return exc
+
+    threads = spmd(world, body)  # establishes both subcircuits
+    rt.kernel.run()
+    assert [t.result for t in threads] == ["x"] * 6
+    world.circuit.close()
+    assert sorted(c.name for c, state in monitor.states().items()
+                  if state == "closed") == \
+        ["mpi:w", "mpi:w|site:g0", "mpi:w|site:g1"]
+    threads = spmd(world, body)
+    rt.kernel.run()
+    for t in threads:
+        assert not t.alive, f"{t.name} is still blocked"
+        assert isinstance(t.result, RuntimeError), f"{t.name}: {t.result!r}"
+    assert len(monitor.violations) == 6
+    rt.shutdown()

@@ -7,8 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.mpi import MAX, MIN, SUM, create_world, spmd
-from repro.net import Topology, build_cluster
+from repro.mpi.ops import ReduceOp
+from repro.net import Topology, build_cluster, build_grid
 from repro.padicotm import PadicoRuntime
+from tests.mpi._flat import flat_world
 
 
 def _run(n_ranks, fn):
@@ -146,3 +148,90 @@ def test_simulation_is_deterministic_under_load():
         return trace
 
     assert run_once() == run_once()
+
+
+# ---------------------------------------------------------------------
+# any layout on a grid: production == flat oracle == plain Python
+# ---------------------------------------------------------------------
+#: non-commutative (but associative): shows the operand order
+CONCAT = ReduceOp("concat", lambda a, b: a + b)
+
+
+@st.composite
+def grid_layouts(draw):
+    """2-12 ranks on distinct hosts of a 4-site x 4-host grid, in any
+    order — uneven sites, single-member sites, non-contiguous blocks,
+    one-site groups — and a root."""
+    hosts = draw(st.lists(st.integers(0, 15), min_size=2, max_size=12,
+                          unique=True))
+    return hosts, draw(st.integers(0, len(hosts) - 1))
+
+
+def _every_collective(proc, comm, root):
+    n, me = comm.size, comm.rank
+    res = {"barrier": comm.barrier()}
+    res["bcast"] = comm.bcast(("blob", root) if me == root else None,
+                              root=root)
+    buf = np.full(8, me, dtype=np.int64)
+    comm.Bcast(buf, root=root)
+    res["Bcast"] = buf.tolist()
+    res["gather"] = comm.gather("g" * me, root=root)
+    res["scatter"] = comm.scatter(
+        [f"s{i}" for i in range(n)] if me == root else None, root=root)
+    res["allgather"] = comm.allgather(me * 7)
+    res["reduce"] = comm.reduce(f"{me}.", CONCAT, root=root)
+    out = np.zeros(4)
+    comm.Reduce(np.full(4, me + 1.0), out if me == root else None, SUM,
+                root=root)
+    res["Reduce"] = out.tolist()
+    res["allreduce"] = comm.allreduce(f"{me}.", CONCAT)
+    res["scan"] = comm.scan(f"{me}.", CONCAT)
+    res["alltoall"] = comm.alltoall([(me, d) for d in range(n)])
+    res["split"] = comm.split(me % 2, key=-me).allgather(me)
+    return res
+
+
+def _expected(n, me, root):
+    """What MPI says rank ``me`` of ``n`` gets — no repro code involved.
+    ``reduce`` is the one deviation: operands combine in root-rotated
+    rank order (root, root + 1, ...), see ``Comm.reduce``."""
+    at_root = me == root
+    total = float(sum(range(1, n + 1)))
+    return {
+        "barrier": None,
+        "bcast": ("blob", root),
+        "Bcast": [root] * 8,
+        "gather": ["g" * r for r in range(n)] if at_root else None,
+        "scatter": f"s{me}",
+        "allgather": [r * 7 for r in range(n)],
+        "reduce": "".join(f"{(root + i) % n}." for i in range(n))
+        if at_root else None,
+        "Reduce": [total if at_root else 0.0] * 4,
+        "allreduce": "".join(f"{r}." for r in range(n)),
+        "scan": "".join(f"{r}." for r in range(me + 1)),
+        "alltoall": [(src, me) for src in range(n)],
+        "split": sorted(range(me % 2, n, 2), reverse=True),
+    }
+
+
+@settings(max_examples=60, deadline=None)
+@given(grid_layouts())
+def test_every_collective_on_any_grid_layout(layout):
+    hosts, root = layout
+    results = []
+    for make_world in (create_world, flat_world):
+        topo, site_hosts = build_grid(sites=4, hosts_per_site=4)
+        rt = PadicoRuntime(topo)
+        pool = [h for hs in site_hosts.values() for h in hs]
+        world = make_world(rt, "w", [
+            rt.create_process(pool[i], f"p{i}") for i in hosts])
+        threads = spmd(world, _every_collective, root)
+        rt.run()
+        rt.shutdown()
+        for t in threads:
+            assert t.exc is None and not t.alive
+        results.append([t.result for t in threads])
+    production, oracle = results
+    assert production == oracle
+    n = len(hosts)
+    assert production == [_expected(n, me, root) for me in range(n)]

@@ -24,7 +24,7 @@ from repro.core import (
     ParallelismDescriptor,
 )
 from repro.corba import OMNIORB4, Orb, compile_idl
-from repro.mpi import CollTuning, create_world, spmd
+from repro.mpi import create_world, spmd
 from repro.net import MYRINET_2000, Topology, build_cluster, build_grid
 from repro.obs import TraceRecorder
 from repro.padicotm import PadicoRuntime
@@ -221,7 +221,7 @@ def _grid_bcast_counters() -> dict[str, float]:
     recorder = rt.observe(TraceRecorder())
     procs = [rt.create_process(h, f"p-{h.name}")
              for hs in site_hosts.values() for h in hs]
-    world = create_world(rt, "grid", procs, coll=CollTuning(aware=True))
+    world = create_world(rt, "grid", procs)
 
     def main(proc, comm):
         buf = (np.ones(_BCAST_SIZE, dtype="u1") if comm.rank == 0

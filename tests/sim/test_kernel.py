@@ -522,11 +522,25 @@ def test_keyboard_interrupt_in_run_takes_the_run_token_back():
             p.sleep(0.001)
         return "done"
 
+    def interrupt_caller():
+        # fires on ticker's thread, which is carrying the loop; run()'s
+        # caller is parked and is the one interrupted.  The carrier
+        # fires nothing more until the caller has taken the signal and
+        # stopped the loop, so the ticker cannot finish first however
+        # fast it ticks.  A SIGINT that lands between the caller's
+        # release of the GIL and its lock wait is only noticed at the
+        # next wake-up, hence the resend (never after the loop stopped:
+        # the caller sets the flag before it lets go of the GIL).  The
+        # deadline keeps a lost signal from hanging the suite: the
+        # assertions below fail instead.
+        main = threading.main_thread().ident
+        deadline = time.monotonic() + 10.0
+        while k._running and time.monotonic() < deadline:
+            signal.pthread_kill(main, signal.SIGINT)
+            time.sleep(0.001)
+
     pr = k.spawn(ticker, name="ticker")
-    # fires on ticker's thread, which is carrying the loop; run()'s
-    # caller is parked and is the one interrupted
-    k.schedule(0.0105, signal.pthread_kill, threading.main_thread().ident,
-               signal.SIGINT)
+    k.schedule(0.0105, interrupt_caller)
     with pytest.raises(KeyboardInterrupt):
         k.run()
     assert k.current is None
