@@ -7,11 +7,10 @@ PYTHON ?= python
 PYTHONPATH := src
 
 .PHONY: check lint lint-full lint-mutants test copy-budget \
-	schedule-smoke bench-smoke bench-wallclock bench-topology \
-	bench-e2e sarif
+	schedule-smoke bench-smoke bench-e2e sarif
 
 check: lint lint-mutants test copy-budget schedule-smoke bench-smoke \
-	bench-wallclock bench-topology bench-e2e
+	bench-e2e
 
 # Incremental: per-file results and call-graph summaries are cached by
 # content hash in .repro-lint-cache.json; the interprocedural phase
@@ -53,27 +52,6 @@ bench-smoke:
 		--out BENCH_smoke.json
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro.tools.trace bench \
 		BENCH_smoke.json
-
-# Wall-clock smoke: quick sizes, schema validity, and the GridCCM
-# scaling gate (8 nodes >= 1/3 of 2 nodes in MB/s).  The committed full
-# document is BENCH_wallclock.json, regenerated with
-# `python -m benchmarks.run --wallclock`.
-bench-wallclock:
-	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m benchmarks.run --wallclock \
-		--quick --gate-gridccm-scaling --out BENCH_wallclock_smoke.json
-	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro.tools.trace bench \
-		BENCH_wallclock_smoke.json
-
-# Grid-scale smoke: the 100-host slice of the topology-scaling series
-# (the full 10k-host sweep lives in the committed BENCH_wallclock.json,
-# regenerated with `python -m benchmarks.run --wallclock`).  A perf
-# smoke only: the solver's exactness at this scale is gated by the
-# flow_churn oracle in bench-e2e and by tests/net/test_solver_fuzz.py.
-bench-topology:
-	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m benchmarks.run \
-		--topology-scaling --quick --out BENCH_topology_smoke.json
-	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro.tools.trace bench \
-		BENCH_topology_smoke.json
 
 # The repo benchmark (BENCHMARK.json) at ~1/20 size — all six workloads,
 # plain and ledger-traced — then its self-test.  The result document

@@ -8,6 +8,13 @@ and re-solved per site by the max-min solver.  Midway through the
 second wave the live allocation is checked against a from-scratch
 :func:`maxmin_rates` solve over every flow: bit-for-bit equal.
 
+The constants below are the whole configuration.  The defaults run in a
+second; ``SITES = 20``, ``HOSTS_PER_SITE = 500`` and ``FLOWS_PER_HOST =
+10`` give the 10 000-host grid with 100 020 concurrent flows (the
+column form of the live-flow state and the whole-shard vectorized
+solves, see docs/PERFORMANCE.md) — there the from-scratch check, a
+scalar solve over every flow, is the slow part.
+
 Run:  python examples/grid_scaling.py
 """
 
@@ -17,6 +24,7 @@ from repro.sim import SimKernel
 
 SITES = 8
 HOSTS_PER_SITE = 32
+FLOWS_PER_HOST = 1  # ring offsets 1..FLOWS_PER_HOST, all concurrent
 FLOW_MB = 4.0
 
 
@@ -32,9 +40,10 @@ def main() -> None:
         for site, hosts in site_hosts.items():
             names = [h.name for h in hosts]
             for i, src in enumerate(names):
-                route = topo.route(src, names[(i + 1) % len(names)],
-                                   f"{site}-san")
-                batch.append((route, FLOW_MB * 1e6, lambda flow: None))
+                for k in range(1, FLOWS_PER_HOST + 1):
+                    route = topo.route(src, names[(i + k) % len(names)],
+                                       f"{site}-san")
+                    batch.append((route, FLOW_MB * 1e6, lambda flow: None))
         # one WAN transfer per site, to the next site's first host
         sites = sorted(site_hosts)
         for i, site in enumerate(sites):

@@ -259,9 +259,6 @@ class Orb:
         #: identity attached to every outgoing request (GIOP Principal);
         #: servants read the caller's via :meth:`caller_principal`
         self.credentials: str = ""
-        #: request dispatch model: thread-per-request (True, default —
-        #: how multithreaded ORBs behave) or serial per connection
-        self.concurrent_dispatch: bool = True
         #: reply deadline in virtual seconds (None = wait forever); a
         #: timed-out invocation raises SystemException("TIMEOUT") and
         #: drops the connection (late replies must not mis-match)
@@ -577,7 +574,11 @@ class Orb:
                 endpoint.close()
                 return
             (header, body), nbytes = item
-            msg_type, _size, little, _ver = self.wire.parse_header(header)
+            try:
+                msg_type, _size, little, _ver = self.wire.parse_header(header)
+            except CdrError:
+                endpoint.close()  # protocol error: drop this connection
+                return
             if msg_type == self.wire.MSG_CLOSE_CONNECTION:
                 endpoint.close()
                 return
@@ -586,15 +587,11 @@ class Orb:
             # protocol-engine receive cost stays on the reader thread
             proc.sleep(self.profile.server_overhead * self._ovh +
                        self.profile.unmarshal_cost(nbytes))
-            if self.concurrent_dispatch:
-                # thread-per-request dispatch: long servant work never
-                # blocks later requests on the same connection (reply
-                # order may differ — the client demultiplexes by id)
-                self.process.spawn(self._dispatch_one, endpoint, body,
-                                   little, name="giop-dispatch",
-                                   daemon=True)
-            else:
-                self._dispatch_one(proc, endpoint, body, little)
+            # thread-per-request dispatch: long servant work never
+            # blocks later requests on the same connection (reply
+            # order may differ — the client demultiplexes by id)
+            self.process.spawn(self._dispatch_one, endpoint, body,
+                               little, name="giop-dispatch", daemon=True)
 
     def _dispatch_one(self, proc: SimProcess, endpoint: VLinkEndpoint,
                       body: "bytes | WireBuffer", little: bool) -> None:
@@ -606,8 +603,14 @@ class Orb:
     def _handle_request(self, proc: SimProcess, endpoint: VLinkEndpoint,
                         body: "bytes | WireBuffer", little: bool) -> None:
         inp = CdrInputStream(body, little)
-        request_id, expect_reply, key, opname, principal = \
-            self.wire.read_request(inp)
+        try:
+            request_id, expect_reply, key, opname, principal = \
+                self.wire.read_request(inp)
+        except (CdrError, UnicodeDecodeError):
+            # protocol error, as for a bad header: drop this connection
+            # (a caller waiting on it gets COMM_FAILURE, not silence)
+            endpoint.close()
+            return
         mon = self.process.runtime.monitor
         out: CdrOutputStream | None = None
         if mon is not None:

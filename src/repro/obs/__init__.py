@@ -12,16 +12,15 @@ stack guards on ``monitor is not None``, so a run with no recorder
 attached executes exactly the pre-instrumentation schedule.
 """
 
-from repro.obs.bench import (BENCH_SCHEMA, WALLCLOCK_SCHEMA, BenchResult,
-                             BenchSchemaError, bench_document,
-                             validate_bench_doc, write_bench_json)
+from repro.obs.bench import (BENCH_SCHEMA, BenchResult, BenchSchemaError,
+                             bench_document, validate_bench_doc,
+                             write_bench_json)
 from repro.obs.export import chrome_trace, metrics, write_chrome_trace
 from repro.obs.recorder import TraceRecorder
 from repro.obs.spans import CounterSample, FlowRecord, Span
 
 __all__ = [
     "BENCH_SCHEMA",
-    "WALLCLOCK_SCHEMA",
     "BenchResult",
     "BenchSchemaError",
     "CounterSample",

@@ -17,11 +17,6 @@ from dataclasses import dataclass, field
 from typing import Any, Iterator, Mapping
 
 BENCH_SCHEMA = "padico-bench/1"
-#: wall-clock series (benchmarks/wallclock.py) share the envelope but
-#: carry a distinct schema tag: their numbers vary across machines, so
-#: they must never be confused with the byte-reproducible virtual-time
-#: document
-WALLCLOCK_SCHEMA = "padico-wallclock/1"
 
 
 @dataclass(frozen=True)
@@ -88,21 +83,19 @@ class BenchResult:
 
 
 def bench_document(results: list[BenchResult],
-                   meta: Mapping[str, Any] | None = None,
-                   schema: str = BENCH_SCHEMA) -> dict[str, Any]:
-    """Wrap results in a bench envelope (``padico-bench/1`` by default)."""
+                   meta: Mapping[str, Any] | None = None) -> dict[str, Any]:
+    """Wrap results in the ``padico-bench/1`` envelope."""
     return {
-        "schema": schema,
+        "schema": BENCH_SCHEMA,
         "meta": {k: meta[k] for k in sorted(meta)} if meta else {},
         "results": [r.to_json() for r in results],
     }
 
 
 def write_bench_json(path: str, results: list[BenchResult],
-                     meta: Mapping[str, Any] | None = None,
-                     schema: str = BENCH_SCHEMA) -> None:
+                     meta: Mapping[str, Any] | None = None) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(bench_document(results, meta, schema=schema), fh,
+        json.dump(bench_document(results, meta), fh,
                   sort_keys=True, indent=1)
         fh.write("\n")
 
@@ -115,7 +108,7 @@ def _fail(msg: str) -> None:
     raise BenchSchemaError(msg)
 
 
-def validate_bench_doc(doc: Any, schema: str = BENCH_SCHEMA) -> list[str]:
+def validate_bench_doc(doc: Any) -> list[str]:
     """Validate a loaded BENCH document; returns the result names.
 
     Hand-rolled on purpose: the container ships no jsonschema and the
@@ -123,8 +116,8 @@ def validate_bench_doc(doc: Any, schema: str = BENCH_SCHEMA) -> list[str]:
     """
     if not isinstance(doc, dict):
         _fail(f"document must be an object, got {type(doc).__name__}")
-    if doc.get("schema") != schema:
-        _fail(f"schema must be {schema!r}, got {doc.get('schema')!r}")
+    if doc.get("schema") != BENCH_SCHEMA:
+        _fail(f"schema must be {BENCH_SCHEMA!r}, got {doc.get('schema')!r}")
     if not isinstance(doc.get("meta"), dict):
         _fail("meta must be an object")
     results = doc.get("results")

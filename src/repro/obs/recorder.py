@@ -1,18 +1,21 @@
 """TraceRecorder: the attachable observability sink.
 
-The recorder speaks two duck-typed hook surfaces at once:
-
-* the **runtime monitor** protocol (``runtime.observe(recorder)``):
-  every instrumented layer calls ``monitor.on_span_start`` /
-  ``on_span_end`` / ``on_counter`` / ``on_flow_start`` / ... when a
-  monitor is attached, and pays nothing when none is;
-* the **kernel tracer** protocol (``kernel.attach_tracer``): the
-  recorder counts context switches and fired events.
+The recorder is a **runtime monitor** (``runtime.observe(recorder)``):
+every instrumented layer calls ``monitor.on_span_start`` /
+``on_span_end`` / ``on_counter`` / ``on_flow_start`` / ... when a
+monitor is attached, and pays nothing when none is.  It is *not* a
+kernel tracer: the two scheduler counts it reports,
+:attr:`~TraceRecorder.events_fired` and
+:attr:`~TraceRecorder.context_switches`, are differences of the
+kernel's own ``events_processed`` / ``context_switches`` since
+:meth:`~TraceRecorder.bind`, so with only a recorder attached
+``kernel.tracer`` stays None and the kernel runs the path it runs
+untraced (wake timers recycled, no hook calls).
 
 Attachment is handled by ``on_attach(runtime)`` / ``on_detach(runtime)``
 — called by :meth:`PadicoRuntime.observe` / ``unobserve`` — which bind
-the kernel clock and install/remove the kernel tracer.  A recorder can
-also be used standalone against a bare kernel via ``bind(kernel)``.
+the kernel and freeze the two counts.  A recorder can also be used
+standalone against a bare kernel via ``bind(kernel)``.
 
 Every hook is pure bookkeeping: no sleeps, no scheduling, no wall
 clock.  Attaching a recorder therefore never perturbs the simulated
@@ -33,7 +36,12 @@ class TraceRecorder:
     """Collects spans, counters, gauges, flows and driver I/O totals."""
 
     def __init__(self, kernel: Any = None):
-        self._kernel = kernel
+        self._kernel: Any = None
+        #: (events fired, context switches) up to the last detach
+        self._counted = (0, 0)
+        #: the kernel's two counts at ``bind`` less ``_counted``; None
+        #: while detached
+        self._base: tuple[int, int] | None = None
         self.spans: list[Span] = []
         #: per-simulated-thread stacks of open span indices, keyed by
         #: id(SimProcess).  Lookup-only — never iterated for output, so
@@ -48,22 +56,45 @@ class TraceRecorder:
         #: (driver, direction) -> [calls, bytes]
         self.driver_io: dict[tuple[str, str], list[float]] = {}
         self.fabric_bytes: dict[str, float] = {}
-        self.context_switches = 0
-        self.events_fired = 0
+        if kernel is not None:
+            self.bind(kernel)
 
     # -- attachment ---------------------------------------------------------
     def bind(self, kernel: Any) -> "TraceRecorder":
-        """Bind the virtual clock without installing any hooks."""
+        """Bind the virtual clock and start counting the kernel's fired
+        events and context switches from here."""
+        fired, switches = self._counts()
         self._kernel = kernel
+        self._base = (kernel.events_processed - fired,
+                      kernel.context_switches - switches)
         return self
 
     def on_attach(self, runtime: Any) -> None:
-        """Runtime attach hook: bind the kernel and trace its scheduler."""
-        self._kernel = runtime.kernel
-        runtime.kernel.attach_tracer(self)
+        """Runtime attach hook."""
+        self.bind(runtime.kernel)
 
     def on_detach(self, runtime: Any) -> None:
-        runtime.kernel.detach_tracer(self)
+        """Freeze the two counts; the clock stays readable."""
+        self._counted = self._counts()
+        self._base = None
+
+    def _counts(self) -> tuple[int, int]:
+        base = self._base
+        if base is None:
+            return self._counted
+        return (self._kernel.events_processed - base[0],
+                self._kernel.context_switches - base[1])
+
+    @property
+    def events_fired(self) -> int:
+        """Kernel events fired while bound (frozen at detach)."""
+        return self._counts()[0]
+
+    @property
+    def context_switches(self) -> int:
+        """Run-token hand-overs to a process while bound (frozen at
+        detach)."""
+        return self._counts()[1]
 
     # -- clock / identity ---------------------------------------------------
     @property
@@ -161,30 +192,6 @@ class TraceRecorder:
         cell = self.driver_io.setdefault((driver, direction), [0.0, 0.0])
         cell[0] += 1
         cell[1] += nbytes
-
-    # -- kernel tracer hooks ------------------------------------------------
-    # the kernel calls the full surface on a lone tracer, so the unused
-    # hooks exist as no-ops
-    def on_fire(self, timer: Any) -> None:
-        self.events_fired += 1
-
-    def on_switch(self, proc: Any) -> None:
-        self.context_switches += 1
-
-    def on_schedule(self, timer: Any) -> None:
-        pass
-
-    def on_exit(self, proc: Any) -> None:
-        pass
-
-    def on_join(self, proc: Any, target: Any) -> None:
-        pass
-
-    def hb_release(self, obj: Any) -> None:
-        pass
-
-    def hb_acquire(self, obj: Any) -> None:
-        pass
 
     # -- inspection ---------------------------------------------------------
     def closed_spans(self) -> list[Span]:

@@ -132,63 +132,39 @@ class Timer:
         return self._key < other._key
 
 
-#: the tracer hook surface fanned out by :class:`_TracerFan`
+#: the tracer hook surface; a tracer implements any subset of it
 _TRACER_HOOKS = ("on_schedule", "on_fire", "on_switch", "on_exit",
                  "on_join", "hb_release", "hb_acquire")
 
 
-class _TracerFan:
-    """Fans kernel tracer hooks out to several attached tracers.
+def _each(fns: list) -> Callable:
+    """One callable that calls every one of ``fns``, in order."""
+    def call(*args: Any) -> None:
+        for fn in fns:
+            fn(*args)
+    return call
 
-    Created by :meth:`SimKernel.attach_tracer` when a second tracer is
-    attached (e.g. the sanitizer's race detector plus an observability
-    recorder).  Hooks dispatch in attach order — deterministic — and a
-    member may implement any subset of the hook surface.  The per-hook
-    bound-method lists are precomputed when the member set changes, so
-    fan-out adds no ``getattr`` to the hot path.
+
+class _TracerFan:
+    """What ``kernel._tracer`` is whenever it is not None: the attached
+    tracers (one, or several — e.g. the sanitizer's race detector plus a
+    profiler) behind one callable per hook.
+
+    Hooks dispatch in attach order — deterministic — and a member may
+    implement any subset of the hook surface.  A fan is built once per
+    member set (attach and detach replace it), so dispatch adds no
+    ``getattr`` to the hot path; a hook only one member implements is
+    that member's bound method itself.
     """
 
-    __slots__ = ("members",) + tuple(f"_{h}" for h in _TRACER_HOOKS)
+    __slots__ = ("members",) + _TRACER_HOOKS
 
     def __init__(self, members: list):
-        self.members = list(members)
-        self._rebuild()
-
-    def _rebuild(self) -> None:
-        """Recompute the per-hook bound-method lists from ``members``."""
+        self.members = members
         for hook in _TRACER_HOOKS:
-            fns = [fn for fn in (getattr(m, hook, None) for m in self.members)
+            fns = [fn for fn in (getattr(m, hook, None) for m in members)
                    if fn is not None]
-            setattr(self, f"_{hook}", fns)
-
-    def on_schedule(self, timer: "Timer") -> None:
-        for fn in self._on_schedule:
-            fn(timer)
-
-    def on_fire(self, timer: "Timer") -> None:
-        for fn in self._on_fire:
-            fn(timer)
-
-    def on_switch(self, proc: "SimProcess") -> None:
-        for fn in self._on_switch:
-            fn(proc)
-
-    def on_exit(self, proc: "SimProcess") -> None:
-        for fn in self._on_exit:
-            fn(proc)
-
-    def on_join(self, proc: "SimProcess", target: "SimProcess") -> None:
-        for fn in self._on_join:
-            fn(proc, target)
-
-    # happens-before edges reported by the sync primitives
-    def hb_release(self, obj: Any) -> None:
-        for fn in self._hb_release:
-            fn(obj)
-
-    def hb_acquire(self, obj: Any) -> None:
-        for fn in self._hb_acquire:
-            fn(obj)
+            setattr(self, hook, fns[0] if len(fns) == 1 else _each(fns))
 
 
 class SimProcess:
@@ -400,6 +376,8 @@ class SimKernel:
         self._timer_pool: list[Timer] = []
         #: events popped and fired by :meth:`run` (cancelled ones excluded)
         self.events_processed = 0
+        #: times the run token was given to a process (``on_switch``)
+        self.context_switches = 0
         #: cancelled entries discarded by :meth:`run` without firing
         #: (lazy timer cancellation leaves them in the heap until popped)
         self.events_skipped = 0
@@ -435,29 +413,26 @@ class SimKernel:
     # ------------------------------------------------------------------
     @property
     def tracer(self) -> Any:
-        """The attached scheduling tracer (or fan of tracers), if any.
-
-        With one tracer attached this is that object (the historical
-        contract); with several it is a :class:`_TracerFan` dispatching
-        in attach order.
-        """
-        return self._tracer
+        """The attached scheduling tracer, if any: that object when there
+        is one, a :class:`_TracerFan` dispatching in attach order when
+        there are several."""
+        fan = self._tracer
+        if fan is not None and len(fan.members) == 1:
+            return fan.members[0]
+        return fan
 
     def attach_tracer(self, tracer: Any) -> None:
         """Install a scheduling tracer, composing with any already there.
 
-        With one tracer attached, :attr:`tracer` is that object (the
-        historical contract); with several it becomes a :class:`_TracerFan`
-        dispatching in attach order.  Pairs with :meth:`detach_tracer`.
+        ``tracer`` may implement any subset of ``_TRACER_HOOKS``; one
+        that implements none (a :class:`~repro.obs.TraceRecorder`, which
+        reads :attr:`events_processed` / :attr:`context_switches`) is
+        not installed.  Pairs with :meth:`detach_tracer`.
         """
-        current = self._tracer
-        if current is None:
-            self._tracer = tracer
-        elif isinstance(current, _TracerFan):
-            current.members.append(tracer)
-            current._rebuild()
-        else:
-            self._tracer = _TracerFan([current, tracer])
+        if not any(hasattr(tracer, hook) for hook in _TRACER_HOOKS):
+            return
+        members = [] if self._tracer is None else self._tracer.members
+        self._tracer = _TracerFan(members + [tracer])
         # traced timers must be fresh objects (tracers annotate them),
         # so drop any recycled wake timers from the untraced era
         self._timer_pool.clear()
@@ -468,16 +443,9 @@ class SimKernel:
         Idempotent: detaching a tracer that is not attached is a no-op,
         so uninstall paths need no bookkeeping of their own.
         """
-        current = self._tracer
-        if current is tracer:
-            self._tracer = None
-        elif isinstance(current, _TracerFan):
-            if tracer in current.members:
-                current.members.remove(tracer)
-            if len(current.members) == 1:
-                self._tracer = current.members[0]
-            else:
-                current._rebuild()
+        if self._tracer is not None:
+            members = [m for m in self._tracer.members if m is not tracer]
+            self._tracer = _TracerFan(members) if members else None
 
     def schedule(self, delay: float, fn: Callable, *args: Any) -> Timer:
         """Run ``fn(*args)`` in kernel context after ``delay`` seconds.
@@ -634,6 +602,7 @@ class SimKernel:
                         if exc is not None:
                             proc._pending_exc = exc
                         proc._wake_value = value
+                        self.context_switches += 1
                         if self._tracer is not None:
                             self._tracer.on_switch(proc)
                         self._current = proc

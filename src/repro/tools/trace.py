@@ -12,7 +12,7 @@ two PadicoTM processes over Myrinet — under ``runtime.trace()`` and
 writes a Chrome ``trace_event`` JSON that loads directly into Perfetto
 (https://ui.perfetto.dev) or ``chrome://tracing``.  ``summary`` prints
 the metrics roll-up embedded in such a file; ``bench`` schema-checks a
-``padico-bench/1`` or ``padico-wallclock/1`` document."""
+``padico-bench/1`` document (``BENCH_padico.json``)."""
 
 from __future__ import annotations
 
@@ -25,7 +25,6 @@ from repro.corba.profiles import OrbProfile
 from repro.net import MYRINET_2000, Topology, build_cluster
 from repro.obs import (
     BENCH_SCHEMA,
-    WALLCLOCK_SCHEMA,
     BenchSchemaError,
     TraceRecorder,
     metrics,
@@ -150,15 +149,12 @@ def cmd_summary(args: argparse.Namespace) -> int:
 def cmd_bench(args: argparse.Namespace) -> int:
     with open(args.file, encoding="utf-8") as fh:
         doc = json.load(fh)
-    # both envelopes share structure; the tag says which gate applies
-    schema = (WALLCLOCK_SCHEMA if doc.get("schema") == WALLCLOCK_SCHEMA
-              else BENCH_SCHEMA)
     try:
-        names = validate_bench_doc(doc, schema=schema)
+        names = validate_bench_doc(doc)
     except BenchSchemaError as exc:
         print(f"{args.file}: INVALID — {exc}", file=sys.stderr)
         return 1
-    print(f"{args.file}: valid {schema} document, "
+    print(f"{args.file}: valid {BENCH_SCHEMA} document, "
           f"{len(names)} series")
     for name in names:
         print(f"  {name}")
@@ -194,8 +190,7 @@ def main(argv: list[str] | None = None) -> int:
     summary.set_defaults(func=cmd_summary)
 
     bench = sub.add_parser(
-        "bench", help="validate a padico-bench/1 or padico-wallclock/1 "
-                      "(BENCH_*.json) file")
+        "bench", help="validate a padico-bench/1 (BENCH_*.json) file")
     bench.add_argument("file")
     bench.set_defaults(func=cmd_bench)
 

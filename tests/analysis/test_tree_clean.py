@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from pathlib import Path
 
+import pytest
+
 from repro.analysis import (
     DEFAULT_BASELINE_NAME,
     apply_baseline,
@@ -21,14 +23,18 @@ from repro.analysis import (
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
 
-def _gate(roots: list[Path]) -> tuple[list, set]:
-    findings = run_analysis(roots, project_root=REPO_ROOT)
+@pytest.fixture(scope="module")
+def gate() -> tuple[list, set]:
+    """``(fresh findings, stale baseline entries)`` of one whole-tree
+    run, shared by the two tests that read it (a run takes seconds)."""
+    findings = run_analysis([REPO_ROOT / "src", REPO_ROOT / "examples"],
+                            project_root=REPO_ROOT)
     baseline = load_baseline(REPO_ROOT / DEFAULT_BASELINE_NAME)
     return apply_baseline(findings, baseline)
 
 
-def test_src_and_examples_are_clean():
-    fresh, _stale = _gate([REPO_ROOT / "src", REPO_ROOT / "examples"])
+def test_src_and_examples_are_clean(gate):
+    fresh, _stale = gate
     assert not fresh, (
         "repro-lint found non-baselined findings; fix them (preferred), "
         "suppress with '# repro-lint: disable=<rule>' plus a reason, or "
@@ -36,8 +42,8 @@ def test_src_and_examples_are_clean():
         + "\n".join(f.render() for f in fresh))
 
 
-def test_baseline_has_no_stale_entries():
-    _fresh, stale = _gate([REPO_ROOT / "src", REPO_ROOT / "examples"])
+def test_baseline_has_no_stale_entries(gate):
+    _fresh, stale = gate
     assert not stale, (
         "baseline entries no longer match any finding; regenerate with "
         f"'repro-lint --update-baseline' ({sorted(stale)})")

@@ -14,6 +14,7 @@ from repro.corba import (
     compile_idl,
 )
 from repro.corba.idl.types import UserExceptionBase
+from repro.padicotm import VLink
 
 from tests.corba.conftest import DEMO_IDL, make_adder_servant
 
@@ -347,3 +348,41 @@ def test_non_existent_liveness_probe(runtime):
 
     out = _run_client(runtime, client, c_orb, url, body)
     assert out == {"alive": False, "gone": True}
+
+
+@pytest.mark.parametrize("protocol", ["giop", "esiop"])
+def test_malformed_frame_drops_that_connection_only(runtime, protocol):
+    """A bad magic, or a valid header over an unparseable request body,
+    is a protocol error on *that* connection: the server closes it and
+    keeps serving the others, and no server thread dies of it."""
+    server = runtime.create_process("a0", "server")
+    client = runtime.create_process("a1", "client")
+    vandal = runtime.create_process("a2", "vandal")
+    s_orb = Orb(server, OMNIORB4, compile_idl(DEMO_IDL), protocol=protocol)
+    s_orb.start()
+    c_orb = Orb(client, OMNIORB4, compile_idl(DEMO_IDL), protocol=protocol)
+    url = s_orb.object_to_string(
+        s_orb.poa.activate_object(make_adder_servant(s_orb)))
+    wire = s_orb.wire
+    frames = {"bad-magic": (b"JUNKJUNKJUNK", b""),
+              "bad-body": wire.frame(wire.MSG_REQUEST, b"\x01")}
+    ends, out = {}, {}
+
+    def junk(proc, kind):
+        end = VLink.connect(proc, vandal, "server", s_orb.port)
+        ends[kind] = end
+        end.send(proc, frames[kind], 12)
+        out[kind] = end.recv(proc)  # EOF once the server hangs up
+
+    def main(proc):
+        proc.sleep(1e-3)  # after both junk frames were served
+        out["sum"] = c_orb.string_to_object(url).add(20, 22)
+
+    for kind in frames:
+        vandal.spawn(junk, kind, name=kind)
+    client.spawn(main)
+    runtime.run()
+    assert out == {"bad-magic": None, "bad-body": None, "sum": 42}
+    for end in ends.values():
+        assert end.peer.closed  # the server's side of the junk connection
+    assert [p.name for p in runtime.kernel._processes if p.exc] == []

@@ -4,7 +4,8 @@ The ``rpc_small`` shape at 1/20 size, through the public API only: two
 hosts on Myrinet-2000, one runtime, a CORBA caller pushing 50 small
 blobs while an MPI pair does 50 ``Send``/``Recv`` round trips in the
 same two processes.  Every number below repeats exactly, so a change
-that moves one did so on purpose — see :func:`test_event_budget`.
+that moves one did so on purpose — see :func:`test_event_budget` — and
+attaching a :class:`~repro.obs.TraceRecorder` moves none of them.
 """
 
 import numpy as np
@@ -13,7 +14,9 @@ from repro.corba import OMNIORB4, Orb, compile_idl
 from repro.mpi import create_world
 from repro.net import Topology, build_cluster
 from repro.net.topology import MYRINET_2000
+from repro.obs import TraceRecorder
 from repro.padicotm import PadicoRuntime
+from repro.sim.kernel import _TRACER_HOOKS
 
 IDL = """
 module Bench {
@@ -25,10 +28,14 @@ SIZES = [0, 8, 64, 512, 4096]
 OPS = 50
 
 
-def _run():
+def _run(recorder=None):
+    """Returns ``(budget, kernel)``; ``recorder`` is observed for the
+    run and detached before the shutdown."""
     topo = Topology()
     build_cluster(topo, "n", 2, san=MYRINET_2000)
     rt = PadicoRuntime(topo)
+    if recorder is not None:
+        rt.observe(recorder)
     p0 = rt.create_process("n0", "p0")
     p1 = rt.create_process("n1", "p1")
     s_orb = Orb(p1, OMNIORB4, compile_idl(IDL))
@@ -67,6 +74,8 @@ def _run():
     p1.spawn(mpi_receiver, name="mpi-rank1")
     try:
         rt.run()
+        if recorder is not None:
+            rt.unobserve(recorder)
     finally:
         rt.shutdown()
     assert pushed == sizes
@@ -80,7 +89,7 @@ def _run():
         "solver_iterations": net.solver_iterations,
         "completed_flows": net.completed_flows,
         "now": repr(kernel.now),
-    }
+    }, kernel
 
 
 def test_event_budget():
@@ -101,8 +110,38 @@ def test_event_budget():
       recycling the request threads keeps ``threads_started`` at the
       long-lived processes plus one worker instead of one per request.
     """
-    assert _run() == BUDGET
-    assert _run() == BUDGET  # and again: counts, not clocks
+    assert _run()[0] == BUDGET
+    assert _run()[0] == BUDGET  # and again: counts, not clocks
+
+
+def test_recorder_leaves_the_kernel_path_alone():
+    """Observability's budget as a count: with a recorder attached the
+    kernel makes 0 hook calls per event — the recorder has no tracer
+    hook to call, none is installed, wake timers keep being recycled —
+    and every literal of the untraced run stands.  The recorder's two
+    scheduler counts are the kernel's own, frozen at ``unobserve``."""
+    at_drain = {}
+
+    class Recorder(TraceRecorder):
+        def on_detach(self, runtime):  # drained; shutdown() comes next
+            kernel = runtime.kernel
+            at_drain.update(
+                tracer=kernel.tracer, pooled=len(kernel._timer_pool),
+                counts=(kernel.events_processed, kernel.context_switches))
+            super().on_detach(runtime)
+
+    recorder = Recorder()
+    assert not any(hasattr(recorder, hook) for hook in _TRACER_HOOKS)
+    budget, kernel = _run(recorder)
+    assert budget == BUDGET
+    assert at_drain["tracer"] is None
+    assert at_drain["pooled"] > 0
+    assert (recorder.events_fired, recorder.context_switches) \
+        == at_drain["counts"] == (1469, 1289)
+    # shutdown() gave every parked server thread the token once more;
+    # the detached recorder did not follow
+    assert kernel.context_switches > recorder.context_switches
+    assert recorder.spans and recorder.now == kernel.now
 
 
 BUDGET = {

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.net import FlowNetwork, Topology, build_cluster
 from repro.obs import TraceRecorder
 from repro.sim import SimKernel
 
@@ -114,3 +115,53 @@ def test_unbound_recorder_stamps_time_zero():
     span = rec.spans[0]
     assert (span.start, span.end) == (0.0, 0.0)
     assert (span.pid, span.tid) == ("sim", "main")
+
+
+def test_bare_kernel_attach_sequence(kernel):
+    """``bind`` + ``attach_tracer`` + ``network.monitor =`` — what the
+    repo benchmark does on its runtime-less workload.  The recorder has
+    no tracer hook, so the kernel installs nothing; its two scheduler
+    counts start at ``bind``.  A lone tracer with only *some* of the
+    hooks is installed and called for exactly those."""
+    topo = Topology()
+    build_cluster(topo, "n", 2)
+    network = FlowNetwork(kernel, topo)
+
+    def ticker(p):
+        for _ in range(5):
+            p.sleep(0.001)
+
+    kernel.spawn(ticker, name="before")
+    kernel.run()
+    assert (kernel.events_processed, kernel.context_switches) == (6, 6)
+
+    class SwitchesOnly:
+        def __init__(self):
+            self.switched = []
+
+        def on_switch(self, proc):
+            self.switched.append(proc.name)
+
+    rec = TraceRecorder()
+    rec.bind(kernel)
+    kernel.attach_tracer(rec)
+    network.monitor = rec
+    assert kernel.tracer is None
+    lone = SwitchesOnly()
+    kernel.attach_tracer(lone)
+    assert kernel.tracer is lone
+
+    def sender(p):
+        network.transfer(p, "n0", "n1", 1e6, "n-san")
+
+    kernel.spawn(sender, name="sender")
+    kernel.spawn(ticker, name="after")
+    kernel.run()
+    assert (rec.events_fired, rec.context_switches) \
+        == (kernel.events_processed - 6, kernel.context_switches - 6)
+    assert rec.context_switches == len(lone.switched) > 6
+    assert set(lone.switched) == {"sender", "after"}
+    assert [f.ok for f in rec.flow_records()] == [True]
+    kernel.detach_tracer(rec)  # never installed: a no-op
+    kernel.detach_tracer(lone)
+    assert kernel.tracer is None

@@ -97,10 +97,12 @@ def test_monitor_is_read_only(runtime):
     assert runtime.monitor is None
 
 
-def test_recorder_attach_installs_kernel_tracer(runtime):
+def test_recorder_attach_installs_no_kernel_tracer(runtime):
+    """The recorder is a runtime monitor only: it reads the kernel's
+    clock and two counts, and the kernel reports nothing to it."""
     recorder = TraceRecorder()
     runtime.observe(recorder)
-    assert runtime.kernel.tracer is recorder
+    assert runtime.kernel.tracer is None
     assert recorder.now == runtime.kernel.now
     runtime.unobserve(recorder)
     assert runtime.kernel.tracer is None
@@ -110,7 +112,7 @@ def test_trace_context_manager(runtime):
     with runtime.trace() as recorder:
         assert isinstance(recorder, TraceRecorder)
         assert runtime.monitor is not None
-        assert runtime.kernel.tracer is recorder
+        assert runtime.kernel.tracer is None
     # detached on exit, recorder still usable
     assert runtime.monitor is None
     assert runtime.kernel.tracer is None

@@ -7,7 +7,9 @@ The recorder must also compose with the sanitizer: both attached at
 once, deterministic hook order, neither perturbing the other.
 """
 
-from repro.obs import TraceRecorder
+import json
+
+from repro.obs import TraceRecorder, chrome_trace
 from repro.sanitizer import Sanitizer
 from repro.sanitizer.explore import assert_schedule_deterministic
 from repro.sim import SimKernel
@@ -65,10 +67,45 @@ def test_sanitizer_uninstall_leaves_recorder_attached():
     def setup(rt):
         sans.append(Sanitizer(runtime=rt))
         sans[0].uninstall()
-        # the fan collapses back to the lone recorder, not to None
+        # the monitor fan collapses back to the lone recorder, not to
+        # None; the detector was the only kernel tracer
         assert rt.monitor is not None
-        assert rt.kernel.tracer is rec
+        assert rt.kernel.tracer is None
 
     with kernel:
         pingpong(kernel, monitors=[rec], setup=setup)
     assert any(s.name == "corba.invoke" for s in rec.spans)
+
+
+def test_recorder_and_sanitizer_each_see_what_they_see_alone():
+    """sim-san is a kernel tracer (fresh wake timers, ``hb_*`` edges),
+    the recorder is not (recycled timers, no hooks): together they
+    report the same races and the same trace bytes as each alone."""
+    def run(record, sanitize):
+        rec = TraceRecorder()
+        sans = []
+
+        def setup(rt):
+            shared = {"x": 0}
+            if sanitize:
+                sans.append(Sanitizer(runtime=rt))
+                shared = sans[0].tracked(shared, label="shared")
+
+            def bump(p):  # unsynchronised read-modify-write across a yield
+                tmp = shared["x"]
+                p.yield_()
+                shared["x"] = tmp + 1
+
+            for name in "ab":
+                rt.kernel.spawn(bump, name=name)
+
+        with SimKernel() as kernel:
+            pingpong(kernel, monitors=[rec] if record else [], setup=setup)
+        races = [r.render() for r in sans[0].races] if sanitize else None
+        return races, json.dumps(chrome_trace(rec), sort_keys=True)
+
+    races_alone, _ = run(record=False, sanitize=True)
+    _, trace_alone = run(record=True, sanitize=False)
+    races, trace = run(record=True, sanitize=True)
+    assert races == races_alone and races
+    assert trace == trace_alone and "corba.invoke" in trace

@@ -319,8 +319,8 @@ def test_suspend_hint_labelled_in_wait_graph():
 # tracer attach surface
 # ----------------------------------------------------------------------
 class _CountingTracer:
-    """Full hook surface (a single attached tracer must implement it
-    all; only fan *members* may implement subsets)."""
+    """Two of the seven hooks: a tracer, lone or fanned, implements
+    whichever it needs."""
 
     def __init__(self):
         self.fires = 0
@@ -331,21 +331,6 @@ class _CountingTracer:
 
     def on_switch(self, proc):
         self.switches += 1
-
-    def on_schedule(self, timer):
-        pass
-
-    def on_exit(self, proc):
-        pass
-
-    def on_join(self, proc, target):
-        pass
-
-    def hb_release(self, obj):
-        pass
-
-    def hb_acquire(self, obj):
-        pass
 
 
 def test_tracer_is_read_only():
