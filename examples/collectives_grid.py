@@ -4,10 +4,15 @@
 MPICH-G2's two-level scheme on the reproduction's grid topology: each
 communicator resolves its ranks to topology sites, elects one leader
 per site, and routes every collective through intra-site binomial
-subtrees glued by a leaders-only WAN tree — so a broadcast crosses the
-expensive wide-area links exactly ``sites - 1`` times instead of once
-per cross-site tree edge.  There is nothing to switch on: this is the
-one schedule ``repro.mpi`` has.
+subtrees glued by a leaders-only wide-area stage.  A rooted operation
+runs a tree over the leaders — a broadcast crosses the expensive links
+exactly ``sites - 1`` times instead of once per cross-site tree edge.
+A symmetric one (barrier, allgather, allreduce) makes one exchange
+among the leaders: ``log2(sites)`` wide-area steps instead of the
+``2 * log2(sites)`` of a reduce followed by a broadcast, paid for with
+``sites * log2(sites)`` crossings instead of ``2 * (sites - 1)``.
+There is nothing to switch on: this is the one schedule ``repro.mpi``
+has.
 
 Prints the virtual-clock time and the WAN-crossing count of each
 operation (each on its own ``dup()``, whose counters are then exactly
@@ -39,6 +44,7 @@ def main() -> None:
     ops = {
         "bcast": lambda c: c.bcast(
             bytes(PAYLOAD) if c.rank == 0 else None, root=0),
+        "allgather": lambda c: c.allgather(bytes(PAYLOAD // c.size)),
         "allreduce": lambda c: c.allreduce(
             np.full(PAYLOAD // 8, c.rank + 1.0), SUM),
         "alltoall": lambda c: c.alltoall(
@@ -62,6 +68,8 @@ def main() -> None:
     rt.run()
     rt.shutdown()
     assert rows["bcast"][1] == SITES - 1
+    for op in ("barrier", "allgather", "allreduce"):
+        assert rows[op][1] == SITES * (SITES.bit_length() - 1)
     print(f"{SITES} sites x {HOSTS_PER_SITE} hosts "
           f"({SITES * HOSTS_PER_SITE} ranks), 1 MiB payloads")
     for op, (seconds, crossings) in rows.items():

@@ -220,7 +220,15 @@ class _ClientConnection:
             if msg_type != wire.MSG_REPLY:
                 continue
             inp = CdrInputStream(body, little)
-            request_id, status = wire.read_reply(inp)
+            try:
+                request_id, status = wire.read_reply(inp)
+            except (CdrError, UnicodeDecodeError) as exc:
+                # a valid header over an unparseable reply: protocol
+                # error on this connection — pending callers raise, the
+                # next invocation reconnects
+                self._fail(SystemException("COMM_FAILURE",
+                                           f"malformed reply: {exc}"))
+                return
             event = self._pending.pop(request_id, None)
             if event is not None:
                 event.set((status, inp, nbytes))

@@ -1,35 +1,34 @@
 """Topology-aware collective hierarchy (MPICH-G2 style, paper Fig. 8).
 
 MPICH-G2 (Karonis et al.) showed that multi-site MPI collectives must be
-*topology-depth aware*: a rank-order binomial tree over the whole group
-crosses the WAN O(log N) times per broadcast, while a two-level tree —
-cluster-local binomial subtrees under a per-site *leader*, with only
-leaders talking over the WAN — crosses it exactly ``sites - 1`` times.
-Every collective of :class:`repro.mpi.Comm` runs that two-level
-schedule; this module holds the site hierarchy it routes through:
+*topology-depth aware*: what a collective costs is what it puts on the
+wide-area critical path.  Every collective of :class:`repro.mpi.Comm`
+runs cluster-local stages under a per-site *leader*, and only leaders
+talk over the WAN: a rooted operation crosses it ``sites - 1`` times on
+a binomial tree of leaders; ``barrier``, ``allgather`` and ``allreduce``
+make one symmetric exchange among the leaders (``log2(sites)`` steps)
+and finish inside every site in parallel.  This module holds the site
+hierarchy they route through:
 
 - :class:`SiteMap` — each group rank resolved to its host's topology
   ``site`` tag, with per-site member lists and the deterministic leader
   rule (lowest rank per site, except the root's site where the root
   itself leads, so data never takes an extra intra-site hop).  A map
-  with a single block is the degenerate case: the root leads everyone,
-  the leaders stage has one participant and vanishes, and what is left
-  is the classic whole-group binomial tree;
+  with a single block is the degenerate case: the leaders stage has one
+  participant and vanishes, and what is left is the classic whole-group
+  binomial tree;
 - :class:`CollShared` — the state all ranks of one communicator share:
   the site map, the one-block map a reduction falls back to when the
   site layout would reorder its operands, lazily-established per-site
-  subcircuits (the PadicoTM selector picks the site SAN for those, so
-  intra-site tree edges ride Myrinet instead of the WAN fabric's
-  uplinks), and the plain-integer WAN-crossing/byte counters behind
-  ``Comm.coll_stats``.
+  subcircuits (the PadicoTM selector picks the site SAN for those), and
+  the plain-integer WAN-crossing/byte counters behind
+  ``Comm.coll_stats`` (plain ints perturb nothing when no monitor is
+  attached; the ``mpi.wan_*`` obs counters are emitted by the
+  communicator under ``mon is not None`` guards).
 
 Rank-local ``Comm`` objects cannot share state directly, so
 :func:`shared_state` caches one :class:`CollShared` per communicator
-context on the (shared) Circuit object.  The counters are plain ints —
-they perturb nothing when no monitor is attached (the obs-guard
-contract); the ``mpi.wan_crossings`` / ``mpi.wan_bytes.<op>`` obs
-counters are emitted by the communicator only under ``mon is not None``
-guards.
+context on the (shared) Circuit object.
 """
 
 from __future__ import annotations

@@ -16,15 +16,16 @@ Cost model (charged to the virtual clock):
 
 Collectives are *topology aware* (MPICH-G2 style, see
 :mod:`repro.mpi.coll`) and there is one schedule for each: a binomial
-stage over the caller's site under a per-site leader, and a binomial
-stage over the leaders, the only ranks that cross the WAN — intra-site
-edges ride a per-site subcircuit whose fabric the PadicoTM selector
-picks (the site SAN on a grid).  A single-site group runs the same code
-over a one-block site map: the root leads everyone, the leaders stage
-has one participant, and what remains is the classic rank-order
-binomial tree.  Every communicator keeps WAN-crossing/byte counters
-(:attr:`Comm.coll_stats`) and, when a monitor is attached, emits the
-``mpi.wan_crossings`` / ``mpi.wan_bytes.<op>`` obs counters.
+stage over the caller's site under a per-site leader, and a stage over
+the leaders, the only ranks that cross the WAN — a binomial tree for a
+rooted operation, one symmetric exchange for ``barrier``, ``allgather``
+and ``allreduce``.  Intra-site edges ride a per-site subcircuit whose
+fabric the PadicoTM selector picks (the site SAN on a grid).  A
+single-site group runs the same code over a one-block site map: the
+leaders stage has one participant, and what remains is the classic
+rank-order binomial tree.  Every communicator keeps WAN-crossing/byte
+counters (:attr:`Comm.coll_stats`) and, when a monitor is attached,
+emits the ``mpi.wan_crossings`` / ``mpi.wan_bytes.<op>`` obs counters.
 
 Wall-clock protocol selection (Madeleine-style, virtual clock
 unaffected): outgoing buffers below :data:`RENDEZVOUS_THRESHOLD` are
@@ -593,6 +594,14 @@ class Comm:
                 self._xrecv(self.proc, src, tag, ctx, local=local)
             mask <<= 1
 
+    def _pack(self, acc: Any, buffered: bool) -> tuple[Any, float]:
+        """``(body, bytes)`` of a reduction operand (pickling is charged)."""
+        if buffered:
+            return ("b", acc), acc.nbytes
+        data = pickle.dumps(acc, protocol=pickle.HIGHEST_PROTOCOL)
+        self.proc.sleep(len(data) * PICKLE_BYTE_COST)
+        return ("p", data), len(data)
+
     def _seq_reduce(self, parts: list[int], rootpos: int, value: Any,
                     redop: ReduceOp, tag: int, ctx: str, op: str,
                     local: bool, buffered: bool) -> Any:
@@ -606,15 +615,8 @@ class Comm:
         while mask < k:
             if v & mask:
                 dst = parts[(v - mask + rootpos) % k]
-                if buffered:
-                    self._xsend(self.proc, dst, tag, ("b", acc),
-                                acc.nbytes, ctx, op, local=local)
-                else:
-                    data = pickle.dumps(acc,
-                                        protocol=pickle.HIGHEST_PROTOCOL)
-                    self.proc.sleep(len(data) * PICKLE_BYTE_COST)
-                    self._xsend(self.proc, dst, tag, ("p", data),
-                                len(data), ctx, op, local=local)
+                self._xsend(self.proc, dst, tag, *self._pack(acc, buffered),
+                            ctx, op, local=local)
                 break
             if v + mask < k:
                 src = parts[(v + mask + rootpos) % k]
@@ -624,6 +626,43 @@ class Comm:
                     else self._decode(self.proc, body, n)
                 acc = redop(acc, contrib)
             mask <<= 1
+        return acc
+
+    def _seq_allreduce(self, parts: list[int], acc: Any, redop: ReduceOp,
+                       tag: int, ctx: str, op: str, buffered: bool) -> Any:
+        """Recursive doubling over ``parts``: everyone ends with the
+        fold of all values in participant order.  A pair puts its lower
+        side on the left, so both partners compute the identical partial
+        (only associativity is assumed).  A count that is not a power of
+        two first folds ``parts[2j + 1]`` into ``parts[2j]`` for its
+        lowest ``k − p`` pairs; the odd one gets the result back last."""
+        def send(j: int, acc: Any) -> None:
+            self._xsend(self.proc, parts[j], tag,
+                        *self._pack(acc, buffered), ctx, op)
+
+        def recv(j: int) -> Any:
+            _s, _t, body, n = self._recv_body(self.proc, parts[j], tag, ctx)
+            return body[1] if buffered else self._decode(self.proc, body, n)
+
+        k, i = len(parts), parts.index(self._rank)
+        p = 1 << (k.bit_length() - 1)
+        r = k - p
+        if i < 2 * r:
+            if i & 1:
+                send(i - 1, acc)
+                return recv(i - 1)
+            acc = redop(acc, recv(i + 1))
+        v = i // 2 if i < 2 * r else i - r
+        mask = 1
+        while mask < p:
+            w = v ^ mask
+            peer = 2 * w if w < r else w + r
+            send(peer, acc)
+            other = recv(peer)
+            acc = redop(other, acc) if w < v else redop(acc, other)
+            mask <<= 1
+        if i < 2 * r:
+            send(i + 1, acc)
         return acc
 
     def _sitemap(self, root: int, ordered: bool) -> SiteMap:
@@ -662,13 +701,13 @@ class Comm:
     # ------------------------------------------------------------------
     @_collective("barrier")
     def barrier(self) -> None:
-        """Binomial gather-to-0 then binomial release (MPICH style).
+        """Binomial fence under each site's leader, an exchange of
+        nothing among the leaders, binomial release by each leader.
 
+        On one site that is gather-to-0 then release (MPICH style):
         2·ceil(log2(size)) message hops on the critical path — the term
         the paper's Figure-8 latency column grows by with node count.
-        Each site fences under its leader first, then both phases run
-        leader-only over the WAN: 2·(sites−1) crossings instead of
-        O(size·log size).
+        Sites add ceil(log2(sites)) WAN hops and release in parallel.
         """
         ctx = self._coll_context("barrier")
         sm, members, leader, local = self._hier(0)
@@ -676,11 +715,7 @@ class Comm:
         self._seq_gather_signal(members, lpos, 22, ctx, "barrier",
                                 local=local)
         if self._rank == leader:
-            leaders = sm.leaders(0)
-            self._seq_gather_signal(leaders, sm.site_of[0], 23, ctx,
-                                    "barrier", local=False)
-            self._seq_bcast(leaders, sm.site_of[0], ("p", b""), 0.0, 24,
-                            ctx, "barrier", local=False)
+            self._leaders_exchange(sm, [], ctx, "barrier")
         self._seq_bcast(members, lpos, ("p", b""), 0.0, 25, ctx,
                         "barrier", local=local)
 
@@ -725,16 +760,32 @@ class Comm:
             self._count_delivery(out.nbytes)
 
     def _bcast_body(self, body: Any, nbytes: float, root: int, ctx: str,
-                    op: str) -> tuple[Any, float]:
-        """Route a broadcast body: WAN tree over the leaders, then a
-        tree inside each site."""
+                    op: str, held: bool = False) -> tuple[Any, float]:
+        """Route a broadcast body: WAN tree over the leaders (skipped
+        when they all hold it, ``held``), then a tree inside each site."""
         sm, members, leader, local = self._hier(root)
-        if self._rank == leader:
+        if self._rank == leader and not held:
             body, nbytes = self._seq_bcast(
                 sm.leaders(root), sm.site_of[root], body, nbytes, 20,
                 ctx, op, local=False)
         return self._seq_bcast(members, members.index(leader), body,
                                nbytes, 21, ctx, op, local=local)
+
+    def _leaders_exchange(self, sm: SiteMap, mine: list, ctx: str,
+                          op: str) -> list:
+        """A Bruck exchange of per-site ``(rank, raw body)`` bundles
+        among the leaders: ceil(log2(sites)) steps, sites − 1 bundles
+        through each uplink.  Returns every entry, in rank order."""
+        leaders, i, s = sm.leaders(0), sm.site_of[self._rank], sm.nsites
+        blocks = [mine]  # blocks[j] is the bundle of site (i + j) mod s
+        while (dist := len(blocks)) < s:
+            part = blocks[:s - dist]
+            self._xsend(self.proc, leaders[i - dist], 27, ("rl", part),
+                        sum(len(d) for b in part for _r, d in b), ctx, op)
+            _s, _t, got, _n = self._recv_body(
+                self.proc, leaders[(i + dist) % s], 27, ctx)
+            blocks += got[1]
+        return sorted(e for b in blocks for e in b)
 
     def _block_bodies(self, members: list[int], data: bytes, ctx: str,
                       local: bool) -> list[tuple[int, bytes]]:
@@ -844,32 +895,25 @@ class Comm:
 
     @_collective("allgather")
     def allgather(self, obj: Any) -> list[Any]:
-        """Gather raw pickled bodies to rank 0, broadcast the bundle,
-        decode once per entry on every rank.
-
-        This fixes the historical double charge: the old gather→bcast
-        composition unpickled everything at rank 0 and re-pickled the
-        assembled list, paying ``PICKLE_BYTE_COST`` twice for every
-        byte.  Bytes are now serialised once at their source and
-        deserialised once per consumer."""
+        """Raw pickled bodies collect under each site leader, the
+        leaders exchange their bundles, every leader broadcasts the
+        whole set inside its site.  Bytes are serialised once at their
+        source and deserialised once per consumer."""
         ctx = self._coll_context("allgather")
         sm, members, leader, local = self._hier(0)
         data = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
         self.proc.sleep(len(data) * PICKLE_BYTE_COST)
         body, nbytes = None, 0.0
-        if self._rank == 0:
-            entries = self._block_bodies(members, data, ctx, local)
-            for _ in range(sm.nsites - 1):
-                _s, _t, bundle, _n = self._recv_body(
-                    self.proc, ANY_SOURCE, 27, ctx)
-                entries.extend(bundle[1])
-            entries.sort()
+        if self._rank == leader:
+            mine = self._block_bodies(members, data, ctx, local)
+            entries = self._leaders_exchange(sm, mine, ctx, "allgather")
             body = ("rl", entries)
             nbytes = float(sum(len(d) for _r, d in entries))
         else:
-            self._forward_body(data, 0, members, leader, ctx, "allgather",
-                               local)
-        body, _n = self._bcast_body(body, nbytes, 0, ctx, "allgather")
+            self._xsend(self.proc, leader, 26, ("p", data), len(data), ctx,
+                        "allgather", local=local)
+        body, _n = self._bcast_body(body, nbytes, 0, ctx, "allgather",
+                                    held=True)
         out: list[Any] = [None] * self.size
         for src, raw in body[1]:
             self.proc.sleep(len(raw) * PICKLE_BYTE_COST)
@@ -995,11 +1039,29 @@ class Comm:
                                  buffered=False)
         return acc if self._rank == root else None
 
+    def _allreduce_value(self, value: Any, redop: ReduceOp, tag: int,
+                         ctx: str, op: str, buffered: bool) -> Any:
+        """Each block pre-reduces under its leader, the leaders combine
+        the partials (each ends with the bit-identical rank-order fold)
+        and broadcast inside their sites.  A layout that would reorder
+        operands reduces to rank 0 as one block, which then broadcasts."""
+        sm, members, leader, local = self._hier(0, ordered=True)
+        acc = self._seq_reduce(members, members.index(leader), value, redop,
+                               tag, ctx, op, local, buffered)
+        body, n = None, 0.0
+        if self._rank == leader:
+            acc = self._seq_allreduce(sm.leaders(0), acc, redop, tag + 1,
+                                      ctx, op, buffered)
+            body, n = self._pack(acc, buffered)
+        body, n = self._bcast_body(body, n, 0, ctx, op, held=sm.multi_site)
+        return body[1] if buffered else self._decode(self.proc, body, n)
+
     @_collective("allreduce")
     def allreduce(self, obj: Any, op: ReduceOp) -> Any:
-        """Reduce to rank 0, then broadcast the result."""
-        reduced = self.reduce(obj, op, root=0)
-        return self.bcast(reduced, root=0)
+        """Rank-order reduction of pickled objects to every rank: one
+        wide-area sweep among the site leaders, no root."""
+        ctx = self._coll_context("allreduce")
+        return self._allreduce_value(obj, op, 34, ctx, "allreduce", False)
 
     @_collective("scan")
     def scan(self, obj: Any, op: ReduceOp) -> Any:
@@ -1012,10 +1074,8 @@ class Comm:
             prefix = self._decode(self.proc, body, n)
             acc = op(prefix, obj)
         if self._rank + 1 < self.size:
-            data = pickle.dumps(acc, protocol=pickle.HIGHEST_PROTOCOL)
-            self.proc.sleep(len(data) * PICKLE_BYTE_COST)
-            self._xsend(self.proc, self._rank + 1, 7, ("p", data),
-                        len(data), ctx, "scan")
+            self._xsend(self.proc, self._rank + 1, 7,
+                        *self._pack(acc, False), ctx, "scan")
         return acc
 
     @_collective("Reduce")
@@ -1043,13 +1103,14 @@ class Comm:
     @_collective("Allreduce")
     def Allreduce(self, sendbuf: np.ndarray, recvbuf: np.ndarray,
                   op: ReduceOp) -> None:
-        """Buffer-path reduce to rank 0 followed by broadcast."""
+        """Buffer-path :meth:`allreduce`: same schedule and operand
+        order, no pickle cost."""
         out = np.asarray(recvbuf)
-        if self._rank == 0:
-            self.Reduce(sendbuf, out, op, root=0)
-        else:
-            self.Reduce(sendbuf, None, op, root=0)
-        self.Bcast(out, root=0)
+        acc = self._allreduce_value(
+            self._stage(np.ascontiguousarray(sendbuf)), op, 36,
+            self._coll_context("Allreduce"), "Allreduce", buffered=True)
+        np.copyto(out, acc.reshape(out.shape))
+        self._count_delivery(out.nbytes)
 
     # ------------------------------------------------------------------
     # communicator management

@@ -386,3 +386,46 @@ def test_malformed_frame_drops_that_connection_only(runtime, protocol):
     for end in ends.values():
         assert end.peer.closed  # the server's side of the junk connection
     assert [p.name for p in runtime.kernel._processes if p.exc] == []
+
+
+@pytest.mark.parametrize("protocol", ["giop", "esiop"])
+def test_malformed_reply_fails_pending_callers_and_reconnects(runtime,
+                                                              protocol):
+    """A valid header over an unparseable reply body is a protocol error
+    on *that* connection: every caller pending on it raises COMM_FAILURE
+    (with no ``request_timeout`` it used to wait forever on a dead
+    reader), and the next invocation reconnects."""
+    server = runtime.create_process("a0", "server")
+    client = runtime.create_process("a1", "client")
+    s_orb = Orb(server, OMNIORB4, compile_idl(DEMO_IDL), protocol=protocol)
+    c_orb = Orb(client, OMNIORB4, compile_idl(DEMO_IDL), protocol=protocol)
+    url = s_orb.object_to_string(
+        s_orb.poa.activate_object(make_adder_servant(s_orb)))
+    wire = s_orb.wire
+    listener = VLink.listen(server, s_orb.port)  # in place of start()
+    out = {}
+
+    def acceptor(proc):
+        end = listener.accept(proc)
+        end.recv(proc)
+        end.recv(proc)  # both callers are pending now
+        bad = wire.frame(wire.MSG_REPLY, b"\x01")
+        end.send(proc, bad, wire.message_size(bad))
+        # whoever reconnects talks to the real server loop
+        s_orb._serve_connection(proc, listener.accept(proc))
+
+    def caller(proc, name):
+        stub = c_orb.string_to_object(url)
+        try:
+            out[name] = stub.add(20, 22)
+        except SystemException as exc:
+            out[name] = exc.minor
+            out[name + "-retry"] = stub.add(20, 22)
+
+    server.spawn(acceptor, name="acceptor", daemon=True)
+    for name in ("first", "second"):
+        client.spawn(caller, name, name=name)
+    runtime.run()
+    assert out == {"first": "COMM_FAILURE", "first-retry": 42,
+                   "second": "COMM_FAILURE", "second-retry": 42}
+    assert [p.name for p in runtime.kernel._processes if p.exc] == []

@@ -5,8 +5,9 @@ Differential tests: the flat rank-order binomial schedule
 one-block site map) is the oracle; production must produce identical
 values for every collective, every root, and every rank layout, while
 crossing the WAN less and staying within 3 % of flat's virtual time at
-worst on the committed table.  Digests captured at the
-parent of the one-schedule change pin what it must not have moved.
+worst on the committed table.  Digests captured at the parent of the
+one-schedule change, and at the parent of the leaders' exchange, pin
+what neither may have moved.
 """
 
 import hashlib
@@ -295,6 +296,39 @@ def test_wan_failure_mid_collective_fails_both_modes():
     assert errs[False] == errs[True] == "TransferError"
 
 
+def test_wan_failure_mid_exchange_fails_both_leaders():
+    """The same cable dies while the two leaders of a 2 x 2 grid are
+    swapping 8 MiB partials: the exchange is symmetric, so *both*
+    leaders are senders and both observe the failure; no rank returns
+    a result."""
+    rt, site_hosts = _grid(2, 2)
+    procs = _procs(rt, site_hosts)
+    out = {}
+
+    def body(proc, comm):
+        try:
+            comm.allreduce(np.ones(1 << 20), SUM)
+        except (TransferError, NoRouteError) as e:
+            out[comm.rank] = type(e).__name__
+            return "failed"
+        return "ok"
+
+    def saboteur(proc):
+        proc.sleep(1.0)  # both crossings are in flight by now
+        wan = rt.topology.fabrics["g-wan"]
+        for a, b in (("g-wan-core", "g-wan-r1"), ("g-wan-r1", "g-wan-core")):
+            rt.network.fail_link(wan.link(a, b))
+        rt.topology.set_link_state("g-wan", "g-wan-r1", "g-wan-core",
+                                   up=False)
+
+    threads = spmd(create_world(rt, "w", procs), body)
+    procs[0].spawn(saboteur, name="saboteur")
+    rt.kernel.run()
+    assert out == {0: "TransferError", 2: "TransferError"}
+    assert "ok" not in [t.result for t in threads if not t.alive]
+    rt.shutdown()
+
+
 # ---------------------------------------------------------------------
 # pins captured at the parent of the one-schedule change
 # ---------------------------------------------------------------------
@@ -337,16 +371,17 @@ def _timed_collectives(proc, comm):
     return spans
 
 
-def _pin(sites, hps, order, aware, skip=()):
+def _pin(sites, hps, order, aware, only=None):
     """``(final virtual time, events, world crossings, digest of every
-    rank's per-operation virtual durations)`` of the pin workload."""
+    rank's per-operation virtual durations)`` of the pin workload (of
+    the operations named in ``only``, when given)."""
     rt, site_hosts = _grid(sites, hps)
     world, spans = _run(rt, _procs(rt, site_hosts, order),
                         _timed_collectives, aware=aware)
     h = hashlib.sha256()
     for rank, rank_spans in enumerate(spans):
         for name, dur in rank_spans:
-            if name not in skip:
+            if only is None or name in only:
                 h.update(f"{rank} {name} {dur!r}\n".encode())
     pin = (repr(rt.kernel.now), rt.kernel.events_processed,
            world.comm(0).coll_stats.wan_crossings, h.hexdigest()[:16])
@@ -375,12 +410,64 @@ def test_flat_oracle_is_the_parent_flat_mode(layout, parent_flat):
     assert _pin(*layout, aware=False) == parent_flat
 
 
-def test_only_alltoall_moved_on_a_multi_site_grid():
-    """4 sites x 5 hosts against the parent's ``aware=True``: every
-    duration but alltoall's is bit-identical, crossings unchanged."""
+def _rooted_collectives(proc, comm):
+    """The collectives the leaders' exchange leaves alone — the rooted
+    ones at roots 0, 1, n-1 and n/2, then alltoall — back to back with
+    no fence (a fencing barrier hands its own exit skew to whatever it
+    fences): this rank's clock after each operation."""
+    n, me = comm.size, comm.rank
+    marks = []
+
+    def mark(name, fn):
+        fn()
+        marks.append((name, comm.Wtime()))
+
+    for root in (0, 1, n - 1, n // 2):
+        mark("bcast", lambda: comm.bcast(
+            bytes(3000) if me == root else None, root=root))
+        buf = np.arange(512, dtype=np.int64)
+        mark("bcast", lambda: comm.Bcast(buf, root=root))
+        mark("gather", lambda: comm.gather(
+            "g" * (100 + 10 * me), root=root))
+        mark("scatter", lambda: comm.scatter(
+            ["s" * (200 + i) for i in range(n)] if me == root else None,
+            root=root))
+        mark("reduce", lambda: comm.reduce(f"r{me}.", CONCAT, root=root))
+        out = np.zeros(256)
+        mark("reduce", lambda: comm.Reduce(
+            np.full(256, me + 1.0), out if me == root else None, SUM,
+            root=root))
+    mark("alltoall", lambda: comm.alltoall(
+        ["x" * (64 + d) for d in range(n)]))
+    return marks
+
+
+def test_only_the_exchanged_collectives_moved_on_a_multi_site_grid():
+    """4 sites x 5 hosts against the parent (rooted compositions for
+    barrier / allgather / allreduce).  Everything else is bit-identical
+    — clock, events, crossings, and every rank's completion time of
+    every bcast, gather, scatter, reduce and alltoall — and the three
+    exchanged operations (``split`` rides allgather) have new digests
+    at 366 crossings for the parent's 300."""
+    rt, site_hosts = _grid(4, 5)
+    world, marks = _run(rt, _procs(rt, site_hosts), _rooted_collectives)
+    digests = {}
+    for rank, rank_marks in enumerate(marks):
+        for name, when in rank_marks:
+            digests.setdefault(name, hashlib.sha256()).update(
+                f"{rank} {when!r}\n".encode())
+    assert (repr(rt.kernel.now), rt.kernel.events_processed,
+            world.comm(0).coll_stats.wan_crossings) == \
+        ("0.4083587171054408", 4145, 102)
+    assert {name: h.hexdigest()[:16] for name, h in digests.items()} == {
+        "bcast": "2f05904374cdba09", "gather": "e6df0f66a7271858",
+        "scatter": "6d9a4b6cd56c0576", "reduce": "fe32d6f4ad7f8f99",
+        "alltoall": "63a4634ded8b317b"}
+    rt.shutdown()
     _now, _events, crossings, digest = _pin(
-        4, 5, "contiguous", aware=True, skip=("alltoall",))
-    assert (crossings, digest) == (300, "46821eed15069e86")
+        4, 5, "contiguous", aware=True,
+        only=("barrier", "allgather", "allreduce", "split.allreduce"))
+    assert (crossings, digest) == (366, "c03e578e7ff3ce2f")
 
 
 # ---------------------------------------------------------------------
@@ -435,29 +522,45 @@ def _table_run(sites, aware):
             for op, ss in spans.items()}, values
 
 
+#: what barrier / allgather / allreduce read as rooted operation +
+#: broadcast (reduce(0) + bcast(0) and the like: 2·(sites − 1)
+#: crossings, 2·log2(sites) serial WAN steps) — the same flat run then
+#: as now, so new ÷ old speedup is old ÷ new virtual time
+ROOTED_COMPOSITION = {
+    2: dict(barrier=2.50, allgather=3.79, allreduce=4.13),
+    4: dict(barrier=1.75, allgather=4.66, allreduce=3.90),
+    8: dict(barrier=1.50, allgather=4.91, allreduce=3.74),
+}
+
+
 @pytest.mark.parametrize("sites,speedups", [
-    (2, dict(bcast=5.26, barrier=2.50, gather=1.09, allgather=3.79,
-             allreduce=4.13, alltoall=1.07)),
-    (4, dict(bcast=5.98, barrier=1.75, gather=0.99, allgather=4.66,
-             allreduce=3.90, alltoall=0.99)),
-    (8, dict(bcast=5.91, barrier=1.50, gather=0.99, allgather=4.91,
-             allreduce=3.74, alltoall=1.03)),
+    (2, dict(bcast=5.26, barrier=4.99, gather=1.09, allgather=10.22,
+             allreduce=7.72, alltoall=1.07)),
+    (4, dict(bcast=5.98, barrier=3.50, gather=0.99, allgather=15.50,
+             allreduce=7.50, alltoall=0.99)),
+    (8, dict(bcast=5.91, barrier=3.00, gather=0.99, allgather=20.01,
+             allreduce=7.26, alltoall=1.03)),
 ])
 def test_flat_vs_hierarchy_table(sites, speedups):
-    """Flat / hierarchy virtual time at 1 MiB on ``sites`` x 5 hosts.
-    The parent read 0.51x (4 sites) and 0.27x (8 sites) on alltoall:
-    every sender and every leader walked the destination sites in the
-    same order, so all of them hit site 0 first."""
+    """Flat / hierarchy virtual time at 1 MiB on ``sites`` x 5 hosts,
+    and what each operation puts on the WAN: a rooted one crosses it
+    once per remote site, alltoall once per ordered pair of sites, and
+    the three symmetric ones once per leader per step of their one
+    sweep — more crossings than the rooted compositions they replace,
+    for at most 0.6x of their virtual time."""
     flat, flat_values = _table_run(sites, aware=False)
     hier, hier_values = _table_run(sites, aware=True)
     assert hier_values == flat_values
-    assert hier["bcast"][1] == sites - 1
+    assert hier["bcast"][1] == hier["gather"][1] == sites - 1
     assert hier["alltoall"][1] == sites * (sites - 1)
     assert flat["alltoall"][1] == 25 * sites * (sites - 1)
     for op in TABLE_OPS:
         ratio = flat[op][0] / hier[op][0]
         assert ratio >= 0.97, f"{op} at {sites} sites: {ratio:.2f}x"
         assert ratio == pytest.approx(speedups[op], abs=0.006), op
+        if op in ROOTED_COMPOSITION[sites]:
+            assert hier[op][1] == sites * (sites.bit_length() - 1)
+            assert ROOTED_COMPOSITION[sites][op] / ratio <= 0.6, op
 
 
 def test_closed_world_fails_on_every_rank():

@@ -155,6 +155,13 @@ def test_simulation_is_deterministic_under_load():
 # ---------------------------------------------------------------------
 #: non-commutative (but associative): shows the operand order
 CONCAT = ReduceOp("concat", lambda a, b: a + b)
+MATMUL = ReduceOp("matmul", np.matmul, np.matmul)
+
+
+def _matrix(rank):
+    """A 2 x 2 integer matrix per rank; neighbours do not commute."""
+    shear = [[1, rank + 1], [0, 1]]
+    return np.array(shear if rank % 2 else shear[::-1], dtype=np.int64)
 
 
 @st.composite
@@ -185,9 +192,19 @@ def _every_collective(proc, comm, root):
                 root=root)
     res["Reduce"] = out.tolist()
     res["allreduce"] = comm.allreduce(f"{me}.", CONCAT)
+    res["allreduce_t"] = comm.allreduce((me,), CONCAT)
+    prod = np.zeros((2, 2), dtype=np.int64)
+    comm.Allreduce(_matrix(me), prod, MATMUL)
+    res["Allreduce"] = prod.tolist()
+    fsum = np.zeros(3)
+    comm.Allreduce(np.full(3, 0.1 * (me + 1)), fsum, SUM)
+    res["Allreduce_f"] = fsum.tobytes()
     res["scan"] = comm.scan(f"{me}.", CONCAT)
     res["alltoall"] = comm.alltoall([(me, d) for d in range(n)])
     res["split"] = comm.split(me % 2, key=-me).allgather(me)
+    res["dup"] = comm.dup().allgather(-me)
+    cart = comm.Create_cart([n], periods=[True])
+    res["cart"] = (cart.coords, cart.Shift(0), cart.allreduce((me,), CONCAT))
     return res
 
 
@@ -197,6 +214,9 @@ def _expected(n, me, root):
     rank order (root, root + 1, ...), see ``Comm.reduce``."""
     at_root = me == root
     total = float(sum(range(1, n + 1)))
+    prod = _matrix(0)
+    for r in range(1, n):
+        prod = prod @ _matrix(r)
     return {
         "barrier": None,
         "bcast": ("blob", root),
@@ -208,19 +228,23 @@ def _expected(n, me, root):
         if at_root else None,
         "Reduce": [total if at_root else 0.0] * 4,
         "allreduce": "".join(f"{r}." for r in range(n)),
+        "allreduce_t": tuple(range(n)),
+        "Allreduce": prod.tolist(),
         "scan": "".join(f"{r}." for r in range(me + 1)),
         "alltoall": [(src, me) for src in range(n)],
         "split": sorted(range(me % 2, n, 2), reverse=True),
+        "dup": [-r for r in range(n)],
+        "cart": ([me], ((me - 1) % n, (me + 1) % n), tuple(range(n))),
     }
 
 
-@settings(max_examples=60, deadline=None)
-@given(grid_layouts())
-def test_every_collective_on_any_grid_layout(layout):
-    hosts, root = layout
+def _check_layout(sites, hosts_per_site, hosts, root):
+    """Production == flat oracle == plain Python for the ranks placed on
+    ``hosts`` (indices into the site-major host list of the grid)."""
     results = []
     for make_world in (create_world, flat_world):
-        topo, site_hosts = build_grid(sites=4, hosts_per_site=4)
+        topo, site_hosts = build_grid(sites=sites,
+                                      hosts_per_site=hosts_per_site)
         rt = PadicoRuntime(topo)
         pool = [h for hs in site_hosts.values() for h in hs]
         world = make_world(rt, "w", [
@@ -231,7 +255,32 @@ def test_every_collective_on_any_grid_layout(layout):
         for t in threads:
             assert t.exc is None and not t.alive
         results.append([t.result for t in threads])
+    for per_rank in results:
+        # floating-point SUM: whatever the association, every rank of a
+        # world holds the same bits (the two worlds need not agree)
+        assert len({res.pop("Allreduce_f") for res in per_rank}) == 1
     production, oracle = results
-    assert production == oracle
     n = len(hosts)
+    assert production == oracle
     assert production == [_expected(n, me, root) for me in range(n)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(grid_layouts())
+def test_every_collective_on_any_grid_layout(layout):
+    hosts, root = layout
+    _check_layout(4, 4, hosts, root)
+
+
+@pytest.mark.parametrize("hosts", [
+    range(0, 10),                     # 5 sites x 2: one fold pair
+    range(1, 12),                     # 6 sites, uneven ends: two pairs
+    range(0, 14),                     # 7 sites x 2: three pairs
+    [0, 2, 3, 4, 6, 7, 9, 10, 12],    # 7 sites, one to two ranks each
+    [0, 2, 4, 6, 8, 1, 3, 5, 7, 9],   # 5 sites interleaved: one block
+], ids=["5x2", "6-uneven", "7x2", "7-uneven", "5-interleaved"])
+def test_every_collective_on_five_to_seven_sites(hosts):
+    """Leader counts that are not a power of two take the fold step of
+    the leaders' reduction; rank-order results all the same."""
+    hosts = list(hosts)
+    _check_layout(7, 2, hosts, root=len(hosts) // 2)
