@@ -26,8 +26,9 @@ lint-full:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro.analysis.cli --stats \
 		src examples
 
-# Seeded-mutant gate: every buf-*/ker-block-deep/obs-guard corpus
-# defect must be caught, every good-corpus pattern must stay clean
+# Seeded-mutant gate: every buf-*/ker-block-deep/obs-guard/perf-*
+# corpus defect must be caught, every good-corpus pattern must stay
+# clean (races and typestate are sim-san's: tests/sanitizer)
 lint-mutants:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro.analysis.mutants
 

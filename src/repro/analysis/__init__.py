@@ -7,15 +7,19 @@ checked rules (see ``docs/ANALYSIS.md``):
   (``det-*`` and ``ker-*`` rule families), and
 * the paper's layered PadicoTM architecture as an import DAG
   (``lay-*``), plus semantic lint for IDL/parallelism specs
-  (``idl-*``).
+  (``idl-*``) and hot-path idioms (``perf-*``).
 
-Since repro-lint v2 the per-file families are complemented by an
-*interprocedural* engine — a project call graph
-(:mod:`repro.analysis.callgraph`) plus a summary fixpoint framework
-(:mod:`repro.analysis.dataflow`) — with three whole-program clients:
-``buf-*`` (zero-copy buffer escape/mutation-after-publish),
-``ker-block-deep`` (transitive blocking-call reachability) and
-``obs-guard`` (instrumentation dominated by non-None guards).
+The per-file families are complemented by an *interprocedural* engine
+— a project call graph (:mod:`repro.analysis.callgraph`) plus a
+summary fixpoint framework (:mod:`repro.analysis.dataflow`) — with
+three whole-program clients: ``buf-*`` (zero-copy buffer
+escape/mutation-after-publish), ``ker-block-deep`` (transitive
+blocking-call reachability) and ``obs-guard`` (instrumentation
+dominated by non-None guards).
+
+Races and the VLink/Circuit lifecycle are checked at run time only, by
+sim-san (:mod:`repro.sanitizer`); the family audit in
+``docs/ANALYSIS.md`` says why each family here stays.
 
 Entry points: the ``repro-lint`` console script
 (:func:`repro.analysis.cli.main`) and :func:`run_analysis` for

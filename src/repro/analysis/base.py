@@ -141,8 +141,6 @@ def _load_builtin_families() -> None:
         layering,
         obsguard,
         perf,
-        simrace,
-        typestate,
     )
 
 

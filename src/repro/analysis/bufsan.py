@@ -22,12 +22,12 @@ simulated delivery.  Hence:
 Both findings report the publish site and the mutation site.  Analysis
 facts are a small serializable IR (publish / mutate / alias / call
 events, nested blocks mirroring the statement structure), so the
-``--changed`` cache can skip re-parsing unchanged files.  Like the
-``tys-*`` family, conditional blocks are interpreted with a
-non-propagating copy of the publish state — a publish inside an ``if``
-never poisons the fall-through path — while *summaries* use
-may-semantics, preferring missed reports over false positives locally
-but still catching conditional hazards across calls.
+``--changed`` cache can skip re-parsing unchanged files.  Conditional
+blocks are interpreted with a non-propagating copy of the publish
+state — a publish inside an ``if`` never poisons the fall-through
+path — while *summaries* use may-semantics, preferring missed reports
+over false positives locally but still catching conditional hazards
+across calls.
 """
 
 from __future__ import annotations

@@ -38,8 +38,6 @@ FAMILIES = {
     "blockdeep": ("ker-block-deep",),
     "obsguard": ("obs-guard",),
     "perf": ("perf-",),
-    "simrace": ("race-",),
-    "typestate2": ("tys-",),
 }
 
 _EXPECT_RE = re.compile(r"#\s*expect:\s*([A-Za-z0-9_-]+)")

@@ -11,8 +11,9 @@ Three tools, all opt-in and all zero-overhead when not installed
   access sites reported.
 * **Typestate monitoring** — the VLink/Circuit lifecycle DFA (no
   send-before-connect, no use-after-close, no double-bind, balanced
-  claims on arbitration drivers), enforced at the violating call.  The
-  static twin is the ``tys-*`` rule family in ``repro-lint``.
+  claims on arbitration drivers), enforced at the violating call.
+  Every violation is also recorded and :meth:`Sanitizer.check` raises
+  on any of them, so a daemon that dies of one cannot hide it.
 * **Seeded schedule exploration** — ``SimKernel(seed=N)`` permutes
   same-instant event order deterministically;
   :func:`explore_schedules` / :func:`assert_schedule_deterministic`
@@ -20,6 +21,8 @@ Three tools, all opt-in and all zero-overhead when not installed
   latent interleaving bugs into seed-stamped, replayable failures.
 
 :class:`Sanitizer` wires the first two onto a kernel/runtime pair.
+They are the tree's only race detector and only typestate checker:
+``repro-lint`` keeps no static twin of either.
 """
 
 from repro.sanitizer.api import Sanitizer

@@ -11,7 +11,9 @@
     # __exit__ raises RaceError if anything raced
 
 Attach to a :class:`~repro.padicotm.runtime.PadicoRuntime` instead to
-get the VLink/Circuit typestate monitor as well::
+get the VLink/Circuit typestate monitor as well; ``__exit__`` then also
+raises TypestateError for a violation recorded in any process, daemons
+included::
 
     runtime = PadicoRuntime(topology)
     san = Sanitizer(runtime=runtime)
@@ -59,8 +61,12 @@ class Sanitizer:
         return self.detector.races
 
     def check(self) -> None:
-        """Raise :class:`~repro.sanitizer.races.RaceError` on any race."""
+        """Raise :class:`~repro.sanitizer.races.RaceError` on any race,
+        then :class:`~repro.sanitizer.monitors.TypestateError` on any
+        recorded typestate violation."""
         self.detector.check()
+        if self.monitor is not None:
+            self.monitor.check()
 
     def report(self) -> str:
         return render_summary(self.detector, self.monitor)

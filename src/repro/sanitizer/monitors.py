@@ -12,8 +12,10 @@ PadicoRuntime` (``runtime.observe(TypestateMonitor())`` or via
 :class:`~repro.sanitizer.api.Sanitizer`); the abstraction and
 arbitration layers notify it through duck-typed hooks guarded by
 ``is not None`` tests, so a runtime without a monitor pays one attribute
-load per operation.  The static twin of this monitor is the ``tys-*``
-rule family in :mod:`repro.analysis.typestate`.
+load per operation.  A violation raised inside a daemon process (ORB
+and GIOP threads, ``mpi-isend`` helpers) dies with that process, so
+every violation is also recorded and :meth:`TypestateMonitor.check`
+raises them again after the run.
 """
 
 from __future__ import annotations
@@ -136,12 +138,21 @@ class TypestateMonitor:
         """(process, owner, count) for every claim never released.
 
         Cooperative subsystems legitimately hold claims for the process
-        lifetime, so this is a report, not an error — the static
-        ``tys-unreleased-claim`` rule flags the *direct* claims that
-        must be balanced.
+        lifetime, so this is a report, not an error: a *direct*
+        (``cooperative=False``) claim still listed after a run is the
+        leak to look for.
         """
         return [(process, owner, count)
                 for (process, owner), count in sorted(self._claims.items())]
+
+    def check(self) -> None:
+        """Raise :class:`TypestateError` naming every recorded violation."""
+        if self.violations:
+            plural = "s" if len(self.violations) != 1 else ""
+            raise TypestateError(
+                f"{len(self.violations)} typestate violation{plural} "
+                f"recorded:\n" + "\n".join(f"    {v}"
+                                           for v in self.violations))
 
     def states(self) -> dict[Any, str]:
         """Current lifecycle state of every monitored object."""

@@ -1,148 +1,20 @@
-"""One registry of cooperative-kernel synchronisation primitives.
+"""Happens-before edge emission for the cooperative-kernel primitives.
 
-Both halves of the race tooling read this table, so a primitive added
-here is automatically visible to the dynamic *and* the static detector:
+Every primitive in :mod:`repro.sim.sync` calls :func:`trace_release` /
+:func:`trace_acquire` on its release/acquire paths; the dynamic race
+detector (:class:`repro.sanitizer.races.RaceDetector`, installed as the
+kernel tracer) turns those calls into vector-clock edges.  With no
+tracer installed each call is one attribute load.
 
-* the dynamic sanitizer threads its happens-before edges through
-  :func:`trace_release` / :func:`trace_acquire`, which every primitive
-  in :mod:`repro.sim.sync` calls on its release/acquire paths;
-* the static ``sim-race`` analysis (:mod:`repro.analysis.simrace`)
-  derives its may-yield seeds, lock classes and channel-op tables from
-  the same entries (:func:`yield_seed_quals`, :func:`lock_classes`,
-  :func:`channel_ops`).
-
-The module is deliberately import-free (no kernel/sync imports): the
-static analyser loads it for the tables alone, and ``sync.py`` imports
-it without creating a cycle.
+The module is deliberately import-free (no kernel/sync imports), so
+``sync.py`` imports it without creating a cycle.
 """
 
 from __future__ import annotations
 
 from typing import Any
 
-#: class name -> behaviour of its methods under the cooperative kernel.
-#:
-#: ``yields``    methods that may switch away from the calling process
-#:               (every one of these is a point where an interrupt or
-#:               timeout can be delivered, and where atomicity between
-#:               yield points ends);
-#: ``releases``  release-style operations — the ``hb_release`` side of
-#:               a happens-before edge;
-#: ``acquires``  acquire-style operations — the ``hb_acquire`` side;
-#: ``lock``      True for primitives that carry mutual exclusion and
-#:               therefore participate in the static lockset analysis.
-PRIMITIVES: dict[str, dict] = {
-    "WaitQueue": {
-        "module": "repro.sim.sync",
-        "yields": ("wait",),
-        "releases": ("wake_one", "wake_all"),
-        "acquires": (),
-        "lock": False,
-    },
-    "SimEvent": {
-        "module": "repro.sim.sync",
-        "yields": ("wait",),
-        "releases": ("set",),
-        "acquires": ("wait",),
-        "lock": False,
-    },
-    "SimSemaphore": {
-        "module": "repro.sim.sync",
-        "yields": ("acquire",),
-        "releases": ("release",),
-        "acquires": ("acquire",),
-        "lock": True,
-    },
-    "SimLock": {
-        "module": "repro.sim.sync",
-        "yields": ("acquire",),
-        "releases": ("release",),
-        "acquires": ("acquire",),
-        "lock": True,
-    },
-    "SimCondition": {
-        "module": "repro.sim.sync",
-        "yields": ("wait",),
-        "releases": ("notify", "notify_all"),
-        "acquires": ("wait",),
-        "lock": False,
-    },
-    "SimBarrier": {
-        "module": "repro.sim.sync",
-        "yields": ("wait",),
-        "releases": ("wait",),
-        "acquires": ("wait",),
-        "lock": False,
-    },
-    "MatchQueue": {
-        "module": "repro.sim.sync",
-        "yields": ("get", "wait_match"),
-        "releases": ("put",),
-        "acquires": ("get", "get_nowait", "wait_match"),
-        "lock": False,
-    },
-    "Mailbox": {
-        "module": "repro.sim.sync",
-        "yields": ("put", "get"),
-        "releases": ("put", "put_nowait"),
-        "acquires": ("get", "get_nowait"),
-        "lock": False,
-    },
-    "SimProcess": {
-        "module": "repro.sim.kernel",
-        "yields": ("sleep", "suspend", "join", "yield_"),
-        "releases": (),
-        "acquires": (),
-        "lock": False,
-    },
-    "SimKernel": {
-        "module": "repro.sim.kernel",
-        "yields": ("run", "run_until_complete"),
-        "releases": (),
-        "acquires": (),
-        "lock": False,
-    },
-}
 
-#: method names too generic to trust without knowing the receiver type
-#: (``dict.get``, ``str.join``, ``list.put`` lookalikes, ...) — the
-#: static analysis only treats these as primitive operations when the
-#: receiver is typed through the registry.
-AMBIGUOUS_METHODS = frozenset({
-    "get", "put", "join", "set", "release", "run", "run_until_complete",
-    "notify", "notify_all",
-})
-
-#: yield-method names distinctive enough to trust on *any* receiver
-#: (the static analysis' untyped fallback).
-YIELD_METHOD_FALLBACK = frozenset(
-    m for info in PRIMITIVES.values() for m in info["yields"]
-) - AMBIGUOUS_METHODS
-
-
-def yield_seed_quals() -> frozenset:
-    """Fully qualified may-yield seeds, e.g. ``repro.sim.sync.Mailbox.get``."""
-    return frozenset(
-        f"{info['module']}.{name}.{method}"
-        for name, info in PRIMITIVES.items()
-        for method in info["yields"])
-
-
-def lock_classes() -> frozenset:
-    """Primitive class names that carry mutual exclusion."""
-    return frozenset(n for n, info in PRIMITIVES.items() if info["lock"])
-
-
-def channel_ops() -> tuple[dict, dict]:
-    """``(releases, acquires)``: class name -> method-name tuple."""
-    rel = {n: info["releases"] for n, info in PRIMITIVES.items()}
-    acq = {n: info["acquires"] for n, info in PRIMITIVES.items()}
-    return rel, acq
-
-
-# ----------------------------------------------------------------------
-# happens-before edge emission (the dynamic half)
-# ----------------------------------------------------------------------
 def trace_release(kernel: Any, primitive: Any) -> None:
     """Report a release-style operation on ``primitive`` to the kernel's
     tracer, if one is installed (free when none is)."""

@@ -103,7 +103,7 @@ def test_rebinding_kills_the_publish(lint_project):
 
 def test_branch_local_publish_does_not_leak(lint_project):
     # conditional publish state is deliberately not propagated past the
-    # branch (same FP-averse stance as the typestate checker)
+    # branch (the FP-averse stance of every interprocedural family)
     found = lint_project({"m.py": """\
         def marshal(stream, payload, eager):
             if eager:

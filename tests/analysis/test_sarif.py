@@ -11,9 +11,9 @@ def _sample_findings():
         Finding("det-wallclock", "time.time() is nondeterministic",
                 "src/repro/net/flows.py", 42, 8, Severity.ERROR,
                 "t = time.time()"),
-        Finding("tys-unreleased-claim", "direct claim never released",
-                "src/repro/mpi/api.py", 7, 0, Severity.WARNING,
-                "claim_nic('san0', 'BIP', 'mw', cooperative=False)"),
+        Finding("perf-list-pop0", "list.pop(0) is O(n) per pop",
+                "src/repro/sim/sync.py", 7, 0, Severity.WARNING,
+                "entry = self._waiters.pop(0)"),
     ]
 
 

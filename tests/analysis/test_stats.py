@@ -37,7 +37,7 @@ def test_stats_accumulate_times_and_rule_counts(tmp_path):
     assert sum(stats.rule_counts.values()) == len(findings)
     # both phases measured: per-file checkers and project checkers
     assert "determinism" in stats.file_seconds
-    assert "sim-race" in stats.project_seconds
+    assert "obs-guard" in stats.project_seconds
     assert all(t >= 0 for t in stats.file_seconds.values())
 
 

@@ -172,3 +172,120 @@ def test_monitor_states_snapshot(monitored_runtime):
     assert states[a] == "connected" and states[b] == "connected"
     a.close()
     assert san.monitor.states()[a] == "closed"
+
+
+def _sink(process, port):
+    """A daemon server that accepts one connection and drains it."""
+    def server(sp):
+        ep = VLink.listen(process, port).accept(sp)
+        while ep.recv(sp) is not None:
+            pass
+
+    process.spawn(server, name=f"sink-{port}", daemon=True)
+
+
+def test_use_after_close_through_a_helper_raises_at_the_call(
+        monitored_runtime):
+    rt, san = monitored_runtime
+    p0 = rt.create_process("a0", "server")
+    p1 = rt.create_process("a1", "client")
+    _sink(p0, "x")
+    caught = {}
+
+    def shutdown(link):
+        link.close()
+
+    def client(sp):
+        ep = VLink.connect(sp, p1, "server", "x")
+        shutdown(ep)
+        with pytest.raises(TypestateError, match="'send'.*'closed'"):
+            ep.send(sp, "late", 8)
+        caught["ep"] = ep
+
+    p1.spawn(client, name="cli", delay=1e-6)
+    rt.kernel.run()
+    assert san.monitor.states()[caught["ep"]] == "closed"
+    assert len(san.monitor.violations) == 1
+
+
+def test_use_after_close_through_a_factory_return_raises_at_the_call(
+        monitored_runtime):
+    rt, san = monitored_runtime
+    p0 = rt.create_process("a0", "server")
+    p1 = rt.create_process("a1", "client")
+    _sink(p0, "x")
+
+    def dial(sp):
+        return VLink.connect(sp, p1, "server", "x")
+
+    def client(sp):
+        ep = dial(sp)
+        ep.close()
+        with pytest.raises(TypestateError, match="'recv'.*'closed'"):
+            ep.recv(sp)
+
+    p1.spawn(client, name="cli", delay=1e-6)
+    rt.kernel.run()
+    assert len(san.monitor.violations) == 1
+
+
+def test_raise_with_open_endpoint_leaves_it_connected(monitored_runtime):
+    rt, san = monitored_runtime
+    p0 = rt.create_process("a0", "server")
+    p1 = rt.create_process("a1", "client")
+    _sink(p0, "x")
+    opened = {}
+
+    def connect_then_fail(sp):
+        opened["ep"] = VLink.connect(sp, p1, "server", "x")
+        raise RuntimeError("peer not ready")   # no finally, no close
+
+    def client(sp):
+        with pytest.raises(RuntimeError, match="peer not ready"):
+            connect_then_fail(sp)
+
+    p1.spawn(client, name="cli", delay=1e-6)
+    rt.kernel.run()
+    # not a violation — a leak, visible in the lifecycle snapshot
+    assert san.monitor.states()[opened["ep"]] == "connected"
+    assert san.monitor.violations == []
+
+
+def test_direct_claim_never_released_is_listed(monitored_runtime):
+    rt, san = monitored_runtime
+    p0 = rt.create_process("a0", "legacy-host")
+
+    def legacy(sp):
+        p0.arbitration.claim_nic("a-san", "BIP", "legacy-mw",
+                                 cooperative=False)
+
+    p0.spawn(legacy, name="legacy")
+    rt.kernel.run()
+    assert ("legacy-host", "legacy-mw", 1) in \
+        san.monitor.unreleased_claims()
+    assert "legacy-host: legacy-mw holds 1 claim(s)" in san.report()
+    san.check()   # a report, not an error
+
+
+def test_sanitizer_exit_raises_on_a_violation_inside_a_daemon():
+    # the violating call raises inside a daemon, which dies quietly; the
+    # recorded violation must still fail the sanitized block
+    topo = Topology()
+    build_cluster(topo, "a", 2)
+    with PadicoRuntime(topo) as rt:
+        p0 = rt.create_process("a0", "server")
+        p1 = rt.create_process("a1", "client")
+
+        def client(sp):
+            ep = VLink.connect(sp, p1, "server", "x")
+            ep.close()
+            ep.send(sp, "late", 8)
+
+        with pytest.raises(TypestateError) as info:
+            with Sanitizer(runtime=rt):
+                _sink(p0, "x")
+                p1.spawn(client, name="cli", delay=1e-6, daemon=True)
+                rt.kernel.run()
+    message = str(info.value)
+    assert message.startswith("1 typestate violation recorded")
+    assert "'send'" in message and "'closed'" in message

@@ -5,6 +5,9 @@ yield with no lock — must be flagged with BOTH access sites; every
 properly synchronised variant of the same shape must stay silent.
 """
 
+from functools import partial
+from types import SimpleNamespace
+
 import pytest
 
 from repro.sanitizer import RaceError, Sanitizer
@@ -161,6 +164,110 @@ def test_uninstall_restores_zero_overhead_configuration():
     assert kernel.tracer is san.detector
     san.uninstall()
     assert kernel.tracer is None
+
+
+# ----------------------------------------------------------------------
+# race shapes across schedules: each must be reported on its key under
+# the canonical order and every explored seed
+# ----------------------------------------------------------------------
+SEEDS = (None, 1, 2, 3, 4)
+
+
+def _rmw_window(kernel, san, owners=2):
+    # unlocked read-modify-write across a sleep, spawned from one site
+    # in a loop: with more than one owner it races its own siblings
+    counter = san.tracked(SimpleNamespace(value=0), label="counter")
+
+    def bump(p):
+        v = counter.value
+        p.sleep(1.0)
+        counter.value = v + 1
+
+    for _ in range(owners):
+        kernel.spawn(bump)
+
+
+def _partial_lock(kernel, san):
+    # the lock covers bump's window, but reset writes without taking it
+    lock = SimLock(kernel)
+    tally = san.tracked(SimpleNamespace(count=0), label="tally")
+
+    def bump(p):
+        lock.acquire(p)
+        v = tally.count
+        p.sleep(1.0)
+        tally.count = v + 1
+        lock.release(p)
+
+    def reset(p):
+        p.sleep(0.5)
+        tally.count = 0
+
+    kernel.spawn(bump)
+    kernel.spawn(reset)
+
+
+def _helper_yield(kernel, san):
+    # the yield hides two calls deep in helpers
+    meter = san.tracked(SimpleNamespace(level=0), label="meter")
+
+    def pause(p):
+        p.sleep(0.5)
+
+    def settle(p):
+        pause(p)
+
+    def bump(p):
+        v = meter.level
+        settle(p)
+        meter.level = v + 1
+
+    kernel.spawn(bump)
+    kernel.spawn(bump)
+
+
+def _callback_vs_process(kernel, san):
+    # a timer callback overwrites the slot a process straddles
+    box = san.tracked(SimpleNamespace(slot=None), label="box")
+
+    def waiter(p):
+        box.slot = "armed"
+        p.suspend()
+        box.slot = None
+
+    def on_timer():
+        box.slot = "late"
+
+    kernel.spawn(waiter, daemon=True)   # nobody wakes it
+    kernel.schedule(5.0, on_timer)
+
+
+def _raced_cells(scenario, seed):
+    with SimKernel(seed=seed) as kernel:
+        san = Sanitizer(kernel)
+        scenario(kernel, san)
+        kernel.run()
+        return {(r.label, r.key) for r in san.races}
+
+
+@pytest.mark.parametrize("scenario, cell", [
+    pytest.param(_rmw_window, ("counter", "value"), id="rmw_window"),
+    pytest.param(_partial_lock, ("tally", "count"), id="partial_lock"),
+    pytest.param(_helper_yield, ("meter", "level"), id="helper_yield"),
+    pytest.param(_callback_vs_process, ("box", "slot"),
+                 id="callback_vs_process"),
+    pytest.param(partial(_rmw_window, owners=4), ("counter", "value"),
+                 id="multi_instance"),
+])
+def test_race_shape_is_reported_under_every_schedule(scenario, cell):
+    for seed in SEEDS:
+        assert _raced_cells(scenario, seed) == {cell}, f"seed={seed}"
+
+
+def test_single_owner_window_is_clean_under_every_schedule():
+    for seed in SEEDS:
+        assert _raced_cells(partial(_rmw_window, owners=1), seed) == set(), \
+            f"seed={seed}"
 
 
 def test_context_manager_raises_on_exit_when_racy():
