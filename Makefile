@@ -1,16 +1,16 @@
 # Developer gates.  `make check` is what CI runs: the static lint, the
-# tier-1 test suite, the seeded schedule-exploration smoke, and the
-# bench smoke (one quick sweep, schema-checked BENCH_padico.json).
+# tier-1 test suite (which regenerates BENCH_padico.json and
+# EXPERIMENTS.md's tables in memory and byte-compares them), the seeded
+# schedule-exploration smoke, and the repo benchmark smoke.
 # Everything goes through PYTHONPATH=src so no install step is needed.
 
 PYTHON ?= python
 PYTHONPATH := src
 
 .PHONY: check lint lint-full lint-mutants test copy-budget \
-	schedule-smoke bench-smoke bench-e2e sarif
+	schedule-smoke bench-e2e sarif
 
-check: lint lint-mutants test copy-budget schedule-smoke bench-smoke \
-	bench-e2e
+check: lint lint-mutants test copy-budget schedule-smoke bench-e2e
 
 # Incremental: per-file results and call-graph summaries are cached by
 # content hash in .repro-lint-cache.json; the interprocedural phase
@@ -45,14 +45,6 @@ copy-budget:
 
 schedule-smoke:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro.sanitizer --seeds 5
-
-# Writes to a scratch path so it never clobbers the committed full
-# sweep (BENCH_padico.json, regenerated with `python -m benchmarks.run`)
-bench-smoke:
-	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m benchmarks.run --quick \
-		--out BENCH_smoke.json
-	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro.tools.trace bench \
-		BENCH_smoke.json
 
 # The repo benchmark (BENCHMARK.json) at ~1/20 size — all six workloads,
 # plain and ledger-traced — then its self-test.  The result document

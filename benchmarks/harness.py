@@ -1,14 +1,12 @@
-"""Shared measurement harness for the paper-reproduction benchmarks.
+"""The experiment library behind ``BENCH_padico.json`` and EXPERIMENTS.md.
 
 Every function builds a fresh simulated grid, drives the relevant
-middleware, and returns quantities read off the **virtual clock**
+middleware, and reads its quantities off the **virtual clock**
 (bandwidth in MB/s with MB = 1e6 bytes, latency in µs — the paper's
-units).  Series-shaped measurements come back as
-:class:`repro.obs.BenchResult` — mapping-style access (``curve[size]``,
-``curve.values()``) plus ``to_json()`` for the ``BENCH_padico.json``
-roll-up — while single scalars stay plain floats.  pytest-benchmark
-wraps these functions to additionally record the real wall-time cost of
-running each simulation."""
+units).  Each experiment returns one :class:`repro.obs.BenchResult`
+series.  ``benchmarks.run`` collects the series into the document and
+renders the tables; ``tests/test_paper_claims.py`` checks them against
+the ``PAPER_*`` values below."""
 
 from __future__ import annotations
 
@@ -26,10 +24,11 @@ from repro.core import (
     ParallelismDescriptor,
 )
 from repro.corba import MICO, OMNIORB4, Orb, compile_idl
-from repro.corba.profiles import OrbProfile
-from repro.mpi import World, create_world, spmd
-from repro.net import MYRINET_2000, Topology, build_cluster
-from repro.padicotm import PadicoRuntime
+from repro.corba.profiles import OPENCCM_JAVA, OrbProfile
+from repro.deploy import GridSecurityPolicy, secure_process
+from repro.mpi import create_world, spmd
+from repro.net import MYRINET_2000, Topology, build_cluster, build_two_site_grid
+from repro.padicotm import PadicoRuntime, VLink
 
 BENCH_IDL = """
 module Bench {
@@ -60,6 +59,59 @@ PARALLELISM_XML = """
 #: Figure 7's x axis: 32 B .. 8 MB
 FIG7_SIZES = (32, 1024, 32 * 1024, 1024 * 1024, 8 * 1024 * 1024)
 
+#: Figure 8's node counts (n → n)
+FIG8_NODES = (1, 2, 4, 8)
+
+#: the Fast-Ethernet text's containers: series name → profile
+FAST_ETHERNET = {"gridccm.fast_ethernet.mico": MICO,
+                 "gridccm.fast_ethernet.openccm": OPENCCM_JAVA}
+
+#: the Fast-Ethernet rows' vector per rank, in 4-byte integers
+FAST_ETHERNET_INTS_PER_RANK = 250_000
+
+#: A1's message size: Figure 7's largest
+MARSHALLING_BYTES = FIG7_SIZES[-1]
+
+#: A4's stream length
+SECURITY_BYTES = 4_000_000
+
+# ---------------------------------------------------------------------------
+# the paper's numbers (§4.4), keyed by the series that reproduces them
+# ---------------------------------------------------------------------------
+
+#: raw Myrinet-2000 bandwidth, MB/s ("96 % of the hardware")
+HARDWARE_MBPS = 250.0
+
+#: Figure 7 peak bandwidth per series, MB/s
+PAPER_PEAK_MBPS = {
+    "corba.bandwidth.omniORB-3.0.2": 240.0,
+    "corba.bandwidth.omniORB-4.0.0": 240.0,
+    "corba.bandwidth.Mico-2.3.7": 55.0,
+    "corba.bandwidth.ORBacus-4.0.5": 63.0,
+    "mpi.bandwidth.mpich-madeleine": 240.0,
+    "corba.bandwidth.omniORB-4.0.0.lan": 11.2,
+}
+
+#: the latency text, one-way µs ("slightly slower" puts omniORB 4 at 19)
+PAPER_LATENCY_US = {
+    "mpi.latency.mpich-madeleine": 11.0,
+    "corba.latency.omniorb3": 20.0,
+    "corba.latency.omniorb4": 19.0,
+    "corba.latency.orbacus": 54.0,
+    "corba.latency.mico": 62.0,
+}
+
+#: the concurrency text: each of CORBA and MPI gets this, MB/s
+PAPER_SHARING_MBPS = 120.0
+
+#: Figure 8: nodes → (latency µs, aggregate MB/s)
+PAPER_FIG8 = {1: (62.0, 43.0), 2: (93.0, 76.0),
+              4: (123.0, 144.0), 8: (148.0, 280.0)}
+
+#: the Fast-Ethernet text: nodes → aggregate MB/s per container
+PAPER_FAST_ETHERNET = {"gridccm.fast_ethernet.mico": {1: 9.8, 8: 78.4},
+                       "gridccm.fast_ethernet.openccm": {1: 8.3, 8: 66.4}}
+
 
 class _SinkImpl(ComponentImpl):
     """Bench endpoint: absorbs a distributed vector then barriers —
@@ -73,31 +125,38 @@ class _SinkImpl(ComponentImpl):
         pass
 
 
-# ---------------------------------------------------------------------------
-# Figure 7: CORBA / MPI bandwidth and latency over PadicoTM
-# ---------------------------------------------------------------------------
+def _fabric(lan_only: bool) -> str:
+    return "ethernet-100" if lan_only else "myrinet-2000"
 
-def corba_transfer_times(profile: OrbProfile, sizes=FIG7_SIZES,
-                         lan_only: bool = False) -> BenchResult:
-    """One-way transfer time (s) of ``sizes``-byte payloads via CORBA.
 
-    Measured as the round-trip of a void ``push(Blob)`` minus the
-    round-trip of an empty push, halved — i.e. the marginal one-way data
-    time, matching how ORB bandwidth benchmarks report numbers."""
-    topo = Topology()
-    build_cluster(topo, "n", 2, san=None if lan_only else MYRINET_2000)
-    rt = PadicoRuntime(topo)
-    server = rt.create_process("n0", "server")
-    client = rt.create_process("n1", "client")
-    s_orb = Orb(server, profile, compile_idl(BENCH_IDL))
+def _sink_url(server, client, profile: OrbProfile,
+              protocol: str = "giop") -> tuple[Orb, str]:
+    """Serve a void ``Bench::Sink`` on ``server``; return the client's
+    ORB and the object's URL."""
+    s_orb = Orb(server, profile, compile_idl(BENCH_IDL), protocol=protocol)
     s_orb.start()
-    c_orb = Orb(client, profile, compile_idl(BENCH_IDL))
+    c_orb = Orb(client, profile, compile_idl(BENCH_IDL), protocol=protocol)
 
     class Sink(s_orb.servant_base("Bench::Sink")):
         def push(self, data):
             pass
 
-    url = s_orb.object_to_string(s_orb.poa.activate_object(Sink()))
+    return c_orb, s_orb.object_to_string(s_orb.poa.activate_object(Sink()))
+
+
+def _corba_pingpong(profile: OrbProfile, sizes=(), lan_only: bool = False,
+                    protocol: str = "giop") -> tuple[float, dict[int, float]]:
+    """Round-trip of an empty void ``push`` (after a warm-up one) and
+    the one-way time of each of ``sizes``: its push's round-trip minus
+    half the empty one — the marginal one-way data time, as ORB
+    bandwidth benchmarks report it."""
+    topo = Topology()
+    build_cluster(topo, "n", 2, san=None if lan_only else MYRINET_2000)
+    rt = PadicoRuntime(topo)
+    server = rt.create_process("n0", "server")
+    client = rt.create_process("n1", "client")
+    c_orb, url = _sink_url(server, client, profile, protocol)
+    out: dict[str, float] = {}
     times: dict[int, float] = {}
 
     def main(proc):
@@ -105,76 +164,62 @@ def corba_transfer_times(profile: OrbProfile, sizes=FIG7_SIZES,
         stub.push(b"")  # connection warm-up
         t0 = rt.kernel.now
         stub.push(b"")
-        empty_rtt = rt.kernel.now - t0
+        out["empty_rtt"] = empty_rtt = rt.kernel.now - t0
         for size in sizes:
             payload = bytes(size)
             t0 = rt.kernel.now
             stub.push(payload)
-            rtt = rt.kernel.now - t0
-            times[size] = rtt - empty_rtt / 2
+            times[size] = rt.kernel.now - t0 - empty_rtt / 2
 
     client.spawn(main)
     rt.run()
     rt.shutdown()
-    suffix = ".lan" if lan_only else ""
-    return BenchResult(
-        name=f"corba.transfer_time.{profile.key}{suffix}",
-        unit="s",
-        points=tuple((size, times[size]) for size in sizes),
-        meta={"profile": profile.key,
-              "fabric": "ethernet-100" if lan_only else "myrinet-2000"})
+    return out["empty_rtt"], times
 
 
-def corba_bandwidth_curve(profile: OrbProfile, sizes=FIG7_SIZES,
-                          lan_only: bool = False) -> BenchResult:
-    """Figure-7 series: message size → MB/s."""
-    times = corba_transfer_times(profile, sizes, lan_only)
-    suffix = ".lan" if lan_only else ""
-    return BenchResult(
-        name=f"corba.bandwidth.{profile.key}{suffix}",
-        unit="MB/s",
-        points=tuple((size, size / t / 1e6) for size, t in times.items()),
-        meta=dict(times.meta))
-
-
-def corba_one_way_latency_us(profile: OrbProfile) -> float:
-    """§4.4 latency: half the round-trip of an empty invocation."""
-    topo = Topology()
-    build_cluster(topo, "n", 2)
-    rt = PadicoRuntime(topo)
-    server = rt.create_process("n0", "server")
-    client = rt.create_process("n1", "client")
-    s_orb = Orb(server, profile, compile_idl(BENCH_IDL))
-    s_orb.start()
-    c_orb = Orb(client, profile, compile_idl(BENCH_IDL))
-
-    class Sink(s_orb.servant_base("Bench::Sink")):
-        def push(self, data):
-            pass
-
-    url = s_orb.object_to_string(s_orb.poa.activate_object(Sink()))
-    out = {}
-
-    def main(proc):
-        stub = c_orb.string_to_object(url)
-        stub.push(b"")
-        t0 = rt.kernel.now
-        stub.push(b"")
-        out["rtt"] = rt.kernel.now - t0
-
-    client.spawn(main)
-    rt.run()
-    rt.shutdown()
-    return out["rtt"] / 2 * 1e6
-
-
-def mpi_bandwidth_curve(sizes=FIG7_SIZES) -> BenchResult:
-    """Figure-7 MPI series over PadicoTM/Myrinet."""
+def _mpi_pair(main) -> None:
+    """Run ``main(proc, comm)`` on two MPI ranks over Myrinet."""
     topo = Topology()
     build_cluster(topo, "n", 2)
     rt = PadicoRuntime(topo)
     procs = [rt.create_process(f"n{i}", f"rank{i}") for i in range(2)]
-    world = create_world(rt, "bench", procs)
+    spmd(create_world(rt, "bench", procs), main)
+    rt.run()
+    rt.shutdown()
+
+
+# ---------------------------------------------------------------------------
+# Figure 7 and the latency text: CORBA / MPI over PadicoTM
+# ---------------------------------------------------------------------------
+
+def corba_bandwidth_curve(profile: OrbProfile, sizes=FIG7_SIZES,
+                          lan_only: bool = False) -> BenchResult:
+    """Figure-7 series: message size → MB/s."""
+    _, times = _corba_pingpong(profile, sizes, lan_only)
+    suffix = ".lan" if lan_only else ""
+    return BenchResult(
+        name=f"corba.bandwidth.{profile.key}{suffix}",
+        unit="MB/s",
+        points=tuple((size, size / times[size] / 1e6) for size in sizes),
+        meta={"profile": profile.key, "fabric": _fabric(lan_only)})
+
+
+def corba_one_way_latency_us(profile: OrbProfile,
+                             protocol: str = "giop") -> float:
+    """§4.4 latency: half the round-trip of an empty invocation."""
+    return _corba_pingpong(profile, protocol=protocol)[0] / 2 * 1e6
+
+
+def corba_latency(name: str, profile: OrbProfile) -> BenchResult:
+    """One row of the latency text, as series ``corba.latency.{name}``."""
+    return BenchResult(
+        name=f"corba.latency.{name}", unit="us",
+        points=(("one_way", corba_one_way_latency_us(profile)),),
+        meta={"profile": profile.key})
+
+
+def mpi_bandwidth_curve(sizes=FIG7_SIZES) -> BenchResult:
+    """Figure-7 MPI series over PadicoTM/Myrinet."""
     curve: dict[int, float] = {}
 
     def main(proc, comm):
@@ -191,9 +236,7 @@ def mpi_bandwidth_curve(sizes=FIG7_SIZES) -> BenchResult:
                 comm.Recv(buf[:1], source=0, tag=0)
                 comm.Recv(buf, source=0, tag=1)
 
-    spmd(world, main)
-    rt.run()
-    rt.shutdown()
+    _mpi_pair(main)
     return BenchResult(
         name="mpi.bandwidth.mpich-madeleine",
         unit="MB/s",
@@ -201,12 +244,8 @@ def mpi_bandwidth_curve(sizes=FIG7_SIZES) -> BenchResult:
         meta={"profile": "mpich-madeleine", "fabric": "myrinet-2000"})
 
 
-def mpi_one_way_latency_us() -> float:
-    topo = Topology()
-    build_cluster(topo, "n", 2)
-    rt = PadicoRuntime(topo)
-    procs = [rt.create_process(f"n{i}", f"rank{i}") for i in range(2)]
-    world = create_world(rt, "bench", procs)
+def mpi_latency() -> BenchResult:
+    """The latency text's MPI row: half the round-trip of 1 byte."""
     out = {}
 
     def main(proc, comm):
@@ -224,11 +263,11 @@ def mpi_one_way_latency_us() -> float:
             comm.Recv(buf, source=0)
             comm.Send(buf, dest=0)
 
-    spmd(world, main)
-    rt.run()
-    rt.shutdown()
-    # subtract the 1-byte payload's fluid time (negligible) — report RTT/2
-    return out["rtt"] / 2 * 1e6
+    _mpi_pair(main)
+    return BenchResult(
+        name="mpi.latency.mpich-madeleine", unit="us",
+        points=(("one_way", out["rtt"] / 2 * 1e6),),
+        meta={"profile": "mpich-madeleine"})
 
 
 def concurrent_sharing_mbps(size: int = 24_000_000) -> BenchResult:
@@ -238,15 +277,7 @@ def concurrent_sharing_mbps(size: int = 24_000_000) -> BenchResult:
     rt = PadicoRuntime(topo)
     p0 = rt.create_process("n0", "p0")
     p1 = rt.create_process("n1", "p1")
-    s_orb = Orb(p1, OMNIORB4, compile_idl(BENCH_IDL))
-    s_orb.start()
-    c_orb = Orb(p0, OMNIORB4, compile_idl(BENCH_IDL))
-
-    class Sink(s_orb.servant_base("Bench::Sink")):
-        def push(self, data):
-            pass
-
-    url = s_orb.object_to_string(s_orb.poa.activate_object(Sink()))
+    c_orb, url = _sink_url(p1, p0, OMNIORB4)
     world = create_world(rt, "bench", [p0, p1])
     results: dict[str, float] = {}
     gate = 0.001
@@ -282,7 +313,7 @@ def concurrent_sharing_mbps(size: int = 24_000_000) -> BenchResult:
 
 
 # ---------------------------------------------------------------------------
-# Figure 8: GridCCM n→n over Myrinet (and the Fast-Ethernet variant)
+# Figure 8 and the Fast-Ethernet text: GridCCM n → n
 # ---------------------------------------------------------------------------
 
 def gridccm_n_to_n(n: int, profile: OrbProfile = MICO,
@@ -350,17 +381,47 @@ def gridccm_n_to_n(n: int, profile: OrbProfile = MICO,
         meta={"nodes": n, "profile": profile.key,
               "procs_per_host": procs_per_host,
               "ints_per_rank": ints_per_rank,
-              "fabric": "ethernet-100" if lan_only else "myrinet-2000",
+              "fabric": _fabric(lan_only),
               "units": {"latency_us": "us", "aggregate_mbps": "MB/s"}})
 
 
+def fast_ethernet_scaling(name: str, profile: OrbProfile) -> BenchResult:
+    """The Fast-Ethernet text: GridCCM aggregate bandwidth at 1 and 8
+    nodes, one process per machine, so every pair owns its NIC."""
+    points = tuple(
+        (n, gridccm_n_to_n(n, profile=profile, procs_per_host=1,
+                           ints_per_rank=FAST_ETHERNET_INTS_PER_RANK,
+                           lan_only=True)["aggregate_mbps"])
+        for n in (1, 8))
+    return BenchResult(
+        name=name, unit="MB/s", points=points,
+        meta={"profile": profile.key, "procs_per_host": 1,
+              "ints_per_rank": FAST_ETHERNET_INTS_PER_RANK,
+              "fabric": _fabric(True)})
+
+
 # ---------------------------------------------------------------------------
-# ablations
+# ablations A1, A2, A4, A5 (A3 reads the Figure-7 series at 8 MB)
 # ---------------------------------------------------------------------------
+
+def marshalling_strategy() -> BenchResult:
+    """A1: the same ORB overheads, only the CDR discipline flips."""
+    copying = OrbProfile("omniORB-copying", "ablation", zero_copy=False,
+                         client_overhead=OMNIORB4.client_overhead,
+                         server_overhead=OMNIORB4.server_overhead,
+                         copy_cost_per_byte=7.0e-9)
+    size = MARSHALLING_BYTES
+    return BenchResult(
+        name="ablation.marshalling", unit="MB/s",
+        points=(("zero_copy", corba_bandwidth_curve(OMNIORB4, (size,))[size]),
+                ("copying", corba_bandwidth_curve(copying, (size,))[size])),
+        meta={"profile": OMNIORB4.key, "size": size,
+              "copy_cost_per_byte": copying.copy_cost_per_byte})
+
 
 def proxy_vs_direct(n: int = 4,
                     ints_total: int = 4_000_000) -> BenchResult:
-    """Master-bottleneck ablation: the same total payload shipped to an
+    """A2, the master bottleneck: the same total payload shipped to an
     n-node component once through n direct parallel clients and once
     through the sequential proxy (the master-slave shape the paper
     rejects in §4.1)."""
@@ -400,3 +461,53 @@ def proxy_vs_direct(n: int = 4,
         unit="MB/s",
         points=(("direct_mbps", direct), ("proxy_mbps", out["proxy"])),
         meta={"nodes": n, "ints_total": ints_total})
+
+
+def _secured_stream(mode: str, cross_site: bool) -> float:
+    """One VLink stream between two secured processes, MB/s."""
+    topo, a_hosts, b_hosts = build_two_site_grid(n_per_site=2)
+    rt = PadicoRuntime(topo)
+    src = rt.create_process(a_hosts[0].name, "src")
+    dst = rt.create_process(
+        (b_hosts if cross_site else a_hosts)[1].name, "dst")
+    policy = GridSecurityPolicy(mode)
+    secure_process(src, policy)
+    secure_process(dst, policy)
+    listener = VLink.listen(dst, "sec")
+    out = {}
+
+    def srv(proc):
+        ep = listener.accept(proc)
+        ep.recv(proc)
+
+    def cli(proc):
+        ep = VLink.connect(proc, src, dst.name, "sec")
+        t0 = rt.kernel.now
+        ep.send(proc, b"x", SECURITY_BYTES)
+        out["bw"] = SECURITY_BYTES / (rt.kernel.now - t0) / 1e6
+
+    dst.spawn(srv)
+    src.spawn(cli)
+    rt.run()
+    rt.shutdown()
+    return out["bw"]
+
+
+def security_policy() -> BenchResult:
+    """A4: a stream inside one site (SAN) and across the WAN under each
+    per-link encryption policy; points are ``{mode}.{san|wan}``."""
+    return BenchResult(
+        name="ablation.security_policy", unit="MB/s",
+        points=tuple((f"{mode}.{wire}", _secured_stream(mode, wire == "wan"))
+                     for mode in ("never", "wan-only", "always")
+                     for wire in ("san", "wan")),
+        meta={"payload_bytes": SECURITY_BYTES})
+
+
+def wire_protocol() -> BenchResult:
+    """A5: omniORB 4's one-way latency under GIOP and under ESIOP."""
+    return BenchResult(
+        name="ablation.wire_protocol", unit="us",
+        points=tuple((protocol, corba_one_way_latency_us(OMNIORB4, protocol))
+                     for protocol in ("giop", "esiop")),
+        meta={"profile": OMNIORB4.key})

@@ -7,7 +7,7 @@ flow-level simulation:
 - :mod:`repro.net.devices` — calibrated technology models
   (:data:`MYRINET_2000`, :data:`SCI`, :data:`ETHERNET_100`, :data:`WAN`);
 - :mod:`repro.net.topology` — hosts, switches, *fabrics* (one network of
-  one technology), links, routing (networkx shortest paths);
+  one technology), links, routing (lowest-latency live paths);
 - :mod:`repro.net.flows` — the max-min fair bandwidth allocator and the
   :class:`FlowNetwork` transfer engine.
 

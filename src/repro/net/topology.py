@@ -7,19 +7,20 @@ wide-area interconnect — mirroring the paper's view that a grid node may
 own several NICs on different networks and that the runtime (PadicoTM)
 picks which one to use per communication.
 
-Each fabric is an undirected networkx graph whose nodes are host names
-and switch names; every edge materialises as a *pair of simplex*
+Each fabric is an undirected graph whose nodes are host names and
+switch names; every edge materialises as a *pair of simplex*
 :class:`Link` objects (full-duplex cable), which is what makes the
 max-min allocator in :mod:`repro.net.flows` attribute send and receive
-bandwidth independently.
+bandwidth independently.  Routes are lowest-latency paths over live
+links (Dijkstra, :meth:`Fabric.route`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
+from itertools import count
 from typing import Iterable, Sequence
-
-import networkx as nx
 
 from repro.net.devices import ETHERNET_100, MYRINET_2000, WAN, NetworkTechnology
 
@@ -101,7 +102,9 @@ class Fabric:
         self.name = name
         self.technology = technology
         self.site = site
-        self.graph = nx.Graph()
+        #: node → {neighbour: simplex link node→neighbour}, neighbours
+        #: in cabling order (the order Dijkstra visits them in)
+        self._adj: dict[str, dict[str, Link]] = {}
         self._links: dict[tuple[str, str], Link] = {}
         #: shortest-path results keyed on (src, dst); invalidated by any
         #: link state change or graph growth.  Dijkstra over a 10k-host
@@ -121,12 +124,16 @@ class Fabric:
                   latency: float) -> None:
         if a == b:
             raise ValueError(f"self-loop {a!r} in fabric {self.name!r}")
-        self.graph.add_edge(a, b)
         for src, dst in ((a, b), (b, a)):
-            self._links[(src, dst)] = Link(
-                f"{self.name}:{src}->{dst}", src, dst, self,
-                bandwidth, latency)
+            link = Link(f"{self.name}:{src}->{dst}", src, dst, self,
+                        bandwidth, latency)
+            self._links[(src, dst)] = link
+            self._add_node(src)[dst] = link
         self._invalidate_routes()
+
+    def _add_node(self, name: str) -> dict[str, Link]:
+        """Register a host or switch; returns its neighbour table."""
+        return self._adj.setdefault(name, {})
 
     def link(self, src: str, dst: str) -> Link:
         return self._links[(src, dst)]
@@ -149,29 +156,80 @@ class Fabric:
             self.route_cache_hits += 1
             return list(cached)
         self.route_cache_misses += 1
-        if src not in self.graph or dst not in self.graph:
+        if src not in self._adj or dst not in self._adj:
             raise NoRouteError(
                 f"{src!r} or {dst!r} not attached to fabric {self.name!r}")
-
-        def weight(a: str, b: str, _attrs: dict) -> float | None:
-            link = self._links[(a, b)]
-            return link.latency if link.up else None
-
-        try:
-            path = nx.shortest_path(self.graph, src, dst, weight=weight)
-        except nx.NetworkXNoPath as exc:
-            raise NoRouteError(
-                f"no live path {src!r}->{dst!r} on fabric {self.name!r}") from exc
-        route = [self._links[(a, b)] for a, b in zip(path, path[1:])]
+        route = self._dijkstra(src, dst)
         self._route_cache[(src, dst)] = route
         return list(route)
+
+    def _dijkstra(self, src: str, dst: str) -> list[Link]:
+        """Lowest-latency live path, by bidirectional Dijkstra.
+
+        Ties break exactly as in networkx's ``bidirectional_dijkstra``
+        (what ``shortest_path(G, src, dst, weight=...)`` runs), so every
+        route, flow and digest is the one that code produced: the two
+        searches alternate, forward first, over heaps of ``(distance,
+        counter, node)`` sharing one counter; neighbours are scanned in
+        cabling order; a predecessor is replaced only by a strictly
+        shorter distance; a down link is hidden; the meeting node is the
+        first to strictly improve the best total, and the search stops
+        when one node is settled from both ends.  Pinned against
+        networkx by ``tests/net/test_routing_oracle.py``.
+        """
+        adj = self._adj
+        dists: tuple[dict, dict] = ({}, {})
+        preds: tuple[dict, dict] = ({src: None}, {dst: None})
+        seen: tuple[dict, dict] = ({src: 0}, {dst: 0})
+        tick = count()
+        fringe = ([(0, next(tick), src)], [(0, next(tick), dst)])
+        best = meet = None
+        way = 1
+        while fringe[0] and fringe[1]:
+            way = 1 - way
+            dist, _, node = heappop(fringe[way])
+            done = dists[way]
+            if node in done:
+                continue
+            done[node] = dist
+            if node in dists[1 - way]:
+                return self._meet_path(preds, meet)
+            near, far = seen[way], seen[1 - way]
+            for peer, out in adj[node].items():
+                link = out if way == 0 else adj[peer][node]
+                if not link.up or peer in done:
+                    continue
+                d = dist + link.latency
+                if peer not in near or d < near[peer]:
+                    near[peer] = d
+                    heappush(fringe[way], (d, next(tick), peer))
+                    preds[way][peer] = node
+                    if peer in far:
+                        total = d + far[peer]
+                        if best is None or best > total:
+                            best, meet = total, peer
+        raise NoRouteError(
+            f"no live path {src!r}->{dst!r} on fabric {self.name!r}")
+
+    def _meet_path(self, preds: tuple[dict, dict], meet: str) -> list[Link]:
+        nodes = _walk(preds[0], meet)[::-1] + _walk(preds[1], preds[1][meet])
+        return [self._adj[a][b] for a, b in zip(nodes, nodes[1:])]
 
     def path_latency(self, src: str, dst: str) -> float:
         return sum(l.latency for l in self.route(src, dst))
 
     def __repr__(self) -> str:
         return (f"<Fabric {self.name} ({self.technology.name}) "
-                f"{self.graph.number_of_nodes()} nodes>")
+                f"{len(self._adj)} nodes>")
+
+
+def _walk(pred: dict, node: str | None) -> list[str]:
+    """``node`` and its predecessors, up to the end of the chain."""
+    chain = []
+    while node is not None:
+        chain.append(node)
+        node = pred[node]
+    return chain
 
 
 class Topology:
@@ -200,8 +258,7 @@ class Topology:
 
     def add_switch(self, fabric: str | Fabric, name: str) -> str:
         """Register a switch node on a fabric; returns its name."""
-        fab = self._fabric(fabric)
-        fab.graph.add_node(name)
+        self._fabric(fabric)._add_node(name)
         return name
 
     def attach(self, host: str | Host, fabric: str | Fabric,

@@ -6,7 +6,8 @@ that never landed anywhere durable.  A :class:`BenchResult` is a frozen
 (x, value) point series with a unit and free-form metadata, read like a
 mapping (``result[1024]``, ``result.values()``) and serialised with
 :meth:`to_json`.  A set of results rolls up into a ``padico-bench/1``
-document (``BENCH_padico.json``) via :func:`bench_document`, and
+document (``BENCH_padico.json``) via :func:`bench_document` and
+:func:`bench_json_text`, and
 :func:`validate_bench_doc` is the schema gate CI runs against it.
 """
 
@@ -92,12 +93,12 @@ def bench_document(results: list[BenchResult],
     }
 
 
-def write_bench_json(path: str, results: list[BenchResult],
-                     meta: Mapping[str, Any] | None = None) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(bench_document(results, meta), fh,
-                  sort_keys=True, indent=1)
-        fh.write("\n")
+def bench_json_text(results: list[BenchResult],
+                    meta: Mapping[str, Any] | None = None) -> str:
+    """The document as a file holds it: sorted keys, one-space indent,
+    a trailing newline — byte-stable for the same results."""
+    return json.dumps(bench_document(results, meta),
+                      sort_keys=True, indent=1) + "\n"
 
 
 class BenchSchemaError(ValueError):

@@ -1,6 +1,6 @@
 """Clean: blocking Send returns only after the matching delivery, so
 the ping-pong reuse of the same buffer is the sanctioned pattern (this
-is the netbench idiom — regression guard against re-flagging it)."""
+is the MPI latency probe's idiom — guard against re-flagging it)."""
 
 
 def pingpong(comm, buf, peer, rounds):

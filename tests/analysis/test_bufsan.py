@@ -29,7 +29,7 @@ def test_view_wrapper_does_not_hide_the_alias(lint_project):
 
 
 def test_blocking_send_roundtrip_is_clean(lint_project):
-    # the netbench ping-pong: blocking Send returns only after the
+    # the MPI latency ping-pong: blocking Send returns only after the
     # matching delivery, so immediate reuse is the sanctioned pattern
     found = lint_project({"bench.py": """\
         def pingpong(comm, buf, peer, rounds):

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.obs import (BENCH_SCHEMA, BenchResult, BenchSchemaError,
-                       bench_document, validate_bench_doc, write_bench_json)
+                       bench_document, bench_json_text, validate_bench_doc)
 
 
 def _curve():
@@ -39,7 +39,7 @@ def test_json_round_trip_and_render():
 
 def test_document_write_and_validate(tmp_path):
     path = tmp_path / "BENCH_padico.json"
-    write_bench_json(str(path), [_curve()], meta={"mode": "quick"})
+    path.write_text(bench_json_text([_curve()], meta={"mode": "quick"}))
     doc = json.loads(path.read_text())
     assert doc["schema"] == BENCH_SCHEMA
     assert doc["meta"] == {"mode": "quick"}
