@@ -4,16 +4,17 @@
 The paper's Figure-1 environment scaled up: a multi-site grid —
 Myrinet islands behind leaf/spine switches, joined by WAN links — with
 per-site flow rings plus cross-site WAN transfers, admitted in batches
-and re-solved per site by the max-min solver.  Midway through the
+and re-solved by the max-min solver.  Midway through the
 second wave the live allocation is checked against a from-scratch
 :func:`maxmin_rates` solve over every flow: bit-for-bit equal.
 
 The constants below are the whole configuration.  The defaults run in a
-second; ``SITES = 20``, ``HOSTS_PER_SITE = 500`` and ``FLOWS_PER_HOST =
-10`` give the 10 000-host grid with 100 020 concurrent flows (the
-column form of the live-flow state and the whole-shard vectorized
-solves, see docs/PERFORMANCE.md) — there the from-scratch check, a
-scalar solve over every flow, is the slow part.
+second, with 32 flows per site: below the solver's whole-shard gate,
+so every solve walks components.  ``SITES = 20``, ``HOSTS_PER_SITE =
+500`` and ``FLOWS_PER_HOST = 10`` give the 10 000-host grid with 100 020
+concurrent flows, where completions re-solve whole sites from the
+column form of the live-flow state (docs/PERFORMANCE.md) — there the
+from-scratch check, a scalar solve over every flow, is the slow part.
 
 Run:  python examples/grid_scaling.py
 """

@@ -35,13 +35,11 @@ tier computes bit-for-bit the same rates:
   are never shared with another site — so re-solving a whole dirty
   shard is exactly as correct as re-solving the minimal component, but
   needs no per-event graph search: shard membership is one dict lookup.
-  A dirty shard is solved wholesale once it holds
-  :data:`_VEC_MIN_FLOWS` live flows *and* the last component walked
-  inside it spanned at least half the shard (a decaying estimate —
-  densely coupled sites graduate to shard solves, shards full of small
-  disjoint components keep the cheaper component walk).  A route
-  mixing tagged and untagged fabrics *taints* the sites it touches, and
-  tainted shards fall back to the always-correct component walk.
+  A dirty shard is solved wholesale while the network is in column
+  form (below) and the shard holds :data:`_VEC_MIN_FLOWS` live flows.
+  A route mixing tagged and untagged fabrics *taints* the sites it
+  touches; tainted shards, and the coupling tier always, go through the
+  always-correct component walk.
 * Subsets of at least :data:`_VEC_MIN_FLOWS` flows — every whole-shard
   solve, and any component walk that large — are filled by a
   numpy-vectorised twin of the scalar loop
@@ -55,14 +53,15 @@ tier computes bit-for-bit the same rates:
   live flow.  From :data:`_TABLE_MIN_FLOWS` live flows on, a network
   holds their state as columns (:class:`_FlowTable`) and those passes
   are array operations — the loops' arithmetic, element by element, in
-  their order; below it nothing but the per-object loops exists.
+  their order; below it nothing but the per-object loops exists.  The
+  table is the one per-flow route store: whole-shard solves gather
+  their routes from its columns and write their rates back into it.
 """
 
 from __future__ import annotations
 
 from array import array
 from bisect import bisect_left, bisect_right
-from struct import pack
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -103,8 +102,7 @@ class Flow:
 
     __slots__ = ("route", "size", "_remaining", "_rate", "_table", "waiter",
                  "callback", "error", "done", "start_time", "fid", "seq",
-                 "shard", "route_id_bytes", "route_bw_bytes",
-                 "route_len_bytes")
+                 "shard")
 
     def __init__(self, route: Sequence[Link], size: float,
                  waiter: SimProcess | None, callback: Callable | None,
@@ -129,14 +127,6 @@ class Flow:
         #: site tag when every link on the route lives in fabrics of one
         #: site; ``None`` for wide-area / mixed routes (coupling tier)
         self.shard: str | None = None
-        #: route as interned link ids / link bandwidths / length, cached
-        #: once at add time by the owning FlowNetwork as raw little
-        #: buffers: ``bytes.join`` + ``np.frombuffer`` assembles a
-        #: 100k-flow subset's link arrays in one C pass, where
-        #: concatenating 100k tiny numpy arrays would dominate the solve
-        self.route_id_bytes: bytes = b""
-        self.route_bw_bytes: bytes = b""
-        self.route_len_bytes: bytes = b""
 
     @property
     def remaining(self) -> float:
@@ -178,68 +168,11 @@ class Flow:
                 f"rate={self.rate/1e6:.1f}MB/s done={self.done}>")
 
 
-class _ShardBuf:
-    """Incrementally-maintained concatenation of one shard's per-flow
-    route byte caches, in member (ascending ``Flow.seq``) order.
-
-    The vectorised fill assembles its link tables from three byte
-    buffers (route lengths, interned link ids, link bandwidths).
-    Rebuilding them per solve costs a Python listcomp over every member
-    flow; this cache keeps them as ``bytearray`` blobs instead —
-    admission appends (amortised O(1)), departure splices the member's
-    slice out (a C-level ``memmove``, with the splice point found by
-    bisecting the ascending seq list) — so a whole-shard solve starts
-    from ready-made buffers.  The blob contents are *by construction*
-    byte-identical to ``b"".join(f.route_*_bytes for f in members)``:
-    both follow admission order, and removals preserve relative order.
-
-    ``rates`` mirrors the members' current ``Flow.rate`` values the
-    same way (valid only while ``rates_valid``; any rate write outside
-    the whole-shard solve path invalidates it).  A valid mirror lets
-    the solve diff new rates against old ones *in numpy* and assign
-    only the changed flows' attributes — under steady churn a couple
-    of percent of the shard — instead of looping over every member.
-    """
-
-    __slots__ = ("lens", "ids", "bw", "rates", "rates_valid",
-                 "seqs", "elens")
-
-    def __init__(self) -> None:
-        self.lens = bytearray()
-        self.ids = bytearray()
-        self.bw = bytearray()
-        self.rates = bytearray()
-        self.rates_valid = True
-        self.seqs: list[int] = []
-        self.elens: list[int] = []
-
-    def add(self, flow: Flow) -> None:
-        self.seqs.append(flow.seq)
-        self.elens.append(len(flow.route))
-        self.lens += flow.route_len_bytes
-        self.ids += flow.route_id_bytes
-        self.bw += flow.route_bw_bytes
-        self.rates += pack("=d", flow.rate)
-
-    def remove(self, flow: Flow) -> None:
-        i = bisect_left(self.seqs, flow.seq)
-        if i >= len(self.seqs) or self.seqs[i] != flow.seq:
-            return
-        e0 = sum(self.elens[:i])
-        n = self.elens[i]
-        del self.seqs[i]
-        del self.elens[i]
-        del self.lens[8 * i:8 * (i + 1)]
-        del self.ids[8 * e0:8 * (e0 + n)]
-        del self.bw[8 * e0:8 * (e0 + n)]
-        del self.rates[8 * i:8 * (i + 1)]
-
-
 class _FlowTable:
     """Column form of a network's live-flow state: one row per flow in
     active-list (ascending ``Flow.seq``) order — bytes left, rate, route
-    length — plus the routes' interned link ids end to end and the byte
-    totals per link id.
+    length, shard — plus the routes' interned link ids end to end and
+    the byte totals per link id.
 
     The passes a network makes over every live flow at every event run
     here on NumPy views of the columns: the per-object loops' arithmetic
@@ -248,26 +181,31 @@ class _FlowTable:
     pins its ``array``; none outlives its method, as rows come and go.
     """
 
-    __slots__ = ("seqs", "rem", "rates", "lens", "ids", "acc", "credited")
+    __slots__ = ("seqs", "rem", "rates", "lens", "ids", "shards", "tags",
+                 "acc", "credited")
 
     def __init__(self, flows: Sequence[Flow], link_bytes: dict[Link, float],
                  link_ids: dict[Link, int]):
         self.seqs, self.lens, self.ids = array("q"), array("q"), array("q")
         self.rem, self.rates = array("d"), array("d")
+        #: per row, the number ``tags`` gives the flow's ``shard``
+        self.shards = array("q")
+        self.tags: dict[str | None, int] = {}
         self.acc = array("d", bytes(8 * len(link_ids)))
         for link, moved in link_bytes.items():
             self.acc[link_ids[link]] = moved
         for f in flows:
-            self.add(f)
+            self.add(f, link_ids)
         #: newest ``seq`` an advance has credited — here, all of them
         self.credited = self.seqs[-1]
 
-    def add(self, flow: Flow) -> None:
+    def add(self, flow: Flow, link_ids: dict[Link, int]) -> None:
         self.seqs.append(flow.seq)
         self.rem.append(flow._remaining)
         self.rates.append(flow._rate)
         self.lens.append(len(flow.route))
-        self.ids.frombytes(flow.route_id_bytes)
+        self.ids.extend([link_ids[link] for link in flow.route])
+        self.shards.append(self.tags.setdefault(flow.shard, len(self.tags)))
         flow._table = self
 
     def pop(self, flow: Flow) -> int:
@@ -279,9 +217,20 @@ class _FlowTable:
         del self.ids[e0:e0 + self.lens.pop(i)]
         del self.seqs[i]
         del self.rates[i]
+        del self.shards[i]
         flow._remaining = self.rem.pop(i)
         flow._table = None
         return i
+
+    def routes(self, shards: Sequence[str]) -> tuple[np.ndarray, np.ndarray,
+                                                     np.ndarray]:
+        """The rows of ``shards``, ascending, and their route lengths and
+        link ids, end to end: what the vectorised fill reads."""
+        col = np.frombuffer(self.shards, dtype=np.int64)
+        keep = np.isin(col, [self.tags[s] for s in shards])
+        lens = np.frombuffer(self.lens, dtype=np.int64)
+        ids = np.frombuffer(self.ids, dtype=np.int64)
+        return np.flatnonzero(keep), lens[keep], ids[np.repeat(keep, lens)]
 
     def advance(self, dt: float, flows: Sequence[Flow],
                 link_bytes: dict[Link, float], n_ids: int) -> None:
@@ -383,10 +332,8 @@ def _route_shard(route: Sequence[Link]) -> str | None:
     return shard
 
 
-def _progressive_fill_vec(
-        flows: Sequence[Flow], n_ids: int,
-        buffers: tuple[bytes, bytes, bytes] | None = None,
-) -> tuple[np.ndarray, int]:
+def _progressive_fill_vec(lens: np.ndarray, gids: np.ndarray,
+                          bandwidth: np.ndarray) -> tuple[np.ndarray, int]:
     """Vectorised progressive fill for large flow sets.
 
     Performs *bit-for-bit* the same computation as
@@ -397,35 +344,19 @@ def _progressive_fill_vec(
     the same share value, so the accumulation order inside
     ``np.subtract.at`` cannot change the result) — but replaces the
     per-round Python scan over all links with numpy reductions over
-    flat link arrays, themselves assembled by array ops from the
-    ``route_id_bytes``/``route_bw_bytes`` buffers cached per flow at add
-    time.  The per-round cost drops from O(L) dict iterations to a
-    handful of array ops and the setup cost to a concatenate-and-rank
+    flat link arrays.  The per-round cost drops from O(L) dict
+    iterations to a handful of array ops and the setup cost to a rank
     pass, which is what lets one shard hold 100k concurrent flows.
 
-    Returns ``(rates, iterations)``, ``rates`` a float64 array in
-    ``flows`` order.  ``n_ids`` bounds the interned link ids on the
-    routes (``len(FlowNetwork._link_ids)``).
-
-    ``buffers`` (optional) supplies the three concatenated byte buffers
-    — ``(lens, ids, bw)``, as produced by joining :class:`_ShardBuf`
-    blobs — ready-made, skipping the per-flow listcomp assembly
-    entirely.  They must equal exactly what the listcomps would build
-    for ``flows``; the shard caches guarantee that by construction.
+    The flows are given as arrays, in subset order: ``lens`` their
+    route lengths (int64) and ``gids`` their routes' interned link ids
+    end to end (int64); ``bandwidth`` is indexed by link id
+    (``FlowNetwork._link_bw``).  Returns ``(rates, iterations)``,
+    ``rates`` a float64 array in subset order.
     """
-    n = len(flows)
+    n = len(lens)
+    n_ids = len(bandwidth)
     inf = float("inf")
-    # assemble the subset's link arrays from the per-flow id/bandwidth
-    # buffers cached at add time — one bytes join + frombuffer per
-    # array, no Link objects and no per-flow numpy calls on this path
-    # (or zero joins at all when the caller hands in shard-cache blobs)
-    if buffers is None:
-        buffers = (b"".join([f.route_len_bytes for f in flows]),
-                   b"".join([f.route_id_bytes for f in flows]),
-                   b"".join([f.route_bw_bytes for f in flows]))
-    lens = np.frombuffer(buffers[0], dtype=np.int64)
-    gids = np.frombuffer(buffers[1], dtype=np.int64)
-    bw = np.frombuffer(buffers[2], dtype=np.float64)
     total = len(gids)
     if total == 0:  # no flow crosses any link (empty routes)
         return np.full(n, inf, dtype=np.float64), 1
@@ -442,12 +373,11 @@ def _progressive_fill_vec(
     first[gids[::-1]] = np.arange(total - 1, -1, -1, dtype=np.int64)
     present = np.flatnonzero(first < total)
     n_links = len(present)
-    order = np.argsort(first[present], kind="stable")
+    ranked = present[np.argsort(first[present], kind="stable")]
     rank = np.empty(n_ids, dtype=np.intp)
-    rank[present[order]] = np.arange(n_links, dtype=np.intp)
+    rank[ranked] = np.arange(n_links, dtype=np.intp)
     local = rank[gids]
-    cap = np.empty(n_links, dtype=np.float64)
-    cap[local] = bw  # duplicate writes all carry the same bandwidth
+    cap = bandwidth[ranked]  # a copy: local link r is link id ranked[r]
     counts = np.bincount(local, minlength=n_links)
     cnt = counts.astype(np.int64)
     # flows grouped per link; the stable sort preserves subset order
@@ -538,11 +468,11 @@ class FlowNetwork:
 
     Rate re-solves are restricted to what a change can affect — the
     link-connected component of the changed flows, or their whole site
-    shard when that is cheaper — and large subsets go through the
-    vectorised fill (see the module docstring).  Every tier is
-    bit-for-bit equal to a from-scratch :func:`maxmin_rates` solve over
-    all live flows; which one runs is decided from the subset's size
-    and structure, never by the caller.
+    shard when the network is in column form — and large subsets go
+    through the vectorised fill (see the module docstring).  Every tier
+    is bit-for-bit equal to a from-scratch :func:`maxmin_rates` solve
+    over all live flows; which one runs is decided from the subset's
+    size and structure, never by the caller.
     """
 
     def __init__(self, kernel: SimKernel, topology: Topology):
@@ -553,31 +483,17 @@ class FlowNetwork:
         #: ordered sets), consulted for component discovery and
         #: link-failure victim lookup
         self._link_flows: dict[Link, dict[Flow, None]] = {}
-        #: shard membership: site tag → live flows of that shard, plus
-        #: the site-less coupling tier (wide-area / mixed routes); both
-        #: insertion-ordered, so iteration follows Flow.seq
-        self._shard_flows: dict[str, dict[Flow, None]] = {}
-        self._coupling_flows: dict[Flow, None] = {}
+        #: live flows per site shard (the coupling tier is not counted)
+        self._shard_sizes: dict[str, int] = {}
         #: sites touched by coupling flows (counts): a tainted site's
         #: shard is not closed under link sharing, so it falls back to
-        #: the component walk; _taint_total gates the coupling tier
+        #: the component walk
         self._site_taint: dict[str, int] = {}
-        self._taint_total = 0
         #: link → interned int id, assigned on first sight (deterministic:
-        #: flow-add order); backs the per-flow route_ids arrays the
-        #: vectorised fill assembles its link tables from
+        #: flow-add order), and the link's bandwidth at that index: the
+        #: table's route column and the vectorised fill speak in ids
         self._link_ids: dict[Link, int] = {}
-        #: per-shard-key size of the last component solved inside that
-        #: shard (None keys the coupling tier), decremented as member
-        #: flows leave.  Whole-shard solving only pays off when the
-        #: dirty component covers most of the shard, and this estimate
-        #: is how the solver knows without running the BFS; see
-        #: _reallocate
-        self._shard_comp: dict[str | None, int] = {}
-        #: per-shard-key concatenated route byte caches (None keys the
-        #: coupling tier), kept in lockstep with _shard_flows /
-        #: _coupling_flows so whole-shard solves skip buffer assembly
-        self._shard_buf: dict[str | None, _ShardBuf] = {}
+        self._link_bw = array("d")
         #: the live-flow state in column form, while there are many
         self._table: _FlowTable | None = None
         self._last_update = kernel.now
@@ -740,22 +656,15 @@ class FlowNetwork:
         flow = Flow(route, nbytes, waiter, callback, self.kernel.now)
         flow.shard = _route_shard(flow.route)
         ids = self._link_ids
-        fids = []
         for link in flow.route:
-            li = ids.get(link)
-            if li is None:
-                li = len(ids)
-                ids[link] = li
-            fids.append(li)
-        n = len(fids)  # native order and size: numpy's tobytes() layout
-        flow.route_id_bytes = pack(f"={n}q", *fids)
-        flow.route_bw_bytes = pack(f"={n}d", *[l.bandwidth for l in route])
-        flow.route_len_bytes = pack("=q", n)
+            if link not in ids:
+                ids[link] = len(ids)
+                self._link_bw.append(link.bandwidth)
         self._flow_counter += 1
         flow.seq = self._flow_counter
         self._flows.append(flow)
         if self._table is not None:
-            self._table.add(flow)
+            self._table.add(flow, ids)
         self._index_add(flow)
         return flow
 
@@ -782,20 +691,10 @@ class FlowNetwork:
                 peers[flow] = None
         shard = flow.shard
         if shard is not None:
-            members = self._shard_flows.get(shard)
-            if members is None:
-                self._shard_flows[shard] = {flow: None}
-            else:
-                members[flow] = None
+            self._shard_sizes[shard] = self._shard_sizes.get(shard, 0) + 1
         else:
-            self._coupling_flows[flow] = None
             for tag in self._coupling_tags(flow):
                 self._site_taint[tag] = self._site_taint.get(tag, 0) + 1
-                self._taint_total += 1
-        buf = self._shard_buf.get(shard)
-        if buf is None:
-            buf = self._shard_buf[shard] = _ShardBuf()
-        buf.add(flow)
 
     def _index_remove(self, flow: Flow) -> None:
         link_flows = self._link_flows
@@ -806,26 +705,15 @@ class FlowNetwork:
                 if not peers:
                     del link_flows[link]
         shard = flow.shard
-        comp = self._shard_comp.get(shard, 0)
-        if comp > 0:
-            # a departing member can only shrink the component the
-            # estimate came from; decaying it forces an eventual BFS
-            # re-probe, so the estimate cannot stay optimistic forever
-            self._shard_comp[shard] = comp - 1
-        self._shard_buf[shard].remove(flow)
         if shard is not None:
-            members = self._shard_flows.get(shard)
-            if members is not None:
-                members.pop(flow, None)
+            self._shard_sizes[shard] -= 1
         else:
-            self._coupling_flows.pop(flow, None)
             for tag in self._coupling_tags(flow):
                 left = self._site_taint.get(tag, 0) - 1
                 if left > 0:
                     self._site_taint[tag] = left
                 else:
                     self._site_taint.pop(tag, None)
-                self._taint_total -= 1
 
     @staticmethod
     def _coupling_tags(flow: Flow) -> set[str]:
@@ -915,62 +803,33 @@ class FlowNetwork:
 
         ``dirty`` lists the flows added/removed since the last solve;
         flows their change cannot reach keep their — provably unchanged
-        — rates.  Dirty site shards are re-solved wholesale, the rest
-        through the component walk.
+        — rates.  In column form, dirty site shards of at least
+        :data:`_VEC_MIN_FLOWS` live flows are re-solved wholesale from
+        the table; every other seed goes through the component walk,
+        which is always correct.
 
         A shard is a union of link-connected components (see module
         docstring), so whole-shard re-solving is exact whenever the
         shard is closed under link sharing — i.e. not tainted by a
-        coupling flow touching its fabrics.  Exact, but only *cheaper*
-        when the dirty component covers most of the shard: a shard full
-        of small disjoint components (the disjoint-pair churn bench) is
-        better served by the walk.  The ``_shard_comp`` estimate —
-        size of the last component the walk solved inside the shard,
-        decayed as members leave — decides: whole-shard solving engages
-        once a probed component spans at least half the shard, and the
-        decay forces a re-probe every ~half-shard's worth of departures
-        so the estimate tracks fragmentation.  Seeds whose shard is too
-        small, tainted, or fragmented fall back to one combined
-        component walk, which is always correct.
+        coupling flow touching its fabrics.  The coupling tier has no
+        such closure to rely on (a departed seed no longer counts in
+        the taint, yet its route still couples the tier to every site
+        it crossed), so its seeds always take the walk.
         """
         groups: dict[str | None, list[Flow]] = {}
         for f in dirty:
             groups.setdefault(f.shard, []).append(f)
+        shards: list[str] = []
         residual: list[Flow] = []
-        comp_est = self._shard_comp
-        # every gate-passing shard lands in one combined subset solved
-        # by a single fill: shards are link-disjoint by construction, so
-        # a union fill performs exactly the per-shard fills' arithmetic
-        # (each link only ever meets subtractions from its own shard's
-        # rounds, in the same relative order) while paying the vec
-        # setup once per *event* instead of once per shard; the
-        # shard-cache blobs ride along so the fill starts from
-        # ready-made link buffers instead of per-flow listcomps
-        combined: list[Flow] = []
-        bufs: list[_ShardBuf] = []
         for key, seeds in groups.items():
-            if key is not None:
-                members = self._shard_flows.get(key)
-                if members is not None and len(members) >= _VEC_MIN_FLOWS \
-                        and not self._site_taint.get(key) \
-                        and 2 * comp_est.get(key, 0) >= len(members):
-                    combined.extend(members)
-                    bufs.append(self._shard_buf[key])
-                    continue
-            elif self._taint_total == 0 \
-                    and len(self._coupling_flows) >= _VEC_MIN_FLOWS \
-                    and 2 * comp_est.get(None, 0) \
-                    >= len(self._coupling_flows) \
-                    and not any(map(self._coupling_tags, seeds)):
-                # the last test: a *departed* seed no longer counts in
-                # the taint, yet its route still couples this tier to
-                # every site it crossed — only the walk reaches those
-                combined.extend(self._coupling_flows)
-                bufs.append(self._shard_buf[None])
-                continue
-            residual.extend(seeds)
-        if combined:
-            self._solve(combined, bufs)
+            if self._table is not None and key is not None \
+                    and self._shard_sizes[key] >= _VEC_MIN_FLOWS \
+                    and not self._site_taint.get(key):
+                shards.append(key)
+            else:
+                residual.extend(seeds)
+        if shards:
+            self._solve_shards(shards)
         if residual and not (len(residual) == 1
                              and self._solve_lone(residual[0])):
             subset = [f for f in self._component(residual) if not f.done]
@@ -979,11 +838,6 @@ class FlowNetwork:
             # solve restricted to this component
             subset.sort(key=_flow_seq_key)
             self._solve(subset)
-            keys = {f.shard for f in subset}
-            if len(keys) == 1:
-                # the walk just measured one shard's component structure:
-                # remember it so the next dirty event can skip the walk
-                comp_est[keys.pop()] = len(subset)
         self._reschedule()
 
     def _solve_lone(self, flow: Flow) -> bool:
@@ -1006,70 +860,59 @@ class FlowNetwork:
                        default=float("inf"))  # empty route: uncapacitated
             if rate != flow.rate:
                 flow.rate = rate
-            self._shard_buf[flow.shard].rates_valid = False
-            self._shard_comp[flow.shard] = 1
             self.solver_iterations += 1
             self.solver_flows_resolved += 1
         self.solver_solves += 1
         return True
 
-    def _solve(self, subset: Sequence[Flow],
-               bufs: Sequence[_ShardBuf] | None = None) -> None:
-        """One fill over ``subset``; applies rates and counts the work.
+    def _solve_shards(self, shards: Sequence[str]) -> None:
+        """One vectorised fill over every table row of ``shards``.
 
-        ``bufs`` (whole-shard solves only) supplies the shard caches
-        whose concatenated members *are* ``subset``: the vectorised
-        fill then starts from their ready-made byte buffers, and the new
-        rates are diffed against the caches' rate mirrors in numpy so
-        only the flows whose rate actually changed get attribute writes.
-        Skipping a write when old and new compare equal is exactly what
-        the scalar assignment loop's ``!=`` guard does (including the
-        ``-0.0 == 0.0`` case), so both paths leave identical state.
+        The rows are taken in row (``seq``) order, so each shard keeps
+        its own flows' and links' relative order; shards are
+        link-disjoint, so the one fill performs exactly the per-shard
+        fills' arithmetic and pays the setup once per event.  New rates
+        are diffed against the rate column and written — to the column
+        and to ``Flow._rate`` — only where they compare unequal: the
+        walk's ``!=`` guard, ``-0.0 == 0.0`` included, so the two
+        stores never disagree.
         """
-        if bufs is not None:
-            buffers = (b"".join([b.lens for b in bufs]),
-                       b"".join([b.ids for b in bufs]),
-                       b"".join([b.bw for b in bufs]))
+        table = self._table
+        rows, lens, gids = table.routes(shards)
+        new, iterations = _progressive_fill_vec(
+            lens, gids, np.frombuffer(self._link_bw))
+        rates = np.frombuffer(table.rates)
+        changed = np.flatnonzero(new != rates[rows])
+        rows, new = rows[changed], new[changed]
+        rates[rows] = new
+        flows = self._flows
+        for i, rate in zip(rows.tolist(), new.tolist()):
+            flows[i]._rate = rate
+        self._count(len(lens), iterations)
+
+    def _solve(self, subset: list[Flow]) -> None:
+        """One fill over a walked component; applies rates and counts
+        the work."""
+        if len(subset) >= _VEC_MIN_FLOWS:
+            ids = self._link_ids
             rate_arr, iterations = _progressive_fill_vec(
-                subset, len(self._link_ids), buffers)
-            if all(b.rates_valid for b in bufs):
-                old = np.frombuffer(b"".join([b.rates for b in bufs]),
-                                    dtype=np.float64)
-                for i in np.flatnonzero(rate_arr != old).tolist():
-                    subset[i].rate = float(rate_arr[i])
-            else:
-                for f, new_rate in zip(subset, rate_arr.tolist()):
-                    if new_rate != f.rate:
-                        f.rate = new_rate
-            lo = 0
-            for buf in bufs:
-                hi = lo + len(buf.seqs)
-                buf.rates = bytearray(rate_arr[lo:hi].tobytes())
-                buf.rates_valid = True
-                lo = hi
+                np.array([len(f.route) for f in subset], dtype=np.int64),
+                np.array([ids[link] for f in subset for link in f.route],
+                         dtype=np.int64),
+                np.frombuffer(self._link_bw))
+            new_rates = rate_arr.tolist()
         else:
-            if len(subset) >= _VEC_MIN_FLOWS:
-                rate_arr, iterations = _progressive_fill_vec(
-                    subset, len(self._link_ids))
-                for f, new_rate in zip(subset, rate_arr.tolist()):
-                    if new_rate != f.rate:
-                        f.rate = new_rate
-            else:
-                rates, iterations = _progressive_fill(subset)
-                for f in subset:
-                    new_rate = rates[f]
-                    if new_rate != f.rate:
-                        f.rate = new_rate
-            # this solve wrote ``Flow.rate`` without going through the
-            # shard caches: the touched shards' mirrors no longer
-            # reflect their members, so the next whole-shard solve
-            # falls back to the per-flow assignment loop once (and then
-            # rebuilds the mirror from its own result)
-            for key in dict.fromkeys(f.shard for f in subset):
-                self._shard_buf[key].rates_valid = False
+            rates, iterations = _progressive_fill(subset)
+            new_rates = [rates[f] for f in subset]
+        for f, new_rate in zip(subset, new_rates):
+            if new_rate != f._rate:
+                f.rate = new_rate
+        self._count(len(subset), iterations)
+
+    def _count(self, flows: int, iterations: int) -> None:
         self.solver_solves += 1
         self.solver_iterations += iterations
-        self.solver_flows_resolved += len(subset)
+        self.solver_flows_resolved += flows
 
     def _reschedule(self) -> None:
         next_finish = None

@@ -12,6 +12,7 @@ other end of the range (two hosts, one or two live flows).
 import hashlib
 
 from repro.net import FlowNetwork, build_grid
+from repro.net.flows import _VEC_MIN_FLOWS
 from repro.sim import SimKernel
 
 SITES, HOSTS, FANOUT = 2, 64, 32
@@ -114,21 +115,53 @@ class _FormCensus(FlowNetwork):
         super()._advance()
 
 
+class _TierCensus(_FormCensus):
+    """... and the solves, by the tier that ran them."""
+
+    def __init__(self, kernel, topology):
+        super().__init__(kernel, topology)
+        self.tiers = {"shard": 0, "walk vec": 0, "walk scalar": 0,
+                      "lone": 0}
+
+    def _solve_lone(self, flow):
+        lone = super()._solve_lone(flow)
+        self.tiers["lone"] += lone
+        return lone
+
+    def _solve_shards(self, shards):
+        self.tiers["shard"] += 1
+        super()._solve_shards(shards)
+
+    def _solve(self, subset):
+        vec = len(subset) >= _VEC_MIN_FLOWS
+        self.tiers["walk vec" if vec else "walk scalar"] += 1
+        super()._solve(subset)
+
+
 def test_churn_budget():
     """Every literal was captured at 9984772, the parent of the column
     form: per-object loops over all 514 flows at every event.  The
     column form is host-side only, so none of them may move by a bit —
     events, solver work, timer reuse, the clock, every logged transfer,
     every per-link byte total (and the order links were first credited
-    in) and every surviving flow's rate and bytes left.
+    in) and every surviving flow's rate and bytes left.  The solver
+    work stayed put when whole-shard solves stopped waiting on a
+    component-size estimate: the four column-form walks they replaced
+    each covered whole shards, so both filled the same flows in the
+    same rounds.
     """
     assert _run()[1] == BUDGET
-    net, counts = _run(_FormCensus)  # and again: counts, not clocks
+    net, counts = _run(_TierCensus)  # and again: counts, not clocks
     assert counts == BUDGET
     # the ramp's second and third batches arrive on 128 and 256 flows
     # held as objects (the table is built after the advance that finds
     # the count over the threshold); every later event is in column form
     assert net.advances == {"object": 2, "column": 72}
+    # whole shards from the third batch on; the first two batches are
+    # walked before there is a table, the two WAN flows' batch is the
+    # coupling tier's (with the estimate: 138 / 6 / 1 / 0)
+    assert net.tiers == {"shard": 142, "walk vec": 2, "walk scalar": 1,
+                         "lone": 0}
 
 
 BUDGET = {

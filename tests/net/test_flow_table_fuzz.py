@@ -26,6 +26,7 @@ from hypothesis import strategies as st
 from repro.net import NoRouteError, build_grid
 from repro.net.flows import FlowNetwork, TransferError, _TABLE_MIN_FLOWS
 from repro.sim.kernel import SimInterrupt, SimKernel
+from tests.net.test_incremental_maxmin import assert_rate_stores_agree
 from tests.net.test_solver_fuzz import HOSTS, grid_events
 
 ENTER = _TABLE_MIN_FLOWS
@@ -87,7 +88,16 @@ class ColumnForm(_Observed):
         self.advances = {"object": 0, "column": 0}
         self.cut = 0      # transfers interrupted while in a table
         self.nested = 0   # flows a completion callback started there
+        self.rebuilt = 0  # whole-shard solves from a table built again
         self._completing = False
+
+    def _reallocate(self, dirty):
+        super()._reallocate(dirty)
+        assert_rate_stores_agree(self)
+
+    def _solve_shards(self, shards):
+        self.rebuilt += bool(self.left)
+        super()._solve_shards(shards)
 
     def _abort_flow(self, flow, error, wake, advance=True):
         self.cut += not wake and self._table is not None
@@ -239,7 +249,7 @@ EDGES = (2, [(0.0, "batch", 0, ENTER - 1, 1e5, 0),
 
 def test_column_form_is_indistinguishable_from_the_object_loops():
     census = {"entered": [], "left": [], "object": 0, "column": 0,
-              "round_trips": 0, "cut": 0, "nested": 0}
+              "round_trips": 0, "cut": 0, "nested": 0, "rebuilt": 0}
 
     @settings(max_examples=30, deadline=None, derandomize=True)
     @example(EDGES)
@@ -263,6 +273,7 @@ def test_column_form_is_indistinguishable_from_the_object_loops():
         census["round_trips"] += len(net.left) >= 2
         census["cut"] += net.cut
         census["nested"] += net.nested
+        census["rebuilt"] += net.rebuilt
 
     fuzz()
     # the examples really ran in both forms, crossed both ways — often
@@ -274,6 +285,8 @@ def test_column_form_is_indistinguishable_from_the_object_loops():
     assert set(census["left"]) == {LEAVE}, census
     # ... and both re-entrant paths ran against a live table
     assert census["cut"] >= 5 and census["nested"] >= 50, census
+    # a table dissolved and built again still knows its rows' shards
+    assert census["rebuilt"] >= 1, census
 
 
 def test_edges_example_crosses_where_it_says():

@@ -149,9 +149,10 @@ def test_start_flows_validation_is_atomic():
 #
 # A multi-site schedule with intra-site rings, WAN coupling flows and a
 # WAN link failure mid-transfer.  Every ring holds RING_FLOWS flows per
-# host pair — 80 per site, comfortably above the solver's 64-flow
-# threshold — so the production run really goes through the whole-shard
-# gate and the vectorized fill before completions thin the sites out.
+# host pair — 80 per site, above the solver's 64-flow whole-shard gate,
+# and 240 in all, above the 160 live flows at which the network enters
+# column form — so the production run really goes through whole-shard
+# solves and the vectorized fill before completions thin the sites out.
 
 RING_FLOWS = 20
 

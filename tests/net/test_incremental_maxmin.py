@@ -32,6 +32,14 @@ from repro.net.flows import FlowNetwork, TransferError, \
 from repro.sim.kernel import SimKernel
 
 
+def assert_rate_stores_agree(net: FlowNetwork) -> None:
+    """In column form a rate lives twice — the table's column and
+    ``Flow._rate`` — and the two must agree, sign of zero included."""
+    if net._table is not None:
+        assert repr(list(net._table.rates)) == \
+            repr([f._rate for f in net._flows])
+
+
 class CheckedFlowNetwork(FlowNetwork):
     """Asserts the exactness invariant after every reallocation."""
 
@@ -40,6 +48,7 @@ class CheckedFlowNetwork(FlowNetwork):
         expected = maxmin_rates(self._flows)
         # bit-for-bit: exact float equality AND identical flow order
         assert [(f, f.rate) for f in self._flows] == list(expected.items())
+        assert_rate_stores_agree(self)
 
 
 class ScratchFlowNetwork(FlowNetwork):

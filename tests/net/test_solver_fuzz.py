@@ -7,12 +7,12 @@ pipeline's other tiers run *at the real* ``_VEC_MIN_FLOWS``: a
 ``start_flows`` ramp puts more than 64 flows into at least one site
 shard, later events add batches (per site, across all sites, over the
 WAN), single flows, *mixed* SAN+WAN routes (which taint a site until
-they complete) and link failures, and the drain at the end decays the
-shards' component estimates back below the whole-shard gate.
-Everything runs under
+they complete) and link failures, and the drain at the end takes the
+network back out of column form and the shards below the whole-shard
+gate.  Everything runs under
 :class:`CheckedFlowNetwork` — a from-scratch ``maxmin_rates`` after
 every reallocation, values and order — and the test finally asserts
-that the examples really executed all four fills the pipeline selects
+that the examples really executed all three fills the pipeline selects
 between.
 
 A second, *sparse* profile fuzzes the other end: mostly idle links,
@@ -29,7 +29,7 @@ from hypothesis import strategies as st
 
 from repro.net import NoRouteError, build_grid
 from repro.net import flows as flows_mod
-from repro.net.flows import _VEC_MIN_FLOWS
+from repro.net.flows import FlowNetwork, _TABLE_MIN_FLOWS, _VEC_MIN_FLOWS
 from repro.sim.kernel import SimKernel
 from tests.net.test_incremental_maxmin import CheckedFlowNetwork
 
@@ -162,11 +162,12 @@ def run_grid_schedule(spec, cls, hosts=HOSTS):
     return net
 
 
-#: ramp site 0 over the gate (component-walk vectorised, then whole-shard
-#: with a stale and then a valid mirror), taint it with a short relayed
-#: flow and let that complete (walk while tainted, shard solves after),
-#: then drain (estimate decay re-probes; the tail is scalar)
-ALL_PATHS = (2, [(0.0, "batch", 0, 100, 1e5, 0),
+#: ramp site 0 past the column threshold (the ramp itself is walked,
+#: vectorised: no table before the first advance; whole-shard solves
+#: from the table after it), taint it with a short relayed flow and let
+#: that complete (walk while tainted, shard solves after), then drain
+#: (out of column form, walks again; the tail is scalar)
+ALL_PATHS = (2, [(0.0, "batch", 0, _TABLE_MIN_FLOWS + 10, 1e5, 0),
                  (0.0, "batch", 1, 10, 1e5, 3),
                  (1e-4, "flow", 0, 0, 1, 5e4),
                  (2e-4, "flow", 0, 1, 2, 5e4),
@@ -176,10 +177,12 @@ ALL_PATHS = (2, [(0.0, "batch", 0, 100, 1e5, 0),
                  (6e-3, "wan", 1, 3, 1, 1e4)])
 
 
-#: found by this fuzz: 64 pure WAN flows put the coupling tier over the
-#: gate, then the one relayed flow tainting site 2 completes — the taint
-#: count drops to zero, and a whole-tier solve would leave the site-2
-#: flows that shared its SAN links on their stale rates
+#: found by this fuzz when the coupling tier had a whole-tier solve: 64
+#: pure WAN flows put the tier over its gate, then the one relayed flow
+#: tainting site 2 completes — the taint count drops to zero, and a
+#: whole-tier solve left the site-2 flows that shared its SAN links on
+#: their stale rates; coupling seeds always take the walk, which reaches
+#: them
 TAINT_DEPARTS = (3, [(0.0, "batch", 0, 62, 46746.83260039316, 20),
                      (0.0, "batch", 1, 27, 96314.41670142303, 40),
                      (0.0, "batch", 2, 94, 150131.11872346402, 27),
@@ -201,15 +204,20 @@ def test_production_path_fuzz_reaches_every_fill(monkeypatch):
     paths = Counter()
 
     class Recording(CheckedFlowNetwork):
-        def _solve(self, subset, bufs=None):
-            mirror = None if bufs is None else \
-                all(b.rates_valid for b in bufs)
+        def _solve_shards(self, shards):
+            assert self._table is not None  # whole shards: column form only
             before = vec_calls[0]
-            super()._solve(subset, bufs)
+            super()._solve_shards(shards)
+            assert vec_calls[0] == before + 1
+            paths["shard"] += 1
+
+        def _solve(self, subset):
+            before = vec_calls[0]
+            super()._solve(subset)
             vec = vec_calls[0] > before
             # the fill is chosen by subset size at the real constant
             assert vec == (len(subset) >= _VEC_MIN_FLOWS)
-            paths["vec" if vec else "scalar", mirror] += 1
+            paths["walk", "vec" if vec else "scalar"] += 1
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @example(ALL_PATHS)
@@ -220,10 +228,9 @@ def test_production_path_fuzz_reaches_every_fill(monkeypatch):
 
     fuzz()
     assert set(paths) == {
-        ("vec", True),      # whole shard, rate mirror valid
-        ("vec", False),     # whole shard, mirror staled by a walk
-        ("vec", None),      # component walk, vectorised fill
-        ("scalar", None),   # component walk, scalar fill
+        "shard",              # whole shards, in column form
+        ("walk", "vec"),      # component walk, vectorised fill
+        ("walk", "scalar"),   # component walk, scalar fill
     }, paths
 
 
@@ -239,9 +246,11 @@ def sparse_schedules(draw):
     host = st.integers(0, SPARSE_HOSTS - 1)
     size = st.floats(1e3, 1e5, allow_nan=False)
     events = []
-    if draw(st.booleans()):  # one shard already past the whole-shard gate
+    if draw(st.booleans()):
+        # one shard past the whole-shard gate, in column form
         events.append((0.0, "batch", draw(site),
-                       draw(st.integers(_VEC_MIN_FLOWS + 8, 100)), 1e5,
+                       draw(st.integers(_TABLE_MIN_FLOWS,
+                                        _TABLE_MIN_FLOWS + 40)), 1e5,
                        draw(st.integers(0, 50))))
     t = 0.0
     for _ in range(draw(st.integers(4, 16))):
@@ -265,22 +274,33 @@ def sparse_schedules(draw):
 #: one's links (walk), the shorter sharer leaving (walk) and the longer
 #: one finishing alone (closed form), a lone flow aborted by fail_link, a
 #: lone relayed SAN+WAN flow tainting site 1, then site 0 ramped past the
-#: whole-shard gate and a flow on the untouched pair (4, 5): link-lone,
-#: but its shard is solved wholesale — the gates come first
+#: whole-shard gate and the column threshold and a flow on the untouched
+#: pair (4, 5): link-lone, but its shard is solved wholesale — the gates
+#: come first
 SPARSE = (2, [(0.0, "one", 0, 0, 1, 5e4),
               (0.0, "one", 0, 2, 3, 5e4),
               (1e-5, "one", 0, 0, 1, 2e4),
               (1e-3, "one", 1, 4, 5, 1e6),
               (1.1e-3, "fail_san", 1, 4),
               (1.2e-3, "mixed", 1, 2, 1, 1, 2, 2e3),
-              (5e-3, "batch", 0, 100, 1e5, 0),
+              (5e-3, "batch", 0, _TABLE_MIN_FLOWS, 1e5, 0),
               (5.1e-3, "one", 0, 4, 5, 3e4)])
-#: (solver_solves, solver_iterations, solver_flows_resolved) of SPARSE on
-#: the parent of the closed form (56b5edf), which walked every event
-SPARSE_WORK = (61, 204, 3073)
+#: (solver_solves, solver_iterations, solver_flows_resolved) of SPARSE
+SPARSE_WORK = (75, 270, 6420)
 
 
 def test_sparse_fuzz_enters_and_leaves_the_closed_form():
+    """Why the literals read what they do.  On this SPARSE, the solver
+    with a component-size estimate read SPARSE_WORK (75, 276, 6666) — as
+    did 56b5edf, before the closed form — "shard" 50, "walk" 17 and
+    ("shared", True) 1:
+
+    - SPARSE_WORK: the drained shard's solves below the column form walk
+      components smaller than the shard (6 rounds, 246 re-solves fewer).
+    - "shard" 50 → 33, "walk" 17 → 34: those 17 solves.
+    - ("shared", True) 1 → 7: six of them are lone departures, which ask
+      the closed form first.
+    """
     taken = Counter()
 
     class Recording(CheckedFlowNetwork):
@@ -289,20 +309,33 @@ def test_sparse_fuzz_enters_and_leaves_the_closed_form():
             taken["lone" if lone else "shared", flow.done] += 1
             return lone
 
-        def _solve(self, subset, bufs=None):
-            taken["walk" if bufs is None else "shard"] += 1
-            super()._solve(subset, bufs)
+        def _solve_shards(self, shards):
+            taken["shard"] += 1
+            super()._solve_shards(shards)
+
+        def _solve(self, subset):
+            taken["walk"] += 1
+            super()._solve(subset)
+
+    class Walked(FlowNetwork):
+        def _solve_lone(self, flow):
+            return False  # every lone flow filled by the walk instead
 
     net = run_grid_schedule(SPARSE, Recording, SPARSE_HOSTS)
+    walked = run_grid_schedule(SPARSE, Walked, SPARSE_HOSTS)
     assert (net.solver_solves, net.solver_iterations,
-            net.solver_flows_resolved) == SPARSE_WORK
-    # four lone admissions and departures; the joiner and the first of
-    # the two sharers to leave are turned away; the flow on (4, 5) never
-    # asks, and every solve went one way: closed form, walk, whole shard
+            net.solver_flows_resolved) == SPARSE_WORK == (
+        walked.solver_solves, walked.solver_iterations,
+        walked.solver_flows_resolved)
+    # four lone admissions and departures; the joiner, the first of the
+    # two sharers to leave and six departures from the drained shard
+    # once it is back in object form are turned away; the flow on (4, 5)
+    # never asks, and every solve went one way: closed form, walk, whole
+    # shard
     assert taken == {("lone", False): 4, ("lone", True): 4,
-                     ("shared", False): 1, ("shared", True): 1,
-                     "walk": 21, "shard": 32}
-    assert net.solver_solves == 4 + 4 + 21 + 32
+                     ("shared", False): 1, ("shared", True): 7,
+                     "walk": 34, "shard": 33}
+    assert net.solver_solves == 4 + 4 + 34 + 33
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @example(SPARSE)
