@@ -52,6 +52,11 @@ NAME = "esiop"
 #: application chunks — our benches stay under the cap per message)
 MAX_BODY = (1 << 24) - 1
 
+#: magic, then version and type in one byte, then the body size as a
+#: little-endian word whose top byte the header drops (pack) or pads
+#: (parse)
+_HEADER = struct.Struct("<4sBI")
+
 
 def pack_header(msg_type: int, body_size: int,
                 little_endian: bool = True,
@@ -62,17 +67,14 @@ def pack_header(msg_type: int, body_size: int,
     if body_size > MAX_BODY:
         raise CdrError(f"ESIOP body too large: {body_size} > {MAX_BODY}")
     packed = (version[0] << 4) | (msg_type & 0x0F)
-    return MAGIC + bytes([packed]) + struct.pack("<I", body_size)[:3]
+    return _HEADER.pack(MAGIC, packed, body_size)[:HEADER_SIZE]
 
 
 def parse_header(header: bytes) -> tuple[int, int, bool, tuple[int, int]]:
     if len(header) != HEADER_SIZE or header[:4] != MAGIC:
         raise CdrError(f"bad ESIOP header: {header!r}")
-    packed = header[4]
-    msg_type = packed & 0x0F
-    version = (packed >> 4, 0)
-    size, = struct.unpack("<I", header[5:8] + b"\x00")
-    return msg_type, size, True, version
+    _magic, packed, size = _HEADER.unpack(header + b"\x00")
+    return packed & 0x0F, size, True, (packed >> 4, 0)
 
 
 def start_request(out: CdrOutputStream, request_id: int, object_key: str,

@@ -42,25 +42,30 @@ OVERHEAD_SCALE = 1.0
 NAME = "giop"
 
 
+#: magic, version major/minor, flags, message type, body size — one
+#: compiled layout per byte order (flag bit 0 picks it)
+_HEADER_LE = struct.Struct("<4sBBBBI")
+_HEADER_BE = struct.Struct(">4sBBBBI")
+
+
 def pack_header(msg_type: int, body_size: int,
                 little_endian: bool = True,
                 version: tuple[int, int] = (1, 0)) -> bytes:
     """The 12-byte GIOP message header."""
-    flags = 1 if little_endian else 0
-    order = "<" if little_endian else ">"
-    return MAGIC + struct.pack(f"{order}BBBBI", version[0], version[1],
-                               flags, msg_type, body_size)
+    if little_endian:
+        return _HEADER_LE.pack(MAGIC, version[0], version[1], 1, msg_type,
+                               body_size)
+    return _HEADER_BE.pack(MAGIC, version[0], version[1], 0, msg_type,
+                           body_size)
 
 
 def parse_header(header: bytes) -> tuple[int, int, bool, tuple[int, int]]:
     """Returns ``(msg_type, body_size, little_endian, version)``."""
     if len(header) != HEADER_SIZE or header[:4] != MAGIC:
         raise CdrError(f"bad GIOP header: {header!r}")
-    major, minor, flags = header[4], header[5], header[6]
-    little = bool(flags & 1)
-    order = "<" if little else ">"
-    msg_type, = struct.unpack(f"{order}B", header[7:8])
-    size, = struct.unpack(f"{order}I", header[8:12])
+    little = bool(header[6] & 1)
+    _magic, major, minor, _flags, msg_type, size = \
+        (_HEADER_LE if little else _HEADER_BE).unpack(header)
     return msg_type, size, little, (major, minor)
 
 

@@ -43,14 +43,18 @@ class OperationDef:
     params: list[tuple[str, str, IdlType]]  # (name, direction, type)
     raises: list[ExceptionType] = field(default_factory=list)
     oneway: bool = False
+    #: ``(name, type)`` of what the caller sends / gets back, derived
+    #: from ``params`` once, not per call
+    in_params: tuple[tuple[str, IdlType], ...] = field(
+        init=False, repr=False, compare=False)
+    out_params: tuple[tuple[str, IdlType], ...] = field(
+        init=False, repr=False, compare=False)
 
-    @property
-    def in_params(self) -> list[tuple[str, IdlType]]:
-        return [(n, t) for n, d, t in self.params if d in ("in", "inout")]
-
-    @property
-    def out_params(self) -> list[tuple[str, IdlType]]:
-        return [(n, t) for n, d, t in self.params if d in ("out", "inout")]
+    def __post_init__(self) -> None:
+        self.in_params = tuple((n, t) for n, d, t in self.params
+                               if d in ("in", "inout"))
+        self.out_params = tuple((n, t) for n, d, t in self.params
+                                if d in ("out", "inout"))
 
 
 @dataclass

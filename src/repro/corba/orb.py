@@ -6,11 +6,15 @@ cost model).  Wire path: generated stub → CDR → GIOP → VLink (PadicoTM
 selects Myrinet/LAN/WAN transparently) → acceptor thread → POA dispatch
 → servant method.
 
-Threading mirrors the products the paper ports: an acceptor thread per
-ORB, one handler thread per inbound connection, and on the client side
-one reader thread per outbound connection demultiplexing replies by
-request id — any number of client threads share a connection with
-requests in flight concurrently."""
+Threading mirrors the products the paper ports (omniORB's thread per
+connection): an acceptor thread per ORB and, per inbound connection, a
+thread that reads a request and dispatches it in line.  A second thread
+joins a connection only while a request waits and every thread of that
+connection is inside a servant, so a blocked servant never stalls the
+requests behind it.  On the client side callers read their own replies
+(leader/follower) — any number of client threads share a connection
+with requests in flight concurrently, and no thread reads for them.  A
+request therefore costs one thread hand-off each way."""
 
 from __future__ import annotations
 
@@ -168,13 +172,22 @@ class POA:
             raise SystemException("OBJECT_NOT_EXIST", key) from None
 
 
+#: a follower's wake-up value: nobody reads the connection now, you do
+_LEAD = object()
+
+
 class _ClientConnection:
     """Cached outbound connection with multiplexed requests.
 
-    A dedicated reader thread demultiplexes replies by request id, so
-    any number of client threads can have invocations in flight on one
-    connection concurrently (how omniORB drives a GIOP connection);
-    only the *writes* are serialised."""
+    Callers read their own replies (leader/follower): the caller that
+    finds nobody reading becomes the *leader* and reads the endpoint,
+    handing every reply for another request id to the caller waiting on
+    it; the *followers* wait on their slot.  A leader that leaves — its
+    reply in, timed out or interrupted — promotes the oldest waiting
+    follower.  So any number of client threads can have invocations in
+    flight on one connection concurrently (how omniORB drives a GIOP
+    connection), only the *writes* are serialised, and a lone caller
+    reads its reply without a thread hand-off."""
 
     def __init__(self, orb: "Orb", endpoint: VLinkEndpoint):
         self.orb = orb
@@ -183,35 +196,67 @@ class _ClientConnection:
         self._kernel = kernel
         self.send_lock = SimLock(kernel)
         self._next_id = 0
+        #: request id → reply slot of every two-way call in flight
         self._pending: dict[int, SimEvent] = {}
+        #: request id of the caller reading the endpoint (or promoted to)
+        self._leader: int | None = None
         self.dead: SystemException | None = None
-        orb.process.spawn(self._read_loop, name="giop-reader", daemon=True)
 
     def next_request_id(self) -> int:
         self._next_id += 1
         return self._next_id
 
     def register(self, request_id: int) -> SimEvent:
-        event = SimEvent(self._kernel)
-        self._pending[request_id] = event
-        return event
+        slot = SimEvent(self._kernel)
+        self._pending[request_id] = slot
+        return slot
 
     def forget(self, request_id: int) -> None:
+        """Drop ``request_id``'s slot; a leader leaving promotes the
+        oldest follower still waiting."""
         self._pending.pop(request_id, None)
+        if self._leader == request_id:
+            self._leader = None
+            for rid, slot in self._pending.items():
+                if not slot.is_set:
+                    self._leader = rid
+                    slot.set(_LEAD)
+                    return
 
-    # -- the demultiplexer ---------------------------------------------------
-    def _read_loop(self, proc: SimProcess) -> None:
+    def reply(self, proc: SimProcess, request_id: int, slot: SimEvent,
+              timeout: float | None) -> Any:
+        """The reply to ``request_id`` — ``(status, stream, nbytes)`` —
+        or the SystemException that ended the connection, read by this
+        caller while nobody else reads, else waited for in ``slot``.
+        Raises :class:`SimTimeout` after ``timeout`` virtual seconds."""
+        deadline = None if timeout is None else self._kernel.now + timeout
+        try:
+            while True:
+                if not slot.is_set and self._leader in (None, request_id):
+                    self._leader = request_id
+                    return self._read(proc, request_id, deadline)
+                value = slot.wait(proc, timeout=self._left(deadline))
+                if value is not _LEAD:
+                    return value
+                slot.clear()
+        finally:
+            self.forget(request_id)
+
+    def _left(self, deadline: float | None) -> float | None:
+        return None if deadline is None else \
+            max(deadline - self._kernel.now, 0.0)
+
+    def _read(self, proc: SimProcess, request_id: int,
+              deadline: float | None) -> Any:
+        """Leader: read until the reply to ``request_id``, handing the
+        others to their callers."""
         wire = self.orb.wire
         while True:
-            try:
-                item = self.endpoint.recv(proc)
-            except (TransferError, NoRouteError) as exc:
-                self._fail(SystemException("COMM_FAILURE", str(exc)))
-                return
+            item = self.endpoint.recv(proc, timeout=self._left(deadline))
             if item is None:
                 self._fail(SystemException("COMM_FAILURE",
                                            "connection closed"))
-                return
+                return self.dead
             (header, body), nbytes = item
             try:
                 msg_type, _size, little, _ver = wire.parse_header(header)
@@ -221,25 +266,102 @@ class _ClientConnection:
                 continue
             inp = CdrInputStream(body, little)
             try:
-                request_id, status = wire.read_reply(inp)
+                rid, status = wire.read_reply(inp)
             except (CdrError, UnicodeDecodeError) as exc:
                 # a valid header over an unparseable reply: protocol
                 # error on this connection — pending callers raise, the
                 # next invocation reconnects
                 self._fail(SystemException("COMM_FAILURE",
                                            f"malformed reply: {exc}"))
-                return
-            event = self._pending.pop(request_id, None)
-            if event is not None:
-                event.set((status, inp, nbytes))
+                return self.dead
+            if rid == request_id:
+                return status, inp, nbytes
+            slot = self._pending.pop(rid, None)
+            if slot is not None:
+                slot.set((status, inp, nbytes))
             # unmatched replies (e.g. for timed-out requests) are dropped
 
     def _fail(self, exc: SystemException) -> None:
-        self.dead = exc
+        """End the connection: every pending caller gets the first
+        cause, a leader blocked in ``recv`` wakes on the EOF."""
+        if self.dead is None:
+            self.dead = exc
         self.endpoint.close()
-        for event in list(self._pending.values()):
-            event.set(exc)
+        for slot in self._pending.values():
+            slot.set(self.dead)
         self._pending.clear()
+
+
+class _ServerConnection:
+    """The threads serving one inbound connection.
+
+    The thread that reads a request dispatches it in line (omniORB's
+    thread per connection).  Another ``giop-conn`` thread starts only
+    while a request waits and every thread of the connection is inside
+    a dispatch: one already queued when the reader turns to dispatching,
+    or one that arrives later (the endpoint's ``on_unread`` hook) — the
+    instants a dedicated reader would have picked it up.  So a servant
+    that blocks never stalls the requests behind it (reply order may
+    differ; the client demultiplexes by id).  A thread that finishes a
+    dispatch while another one reads exits."""
+
+    def __init__(self, orb: "Orb", endpoint: VLinkEndpoint):
+        self.orb = orb
+        self.endpoint = endpoint
+        #: threads reading (or spawned to read) rather than dispatching;
+        #: the first is the caller of :meth:`serve`
+        self.readers = 1
+        endpoint.on_unread = self._unread
+
+    def _unread(self) -> None:
+        if not self.readers and not self.endpoint.closed:
+            self._add_reader()
+
+    def _add_reader(self) -> None:
+        self.readers += 1
+        self.orb.process.spawn(self.serve, name="giop-conn", daemon=True)
+
+    def serve(self, proc: SimProcess) -> None:
+        """Read and dispatch requests until the connection ends, or until
+        a dispatch ends while another thread reads."""
+        orb, endpoint = self.orb, self.endpoint
+        wire, profile = orb.wire, orb.profile
+        reading = True
+        try:
+            while True:
+                item = endpoint.recv(proc)
+                if item is None:
+                    endpoint.close()
+                    return
+                (header, body), nbytes = item
+                try:
+                    msg_type, _size, little, _ver = wire.parse_header(header)
+                except CdrError:
+                    endpoint.close()  # protocol error: drop this connection
+                    return
+                if msg_type == wire.MSG_CLOSE_CONNECTION:
+                    endpoint.close()
+                    return
+                if msg_type != wire.MSG_REQUEST:
+                    continue  # ignore unknown traffic, like real ORBs
+                # protocol-engine receive cost, paid before the dispatch
+                proc.sleep(profile.server_overhead * orb._ovh +
+                           profile.unmarshal_cost(nbytes))
+                reading = False
+                self.readers -= 1
+                if not endpoint.closed and endpoint.poll():
+                    self._add_reader()  # the next request is in already
+                try:
+                    orb._handle_request(proc, endpoint, body, little)
+                except (TransferError, NoRouteError, BrokenPipeError):
+                    endpoint.close()  # reply path died; drop the connection
+                if self.readers or endpoint.closed:
+                    return
+                reading = True
+                self.readers += 1
+        finally:
+            if reading:
+                self.readers -= 1
 
 
 class Orb:
@@ -269,7 +391,7 @@ class Orb:
         self.credentials: str = ""
         #: reply deadline in virtual seconds (None = wait forever); a
         #: timed-out invocation raises SystemException("TIMEOUT") and
-        #: drops the connection (late replies must not mis-match)
+        #: keeps the connection (its late reply is dropped unmatched)
         self.request_timeout: float | None = None
         self._listener = None
         self._connections: dict[tuple[str, str], _ClientConnection] = {}
@@ -439,7 +561,7 @@ class Orb:
                            float(out.copied_bytes))
             mon.on_counter("wire.referenced_bytes.corba",
                            float(out.referenced_bytes))
-        event = None if opdef.oneway else conn.register(request_id)
+        slot = None if opdef.oneway else conn.register(request_id)
         conn.send_lock.acquire(proc)
         try:
             proc.sleep(profile.client_overhead * self._ovh +
@@ -451,14 +573,14 @@ class Orb:
             raise
         finally:
             conn.send_lock.release(proc)
-        if event is None:
+        if slot is None:
             return None
         try:
-            result = event.wait(proc, timeout=self.request_timeout)
+            result = conn.reply(proc, request_id, slot,
+                                self.request_timeout)
         except SimTimeout as exc:
-            # forget the slot: a late reply is dropped by the reader,
+            # the slot is gone: whoever reads the late reply drops it,
             # so the connection itself stays usable
-            conn.forget(request_id)
             raise SystemException(
                 "TIMEOUT", f"{opdef.name}: no reply within "
                 f"{self.request_timeout} s") from exc
@@ -538,6 +660,11 @@ class Orb:
         self._conn_lock.acquire(proc)
         try:
             conn = self._connections.get(key)
+            if conn is not None and conn.endpoint.peer.closed:
+                # the server hung up while nobody was reading: what it
+                # left unread dies with the connection
+                conn._fail(SystemException("COMM_FAILURE",
+                                           "connection closed"))
             if conn is None or conn.endpoint.closed or \
                     conn.dead is not None:
                 endpoint = VLink.connect(proc, self.process, target, port)
@@ -576,37 +703,8 @@ class Orb:
     # ------------------------------------------------------------------
     def _serve_connection(self, proc: SimProcess,
                           endpoint: VLinkEndpoint) -> None:
-        while True:
-            item = endpoint.recv(proc)
-            if item is None:
-                endpoint.close()
-                return
-            (header, body), nbytes = item
-            try:
-                msg_type, _size, little, _ver = self.wire.parse_header(header)
-            except CdrError:
-                endpoint.close()  # protocol error: drop this connection
-                return
-            if msg_type == self.wire.MSG_CLOSE_CONNECTION:
-                endpoint.close()
-                return
-            if msg_type != self.wire.MSG_REQUEST:
-                continue  # ignore unknown traffic, like real ORBs
-            # protocol-engine receive cost stays on the reader thread
-            proc.sleep(self.profile.server_overhead * self._ovh +
-                       self.profile.unmarshal_cost(nbytes))
-            # thread-per-request dispatch: long servant work never
-            # blocks later requests on the same connection (reply
-            # order may differ — the client demultiplexes by id)
-            self.process.spawn(self._dispatch_one, endpoint, body,
-                               little, name="giop-dispatch", daemon=True)
-
-    def _dispatch_one(self, proc: SimProcess, endpoint: VLinkEndpoint,
-                      body: "bytes | WireBuffer", little: bool) -> None:
-        try:
-            self._handle_request(proc, endpoint, body, little)
-        except (TransferError, NoRouteError, BrokenPipeError):
-            endpoint.close()  # reply path died; drop the connection
+        """Serve an accepted connection, starting on the calling thread."""
+        _ServerConnection(self, endpoint).serve(proc)
 
     def _handle_request(self, proc: SimProcess, endpoint: VLinkEndpoint,
                         body: "bytes | WireBuffer", little: bool) -> None:

@@ -15,7 +15,7 @@ encryption cost on insecure wires (paper §2/§6)."""
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Protocol
+from typing import TYPE_CHECKING, Any, Callable, Protocol
 
 from repro.net.devices import DISTRIBUTED
 from repro.padicotm.abstraction.selector import (
@@ -103,6 +103,11 @@ class VLinkEndpoint:
             self._send_ovh, self._recv_ovh = (TCP_SEND_OVERHEAD,
                                               TCP_RECV_OVERHEAD)
         self._inbox = Mailbox(runtime.kernel)
+        #: called (no arguments) when the peer queues a message here
+        #: while no thread waits in :meth:`recv` — how a server that
+        #: reads with a varying number of threads learns of a message
+        #: none of them is there to take
+        self.on_unread: Callable[[], None] | None = None
         self.peer: "VLinkEndpoint | None" = None
         self.closed = False
         # the process-wide default policy applies unless overridden
@@ -195,7 +200,7 @@ class VLinkEndpoint:
                 if mon is not None:
                     mon.on_span_end("arbitration.send")
             self.sent_bytes += nbytes
-            self.peer._inbox.put_nowait((payload, nbytes, extra))
+            self.peer._deliver((payload, nbytes, extra))
         finally:
             if mon is not None:
                 mon.on_span_end("vlink.send")
@@ -230,6 +235,13 @@ class VLinkEndpoint:
             if mon is not None:
                 mon.on_span_end("vlink.recv")
 
+    def _deliver(self, item: Any) -> None:
+        """Queue ``item`` (a message or EOF from the peer) for ``recv``."""
+        unread = self.on_unread is not None and not self._inbox.waiting
+        self._inbox.put_nowait(item)
+        if unread:
+            self.on_unread()
+
     def poll(self) -> bool:
         if self.runtime.monitor is not None:
             self.runtime.monitor.on_vlink(self, "poll")
@@ -242,7 +254,7 @@ class VLinkEndpoint:
         if not self.closed:
             self.closed = True
             if self.peer is not None:
-                self.peer._inbox.put_nowait(_EOF)
+                self.peer._deliver(_EOF)
             # unblock threads of our own process waiting in recv()
             self._inbox.put_nowait(_EOF)
 

@@ -136,7 +136,7 @@ class ThreadBackend:
                 exc = proc._pending_exc
                 proc._pending_exc = None
                 raise exc
-            proc.result = proc._fn(proc, *proc._args)
+            proc.result = _call_body(proc)
             proc._state = SimProcess._STATE_DONE
         except SimShutdown:
             proc._state = SimProcess._STATE_DONE
@@ -150,3 +150,13 @@ class ThreadBackend:
             target = proc.kernel._carry(proc)
             self._idle.append((proc._go, proc._thread, job))
             self._give(target)
+
+
+def _call_body(proc: SimProcess) -> Any:
+    """Run ``proc``'s body, letting go of the body and its arguments
+    first: the kernel keeps every process it ever spawned, and a
+    finished one must not pin what it was given (a request body, a
+    GridCCM piece)."""
+    fn, args = proc._fn, proc._args
+    proc._fn = proc._args = None
+    return fn(proc, *args)

@@ -360,6 +360,11 @@ class Mailbox:
     def empty(self) -> bool:
         return not self._items
 
+    @property
+    def waiting(self) -> int:
+        """Processes blocked in :meth:`get`."""
+        return len(self._getters)
+
     def put(self, proc: SimProcess, item: Any) -> None:
         """Append ``item``; blocks while the mailbox is full."""
         while self.capacity is not None and len(self._items) >= self.capacity:

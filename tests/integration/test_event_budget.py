@@ -96,8 +96,9 @@ def test_event_budget():
     """100 operations: 50 CORBA ``push`` + 50 MPI round trips.
 
     The baseline for ROADMAP item 1 ("events per operation"); all but
-    ``threads_started`` were captured at 56b5edf, before the lone-flow
-    closed form and thread recycling, neither of which may move them:
+    ``events_processed``, ``handoffs`` and ``threads_started`` were
+    captured at 56b5edf, before the lone-flow closed form, thread
+    recycling and in-line dispatch, none of which may move them:
 
     * lever (a), accruing modelled software costs instead of sleeping
       each one, is expected to lower ``events_processed`` and leave
@@ -105,10 +106,18 @@ def test_event_budget():
     * lever (b), the uncontended-flow fast path, lowers host time per
       solve only: ``solver_solves`` / ``solver_iterations`` count the
       closed form as the one-flow fill it replaces;
-    * lever (c), the ORB's per-request work: fewer servant wake-ups
-      would lower ``handoffs`` (and ``events_processed`` with them);
-      recycling the request threads keeps ``threads_started`` at the
-      long-lived processes plus one worker instead of one per request.
+    * lever (c), the ORB's per-request path, is done: the connection
+      thread dispatches each request in line (no ``giop-dispatch``
+      spawn and wake-up) and the caller reads its own reply (no
+      ``giop-reader`` waking it).  Per ``push`` that is one event and
+      one hand-off fewer on each side; the reader itself cost one event
+      (its spawn) and three hand-offs (its start, and its wake-up and
+      exit at shutdown).  So ``events_processed`` 1469 → 1368
+      (−2 × 50 − 1), ``handoffs`` 648 → 545 (−2 × 50 − 3), and
+      ``threads_started`` 7 → 5: the five long-lived processes
+      (acceptor, connection thread, CORBA client, two MPI ranks), no
+      reader, no request thread to recycle.  A spawn costs no virtual
+      time, so ``now`` and the rest did not move.
     """
     assert _run()[0] == BUDGET
     assert _run()[0] == BUDGET  # and again: counts, not clocks
@@ -119,7 +128,10 @@ def test_recorder_leaves_the_kernel_path_alone():
     kernel makes 0 hook calls per event — the recorder has no tracer
     hook to call, none is installed, wake timers keep being recycled —
     and every literal of the untraced run stands.  The recorder's two
-    scheduler counts are the kernel's own, frozen at ``unobserve``."""
+    scheduler counts are the kernel's own, frozen at ``unobserve``;
+    lever (c) moved them from (1469, 1289): one event and one switch
+    fewer per request and per reply, and one each for the reader's
+    start (it is still parked at the drain)."""
     at_drain = {}
 
     class Recorder(TraceRecorder):
@@ -137,7 +149,7 @@ def test_recorder_leaves_the_kernel_path_alone():
     assert at_drain["tracer"] is None
     assert at_drain["pooled"] > 0
     assert (recorder.events_fired, recorder.context_switches) \
-        == at_drain["counts"] == (1469, 1289)
+        == at_drain["counts"] == (1368, 1188)
     # shutdown() gave every parked server thread the token once more;
     # the detached recorder did not follow
     assert kernel.context_switches > recorder.context_switches
@@ -145,10 +157,10 @@ def test_recorder_leaves_the_kernel_path_alone():
 
 
 BUDGET = {
-    "events_processed": 1469,   # 14.7 per operation
+    "events_processed": 1368,   # 13.7 per operation (1469 before lever c)
     "events_skipped": 24,
-    "handoffs": 648,
-    "threads_started": 7,       # one per request at 56b5edf
+    "handoffs": 545,            # 648 before lever (c)
+    "threads_started": 5,       # one per request at 56b5edf, 7 before (c)
     "solver_solves": 360,       # one per admission, one per completion
     "solver_iterations": 191,
     "completed_flows": 180,

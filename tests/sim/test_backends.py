@@ -8,6 +8,7 @@ event order.
 
 import sys
 import threading
+import weakref
 
 import pytest
 
@@ -153,8 +154,9 @@ def test_hook_order_matches_the_relay_kernel(hook_log):
 # ... and on thread recycling another: backend.threads_started
 # ----------------------------------------------------------------------
 def _dispatch_loop(n, seed=None):
-    """The ORB's dispatch shape: a long-lived parent spawns one
-    short-lived process per request, one after another."""
+    """A per-call worker shape (GridCCM's ``gridccm-*`` workers): a
+    long-lived parent spawns one short-lived process per call, one
+    after another."""
     names = []
 
     def request(p, i):
@@ -185,6 +187,33 @@ def test_thread_count_repeats_exactly():
     assert _dispatch_loop(50)[:2] == plain
     assert _dispatch_loop(50, seed=7)[:2] == seeded
     assert seeded[0] == plain[0]  # a seed permutes events, not lifetimes
+
+
+class _Piece(list):
+    """A weak-referenceable argument."""
+
+
+def test_finished_process_pins_nothing_it_was_given():
+    """The kernel keeps every process it ever spawned, so a finished one
+    must let go of its body and its arguments — a request body, the
+    array piece a GridCCM worker's closure holds — or a run keeps every
+    payload it moved until the kernel is dropped."""
+    arg, held = _Piece([1]), _Piece([2, 3])
+
+    def make_body(piece):
+        def body(p, data):
+            p.sleep(0.1)
+            return len(data) + len(piece)
+        return body
+
+    body = make_body(held)
+    refs = [weakref.ref(obj) for obj in (arg, held, body)]
+    with SimKernel() as k:
+        proc = k.spawn(body, arg, name="worker")
+        del arg, held, body
+        k.run()
+        assert proc.result == 3
+        assert [ref() for ref in refs] == [None, None, None]
 
 
 def test_processes_alive_at_once_each_get_a_thread():

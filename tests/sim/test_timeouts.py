@@ -135,7 +135,7 @@ def test_orb_request_timeout():
         except SystemException as e:
             out["minor"] = e.minor
             out["when"] = rt.kernel.now
-        # the connection was dropped; a later call reconnects cleanly
+        # the connection stays usable: a later call gets its own reply
         c_orb.request_timeout = None
         out["retry"] = stub.work(0.001)
 
