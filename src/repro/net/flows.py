@@ -623,15 +623,37 @@ class FlowNetwork:
         return totals
 
     def fail_link(self, link: Link) -> None:
-        """Bring a link down and abort every flow crossing it."""
-        link.up = False
-        victims = list(self._link_flows.get(link, ()))
+        """Bring ``link``'s cable down — both simplex directions — and
+        abort every flow crossing either one.
+
+        This and :meth:`restore_link` are the only writers of link
+        state.  Victims are the forward link's flows, then the reverse
+        link's not already counted; each gets one
+        :class:`TransferError` naming ``link``, and one re-solve covers
+        them all.
+        """
+        reverse = link.fabric.link(link.dst, link.src)
+        link._set_up(False)
+        reverse._set_up(False)
+        link_flows = self._link_flows
+        victims = list(dict.fromkeys(
+            [*link_flows.get(link, ()), *link_flows.get(reverse, ())]))
         self._advance()
         for f in victims:
             self._abort_flow(
                 f, TransferError(f"link {link.name} went down"), wake=True,
                 advance=False)
         self._reallocate(victims)
+
+    def restore_link(self, link: Link) -> None:
+        """Bring ``link``'s cable back up in both directions.
+
+        Routes are recomputed on next use (the route cache is cleared);
+        no rate is re-solved, because admission never lets a live flow
+        cross a down link, so no live flow's share can change.
+        """
+        link._set_up(True)
+        link.fabric.link(link.dst, link.src)._set_up(True)
 
     # ------------------------------------------------------------------
     # internals

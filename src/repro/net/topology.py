@@ -32,11 +32,12 @@ class NoRouteError(RuntimeError):
 class Link:
     """A simplex (one-direction) network link.
 
-    ``up`` supports failure injection: a downed link is skipped by
-    routing and kills flows currently crossing it.  Toggling it
-    invalidates the owning fabric's route cache, so every mutation
-    path (``Topology.set_link_state``, ``FlowNetwork.fail_link``,
-    direct assignment in tests) keeps cached routes consistent.
+    ``up`` is read-only: a downed link is skipped by routing and
+    refused by flow admission.  Its one writer is :meth:`_set_up`,
+    which also invalidates the owning fabric's route cache; the flow
+    network's ``fail_link`` / ``restore_link`` call it for both
+    directions of a cable, so the flows crossing a failed cable learn
+    of it in the same step.
     """
 
     __slots__ = ("name", "src", "dst", "fabric", "bandwidth", "latency",
@@ -56,9 +57,7 @@ class Link:
     def up(self) -> bool:
         return self._up
 
-    @up.setter
-    def up(self, value: bool) -> None:
-        value = bool(value)
+    def _set_up(self, value: bool) -> None:
         if value != self._up:
             self._up = value
             self.fabric._invalidate_routes()
@@ -145,9 +144,10 @@ class Fabric:
         """Directed links along the lowest-latency live path src→dst.
 
         Results are cached per ``(src, dst)``; the cache is cleared by
-        :meth:`Topology.set_link_state`, :meth:`~FlowNetwork.fail_link`
-        (any ``Link.up`` write) and by attaching new cables, so a cached
-        route is always exactly what a fresh Dijkstra would return.
+        every link state change (:meth:`Link._set_up`, reached through
+        ``FlowNetwork.fail_link`` / ``restore_link``) and by attaching
+        new cables, so a cached route is always exactly what a fresh
+        Dijkstra would return.
         """
         if src == dst:
             return []
@@ -320,18 +320,6 @@ class Topology:
             hits += fab.route_cache_hits
             misses += fab.route_cache_misses
         return hits, misses
-
-    def set_link_state(self, fabric: str | Fabric, src: str, dst: str,
-                       up: bool, both_directions: bool = True) -> list[Link]:
-        """Failure injection: bring a cable down (or back up)."""
-        fab = self._fabric(fabric)
-        pairs = [(src, dst), (dst, src)] if both_directions else [(src, dst)]
-        changed = []
-        for a, b in pairs:
-            link = fab.link(a, b)
-            link.up = up
-            changed.append(link)
-        return changed
 
 
 # ---------------------------------------------------------------------------

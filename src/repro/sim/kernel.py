@@ -539,12 +539,17 @@ class SimKernel:
     def run(self, until: float | None = None) -> float:
         """Process events until the heap drains or ``until`` is reached.
 
-        Returns the final virtual time.  Processes still blocked when the
-        heap drains simply remain blocked (use :meth:`shutdown`, or the
-        context-manager form, to terminate them).  An exception raised
-        in kernel context — on whichever thread was carrying the loop —
-        and the :class:`SimProcessError` of a failed non-daemon process
-        are raised here, in the caller's thread.
+        Returns the final virtual time.  With ``until=None`` a run ends
+        when the heap drains, and a drained heap with a *non-daemon*
+        process still alive is a deadlock: nothing can ever wake it, so
+        :class:`SimDeadlockError` is raised, carrying the wait-for graph.
+        Blocked daemons (server loops) are exempt, and so is a run
+        bounded by ``until``, which stops with work pending by design.
+        Either way what is still blocked stays blocked (use
+        :meth:`shutdown`, or the context-manager form, to terminate it).
+        An exception raised in kernel context — on whichever thread was
+        carrying the loop — and the :class:`SimProcessError` of a failed
+        non-daemon process are raised here, in the caller's thread.
         """
         if self._running:
             raise RuntimeError("kernel is already running")
@@ -554,6 +559,15 @@ class SimKernel:
             self._drive()
         finally:
             self._running = False
+        if until is None:
+            stranded = [p.name for p in self._processes
+                        if p.alive and not p.daemon]
+            if stranded:
+                from repro.sim.waitgraph import format_wait_graph
+                raise SimDeadlockError(
+                    f"event heap drained at t={self.now} with non-daemon "
+                    f"process(es) still blocked: {', '.join(stranded)}\n"
+                    + format_wait_graph(self))
         return self.now
 
     def _drive(self) -> None:
@@ -642,6 +656,8 @@ class SimKernel:
                            until: float | None = None) -> Any:
         """Run the simulation until ``proc`` finishes; return its result."""
         self.run(until=until)
+        # run() already raised for a stranded non-daemon: what is left
+        # is a run bounded by ``until`` or a daemon target
         if proc.alive:
             from repro.sim.waitgraph import format_wait_graph
             raise SimDeadlockError(
@@ -689,7 +705,7 @@ def run_processes(fns: Iterable[Callable], until: float | None = None,
                  for fn in fns]
         kernel.run(until=until)
         for p in procs:
-            if p.alive:
+            if p.alive:  # only under ``until``: run() raises on a drain
                 raise SimDeadlockError(
                     f"process {p.name!r} never finished\n"
                     + format_wait_graph(kernel))

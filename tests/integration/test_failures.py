@@ -80,7 +80,6 @@ def test_client_recovers_over_surviving_fabric(rt):
         # kill the whole SAN path of the client host
         link = rt.topology.fabrics["a-san"].link("a1", "a-san-sw")
         rt.network.fail_link(link)
-        rt.topology.set_link_state("a-san", "a1", "a-san-sw", up=False)
         try:
             stub.push(b"during")
         except SystemException as e:
@@ -136,16 +135,13 @@ def test_mpi_send_over_dead_link_raises(rt):
         if comm.rank == 0:
             link = rt.topology.fabrics["a-san"].link("a0", "a-san-sw")
             rt.network.fail_link(link)
-            rt.topology.set_link_state("a-san", "a0", "a-san-sw",
-                                       up=False)
             from repro.net import NoRouteError, TransferError
             try:
                 comm.Send(np.zeros(10), dest=1)
             except (TransferError, NoRouteError) as e:
                 out["err"] = type(e).__name__
                 # unblock the receiver so the test terminates cleanly
-                rt.topology.set_link_state("a-san", "a0", "a-san-sw",
-                                           up=True)
+                rt.network.restore_link(link)
                 comm.Send(np.zeros(10), dest=1)
         else:
             buf = np.empty(10)
@@ -226,7 +222,7 @@ def test_deterministic_replay_of_failure_scenario():
             link = rt.topology.fabrics["a-san"].link("a1", "a-san-sw")
             rt.network.fail_link(link)
             proc.sleep(1e-4)
-            rt.topology.set_link_state("a-san", "a1", "a-san-sw", up=True)
+            rt.network.restore_link(link)
 
         client.spawn(main)
         client.spawn(chaos, daemon=True)

@@ -107,9 +107,10 @@ def test_link_failure_between_components(rt):
         pc = ParallelClient.attach(orb, plan, "input", url)
         out["first"] = pc.norm2(np.ones(100))
         # cut the client's SAN uplink while a big transfer is in flight
+        link = rt.topology.fabrics["a-san"].link("a2", "a-san-sw")
+
         def chaos(p):
             p.sleep(0.001)
-            link = rt.topology.fabrics["a-san"].link("a2", "a-san-sw")
             rt.network.fail_link(link)
         rt.kernel.spawn(chaos, daemon=True)
         try:
@@ -117,7 +118,7 @@ def test_link_failure_between_components(rt):
         except SystemException as e:
             out["failure"] = e.minor
         # heal and retry
-        rt.topology.set_link_state("a-san", "a2", "a-san-sw", up=True)
+        rt.network.restore_link(link)
         out["retry"] = pc.norm2(np.ones(100))
 
     cli.spawn(main)

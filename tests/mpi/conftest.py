@@ -25,8 +25,7 @@ def run_spmd(rt, n_ranks, fn, *args, procs_per_host=1):
              for i in range(n_ranks)]
     world = create_world(rt, "w", procs)
     threads = spmd(world, fn, *args)
-    rt.run()
+    rt.run()  # raises if a rank is left blocked
     for t in threads:
-        assert not t.alive, f"{t.name} never finished"
         assert t.exc is None
     return [t.result for t in threads]

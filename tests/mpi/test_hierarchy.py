@@ -26,6 +26,7 @@ from repro.net.devices import MYRINET_2000
 from repro.obs import TraceRecorder
 from repro.padicotm import PadicoRuntime
 from repro.sanitizer.monitors import TypestateMonitor
+from repro.sim import SimDeadlockError
 from tests.mpi._flat import flat_world
 
 
@@ -46,18 +47,13 @@ def _world(rt, procs, aware):
     return (create_world if aware else flat_world)(rt, "w", procs)
 
 
-def _run(rt, procs, fn, *args, aware=True, tolerate_blocked=False):
+def _run(rt, procs, fn, *args, aware=True):
     world = _world(rt, procs, aware)
     threads = spmd(world, fn, *args)
-    rt.kernel.run()
-    results = []
+    rt.kernel.run()  # raises if a rank is left blocked
     for t in threads:
-        if not tolerate_blocked:
-            assert not t.alive, f"{t.name} never finished"
-            assert t.exc is None, f"{t.name}: {t.exc!r}"
-        results.append(t.result if not t.alive and t.exc is None
-                       else None)
-    return world, results
+        assert t.exc is None, f"{t.name}: {t.exc!r}"
+    return world, [t.result for t in threads]
 
 
 def _procs(rt, site_hosts, order="contiguous"):
@@ -115,7 +111,7 @@ def test_flat_vs_aware_identical_for_every_root(sites, hps):
             threads = spmd(world, _all_collectives, root)
             rt.kernel.run()
             for t in threads:
-                assert not t.alive and t.exc is None, \
+                assert t.exc is None, \
                     f"root={root} {t.name}: {t.exc!r}"
             per_root.append([t.result for t in threads])
         if flat is None:
@@ -257,8 +253,8 @@ def test_wan_failure_mid_collective_fails_both_modes():
     """Kill the destination site's router-core cable while the 8 MiB
     broadcast is crossing it: in both modes the sending leader edge is
     rank 0 -> rank 2, and in both modes that sender observes the
-    failure (TransferError mid-flight) while the collective as a whole
-    never completes successfully anywhere."""
+    failure (TransferError mid-flight) while site 1 never completes:
+    its ranks are left blocked, and run() reports them stranded."""
     errs = {}
     for aware in (False, True):
         rt, site_hosts = _grid(2, 2)
@@ -276,21 +272,17 @@ def test_wan_failure_mid_collective_fails_both_modes():
 
         def saboteur(proc):
             proc.sleep(1.0)  # the 0->2 crossing is in flight by now
-            wan = rt.topology.fabrics["g-wan"]
-            for a, b in (("g-wan-core", "g-wan-r1"),
-                         ("g-wan-r1", "g-wan-core")):
-                rt.network.fail_link(wan.link(a, b))
-            rt.topology.set_link_state("g-wan", "g-wan-r1",
-                                       "g-wan-core", up=False)
+            rt.network.fail_link(
+                rt.topology.fabrics["g-wan"].link("g-wan-core", "g-wan-r1"))
 
         world = _world(rt, procs, aware)
         threads = spmd(world, body)
         procs[0].spawn(saboteur, name="saboteur")
-        rt.kernel.run()
-        finished = {i: t.result for i, t in enumerate(threads)
-                    if not t.alive and t.exc is None}
-        assert "ok" not in [finished.get(2), finished.get(3)], \
-            "site 1 completed despite the dead WAN link"
+        with pytest.raises(SimDeadlockError) as info:
+            rt.kernel.run()
+        for t in threads[2:]:
+            assert t.alive, "site 1 completed despite the dead WAN link"
+            assert f"{t.name} waits on" in str(info.value)
         errs[aware] = out.get(0)
         rt.shutdown()
     assert errs[False] == errs[True] == "TransferError"
@@ -300,7 +292,7 @@ def test_wan_failure_mid_exchange_fails_both_leaders():
     """The same cable dies while the two leaders of a 2 x 2 grid are
     swapping 8 MiB partials: the exchange is symmetric, so *both*
     leaders are senders and both observe the failure; no rank returns
-    a result."""
+    a result, and the two ranks behind the leaders are left stranded."""
     rt, site_hosts = _grid(2, 2)
     procs = _procs(rt, site_hosts)
     out = {}
@@ -315,16 +307,17 @@ def test_wan_failure_mid_exchange_fails_both_leaders():
 
     def saboteur(proc):
         proc.sleep(1.0)  # both crossings are in flight by now
-        wan = rt.topology.fabrics["g-wan"]
-        for a, b in (("g-wan-core", "g-wan-r1"), ("g-wan-r1", "g-wan-core")):
-            rt.network.fail_link(wan.link(a, b))
-        rt.topology.set_link_state("g-wan", "g-wan-r1", "g-wan-core",
-                                   up=False)
+        rt.network.fail_link(
+            rt.topology.fabrics["g-wan"].link("g-wan-core", "g-wan-r1"))
 
     threads = spmd(create_world(rt, "w", procs), body)
     procs[0].spawn(saboteur, name="saboteur")
-    rt.kernel.run()
+    with pytest.raises(SimDeadlockError) as info:
+        rt.kernel.run()
     assert out == {0: "TransferError", 2: "TransferError"}
+    assert [t.alive for t in threads] == [False, True, False, True]
+    for t in (threads[1], threads[3]):
+        assert f"{t.name} waits on" in str(info.value)
     assert "ok" not in [t.result for t in threads if not t.alive]
     rt.shutdown()
 
@@ -585,9 +578,8 @@ def test_closed_world_fails_on_every_rank():
                   if state == "closed") == \
         ["mpi:w", "mpi:w|site:g0", "mpi:w|site:g1"]
     threads = spmd(world, body)
-    rt.kernel.run()
+    rt.kernel.run()  # raises if a rank is left blocked
     for t in threads:
-        assert not t.alive, f"{t.name} is still blocked"
         assert isinstance(t.result, RuntimeError), f"{t.name}: {t.result!r}"
     assert len(monitor.violations) == 6
     rt.shutdown()

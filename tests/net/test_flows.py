@@ -6,7 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.net import FlowNetwork, Topology, TransferError, build_cluster
+from repro.net import (
+    ETHERNET_100,
+    FlowNetwork,
+    Topology,
+    TransferError,
+    build_cluster,
+)
 from repro.net.flows import _TABLE_MIN_FLOWS
 from repro.sim import SimKernel
 
@@ -135,7 +141,7 @@ def test_link_failure_aborts_inflight_transfer(grid):
 
 def test_transfer_on_downed_link_raises_immediately(grid):
     kernel, topo, net = grid
-    topo.set_link_state("a-san", "a0", "a-san-sw", up=False)
+    net.fail_link(topo.fabrics["a-san"].link("a0", "a-san-sw"))
     errors = []
 
     def sender(p):
@@ -148,6 +154,74 @@ def test_transfer_on_downed_link_raises_immediately(grid):
     kernel.run()
     # routing already fails: NoRouteError
     assert errors == ["NoRouteError"]
+
+
+def test_fail_link_takes_down_the_whole_cable(grid):
+    """Failing one direction of a cable fails the other too: a flow on
+    the reverse link is a victim, and a flow on each direction gets one
+    error from one failure."""
+    kernel, topo, net = grid
+    fab = topo.fabrics["a-san"]
+    uplink, downlink = fab.link("a0", "a-san-sw"), fab.link("a-san-sw", "a0")
+    outcomes = []
+
+    def record(flow):
+        outcomes.append((flow.route[0].name, kernel.now, str(flow.error)))
+
+    net.start_flow(topo.route("a1", "a0", "a-san"), 240e6, record)
+    net.start_flow(topo.route("a0", "a2", "a-san"), 240e6, record)
+    kernel.schedule(0.1, net.fail_link, uplink)
+    kernel.run()
+    down = f"link {uplink.name} went down"
+    # the forward link's victims first, then the reverse link's
+    assert outcomes == [("a-san:a0->a-san-sw", pytest.approx(0.1), down),
+                        ("a-san:a1->a-san-sw", pytest.approx(0.1), down)]
+    assert not uplink.up and not downlink.up
+    assert [ok for *_, ok in net.flow_log] == [False, False]
+    assert net.completed_flows == 0 and not net.active_flows
+
+
+def test_restore_link_reroutes_without_a_resolve():
+    """After a restore the next transfer takes the cable again (the
+    route cache was cleared); the flow on the detour keeps its rate,
+    and no solver counter moves."""
+    topo = Topology()
+    fab = topo.add_fabric("ring", ETHERNET_100)
+    for n in ("x", "y", "z"):
+        topo.add_host(n)
+    topo.attach("x", fab, "y")
+    topo.attach("y", fab, "z")
+    topo.attach("x", fab, "z")
+    with SimKernel() as kernel:
+        net = FlowNetwork(kernel, topo)
+        cable = fab.link("x", "y")
+        net.fail_link(cable)
+        detour = net.start_flow(topo.route("x", "y", "ring"), 1e6,
+                                lambda f: None)
+        assert [l.name for l in detour.route] == ["ring:x->z", "ring:z->y"]
+
+        def solver():
+            return (net.solver_solves, net.solver_iterations,
+                    net.solver_flows_resolved, detour.rate)
+
+        before = solver()
+        net.restore_link(cable)
+        assert solver() == before
+        assert cable.up and fab.link("y", "x").up
+        direct = net.start_flow(topo.route("x", "y", "ring"), 1e6,
+                                lambda f: None)
+        assert [l.name for l in direct.route] == ["ring:x->y"]
+        kernel.run()
+        assert detour.error is None and direct.error is None
+        assert net.completed_flows == 2
+
+
+def test_link_state_has_no_public_writer(grid):
+    kernel, topo, net = grid
+    link = topo.fabrics["a-san"].link("a0", "a-san-sw")
+    with pytest.raises(AttributeError):
+        link.up = False
+    assert link.up
 
 
 def test_surviving_flow_speeds_up_after_other_completes(grid):

@@ -80,13 +80,14 @@ def test_route_cache_hits_and_misses():
 
 def test_route_cache_invalidated_by_link_state():
     topo, _ = build_grid(sites=2, hosts_per_site=4)
+    net = FlowNetwork(SimKernel(), topo)
     fab = topo.fabrics["g0-san"]
     cached = topo.route("g0n0", "g0n1", "g0-san")
-    topo.set_link_state("g0-san", "g0n0", "g0-san-sw", up=False)
+    net.fail_link(fab.link("g0n0", "g0-san-sw"))
     # the cached path crosses the downed link; it must not be served
     with pytest.raises(Exception):
         topo.route("g0n0", "g0n1", "g0-san")
-    topo.set_link_state("g0-san", "g0n0", "g0-san-sw", up=True)
+    net.restore_link(fab.link("g0n0", "g0-san-sw"))
     assert topo.route("g0n0", "g0n1", "g0-san") == cached
     assert fab.route_cache_hits == 0  # every lookup re-resolved
 
@@ -132,7 +133,7 @@ def test_start_flows_validation_is_atomic():
     topo, kernel, net = _grid_net()
     good = topo.route("g0n0", "g0n1", "g0-san")
     bad = topo.route("g0n2", "g0n3", "g0-san")
-    topo.set_link_state("g0-san", "g0n2", "g0-san-sw", up=False)
+    net.fail_link(topo.fabrics["g0-san"].link("g0n2", "g0-san-sw"))
     with pytest.raises(TransferError):
         net.start_flows([(good, 1e6, lambda f: None),
                          (bad, 1e6, lambda f: None)])

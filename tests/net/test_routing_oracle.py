@@ -39,10 +39,13 @@ def _build(nodes, cables, down):
     for (a, b), latency in cables:
         topo.link_switches(fab, a, b, latency=latency)
         graph.add_edge(a, b)
+    # one direction at a time, through the private writer: the flow
+    # network's fail_link always takes both, and the oracle must also
+    # cover a cable that is half down
     for index, reverse in down:
         if cables:
             (a, b), _ = cables[index % len(cables)]
-            fab.link(*((b, a) if reverse else (a, b))).up = False
+            fab.link(*((b, a) if reverse else (a, b)))._set_up(False)
     return fab, graph
 
 

@@ -12,6 +12,8 @@ from repro.net import (
     build_cluster,
     build_two_site_grid,
 )
+from repro.net.flows import FlowNetwork
+from repro.sim import SimKernel
 
 
 def test_technology_validation():
@@ -103,16 +105,17 @@ def test_link_failure_reroutes_or_raises():
     topo.attach("x", fab, "y")
     topo.attach("y", fab, "z")
     topo.attach("x", fab, "z")
+    net = FlowNetwork(SimKernel(), topo)
     direct = topo.route("x", "y", "ring")
     assert len(direct) == 1
-    topo.set_link_state("ring", "x", "y", up=False)
+    net.fail_link(fab.link("x", "y"))
     detour = topo.route("x", "y", "ring")
     assert [l.src for l in detour] == ["x", "z"]
-    topo.set_link_state("ring", "x", "z", up=False)
+    net.fail_link(fab.link("x", "z"))
     with pytest.raises(NoRouteError):
         topo.route("x", "y", "ring")
     # bring back up
-    topo.set_link_state("ring", "x", "y", up=True)
+    net.restore_link(fab.link("x", "y"))
     assert len(topo.route("x", "y", "ring")) == 1
 
 

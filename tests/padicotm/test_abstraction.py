@@ -124,18 +124,20 @@ def test_vlink_straight_on_lan(grid_runtime):
 
     def srv(proc):
         ep = listener.accept(proc)
-        ep.recv(proc)
+        result["got"] = ep.recv(proc)
 
     def cli(proc):
         ep = VLink.connect(proc, client, "server", "giop")
         result["mapping"] = ep.mapping
         result["fabric"] = ep.fabric_name
+        ep.send(proc, b"hello", 5)
 
     server.spawn(srv)
     client.spawn(cli)
     rt.run()
     assert result["mapping"] == "straight"
     assert result["fabric"] == "wan"
+    assert result["got"] == (b"hello", 5)
 
 
 def test_vlink_connect_refused(cluster_runtime):

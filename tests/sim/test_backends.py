@@ -14,6 +14,7 @@ import pytest
 
 from repro.sim import (
     Mailbox,
+    SimDeadlockError,
     SimEvent,
     SimInterrupt,
     SimKernel,
@@ -330,7 +331,8 @@ def test_process_ended_before_its_first_dispatch_returns_a_reusable_thread():
 def test_bare_suspend_labelled_in_wait_graph():
     with SimKernel() as k:
         k.spawn(lambda p: p.suspend(), name="stuck")
-        k.run()
+        with pytest.raises(SimDeadlockError):
+            k.run()
         assert "stuck waits on bare suspend() awaiting an external " \
             "wake()" in format_wait_graph(k)
 
@@ -339,7 +341,8 @@ def test_suspend_hint_labelled_in_wait_graph():
     with SimKernel() as k:
         k.spawn(lambda p: p.suspend(waiting_on="io-completion from nic0"),
                 name="stuck")
-        k.run()
+        with pytest.raises(SimDeadlockError):
+            k.run()
         assert "suspend() awaiting io-completion from nic0" \
             in format_wait_graph(k)
 

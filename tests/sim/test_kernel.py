@@ -219,13 +219,48 @@ def test_run_until_complete_deadlock_detection():
             k.run_until_complete(pr)
 
 
+def test_run_raises_when_the_heap_drains_over_a_blocked_process():
+    baseline = threading.active_count()
+    k = SimKernel()
+    box = Mailbox(k)
+    k.spawn(lambda p: p.sleep(1.0), name="finisher")
+    consumer = k.spawn(box.get, name="consumer")
+    with pytest.raises(SimDeadlockError) as info:
+        k.run()
+    assert k.now == 1.0 and consumer.alive
+    message = str(info.value)
+    assert "still blocked: consumer\n" in message
+    assert "consumer waits on Mailbox#1 (0 item(s) queued) [get side]" \
+        in message
+    assert "finisher" not in message
+    k.shutdown()
+    assert no_thread_left(baseline)
+
+
+def test_run_until_and_blocked_daemons_stay_quiet():
+    baseline = threading.active_count()
+    k = SimKernel()
+    box = Mailbox(k)
+    server = k.spawn(box.get, name="server-loop", daemon=True)
+    stuck = k.spawn(lambda p: p.suspend(), name="stuck")
+    assert k.run(until=2.0) == 2.0  # bounded: pending work is expected
+    assert stuck.alive
+    k.wake(stuck)
+    assert k.run() == 2.0  # drained over a blocked daemon only
+    assert not stuck.alive and server.alive
+    k.shutdown()
+    assert not server.alive
+    assert no_thread_left(baseline)
+
+
 def test_shutdown_terminates_blocked_processes():
     k = SimKernel()
     def stuck(p):
         p.suspend()
 
     pr = k.spawn(stuck)
-    k.run()
+    with pytest.raises(SimDeadlockError):
+        k.run()
     assert pr.alive
     k.shutdown()
     assert not pr.alive
@@ -331,7 +366,8 @@ def _cleanup_blocks_again(p):
 def test_shutdown_terminates_process_whose_cleanup_blocks_again():
     k = SimKernel()
     pr = k.spawn(_cleanup_blocks_again)
-    k.run()
+    with pytest.raises(SimDeadlockError):
+        k.run()
     k.shutdown()
     assert pr.state == "done"
     assert pr.exc is None

@@ -229,7 +229,8 @@ def test_matchqueue_unmatched_at_shutdown_cleans_waiters():
 
     picky_proc = kernel.spawn(picky, name="picky")
     kernel.spawn(producer, name="producer")
-    kernel.run()
+    with pytest.raises(SimDeadlockError):
+        kernel.run()
 
     # blocked forever: predicate unmatched, items retained
     assert picky_proc.alive
@@ -302,7 +303,8 @@ def test_wait_graph_names_mailbox_roles():
 
     kernel.spawn(overfill, name="writer")
     kernel.spawn(starve, name="reader", delay=1.0)
-    kernel.run()
+    with pytest.raises(SimDeadlockError):
+        kernel.run()
     graph = format_wait_graph(kernel)
     assert "reader waits on" in graph
     assert "[get side]" in graph
@@ -322,7 +324,8 @@ def test_wait_graph_reports_join_targets():
 
     stuck_proc = kernel.spawn(stuck, name="stuck")
     kernel.spawn(joiner, name="joiner")
-    kernel.run()
+    with pytest.raises(SimDeadlockError):
+        kernel.run()
     graph = format_wait_graph(kernel)
     assert "joiner waits on join on process 'stuck'" in graph
     assert "0 unmatched item(s)" in graph
