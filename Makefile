@@ -7,28 +7,20 @@
 PYTHON ?= python
 PYTHONPATH := src
 
-.PHONY: check lint lint-full lint-mutants test copy-budget \
-	schedule-smoke bench-e2e sarif
+.PHONY: check lint lint-mutants test copy-budget \
+	schedule-smoke bench-e2e
 
 check: lint lint-mutants test copy-budget schedule-smoke bench-e2e
 
-# Incremental: per-file results and call-graph summaries are cached by
-# content hash in .repro-lint-cache.json; the interprocedural phase
-# always re-runs, so a callee change re-derives its cached callers.
+# The full run CI gates on; --stats prints per-checker wall time and
+# per-rule finding counts into the log.
 lint:
-	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro.analysis.cli --changed \
-		--stats src examples
-
-# Full run, no cache — what CI gates on (cold containers have no cache
-# to trust anyway).  --stats prints per-checker wall time and per-rule
-# finding counts into the CI log.
-lint-full:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro.analysis.cli --stats \
 		src examples
 
-# Seeded-mutant gate: every buf-*/ker-block-deep/obs-guard/perf-*
-# corpus defect must be caught, every good-corpus pattern must stay
-# clean (races and typestate are sim-san's: tests/sanitizer)
+# Seeded-mutant gate: every ker-block-deep/obs-guard/perf-* corpus
+# defect must be caught, every good-corpus pattern must stay clean
+# (races, typestate and publish windows are sim-san's: tests/sanitizer)
 lint-mutants:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro.analysis.mutants
 
@@ -53,9 +45,3 @@ bench-e2e:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m benchmarks.e2e --smoke \
 		--out BENCH_e2e_smoke.json
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest benchmarks/e2e -q
-
-# SARIF findings for CI/PR annotation (exit status intentionally ignored:
-# the gating run is `lint`, this one only produces the report artifact)
-sarif:
-	-PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro.analysis.cli \
-		--format sarif src examples > repro-lint.sarif

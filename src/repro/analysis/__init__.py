@@ -12,14 +12,13 @@ checked rules (see ``docs/ANALYSIS.md``):
 The per-file families are complemented by an *interprocedural* engine
 — a project call graph (:mod:`repro.analysis.callgraph`) plus a
 summary fixpoint framework (:mod:`repro.analysis.dataflow`) — with
-three whole-program clients: ``buf-*`` (zero-copy buffer
-escape/mutation-after-publish), ``ker-block-deep`` (transitive
+two whole-program clients: ``ker-block-deep`` (transitive
 blocking-call reachability) and ``obs-guard`` (instrumentation
 dominated by non-None guards).
 
-Races and the VLink/Circuit lifecycle are checked at run time only, by
-sim-san (:mod:`repro.sanitizer`); the family audit in
-``docs/ANALYSIS.md`` says why each family here stays.
+Races, the VLink/Circuit lifecycle and zero-copy publish windows are
+checked at run time only, by sim-san (:mod:`repro.sanitizer`); the
+family audit in ``docs/ANALYSIS.md`` says why each family here stays.
 
 Entry points: the ``repro-lint`` console script
 (:func:`repro.analysis.cli.main`) and :func:`run_analysis` for
@@ -36,7 +35,6 @@ from repro.analysis.base import (
     register_checker,
     register_project_checker,
 )
-from repro.analysis.cache import DEFAULT_CACHE_NAME, AnalysisCache
 from repro.analysis.baseline import (
     DEFAULT_BASELINE_NAME,
     apply_baseline,
@@ -53,11 +51,9 @@ from repro.analysis.idllint import (
 from repro.analysis.suppress import Suppressions
 
 __all__ = [
-    "AnalysisCache",
     "AnalysisConfig",
     "Checker",
     "DEFAULT_BASELINE_NAME",
-    "DEFAULT_CACHE_NAME",
     "DEFAULT_CONFIG",
     "Finding",
     "ModuleContext",

@@ -85,13 +85,11 @@ class Checker:
 class ProjectChecker:
     """A whole-program checker driven by the interprocedural engine.
 
-    Runs in two phases so the ``--changed`` cache can skip unchanged
-    files entirely:
+    Runs in two phases:
 
-    * :meth:`file_facts` reduces one parsed module to a JSON-serializable
-      fact blob (local findings material, dataflow IR, seed facts).  It
-      is the only phase with AST access, and its result is cached by
-      file content hash alongside the call-graph slice.
+    * :meth:`file_facts` reduces one parsed module to a fact blob (local
+      findings material, dataflow IR, seed facts).  It is the only phase
+      with AST access.
     * :meth:`project_check` sees every file's facts plus the assembled
       :class:`~repro.analysis.callgraph.CallGraph` and yields findings —
       typically by running a summary fixpoint via
@@ -135,7 +133,6 @@ def _load_builtin_families() -> None:
     # import for side effect: built-in families self-register
     from repro.analysis import (  # noqa: F401
         blocking,
-        bufsan,
         determinism,
         idllint,
         layering,

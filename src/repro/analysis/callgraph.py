@@ -1,13 +1,11 @@
 """Project-wide call graph for the interprocedural checkers.
 
-Construction is two-phase so the ``--changed`` cache can keep its
-per-file work:
+Construction is two-phase:
 
-* :func:`build_slice` extracts a JSON-serializable :class:`FileSlice`
-  from one module's AST — every function/method definition, the class
-  table (with resolved base names), and every call site with its best
-  local resolution.  This is the only phase that needs the AST, so a
-  cached slice fully replaces re-parsing an unchanged file.
+* :func:`build_slice` extracts a :class:`FileSlice` from one module's
+  AST — every function/method definition, the class table (with
+  resolved base names), and every call site with its best local
+  resolution.  This is the only phase that needs the AST.
 * :meth:`CallGraph.from_slices` assembles slices into the project
   graph, finishing the resolutions a single file cannot do alone:
   ``self.m()`` through base classes defined elsewhere, constructor
@@ -50,20 +48,6 @@ class FunctionInfo:
     #: decorated function into the decorator's wrapper closure
     decorators: tuple[str, ...] = ()
 
-    def to_json(self) -> dict:
-        return {"qual": self.qual, "name": self.name,
-                "module": self.module, "path": self.path,
-                "line": self.line, "params": list(self.params),
-                "cls": self.cls, "end": self.end,
-                "decorators": list(self.decorators)}
-
-    @classmethod
-    def from_json(cls, blob: dict) -> "FunctionInfo":
-        return cls(blob["qual"], blob["name"], blob["module"],
-                   blob["path"], blob["line"], tuple(blob["params"]),
-                   blob["cls"], blob.get("end", 0),
-                   tuple(blob.get("decorators", ())))
-
 
 @dataclass(frozen=True)
 class CallSite:
@@ -78,18 +62,6 @@ class CallSite:
     attr: str | None = None    # method name for late (CHA) resolution
     self_cls: str | None = None  # class qual for self.m() calls
 
-    def to_json(self) -> dict:
-        return {"caller": self.caller, "path": self.path,
-                "line": self.line, "col": self.col, "text": self.text,
-                "target": self.target, "attr": self.attr,
-                "self_cls": self.self_cls}
-
-    @classmethod
-    def from_json(cls, blob: dict) -> "CallSite":
-        return cls(blob["caller"], blob["path"], blob["line"],
-                   blob["col"], blob["text"], blob["target"],
-                   blob["attr"], blob["self_cls"])
-
 
 @dataclass
 class FileSlice:
@@ -101,21 +73,6 @@ class FileSlice:
     #: class qual -> {"bases": [dotted name...], "methods": {name: qual}}
     classes: dict[str, dict] = field(default_factory=dict)
     calls: list[CallSite] = field(default_factory=list)
-
-    def to_json(self) -> dict:
-        return {"module": self.module, "path": self.path,
-                "functions": [f.to_json() for f in self.functions],
-                "classes": self.classes,
-                "calls": [c.to_json() for c in self.calls]}
-
-    @classmethod
-    def from_json(cls, blob: dict) -> "FileSlice":
-        return cls(blob["module"], blob["path"],
-                   [FunctionInfo.from_json(f) for f in blob["functions"]],
-                   {k: {"bases": list(v["bases"]),
-                        "methods": dict(v["methods"])}
-                    for k, v in blob["classes"].items()},
-                   [CallSite.from_json(c) for c in blob["calls"]])
 
 
 def slice_module_name(ctx: "ModuleContext") -> str:
@@ -335,7 +292,7 @@ class CallGraph:
     def _add_decorator_edges(self) -> None:
         """Calling a decorated function really runs the decorator's
         wrapper closure, so wrapper-side effects (blocking, monitor
-        hooks, buffer escapes) belong to every decorated callee: add
+        hooks) belong to every decorated callee: add
         ``f -> <each function nested under the decorator>`` for every
         project-resolvable decorator on ``f``.  The wrapper's own call
         back into ``f`` is deliberately *not* modelled — a shared

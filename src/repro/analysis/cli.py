@@ -3,12 +3,9 @@
 Examples::
 
     repro-lint src examples              # gate: exit 1 on any finding
-    repro-lint --changed src examples    # incremental: reuse cached
-                                         # results for unchanged files
     repro-lint --list-rules              # what can fire and why
     repro-lint --update-baseline src     # accept current findings
     repro-lint --format json src | jq .  # machine-readable output
-    repro-lint --format sarif src        # SARIF 2.1.0 for CI annotation
 
 Exit codes: 0 clean (after baseline), 1 findings, 2 usage error.
 """
@@ -27,7 +24,6 @@ from repro.analysis.baseline import (
     format_baseline,
     load_baseline,
 )
-from repro.analysis.cache import DEFAULT_CACHE_NAME, AnalysisCache
 from repro.analysis.config import DEFAULT_CONFIG
 from repro.analysis.engine import find_project_root, run_analysis
 from repro.analysis.stats import RunStats
@@ -46,27 +42,17 @@ def _build_parser() -> argparse.ArgumentParser:
                              f"<project-root>/{DEFAULT_BASELINE_NAME})")
     parser.add_argument("--no-baseline", action="store_true",
                         help="report baselined findings too")
-    parser.add_argument("--changed", action="store_true",
-                        help="incremental mode: reuse per-file results "
-                             "and call-graph summaries cached by "
-                             f"content hash in {DEFAULT_CACHE_NAME} "
-                             "(the interprocedural phase always "
-                             "re-runs over all summaries)")
-    parser.add_argument("--cache", type=Path, default=None,
-                        help="cache file used by --changed (default: "
-                             f"<project-root>/{DEFAULT_CACHE_NAME})")
     parser.add_argument("--update-baseline", action="store_true",
                         help="write current findings to the baseline "
                              "file and exit 0")
-    parser.add_argument("--format", choices=("text", "json", "sarif"),
+    parser.add_argument("--format", choices=("text", "json"),
                         default=None,
                         help="output format (default: text)")
     parser.add_argument("--json", action="store_true",
                         help="alias for --format json")
     parser.add_argument("--stats", action="store_true",
-                        help="print per-checker wall time, per-rule "
-                             "finding counts and the --changed cache "
-                             "hit ratio to stderr")
+                        help="print per-checker wall time and per-rule "
+                             "finding counts to stderr")
     parser.add_argument("--list-rules", action="store_true",
                         help="list every rule id and exit")
     parser.add_argument("--list-exceptions", action="store_true",
@@ -99,21 +85,11 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
     project_root = find_project_root(roots[0])
-    cache = None
-    if args.changed:
-        cache_path = args.cache or project_root / DEFAULT_CACHE_NAME
-        cache = AnalysisCache.load(cache_path)
-        cache.path = cache_path
     stats = RunStats() if args.stats else None
     findings = run_analysis(roots, DEFAULT_CONFIG, project_root,
-                            cache=cache, stats=stats)
+                            stats=stats)
     if stats is not None:
         print(stats.render(), file=sys.stderr)
-    if cache is not None:
-        cache.save()
-        total = len(cache.hits) + len(cache.misses)
-        print(f"repro-lint: --changed reused {len(cache.hits)}/{total} "
-              f"cached file(s)", file=sys.stderr)
 
     baseline_path = args.baseline or project_root / DEFAULT_BASELINE_NAME
     if args.update_baseline:
@@ -134,9 +110,6 @@ def main(argv: list[str] | None = None) -> int:
             "line": f.line, "col": f.col, "severity": str(f.severity),
             "fingerprint": f.fingerprint,
         } for f in findings], indent=2))
-    elif fmt == "sarif":
-        from repro.analysis.sarif import to_sarif
-        print(json.dumps(to_sarif(findings), indent=2))
     else:
         for f in findings:
             print(f.render())

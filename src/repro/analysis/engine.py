@@ -4,15 +4,11 @@ The engine walks the given roots for ``*.py`` and ``*.idl`` sources and
 produces one *analysis unit* per file: the per-file checkers' findings
 (already filtered through inline suppressions and the config
 allowlist), the file's inline suppressions, its call-graph slice, and
-each registered :class:`ProjectChecker`'s fact blob.  Units are
-JSON-serializable so ``--changed`` can reuse them for unchanged files
-via :class:`~repro.analysis.cache.AnalysisCache`.
+each registered :class:`ProjectChecker`'s fact blob.
 
-After the per-file pass the *interprocedural phase* always runs: the
-slices are assembled into a :class:`~repro.analysis.callgraph.CallGraph`
-and every project checker gets all facts plus the graph.  This phase is
-never cached — it is cheap (no parsing) and re-deriving it is what
-keeps cached callers honest when a callee's summary changes.
+After the per-file pass the *interprocedural phase* runs: the slices
+are assembled into a :class:`~repro.analysis.callgraph.CallGraph` and
+every project checker gets all facts plus the graph.
 
 Baseline filtering is the caller's concern (CLI and the tier-1 gate
 test both layer it on top via :mod:`.baseline`).
@@ -29,7 +25,6 @@ from repro.analysis.base import (
     all_checkers,
     all_project_checkers,
 )
-from repro.analysis.cache import AnalysisCache, file_sha
 from repro.analysis.config import DEFAULT_CONFIG, AnalysisConfig
 from repro.analysis.findings import Finding, sort_findings
 from repro.analysis.stats import RunStats, clock
@@ -113,7 +108,7 @@ def _analyze_file(path: Path, project_root: Path,
                   config: AnalysisConfig,
                   checkers, project_checkers,
                   stats: RunStats | None = None) -> dict:
-    """One freshly computed analysis unit (same shape as a cache hit)."""
+    """One file's analysis unit."""
     ctx = build_context(path, project_root)
     unit: dict = {"findings": [], "suppressions": ctx.suppressions,
                   "slice": None, "facts": {}}
@@ -144,16 +139,12 @@ def _analyze_file(path: Path, project_root: Path,
 def run_analysis(roots: list[Path],
                  config: AnalysisConfig = DEFAULT_CONFIG,
                  project_root: Path | None = None,
-                 cache: AnalysisCache | None = None,
                  stats: RunStats | None = None) -> list[Finding]:
     """Run every registered checker over the roots; returns findings
     that survive inline suppressions and the config allowlist.
 
-    With ``cache`` set, unchanged files (by content hash) reuse their
-    cached per-file findings, suppressions, call-graph slice and fact
-    blobs; the interprocedural phase still runs in full.  With
-    ``stats`` set, per-checker wall time, per-rule finding counts and
-    the cache hit ratio are accumulated onto it.
+    With ``stats`` set, per-checker wall time and per-rule finding
+    counts are accumulated onto it.
     """
     if project_root is None:
         project_root = find_project_root(roots[0] if roots else Path("."))
@@ -164,30 +155,16 @@ def run_analysis(roots: list[Path],
     units: dict[str, dict] = {}
     for path in collect_files(roots):
         relpath = path.resolve().relative_to(project_root).as_posix()
-        unit = None
-        sha = None
-        if cache is not None:
-            sha = file_sha(path)
-            unit = cache.lookup(relpath, sha)
-        if unit is None:
-            unit = _analyze_file(path, project_root, config,
-                                 checkers, project_checkers, stats)
-            if cache is not None:
-                cache.store(relpath, sha, unit["findings"],
-                            unit["suppressions"], unit["slice"],
-                            unit["facts"])
-        units[relpath] = unit
+        units[relpath] = _analyze_file(path, project_root, config,
+                                       checkers, project_checkers, stats)
     if stats is not None:
         stats.files_analyzed = len(units)
-        if cache is not None:
-            stats.cache_hits = len(cache.hits)
-            stats.cache_misses = len(cache.misses)
 
     findings: list[Finding] = []
     for unit in units.values():
         findings.extend(unit["findings"])
 
-    # interprocedural phase: always recomputed over all summaries
+    # interprocedural phase over every file's summaries
     slices = [u["slice"] for u in units.values()
               if u["slice"] is not None]
     graph = callgraph.CallGraph.from_slices(slices)

@@ -6,14 +6,13 @@ seeded defect; the harness demands a finding with exactly that rule on
 exactly that line (catch rate must be 100%).  Every ``good`` file
 encodes a pattern the family must *not* flag (false-positive rate must
 be 0%) — these are the regression guards for the deliberately
-FP-averse choices (blocking round-trips, branch-local state,
-caller-guards contracts, sanitized suppressions).
+FP-averse choices (branch-local state, caller-guards contracts,
+sanitized suppressions).
 
 Each corpus directory is analysed as its own mini-project through the
 full engine (per-file pass + call graph + project checkers), so the
-interprocedural paths — pub/mut-param summaries, transitive blocking
-chains, unguarded-param contracts — are exercised exactly as in a real
-run.  Findings are scoped to the family's rule prefixes so unrelated
+interprocedural paths — transitive blocking chains, unguarded-param
+contracts — are exercised exactly as in a real run.  Findings are scoped to the family's rule prefixes so unrelated
 per-file rules (a corpus file is not simulated kernel code) cannot
 skew the score.
 
@@ -34,7 +33,6 @@ from repro.analysis.engine import run_analysis
 
 #: family directory -> rule-id prefixes it is scored on
 FAMILIES = {
-    "bufsan": ("buf-",),
     "blockdeep": ("ker-block-deep",),
     "obsguard": ("obs-guard",),
     "perf": ("perf-",),

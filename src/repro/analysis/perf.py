@@ -38,15 +38,6 @@ that have actually bitten this codebase:
     of the loop.  Any argument that mentions a name rebound inside the
     loop, or an expression the checker cannot prove invariant (calls,
     comprehensions), keeps the rule silent.
-``perf-pickle-in-loop``
-    ``pickle.dumps(x)`` inside a loop where every argument is provably
-    loop-invariant: the same object is re-serialised each iteration,
-    and on the simulated wire path each call also re-charges
-    ``PICKLE_BYTE_COST`` to the virtual clock (the bug the MPI
-    collectives' send loops used to have).  Serialise once before the
-    loop and reuse the bytes.  The same invariance analysis as
-    ``perf-route-in-loop`` applies: any argument mentioning a name
-    rebound in the loop keeps the rule silent.
 
 Like every family, findings are suppressible with
 ``# repro-lint: disable=perf-...`` where the pattern is deliberate
@@ -315,23 +306,6 @@ class _PerfVisitor(ast.NodeVisitor):
                 "route() re-resolves the same loop-invariant endpoints "
                 "every iteration; hoist the lookup (or the returned "
                 "route) out of the loop", node))
-        elif isinstance(node.func, ast.Attribute) \
-                and node.func.attr == "dumps" \
-                and isinstance(node.func.value, ast.Name) \
-                and node.func.value.id == "pickle" \
-                and self._loop_depth > 0 \
-                and node.args \
-                and not any(isinstance(a, ast.Starred) for a in node.args) \
-                and all(self._loop_invariant(a) for a in node.args) \
-                and all(self._loop_invariant(kw.value)
-                        for kw in node.keywords if kw.arg is not None) \
-                and not any(kw.arg is None for kw in node.keywords):
-            self.findings.append(self.ctx.finding(
-                "perf-pickle-in-loop",
-                "pickle.dumps() re-serialises the same loop-invariant "
-                "object every iteration (re-charging the serialisation "
-                "cost each time); serialise once before the loop and "
-                "reuse the bytes", node))
         self.generic_visit(node)
 
 
@@ -348,8 +322,6 @@ class PerfChecker(Checker):
         "perf-route-in-loop":
             "route() with loop-invariant receiver and endpoints inside "
             "a loop",
-        "perf-pickle-in-loop":
-            "pickle.dumps() of a loop-invariant object inside a loop",
     }
 
     def check(self, ctx: ModuleContext,

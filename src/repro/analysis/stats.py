@@ -1,10 +1,9 @@
 """``repro-lint --stats``: where does lint wall time actually go?
 
 The engine feeds one :class:`RunStats` per run: per-checker wall time
-split by phase (the cached per-file pass vs the always-recomputed
-interprocedural pass), finding counts per rule, and the ``--changed``
-cache hit ratio.  The CI lint step prints the report so a slow rule or
-a cold cache is visible in the log instead of a mystery.
+split by phase (the per-file pass vs the interprocedural pass) and
+finding counts per rule.  The CI lint step prints the report so a slow
+rule is visible in the log instead of a mystery.
 
 This module is the one place the analysis reads the host clock — lint
 measures its *own* latency, which is tooling wall time, not simulated
@@ -29,15 +28,13 @@ class RunStats:
     """Accumulated timing/counting for one ``run_analysis`` call."""
 
     #: checker name -> seconds spent in the per-file pass (check() +
-    #: file_facts() over all files that missed the cache)
+    #: file_facts() over every file)
     file_seconds: dict[str, float] = field(default_factory=dict)
     #: checker name -> seconds spent in project_check()
     project_seconds: dict[str, float] = field(default_factory=dict)
     #: rule id -> surviving finding count (post suppression/allowlist)
     rule_counts: dict[str, int] = field(default_factory=dict)
     files_analyzed: int = 0
-    cache_hits: int = 0
-    cache_misses: int = 0
 
     # ------------------------------------------------------------------
     def add_file_time(self, checker: str, seconds: float) -> None:
@@ -54,19 +51,9 @@ class RunStats:
                 self.rule_counts.get(finding.rule, 0) + 1
 
     # ------------------------------------------------------------------
-    @property
-    def hit_ratio(self) -> float | None:
-        total = self.cache_hits + self.cache_misses
-        return self.cache_hits / total if total else None
-
     def render(self) -> str:
         lines = ["repro-lint --stats:"]
         lines.append(f"  files analysed: {self.files_analyzed}")
-        if self.hit_ratio is not None:
-            lines.append(
-                f"  --changed cache: {self.cache_hits} hit(s), "
-                f"{self.cache_misses} miss(es) "
-                f"({self.hit_ratio:.0%} hit ratio)")
         merged: dict[str, tuple[float, float]] = {}
         for name, secs in self.file_seconds.items():
             merged[name] = (secs, merged.get(name, (0.0, 0.0))[1])

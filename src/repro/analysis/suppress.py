@@ -96,17 +96,3 @@ class Suppressions:
             if rule in active or "all" in active:
                 return True
         return False
-
-    # -- cache serialization ---------------------------------------------
-    def to_json(self) -> dict:
-        return {"file": sorted(self.file_wide),
-                "lines": {str(k): sorted(v)
-                          for k, v in sorted(self.by_line.items())}}
-
-    @classmethod
-    def from_json(cls, blob: dict) -> "Suppressions":
-        sup = cls()
-        sup.file_wide = set(blob.get("file", ()))
-        sup.by_line = {int(k): set(v)
-                       for k, v in blob.get("lines", {}).items()}
-        return sup

@@ -309,6 +309,11 @@ class CdrInputStream:
     def remaining(self) -> int:
         return self._size - self._pos
 
+    @property
+    def segments(self) -> tuple[memoryview, ...]:
+        """The message's segments, as :attr:`WireBuffer.segments`."""
+        return tuple(self._segments)
+
     def align(self, n: int) -> None:
         self._pos += (-self._pos) % n
 

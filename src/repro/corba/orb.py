@@ -561,6 +561,7 @@ class Orb:
                            float(out.copied_bytes))
             mon.on_counter("wire.referenced_bytes.corba",
                            float(out.referenced_bytes))
+            mon.on_publish(body)
         slot = None if opdef.oneway else conn.register(request_id)
         conn.send_lock.acquire(proc)
         try:
@@ -607,6 +608,7 @@ class Orb:
                                float(inp.copied_bytes))
                 mon.on_counter("wire.referenced_bytes.corba",
                                float(inp.referenced_bytes))
+                mon.on_consume(inp)
 
     def _decode_results(self, inp: CdrInputStream,
                         opdef: OperationDef) -> Any:
@@ -754,6 +756,11 @@ class Orb:
                 mon.on_counter("wire.copied_bytes.corba", float(copied))
                 mon.on_counter("wire.referenced_bytes.corba",
                                float(referenced))
+                mon.on_consume(body)  # the request's arguments
+                if out is not None and expect_reply:
+                    # fingerprinted once the send returns: the client
+                    # decodes only after its own wake-up cost
+                    mon.on_publish(out.getbuffer())
                 mon.on_span_end("corba.dispatch")
 
     def _execute(self, proc: SimProcess, inp: CdrInputStream,

@@ -334,6 +334,7 @@ class _ServerPortLayer:
                 if mon is not None:
                     mon.on_counter("wire.copied_bytes.gridccm",
                                    float(data.nbytes))
+                    mon.on_consume(data)
             args[pos] = local
         return args
 
@@ -523,6 +524,7 @@ class _CallEngine:
                                 else "copied")
                         mon.on_counter(f"wire.{kind}_bytes.gridccm",
                                        float(piece.nbytes))
+                        mon.on_publish(piece)
                 wire.append(plan.source.length)
                 wire.append(piece)
             else:

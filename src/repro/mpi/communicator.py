@@ -192,16 +192,18 @@ class Comm:
             if mon is not None:
                 mon.on_counter("wire.referenced_bytes.mpi",
                                float(arr.nbytes))
+                mon.on_publish(arr)
             return arr
         if mon is not None:
             mon.on_counter("wire.copied_bytes.mpi", float(arr.nbytes))
         return arr.copy()
 
-    def _count_delivery(self, nbytes: int) -> None:
-        """Meter the copy into the receiver's buffer."""
+    def _count_delivery(self, nbytes: int, data: np.ndarray) -> None:
+        """Meter the copy of message ``data`` into the receiver's buffer."""
         mon = self._monitor()
         if mon is not None:
             mon.on_counter("wire.copied_bytes.mpi", float(nbytes))
+            mon.on_consume(data)
 
     def __repr__(self) -> str:
         return (f"<Comm rank {self._rank}/{self.size} "
@@ -366,7 +368,7 @@ class Comm:
             raise MpiError(f"receive buffer is {out.nbytes} bytes, "
                            f"message is {data.nbytes}")
         np.copyto(out, data.reshape(out.shape))
-        self._count_delivery(out.nbytes)
+        self._count_delivery(out.nbytes, data)
         if status is not None:
             status.source, status.tag, status.count = src, mtag, n
 
@@ -442,7 +444,7 @@ class Comm:
                     raise MpiError("Irecv matched a pickled message")
                 out = np.asarray(buf)
                 np.copyto(out, data.reshape(out.shape))
-                self._count_delivery(out.nbytes)
+                self._count_delivery(out.nbytes, data)
             except Exception as exc:  # noqa: BLE001
                 req._complete(error=exc)
             else:
@@ -493,7 +495,7 @@ class Comm:
         else:
             _s, _t, body, _n = self._recv_body(self.proc, root, 9, ctx)
             np.copyto(out, body[1].reshape(out.shape))
-            self._count_delivery(out.nbytes)
+            self._count_delivery(out.nbytes, body[1])
 
     @_collective("Gatherv")
     def Gatherv(self, sendbuf: np.ndarray,
@@ -517,7 +519,7 @@ class Comm:
                 src, _t, body, _n = self._recv_body(self.proc, ANY_SOURCE,
                                                     10, ctx)
                 flat[offsets[src]:offsets[src + 1]] = body[1]
-                self._count_delivery(int(body[1].nbytes))
+                self._count_delivery(int(body[1].nbytes), body[1])
         else:
             self._xsend(self.proc, root, 10, ("b", self._stage(part)),
                         part.nbytes, ctx, "Gatherv")
@@ -740,7 +742,12 @@ class Comm:
 
     @_collective("Bcast")
     def Bcast(self, buf: np.ndarray, root: int = 0) -> None:
-        """Binomial-tree broadcast of a numpy buffer, in place."""
+        """Binomial-tree broadcast of a numpy buffer, in place.
+
+        Like :meth:`Send`: a buffer of :data:`RENDEZVOUS_THRESHOLD`
+        bytes or more is referenced, not copied, so the root's buffer
+        must stay unmutated until every receiver has copied it — the
+        root's return does not mean that (fence with a barrier)."""
         ctx = self._coll_context("Bcast")
         out = np.asarray(buf)
         if self._rank == root:
@@ -757,7 +764,7 @@ class Comm:
         body, _n = self._bcast_body(body, n, root, ctx, "Bcast")
         if self._rank != root:
             np.copyto(out, body[1].reshape(out.shape))
-            self._count_delivery(out.nbytes)
+            self._count_delivery(out.nbytes, body[1])
 
     def _bcast_body(self, body: Any, nbytes: float, root: int, ctx: str,
                     op: str, held: bool = False) -> tuple[Any, float]:
@@ -1098,7 +1105,7 @@ class Comm:
                 raise MpiError("root must supply recvbuf")
             out = np.asarray(recvbuf)
             np.copyto(out, acc.reshape(out.shape))
-            self._count_delivery(out.nbytes)
+            self._count_delivery(out.nbytes, acc)
 
     @_collective("Allreduce")
     def Allreduce(self, sendbuf: np.ndarray, recvbuf: np.ndarray,
@@ -1110,7 +1117,7 @@ class Comm:
             self._stage(np.ascontiguousarray(sendbuf)), op, 36,
             self._coll_context("Allreduce"), "Allreduce", buffered=True)
         np.copyto(out, acc.reshape(out.shape))
-        self._count_delivery(out.nbytes)
+        self._count_delivery(out.nbytes, acc)
 
     # ------------------------------------------------------------------
     # communicator management

@@ -13,7 +13,10 @@ Three tools, all opt-in and all zero-overhead when not installed
   send-before-connect, no use-after-close, no double-bind, balanced
   claims on arbitration drivers), enforced at the violating call.
   Every violation is also recorded and :meth:`Sanitizer.check` raises
-  on any of them, so a daemon that dies of one cannot hide it.
+  on any of them, so a daemon that dies of one cannot hide it.  The
+  same runtime hook surface carries the **publish-window watch**: a
+  zero-copy buffer fingerprinted where CORBA, MPI or GridCCM hands it
+  to the wire by reference and re-checked where the receiver reads it.
 * **Seeded schedule exploration** — ``SimKernel(seed=N)`` permutes
   same-instant event order deterministically;
   :func:`explore_schedules` / :func:`assert_schedule_deterministic`
@@ -35,13 +38,20 @@ from repro.sanitizer.explore import (
     explore_schedules,
     run_scenario,
 )
-from repro.sanitizer.monitors import TypestateError, TypestateMonitor
+from repro.sanitizer.monitors import (
+    PublishWatch,
+    PublishWindowError,
+    TypestateError,
+    TypestateMonitor,
+)
 from repro.sanitizer.races import Access, RaceDetector, RaceError, RaceReport
 from repro.sanitizer.report import render_summary
 from repro.sanitizer.tracked import tracked
 
 __all__ = [
     "Access",
+    "PublishWatch",
+    "PublishWindowError",
     "RaceDetector",
     "RaceError",
     "RaceReport",

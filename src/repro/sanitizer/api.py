@@ -11,9 +11,10 @@
     # __exit__ raises RaceError if anything raced
 
 Attach to a :class:`~repro.padicotm.runtime.PadicoRuntime` instead to
-get the VLink/Circuit typestate monitor as well; ``__exit__`` then also
-raises TypestateError for a violation recorded in any process, daemons
-included::
+get the VLink/Circuit typestate monitor and the publish-window watch as
+well; ``__exit__`` then also raises TypestateError for a violation
+recorded in any process, daemons included, and PublishWindowError for
+a zero-copy buffer changed before its receiver read it::
 
     runtime = PadicoRuntime(topology)
     san = Sanitizer(runtime=runtime)
@@ -26,7 +27,7 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.sanitizer.monitors import TypestateMonitor
+from repro.sanitizer.monitors import PublishWatch, TypestateMonitor
 from repro.sanitizer.races import RaceDetector
 from repro.sanitizer.report import render_summary
 from repro.sanitizer.tracked import tracked as _tracked
@@ -47,9 +48,12 @@ class Sanitizer:
         self.detector = RaceDetector(kernel, on_race=on_race)
         kernel.attach_tracer(self.detector)
         self.monitor: TypestateMonitor | None = None
+        self.watch: PublishWatch | None = None
         if runtime is not None:
             self.monitor = TypestateMonitor()
             runtime.observe(self.monitor)
+            self.watch = PublishWatch(kernel)
+            runtime.observe(self.watch)
 
     # ------------------------------------------------------------------
     def tracked(self, obj: Any, label: str | None = None) -> Any:
@@ -63,13 +67,17 @@ class Sanitizer:
     def check(self) -> None:
         """Raise :class:`~repro.sanitizer.races.RaceError` on any race,
         then :class:`~repro.sanitizer.monitors.TypestateError` on any
-        recorded typestate violation."""
+        recorded typestate violation, then
+        :class:`~repro.sanitizer.monitors.PublishWindowError` on any
+        buffer that changed inside its publish window."""
         self.detector.check()
         if self.monitor is not None:
             self.monitor.check()
+        if self.watch is not None:
+            self.watch.check()
 
     def report(self) -> str:
-        return render_summary(self.detector, self.monitor)
+        return render_summary(self.detector, self.monitor, self.watch)
 
     def uninstall(self) -> None:
         """Detach all hooks; the kernel/runtime run uninstrumented again.
@@ -77,8 +85,9 @@ class Sanitizer:
         Uses the composable attach/detach protocol, so other observers
         (e.g. a :class:`repro.obs.TraceRecorder`) stay attached."""
         self.kernel.detach_tracer(self.detector)
-        if self.runtime is not None and self.monitor is not None:
+        if self.runtime is not None:
             self.runtime.unobserve(self.monitor)
+            self.runtime.unobserve(self.watch)  # drops every fingerprint
 
     # ------------------------------------------------------------------
     def __enter__(self) -> "Sanitizer":

@@ -38,11 +38,16 @@ def render_typestate(monitor: Any) -> str:
     return "\n".join(lines)
 
 
-def render_summary(detector: Any = None, monitor: Any = None) -> str:
-    """Full sanitizer report; either part may be absent."""
+def render_summary(detector: Any = None, monitor: Any = None,
+                   watch: Any = None) -> str:
+    """Full sanitizer report; any part may be absent."""
     parts = ["sim-san report"]
     if detector is not None:
         parts.append(render_races(detector))
     if monitor is not None:
         parts.append(render_typestate(monitor))
+    if watch is not None:
+        parts.append(f"publish-window violations: "
+                     f"{len(watch.violations) or 'none'}")
+        parts.extend(f"  {v}" for v in watch.violations)
     return "\n".join(parts)

@@ -15,7 +15,6 @@ Public API
 - :class:`SimProcess` — a simulated process (an OS thread that runs only
   while it holds the run token).
 - :class:`Timer` — cancellable scheduled callback handle.
-- :func:`run_processes` — run a batch of process functions to completion.
 - Exceptions: :class:`SimShutdown`, :class:`SimInterrupt`,
   :class:`SimDeadlockError`, :class:`SimProcessError`.
 - :class:`ThreadBackend` (:mod:`repro.sim.backends`) — the one switch
@@ -39,7 +38,6 @@ from repro.sim.kernel import (
     SimProcessError,
     SimShutdown,
     Timer,
-    run_processes,
 )
 from repro.sim.backends import ThreadBackend
 from repro.sim.sync import (
@@ -59,7 +57,6 @@ __all__ = [
     "SimKernel",
     "SimProcess",
     "Timer",
-    "run_processes",
     "SimShutdown",
     "SimInterrupt",
     "SimDeadlockError",

@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import heapq
 import inspect
-from typing import Any, Callable, Iterable
+from typing import Any, Callable
 
 
 class SimShutdown(BaseException):
@@ -694,21 +694,3 @@ class SimKernel:
 
     def __exit__(self, *exc_info: Any) -> None:
         self.shutdown()
-
-
-def run_processes(fns: Iterable[Callable], until: float | None = None,
-                  args: tuple = ()) -> list[Any]:
-    """Convenience: run ``fns`` as processes to completion, return results."""
-    from repro.sim.waitgraph import format_wait_graph
-    with SimKernel() as kernel:
-        procs = [kernel.spawn(fn, *args, name=getattr(fn, "__name__", None))
-                 for fn in fns]
-        kernel.run(until=until)
-        for p in procs:
-            if p.alive:  # only under ``until``: run() raises on a drain
-                raise SimDeadlockError(
-                    f"process {p.name!r} never finished\n"
-                    + format_wait_graph(kernel))
-            if p.exc is not None:
-                raise SimProcessError(p, p.exc)
-        return [p.result for p in procs]

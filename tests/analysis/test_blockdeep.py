@@ -86,6 +86,22 @@ def test_suppressed_origin_is_sanitized_out(lint_project):
     assert [f for f in found if f.rule.startswith("ker-")] == []
 
 
+def test_inline_suppression_applies_to_project_findings(lint_project):
+    # the engine filters project-phase findings through the reporting
+    # file's pragmas exactly as it filters per-file ones
+    found = lint_project({"m.py": """\
+        import time
+
+        def backoff(delay):
+            time.sleep(delay)
+
+        def retry(task):
+            task()
+            backoff(0.1)  # repro-lint: disable=ker-block-deep
+    """}, rules={"ker-block-deep"})
+    assert found == []
+
+
 def test_cross_file_blocking_helper(lint_project):
     found = lint_project({
         "util.py": """\

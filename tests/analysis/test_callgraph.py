@@ -116,21 +116,6 @@ def test_cross_file_import_resolution():
     assert ("caller.run", "helper.send_zero_copy") in edges(graph)
 
 
-def test_slice_json_round_trip():
-    sl = make_slice("""\
-        class C:
-            def m(self):
-                return self.m()
-
-        def f():
-            return C().m()
-    """)
-    restored = FileSlice.from_json(sl.to_json())
-    assert edges(graph_of(restored)) == edges(graph_of(sl))
-    assert [f.qual for f in restored.functions] == \
-        [f.qual for f in sl.functions]
-
-
 def test_enclosing_function_is_innermost():
     sl = make_slice("""\
         def outer():

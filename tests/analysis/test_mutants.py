@@ -9,6 +9,16 @@ from repro.analysis import mutants
 
 CORPUS = Path(__file__).parent / "corpus"
 
+#: a seeded transitive blocking call, as in corpus/blockdeep/bad
+_WRAPPED_SLEEP = ("import time\n"
+                  "\n"
+                  "def backoff(delay):\n"
+                  "    time.sleep(delay)\n"
+                  "\n"
+                  "def retry(task):\n"
+                  "    task()\n"
+                  "    backoff(0.1){expect}\n")
+
 
 def test_committed_corpora_score_perfectly():
     # the acceptance bar: 100% of seeded defects caught, zero false
@@ -27,38 +37,34 @@ def test_main_is_a_usable_gate():
 def test_every_bad_file_is_annotated():
     for family in mutants.FAMILIES:
         for path in sorted((CORPUS / family / "bad").glob("*.py")):
-            if path.name == "helper.py":   # support module, no defect
-                continue
             assert mutants.expected_findings(path), \
                 f"{family}/bad/{path.name} has no # expect: annotation"
 
 
-def test_harness_reports_missed_defects(tmp_path):
-    # a bad file whose expectation nothing matches must fail the gate
-    bad = tmp_path / "bufsan" / "bad"
-    good = tmp_path / "bufsan" / "good"
+def _family(tmp_path):
+    bad = tmp_path / "blockdeep" / "bad"
+    good = tmp_path / "blockdeep" / "good"
     bad.mkdir(parents=True)
     good.mkdir(parents=True)
+    return bad, good
+
+
+def test_harness_reports_missed_defects(tmp_path):
+    # a bad file whose expectation nothing matches must fail the gate
+    bad, _good = _family(tmp_path)
     (bad / "nothing.py").write_text(
         "def f(x):\n"
-        "    return x  # expect: buf-mutate-after-publish\n")
-    failures = mutants.run_family("bufsan", tmp_path, out=io.StringIO())
+        "    return x  # expect: ker-block-deep\n")
+    failures = mutants.run_family("blockdeep", tmp_path, out=io.StringIO())
     assert any("MISSED" in f for f in failures)
 
 
 def test_harness_reports_false_positives(tmp_path):
     # a seeded defect placed in the good corpus must fail the gate
-    bad = tmp_path / "bufsan" / "bad"
-    good = tmp_path / "bufsan" / "good"
-    bad.mkdir(parents=True)
-    good.mkdir(parents=True)
+    bad, good = _family(tmp_path)
     (bad / "seed.py").write_text(
-        "def f(stream, b):\n"
-        "    stream.write_bulk(b)\n"
-        "    b[0] = 1  # expect: buf-mutate-after-publish\n")
-    (good / "oops.py").write_text(
-        "def f(stream, b):\n"
-        "    stream.write_bulk(b)\n"
-        "    b[0] = 1\n")
-    failures = mutants.run_family("bufsan", tmp_path, out=io.StringIO())
+        _WRAPPED_SLEEP.format(expect="  # expect: ker-block-deep"))
+    (good / "oops.py").write_text(_WRAPPED_SLEEP.format(expect=""))
+    failures = mutants.run_family("blockdeep", tmp_path, out=io.StringIO())
     assert any("FALSE POSITIVE" in f for f in failures)
+    assert not any("MISSED" in f for f in failures)

@@ -1,10 +1,9 @@
-"""``--stats``: per-checker wall time, per-rule counts, cache ratio."""
+"""``--stats``: per-checker wall time and per-rule counts."""
 
 from __future__ import annotations
 
 import textwrap
 
-from repro.analysis.cache import AnalysisCache
 from repro.analysis.cli import main as cli_main
 from repro.analysis.config import DEFAULT_CONFIG
 from repro.analysis.engine import run_analysis
@@ -39,33 +38,6 @@ def test_stats_accumulate_times_and_rule_counts(tmp_path):
     assert "determinism" in stats.file_seconds
     assert "obs-guard" in stats.project_seconds
     assert all(t >= 0 for t in stats.file_seconds.values())
-
-
-def test_cache_ratio_cold_then_warm(tmp_path):
-    root = _project(tmp_path, {"prog.py": RACY})
-    cache = AnalysisCache(root / ".cache.json")
-    cold = RunStats()
-    run_analysis([root], DEFAULT_CONFIG, project_root=root,
-                 cache=cache, stats=cold)
-    assert (cold.cache_hits, cold.cache_misses) == (0, 1)
-    assert cold.hit_ratio == 0.0
-    cache.save()
-
-    warm = RunStats()
-    run_analysis([root], DEFAULT_CONFIG, project_root=root,
-                 cache=AnalysisCache.load(root / ".cache.json"),
-                 stats=warm)
-    assert (warm.cache_hits, warm.cache_misses) == (1, 0)
-    assert warm.hit_ratio == 1.0
-    assert "100% hit ratio" in warm.render()
-
-
-def test_no_cache_means_no_ratio_line(tmp_path):
-    stats = RunStats()
-    run_analysis([_project(tmp_path, {"prog.py": RACY})],
-                 DEFAULT_CONFIG, project_root=tmp_path, stats=stats)
-    assert stats.hit_ratio is None
-    assert "cache" not in stats.render()
 
 
 def test_cli_stats_flag_prints_the_report(tmp_path, capsys, monkeypatch):

@@ -111,21 +111,6 @@ def test_standalone_comment_pragma_covers_only_its_own_line():
     assert [f.rule for f in findings] == ["det-wallclock"]
 
 
-def test_suppressions_json_round_trip():
-    from repro.analysis.suppress import Suppressions
-    source = ("import time\n"
-              "a = dict(\n"
-              "    t=time.time(),\n"
-              ")  # repro-lint: disable=det-wallclock\n"
-              "# repro-lint: disable-file=ker-sleep\n")
-    scanned = Suppressions.scan(source)
-    restored = Suppressions.from_json(scanned.to_json())
-    for line in range(1, 6):
-        for rule in ("det-wallclock", "ker-sleep", "det-random"):
-            assert restored.is_suppressed(rule, line) == \
-                scanned.is_suppressed(rule, line)
-
-
 # ---------------------------------------------------------------------------
 # baseline mechanics
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ from repro.sim import (
     SimProcessError,
     SimTimeout,
 )
-from repro.sim.kernel import run_processes
 from tests.sim.conftest import no_thread_left
 
 
@@ -325,18 +324,6 @@ def test_generator_function_body_is_rejected_at_spawn():
     with SimKernel() as k:
         with pytest.raises(TypeError, match="generator function"):
             k.spawn(body)
-
-
-def test_run_processes_helper():
-    def f(p):
-        p.sleep(1.0)
-        return "f"
-
-    def g(p):
-        p.sleep(2.0)
-        return "g"
-
-    assert run_processes([f, g]) == ["f", "g"]
 
 
 def test_many_processes_scale():
