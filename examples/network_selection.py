@@ -6,7 +6,7 @@ The same CORBA client/server pair is deployed three ways; the code never
 mentions a network, yet:
 
 1. both on one cluster → the VLink stream rides **Myrinet** through the
-   Madeleine subsystem (cross-paradigm mapping) at ~240 MB/s;
+   Madeleine driver (cross-paradigm mapping) at ~240 MB/s;
 2. across two sites → the stream takes the **WAN** at ~4 MB/s;
 3. forced onto the cluster's **Fast-Ethernet** (the ablation lever) →
    ~11 MB/s.

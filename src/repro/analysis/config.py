@@ -56,16 +56,10 @@ DEFAULT_LAYER_EXCEPTIONS: dict[tuple[str, str], str] = {
     # messages it frames; instances are injected from above at runtime.
     ("src/repro/padicotm/arbitration/_framed.py", "repro.padicotm.runtime"):
         "TYPE_CHECKING only: annotates injected PadicoProcess/PadicoRuntime "
-        "handles; the transport never constructs or calls them.",
-    ("src/repro/padicotm/arbitration/sockets.py", "repro.padicotm.runtime"):
-        "TYPE_CHECKING only: annotates the process handle the runtime "
-        "passes to the TCP subsystem.",
+        "handles; the transport never constructs them.",
     ("src/repro/padicotm/arbitration/madeleine.py", "repro.padicotm.runtime"):
-        "TYPE_CHECKING only: annotates the process handle the runtime "
-        "passes to the Madeleine subsystem.",
-    ("src/repro/padicotm/abstraction/selector.py", "repro.padicotm.runtime"):
-        "TYPE_CHECKING only: link selection is parameterised by the "
-        "calling PadicoProcess for locality decisions.",
+        "TYPE_CHECKING only: annotates the runtime and member processes "
+        "a Madeleine channel is opened over.",
     ("src/repro/padicotm/abstraction/circuit.py", "repro.padicotm.runtime"):
         "TYPE_CHECKING only: circuits annotate the runtime/process pair "
         "that owns them.",

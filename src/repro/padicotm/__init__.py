@@ -4,11 +4,11 @@ PadicoTM decouples the interface middleware systems *see* from the
 interface actually used at low level, through three layers:
 
 1. **Arbitration** (:mod:`repro.padicotm.arbitration`): the unique entry
-   point to networking resources.  One subsystem per low-level paradigm
-   — a Madeleine-like library for parallel networks (Myrinet, SCI) and a
-   socket stack for LAN/WAN — plus a core that multiplexes NIC access,
-   detects driver conflicts (BIP vs GM style) and enforces a single
-   thread policy across middleware.
+   point to networking resources.  One driver per low-level paradigm,
+   in one table — Madeleine for parallel networks (Myrinet, SCI), the
+   TCP stack for LAN/WAN, and loopback for same-host peers — plus a
+   core that multiplexes NIC access, detects driver conflicts (BIP vs
+   GM style) and enforces a single thread policy across middleware.
 2. **Abstraction** (:mod:`repro.padicotm.abstraction`): *both* a
    parallel-oriented interface (:class:`Circuit`: logical ranks,
    messages) and a distributed-oriented one (:class:`VLink`: dynamic

@@ -1,15 +1,16 @@
 """Circuit: the parallel-oriented abstract interface (paper §4.3.2).
 
 A Circuit is a static group of PadicoTM processes with logical ranks and
-framed messaging — the abstraction MPI is implemented on.  The backend
+framed messaging — the abstraction MPI is implemented on.  The driver
 is selected automatically:
 
 - all members share a parallel fabric (Myrinet/SCI SAN) → a Madeleine
   channel (**straight** mapping);
-- otherwise → a framed mesh over the best distributed fabric with TCP
-  costs (**cross-paradigm** mapping: parallel interface on distributed
+- otherwise → the TCP driver over the best distributed fabric
+  (**cross-paradigm** mapping: parallel interface on distributed
   hardware);
-- all members in one host → loopback.
+- all members in one host → loopback copies, still at TCP's
+  per-message cost (a known deviation; see DESIGN.md §5).
 """
 
 from __future__ import annotations
@@ -22,32 +23,14 @@ from repro.padicotm.abstraction.selector import (
     select_group_fabric,
 )
 from repro.padicotm.arbitration._framed import ANY_SOURCE, FramedGroupTransport
+from repro.padicotm.arbitration.drivers import MADELEINE, TCP, driver_for
 from repro.padicotm.arbitration.madeleine import open_channel
-from repro.padicotm.arbitration.sockets import (
-    TCP_RECV_OVERHEAD,
-    TCP_SEND_OVERHEAD,
-)
 from repro.sim.kernel import SimProcess
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.padicotm.runtime import PadicoProcess, PadicoRuntime
 
 __all__ = ["Circuit", "ANY_SOURCE"]
-
-
-class _SocketMesh(FramedGroupTransport):
-    """Cross-paradigm backend: framed group messaging over TCP links."""
-
-    send_overhead = TCP_SEND_OVERHEAD
-    recv_overhead = TCP_RECV_OVERHEAD
-    driver = "tcp"
-
-    def __init__(self, runtime: "PadicoRuntime",
-                 members: list["PadicoProcess"], fabric: str | None):
-        super().__init__(runtime, members, fabric)
-        if fabric is not None:
-            for p in members:
-                p.arbitration.sockets()._ensure_claim(fabric)
 
 
 class Circuit:
@@ -84,12 +67,16 @@ class Circuit:
         hosts = [p.host.name for p in members]
         choice = select_group_fabric(runtime.topology, hosts, PARALLEL,
                                      forced_fabric=fabric)
-        if choice.fabric is not None and \
-                choice.fabric.technology.paradigm == PARALLEL:
-            backend: FramedGroupTransport = open_channel(
-                runtime, f"circuit:{name}", members, choice.fabric.name)
+        # a single-host circuit keeps TCP's per-message cost rather than
+        # loopback's (known deviation, DESIGN.md §5)
+        driver = driver_for(choice.fabric) if choice.fabric is not None \
+            else TCP
+        if driver is MADELEINE:
+            backend = open_channel(runtime, f"circuit:{name}", members,
+                                   choice.fabric.name)
         else:
-            backend = _SocketMesh(runtime, members, choice.fabric_name)
+            backend = FramedGroupTransport(runtime, members,
+                                           choice.fabric_name, driver)
         circuit = cls(name, backend, choice)
         if runtime.monitor is not None:
             runtime.monitor.on_circuit(circuit, "establish")

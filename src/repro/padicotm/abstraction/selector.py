@@ -12,13 +12,9 @@ records whether the abstract paradigm matches the hardware paradigm
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 # paradigm names are compared as plain strings from NetworkTechnology
 from repro.net.topology import Fabric, NoRouteError, Topology
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.padicotm.runtime import PadicoProcess
 
 STRAIGHT = "straight"
 CROSS_PARADIGM = "cross-paradigm"

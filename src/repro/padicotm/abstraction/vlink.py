@@ -5,10 +5,14 @@ accept, ordered duplex messages — while the actual wire is chosen per
 connection by the selector:
 
 - endpoints share a parallel fabric → the stream rides the Madeleine
-  subsystem (**cross-paradigm**; this is how a CORBA ORB transparently
+  driver (**cross-paradigm**; this is how a CORBA ORB transparently
   reaches Myrinet speed in Figure 7);
-- otherwise → TCP over the best distributed fabric (**straight**);
+- otherwise → the TCP driver over the best distributed fabric
+  (**straight**);
 - same host → loopback.
+
+Both ends pick their driver once, when the pair is made, and both
+claim its NIC then.
 
 A per-endpoint ``security_policy`` hook lets the deployment layer charge
 encryption cost on insecure wires (paper §2/§6)."""
@@ -19,26 +23,15 @@ from typing import TYPE_CHECKING, Any, Callable, Protocol
 
 from repro.net.devices import DISTRIBUTED
 from repro.padicotm.abstraction.selector import (
-    CROSS_PARADIGM,
     MappingChoice,
     select_pair_fabric,
 )
-from repro.padicotm.arbitration.madeleine import (
-    MAD_RECV_OVERHEAD,
-    MAD_SEND_OVERHEAD,
-)
-from repro.padicotm.arbitration.sockets import (
-    TCP_RECV_OVERHEAD,
-    TCP_SEND_OVERHEAD,
-)
+from repro.padicotm.arbitration.drivers import driver_for, timed_move
 from repro.sim.kernel import SimProcess
 from repro.sim.sync import Mailbox
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.padicotm.runtime import PadicoProcess, PadicoRuntime
-
-#: loopback per-message software cost, seconds
-_LOOP_OVERHEAD = 0.5e-6
 
 _EOF = object()
 
@@ -94,14 +87,12 @@ class VLinkEndpoint:
         self.local = local
         self.remote = remote
         self.choice = choice
-        if choice.fabric is None:
-            self._send_ovh = self._recv_ovh = _LOOP_OVERHEAD
-        elif choice.mapping == CROSS_PARADIGM:
-            self._send_ovh, self._recv_ovh = (MAD_SEND_OVERHEAD,
-                                              MAD_RECV_OVERHEAD)
-        else:
-            self._send_ovh, self._recv_ovh = (TCP_SEND_OVERHEAD,
-                                              TCP_RECV_OVERHEAD)
+        #: the arbitrated driver carrying this stream
+        self.driver = driver_for(choice.fabric)
+        self._label, self._wire = self.driver.wire(
+            choice.fabric_name, local.host.name, remote.host.name)
+        if choice.fabric is not None:
+            local.arbitration.claim_fabric(choice.fabric.name)
         self._inbox = Mailbox(runtime.kernel)
         #: called (no arguments) when the peer queues a message here
         #: while no thread waits in :meth:`recv` — how a server that
@@ -147,15 +138,6 @@ class VLinkEndpoint:
             return True
         return self.choice.fabric.technology.secure
 
-    @property
-    def driver(self) -> str:
-        """Which arbitration subsystem carries this stream's bytes."""
-        if self.choice.fabric is None or \
-                self.local.host.name == self.remote.host.name:
-            return "loopback"
-        return "madeleine" if self.choice.mapping == CROSS_PARADIGM \
-            else "tcp"
-
     # ------------------------------------------------------------------
     def send(self, proc: SimProcess, payload: Any, nbytes: float) -> None:
         """Send one message down the stream (blocking, timed).
@@ -185,17 +167,12 @@ class VLinkEndpoint:
                     self.encrypted_bytes += nbytes
             if mon is not None:
                 mon.on_span_start("arbitration.send", cat="arbitration",
-                                  driver=self.driver)
-                mon.on_driver_io(self.driver, "send", float(nbytes))
+                                  driver=self._label)
+                mon.on_driver_io(self._label, "send", float(nbytes))
             try:
-                proc.sleep(self._send_ovh + extra)
-                if self.choice.fabric is None or \
-                        self.local.host.name == self.remote.host.name:
-                    self.runtime.local_copy(proc, nbytes)
-                else:
-                    self.runtime.network.transfer(
-                        proc, self.local.host.name, self.remote.host.name,
-                        nbytes, self.choice.fabric.name)
+                proc.sleep(self.driver.send_overhead + extra)
+                timed_move(proc, self.runtime.network, self.local.host.name,
+                           self.remote.host.name, self._wire, nbytes)
             finally:
                 if mon is not None:
                     mon.on_span_end("arbitration.send")
@@ -221,12 +198,12 @@ class VLinkEndpoint:
             payload, nbytes, sender_extra = item
             if mon is not None:
                 mon.on_span_start("arbitration.recv", cat="arbitration",
-                                  driver=self.driver)
-                mon.on_driver_io(self.driver, "recv", float(nbytes))
+                                  driver=self._label)
+                mon.on_driver_io(self._label, "recv", float(nbytes))
             try:
                 # decryption costs the receiver what encryption cost the
                 # sender
-                proc.sleep(self._recv_ovh + sender_extra)
+                proc.sleep(self.driver.recv_overhead + sender_extra)
             finally:
                 if mon is not None:
                     mon.on_span_end("arbitration.recv")
@@ -291,33 +268,18 @@ class VLink:
         """
         runtime = process.runtime
         target = runtime.process(target_process)
-        choice = select_pair_fabric(
-            runtime.topology, process.host.name, target.host.name,
-            DISTRIBUTED, forced_fabric=fabric)
-        if choice.fabric is not None:
-            if choice.mapping == CROSS_PARADIGM:
-                process.arbitration.madeleine()._ensure_claim(
-                    choice.fabric.name)
-            else:
-                process.arbitration.sockets()._ensure_claim(
-                    choice.fabric.name)
+        src, dst = process.host.name, target.host.name
+        choice = select_pair_fabric(runtime.topology, src, dst, DISTRIBUTED,
+                                    forced_fabric=fabric)
+        _label, wire = driver_for(choice.fabric).wire(
+            choice.fabric_name, src, dst)
         listener = runtime.vlink_listeners.get((target_process, port))
-        _hop(proc, runtime, process, target, choice)  # SYN
+        timed_move(proc, runtime.network, src, dst, wire, 0)  # SYN
         if listener is None or listener.closed:
             raise ConnectionRefusedError(
                 f"{target_process}:{port} is not listening")
         local_end, remote_end = VLinkEndpoint.make_pair(
             runtime, process, target, choice)
         listener._backlog.put_nowait(remote_end)
-        _hop(proc, runtime, process, target, choice)  # ACK
+        timed_move(proc, runtime.network, src, dst, wire, 0)  # ACK
         return local_end
-
-
-def _hop(proc: SimProcess, runtime: "PadicoRuntime",
-         src: "PadicoProcess", dst: "PadicoProcess",
-         choice: MappingChoice) -> None:
-    if choice.fabric is None or src.host.name == dst.host.name:
-        runtime.local_copy(proc, 0)
-    else:
-        runtime.network.transfer(proc, src.host.name, dst.host.name, 0,
-                                 choice.fabric.name)

@@ -1,12 +1,13 @@
 """PadicoTM arbitration layer (paper §4.3.1).
 
 The arbitration layer is the *unique entry point* to low-level
-resources: network interfaces, threading policy, polling loops.  It
-contains one subsystem per low-level paradigm — :class:`MadeleineSubsystem`
-for parallel-oriented networks and :class:`SocketSubsystem` for
-distributed-oriented links — and a core that multiplexes access and
-detects the conflicts the paper motivates (exclusive Myrinet drivers,
-incompatible thread policies)."""
+resources: network interfaces and threading policy.  It arbitrates one
+driver per low-level paradigm — Madeleine for parallel-oriented networks
+and the TCP stack for distributed-oriented links, plus shared memory
+between processes on one host — from one driver table
+(:mod:`~repro.padicotm.arbitration.drivers`), and a core that
+multiplexes NIC access and detects the conflicts the paper motivates
+(exclusive Myrinet drivers, incompatible thread policies)."""
 
 from repro.padicotm.arbitration.core import (
     ArbitrationConflictError,
@@ -14,21 +15,17 @@ from repro.padicotm.arbitration.core import (
     NicClaim,
     ThreadPolicyError,
 )
-from repro.padicotm.arbitration.madeleine import MadeleineChannel, MadeleineSubsystem
-from repro.padicotm.arbitration.sockets import (
-    SocketConnection,
-    SocketListener,
-    SocketSubsystem,
-)
+from repro.padicotm.arbitration.drivers import LOOPBACK, MADELEINE, TCP, Driver
+from repro.padicotm.arbitration.madeleine import open_channel
 
 __all__ = [
     "ArbitrationCore",
     "ArbitrationConflictError",
     "ThreadPolicyError",
     "NicClaim",
-    "MadeleineSubsystem",
-    "MadeleineChannel",
-    "SocketSubsystem",
-    "SocketListener",
-    "SocketConnection",
+    "Driver",
+    "MADELEINE",
+    "TCP",
+    "LOOPBACK",
+    "open_channel",
 ]

@@ -1,17 +1,18 @@
-"""Shared framed-message group transport.
+"""Framed-message group transport: the one driver-backed group channel.
 
-Both the Madeleine channel (parallel paradigm) and the cross-paradigm
-socket mesh behind :class:`~repro.padicotm.abstraction.circuit.Circuit`
-move framed messages between the ranks of a static process group; they
-differ only in the fabric they drive and the per-message software cost.
-This base class carries the common mechanics: rank bookkeeping, timed
-sends (same-host shared-memory copy vs network transfer), selective
+A static process group with logical ranks moves framed messages through
+one arbitrated driver.  A Madeleine channel (parallel paradigm) and the
+cross-paradigm mesh behind :class:`~repro.padicotm.abstraction.circuit.Circuit`
+are the same transport handed a different
+:class:`~repro.padicotm.arbitration.drivers.Driver`; it carries rank
+bookkeeping, the members' NIC claims, timed sends and selective
 receives."""
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any
 
+from repro.padicotm.arbitration.drivers import Driver, timed_move
 from repro.sim.kernel import SimProcess
 from repro.sim.sync import MatchQueue
 
@@ -25,29 +26,25 @@ ANY_SOURCE = -1
 class FramedGroupTransport:
     """Timed, framed messaging between the ranks of a process group."""
 
-    #: software cost per message on the send side, seconds
-    send_overhead: float = 0.0
-    #: software cost per message on the receive side, seconds
-    recv_overhead: float = 0.0
-    #: arbitration subsystem label for observability spans
-    driver: str = "framed"
-
     def __init__(self, runtime: "PadicoRuntime",
-                 members: list["PadicoProcess"], fabric: str | None):
+                 members: list["PadicoProcess"], fabric: str | None,
+                 driver: Driver):
         self.runtime = runtime
         self.fabric = fabric  # None: every pair is same-host (loopback)
+        self.driver = driver
         self.members = list(members)
+        self._hosts = [p.host.name for p in members]
         self.rank_of = {p.name: i for i, p in enumerate(members)}
         if len(self.rank_of) != len(members):
             raise ValueError("duplicate process in group member list")
         self._inbox = [MatchQueue(runtime.kernel) for _ in members]
+        if fabric is not None:
+            for p in members:
+                p.arbitration.claim_fabric(fabric)
 
     @property
     def size(self) -> int:
         return len(self.members)
-
-    def _driver(self, local: bool) -> str:
-        return "loopback" if local or self.fabric is None else self.driver
 
     def send(self, proc: SimProcess, src_rank: int, dst_rank: int,
              payload: Any, nbytes: float) -> None:
@@ -59,22 +56,17 @@ class FramedGroupTransport:
         transport without being joined or copied.  Large-message senders
         must not mutate the payload until the receiver consumes it
         (rendezvous discipline enforced at the MPI layer)."""
-        src = self.members[src_rank]
-        dst = self.members[dst_rank]
-        local = src.host.name == dst.host.name
+        src = self._hosts[src_rank]
+        dst = self._hosts[dst_rank]
+        label, fabric = self.driver.wire(self.fabric, src, dst)
         mon = self.runtime.monitor
         if mon is not None:
             mon.on_span_start("arbitration.send", cat="arbitration",
-                              driver=self._driver(local))
-            mon.on_driver_io(self._driver(local), "send", float(nbytes))
+                              driver=label)
+            mon.on_driver_io(label, "send", float(nbytes))
         try:
-            if self.send_overhead:
-                proc.sleep(self.send_overhead)
-            if local or self.fabric is None:
-                self.runtime.local_copy(proc, nbytes)
-            else:
-                self.runtime.network.transfer(
-                    proc, src.host.name, dst.host.name, nbytes, self.fabric)
+            proc.sleep(self.driver.send_overhead)
+            timed_move(proc, self.runtime.network, src, dst, fabric, nbytes)
         finally:
             if mon is not None:
                 mon.on_span_end("arbitration.send")
@@ -101,13 +93,13 @@ class FramedGroupTransport:
         item = self._inbox[my_rank].get(proc, self._predicate(source, where))
         mon = self.runtime.monitor
         if mon is not None:
-            drv = self._driver(self.fabric is None)
+            label = self.driver.wire(self.fabric, self._hosts[item[0]],
+                                     self._hosts[my_rank])[0]
             mon.on_span_start("arbitration.recv", cat="arbitration",
-                              driver=drv)
-            mon.on_driver_io(drv, "recv", float(item[2]))
+                              driver=label)
+            mon.on_driver_io(label, "recv", float(item[2]))
         try:
-            if self.recv_overhead:
-                proc.sleep(self.recv_overhead)
+            proc.sleep(self.driver.recv_overhead)
         finally:
             if mon is not None:
                 mon.on_span_end("arbitration.recv")

@@ -24,6 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from repro.net.devices import PARALLEL
+
 if TYPE_CHECKING:  # pragma: no cover
     from repro.padicotm.runtime import PadicoProcess
 
@@ -56,7 +58,6 @@ class ArbitrationCore:
         self.claims: list[NicClaim] = []
         self.thread_policy: str | None = None
         self.thread_policy_owner: str | None = None
-        self._subsystems: dict[str, object] = {}
 
     # ------------------------------------------------------------------
     # NIC claims
@@ -100,6 +101,24 @@ class ArbitrationCore:
             monitor.on_claim(self.process.name, claim)
         return claim
 
+    def claim_fabric(self, fabric: str) -> None:
+        """Cooperatively claim ``fabric`` for PadicoTM's own driver.
+
+        The fabric's paradigm picks the driver: on a parallel network,
+        Madeleine multiplexes the native exclusive driver (BIP/GM for
+        Myrinet, SISCI for SCI) or ``mad-generic``; on a distributed
+        one, the TCP stack.  Idempotent: a claim already held is not
+        made twice."""
+        tech = self.process.runtime.topology.fabrics[fabric].technology
+        if tech.paradigm == PARALLEL:
+            driver = tech.exclusive_drivers[0] if tech.exclusive_drivers \
+                else "mad-generic"
+            owner = "PadicoTM/madeleine"
+        else:
+            driver, owner = "tcp", "PadicoTM/sockets"
+        if NicClaim(fabric, driver, owner, True) not in self.claims:
+            self.claim_nic(fabric, driver, owner, cooperative=True)
+
     def release_claims(self, owner: str) -> int:
         """Drop every claim held by ``owner``; returns how many."""
         kept = [c for c in self.claims if c.owner != owner]
@@ -132,20 +151,3 @@ class ArbitrationCore:
             f"{owner!r} wants thread policy {policy!r} but "
             f"{self.thread_policy_owner!r} already installed "
             f"{self.thread_policy!r}")
-
-    # ------------------------------------------------------------------
-    # subsystems
-    # ------------------------------------------------------------------
-    def madeleine(self) -> "object":
-        """The parallel-paradigm subsystem (lazily created)."""
-        if "madeleine" not in self._subsystems:
-            from repro.padicotm.arbitration.madeleine import MadeleineSubsystem
-            self._subsystems["madeleine"] = MadeleineSubsystem(self.process)
-        return self._subsystems["madeleine"]
-
-    def sockets(self) -> "object":
-        """The distributed-paradigm subsystem (lazily created)."""
-        if "sockets" not in self._subsystems:
-            from repro.padicotm.arbitration.sockets import SocketSubsystem
-            self._subsystems["sockets"] = SocketSubsystem(self.process)
-        return self._subsystems["sockets"]

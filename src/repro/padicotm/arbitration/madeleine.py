@@ -1,77 +1,29 @@
-"""Madeleine-like parallel-network subsystem.
+"""Madeleine channels over parallel-oriented networks.
 
 Madeleine (Aumage et al.) is the paper's low-level library for
 parallel-oriented networks.  Its unit of communication is a *channel*: a
 static group of processes, each with a logical rank, bound to one
-physical network.  We reproduce that shape: channels are opened over a
-parallel fabric, carry framed messages between ranks, and cost a small
-per-message software overhead on each side (calibrated so MPI's one-way
-latency over Myrinet lands at the paper's 11 µs: 1 µs send + 9 µs wire
-+ 1 µs receive)."""
+physical network.  A channel here is the framed group transport handed
+the :data:`~repro.padicotm.arbitration.drivers.MADELEINE` driver, opened
+only over a parallel fabric."""
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
 from repro.net.devices import PARALLEL
-from repro.padicotm.arbitration._framed import ANY_SOURCE, FramedGroupTransport
+from repro.padicotm.arbitration._framed import FramedGroupTransport
+from repro.padicotm.arbitration.drivers import MADELEINE
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.padicotm.runtime import PadicoProcess, PadicoRuntime
 
-__all__ = ["ANY_SOURCE", "MAD_SEND_OVERHEAD", "MAD_RECV_OVERHEAD",
-           "MadeleineChannel", "MadeleineSubsystem", "open_channel"]
-
-#: Per-message software cost of the Madeleine user-level fast path.
-MAD_SEND_OVERHEAD = 1.0e-6
-MAD_RECV_OVERHEAD = 1.0e-6
-
-
-class MadeleineChannel(FramedGroupTransport):
-    """A static communication channel over one parallel fabric."""
-
-    send_overhead = MAD_SEND_OVERHEAD
-    recv_overhead = MAD_RECV_OVERHEAD
-    driver = "madeleine"
-
-    def __init__(self, runtime: "PadicoRuntime", channel_id: str,
-                 members: list["PadicoProcess"], fabric: str):
-        tech = runtime.topology.fabrics[fabric].technology
-        if tech.paradigm != PARALLEL:
-            raise ValueError(
-                f"Madeleine drives parallel networks; {fabric!r} is "
-                f"{tech.paradigm}-oriented (use the socket subsystem)")
-        super().__init__(runtime, members, fabric)
-        self.id = channel_id
-
-
-class MadeleineSubsystem:
-    """Per-process handle on the Madeleine arbitration subsystem.
-
-    NIC claims are made cooperatively through the arbitration core the
-    first time a channel touches a fabric — Madeleine picks the fabric's
-    native exclusive driver (BIP/GM for Myrinet, SISCI for SCI) but
-    multiplexes it, so every middleware in the process can share it.
-    """
-
-    def __init__(self, process: "PadicoProcess"):
-        self.process = process
-        self._claimed: set[str] = set()
-
-    def _ensure_claim(self, fabric: str) -> None:
-        if fabric in self._claimed:
-            return
-        tech = self.process.runtime.topology.fabrics[fabric].technology
-        driver = tech.exclusive_drivers[0] if tech.exclusive_drivers \
-            else "mad-generic"
-        self.process.arbitration.claim_nic(
-            fabric, driver, owner="PadicoTM/madeleine", cooperative=True)
-        self._claimed.add(fabric)
+__all__ = ["open_channel"]
 
 
 def open_channel(runtime: "PadicoRuntime", channel_id: str,
                  members: list["PadicoProcess"],
-                 fabric: str) -> MadeleineChannel:
+                 fabric: str) -> FramedGroupTransport:
     """Open (or fetch) a Madeleine channel spanning ``members``.
 
     Channel creation is collective and static, like real Madeleine; the
@@ -89,9 +41,11 @@ def open_channel(runtime: "PadicoRuntime", channel_id: str,
                 f"channel {channel_id!r} already open with a different "
                 f"member list or fabric")
         return chan
-    chan = MadeleineChannel(runtime, channel_id, members, fabric)
-    for p in members:
-        subsystem = p.arbitration.madeleine()
-        subsystem._ensure_claim(fabric)
+    tech = runtime.topology.fabrics[fabric].technology
+    if tech.paradigm != PARALLEL:
+        raise ValueError(
+            f"Madeleine drives parallel networks; {fabric!r} is "
+            f"{tech.paradigm}-oriented (use the TCP driver)")
+    chan = FramedGroupTransport(runtime, members, fabric, MADELEINE)
     registry[channel_id] = chan
     return chan

@@ -11,7 +11,6 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Any, Callable, Iterator
 
-from repro.net.devices import LOOPBACK
 from repro.net.flows import FlowNetwork
 from repro.net.topology import Host, Topology
 from repro.sim.kernel import SimKernel, SimProcess
@@ -61,12 +60,11 @@ class PadicoRuntime:
     def __init__(self, topology: Topology, kernel: SimKernel | None = None):
         self.kernel = kernel or SimKernel()
         self.topology = topology
-        #: replaceable before the first process is created (differential
-        #: tests install a FlowNetwork with non-default solver settings)
+        #: replaceable before the first process is created (a
+        #: differential test installs its from-scratch solver oracle,
+        #: ``ScratchFlowNetwork``, here)
         self.network = FlowNetwork(self.kernel, topology)
         self.processes: dict[str, PadicoProcess] = {}
-        #: socket listener registry: (process_name, port) -> SocketListener
-        self.socket_listeners: dict[tuple[str, str], Any] = {}
         #: VLink listener registry: (process_name, port) -> VLinkListener
         self.vlink_listeners: dict[tuple[str, str], Any] = {}
         #: attached monitors (typestate, observability recorders, ...);
@@ -168,13 +166,6 @@ class PadicoRuntime:
 
     def __exit__(self, *exc: Any) -> None:
         self.shutdown()
-
-    # ------------------------------------------------------------------
-    # intra-host data movement (both endpoints on the same machine)
-    # ------------------------------------------------------------------
-    def local_copy(self, proc: SimProcess, nbytes: float) -> None:
-        """Charge the cost of a same-host message (shared-memory copy)."""
-        proc.sleep(LOOPBACK.latency + nbytes / LOOPBACK.bandwidth)
 
 
 class PadicoProcess:

@@ -147,8 +147,8 @@ class TypestateMonitor:
     def unreleased_claims(self) -> list[tuple[str, str, int]]:
         """(process, owner, count) for every claim never released.
 
-        Cooperative subsystems legitimately hold claims for the process
-        lifetime, so this is a report, not an error: a *direct*
+        PadicoTM's own cooperative driver claims are held for the
+        process lifetime, so this is a report, not an error: a *direct*
         (``cooperative=False``) claim still listed after a run is the
         leak to look for.
         """

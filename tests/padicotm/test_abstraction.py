@@ -2,8 +2,14 @@
 
 import pytest
 
-from repro.net import NoRouteError
-from repro.padicotm import Circuit, VLink
+from repro.net import NoRouteError, Topology, build_cluster
+from repro.obs import TraceRecorder
+from repro.padicotm import (
+    ArbitrationConflictError,
+    Circuit,
+    PadicoRuntime,
+    VLink,
+)
 from repro.padicotm.abstraction.vlink import ConnectionRefusedError
 
 
@@ -48,6 +54,25 @@ def test_circuit_message_roundtrip(cluster_runtime):
     assert got == [(1, {"hello": 1}, 100)]
 
 
+def test_circuit_same_host_pair_is_loopback_on_both_sides():
+    """A same-host pair inside a multi-host SAN circuit copies through
+    shared memory, and both the send and the receive count as loopback."""
+    topo = Topology()
+    build_cluster(topo, "a", 2)
+    rec = TraceRecorder()
+    with PadicoRuntime(topo) as rt:
+        procs = [rt.create_process(h, f"p{i}")
+                 for i, h in enumerate(["a0", "a0", "a1"])]
+        circuit = Circuit.establish(rt, "c0", procs)
+        rt.observe(rec)
+        procs[0].spawn(lambda proc: circuit.send(proc, 0, 1, b"x", 100))
+        procs[1].spawn(lambda proc: circuit.recv(proc, 1))
+        rt.run()
+    assert circuit.mapping == "straight"
+    assert rec.driver_io == {("loopback", "send"): [1.0, 100.0],
+                             ("loopback", "recv"): [1.0, 100.0]}
+
+
 def test_circuit_forced_fabric_ablation(cluster_runtime):
     """Forcing the LAN under a Circuit (ablation A3) must still work —
     just slower and tagged cross-paradigm."""
@@ -73,9 +98,6 @@ def test_circuit_forced_fabric_ablation(cluster_runtime):
 
 
 def test_circuit_no_common_fabric_raises():
-    from repro.net import Topology, build_cluster
-    from repro.padicotm import PadicoRuntime
-
     topo = Topology()
     build_cluster(topo, "a", 2)
     build_cluster(topo, "b", 2)  # disconnected clusters, no WAN
@@ -138,6 +160,23 @@ def test_vlink_straight_on_lan(grid_runtime):
     assert result["mapping"] == "straight"
     assert result["fabric"] == "wan"
     assert result["got"] == (b"hello", 5)
+
+
+def test_vlink_accepting_end_claims_its_nic(cluster_runtime):
+    """Both ends of a VLink riding Myrinet hold Madeleine's cooperative
+    claim, so a legacy module's direct exclusive BIP claim fails on the
+    accepting side exactly as it does on the connecting side."""
+    rt = cluster_runtime
+    server = rt.create_process("a0", "server")
+    client = rt.create_process("a1", "client")
+    listener = VLink.listen(server, "giop")
+    server.spawn(lambda proc: listener.accept(proc))
+    client.spawn(lambda proc: VLink.connect(proc, client, "server", "giop"))
+    rt.run()
+    for side in (client, server):
+        with pytest.raises(ArbitrationConflictError):
+            side.arbitration.claim_nic("a-san", "BIP", "legacy",
+                                       cooperative=False)
 
 
 def test_vlink_connect_refused(cluster_runtime):

@@ -1,9 +1,8 @@
-"""Madeleine channels and the socket subsystem."""
+"""Madeleine channels: framed group transport on the Madeleine driver."""
 
 import pytest
 
 from repro.padicotm.arbitration.madeleine import open_channel
-from repro.padicotm.arbitration.sockets import ConnectionRefusedError
 
 
 def test_madeleine_pingpong_latency_is_11us(cluster_runtime):
@@ -104,95 +103,3 @@ def test_madeleine_same_channel_id_returns_same_channel(cluster_runtime):
     assert c1 is c2
     with pytest.raises(ValueError):
         open_channel(rt, "ch", [p1, p0], "a-san")  # different member order
-
-
-def test_socket_connect_accept_send_recv(cluster_runtime):
-    rt = cluster_runtime
-    server = rt.create_process("a0", "server")
-    client = rt.create_process("a1", "client")
-    listener = server.arbitration.sockets().listen("5000")
-    got = []
-
-    def srv(proc):
-        conn = listener.accept(proc)
-        item = conn.recv(proc)
-        got.append(item)
-        conn.send(proc, b"pong", 4)
-        assert conn.recv(proc) is None  # client closed
-
-    def cli(proc):
-        conn = client.arbitration.sockets().connect(proc, "server", "5000")
-        conn.send(proc, b"ping", 4)
-        got.append(conn.recv(proc))
-        conn.close()
-
-    server.spawn(srv)
-    client.spawn(cli)
-    rt.run()
-    assert got == [(b"ping", 4), (b"pong", 4)]
-
-
-def test_socket_connect_refused(cluster_runtime):
-    rt = cluster_runtime
-    rt.create_process("a0", "server")
-    client = rt.create_process("a1", "client")
-    errors = []
-
-    def cli(proc):
-        try:
-            client.arbitration.sockets().connect(proc, "server", "9999")
-        except ConnectionRefusedError:
-            errors.append("refused")
-
-    client.spawn(cli)
-    rt.run()
-    assert errors == ["refused"]
-
-
-def test_socket_picks_distributed_fabric(cluster_runtime):
-    rt = cluster_runtime
-    server = rt.create_process("a0", "server")
-    client = rt.create_process("a1", "client")
-    server.arbitration.sockets().listen("80")
-    conns = []
-
-    def cli(proc):
-        conn = client.arbitration.sockets().connect(proc, "server", "80")
-        conns.append(conn)
-
-    client.spawn(cli)
-    rt.run()
-    # sockets never drive the SAN: the LAN fabric must be chosen
-    assert conns[-1].fabric == "a-lan"
-
-
-def test_socket_port_collision(cluster_runtime):
-    rt = cluster_runtime
-    p = rt.create_process("a0", "p0")
-    p.arbitration.sockets().listen("80")
-    with pytest.raises(OSError):
-        p.arbitration.sockets().listen("80")
-
-
-def test_socket_same_host_uses_loopback(cluster_runtime):
-    rt = cluster_runtime
-    server = rt.create_process("a0", "server")
-    client = rt.create_process("a0", "client")  # same host
-    listener = server.arbitration.sockets().listen("80")
-    result = {}
-
-    def srv(proc):
-        conn = listener.accept(proc)
-        conn.recv(proc)
-
-    def cli(proc):
-        conn = client.arbitration.sockets().connect(proc, "server", "80")
-        t0 = rt.kernel.now
-        conn.send(proc, b"x", 1_000_000)
-        result["elapsed"] = rt.kernel.now - t0
-
-    server.spawn(srv)
-    client.spawn(cli)
-    rt.run()
-    # loopback at 800 MB/s: far faster than the 11.2 MB/s LAN
-    assert result["elapsed"] < 1_000_000 / 100e6
