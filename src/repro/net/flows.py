@@ -44,7 +44,11 @@ tier computes bit-for-bit the same rates:
   solve, and any component walk that large — are filled by a
   numpy-vectorised twin of the scalar loop
   (:func:`_progressive_fill_vec`): same shares, same rounds, same
-  subtraction sequence, byte-identical results.
+  subtraction sequence, byte-identical results.  It fills *route
+  classes*: the flows of one route are fixed in the same round at the
+  same share, so a whole-shard solve hands it each distinct route once
+  — the route's first row, weighted by its flow count — and gives
+  every flow its route's rate; a walk hands it every flow, weight one.
 * A lone dirty flow — no link on its route carries another live flow:
   most events on an idle network — is its own component, and a one-flow
   fill is one round: :meth:`FlowNetwork._solve_lone` writes that round's
@@ -55,7 +59,8 @@ tier computes bit-for-bit the same rates:
   are array operations — the loops' arithmetic, element by element, in
   their order; below it nothing but the per-object loops exists.  The
   table is the one per-flow route store: whole-shard solves gather
-  their routes from its columns and write their rates back into it.
+  their route classes from its columns and write their rates back into
+  it.
 """
 
 from __future__ import annotations
@@ -171,8 +176,13 @@ class Flow:
 class _FlowTable:
     """Column form of a network's live-flow state: one row per flow in
     active-list (ascending ``Flow.seq``) order — bytes left, rate, route
-    length, shard — plus the routes' interned link ids end to end and
-    the byte totals per link id.
+    length, shard, route class — plus the routes' interned link ids end
+    to end and the byte totals per link id.
+
+    A *route class* is one distinct route: ``classes`` maps the tuple of
+    a route's link ids to a dense id, assigned on first sight and kept
+    for the table's life, and the ``cls`` column gives each row its
+    route's id.
 
     The passes a network makes over every live flow at every event run
     here on NumPy views of the columns: the per-object loops' arithmetic
@@ -182,7 +192,7 @@ class _FlowTable:
     """
 
     __slots__ = ("seqs", "rem", "rates", "lens", "ids", "shards", "tags",
-                 "acc", "credited")
+                 "cls", "classes", "acc", "credited")
 
     def __init__(self, flows: Sequence[Flow], link_bytes: dict[Link, float],
                  link_ids: dict[Link, int]):
@@ -191,6 +201,8 @@ class _FlowTable:
         #: per row, the number ``tags`` gives the flow's ``shard``
         self.shards = array("q")
         self.tags: dict[str | None, int] = {}
+        self.cls = array("q")
+        self.classes: dict[tuple[int, ...], int] = {}
         self.acc = array("d", bytes(8 * len(link_ids)))
         for link, moved in link_bytes.items():
             self.acc[link_ids[link]] = moved
@@ -200,12 +212,14 @@ class _FlowTable:
         self.credited = self.seqs[-1]
 
     def add(self, flow: Flow, link_ids: dict[Link, int]) -> None:
+        route = tuple([link_ids[link] for link in flow.route])
         self.seqs.append(flow.seq)
         self.rem.append(flow._remaining)
         self.rates.append(flow._rate)
-        self.lens.append(len(flow.route))
-        self.ids.extend([link_ids[link] for link in flow.route])
+        self.lens.append(len(route))
+        self.ids.extend(route)
         self.shards.append(self.tags.setdefault(flow.shard, len(self.tags)))
+        self.cls.append(self.classes.setdefault(route, len(self.classes)))
         flow._table = self
 
     def pop(self, flow: Flow) -> int:
@@ -218,19 +232,39 @@ class _FlowTable:
         del self.seqs[i]
         del self.rates[i]
         del self.shards[i]
+        del self.cls[i]
         flow._remaining = self.rem.pop(i)
         flow._table = None
         return i
 
-    def routes(self, shards: Sequence[str]) -> tuple[np.ndarray, np.ndarray,
-                                                     np.ndarray]:
-        """The rows of ``shards``, ascending, and their route lengths and
-        link ids, end to end: what the vectorised fill reads."""
+    def route_classes(self, shards: Sequence[str]) -> tuple[
+            np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """What the whole-shard fill reads for the rows of ``shards``.
+
+        Returns the rows, ascending; where each row's class sits among
+        the classes present, which are taken in order of their first
+        row; and per class, its row count (the multiplicity), its route
+        length and its link ids, end to end, read from that first row.
+        """
         col = np.frombuffer(self.shards, dtype=np.int64)
         keep = np.isin(col, [self.tags[s] for s in shards])
+        rows = np.flatnonzero(keep)
+        cls = np.frombuffer(self.cls, dtype=np.int64)[rows]
+        n = len(rows)
+        # each class's first position among the rows: a reversed scatter
+        # leaves the smallest (last write wins)
+        first = np.full(len(self.classes), n, dtype=np.int64)
+        first[cls[::-1]] = np.arange(n - 1, -1, -1, dtype=np.int64)
+        heads = np.sort(first[first < n])
+        slot = np.empty(len(first), dtype=np.int64)
+        slot[cls[heads]] = np.arange(len(heads), dtype=np.int64)
+        of_row = slot[cls]
+        mult = np.bincount(of_row, minlength=len(heads))
+        head = np.zeros(len(col), dtype=bool)
+        head[rows[heads]] = True
         lens = np.frombuffer(self.lens, dtype=np.int64)
         ids = np.frombuffer(self.ids, dtype=np.int64)
-        return np.flatnonzero(keep), lens[keep], ids[np.repeat(keep, lens)]
+        return rows, of_row, mult, lens[head], ids[np.repeat(head, lens)]
 
     def advance(self, dt: float, flows: Sequence[Flow],
                 link_bytes: dict[Link, float], n_ids: int) -> None:
@@ -314,6 +348,13 @@ def _progressive_fill(
     return rates, iterations
 
 
+def _check_up(route: Sequence[Link]) -> None:
+    """Refuse a route with a downed link: admission's one check."""
+    for link in route:
+        if not link.up:
+            raise TransferError(f"link {link.name} is down")
+
+
 def _route_shard(route: Sequence[Link]) -> str | None:
     """Site tag owning every link of ``route``, or ``None``.
 
@@ -333,6 +374,7 @@ def _route_shard(route: Sequence[Link]) -> str | None:
 
 
 def _progressive_fill_vec(lens: np.ndarray, gids: np.ndarray,
+                          mult: np.ndarray,
                           bandwidth: np.ndarray) -> tuple[np.ndarray, int]:
     """Vectorised progressive fill for large flow sets.
 
@@ -340,19 +382,23 @@ def _progressive_fill_vec(lens: np.ndarray, gids: np.ndarray,
     :func:`_progressive_fill` — identical bottleneck choices (ties
     break on first link in insertion order, which is ``np.argmin``'s
     contract too), identical equal-share divisions, and identical
-    capacity-subtraction sequences (every subtraction in one round uses
-    the same share value, so the accumulation order inside
-    ``np.subtract.at`` cannot change the result) — but replaces the
-    per-round Python scan over all links with numpy reductions over
-    flat link arrays.  The per-round cost drops from O(L) dict
-    iterations to a handful of array ops and the setup cost to a rank
-    pass, which is what lets one shard hold 100k concurrent flows.
+    capacity-subtraction sequences — but replaces the per-round Python
+    scan over all links with numpy reductions over flat link arrays.
+    The per-round cost drops from O(L) dict iterations to a handful of
+    array ops and the setup cost to a rank pass, which is what lets one
+    shard hold 100k concurrent flows.
 
-    The flows are given as arrays, in subset order: ``lens`` their
-    route lengths (int64) and ``gids`` their routes' interned link ids
-    end to end (int64); ``bandwidth`` is indexed by link id
-    (``FlowNetwork._link_bw``).  Returns ``(rates, iterations)``,
-    ``rates`` a float64 array in subset order.
+    The input is given as *route classes*, in subset order of their
+    first flow: ``lens`` their route lengths (int64), ``gids`` their
+    routes' interned link ids end to end (int64) and ``mult`` how many
+    flows of the subset take each route (int64; all ones for a subset
+    of distinct flows); ``bandwidth`` is indexed by link id
+    (``FlowNetwork._link_bw``).  Filling the classes is filling their
+    flows: the flows of one route are fixed in the same round at the
+    same share, so a class's flows only ever count — ``m`` flows on a
+    link are ``m`` in its count and ``m`` equal subtractions from its
+    capacity when they are fixed.  Returns ``(rates, iterations)``,
+    ``rates`` a float64 array with one rate per class.
     """
     n = len(lens)
     n_ids = len(bandwidth)
@@ -368,7 +414,9 @@ def _progressive_fill_vec(lens: np.ndarray, gids: np.ndarray,
     # scatter records each id's first position (last write wins, so
     # writing positions back-to-front leaves the smallest), and only
     # the *present* ids get sorted — much smaller than the 2E element
-    # sort np.unique would do
+    # sort np.unique would do.  A link first appears at the first flow
+    # of some route, which is that route's class: the classes' order
+    # keeps it
     first = np.full(n_ids, total, dtype=np.int64)
     first[gids[::-1]] = np.arange(total - 1, -1, -1, dtype=np.int64)
     present = np.flatnonzero(first < total)
@@ -378,69 +426,104 @@ def _progressive_fill_vec(lens: np.ndarray, gids: np.ndarray,
     rank[ranked] = np.arange(n_links, dtype=np.intp)
     local = rank[gids]
     cap = bandwidth[ranked]  # a copy: local link r is link id ranked[r]
-    counts = np.bincount(local, minlength=n_links)
-    cnt = counts.astype(np.int64)
-    # flows grouped per link; the stable sort preserves subset order
-    # within each group, matching the scalar fill's member lists
-    flow_of = np.repeat(np.arange(n, dtype=np.intp), lens)
-    grouped = flow_of[np.argsort(local, kind="stable")]
+    cnt = np.bincount(local, weights=np.repeat(mult, lens),
+                      minlength=n_links).astype(np.int64)
+    # classes grouped per link; the stable sort preserves subset order
+    # within each group, matching the scalar fill's member lists, and
+    # on ids narrowed to 16 bits or less it is a radix sort.  A route
+    # crossing a link twice is listed there once: its entries sit side
+    # by side in the group, and a round fixes each class once
+    order = np.argsort(local.astype(np.min_scalar_type(n_links - 1)),
+                       kind="stable")
+    by_link = local[order]
+    grouped = np.repeat(np.arange(n, dtype=np.intp), lens)[order]
+    once = np.ones(total, dtype=bool)
+    once[1:] = (by_link[1:] != by_link[:-1]) | (grouped[1:] != grouped[:-1])
+    grouped = grouped[once]
     bounds = np.zeros(n_links + 1, dtype=np.int64)
-    np.cumsum(counts, out=bounds[1:])
+    np.cumsum(np.bincount(by_link[once], minlength=n_links), out=bounds[1:])
 
-    shares = np.empty(n_links, dtype=np.float64)
+    # max(cap, 0.0) keeps -0.0 (Python max semantics), so compare
+    # strictly against 0.0 rather than clipping.  A share changes only
+    # with its link's capacity or count: recomputed for the links a
+    # round hits, inf once a link drains
+    shares = np.where(cap < 0.0, 0.0, cap) / cnt
     fixed = np.zeros(n, dtype=bool)
     rate_of = np.zeros(n, dtype=np.float64)
+    nan_caps = False
     iterations = 0
     remaining = n
     while remaining:
         iterations += 1
-        valid = cnt > 0
-        shares.fill(inf)
-        # max(cap, 0.0) keeps -0.0 (Python max semantics), so compare
-        # strictly against 0.0 rather than clipping
-        np.divide(np.where(cap < 0.0, 0.0, cap), cnt, out=shares,
-                  where=valid)
         bi = int(np.argmin(shares))
-        if not bool(valid[bi]):
+        if nan_caps or cnt[bi] <= 0:
+            valid = cnt > 0
             if not valid.any():
                 # only route-less flows remain: uncapacitated
                 rate_of[~fixed] = inf
                 break
-            # every live share is inf (infinite-bandwidth links): the
-            # scalar scan settles on the first live link instead of the
-            # inf placeholder of a drained one
-            bi = int(np.argmax(valid))
+            # argmin met an inf placeholder or may meet a NaN share:
+            # take the scalar scan's pick instead
+            bi = _scalar_bottleneck(shares, valid)
         best = float(shares[bi])
+        # an inf share is fixed only when every live capacity is inf,
+        # and inf - inf leaves NaN capacities behind
+        nan_caps = nan_caps or best == inf
         mem = grouped[bounds[bi]:bounds[bi + 1]]
         newly = mem[~fixed[mem]]
         fixed[newly] = True
         rate_of[newly] = best
-        # gather the newly-fixed flows' link rows — the concatenation
-        # of ranges [offsets[fi], offsets[fi] + lens[fi]) built with
-        # the cumsum range trick, no per-flow Python loop.  Every
-        # grouped flow crosses >= 1 link, so no zero-length range can
-        # corrupt the boundary steps.  subtract.at applies
-        # element-by-element (unbuffered), so repeated hits on one link
-        # reproduce the scalar fill's sequential same-value
-        # subtractions exactly.
-        if len(newly) == 1:
-            # churn rounds usually fix one straggler: its link rows are
-            # a single contiguous slice, no range trick needed
-            s0 = int(offsets[newly[0]])
-            seg = local[s0:s0 + int(lens[newly[0]])]
-        else:
-            sel_start = offsets[newly]
-            sel_len = lens[newly]
-            step = np.ones(int(sel_len.sum()), dtype=np.int64)
-            ends = np.cumsum(sel_len)
-            step[0] = sel_start[0]
-            step[ends[:-1]] = sel_start[1:] - sel_start[:-1] \
-                - sel_len[:-1] + 1
-            seg = local[np.cumsum(step)]
-        np.subtract.at(cap, seg, best)
-        np.subtract.at(cnt, seg, 1)
         remaining -= len(newly)
+        # gather the newly-fixed classes' link rows — the concatenation
+        # of ranges [offsets[c], offsets[c] + lens[c]) built with the
+        # cumsum range trick, no per-class Python loop.  Every grouped
+        # class crosses >= 1 link, so no zero-length range can corrupt
+        # the boundary steps
+        sel_start = offsets[newly]
+        sel_len = lens[newly]
+        step = np.ones(int(sel_len.sum()), dtype=np.int64)
+        ends = np.cumsum(sel_len)
+        step[0] = sel_start[0]
+        step[ends[:-1]] = sel_start[1:] - sel_start[:-1] - sel_len[:-1] + 1
+        seg = local[np.cumsum(step)]
+        weight = np.repeat(mult[newly], sel_len)
+        # the scalar fill subtracts ``best`` once per fixed flow per
+        # route entry: h hits on a link are h equal subtractions, left
+        # to right — one reduceat run [cap, best, ..., best] per link.
+        # Links whose count drops to 0 are never read again: skipped
+        hits = np.bincount(seg, weights=weight)
+        hit = np.flatnonzero(hits)
+        h = hits[hit].astype(np.int64)
+        left = cnt[hit] - h
+        cnt[hit] = left
+        live = left > 0
+        shares[hit[~live]] = inf
+        hit, h, left = hit[live], h[live], left[live]
+        if len(hit):
+            starts = np.zeros(len(h), dtype=np.int64)
+            np.cumsum(h[:-1] + 1, out=starts[1:])
+            run = np.full(int(starts[-1] + h[-1] + 1), best)
+            run[starts] = cap[hit]
+            left_cap = np.subtract.reduceat(run, starts)
+            cap[hit] = left_cap
+            shares[hit] = np.where(left_cap < 0.0, 0.0, left_cap) / left
     return rate_of, iterations
+
+
+def _scalar_bottleneck(shares: np.ndarray, valid: np.ndarray) -> int:
+    """The link :func:`_progressive_fill`'s scan settles on.
+
+    The scan starts from the first live link and moves only to a
+    strictly smaller share.  No share compares smaller than a NaN, and
+    a NaN compares smaller than nothing.  ``np.argmin`` picks the same
+    link unless a share is NaN or the minimum is a drained link's inf.
+    """
+    first = int(np.argmax(valid))
+    share = shares[first]
+    if share != share:  # NaN
+        return first
+    best = int(np.argmin(np.where(np.isnan(shares), np.inf, shares)))
+    return best if shares[best] < share else first
 
 
 def maxmin_rates(flows: Sequence[Flow]) -> dict[Flow, float]:
@@ -593,9 +676,7 @@ class FlowNetwork:
         for route, nbytes, _callback in reqs:
             if nbytes <= 0:
                 raise ValueError("flow size must be positive")
-            for link in route:
-                if not link.up:
-                    raise TransferError(f"link {link.name} is down")
+            _check_up(route)
         flows = [self._admit(route, nbytes, None, callback)
                  for route, nbytes, callback in reqs]
         if flows:
@@ -661,6 +742,7 @@ class FlowNetwork:
     def _add_flow(self, route: Sequence[Link], nbytes: float,
                   waiter: SimProcess | None = None,
                   callback: Callable | None = None) -> Flow:
+        _check_up(route)
         flow = self._admit(route, nbytes, waiter, callback)
         self._reallocate((flow,))
         self._notify_start(flow)
@@ -669,11 +751,9 @@ class FlowNetwork:
     def _admit(self, route: Sequence[Link], nbytes: float,
                waiter: SimProcess | None,
                callback: Callable | None) -> Flow:
-        """Validate, create and index one flow — no re-solve, no monitor
-        notification; callers compose those (see :meth:`start_flows`)."""
-        for link in route:
-            if not link.up:
-                raise TransferError(f"link {link.name} is down")
+        """Create and index one flow whose route the caller checked is
+        up — no re-solve, no monitor notification; callers compose those
+        (see :meth:`start_flows`)."""
         self._advance()
         flow = Flow(route, nbytes, waiter, callback, self.kernel.now)
         flow.shard = _route_shard(flow.route)
@@ -893,24 +973,27 @@ class FlowNetwork:
         The rows are taken in row (``seq``) order, so each shard keeps
         its own flows' and links' relative order; shards are
         link-disjoint, so the one fill performs exactly the per-shard
-        fills' arithmetic and pays the setup once per event.  New rates
-        are diffed against the rate column and written — to the column
-        and to ``Flow._rate`` — only where they compare unequal: the
-        walk's ``!=`` guard, ``-0.0 == 0.0`` included, so the two
-        stores never disagree.
+        fills' arithmetic and pays the setup once per event.  The fill
+        sees one row per route class — the class's first row, weighted
+        by its row count — and each class's rate is every one of its
+        rows' rate.  New rates are diffed against the rate column and
+        written — to the column and to ``Flow._rate`` — only where they
+        compare unequal: the walk's ``!=`` guard, ``-0.0 == 0.0``
+        included, so the two stores never disagree.
         """
         table = self._table
-        rows, lens, gids = table.routes(shards)
-        new, iterations = _progressive_fill_vec(
-            lens, gids, np.frombuffer(self._link_bw))
+        rows, of_row, mult, lens, gids = table.route_classes(shards)
+        by_class, iterations = _progressive_fill_vec(
+            lens, gids, mult, np.frombuffer(self._link_bw))
+        new = by_class[of_row]
         rates = np.frombuffer(table.rates)
         changed = np.flatnonzero(new != rates[rows])
+        self._count(len(rows), iterations)
         rows, new = rows[changed], new[changed]
         rates[rows] = new
         flows = self._flows
         for i, rate in zip(rows.tolist(), new.tolist()):
             flows[i]._rate = rate
-        self._count(len(lens), iterations)
 
     def _solve(self, subset: list[Flow]) -> None:
         """One fill over a walked component; applies rates and counts
@@ -921,6 +1004,7 @@ class FlowNetwork:
                 np.array([len(f.route) for f in subset], dtype=np.int64),
                 np.array([ids[link] for f in subset for link in f.route],
                          dtype=np.int64),
+                np.ones(len(subset), dtype=np.int64),
                 np.frombuffer(self._link_bw))
             new_rates = rate_arr.tolist()
         else:

@@ -10,8 +10,10 @@ other end of the range (two hosts, one or two live flows).
 """
 
 import hashlib
+from unittest import mock
 
 from repro.net import FlowNetwork, build_grid
+from repro.net import flows as flows_mod
 from repro.net.flows import _VEC_MIN_FLOWS
 from repro.sim import SimKernel
 
@@ -116,12 +118,14 @@ class _FormCensus(FlowNetwork):
 
 
 class _TierCensus(_FormCensus):
-    """... and the solves, by the tier that ran them."""
+    """... and the solves, by the tier that ran them; for whole shards,
+    also the rows the fill received against the flows they solved."""
 
     def __init__(self, kernel, topology):
         super().__init__(kernel, topology)
         self.tiers = {"shard": 0, "walk vec": 0, "walk scalar": 0,
                       "lone": 0}
+        self.shard_fill = {"rows": 0, "flows": 0}
 
     def _solve_lone(self, flow):
         lone = super()._solve_lone(flow)
@@ -130,7 +134,16 @@ class _TierCensus(_FormCensus):
 
     def _solve_shards(self, shards):
         self.tiers["shard"] += 1
-        super()._solve_shards(shards)
+        flows = self.solver_flows_resolved
+        fill = flows_mod._progressive_fill_vec
+
+        def counted(lens, *args):  # keeps no view of the table's columns
+            self.shard_fill["rows"] += len(lens)
+            return fill(lens, *args)
+
+        with mock.patch.object(flows_mod, "_progressive_fill_vec", counted):
+            super()._solve_shards(shards)
+        self.shard_fill["flows"] += self.solver_flows_resolved - flows
 
     def _solve(self, subset):
         vec = len(subset) >= _VEC_MIN_FLOWS
@@ -162,6 +175,10 @@ def test_churn_budget():
     # coupling tier's (with the estimate: 138 / 6 / 1 / 0)
     assert net.tiers == {"shard": 142, "walk vec": 2, "walk scalar": 1,
                          "lone": 0}
+    # ... and sees one row per route class: a host's three cross-leaf
+    # flows share one route and its hub flow takes another, so 128 rows
+    # stand for a full site's 256 flows (the per-flow fill: rows == flows)
+    assert net.shard_fill == {"rows": 20599, "flows": 41699}
 
 
 BUDGET = {

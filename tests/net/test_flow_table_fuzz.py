@@ -78,6 +78,17 @@ class ObjectForm(_Observed):
         assert self._table is None
 
 
+def assert_route_classes_in_step(net: FlowNetwork) -> None:
+    """Every table row's route class is the tuple of its flow's link
+    ids — what the whole-shard fill reads in place of the row's route."""
+    table, ids = net._table, net._link_ids
+    route_of = {cls: route for route, cls in table.classes.items()}
+    # one id per route, and the ids dense
+    assert sorted(route_of) == list(range(len(table.classes)))
+    assert [route_of[cls] for cls in table.cls] == \
+        [tuple(ids[link] for link in f.route) for f in net._flows]
+
+
 class ColumnForm(_Observed):
     """Production, plus a census of where it changed form."""
 
@@ -89,11 +100,15 @@ class ColumnForm(_Observed):
         self.cut = 0      # transfers interrupted while in a table
         self.nested = 0   # flows a completion callback started there
         self.rebuilt = 0  # whole-shard solves from a table built again
+        self.reclassed = 0  # route-class checks of a table built again
         self._completing = False
 
     def _reallocate(self, dirty):
         super()._reallocate(dirty)
         assert_rate_stores_agree(self)
+        if self._table is not None:
+            assert_route_classes_in_step(self)
+            self.reclassed += bool(self.left)
 
     def _solve_shards(self, shards):
         self.rebuilt += bool(self.left)
@@ -249,7 +264,8 @@ EDGES = (2, [(0.0, "batch", 0, ENTER - 1, 1e5, 0),
 
 def test_column_form_is_indistinguishable_from_the_object_loops():
     census = {"entered": [], "left": [], "object": 0, "column": 0,
-              "round_trips": 0, "cut": 0, "nested": 0, "rebuilt": 0}
+              "round_trips": 0, "cut": 0, "nested": 0, "rebuilt": 0,
+              "reclassed": 0}
 
     @settings(max_examples=30, deadline=None, derandomize=True)
     @example(EDGES)
@@ -274,6 +290,7 @@ def test_column_form_is_indistinguishable_from_the_object_loops():
         census["cut"] += net.cut
         census["nested"] += net.nested
         census["rebuilt"] += net.rebuilt
+        census["reclassed"] += net.reclassed
 
     fuzz()
     # the examples really ran in both forms, crossed both ways — often
@@ -285,8 +302,9 @@ def test_column_form_is_indistinguishable_from_the_object_loops():
     assert set(census["left"]) == {LEAVE}, census
     # ... and both re-entrant paths ran against a live table
     assert census["cut"] >= 5 and census["nested"] >= 50, census
-    # a table dissolved and built again still knows its rows' shards
-    assert census["rebuilt"] >= 1, census
+    # a table dissolved and built again still knows its rows' shards,
+    # and its rows' route classes
+    assert census["rebuilt"] >= 1 and census["reclassed"] >= 1, census
 
 
 def test_edges_example_crosses_where_it_says():

@@ -56,6 +56,21 @@ class HookLog:
         self.log.append(("hb_acquire", type(obj).__name__))
 
 
+class CountingTracer:
+    """Two of the seven hooks: a tracer, lone or fanned, implements
+    whichever it needs."""
+
+    def __init__(self):
+        self.fires = 0
+        self.switches = 0
+
+    def on_fire(self, timer):
+        self.fires += 1
+
+    def on_switch(self, proc):
+        self.switches += 1
+
+
 @pytest.fixture
 def hook_log():
     return HookLog()

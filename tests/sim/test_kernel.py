@@ -13,8 +13,9 @@ from repro.sim import (
     SimKernel,
     SimProcessError,
     SimTimeout,
+    format_wait_graph,
 )
-from tests.sim.conftest import no_thread_left
+from tests.sim.conftest import CountingTracer, no_thread_left
 
 
 def test_clock_starts_at_zero():
@@ -575,3 +576,119 @@ def test_keyboard_interrupt_in_run_takes_the_run_token_back():
     assert pr.result == "done"
     k.shutdown()
     assert no_thread_left(baseline)
+
+
+# ----------------------------------------------------------------------
+# waitgraph: suspend() hints
+# ----------------------------------------------------------------------
+def test_bare_suspend_labelled_in_wait_graph():
+    with SimKernel() as k:
+        k.spawn(lambda p: p.suspend(), name="stuck")
+        with pytest.raises(SimDeadlockError):
+            k.run()
+        assert "stuck waits on bare suspend() awaiting an external " \
+            "wake()" in format_wait_graph(k)
+
+
+def test_suspend_hint_labelled_in_wait_graph():
+    with SimKernel() as k:
+        k.spawn(lambda p: p.suspend(waiting_on="io-completion from nic0"),
+                name="stuck")
+        with pytest.raises(SimDeadlockError):
+            k.run()
+        assert "suspend() awaiting io-completion from nic0" \
+            in format_wait_graph(k)
+
+
+# ----------------------------------------------------------------------
+# tracer attach surface
+# ----------------------------------------------------------------------
+def test_tracer_is_read_only():
+    """attach_tracer()/detach_tracer() are the one way in."""
+    with SimKernel() as k:
+        with pytest.raises(AttributeError):
+            k.tracer = CountingTracer()
+        assert k.tracer is None
+
+
+def test_tracer_fan_rebuilds_on_attach_and_detach():
+    with SimKernel() as k:
+        first, second = CountingTracer(), CountingTracer()
+        k.attach_tracer(first)
+        k.attach_tracer(second)
+        k.spawn(lambda p: p.sleep(0.1), name="t1")
+        k.run()
+        assert first.fires == second.fires > 0
+        assert first.switches == second.switches > 0
+        k.detach_tracer(first)
+        baseline = first.fires
+        k.spawn(lambda p: p.sleep(0.1), name="t2")
+        k.run()
+        assert first.fires == baseline  # detached member no longer called
+        assert second.fires > baseline
+        assert k.tracer is second  # fan unwraps to the last member
+
+
+# ----------------------------------------------------------------------
+# run-loop fast paths stay semantics-identical
+# ----------------------------------------------------------------------
+def test_wake_timers_are_pooled_and_reused():
+    def ticker(p):
+        for _ in range(50):
+            p.sleep(0.01)
+
+    with SimKernel() as k, SimKernel() as again:
+        k.spawn(ticker, name="ticker")
+        k.run()
+        assert k._timer_pool, "wake timers should return to the free-list"
+        # and the recycling is invisible: a fresh identical run agrees
+        again.spawn(ticker, name="ticker")
+        again.run()
+        assert (again.events_processed, again.now) \
+            == (k.events_processed, k.now)
+
+
+def test_pooling_stands_down_while_traced():
+    with SimKernel() as k:
+        k.attach_tracer(CountingTracer())
+        k.spawn(lambda p: [p.sleep(0.01) for _ in range(10)], name="t")
+        k.run()
+        assert k._timer_pool == []  # every traced timer stays unique
+
+
+def test_wake_events_skip_the_wake_frame_but_timeouts_use_it(monkeypatch):
+    """The loop recognises wake timers by identity and takes their
+    arguments directly; ``SimKernel._wake`` is only the entry point for
+    a timer callback's tail (``WaitQueue._expire``)."""
+    calls = []
+    inner = SimKernel._wake
+
+    def counting_wake(self, proc, *args):
+        calls.append(proc.name)
+        return inner(self, proc, *args)
+
+    monkeypatch.setattr(SimKernel, "_wake", counting_wake)
+    with SimKernel() as k:  # built after the patch: _wake_fn wraps it
+        k.spawn(lambda p: [p.sleep(0.01) for _ in range(50)], name="solo")
+        k.run()
+        assert (k.events_processed, calls) == (51, [])
+
+        def waiter(p):
+            with pytest.raises(SimTimeout):
+                Mailbox(k).get(p, timeout=0.5)
+
+        k.spawn(waiter, name="waiter")
+        k.run()
+        assert calls == ["waiter"]
+
+
+def test_batched_drain_honours_mid_batch_cancellation():
+    fired = []
+    timers = {}
+    with SimKernel() as k:
+        k.schedule(1.0, lambda: (fired.append("a"), timers["c"].cancel()))
+        k.schedule(1.0, fired.append, "b")
+        timers["c"] = k.schedule(1.0, fired.append, "c")
+        k.run()
+        assert fired == ["a", "b"]
+        assert k.events_skipped == 1
