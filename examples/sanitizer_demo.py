@@ -88,7 +88,7 @@ def pipelined_scenario(kernel):
 
     def producer(p, ident):
         p.sleep(1.0)
-        box.put(p, ident)
+        box.put(ident)
 
     def consumer(p):
         for _ in range(3):

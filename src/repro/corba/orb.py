@@ -47,7 +47,7 @@ from repro.corba.idl.types import (
     VOID,
 )
 from repro.corba.ior import IOR
-from repro.corba.profiles import OrbProfile, OrbModule
+from repro.corba.profiles import COLLOCATED_OVERHEAD, OrbProfile, OrbModule
 from repro.net.flows import TransferError
 from repro.net.topology import NoRouteError
 from repro.padicotm.abstraction.vlink import (
@@ -535,8 +535,7 @@ class Orb:
         profile = self.profile
         request_id = conn.next_request_id()
         out = CdrOutputStream(little_endian=self.little_endian,
-                              zero_copy=profile.zero_copy,
-                              threshold=profile.rendezvous_threshold)
+                              zero_copy=profile.zero_copy)
         self.wire.start_request(out, request_id, ref.ior.object_key,
                                 opdef.name, not opdef.oneway,
                                 principal=self.credentials)
@@ -681,7 +680,7 @@ class Orb:
     # ------------------------------------------------------------------
     def _invoke_collocated(self, proc: SimProcess, ref: ObjectRef,
                            opdef: OperationDef, args: tuple) -> Any:
-        proc.sleep(self.profile.collocated_overhead)
+        proc.sleep(COLLOCATED_OVERHEAD)
         if opdef.name == "_non_existent":
             return ref.ior.object_key not in self.poa._servants
         servant = self.poa.lookup(ref.ior.object_key)
@@ -773,8 +772,7 @@ class Orb:
         def fresh() -> CdrOutputStream:
             return CdrOutputStream(
                 little_endian=self.little_endian,
-                zero_copy=self.profile.zero_copy,
-                threshold=self.profile.rendezvous_threshold)
+                zero_copy=self.profile.zero_copy)
 
         try:
             if opname == "_non_existent":

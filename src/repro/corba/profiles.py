@@ -27,6 +27,10 @@ from dataclasses import dataclass
 
 from repro.padicotm.modules import PadicoModule
 
+#: Cost of a collocated invocation (same-process short-circuit, no GIOP),
+#: seconds; one value for every ORB product.
+COLLOCATED_OVERHEAD = 2.0e-6
+
 
 @dataclass(frozen=True)
 class OrbProfile:
@@ -38,13 +42,6 @@ class OrbProfile:
     client_overhead: float        # per-invocation client CPU, seconds
     server_overhead: float        # per-invocation server CPU, seconds
     copy_cost_per_byte: float     # marshalling copy cost, s/B per side
-    collocated_overhead: float = 2.0e-6  # same-process short-circuit
-    #: Madeleine-style eager/rendezvous cutover for zero-copy ORBs:
-    #: bulk values below this many bytes are copied into the contiguous
-    #: message (eager), larger ones ride as reference segments
-    #: (rendezvous).  Mirrors cdr.ZERO_COPY_THRESHOLD; only consulted
-    #: when ``zero_copy`` is true.
-    rendezvous_threshold: int = 256
 
     @property
     def key(self) -> str:

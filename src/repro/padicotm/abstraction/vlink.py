@@ -215,7 +215,7 @@ class VLinkEndpoint:
     def _deliver(self, item: Any) -> None:
         """Queue ``item`` (a message or EOF from the peer) for ``recv``."""
         unread = self.on_unread is not None and not self._inbox.waiting
-        self._inbox.put_nowait(item)
+        self._inbox.put(item)
         if unread:
             self.on_unread()
 
@@ -233,7 +233,7 @@ class VLinkEndpoint:
             if self.peer is not None:
                 self.peer._deliver(_EOF)
             # unblock threads of our own process waiting in recv()
-            self._inbox.put_nowait(_EOF)
+            self._inbox.put(_EOF)
 
     def __repr__(self) -> str:
         return (f"<VLinkEndpoint {self.local.name}->{self.remote.name} "
@@ -280,6 +280,6 @@ class VLink:
                 f"{target_process}:{port} is not listening")
         local_end, remote_end = VLinkEndpoint.make_pair(
             runtime, process, target, choice)
-        listener._backlog.put_nowait(remote_end)
+        listener._backlog.put(remote_end)
         timed_move(proc, runtime.network, src, dst, wire, 0)  # ACK
         return local_end

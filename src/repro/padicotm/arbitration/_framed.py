@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING, Any
 
 from repro.padicotm.arbitration.drivers import Driver, timed_move
 from repro.sim.kernel import SimProcess
-from repro.sim.sync import MatchQueue
+from repro.sim.sync import Mailbox
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.padicotm.runtime import PadicoProcess, PadicoRuntime
@@ -37,7 +37,7 @@ class FramedGroupTransport:
         self.rank_of = {p.name: i for i, p in enumerate(members)}
         if len(self.rank_of) != len(members):
             raise ValueError("duplicate process in group member list")
-        self._inbox = [MatchQueue(runtime.kernel) for _ in members]
+        self._inbox = [Mailbox(runtime.kernel) for _ in members]
         if fabric is not None:
             for p in members:
                 p.arbitration.claim_fabric(fabric)

@@ -154,7 +154,7 @@ def smoke_scenario(kernel: SimKernel) -> tuple:
     def producer(p, ident: int):
         for i in range(4):
             p.sleep(0.001 * (ident + 1))
-            box.put(p, (ident, i))
+            box.put((ident, i))
 
     def consumer(p):
         for _ in range(12):

@@ -20,9 +20,9 @@ Public API
 - :class:`ThreadBackend` (:mod:`repro.sim.backends`) — the one switch
   mechanism, a lock hand-off from the OS thread that yields straight to
   the next one (baton passing); each kernel owns one as ``kernel.backend``.
-- Synchronisation primitives in :mod:`repro.sim.sync`: :class:`Mailbox`,
-  :class:`SimEvent`, :class:`SimLock`, :class:`SimSemaphore`,
-  :class:`SimCondition`, :class:`SimBarrier`, :class:`WaitQueue`.
+- Synchronisation primitives in :mod:`repro.sim.sync`: :class:`Mailbox`
+  (the one message queue, FIFO or selective receive), :class:`SimEvent`
+  and :class:`SimLock`, all blocking on a :class:`WaitQueue`.
 
 ``SimKernel(seed=None)`` is the whole constructor: there is nothing to
 select.  ``docs/KERNEL.md`` states the determinism contract (total event
@@ -40,17 +40,7 @@ from repro.sim.kernel import (
     Timer,
 )
 from repro.sim.backends import ThreadBackend
-from repro.sim.sync import (
-    Mailbox,
-    SimTimeout,
-    MatchQueue,
-    SimBarrier,
-    SimCondition,
-    SimEvent,
-    SimLock,
-    SimSemaphore,
-    WaitQueue,
-)
+from repro.sim.sync import Mailbox, SimEvent, SimLock, SimTimeout, WaitQueue
 from repro.sim.waitgraph import format_wait_graph, wait_edges
 
 __all__ = [
@@ -63,13 +53,9 @@ __all__ = [
     "SimProcessError",
     "ThreadBackend",
     "Mailbox",
-    "MatchQueue",
     "SimTimeout",
     "SimEvent",
     "SimLock",
-    "SimSemaphore",
-    "SimCondition",
-    "SimBarrier",
     "WaitQueue",
     "format_wait_graph",
     "wait_edges",

@@ -34,12 +34,8 @@ both are free when unused:
   default) the event order is exactly the historical ``(time, seq)``
   order, bit for bit.
 
-One hot-path optimisation rides below the hooks, invisible to the
-event order: the internal process wake-up timers (the bulk of all
-events) are pooled on a free-list — wake timers never escape the
-kernel, so recycling them is safe.  The pool stands down whenever a
-tracer is attached, keeping every traced timer a fresh object for the
-tracer to annotate.
+Traced or not, a run takes the same path: every event, wake-ups
+included, is a fresh :class:`Timer`.
 """
 
 from __future__ import annotations
@@ -99,13 +95,11 @@ class Timer:
     ``shuffle`` is 0 in normal runs; under a seeded kernel it carries
     the schedule-exploration permutation key.  ``trace_clock`` is only
     assigned when a tracer is installed (it carries the scheduler's
-    vector clock to the instant the event fires).  ``_pooled`` marks
-    kernel-internal wake timers whose handle never escapes; the run
-    loop recycles those through a free-list.
+    vector clock to the instant the event fires).
     """
 
     __slots__ = ("time", "seq", "shuffle", "_fn", "_args", "cancelled",
-                 "trace_clock", "_key", "_pooled")
+                 "trace_clock", "_key")
 
     def __init__(self, time: float, seq: int, fn: Callable, args: tuple,
                  shuffle: int = 0):
@@ -116,7 +110,6 @@ class Timer:
         self._args = args
         self.cancelled = False
         self.trace_clock = None
-        self._pooled = False
         # the heap stores (key, timer) pairs so entry comparisons are
         # C-level tuple comparisons — ``seq`` is unique, so the key
         # alone always decides and the Timer itself is never compared
@@ -235,8 +228,8 @@ class SimProcess:
 
         This is the hottest leaf in the simulator (every cooperative
         switch goes through it), so the wake-timer scheduling is
-        inlined here — mirror of :meth:`SimKernel._schedule_wake`; keep
-        the two in step.
+        inlined here — :meth:`SimKernel._schedule_wake` with the
+        current wake token; keep the two in step.
         """
         if duration < 0:
             raise ValueError(f"negative sleep duration {duration}")
@@ -246,22 +239,10 @@ class SimProcess:
         self._wake_token = token = self._wake_token + 1
         kernel._seq = seq = kernel._seq + 1
         shuffle = 0 if kernel.seed is None else _mix(kernel.seed, seq)
-        pool = kernel._timer_pool
-        if pool and kernel._tracer is None:
-            timer = pool.pop()
-            timer.time = time = kernel.now + duration
-            timer.seq = seq
-            timer.shuffle = shuffle
-            timer._args = (self, token, None, None)
-            timer.cancelled = False
-            timer.trace_clock = None
-            timer._key = (time, shuffle, seq)
-        else:
-            timer = Timer(kernel.now + duration, seq, kernel._wake_fn,
-                          (self, token, None, None), shuffle)
-            timer._pooled = kernel._tracer is None
-            if kernel._tracer is not None:
-                kernel._tracer.on_schedule(timer)
+        timer = Timer(kernel.now + duration, seq, kernel._wake_fn,
+                      (self, token, None, None), shuffle)
+        if kernel._tracer is not None:
+            kernel._tracer.on_schedule(timer)
         heapq.heappush(kernel._heap, (timer._key, timer))
         return kernel.backend.block(self)
 
@@ -371,9 +352,6 @@ class SimKernel:
         #: sanitizer/observability hook (see attach_tracer); internal
         #: code reads the attribute directly to stay off the property
         self._tracer: Any = None
-        #: free-list of recycled internal wake timers (kernel-private
-        #: handles only; stands down while a tracer is attached)
-        self._timer_pool: list[Timer] = []
         #: events popped and fired by :meth:`run` (cancelled ones excluded)
         self.events_processed = 0
         #: times the run token was given to a process (``on_switch``)
@@ -433,9 +411,6 @@ class SimKernel:
             return
         members = [] if self._tracer is None else self._tracer.members
         self._tracer = _TracerFan(members + [tracer])
-        # traced timers must be fresh objects (tracers annotate them),
-        # so drop any recycled wake timers from the untraced era
-        self._timer_pool.clear()
 
     def detach_tracer(self, tracer: Any) -> None:
         """Remove a tracer attached with :meth:`attach_tracer`.
@@ -469,34 +444,10 @@ class SimKernel:
     def _schedule_wake(self, delay: float, proc: SimProcess, token: int,
                        value: Any = None,
                        exc: BaseException | None = None) -> Timer:
-        """Schedule a process wake-up, recycling pooled timers.
-
-        Wake timers are kernel-internal — no handle ever escapes, so no
-        one can cancel or retain one — which makes the free-list safe.
-        With a tracer attached this falls back to fresh timers so every
-        traced event is a distinct object.
-        """
-        self._seq += 1
-        seq = self._seq
-        shuffle = 0 if self.seed is None else _mix(self.seed, seq)
-        pool = self._timer_pool
-        if pool and self._tracer is None:
-            timer = pool.pop()
-            timer.time = time = self.now + delay
-            timer.seq = seq
-            timer.shuffle = shuffle
-            timer._args = (proc, token, value, exc)
-            timer.cancelled = False
-            timer.trace_clock = None
-            timer._key = (time, shuffle, seq)
-        else:
-            timer = Timer(self.now + delay, seq, self._wake_fn,
-                          (proc, token, value, exc), shuffle)
-            timer._pooled = self._tracer is None
-            if self._tracer is not None:
-                self._tracer.on_schedule(timer)
-        heapq.heappush(self._heap, (timer._key, timer))
-        return timer
+        """Schedule a process wake-up: a timer whose ``_fn`` is
+        ``_wake_fn``, which the loop recognises and resumes ``proc``
+        from directly."""
+        return self._schedule(delay, self._wake_fn, proc, token, value, exc)
 
     # ------------------------------------------------------------------
     # waking processes
@@ -597,7 +548,6 @@ class SimKernel:
         self._current = None
         heap = self._heap
         heappop = heapq.heappop
-        pool = self._timer_pool
         wake_fn = self._wake_fn
         until = self._until
         try:
@@ -646,8 +596,6 @@ class SimKernel:
                     else:
                         timer._fn(*timer._args)
                         wake = self._woken
-                if timer._pooled:
-                    pool.append(timer)
         except BaseException as exc:  # noqa: BLE001 - re-raised by _drive
             self._failure = exc
             return None

@@ -28,16 +28,10 @@ def _label(target: Any, numbers: dict[int, int]) -> str:
 def _describe(target: Any, numbers: dict[int, int]) -> str:
     """Human description of one wait target, with holder when known."""
     from repro.sim.kernel import SimProcess
-    from repro.sim.sync import (
-        Mailbox,
-        MatchQueue,
-        SimBarrier,
-        SimEvent,
-        SimLock,
-        SimSemaphore,
-        WaitQueue,
-    )
+    from repro.sim.sync import Mailbox, SimEvent, SimLock, WaitQueue
 
+    if isinstance(target, WaitQueue) and target.owner is not None:
+        target = target.owner  # report the primitive, not its queue
     if target is None:
         return "suspend() with no registered waker"
     if isinstance(target, str):
@@ -52,30 +46,13 @@ def _describe(target: Any, numbers: dict[int, int]) -> str:
     if isinstance(target, SimLock):
         holder = target.owner.name if target.owner is not None else None
         return f"{label} held by {holder!r}"
-    if isinstance(target, SimSemaphore):
-        return f"{label} (value={target.value})"
     if isinstance(target, SimEvent):
         return f"{label} ({'set' if target.is_set else 'unset'})"
-    if isinstance(target, SimBarrier):
-        return (f"{label} ({target._count}/{target.parties} arrived, "
-                f"generation {target._generation})")
     if isinstance(target, Mailbox):
         return f"{label} ({len(target)} item(s) queued)"
-    if isinstance(target, MatchQueue):
-        return f"{label} ({len(target)} unmatched item(s) queued)"
     if isinstance(target, WaitQueue):
         return label
     return f"{label} {target!r}"
-
-
-def _resolve(target: Any) -> tuple[Any, str]:
-    """Unwrap a WaitQueue to the primitive that owns it, keeping the
-    queue's role (which *side* of a bounded mailbox, say) as a suffix."""
-    owner = getattr(target, "owner", None)
-    role = getattr(target, "role", None)
-    if owner is not None and hasattr(target, "_waiters"):
-        return owner, f" [{role} side]" if role else ""
-    return target, ""
 
 
 def wait_edges(kernel: Any) -> list[tuple[Any, Any]]:
@@ -97,7 +74,6 @@ def format_wait_graph(kernel: Any) -> str:
     numbers: dict[int, int] = {}
     lines = ["wait-for graph:"]
     for proc, target in edges:
-        target, role = _resolve(target)
         lines.append(
-            f"  {proc.name} waits on {_describe(target, numbers)}{role}")
+            f"  {proc.name} waits on {_describe(target, numbers)}")
     return "\n".join(lines)

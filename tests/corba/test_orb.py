@@ -14,6 +14,7 @@ from repro.corba import (
     compile_idl,
 )
 from repro.corba.idl.types import UserExceptionBase
+from repro.corba.profiles import COLLOCATED_OVERHEAD
 from repro.padicotm import VLink
 
 from tests.corba.conftest import DEMO_IDL, make_adder_servant
@@ -242,7 +243,7 @@ def test_collocated_invocation_short_circuits(runtime):
     server.spawn(main)
     runtime.run()
     assert out["sum"] == 3
-    assert out["elapsed"] == pytest.approx(OMNIORB4.collocated_overhead)
+    assert out["elapsed"] == pytest.approx(COLLOCATED_OVERHEAD)
 
 
 def test_two_orbs_cohabitate_in_one_process(runtime):

@@ -126,8 +126,7 @@ def test_event_budget():
 def test_recorder_leaves_the_kernel_path_alone():
     """Observability's budget as a count: with a recorder attached the
     kernel makes 0 hook calls per event — the recorder has no tracer
-    hook to call, none is installed, wake timers keep being recycled —
-    and every literal of the untraced run stands.  The recorder's two
+    hook to call and none is installed — and every literal of the untraced run stands.  The recorder's two
     scheduler counts are the kernel's own, frozen at ``unobserve``;
     lever (c) moved them from (1469, 1289): one event and one switch
     fewer per request and per reply, and one each for the reader's
@@ -138,7 +137,7 @@ def test_recorder_leaves_the_kernel_path_alone():
         def on_detach(self, runtime):  # drained; shutdown() comes next
             kernel = runtime.kernel
             at_drain.update(
-                tracer=kernel.tracer, pooled=len(kernel._timer_pool),
+                tracer=kernel.tracer,
                 counts=(kernel.events_processed, kernel.context_switches))
             super().on_detach(runtime)
 
@@ -147,7 +146,6 @@ def test_recorder_leaves_the_kernel_path_alone():
     budget, kernel = _run(recorder)
     assert budget == BUDGET
     assert at_drain["tracer"] is None
-    assert at_drain["pooled"] > 0
     assert (recorder.events_fired, recorder.context_switches) \
         == at_drain["counts"] == (1368, 1188)
     # shutdown() gave every parked server thread the token once more;

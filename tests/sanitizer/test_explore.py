@@ -132,7 +132,7 @@ def test_mailbox_fifo_under_every_seed():
 
         def producer(p):
             for i in range(5):
-                box.put(p, i)
+                box.put(i)
                 p.sleep(0.001)
 
         def consumer(p):

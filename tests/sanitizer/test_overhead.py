@@ -4,14 +4,13 @@ default."""
 
 from repro.sanitizer import Sanitizer
 from repro.sim.kernel import SimKernel
-from repro.sim.sync import Mailbox, SimBarrier, SimLock
+from repro.sim.sync import Mailbox, SimLock
 
 
 def _workload(kernel, san=None):
-    """A representative mixed workload: locks, barrier, mailbox, sleeps."""
+    """A representative mixed workload: locks, mailbox, joins, sleeps."""
     lock = SimLock(kernel)
-    barrier = SimBarrier(kernel, 3)
-    box = Mailbox(kernel, capacity=2)
+    box = Mailbox(kernel)
     state = {"counter": 0, "log": []}
     shared = san.tracked(state, label="bench") if san else state
 
@@ -21,17 +20,17 @@ def _workload(kernel, san=None):
             lock.acquire(p)
             shared["counter"] = shared["counter"] + 1
             lock.release(p)
-            box.put(p, (ident, i))
-        barrier.wait(p)
+            box.put((ident, i))
 
-    def drain(p):
+    def drain(p, workers):
         for _ in range(8):
             box.get(p)
-        barrier.wait(p)
+        for w in workers:
+            p.join(w)
 
-    for ident in range(2):
-        kernel.spawn(worker, ident, name=f"w{ident}")
-    kernel.spawn(drain, name="drain")
+    workers = [kernel.spawn(worker, ident, name=f"w{ident}")
+               for ident in range(2)]
+    kernel.spawn(drain, workers, name="drain")
     kernel.run()
     return state["counter"], kernel.now, kernel.events_processed
 

@@ -86,7 +86,7 @@ def test_mailbox_handoff_orders_accesses():
 
     def producer(p):
         shared["payload"] = 42
-        box.put(p, "ready")
+        box.put("ready")
 
     def consumer(p):
         box.get(p)

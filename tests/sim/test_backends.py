@@ -38,7 +38,7 @@ def test_every_yield_reaches_backend_block_patched_after_construction():
 
     def worker(p):
         p.sleep(0.1)           # sleep
-        box.put(p, "item")
+        box.put("item")
         return p.suspend()     # suspend
 
     def consumer(p, target):
@@ -80,12 +80,12 @@ def _ping_pong(rounds, seed=None):
 
         def ping(p):
             for i in range(rounds):
-                there.put(p, i)
+                there.put(i)
                 back.get(p)
 
         def pong(p):
             for _ in range(rounds):
-                back.put(p, there.get(p))
+                back.put(there.get(p))
 
         k.spawn(ping, name="ping")
         k.spawn(pong, name="pong")
@@ -117,7 +117,7 @@ def test_hook_order_matches_the_relay_kernel(hook_log):
 
         def ping(p):
             p.sleep(0.1)
-            box.put(p, "ball")
+            box.put("ball")
             try:
                 quiet.get(p, timeout=0.05)
             except SimTimeout:
@@ -131,7 +131,7 @@ def test_hook_order_matches_the_relay_kernel(hook_log):
 
         a = k.spawn(ping, name="ping")
         b = k.spawn(pong, a, name="pong")
-        k.schedule(0.12, box.put_nowait, "late")
+        k.schedule(0.12, box.put, "late")
         k.run()
         assert (a.result, b.result, k.events_processed) \
             == ("timed-out", "ball", 7)

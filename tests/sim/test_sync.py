@@ -4,13 +4,10 @@ import pytest
 
 from repro.sim import (
     Mailbox,
-    SimBarrier,
-    SimCondition,
     SimEvent,
     SimInterrupt,
     SimKernel,
     SimLock,
-    SimSemaphore,
 )
 
 
@@ -21,7 +18,7 @@ def test_mailbox_fifo_order():
 
         def producer(p):
             for i in range(5):
-                box.put(p, i)
+                box.put(i)
                 p.sleep(0.1)
 
         def consumer(p):
@@ -45,7 +42,7 @@ def test_mailbox_get_blocks_until_put():
 
         def producer(p):
             p.sleep(3.0)
-            box.put(p, "msg")
+            box.put("msg")
 
         k.spawn(consumer)
         k.spawn(producer)
@@ -53,30 +50,6 @@ def test_mailbox_get_blocks_until_put():
         assert when == [3.0]
 
 
-def test_mailbox_capacity_blocks_put():
-    with SimKernel() as k:
-        box = Mailbox(k, capacity=2)
-        log = []
-
-        def producer(p):
-            for i in range(4):
-                box.put(p, i)
-                log.append(("put", i, k.now))
-
-        def consumer(p):
-            p.sleep(1.0)
-            for _ in range(4):
-                box.get(p)
-                p.sleep(1.0)
-
-        k.spawn(producer)
-        k.spawn(consumer)
-        k.run()
-        # first two puts immediate, then blocked until consumer drains
-        assert log[0] == ("put", 0, 0.0)
-        assert log[1] == ("put", 1, 0.0)
-        assert log[2][2] >= 1.0
-        assert log[3][2] >= 2.0
 
 
 def test_mailbox_two_consumers_each_get_one():
@@ -89,8 +62,8 @@ def test_mailbox_two_consumers_each_get_one():
 
         def producer(p):
             p.sleep(1.0)
-            box.put(p, "x")
-            box.put(p, "y")
+            box.put("x")
+            box.put("y")
 
         k.spawn(consumer, "c1")
         k.spawn(consumer, "c2")
@@ -99,18 +72,6 @@ def test_mailbox_two_consumers_each_get_one():
         assert sorted(got) == [("c1", "x"), ("c2", "y")]
 
 
-def test_mailbox_nowait_paths():
-    with SimKernel() as k:
-        box = Mailbox(k, capacity=1)
-        box.put_nowait(1)
-        with pytest.raises(OverflowError):
-            box.put_nowait(2)
-        assert box.peek() == 1
-        assert box.get_nowait() == 1
-        with pytest.raises(LookupError):
-            box.get_nowait()
-        with pytest.raises(LookupError):
-            box.peek()
 
 
 def test_interrupted_consumer_does_not_lose_message():
@@ -137,7 +98,7 @@ def test_interrupted_consumer_does_not_lose_message():
             p.sleep(0.2)
             v.interrupt()
             p.sleep(0.6)
-            box.put(p, "payload")
+            box.put("payload")
 
         k.spawn(survivor)
         k.spawn(killer)
@@ -179,25 +140,6 @@ def test_event_wait_after_set_returns_immediately():
         assert k.now == 0.0
 
 
-def test_semaphore_limits_concurrency():
-    with SimKernel() as k:
-        sem = SimSemaphore(k, 2)
-        active = [0]
-        peak = [0]
-
-        def worker(p, i):
-            sem.acquire(p)
-            active[0] += 1
-            peak[0] = max(peak[0], active[0])
-            p.sleep(1.0)
-            active[0] -= 1
-            sem.release()
-
-        for i in range(6):
-            k.spawn(worker, i)
-        k.run()
-        assert peak[0] == 2
-        assert k.now == 3.0  # 6 workers, 2 at a time, 1s each
 
 
 def test_lock_mutual_exclusion_and_errors():
@@ -231,74 +173,37 @@ def test_lock_mutual_exclusion_and_errors():
                            lock2.release(p))))
 
 
-def test_condition_notify_wakes_in_fifo_order():
+def test_lock_waiter_interrupted_after_handoff_passes_the_lock_on():
+    """H releases at t=1 and the release wakes A; before A runs, I
+    interrupts it.  A leaves ``acquire`` with SimInterrupt, and the
+    wake-up it can no longer use must go to B, still queued behind it —
+    not strand B on a free lock."""
     with SimKernel() as k:
         lock = SimLock(k)
-        cond = SimCondition(k, lock)
-        shared = []
-        woken = []
-
-        def waiter(p, name):
-            lock.acquire(p)
-            while not shared:
-                cond.wait(p)
-            woken.append(name)
-            lock.release(p)
-
-        def notifier(p):
-            p.sleep(1.0)
-            lock.acquire(p)
-            shared.append("data")
-            cond.notify_all()
-            lock.release(p)
-
-        k.spawn(waiter, "w1")
-        k.spawn(waiter, "w2")
-        k.spawn(notifier)
-        k.run()
-        assert woken == ["w1", "w2"]
-
-
-def test_barrier_synchronises_parties():
-    with SimKernel() as k:
-        bar = SimBarrier(k, 3)
-        crossing = []
-
-        def worker(p, i):
-            p.sleep(float(i))
-            bar.wait(p)
-            crossing.append((i, k.now))
-
-        for i in range(3):
-            k.spawn(worker, i)
-        k.run()
-        # everyone crosses when the slowest (i=2) arrives
-        assert all(t == 2.0 for _, t in crossing)
-
-
-def test_barrier_is_reusable():
-    with SimKernel() as k:
-        bar = SimBarrier(k, 2)
         log = []
 
-        def worker(p, name, delays):
-            for d in delays:
-                p.sleep(d)
-                bar.wait(p)
-                log.append((name, k.now))
+        def holder(p):
+            lock.acquire(p)
+            p.sleep(1.0)
+            lock.release(p)
 
-        k.spawn(worker, "a", [1.0, 1.0])
-        k.spawn(worker, "b", [2.0, 2.0])
+        def waiter(p, name):
+            try:
+                lock.acquire(p)
+            except SimInterrupt:
+                log.append((name, "interrupted", k.now))
+                return
+            log.append((name, "in", k.now))
+            lock.release(p)
+
+        def interrupter(p):
+            p.sleep(1.0)  # same instant as H's release, just after it
+            a.interrupt()
+
+        k.spawn(holder, name="H")
+        a = k.spawn(waiter, "A", name="A")
+        k.spawn(waiter, "B", name="B")
+        k.spawn(interrupter, name="I")
         k.run()
-        times = sorted(set(t for _, t in log))
-        assert times == [2.0, 4.0]
-
-
-def test_barrier_validation():
-    with SimKernel() as k:
-        with pytest.raises(ValueError):
-            SimBarrier(k, 0)
-        with pytest.raises(ValueError):
-            Mailbox(k, capacity=0)
-        with pytest.raises(ValueError):
-            SimSemaphore(k, -1)
+        assert log == [("A", "interrupted", 1.0), ("B", "in", 1.0)]
+        assert not lock.locked

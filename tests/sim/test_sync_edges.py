@@ -1,8 +1,8 @@
 """Edge cases in the sync primitives: timeout-while-queued, the
 lost-interrupt race in the WaitQueue timeout path (a real bug this
 suite surfaced — the expiry wake-up is now bound to the token armed at
-wait() entry), barrier reuse across generations, MatchQueue shutdown
-with unmatched items, and the deadlock wait-for graph."""
+wait() entry), selective-receive shutdown with unmatched items, and
+the deadlock wait-for graph."""
 
 import pytest
 
@@ -13,8 +13,6 @@ from repro.sim.kernel import (
 )
 from repro.sim.sync import (
     Mailbox,
-    MatchQueue,
-    SimBarrier,
     SimLock,
     SimTimeout,
 )
@@ -44,7 +42,7 @@ def test_timeout_while_queued_preserves_fifo_for_survivors():
 
         def producer(p):
             p.sleep(1.0)  # after the impatient waiter has expired
-            box.put(p, "late-item")
+            box.put("late-item")
 
         kernel.spawn(impatient, name="impatient")
         kernel.spawn(patient, name="patient", delay=1e-9)
@@ -148,68 +146,14 @@ def test_interrupted_waiter_leaves_the_queue_consistent():
         vic = kernel.spawn(victim, name="victim")
         kernel.spawn(survivor, name="survivor", delay=1e-9)
         kernel.schedule(0.5, vic.interrupt, "chaos")
-        kernel.schedule(1.0, box.put_nowait, "item")
+        kernel.schedule(1.0, box.put, "item")
         kernel.run()
         assert got == ["item"]
         assert len(box._getters) == 0
 
 
 # ----------------------------------------------------------------------
-# barrier reuse across generations
-# ----------------------------------------------------------------------
-def test_barrier_is_reusable_across_generations():
-    rounds_done = []
-    with SimKernel() as kernel:
-        barrier = SimBarrier(kernel, 3)
-
-        def party(p, ident):
-            for round_no in range(4):
-                p.sleep(0.001 * (ident + 1))
-                barrier.wait(p)
-                rounds_done.append((round_no, ident))
-
-        for ident in range(3):
-            kernel.spawn(party, ident, name=f"party-{ident}")
-        kernel.run()
-
-    assert len(rounds_done) == 12
-    # generations are strict: nobody enters round N+1 before every
-    # party finished round N
-    for i in range(4):
-        chunk = rounds_done[i * 3:(i + 1) * 3]
-        assert {r for r, _ in chunk} == {i}
-    assert barrier._generation == 4
-    assert barrier._count == 0
-
-
-def test_barrier_late_arrival_does_not_join_a_released_generation():
-    order = []
-    with SimKernel() as kernel:
-        barrier = SimBarrier(kernel, 2)
-
-        def fast(p):
-            barrier.wait(p)
-            order.append("fast-r1")
-            barrier.wait(p)
-            order.append("fast-r2")
-
-        def slow(p):
-            p.sleep(1.0)
-            barrier.wait(p)
-            order.append("slow-r1")
-            p.sleep(1.0)
-            barrier.wait(p)
-            order.append("slow-r2")
-
-        kernel.spawn(fast, name="fast")
-        kernel.spawn(slow, name="slow")
-        kernel.run()
-    assert order.index("fast-r2") > order.index("slow-r1")
-    assert set(order) == {"fast-r1", "fast-r2", "slow-r1", "slow-r2"}
-
-
-# ----------------------------------------------------------------------
-# MatchQueue: unmatched items at shutdown
+# selective receive: unmatched items at shutdown
 # ----------------------------------------------------------------------
 def test_matchqueue_unmatched_at_shutdown_cleans_waiters():
     """A consumer whose predicate never matches stays blocked when the
@@ -217,7 +161,7 @@ def test_matchqueue_unmatched_at_shutdown_cleans_waiters():
     waiter list empty (no ghost entries) with the unmatched items still
     queued and inspectable."""
     kernel = SimKernel()
-    mq = MatchQueue(kernel)
+    mq = Mailbox(kernel)
 
     def picky(p):
         mq.get(p, predicate=lambda item: item == "unicorn")
@@ -239,14 +183,14 @@ def test_matchqueue_unmatched_at_shutdown_cleans_waiters():
 
     kernel.shutdown()
     assert not picky_proc.alive
-    assert len(mq._waiters) == 0, "shutdown left a ghost waiter queued"
-    assert mq.get_nowait() == "apple"  # unmatched items survive intact
-    assert mq.get_nowait() == "banana"
+    assert len(mq._getters) == 0, "shutdown left a ghost waiter queued"
+    # unmatched items survive intact, in order
+    assert list(mq._items) == ["apple", "banana"]
 
 
 def test_matchqueue_timeout_keeps_unmatched_items():
     with SimKernel() as kernel:
-        mq = MatchQueue(kernel)
+        mq = Mailbox(kernel)
         mq.put("other")
 
         def picky(p):
@@ -257,7 +201,7 @@ def test_matchqueue_timeout_keeps_unmatched_items():
         kernel.spawn(picky, name="picky")
         kernel.run()
         assert len(mq) == 1
-        assert len(mq._waiters) == 0
+        assert len(mq._getters) == 0
 
 
 # ----------------------------------------------------------------------
@@ -288,33 +232,11 @@ def test_deadlock_error_renders_the_wait_for_graph():
     kernel.shutdown()
 
 
-def test_wait_graph_names_mailbox_roles():
-    kernel = SimKernel()
-    box = Mailbox(kernel, capacity=1)
-
-    def overfill(p):
-        box.put(p, 1)
-        box.put(p, 2)  # blocks: full, nobody drains
-
-    def starve(p):
-        box.get(p)
-        box.get(p)
-        box.get(p)  # blocks: empty after draining both puts
-
-    kernel.spawn(overfill, name="writer")
-    kernel.spawn(starve, name="reader", delay=1.0)
-    with pytest.raises(SimDeadlockError):
-        kernel.run()
-    graph = format_wait_graph(kernel)
-    assert "reader waits on" in graph
-    assert "[get side]" in graph
-    assert "Mailbox#" in graph
-    kernel.shutdown()
 
 
 def test_wait_graph_reports_join_targets():
     kernel = SimKernel()
-    mq = MatchQueue(kernel)
+    mq = Mailbox(kernel)
 
     def stuck(p):
         mq.get(p)
@@ -328,5 +250,5 @@ def test_wait_graph_reports_join_targets():
         kernel.run()
     graph = format_wait_graph(kernel)
     assert "joiner waits on join on process 'stuck'" in graph
-    assert "0 unmatched item(s)" in graph
+    assert "0 item(s) queued" in graph
     kernel.shutdown()

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Mailbox, MatchQueue, SimKernel, SimTimeout, WaitQueue
+from repro.sim import Mailbox, SimKernel, SimTimeout, WaitQueue
 
 
 def test_mailbox_get_times_out_at_deadline():
@@ -32,7 +32,7 @@ def test_mailbox_get_returns_before_timeout():
 
         def producer(p):
             p.sleep(1.0)
-            box.put(p, "hello")
+            box.put("hello")
 
         k.spawn(consumer)
         k.spawn(producer)
@@ -44,7 +44,7 @@ def test_mailbox_get_returns_before_timeout():
 
 def test_matchqueue_timeout_with_predicate():
     with SimKernel() as k:
-        q = MatchQueue(k)
+        q = Mailbox(k)
         out = {}
 
         def consumer(p):
@@ -66,7 +66,7 @@ def test_timeout_measured_as_total_budget():
     """Repeated wakeups with non-matching items must not extend the
     deadline."""
     with SimKernel() as k:
-        q = MatchQueue(k)
+        q = Mailbox(k)
         out = {}
 
         def consumer(p):
