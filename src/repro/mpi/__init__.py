@@ -17,11 +17,12 @@ Entry points: :func:`create_world` builds a world over PadicoTM
 processes; :func:`spmd` runs one function per rank.
 """
 
-from repro.mpi.cartesian import PROC_NULL, CartComm
+from repro.mpi.cartesian import CartComm
 from repro.mpi.coll import CollStats
 from repro.mpi.communicator import (
     ANY_SOURCE,
     ANY_TAG,
+    PROC_NULL,
     Comm,
     MpiError,
     Status,

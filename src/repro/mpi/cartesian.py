@@ -11,10 +11,7 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from repro.mpi.communicator import Comm, MpiError
-
-#: rank value meaning "no neighbour" (non-periodic boundary)
-PROC_NULL = -1
+from repro.mpi.communicator import PROC_NULL, Comm, MpiError
 
 
 class CartComm(Comm):
@@ -92,8 +89,5 @@ def create_cart(comm: Comm, dims: Sequence[int],
     if len(periods) != len(dims):
         raise MpiError("periods must match dims in length")
     comm.allgather(0)  # synchronise the context generation
-    ctx = f"{comm._context}/cart{comm._coll_seq}"
-    cart = CartComm(comm._circuit, list(comm._group), comm.rank, ctx,
-                    dims, periods)
-    cart.bind(comm.proc)
-    return cart
+    return comm._derive(f"cart{comm._coll_seq}", list(range(comm.size)),
+                        CartComm, dims=dims, periods=periods)

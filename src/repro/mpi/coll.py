@@ -112,10 +112,11 @@ class CollShared:
         self._circuit = circuit
         self._group = list(group)
         self._context = context
-        self._site_circuits: dict[int, tuple[Circuit, dict[int, int]]] = {}
+        self._site_circuits: dict[int, tuple[Circuit, list[int | None]]] = {}
 
-    def site_channel(self, si: int) -> tuple[Circuit, dict[int, int]]:
-        """The per-site subcircuit and its group-rank -> local-rank map.
+    def site_channel(self, si: int) -> tuple[Circuit, list[int | None]]:
+        """The per-site subcircuit and the subcircuit rank of each group
+        rank (None off the site).
 
         Established lazily (first collective that routes an intra-site
         edge) as a subcircuit of the group circuit, so it closes with
@@ -127,7 +128,10 @@ class CollShared:
             sub = self._circuit.subcircuit(
                 f"{self._context}|site:{self.sitemap.sites[si]}",
                 [self._group[r] for r in ranks])
-            got = (sub, {r: i for i, r in enumerate(ranks)})
+            index: list[int | None] = [None] * len(self._group)
+            for i, r in enumerate(ranks):
+                index[r] = i
+            got = (sub, index)
             self._site_circuits[si] = got
         return got
 

@@ -6,6 +6,14 @@ envelopes are ``(context, tag, body)`` tuples; contexts isolate
 communicators (and each collective call) from each other, so overlapping
 traffic can never be mis-matched.
 
+Every message takes one path: the channel pair ``_send`` / ``_recv``
+(group circuit, or a site's subcircuit for intra-site edges), where
+ranks are checked and :data:`PROC_NULL` completes at once; the codec
+``_pickle`` / ``_decode``; ``_deliver``, the one copy of a buffer
+message into the receiver's array (a body of the wrong kind, count or
+type raises :class:`MpiError`); and ``_start``, which runs a blocking
+body on a helper thread for the nonblocking calls.
+
 Cost model (charged to the virtual clock):
 
 - lowercase/pickle path: ``len(pickle) * PICKLE_BYTE_COST`` CPU seconds
@@ -59,6 +67,9 @@ if TYPE_CHECKING:  # pragma: no cover
 #: wildcard receive selectors (mpi4py names)
 ANY_SOURCE = -1
 ANY_TAG = -1
+#: the null peer (a non-periodic boundary): send, receive and probe
+#: complete at once, with no traffic and an empty envelope
+PROC_NULL = -2
 
 #: CPU cost of the pickle serialisation copy, seconds per byte (~500 MB/s,
 #: generous for a 1 GHz Pentium III but it keeps the pickle path visibly
@@ -210,30 +221,8 @@ class Comm:
                 f"ctx={self._context!r}>")
 
     # ------------------------------------------------------------------
-    # envelope plumbing
+    # contexts & topology-aware routing (see repro.mpi.coll)
     # ------------------------------------------------------------------
-    def _send_body(self, proc: SimProcess, dest: int, tag: int, body: Any,
-                   nbytes: float, context: str) -> None:
-        if not 0 <= dest < self.size:
-            raise MpiError(f"destination rank {dest} out of range "
-                           f"(size {self.size})")
-        self._circuit.send(proc, self._group[self._rank],
-                           self._group[dest], (context, tag, body), nbytes)
-
-    def _recv_body(self, proc: SimProcess, source: int, tag: int,
-                   context: str) -> tuple[int, int, Any, float]:
-        csrc = _CIRCUIT_ANY if source == ANY_SOURCE \
-            else self._group[source]
-
-        def where(payload) -> bool:
-            ctx, mtag, _body = payload
-            return ctx == context and (tag == ANY_TAG or mtag == tag)
-
-        src, payload, n = self._circuit.recv(
-            proc, self._group[self._rank], source=csrc, where=where)
-        _ctx, mtag, body = payload
-        return self._group.index(src), mtag, body, n
-
     def _p2p_context(self) -> str:
         return f"{self._context}|p2p"
 
@@ -246,9 +235,6 @@ class Comm:
         self._coll_seq += 1
         return ctx
 
-    # ------------------------------------------------------------------
-    # topology-aware routing (see repro.mpi.coll)
-    # ------------------------------------------------------------------
     def _shared(self) -> CollShared:
         if self._shared_memo is None:
             self._shared_memo = shared_state(
@@ -267,79 +253,151 @@ class Comm:
         have a WAN to keep off."""
         return self._shared().sitemap.multi_site
 
-    def _xsend(self, proc: SimProcess, dest: int, tag: int, body: Any,
-               nbytes: float, ctx: str, op: str,
-               local: bool = False) -> None:
-        """One collective tree edge.
+    # ------------------------------------------------------------------
+    # the message path: one channel pair, one codec, one delivery
+    # ------------------------------------------------------------------
+    def _channel(self, local: bool) -> tuple[Circuit, Sequence[Any]]:
+        """The circuit an edge rides and its rank of each group rank:
+        the group circuit, or (``local``) my site's subcircuit."""
+        if not local:
+            return self._circuit, self._group
+        shared = self._shared()
+        return shared.site_channel(shared.sitemap.site_of[self._rank])
+
+    def _peer(self, rank: int, ranks: Sequence[Any], role: str) -> int:
+        """The channel rank of group rank ``rank``: ``ANY_SOURCE`` passes
+        through as a source, any other rank outside the group raises."""
+        if rank == ANY_SOURCE and role == "source":
+            return _CIRCUIT_ANY
+        if not 0 <= rank < self.size:
+            raise MpiError(f"{role} rank {rank} out of range "
+                           f"(size {self.size})")
+        return ranks[rank]
+
+    @staticmethod
+    def _matcher(ctx: str, tag: int) -> Callable[[tuple], bool]:
+        """The envelope predicate: context ``ctx`` and tag ``tag``
+        (any tag for ``ANY_TAG``)."""
+        return lambda env: env[0] == ctx and (tag == ANY_TAG or env[1] == tag)
+
+    def _send(self, proc: SimProcess, dest: int, tag: int, body: Any,
+              nbytes: float, ctx: str, op: str | None = None,
+              local: bool = False) -> None:
+        """Send one envelope to group rank ``dest``.
 
         ``local=True`` (an edge inside a site, where the matching
-        receive agrees) routes over the per-site subcircuit; any other
-        edge rides the group circuit and, when it crosses sites, is
-        counted against the communicator's WAN stats."""
-        shared = self._shared()
-        site_of = shared.sitemap.site_of
-        if local:
-            sub, index = shared.site_channel(site_of[self._rank])
-            sub.send(proc, index[self._rank], index[dest],
-                     (ctx, tag, body), nbytes)
+        receive agrees) rides the site subcircuit; any other edge rides
+        the group circuit, and a collective's edge (``op`` given) that
+        crosses sites is counted against the communicator's WAN stats."""
+        if dest == PROC_NULL:
             return
-        if site_of[self._rank] != site_of[dest]:
-            shared.stats.count(op, nbytes)
-            mon = self._monitor()
-            if mon is not None:
-                mon.on_counter("mpi.wan_crossings", 1.0)
-                mon.on_counter(f"mpi.wan_bytes.{op}", float(nbytes))
-        self._send_body(proc, dest, tag, body, nbytes, ctx)
+        circuit, ranks = self._channel(local)
+        cdest = self._peer(dest, ranks, "destination")
+        if op is not None and not local:
+            shared = self._shared()
+            site_of = shared.sitemap.site_of
+            if site_of[self._rank] != site_of[dest]:
+                shared.stats.count(op, nbytes)
+                mon = self._monitor()
+                if mon is not None:
+                    mon.on_counter("mpi.wan_crossings", 1.0)
+                    mon.on_counter(f"mpi.wan_bytes.{op}", float(nbytes))
+        circuit.send(proc, ranks[self._rank], cdest, (ctx, tag, body),
+                     nbytes)
 
-    def _xrecv(self, proc: SimProcess, source: int, tag: int, ctx: str,
-               local: bool = False) -> tuple[int, int, Any, float]:
-        """Receive one collective tree edge; routing mirrors
-        :meth:`_xsend` (``local=True`` with ``ANY_SOURCE`` matches any
-        same-site sender on the subcircuit)."""
-        if not local:
-            return self._recv_body(proc, source, tag, ctx)
-        shared = self._shared()
-        si = shared.sitemap.site_of[self._rank]
-        sub, index = shared.site_channel(si)
-        csrc = _CIRCUIT_ANY if source == ANY_SOURCE else index[source]
+    def _recv(self, proc: SimProcess, source: int, tag: int, ctx: str,
+              local: bool = False) -> tuple[int, int, Any, float]:
+        """Receive one envelope → ``(source, tag, body, nbytes)``, the
+        source as a group rank.  Routing mirrors :meth:`_send`
+        (``local=True`` with ``ANY_SOURCE`` matches any same-site sender
+        on the subcircuit)."""
+        if source == PROC_NULL:
+            return PROC_NULL, ANY_TAG, None, 0.0
+        circuit, ranks = self._channel(local)
+        src, (_ctx, mtag, body), n = circuit.recv(
+            proc, ranks[self._rank],
+            source=self._peer(source, ranks, "source"),
+            where=self._matcher(ctx, tag))
+        return ranks.index(src), mtag, body, n
 
-        def where(payload) -> bool:
-            mctx, mtag, _body = payload
-            return mctx == ctx and (tag == ANY_TAG or mtag == tag)
+    @staticmethod
+    def _fill(status: Status | None, source: int, tag: int,
+              count: float) -> None:
+        if status is not None:
+            status.source, status.tag, status.count = source, tag, count
 
-        src, payload, n = sub.recv(proc, index[self._rank],
-                                   source=csrc, where=where)
-        _ctx, mtag, body = payload
-        return shared.sitemap.members[si][src], mtag, body, n
+    def _pickle(self, proc: SimProcess, obj: Any) -> bytes:
+        """Pickle ``obj``, charging ``proc`` the serialisation copy."""
+        data = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
+        proc.sleep(len(data) * PICKLE_BYTE_COST)
+        return data
+
+    def _decode(self, proc: SimProcess, body: tuple[str, Any]) -> Any:
+        """The object a message body carries; a pickled body charges
+        ``proc`` the deserialisation copy."""
+        kind, data = body
+        if kind != "p":
+            return data
+        proc.sleep(len(data) * PICKLE_BYTE_COST)
+        return pickle.loads(data)
+
+    def _deliver(self, out: np.ndarray, body: tuple[str, Any],
+                 op: str) -> None:
+        """Copy a buffer message into the receiver's ``out``.
+
+        A pickled body, a different element count, or element values
+        ``out`` cannot take (numpy's ``same_kind`` casting) raise
+        :class:`MpiError` before anything is written."""
+        kind, data = body
+        if kind != "b":
+            raise MpiError(f"{op} matched a pickled message; use the "
+                           f"lowercase call")
+        out = np.asarray(out)
+        if data.size != out.size or not np.can_cast(data.dtype, out.dtype,
+                                                    "same_kind"):
+            raise MpiError(f"{op}: a receive buffer of {out.size} × "
+                           f"{out.dtype} cannot take a message of "
+                           f"{data.size} × {data.dtype}")
+        np.copyto(out, data.reshape(out.shape))
+        self._count_delivery(out.nbytes, data)
+
+    def _start(self, name: str, fn: Callable[[SimProcess], Any]) -> Request:
+        """Run ``fn`` on a helper thread (a Marcel thread in the real
+        runtime) named ``name``; the request completes with its result
+        or its error."""
+        req = Request(self)
+
+        def helper(p: SimProcess) -> None:
+            try:
+                value = fn(p)
+            except Exception as exc:  # noqa: BLE001 - surfaced by wait()
+                req._complete(error=exc)
+            else:
+                req._complete(value)
+
+        self.process.spawn(helper, name=name, daemon=True)
+        return req
 
     # ------------------------------------------------------------------
     # point-to-point: pickle path (lowercase)
     # ------------------------------------------------------------------
     def send(self, obj: Any, dest: int, tag: int = 0) -> None:
         """Blocking send of a pickled Python object."""
-        data = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
-        n = len(data)
-        self.proc.sleep(n * PICKLE_BYTE_COST)
-        self._send_body(self.proc, dest, tag, ("p", data), n,
-                        self._p2p_context())
+        data = self._pickle(self.proc, obj)
+        self._send(self.proc, dest, tag, ("p", data), len(data),
+                   self._p2p_context())
 
     def recv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG,
              status: Status | None = None) -> Any:
         """Blocking receive of a pickled Python object."""
-        src, mtag, body, n = self._recv_body(self.proc, source, tag,
-                                             self._p2p_context())
-        obj = self._decode(self.proc, body, n)
-        if status is not None:
-            status.source, status.tag, status.count = src, mtag, n
-        return obj
+        return self._recv_obj(self.proc, source, tag, self._p2p_context(),
+                              status)
 
-    def _decode(self, proc: SimProcess, body: tuple[str, Any],
-                nbytes: float) -> Any:
-        kind, data = body
-        if kind == "p":
-            proc.sleep(nbytes * PICKLE_BYTE_COST)
-            return pickle.loads(data)
-        return data
+    def _recv_obj(self, proc: SimProcess, source: int, tag: int, ctx: str,
+                  status: Status | None = None) -> Any:
+        src, mtag, body, n = self._recv(proc, source, tag, ctx)
+        self._fill(status, src, mtag, n)
+        return None if src == PROC_NULL else self._decode(proc, body)
 
     # ------------------------------------------------------------------
     # point-to-point: buffer path (uppercase, zero-copy)
@@ -352,106 +410,59 @@ class Comm:
         the caller's buffer, which must stay unmutated until the
         receiver has completed the matching receive."""
         arr = np.ascontiguousarray(buf)
-        self._send_body(self.proc, dest, tag, ("b", self._stage(arr)),
-                        arr.nbytes, self._p2p_context())
+        self._send(self.proc, dest, tag, ("b", self._stage(arr)),
+                   arr.nbytes, self._p2p_context())
 
     def Recv(self, buf: np.ndarray, source: int = ANY_SOURCE,
              tag: int = ANY_TAG, status: Status | None = None) -> None:
         """Blocking receive into a caller-provided numpy buffer."""
-        src, mtag, body, n = self._recv_body(self.proc, source, tag,
-                                             self._p2p_context())
-        kind, data = body
-        if kind != "b":
-            raise MpiError("Recv matched a pickled message; use recv()")
-        out = np.asarray(buf)
-        if out.nbytes != data.nbytes:
-            raise MpiError(f"receive buffer is {out.nbytes} bytes, "
-                           f"message is {data.nbytes}")
-        np.copyto(out, data.reshape(out.shape))
-        self._count_delivery(out.nbytes, data)
-        if status is not None:
-            status.source, status.tag, status.count = src, mtag, n
+        self._recv_into(self.proc, buf, source, tag, self._p2p_context(),
+                        "Recv", status)
+
+    def _recv_into(self, proc: SimProcess, buf: np.ndarray, source: int,
+                   tag: int, ctx: str, op: str,
+                   status: Status | None = None) -> None:
+        src, mtag, body, n = self._recv(proc, source, tag, ctx)
+        if src != PROC_NULL:
+            self._deliver(buf, body, op)
+        self._fill(status, src, mtag, n)
 
     # ------------------------------------------------------------------
-    # nonblocking
+    # nonblocking: the blocking bodies on a helper thread
     # ------------------------------------------------------------------
     def isend(self, obj: Any, dest: int, tag: int = 0) -> Request:
-        """Nonblocking pickled send; the buffer is captured immediately."""
-        req = Request(self)
+        """Nonblocking pickled send; the object is pickled at the call,
+        the serialisation cost is charged to the helper."""
         data = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
-        n = len(data)
         ctx = self._p2p_context()
 
-        def worker(p: SimProcess) -> None:
-            try:
-                p.sleep(n * PICKLE_BYTE_COST)
-                self._send_body(p, dest, tag, ("p", data), n, ctx)
-            except Exception as exc:  # noqa: BLE001 - surfaced via request
-                req._complete(error=exc)
-            else:
-                req._complete()
+        def run(p: SimProcess) -> None:
+            p.sleep(len(data) * PICKLE_BYTE_COST)
+            self._send(p, dest, tag, ("p", data), len(data), ctx)
 
-        self.process.spawn(worker, name="mpi-isend", daemon=True)
-        return req
+        return self._start("mpi-isend", run)
 
     def Isend(self, buf: np.ndarray, dest: int, tag: int = 0) -> Request:
         """Nonblocking buffer send."""
-        req = Request(self)
         # MPI nonblocking semantics already forbid touching the buffer
         # before wait(), so the rendezvous reference is always safe here
         arr = self._stage(np.ascontiguousarray(buf))
         ctx = self._p2p_context()
-
-        def worker(p: SimProcess) -> None:
-            try:
-                self._send_body(p, dest, tag, ("b", arr), arr.nbytes, ctx)
-            except Exception as exc:  # noqa: BLE001
-                req._complete(error=exc)
-            else:
-                req._complete()
-
-        self.process.spawn(worker, name="mpi-Isend", daemon=True)
-        return req
+        return self._start("mpi-Isend", lambda p: self._send(
+            p, dest, tag, ("b", arr), arr.nbytes, ctx))
 
     def irecv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Request:
         """Nonblocking pickled receive; ``wait()`` returns the object."""
-        req = Request(self)
         ctx = self._p2p_context()
-
-        def worker(p: SimProcess) -> None:
-            try:
-                _src, _t, body, n = self._recv_body(p, source, tag, ctx)
-                obj = self._decode(p, body, n)
-            except Exception as exc:  # noqa: BLE001
-                req._complete(error=exc)
-            else:
-                req._complete(obj)
-
-        self.process.spawn(worker, name="mpi-irecv", daemon=True)
-        return req
+        return self._start("mpi-irecv", lambda p: self._recv_obj(
+            p, source, tag, ctx))
 
     def Irecv(self, buf: np.ndarray, source: int = ANY_SOURCE,
               tag: int = ANY_TAG) -> Request:
         """Nonblocking buffer receive into ``buf``."""
-        req = Request(self)
         ctx = self._p2p_context()
-
-        def worker(p: SimProcess) -> None:
-            try:
-                _src, _t, body, _n = self._recv_body(p, source, tag, ctx)
-                kind, data = body
-                if kind != "b":
-                    raise MpiError("Irecv matched a pickled message")
-                out = np.asarray(buf)
-                np.copyto(out, data.reshape(out.shape))
-                self._count_delivery(out.nbytes, data)
-            except Exception as exc:  # noqa: BLE001
-                req._complete(error=exc)
-            else:
-                req._complete()
-
-        self.process.spawn(worker, name="mpi-Irecv", daemon=True)
-        return req
+        return self._start("mpi-Irecv", lambda p: self._recv_into(
+            p, buf, source, tag, ctx, "Irecv"))
 
     def sendrecv(self, obj: Any, dest: int, source: int = ANY_SOURCE,
                  sendtag: int = 0, recvtag: int = ANY_TAG) -> Any:
@@ -470,32 +481,27 @@ class Comm:
         ``counts[i]`` elements go to rank i; displacements are the
         running sum (contiguous layout, the common case)."""
         ctx = self._coll_context("Scatterv")
-        out = np.asarray(recvbuf)
-        if self._rank == root:
-            if sendbuf is None or counts is None or \
-                    len(counts) != self.size:
-                raise MpiError(f"root must supply sendbuf and exactly "
-                               f"{self.size} counts")
-            flat = np.ascontiguousarray(sendbuf).ravel()
-            if sum(counts) != flat.size:
-                raise MpiError(f"counts sum to {sum(counts)} but sendbuf "
-                               f"has {flat.size} elements")
-            offset = 0
-            my_part = None
-            for dst, count in enumerate(counts):
-                part = flat[offset:offset + count]
-                offset += count
-                if dst == root:
-                    my_part = part.copy()
-                else:
-                    self._xsend(self.proc, dst, 9,
-                                ("b", self._stage(part)),
-                                part.nbytes, ctx, "Scatterv")
-            np.copyto(out, my_part.reshape(out.shape))
-        else:
-            _s, _t, body, _n = self._recv_body(self.proc, root, 9, ctx)
-            np.copyto(out, body[1].reshape(out.shape))
-            self._count_delivery(out.nbytes, body[1])
+        if self._rank != root:
+            _s, _t, body, _n = self._recv(self.proc, root, 9, ctx)
+            self._deliver(recvbuf, body, "Scatterv")
+            return
+        if sendbuf is None or counts is None or len(counts) != self.size:
+            raise MpiError(f"root must supply sendbuf and exactly "
+                           f"{self.size} counts")
+        flat = np.ascontiguousarray(sendbuf).ravel()
+        if sum(counts) != flat.size:
+            raise MpiError(f"counts sum to {sum(counts)} but sendbuf "
+                           f"has {flat.size} elements")
+        offset = 0
+        for dst, count in enumerate(counts):
+            part = flat[offset:offset + count]
+            offset += count
+            if dst == root:
+                mine = part
+            else:
+                self._send(self.proc, dst, 9, ("b", self._stage(part)),
+                           part.nbytes, ctx, "Scatterv")
+        self._deliver(recvbuf, ("b", mine), "Scatterv")
 
     @_collective("Gatherv")
     def Gatherv(self, sendbuf: np.ndarray,
@@ -504,25 +510,24 @@ class Comm:
         """Variable-count gather into a contiguous buffer at ``root``."""
         ctx = self._coll_context("Gatherv")
         part = np.ascontiguousarray(sendbuf).ravel()
-        if self._rank == root:
-            if recvbuf is None or counts is None or \
-                    len(counts) != self.size:
-                raise MpiError(f"root must supply recvbuf and exactly "
-                               f"{self.size} counts")
-            flat = np.asarray(recvbuf).ravel()
-            if sum(counts) != flat.size:
-                raise MpiError(f"counts sum to {sum(counts)} but recvbuf "
-                               f"has {flat.size} elements")
-            offsets = np.concatenate(([0], np.cumsum(counts)))
-            flat[offsets[root]:offsets[root + 1]] = part
-            for _ in range(self.size - 1):
-                src, _t, body, _n = self._recv_body(self.proc, ANY_SOURCE,
-                                                    10, ctx)
-                flat[offsets[src]:offsets[src + 1]] = body[1]
-                self._count_delivery(int(body[1].nbytes), body[1])
-        else:
-            self._xsend(self.proc, root, 10, ("b", self._stage(part)),
-                        part.nbytes, ctx, "Gatherv")
+        if self._rank != root:
+            self._send(self.proc, root, 10, ("b", self._stage(part)),
+                       part.nbytes, ctx, "Gatherv")
+            return
+        if recvbuf is None or counts is None or len(counts) != self.size:
+            raise MpiError(f"root must supply recvbuf and exactly "
+                           f"{self.size} counts")
+        flat = np.asarray(recvbuf).ravel()
+        if sum(counts) != flat.size:
+            raise MpiError(f"counts sum to {sum(counts)} but recvbuf "
+                           f"has {flat.size} elements")
+        offsets = np.concatenate(([0], np.cumsum(counts)))
+        self._deliver(flat[offsets[root]:offsets[root + 1]], ("b", part),
+                      "Gatherv")
+        for _ in range(self.size - 1):
+            src, _t, body, _n = self._recv(self.proc, ANY_SOURCE, 10, ctx)
+            self._deliver(flat[offsets[src]:offsets[src + 1]], body,
+                          "Gatherv")
 
     # ------------------------------------------------------------------
     # probing
@@ -531,24 +536,23 @@ class Comm:
               status: Status | None = None) -> None:
         """Block until a matching message is pending, without receiving
         it (MPI_Probe); fills ``status`` with the pending envelope."""
-        ctx = self._p2p_context()
-        csrc = _CIRCUIT_ANY if source == ANY_SOURCE else self._group[source]
+        if source == PROC_NULL:
+            self._fill(status, PROC_NULL, ANY_TAG, 0.0)
+            return
         src, payload, n = self._circuit.wait_message(
-            self.proc, self._group[self._rank], source=csrc,
-            where=lambda p: p[0] == ctx and
-            (tag == ANY_TAG or p[1] == tag))
-        if status is not None:
-            status.source = self._group.index(src)
-            status.tag = payload[1]
-            status.count = n
+            self.proc, self._group[self._rank],
+            source=self._peer(source, self._group, "source"),
+            where=self._matcher(self._p2p_context(), tag))
+        self._fill(status, self._group.index(src), payload[1], n)
 
     def iprobe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> bool:
         """Non-blocking check for a matching pending message."""
-        ctx = self._p2p_context()
-        csrc = _CIRCUIT_ANY if source == ANY_SOURCE else self._group[source]
+        if source == PROC_NULL:
+            return True
         return self._circuit.poll(
-            self._group[self._rank], source=csrc,
-            where=lambda p: p[0] == ctx and (tag == ANY_TAG or p[1] == tag))
+            self._group[self._rank],
+            source=self._peer(source, self._group, "source"),
+            where=self._matcher(self._p2p_context(), tag))
 
     # ------------------------------------------------------------------
     # collective tree primitives
@@ -571,12 +575,12 @@ class Comm:
             if v < mask:
                 if v + mask < k:
                     dst = parts[(v + mask + rootpos) % k]
-                    self._xsend(self.proc, dst, tag, body, nbytes, ctx,
-                                op, local=local)
+                    self._send(self.proc, dst, tag, body, nbytes, ctx,
+                               op, local=local)
             elif v < mask << 1:
                 src = parts[(v - mask + rootpos) % k]
-                _s, _t, body, nbytes = self._xrecv(self.proc, src, tag,
-                                                   ctx, local=local)
+                _s, _t, body, nbytes = self._recv(self.proc, src, tag,
+                                                  ctx, local=local)
             mask <<= 1
         return body, nbytes
 
@@ -588,20 +592,19 @@ class Comm:
         while mask < k:
             if v & mask:
                 dst = parts[(v - mask + rootpos) % k]
-                self._xsend(self.proc, dst, tag, ("p", b""), 0, ctx, op,
-                            local=local)
+                self._send(self.proc, dst, tag, ("p", b""), 0, ctx, op,
+                           local=local)
                 break
             if v + mask < k:
                 src = parts[(v + mask + rootpos) % k]
-                self._xrecv(self.proc, src, tag, ctx, local=local)
+                self._recv(self.proc, src, tag, ctx, local=local)
             mask <<= 1
 
     def _pack(self, acc: Any, buffered: bool) -> tuple[Any, float]:
         """``(body, bytes)`` of a reduction operand (pickling is charged)."""
         if buffered:
             return ("b", acc), acc.nbytes
-        data = pickle.dumps(acc, protocol=pickle.HIGHEST_PROTOCOL)
-        self.proc.sleep(len(data) * PICKLE_BYTE_COST)
+        data = self._pickle(self.proc, acc)
         return ("p", data), len(data)
 
     def _seq_reduce(self, parts: list[int], rootpos: int, value: Any,
@@ -617,16 +620,14 @@ class Comm:
         while mask < k:
             if v & mask:
                 dst = parts[(v - mask + rootpos) % k]
-                self._xsend(self.proc, dst, tag, *self._pack(acc, buffered),
-                            ctx, op, local=local)
+                self._send(self.proc, dst, tag, *self._pack(acc, buffered),
+                           ctx, op, local=local)
                 break
             if v + mask < k:
                 src = parts[(v + mask + rootpos) % k]
-                _s, _t, body, n = self._xrecv(self.proc, src, tag, ctx,
+                _s, _t, body, _n = self._recv(self.proc, src, tag, ctx,
                                               local=local)
-                contrib = body[1] if buffered \
-                    else self._decode(self.proc, body, n)
-                acc = redop(acc, contrib)
+                acc = redop(acc, self._decode(self.proc, body))
             mask <<= 1
         return acc
 
@@ -639,12 +640,12 @@ class Comm:
         two first folds ``parts[2j + 1]`` into ``parts[2j]`` for its
         lowest ``k − p`` pairs; the odd one gets the result back last."""
         def send(j: int, acc: Any) -> None:
-            self._xsend(self.proc, parts[j], tag,
-                        *self._pack(acc, buffered), ctx, op)
+            self._send(self.proc, parts[j], tag,
+                       *self._pack(acc, buffered), ctx, op)
 
         def recv(j: int) -> Any:
-            _s, _t, body, n = self._recv_body(self.proc, parts[j], tag, ctx)
-            return body[1] if buffered else self._decode(self.proc, body, n)
+            return self._decode(
+                self.proc, self._recv(self.proc, parts[j], tag, ctx)[2])
 
         k, i = len(parts), parts.index(self._rank)
         p = 1 << (k.bit_length() - 1)
@@ -693,7 +694,7 @@ class Comm:
         follows the map in use, not the communicator: only a map with
         several blocks has sites for blocks.  A one-block map spans
         whatever the group spans, so its edges ride the group circuit,
-        where :meth:`_xsend` counts the ones that cross sites."""
+        where :meth:`_send` counts the ones that cross sites."""
         sm = self._sitemap(root, ordered)
         si = sm.site_of[self._rank]
         return sm, sm.members[si], sm.leader(si, root), sm.multi_site
@@ -728,17 +729,12 @@ class Comm:
         """Binomial-tree broadcast of a pickled object (leader-relayed:
         exactly sites−1 WAN crossings)."""
         ctx = self._coll_context("bcast")
+        body, n = None, 0.0
         if self._rank == root:
-            data = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
-            self.proc.sleep(len(data) * PICKLE_BYTE_COST)
-            body: tuple[str, Any] = ("p", data)
-            n = float(len(data))
-        else:
-            body, n = None, 0.0  # type: ignore[assignment]
-        body, n = self._bcast_body(body, n, root, ctx, "bcast")
-        _kind, data = body
-        self.proc.sleep(n * PICKLE_BYTE_COST)
-        return pickle.loads(data)
+            data = self._pickle(self.proc, obj)
+            body, n = ("p", data), float(len(data))
+        body, _n = self._bcast_body(body, n, root, ctx, "bcast")
+        return self._decode(self.proc, body)
 
     @_collective("Bcast")
     def Bcast(self, buf: np.ndarray, root: int = 0) -> None:
@@ -749,22 +745,18 @@ class Comm:
         must stay unmutated until every receiver has copied it — the
         root's return does not mean that (fence with a barrier)."""
         ctx = self._coll_context("Bcast")
-        out = np.asarray(buf)
+        body, n = None, 0.0
         if self._rank == root:
             # rendezvous contract for large broadcasts: the root buffer
             # must stay unmutated until every rank's delivery copy —
             # tree forwarding (leaders included) passes the same
             # reference down unchanged, so the hierarchy stays
             # reference-only end-to-end
-            body: tuple[str, Any] = \
-                ("b", self._stage(np.ascontiguousarray(out)))
-            n = float(out.nbytes)
-        else:
-            body, n = None, 0.0  # type: ignore[assignment]
+            arr = np.ascontiguousarray(buf)
+            body, n = ("b", self._stage(arr)), float(arr.nbytes)
         body, _n = self._bcast_body(body, n, root, ctx, "Bcast")
         if self._rank != root:
-            np.copyto(out, body[1].reshape(out.shape))
-            self._count_delivery(out.nbytes, body[1])
+            self._deliver(buf, body, "Bcast")
 
     def _bcast_body(self, body: Any, nbytes: float, root: int, ctx: str,
                     op: str, held: bool = False) -> tuple[Any, float]:
@@ -787,9 +779,9 @@ class Comm:
         blocks = [mine]  # blocks[j] is the bundle of site (i + j) mod s
         while (dist := len(blocks)) < s:
             part = blocks[:s - dist]
-            self._xsend(self.proc, leaders[i - dist], 27, ("rl", part),
-                        sum(len(d) for b in part for _r, d in b), ctx, op)
-            _s, _t, got, _n = self._recv_body(
+            self._send(self.proc, leaders[i - dist], 27, ("rl", part),
+                       sum(len(d) for b in part for _r, d in b), ctx, op)
+            _s, _t, got, _n = self._recv(
                 self.proc, leaders[(i + dist) % s], 27, ctx)
             blocks += got[1]
         return sorted(e for b in blocks for e in b)
@@ -800,8 +792,8 @@ class Comm:
         whole block, mine included, in rank order."""
         entries = [(self._rank, data)]
         for _ in range(len(members) - 1):
-            src, _t, body, _n = self._xrecv(self.proc, ANY_SOURCE, 26,
-                                            ctx, local=local)
+            src, _t, body, _n = self._recv(self.proc, ANY_SOURCE, 26, ctx,
+                                           local=local)
             entries.append((src, body[1]))
         entries.sort()
         return entries
@@ -812,12 +804,12 @@ class Comm:
         the leader forwards its block to the root as one bundle (one WAN
         crossing per remote site, carrying only that site's bytes)."""
         if self._rank != leader:
-            self._xsend(self.proc, leader, 26, ("p", data), len(data),
-                        ctx, op, local=local)
+            self._send(self.proc, leader, 26, ("p", data), len(data), ctx,
+                       op, local=local)
             return
         entries = self._block_bodies(members, data, ctx, local)
         total = sum(len(d) for _r, d in entries)
-        self._xsend(self.proc, root, 27, ("rl", entries), total, ctx, op)
+        self._send(self.proc, root, 27, ("rl", entries), total, ctx, op)
 
     @_collective("gather")
     def gather(self, obj: Any, root: int = 0) -> list[Any] | None:
@@ -830,23 +822,19 @@ class Comm:
         ctx = self._coll_context("gather")
         sm, members, leader, local = self._hier(root)
         if self._rank != root:
-            data = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
-            self.proc.sleep(len(data) * PICKLE_BYTE_COST)
-            self._forward_body(data, root, members, leader, ctx, "gather",
-                               local)
+            self._forward_body(self._pickle(self.proc, obj), root, members,
+                               leader, ctx, "gather", local)
             return None
         out: list[Any] = [None] * self.size
         out[root] = obj
         for _ in range(len(members) - 1):
-            src, _t, body, n = self._xrecv(self.proc, ANY_SOURCE, 26, ctx,
+            src, _t, body, _n = self._recv(self.proc, ANY_SOURCE, 26, ctx,
                                            local=local)
-            out[src] = self._decode(self.proc, body, n)
+            out[src] = self._decode(self.proc, body)
         for _ in range(sm.nsites - 1):
-            _s, _t, body, _n = self._recv_body(self.proc, ANY_SOURCE, 27,
-                                               ctx)
+            _s, _t, body, _n = self._recv(self.proc, ANY_SOURCE, 27, ctx)
             for src, data in body[1]:
-                self.proc.sleep(len(data) * PICKLE_BYTE_COST)
-                out[src] = pickle.loads(data)
+                out[src] = self._decode(self.proc, ("p", data))
         return out
 
     @_collective("scatter")
@@ -874,31 +862,29 @@ class Comm:
                 if s == sm.site_of[root]:
                     for dst in members:
                         if dst != root:
-                            self._xsend(self.proc, dst, 29,
-                                        ("p", parts[dst]),
-                                        len(parts[dst]), ctx, "scatter",
-                                        local=local)
+                            self._send(self.proc, dst, 29,
+                                       ("p", parts[dst]), len(parts[dst]),
+                                       ctx, "scatter", local=local)
                     continue
                 bundle = [(dst, parts[dst]) for dst in sm.members[s]]
                 total = sum(len(d) for _r, d in bundle)
-                self._xsend(self.proc, sm.leader(s, root), 28,
-                            ("rl", bundle), total, ctx, "scatter")
+                self._send(self.proc, sm.leader(s, root), 28,
+                           ("rl", bundle), total, ctx, "scatter")
             return objs[root]
         if self._rank == leader:
-            _s, _t, body, _n = self._recv_body(self.proc, root, 28, ctx)
+            _s, _t, body, _n = self._recv(self.proc, root, 28, ctx)
             mine = None
             for dst, data in body[1]:
                 if dst == self._rank:
                     mine = data
                 else:
-                    self._xsend(self.proc, dst, 29, ("p", data),
-                                len(data), ctx, "scatter", local=local)
-            self.proc.sleep(len(mine) * PICKLE_BYTE_COST)
-            return pickle.loads(mine)
+                    self._send(self.proc, dst, 29, ("p", data), len(data),
+                               ctx, "scatter", local=local)
+            return self._decode(self.proc, ("p", mine))
         # on the root's site the root is the leader
-        _s, _t, body, n = self._xrecv(self.proc, leader, 29, ctx,
+        _s, _t, body, _n = self._recv(self.proc, leader, 29, ctx,
                                       local=local)
-        return self._decode(self.proc, body, n)
+        return self._decode(self.proc, body)
 
     @_collective("allgather")
     def allgather(self, obj: Any) -> list[Any]:
@@ -908,8 +894,7 @@ class Comm:
         source and deserialised once per consumer."""
         ctx = self._coll_context("allgather")
         sm, members, leader, local = self._hier(0)
-        data = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
-        self.proc.sleep(len(data) * PICKLE_BYTE_COST)
+        data = self._pickle(self.proc, obj)
         body, nbytes = None, 0.0
         if self._rank == leader:
             mine = self._block_bodies(members, data, ctx, local)
@@ -917,15 +902,12 @@ class Comm:
             body = ("rl", entries)
             nbytes = float(sum(len(d) for _r, d in entries))
         else:
-            self._xsend(self.proc, leader, 26, ("p", data), len(data), ctx,
-                        "allgather", local=local)
+            self._send(self.proc, leader, 26, ("p", data), len(data), ctx,
+                       "allgather", local=local)
         body, _n = self._bcast_body(body, nbytes, 0, ctx, "allgather",
                                     held=True)
-        out: list[Any] = [None] * self.size
-        for src, raw in body[1]:
-            self.proc.sleep(len(raw) * PICKLE_BYTE_COST)
-            out[src] = pickle.loads(raw)
-        return out
+        # one entry per rank, in rank order
+        return [self._decode(self.proc, ("p", raw)) for _r, raw in body[1]]
 
     @_collective("alltoall")
     def alltoall(self, objs: Sequence[Any]) -> list[Any]:
@@ -957,19 +939,18 @@ class Comm:
         si = sm.site_of[self._rank]
         for dst in shifts:
             if sm.site_of[dst] == si:
-                self._xsend(self.proc, dst, 5, ("p", parts[dst]),
-                            len(parts[dst]), ctx, "alltoall", local=local)
+                self._send(self.proc, dst, 5, ("p", parts[dst]),
+                           len(parts[dst]), ctx, "alltoall", local=local)
         relayed: list[tuple[int, bytes]] = []
         if sm.multi_site:  # a single block has no one to relay to or for
             relayed = self._alltoall_relay(parts, sm, members, leader,
                                            ctx, local)
         for _ in range(len(members) - 1):
-            src, _t, body, n = self._xrecv(self.proc, ANY_SOURCE, 5, ctx,
+            src, _t, body, _n = self._recv(self.proc, ANY_SOURCE, 5, ctx,
                                            local=local)
-            out[src] = self._decode(self.proc, body, n)
+            out[src] = self._decode(self.proc, body)
         for src, data in relayed:
-            self.proc.sleep(len(data) * PICKLE_BYTE_COST)
-            out[src] = pickle.loads(data)
+            out[src] = self._decode(self.proc, ("p", data))
         return out
 
     def _alltoall_relay(self, parts: dict[int, bytes], sm: SiteMap,
@@ -982,37 +963,36 @@ class Comm:
         up = [(self._rank, dst, parts[dst])
               for s in remote for dst in sm.members[s]]
         if self._rank != leader:
-            self._xsend(self.proc, leader, 60, ("a2a", up),
-                        sum(len(d) for _s, _d, d in up), ctx, "alltoall",
-                        local=local)
-            _s, _t, body, _n = self._xrecv(self.proc, leader, 62, ctx,
-                                           local=local)
+            self._send(self.proc, leader, 60, ("a2a", up),
+                       sum(len(d) for _s, _d, d in up), ctx, "alltoall",
+                       local=local)
+            _s, _t, body, _n = self._recv(self.proc, leader, 62, ctx,
+                                          local=local)
             return body[1]
         for _ in range(len(members) - 1):
-            _s, _t, body, _n = self._xrecv(self.proc, ANY_SOURCE, 60, ctx,
-                                           local=local)
+            _s, _t, body, _n = self._recv(self.proc, ANY_SOURCE, 60, ctx,
+                                          local=local)
             up.extend(body[1])
         outgoing: dict[int, list[tuple[int, int, bytes]]] = \
             {s: [] for s in remote}  # keyed in walk order
         for entry in sorted(up):
             outgoing[sm.site_of[entry[1]]].append(entry)
         for s, entries in outgoing.items():
-            self._xsend(self.proc, sm.leader(s, 0), 61, ("a2a", entries),
-                        sum(len(d) for _s, _d, d in entries), ctx,
-                        "alltoall")
+            self._send(self.proc, sm.leader(s, 0), 61, ("a2a", entries),
+                       sum(len(d) for _s, _d, d in entries), ctx,
+                       "alltoall")
         deliveries: dict[int, list[tuple[int, bytes]]] = \
             {m: [] for m in members}
         for _ in remote:
-            _s, _t, body, _n = self._recv_body(self.proc, ANY_SOURCE, 61,
-                                               ctx)
+            _s, _t, body, _n = self._recv(self.proc, ANY_SOURCE, 61, ctx)
             for src, dst, data in body[1]:
                 deliveries[dst].append((src, data))
         for m in members:
             deliveries[m].sort()
             if m != self._rank:
-                self._xsend(self.proc, m, 62, ("a2a", deliveries[m]),
-                            sum(len(d) for _r, d in deliveries[m]), ctx,
-                            "alltoall", local=local)
+                self._send(self.proc, m, 62, ("a2a", deliveries[m]),
+                           sum(len(d) for _r, d in deliveries[m]), ctx,
+                           "alltoall", local=local)
         return deliveries[self._rank]
 
     def _reduce_value(self, value: Any, redop: ReduceOp, root: int,
@@ -1060,8 +1040,8 @@ class Comm:
             acc = self._seq_allreduce(sm.leaders(0), acc, redop, tag + 1,
                                       ctx, op, buffered)
             body, n = self._pack(acc, buffered)
-        body, n = self._bcast_body(body, n, 0, ctx, op, held=sm.multi_site)
-        return body[1] if buffered else self._decode(self.proc, body, n)
+        body, _n = self._bcast_body(body, n, 0, ctx, op, held=sm.multi_site)
+        return self._decode(self.proc, body)
 
     @_collective("allreduce")
     def allreduce(self, obj: Any, op: ReduceOp) -> Any:
@@ -1076,13 +1056,11 @@ class Comm:
         ctx = self._coll_context("scan")
         acc = obj
         if self._rank > 0:
-            _s, _t, body, n = self._recv_body(self.proc, self._rank - 1,
-                                              7, ctx)
-            prefix = self._decode(self.proc, body, n)
-            acc = op(prefix, obj)
+            _s, _t, body, _n = self._recv(self.proc, self._rank - 1, 7, ctx)
+            acc = op(self._decode(self.proc, body), obj)
         if self._rank + 1 < self.size:
-            self._xsend(self.proc, self._rank + 1, 7,
-                        *self._pack(acc, False), ctx, "scan")
+            self._send(self.proc, self._rank + 1, 7,
+                       *self._pack(acc, False), ctx, "scan")
         return acc
 
     @_collective("Reduce")
@@ -1103,25 +1081,31 @@ class Comm:
         if self._rank == root:
             if recvbuf is None:
                 raise MpiError("root must supply recvbuf")
-            out = np.asarray(recvbuf)
-            np.copyto(out, acc.reshape(out.shape))
-            self._count_delivery(out.nbytes, acc)
+            self._deliver(recvbuf, ("b", acc), "Reduce")
 
     @_collective("Allreduce")
     def Allreduce(self, sendbuf: np.ndarray, recvbuf: np.ndarray,
                   op: ReduceOp) -> None:
         """Buffer-path :meth:`allreduce`: same schedule and operand
         order, no pickle cost."""
-        out = np.asarray(recvbuf)
         acc = self._allreduce_value(
             self._stage(np.ascontiguousarray(sendbuf)), op, 36,
             self._coll_context("Allreduce"), "Allreduce", buffered=True)
-        np.copyto(out, acc.reshape(out.shape))
-        self._count_delivery(out.nbytes, acc)
+        self._deliver(recvbuf, ("b", acc), "Allreduce")
 
     # ------------------------------------------------------------------
     # communicator management
     # ------------------------------------------------------------------
+    def _derive(self, name: str, members: list[int],
+                cls: "type[Comm] | None" = None, **extra: Any) -> "Comm":
+        """A ``cls`` (default :class:`Comm`) over my group's ``members``,
+        in that order, with context ``<mine>/<name>``, bound to my
+        thread: what ``split``, ``dup`` and ``Create_cart`` return."""
+        comm = (cls or Comm)(self._circuit, [self._group[r] for r in members],
+                             members.index(self._rank),
+                             f"{self._context}/{name}", **extra)
+        return comm.bind(self.proc)
+
     def split(self, color: int | None, key: int = 0) -> "Comm | None":
         """Partition the communicator by ``color``; order ranks by
         ``(key, old rank)``.  Returns None for ``color=None``
@@ -1130,14 +1114,9 @@ class Comm:
         seq = self._coll_seq  # advanced identically on every rank
         if color is None:
             return None
-        members = sorted(
-            (k, r) for c, k, r in triples if c == color)
-        group = [self._group[r] for _k, r in members]
-        my_index = [r for _k, r in members].index(self._rank)
-        ctx = f"{self._context}/split{seq}:{color}"
-        sub = Comm(self._circuit, group, my_index, ctx)
-        sub.bind(self.proc)
-        return sub
+        members = [r for _k, r in sorted(
+            (k, r) for c, k, r in triples if c == color)]
+        return self._derive(f"split{seq}:{color}", members)
 
     def Create_cart(self, dims, periods=None) -> "Comm":
         """Cartesian topology view (see :mod:`repro.mpi.cartesian`)."""
@@ -1147,9 +1126,5 @@ class Comm:
 
     def dup(self) -> "Comm":
         """Duplicate with a fresh context (isolated traffic)."""
-        triples = self.allgather(0)  # synchronise context generation
-        del triples
-        ctx = f"{self._context}/dup{self._coll_seq}"
-        dup = Comm(self._circuit, list(self._group), self._rank, ctx)
-        dup.bind(self.proc)
-        return dup
+        self.allgather(0)  # synchronise context generation
+        return self._derive(f"dup{self._coll_seq}", list(range(self.size)))

@@ -10,7 +10,7 @@ kernel tracer: the two scheduler counts it reports,
 kernel's own ``events_processed`` / ``context_switches`` since
 :meth:`~TraceRecorder.bind`, so with only a recorder attached
 ``kernel.tracer`` stays None and the kernel runs the path it runs
-untraced (wake timers recycled, no hook calls).
+untraced (no hook calls).
 
 Attachment is handled by ``on_attach(runtime)`` / ``on_detach(runtime)``
 — called by :meth:`PadicoRuntime.observe` / ``unobserve`` — which bind

@@ -11,19 +11,13 @@ class FlatComm(Comm):
     def _sitemap(self, root, ordered):
         return self._shared().one_block
 
-    def split(self, color, key=0):
-        return flat(super().split(color, key))
-
-    def dup(self):
-        return flat(super().dup())
-
-    def Create_cart(self, dims, periods=None):
-        return flat(super().Create_cart(dims, periods))
+    def _derive(self, name, members, cls=None, **extra):
+        return flat(super()._derive(name, members, cls, **extra))
 
 
 def flat(comm):
-    """Re-class ``comm`` (a Comm, a CartComm or None) onto the oracle."""
-    if comm is not None and not isinstance(comm, FlatComm):
+    """Re-class ``comm`` (a Comm or a CartComm) onto the oracle."""
+    if not isinstance(comm, FlatComm):
         comm.__class__ = FlatComm if type(comm) is Comm else type(
             "Flat" + type(comm).__name__, (FlatComm, type(comm)), {})
     return comm

@@ -36,6 +36,24 @@ def test_shift_periodic_and_bounded(runtime):
     assert results[3][2:] == (2, 0)
 
 
+
+def test_non_periodic_halo_exchange_ends_at_proc_null(runtime):
+    """The boundary ranks of a non-periodic shift send to and receive
+    from PROC_NULL, which completes at once with nothing."""
+    def body(proc, comm):
+        cart = comm.Create_cart([3], periods=[False])
+        src, dst = cart.Shift(0, 1)
+        got = cart.sendrecv(10 * cart.rank, dest=dst, source=src)
+        halo = np.full(2, -1.0)
+        req = cart.Isend(np.full(2, float(cart.rank)), dest=dst)
+        cart.Recv(halo, source=src)
+        req.wait()
+        return got, halo.tolist()
+
+    assert run_spmd(runtime, 3, body) == [
+        (None, [-1.0, -1.0]), (0, [0.0, 0.0]), (10, [1.0, 1.0])]
+
+
 def test_cart_validation(runtime):
     def body(proc, comm):
         with pytest.raises(MpiError):

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.mpi import ANY_SOURCE, ANY_TAG, MpiError, Request, Status
+from repro.mpi import (ANY_SOURCE, ANY_TAG, PROC_NULL, MpiError, Request,
+                       Status)
 
 from tests.mpi.conftest import run_spmd
 
@@ -231,3 +232,89 @@ def test_unbound_comm_raises(runtime):
     world = create_world(runtime, "w", procs)
     with pytest.raises(MpiError):
         world.comm(0).send("x", dest=1)
+
+
+def test_buffer_receives_raise_mpi_error_on_any_mismatch(runtime):
+    """Blocking or not, a buffer receive checks the message against the
+    buffer before writing it: kind, element count, castable type."""
+    def body(proc, comm):
+        if comm.rank == 0:
+            for _ in range(3):
+                comm.Send(np.zeros(10), dest=1)             # 10 × f8
+            comm.send("pickled", dest=1)
+            return None
+        short = np.full(5, 3.0)
+        with pytest.raises(MpiError):
+            comm.Irecv(short, source=0).wait()
+        assert short.tolist() == [3.0] * 5
+        with pytest.raises(MpiError):                        # same bytes
+            comm.Recv(np.empty(20, dtype="i4"), source=0)
+        with pytest.raises(MpiError):                        # f8 -> i8
+            comm.Recv(np.empty(10, dtype="i8"), source=0)
+        with pytest.raises(MpiError):
+            comm.Irecv(np.empty(7), source=0).wait()
+        return True
+
+    assert run_spmd(runtime, 2, body)[1] is True
+
+
+def test_rank_arguments_outside_the_group_raise(runtime):
+    """Only ANY_SOURCE, PROC_NULL and 0 … size−1 name a peer; a negative
+    rank is not an index from the end."""
+    def body(proc, comm):
+        if comm.rank == 1:
+            comm.send("x", dest=0)
+        if comm.rank != 0:
+            return None
+        for bad in (-3, comm.size, 99):
+            with pytest.raises(MpiError):
+                comm.recv(source=bad)
+            with pytest.raises(MpiError):
+                comm.probe(source=bad)
+            with pytest.raises(MpiError):
+                comm.iprobe(source=bad)
+            with pytest.raises(MpiError):
+                comm.irecv(source=bad).wait()
+            with pytest.raises(MpiError):
+                comm.send("y", dest=bad)
+        with pytest.raises(MpiError):
+            comm.send("y", dest=ANY_SOURCE)
+        return comm.recv(source=1)
+
+    assert run_spmd(runtime, 4, body)[0] == "x"
+
+
+def test_nonblocking_error_surfaces_from_wait(runtime):
+    def body(proc, comm):
+        req = comm.Isend(np.zeros(4), dest=comm.size)
+        with pytest.raises(MpiError):
+            req.wait()
+        return req.test()
+
+    assert run_spmd(runtime, 2, body) == [True, True]
+
+
+def test_proc_null_completes_at_once_without_traffic(runtime):
+    assert PROC_NULL not in (ANY_SOURCE, 0, 1)
+
+    def body(proc, comm):
+        st = Status()
+        assert comm.recv(source=PROC_NULL, status=st) is None
+        assert (st.Get_source(), st.Get_tag(), st.Get_count()) == \
+            (PROC_NULL, ANY_TAG, 0)
+        buf = np.full(3, 7.0)
+        comm.Recv(buf, source=PROC_NULL, status=Status())
+        comm.Irecv(buf, source=PROC_NULL).wait()
+        assert buf.tolist() == [7.0] * 3
+        assert comm.irecv(source=PROC_NULL).wait() is None
+        comm.send("lost", dest=PROC_NULL)
+        comm.Send(buf, dest=PROC_NULL)
+        comm.Isend(buf, dest=PROC_NULL).wait()
+        st = Status()
+        comm.probe(source=PROC_NULL, status=st)
+        assert (st.Get_source(), st.Get_count()) == (PROC_NULL, 0)
+        assert comm.iprobe(source=PROC_NULL)
+        comm.barrier()
+        return comm.iprobe()  # nothing reached anybody
+
+    assert run_spmd(runtime, 2, body) == [False, False]

@@ -1,9 +1,11 @@
 """Scatterv/Gatherv and blocking probe."""
 
+from contextlib import nullcontext
+
 import numpy as np
 import pytest
 
-from repro.mpi import ANY_SOURCE, ANY_TAG, MpiError, Status
+from repro.mpi import ANY_SOURCE, ANY_TAG, SUM, MpiError, Status
 
 from tests.mpi.conftest import run_spmd
 
@@ -108,3 +110,30 @@ def test_probe_is_selective(runtime):
 
     results = run_spmd(runtime, 2, body)
     assert results[0] == ("five", "seven")
+
+
+def test_buffer_collectives_raise_mpi_error_on_a_mismatched_buffer(runtime):
+    """Every receiving side of a buffer collective checks its buffer
+    (the other ranks complete; nothing raises numpy's ValueError)."""
+    def mismatch(here):
+        return pytest.raises(MpiError) if here else nullcontext()
+
+    def body(proc, comm):
+        root, other = comm.rank == 0, comm.rank == 1
+        with mismatch(other):
+            comm.Bcast(np.zeros(4 if root else 3), root=0)
+        with mismatch(other):
+            comm.Scatterv(np.arange(4.0) if root else None,
+                          [2, 2] if root else None,
+                          np.zeros(2 if root else 3), root=0)
+        with mismatch(root):
+            comm.Gatherv(np.ones(1 if root else 3),
+                         np.zeros(3) if root else None,
+                         [1, 2] if root else None, root=0)
+        with mismatch(root):
+            comm.Reduce(np.ones(4), np.zeros(3) if root else None, SUM)
+        with mismatch(other):
+            comm.Allreduce(np.ones(4), np.zeros(4 if root else 5), SUM)
+        return True
+
+    assert run_spmd(runtime, 2, body) == [True, True]

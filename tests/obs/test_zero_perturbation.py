@@ -78,9 +78,9 @@ def test_sanitizer_uninstall_leaves_recorder_attached():
 
 
 def test_recorder_and_sanitizer_each_see_what_they_see_alone():
-    """sim-san is a kernel tracer (fresh wake timers, ``hb_*`` edges),
-    the recorder is not (recycled timers, no hooks): together they
-    report the same races and the same trace bytes as each alone."""
+    """sim-san is a kernel tracer (``hb_*`` edges), the recorder is not
+    (no hooks): together they report the same races and the same trace
+    bytes as each alone."""
     def run(record, sanitize):
         rec = TraceRecorder()
         sans = []
