@@ -2,9 +2,9 @@
 
 Implements the four CCM models the paper describes:
 
-- **abstract model**: components with facets, receptacles, event
-  sources/sinks and attributes, declared in IDL 3
-  (:mod:`repro.corba.idl` handles ``component``/``home``/``eventtype``);
+- **abstract model**: components with facets, receptacles and
+  attributes, declared in IDL 3 (:mod:`repro.corba.idl` handles
+  ``component``/``home``);
 - **programming model**: executors (:class:`ComponentImpl`) with
   lifecycle callbacks and a session context for port access;
 - **execution model**: :class:`Container` + :class:`Home` hosting
@@ -13,14 +13,13 @@ Implements the four CCM models the paper describes:
 - **deployment model**: software packages and assembly descriptors (XML,
   :mod:`repro.ccm.descriptors`) deployed over the grid through
   :class:`ComponentServer` objects (:mod:`repro.ccm.deployment`).
+
+Event ports (``emits``/``publishes``/``consumes``, ``eventtype``) and
+CIDL compositions are not modelled: no paper experiment or GridCCM
+scenario uses them, so the IDL compiler and the assembly parser reject
+them.
 """
 
-from repro.ccm.cidl import (
-    CidlError,
-    CompositionDef,
-    bind_compositions,
-    compile_cidl,
-)
 from repro.ccm.component import (
     ComponentImpl,
     ImplementationRepository,
@@ -44,10 +43,6 @@ from repro.ccm.deployment import ComponentServer, DeploymentEngine
 from repro.ccm.idl import COMPONENTS_IDL, components_idl
 
 __all__ = [
-    "compile_cidl",
-    "bind_compositions",
-    "CompositionDef",
-    "CidlError",
     "ComponentImpl",
     "ImplementationRepository",
     "implementation",

@@ -5,11 +5,9 @@ inside a component (the paper's encapsulated legacy code).  Conventions:
 
 - for each ``provides`` port, define ``provide_<port>()`` returning the
   object implementing the facet's interface (often ``self``);
-- for each ``consumes`` port, define ``push_<port>(event)``;
 - IDL attributes map to plain Python attributes;
 - the container injects :attr:`context` before activation; use it to
-  reach receptacles (``context.get_connection``) and emit events
-  (``context.push_event``).
+  reach receptacles (``context.get_connection``).
 
 The :class:`ImplementationRepository` stands in for the binary archives
 of CCM software packages: deployment descriptors reference an

@@ -4,8 +4,7 @@ A :class:`Container` hosts component instances inside one PadicoTM
 process on top of an ORB.  It activates, for each instance:
 
 - one ``Components::CCMObject`` servant (generic navigation/lifecycle),
-- one servant per *facet* (typed by the facet's IDL interface),
-- one ``Components::EventConsumer`` servant per *event sink*.
+- one servant per *facet* (typed by the facet's IDL interface).
 
 Everything a component shows the outside world is therefore an ordinary
 CORBA object — which is exactly what lets GridCCM later substitute its
@@ -18,7 +17,6 @@ from typing import TYPE_CHECKING, Any
 from repro.ccm.component import ComponentImpl
 from repro.ccm.idl import COMPONENTS_IDL
 from repro.corba.idl.compiler import CompiledIdl, ComponentDef
-from repro.corba.idl.types import StructType
 from repro.corba.orb import ObjectRef, Orb
 from repro.corba.profiles import OMNIORB4, OrbProfile
 
@@ -47,21 +45,6 @@ class CcmContext:
             raise CcmError(f"receptacle {port!r} is not connected")
         return target
 
-    def push_event(self, port: str, event: Any) -> None:
-        """Emit ``event`` (a generated event struct value) on ``port``."""
-        inst = self._instance
-        if port in inst.cdef.emits:
-            event_type_name = inst.cdef.emits[port]
-        elif port in inst.cdef.publishes:
-            event_type_name = inst.cdef.publishes[port]
-        else:
-            raise CcmError(f"{inst.cdef.scoped_name} has no event source "
-                           f"{port!r}")
-        etype = inst.container.idl.type(event_type_name)
-        assert isinstance(etype, StructType)
-        for consumer in inst.consumers_of(port):
-            consumer.push((etype, event))
-
     @property
     def component_ref(self) -> ObjectRef:
         """This component's own CCMObject reference."""
@@ -79,10 +62,7 @@ class ComponentInstance:
         self.key = key
         self.receptacles: dict[str, ObjectRef | None] = {
             p: None for p in cdef.uses}
-        self._subscribers: dict[str, list[ObjectRef]] = {
-            p: [] for p in list(cdef.emits) + list(cdef.publishes)}
         self.facet_refs: dict[str, ObjectRef] = {}
-        self.sink_refs: dict[str, ObjectRef] = {}
         self.removed = False
         self.activated = False
 
@@ -92,10 +72,6 @@ class ComponentInstance:
             servant = self._facet_servant(port, iface)
             self.facet_refs[port] = orb.poa.activate_object(
                 servant, key=f"{key}.facet.{port}")
-        for port in cdef.consumes:
-            servant = self._sink_servant(port)
-            self.sink_refs[port] = orb.poa.activate_object(
-                servant, key=f"{key}.sink.{port}")
         self.ccm_ref = orb.poa.activate_object(
             _CcmObjectServant(orb, self), key=key)
 
@@ -120,39 +96,6 @@ class ComponentInstance:
 
         return _Facet()
 
-    def _sink_servant(self, port: str):
-        orb = self.container.orb
-        base = orb.servant_base("Components::EventConsumer")
-        handler = getattr(self.executor, f"push_{port}", None)
-        if handler is None:
-            raise CcmError(
-                f"{type(self.executor).__name__} must define "
-                f"push_{port}(event) for its consumes port {port!r}")
-
-        class _Sink(base):  # type: ignore[misc, valid-type]
-            def push(self, event: tuple) -> None:
-                _etype, value = event
-                handler(value)
-
-        return _Sink()
-
-    # -- port state -----------------------------------------------------------
-    def consumers_of(self, port: str) -> list[ObjectRef]:
-        return list(self._subscribers.get(port, ()))
-
-    def subscribe(self, port: str, consumer: ObjectRef) -> None:
-        if port not in self._subscribers:
-            raise CcmError(f"no event source {port!r}")
-        if port in self.cdef.emits and self._subscribers[port]:
-            raise CcmError(f"emits port {port!r} is already connected")
-        self._subscribers[port].append(consumer)
-
-    def unsubscribe(self, port: str, consumer: ObjectRef) -> None:
-        subs = self._subscribers.get(port)
-        if not subs or consumer not in subs:
-            raise CcmError(f"consumer not subscribed on {port!r}")
-        subs.remove(consumer)
-
     def activate(self) -> None:
         if not self.activated:
             self.activated = True
@@ -168,8 +111,6 @@ class ComponentInstance:
         orb = self.container.orb
         for port in self.facet_refs:
             orb.poa.deactivate_object(f"{self.key}.facet.{port}")
-        for port in self.sink_refs:
-            orb.poa.deactivate_object(f"{self.key}.sink.{port}")
         orb.poa.deactivate_object(self.key)
         self.container._instances.pop(self.key, None)
 
@@ -187,8 +128,6 @@ class _CcmObjectServant:
 
     def provide_facet(self, name: str) -> ObjectRef:
         ref = self._inst.facet_refs.get(name)
-        if ref is None:
-            ref = self._inst.sink_refs.get(name)
         if ref is None:
             raise self._exc("InvalidName", name=name)
         return ref
@@ -218,18 +157,6 @@ class _CcmObjectServant:
         if inst.receptacles[name] is None:
             raise self._exc("NoConnection", port=name)
         inst.receptacles[name] = None
-
-    def subscribe(self, name: str, consumer: ObjectRef) -> None:
-        try:
-            self._inst.subscribe(name, self._orb.adopt(consumer))
-        except CcmError as e:
-            raise self._exc("InvalidName", name=str(e)) from None
-
-    def unsubscribe(self, name: str, consumer: ObjectRef) -> None:
-        try:
-            self._inst.unsubscribe(name, self._orb.adopt(consumer))
-        except CcmError:
-            raise self._exc("NoConnection", port=name) from None
 
     def configure(self, name: str, value: tuple) -> None:
         inst = self._inst

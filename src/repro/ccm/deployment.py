@@ -17,10 +17,22 @@ from repro.ccm.container import Container
 from repro.ccm.descriptors import (
     AssemblyDescriptor,
     DescriptorError,
+    ImplementationDecl,
     SoftwarePackage,
 )
 from repro.corba.naming import NamingContext
 from repro.corba.orb import ObjectRef, Orb
+
+
+def executor_factory(impl_id: str, component: str):
+    """The executor factory registered as ``impl_id``, which must
+    implement the IDL component ``component`` its package declares."""
+    declared, factory = ImplementationRepository.lookup(impl_id)
+    if declared != component:
+        raise DescriptorError(
+            f"implementation {impl_id!r} implements {declared!r}, "
+            f"not {component!r}")
+    return factory
 
 
 class ComponentServer:
@@ -74,11 +86,7 @@ class ComponentServer:
         self._naming.rebind(self.registry_name, self.ref)
 
     def _install(self, component: str, impl_id: str):
-        declared, factory = ImplementationRepository.lookup(impl_id)
-        if declared != component:
-            raise DescriptorError(
-                f"implementation {impl_id!r} implements {declared!r}, "
-                f"not {component!r}")
+        factory = executor_factory(impl_id, component)
         safe_impl = impl_id.replace(":", "_").replace("/", "_") \
             .replace("#", "_")
         name = f"{component.replace('::', '_')}-{safe_impl}"
@@ -124,17 +132,17 @@ class DeploymentEngine:
             f"{ComponentServer.NAME_PREFIX}{process_name}")
         return self.orb.narrow(ref, "Components::ComponentServer")
 
-    def _implementation(self, assembly: AssemblyDescriptor,
-                        componentfile: str) -> tuple[str, str]:
-        """componentfile id → (component scoped name, impl id)."""
+    def implementation(self, assembly: AssemblyDescriptor,
+                       componentfile: str) -> ImplementationDecl:
+        """The implementation a componentfile id deploys: the first one
+        of its software package."""
         pkg_name = assembly.componentfiles[componentfile]
         try:
             pkg = self.packages[pkg_name]
         except KeyError:
             raise DescriptorError(
                 f"unknown software package {pkg_name!r}") from None
-        impl = pkg.implementations[0]
-        return impl.component, impl.impl_id
+        return pkg.implementations[0]
 
     # -- the deployment pipeline ----------------------------------------------
     def deploy(self, assembly: AssemblyDescriptor,
@@ -157,11 +165,11 @@ class DeploymentEngine:
                     f"instance {inst.id!r} has no destination (descriptor "
                     f"or placement)")
             placement[inst.id] = destination
-            component, impl_id = self._implementation(
-                assembly, inst.componentfile)
+            impl = self.implementation(assembly, inst.componentfile)
             server = self._component_server(destination)
-            home = self.orb.narrow(server.install_home(component, impl_id),
-                                   "Components::CCMHome")
+            home = self.orb.narrow(
+                server.install_home(impl.component, impl.impl_id),
+                "Components::CCMHome")
             comp = self.orb.narrow(home.create(), "Components::CCMObject")
             app.components[inst.id] = comp
         app.placement = placement
@@ -169,8 +177,8 @@ class DeploymentEngine:
         # 2. configure attributes
         for inst_id, name, value in assembly.properties:
             comp = app.component(inst_id)
-            component, _impl = self._implementation(
-                assembly, assembly.instance(inst_id).componentfile)
+            component = self.implementation(
+                assembly, assembly.instance(inst_id).componentfile).component
             attr = self.orb.idl.component(component).attributes.get(name)
             if attr is None:
                 raise DescriptorError(
@@ -181,13 +189,8 @@ class DeploymentEngine:
         for conn in assembly.connections:
             provider = app.component(conn.provider_instance)
             user = app.component(conn.user_instance)
-            endpoint = provider.provide_facet(conn.provider_port)
-            if conn.kind == "interface":
-                user.connect(conn.user_port, endpoint)
-            else:
-                consumer = self.orb.narrow(endpoint,
-                                           "Components::EventConsumer")
-                user.subscribe(conn.user_port, consumer)
+            user.connect(conn.user_port,
+                         provider.provide_facet(conn.provider_port))
 
         # 4. activation
         for comp in app.components.values():

@@ -2,7 +2,9 @@
 
 The CCM deployment model ships components as software packages with XML
 descriptors (the OSD vocabulary) and wires applications with assembly
-descriptors.  We implement the subset the paper's scenarios need:
+descriptors.  We implement the subset the paper's scenarios need —
+facet-to-receptacle connections only; an event connection
+(``<connectevent>``) is rejected:
 
 Software package (``.csd``-flavoured)::
 
@@ -24,10 +26,6 @@ Assembly (``.cad``-flavoured)::
         <uses instance="chem0" port="output"/>
         <provides instance="transport0" port="input"/>
       </connection>
-      <connectevent>
-        <emitter instance="chem0" port="done"/>
-        <consumer instance="viz0" port="tick"/>
-      </connectevent>
       <property instance="chem0" name="tolerance" value="0.01"/>
     </componentassembly>
 """
@@ -105,8 +103,7 @@ class InstanceDecl:
 
 @dataclass(frozen=True)
 class ConnectionDecl:
-    kind: str            # "interface" | "event"
-    user_instance: str   # uses / emitter side
+    user_instance: str   # the receptacle side
     user_port: str
     provider_instance: str
     provider_port: str
@@ -148,19 +145,12 @@ class AssemblyDescriptor:
                 raise DescriptorError(
                     "<connection> needs <uses> and <provides>")
             asm.connections.append(ConnectionDecl(
-                "interface",
                 _req_attr(uses, "instance"), _req_attr(uses, "port"),
                 _req_attr(provides, "instance"), _req_attr(provides, "port")))
-        for conn in root.findall("connectevent"):
-            emitter = conn.find("emitter")
-            consumer = conn.find("consumer")
-            if emitter is None or consumer is None:
-                raise DescriptorError(
-                    "<connectevent> needs <emitter> and <consumer>")
-            asm.connections.append(ConnectionDecl(
-                "event",
-                _req_attr(emitter, "instance"), _req_attr(emitter, "port"),
-                _req_attr(consumer, "instance"), _req_attr(consumer, "port")))
+        if root.find("connectevent") is not None:
+            raise DescriptorError(
+                f"assembly {asm.id!r}: event connections (<connectevent>) "
+                f"are not supported")
         for prop in root.findall("property"):
             asm.properties.append((
                 _req_attr(prop, "instance"), _req_attr(prop, "name"),

@@ -2,10 +2,9 @@
 
 Every component instance is reachable through a ``CCMObject`` reference
 offering generic navigation (facets), connection management
-(receptacles), event subscription and attribute configuration — the
-runtime face of the CCM abstract model.  Event delivery uses
-``EventConsumer`` references; homes and component servers are plain
-CORBA objects too, so the whole deployment machinery runs over GIOP."""
+(receptacles) and attribute configuration — the runtime face of the CCM
+abstract model.  Homes and component servers are plain CORBA objects
+too, so the whole deployment machinery runs over GIOP."""
 
 from __future__ import annotations
 
@@ -19,19 +18,11 @@ module Components {
     exception NoConnection { string port; };
     exception CreateFailure { string why; };
 
-    interface EventConsumer {
-        void push(in any event);
-    };
-
     interface CCMObject {
         Object provide_facet(in string name) raises (InvalidName);
         void connect(in string name, in Object target)
             raises (InvalidName, AlreadyConnected, InvalidConnection);
         void disconnect(in string name)
-            raises (InvalidName, NoConnection);
-        void subscribe(in string name, in EventConsumer consumer)
-            raises (InvalidName);
-        void unsubscribe(in string name, in EventConsumer consumer)
             raises (InvalidName, NoConnection);
         void configure(in string name, in any value) raises (InvalidName);
         any get_attribute(in string name) raises (InvalidName);

@@ -45,7 +45,6 @@ from repro.corba.idl.types import (
     SequenceType,
     StringType,
     StructType,
-    UnionType,
     VoidType,
     typecheck,
 )
@@ -442,11 +441,6 @@ def _encode(out: CdrOutputStream, t: IdlType, value: Any) -> None:
             _encode(out, ftype, getattr(value, fname))
     elif isinstance(t, EnumType):
         out.write_ulong(t.index_of(value))
-    elif isinstance(t, UnionType):
-        _encode(out, t.switch_type, value.d)
-        case = t.case_for(value.d)
-        if case is not None:
-            _encode(out, case[2], value.v)
     elif isinstance(t, ObjRefType):
         _encode_objref(out, value)
     elif isinstance(t, AnyType):
@@ -546,11 +540,6 @@ def decode_value(inp: CdrInputStream, idl_type: IdlType) -> Any:
         return t.make(**fields)
     if isinstance(t, EnumType):
         return t.index_of(inp.read_ulong())
-    if isinstance(t, UnionType):
-        d = decode_value(inp, t.switch_type)
-        case = t.case_for(d)
-        v = decode_value(inp, case[2]) if case is not None else None
-        return t.make(d, v)
     if isinstance(t, ObjRefType):
         text = inp.read_string()
         return None if not text else IOR.destringify(text)
@@ -585,8 +574,8 @@ _TC_PRIMS = {
     "long long": 23, "unsigned long long": 24,
 }
 _TC_PRIMS_REV = {v: k for k, v in _TC_PRIMS.items()}
-_TC_ANY, _TC_OBJREF, _TC_STRUCT, _TC_UNION, _TC_ENUM, _TC_STRING, \
-    _TC_SEQUENCE, _TC_EXCEPT, _TC_VOID = 11, 14, 15, 16, 17, 18, 19, 22, 1
+_TC_ANY, _TC_OBJREF, _TC_STRUCT, _TC_ENUM, _TC_STRING, _TC_SEQUENCE, \
+    _TC_EXCEPT, _TC_VOID = 11, 14, 15, 17, 18, 19, 22, 1
 _TC_ARRAY = 20
 
 
@@ -613,19 +602,6 @@ def write_typecode(out: CdrOutputStream, t: IdlType) -> None:
     elif isinstance(t, StructType):
         out.write_ulong(_TC_STRUCT)
         _write_tc_struct_body(out, t)
-    elif isinstance(t, UnionType):
-        out.write_ulong(_TC_UNION)
-        out.write_string(t.scoped_name)
-        write_typecode(out, t.switch_type)
-        out.write_ulong(len(t.cases))
-        for labels, member, mtype in t.cases:
-            out.write_primitive("boolean", labels is None)
-            if labels is not None:
-                out.write_ulong(len(labels))
-                for label in labels:
-                    _encode(out, t.switch_type, label)
-            out.write_string(member)
-            write_typecode(out, mtype)
     elif isinstance(t, EnumType):
         out.write_ulong(_TC_ENUM)
         out.write_string(t.scoped_name)
@@ -677,19 +653,6 @@ def read_typecode(inp: CdrInputStream) -> IdlType:
             from repro.corba.idl.compiler import repo_id
             return ExceptionType(name, scoped, fields, repo_id(scoped))
         return StructType(name, scoped, fields)
-    if kind == _TC_UNION:
-        scoped = inp.read_string()
-        switch = read_typecode(inp)
-        cases = []
-        for _ in range(inp.read_ulong()):
-            is_default = inp.read_primitive("boolean")
-            labels = None
-            if not is_default:
-                labels = tuple(decode_value(inp, switch)
-                               for _ in range(inp.read_ulong()))
-            member = inp.read_string()
-            cases.append((labels, member, read_typecode(inp)))
-        return UnionType(scoped.rsplit("::", 1)[-1], scoped, switch, cases)
     if kind == _TC_ENUM:
         scoped = inp.read_string()
         members = [inp.read_string() for _ in range(inp.read_ulong())]

@@ -2,17 +2,17 @@
 
 Supports the IDL 2 subset grid applications use (modules, interfaces
 with inheritance, operations with in/out/inout parameters and raises
-clauses, attributes, structs, enums, typedefs, sequences, strings,
-constants, exceptions) plus the IDL 3 component extensions CCM needs
-(``component`` with provides/uses/emits/consumes ports, ``home``,
-``eventtype``)."""
+clauses, attributes, structs, enums, typedefs, sequences, arrays,
+strings, ``any``, exceptions) plus the IDL 3 component extensions CCM
+needs (``component`` with provides/uses ports and attributes,
+``home``).  ``union``, ``const``, ``eventtype`` and event ports are
+rejected with an :class:`IdlParseError` naming the construct and its
+line: nothing in the stack uses them."""
 
 from repro.corba.idl.ast_nodes import (
     AttributeDecl,
     ComponentDecl,
-    ConstDecl,
     EnumDecl,
-    EventTypeDecl,
     ExceptionDecl,
     HomeDecl,
     InterfaceDecl,
@@ -37,8 +37,6 @@ from repro.corba.idl.types import (
     SequenceType,
     StringType,
     StructType,
-    UnionType,
-    UnionValue,
     VoidType,
     typecheck,
 )
@@ -60,20 +58,16 @@ __all__ = [
     "StructDecl",
     "EnumDecl",
     "TypedefDecl",
-    "ConstDecl",
     "ExceptionDecl",
     "ComponentDecl",
     "HomeDecl",
     "PortDecl",
-    "EventTypeDecl",
     "IdlType",
     "PrimitiveType",
     "SequenceType",
     "StringType",
     "StructType",
     "EnumType",
-    "UnionType",
-    "UnionValue",
     "ObjRefType",
     "VoidType",
     "AnyType",

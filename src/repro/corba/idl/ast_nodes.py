@@ -70,33 +70,17 @@ class TypedefDecl:
 
 
 @dataclass
-class ConstDecl:
-    name: str
-    type_spec: IdlType
-    expr: Any  # literal or expression tree evaluated by the compiler
-
-
-@dataclass
 class ExceptionDecl:
     name: str
     members: list[tuple[IdlType, str]] = field(default_factory=list)
 
 
 @dataclass
-class UnionDecl:
-    name: str
-    switch_spec: IdlType
-    #: (label expressions or None for default, member type, member name)
-    cases: list[tuple[list | None, IdlType, str]] = field(
-        default_factory=list)
-
-
-@dataclass
 class PortDecl:
     """An IDL3 component port declaration."""
 
-    kind: str        # provides | uses | emits | consumes | publishes
-    type_name: str   # interface or eventtype scoped name
+    kind: str        # provides | uses
+    type_name: str   # interface scoped name
     name: str
 
 
@@ -115,8 +99,3 @@ class HomeDecl:
     manages: str = ""
     body: list[Any] = field(default_factory=list)
 
-
-@dataclass
-class EventTypeDecl:
-    name: str
-    members: list[tuple[IdlType, str]] = field(default_factory=list)

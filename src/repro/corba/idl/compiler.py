@@ -2,9 +2,8 @@
 
 Turns a parsed :class:`~repro.corba.idl.ast_nodes.Specification` into a
 :class:`CompiledIdl`: resolved wire types, interface definitions with
-inherited operations flattened in, CCM component/home/event metadata and
-evaluated constants — everything stubs, skeletons and containers need at
-runtime."""
+inherited operations flattened in, and CCM component/home metadata —
+everything stubs, skeletons and containers need at runtime."""
 
 from __future__ import annotations
 
@@ -21,11 +20,8 @@ from repro.corba.idl.types import (
     IdlType,
     NamedTypeRef,
     ObjRefType,
-    PrimitiveType,
     SequenceType,
     StructType,
-    UnionType,
-    typecheck,
 )
 
 
@@ -94,15 +90,12 @@ class ComponentDef:
     supports: list[str] = field(default_factory=list)
     provides: dict[str, str] = field(default_factory=dict)   # port -> iface
     uses: dict[str, str] = field(default_factory=dict)
-    emits: dict[str, str] = field(default_factory=dict)      # port -> event
-    consumes: dict[str, str] = field(default_factory=dict)
-    publishes: dict[str, str] = field(default_factory=dict)
     attributes: dict[str, AttributeDef] = field(default_factory=dict)
 
     def all_ports(self) -> dict[str, tuple[str, str]]:
         """port name -> (kind, type scoped name)."""
         out: dict[str, tuple[str, str]] = {}
-        for kind in ("provides", "uses", "emits", "consumes", "publishes"):
+        for kind in ("provides", "uses"):
             for pname, tname in getattr(self, kind).items():
                 out[pname] = (kind, tname)
         return out
@@ -125,8 +118,6 @@ class CompiledIdl:
     interfaces: dict[str, InterfaceDef] = field(default_factory=dict)
     components: dict[str, ComponentDef] = field(default_factory=dict)
     homes: dict[str, HomeDef] = field(default_factory=dict)
-    events: dict[str, StructType] = field(default_factory=dict)
-    constants: dict[str, Any] = field(default_factory=dict)
 
     def interface(self, name: str) -> InterfaceDef:
         try:
@@ -161,8 +152,7 @@ class CompiledIdl:
 
     def merge(self, other: "CompiledIdl") -> "CompiledIdl":
         """Combine two compiled units (duplicate names rejected)."""
-        for attr in ("types", "interfaces", "components", "homes",
-                     "events", "constants"):
+        for attr in ("types", "interfaces", "components", "homes"):
             mine, theirs = getattr(self, attr), getattr(other, attr)
             dup = set(mine) & set(theirs)
             if dup:
@@ -208,8 +198,7 @@ class _Compiler:
                 nested_scope = f"{name}::"
                 for item in node.body:
                     if isinstance(item, (ast.StructDecl, ast.EnumDecl,
-                                         ast.UnionDecl,
-                                         ast.TypedefDecl, ast.ConstDecl,
+                                         ast.TypedefDecl,
                                          ast.ExceptionDecl)):
                         nname = f"{nested_scope}{item.name}"
                         if nname in self._kinds:
@@ -243,8 +232,7 @@ class _Compiler:
         """Resolve one declaration (idempotent, cycle-checked)."""
         if full_name in self.out.types or full_name in self.out.interfaces \
                 or full_name in self.out.components \
-                or full_name in self.out.homes \
-                or full_name in self.out.constants:
+                or full_name in self.out.homes:
             return self._resolved_entry(full_name)
         if full_name in self._resolving:
             raise IdlError(f"circular definition involving {full_name!r}")
@@ -264,21 +252,9 @@ class _Compiler:
             elif isinstance(node, ast.EnumDecl):
                 en = EnumType(node.name, full_name, node.members)
                 self.out.types[full_name] = en
-            elif isinstance(node, ast.UnionDecl):
-                self.out.types[full_name] = \
-                    self._resolve_union(full_name, scope, node)
             elif isinstance(node, ast.TypedefDecl):
                 self.out.types[full_name] = \
                     self._resolve_type(node.type_spec, scope)
-            elif isinstance(node, ast.EventTypeDecl):
-                st = StructType(node.name, full_name, [
-                    (mname, self._resolve_type(mtype, scope))
-                    for mtype, mname in node.members])
-                self.out.types[full_name] = st
-                self.out.events[full_name] = st
-            elif isinstance(node, ast.ConstDecl):
-                self.out.constants[full_name] = \
-                    self._eval_const(node.expr, scope)
             elif isinstance(node, ast.InterfaceDecl):
                 self._resolve_interface(full_name, scope, node)
             elif isinstance(node, ast.ComponentDecl):
@@ -293,7 +269,7 @@ class _Compiler:
 
     def _resolved_entry(self, full_name: str) -> Any:
         for table in (self.out.interfaces, self.out.components,
-                      self.out.homes, self.out.types, self.out.constants):
+                      self.out.homes, self.out.types):
             if full_name in table:
                 return table[full_name]
         raise IdlError(f"symbol {full_name!r} did not resolve")
@@ -321,46 +297,6 @@ class _Compiler:
             elem = self._resolve_type(t.element, scope)
             return ArrayType(elem, t.length) if elem is not t.element else t
         return t
-
-    _SWITCH_KINDS = frozenset((
-        "short", "unsigned short", "long", "unsigned long", "long long",
-        "unsigned long long", "boolean", "char"))
-
-    def _resolve_union(self, full_name: str, scope: str,
-                       node: ast.UnionDecl) -> UnionType:
-        switch = self._resolve_type(node.switch_spec, scope)
-        if isinstance(switch, PrimitiveType):
-            if switch.kind not in self._SWITCH_KINDS:
-                raise IdlError(
-                    f"union {full_name}: {switch.kind} cannot be a "
-                    f"switch type")
-        elif not isinstance(switch, EnumType):
-            raise IdlError(
-                f"union {full_name}: switch type must be an integer, "
-                f"char, boolean or enum, got {switch.typename()}")
-        cases = []
-        for label_exprs, type_spec, member in node.cases:
-            mtype = self._resolve_type(type_spec, scope)
-            if label_exprs is None:
-                cases.append((None, member, mtype))
-                continue
-            labels = []
-            for expr in label_exprs:
-                value = self._eval_case_label(expr, scope, switch)
-                typecheck(switch, value)
-                labels.append(value)
-            cases.append((tuple(labels), member, mtype))
-        return UnionType(node.name, full_name, switch, cases)
-
-    def _eval_case_label(self, expr: Any, scope: str,
-                         switch: IdlType) -> Any:
-        """Labels may be literals, constants, or enum member names."""
-        if isinstance(switch, EnumType) and isinstance(expr, tuple) \
-                and expr[0] == "ref":
-            member = expr[1].split("::")[-1]
-            if member in switch.members:
-                return switch.index_of(member)
-        return self._eval_const(expr, scope)
 
     def _resolve_interface(self, full_name: str, scope: str,
                            node: ast.InterfaceDecl) -> None:
@@ -416,9 +352,8 @@ class _Compiler:
             if not isinstance(base, ComponentDef):
                 raise IdlError(f"{base_full!r} is not a component")
             cdef.base = base_full
-            for kind in ("provides", "uses", "emits", "consumes",
-                         "publishes"):
-                getattr(cdef, kind).update(getattr(base, kind))
+            cdef.provides.update(base.provides)
+            cdef.uses.update(base.uses)
             cdef.attributes.update(base.attributes)
         for sname in node.supports:
             sfull = self._lookup(sname, scope)
@@ -428,14 +363,9 @@ class _Compiler:
         for port in node.ports:
             tfull = self._lookup(port.type_name, scope)
             target = self._resolve_symbol(tfull)
-            if port.kind in ("provides", "uses"):
-                if not isinstance(target, InterfaceDef):
-                    raise IdlError(f"port {port.name!r}: {tfull!r} is not "
-                                   f"an interface")
-            else:
-                if tfull not in self.out.events:
-                    raise IdlError(f"port {port.name!r}: {tfull!r} is not "
-                                   f"an eventtype")
+            if not isinstance(target, InterfaceDef):
+                raise IdlError(f"port {port.name!r}: {tfull!r} is not "
+                               f"an interface")
             table = getattr(cdef, port.kind)
             if port.name in cdef.all_ports():
                 raise IdlError(f"duplicate port {port.name!r} in {full_name}")
@@ -464,28 +394,3 @@ class _Compiler:
                         item.params, item.raises, item.oneway)
                 hdef.factories.append(
                     self._resolve_operation(item, scope))
-
-    # -- constants ----------------------------------------------------------
-    def _eval_const(self, expr: Any, scope: str) -> Any:
-        if isinstance(expr, tuple):
-            op = expr[0]
-            if op == "ref":
-                full = self._lookup(expr[1], scope)
-                value = self._resolve_symbol(full)
-                if full not in self.out.constants:
-                    raise IdlError(f"{full!r} is not a constant")
-                return value
-            if op == "neg":
-                return -self._eval_const(expr[1], scope)
-            if op == "~":
-                return ~self._eval_const(expr[1], scope)
-            a = self._eval_const(expr[1], scope)
-            b = self._eval_const(expr[2], scope)
-            return {
-                "+": lambda: a + b, "-": lambda: a - b,
-                "*": lambda: a * b, "/": lambda: a / b
-                if isinstance(a, float) or isinstance(b, float) else a // b,
-                "%": lambda: a % b, "|": lambda: a | b, "&": lambda: a & b,
-                "<<": lambda: a << b, ">>": lambda: a >> b,
-            }[op]()
-        return expr

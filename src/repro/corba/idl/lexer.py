@@ -17,8 +17,8 @@ KEYWORDS = frozenset("""
     module interface struct enum typedef const exception sequence string
     void short long unsigned float double boolean char octet any in out
     inout attribute readonly oneway raises TRUE FALSE
-    component provides uses emits consumes publishes home manages
-    eventtype primarykey factory finder supports abstract local native
+    component provides uses home manages
+    primarykey factory finder supports abstract local native
     union switch case default fixed wstring valuetype
 """.split())
 

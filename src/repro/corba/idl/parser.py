@@ -87,18 +87,14 @@ class _Parser:
             "interface": self._interface,
             "struct": self._struct,
             "enum": self._enum,
-            "union": self._union,
             "typedef": self._typedef,
-            "const": self._const,
             "exception": self._exception,
             "component": self._component,
             "home": self._home,
-            "eventtype": self._eventtype,
         }
         handler = handlers.get(tok.value)
         if handler is None:
-            raise self._error(
-                f"unsupported or misplaced declaration {tok.value!r}")
+            raise self._error("unsupported or misplaced declaration")
         node = handler()
         self._expect("punct", ";")
         return node
@@ -135,9 +131,7 @@ class _Parser:
                 return self._operation()
             simple = {
                 "struct": self._struct, "enum": self._enum,
-                "union": self._union,
-                "typedef": self._typedef, "const": self._const,
-                "exception": self._exception,
+                "typedef": self._typedef, "exception": self._exception,
             }.get(tok.value)
             if simple is not None:
                 node = simple()
@@ -229,54 +223,11 @@ class _Parser:
         self._expect("punct", "}")
         return ast.EnumDecl(name, members)
 
-    def _union(self) -> ast.UnionDecl:
-        self._expect("keyword", "union")
-        name = self._expect("ident").value
-        self._expect("keyword", "switch")
-        self._expect("punct", "(")
-        switch_spec = self._type_spec()
-        self._expect("punct", ")")
-        self._expect("punct", "{")
-        cases: list[tuple[list | None, ast.IdlType, str]] = []
-        while not self._accept("punct", "}"):
-            labels: list = []
-            is_default = False
-            saw_label = False
-            while True:
-                if self._accept("keyword", "case"):
-                    labels.append(self._const_expr())
-                    self._expect("punct", ":")
-                    saw_label = True
-                elif self._accept("keyword", "default"):
-                    self._expect("punct", ":")
-                    is_default = True
-                    saw_label = True
-                else:
-                    break
-            if not saw_label:
-                raise self._error("expected 'case' or 'default' label")
-            type_spec = self._type_spec()
-            member = self._expect("ident").value
-            self._expect("punct", ";")
-            cases.append((None if is_default else labels, type_spec,
-                          member))
-        if not cases:
-            raise self._error("union needs at least one case")
-        return ast.UnionDecl(name, switch_spec, cases)
-
     def _typedef(self) -> ast.TypedefDecl:
         self._expect("keyword", "typedef")
         type_spec = self._type_spec()
         name = self._expect("ident").value
         return ast.TypedefDecl(name, self._array_suffix(type_spec))
-
-    def _const(self) -> ast.ConstDecl:
-        self._expect("keyword", "const")
-        type_spec = self._type_spec()
-        name = self._expect("ident").value
-        self._expect("punct", "=")
-        expr = self._const_expr()
-        return ast.ConstDecl(name, type_spec, expr)
 
     def _exception(self) -> ast.ExceptionDecl:
         self._expect("keyword", "exception")
@@ -301,8 +252,7 @@ class _Parser:
         ports: list[ast.PortDecl] = []
         attributes: list[ast.AttributeDecl] = []
         while not self._accept("punct", "}"):
-            if self._at_keyword("provides", "uses", "emits", "consumes",
-                                "publishes"):
+            if self._at_keyword("provides", "uses"):
                 kind = self._next().value
                 type_name = self._scoped_name()
                 pname = self._expect("ident").value
@@ -338,13 +288,6 @@ class _Parser:
                 body.append(self._export())
         return ast.HomeDecl(name, manages, body)
 
-    def _eventtype(self) -> ast.EventTypeDecl:
-        self._expect("keyword", "eventtype")
-        name = self._expect("ident").value
-        self._expect("punct", "{")
-        members = self._member_list()
-        return ast.EventTypeDecl(name, members)
-
     # -- types -----------------------------------------------------------------
     def _return_type(self) -> IdlType:
         if self._accept("keyword", "void"):
@@ -364,7 +307,7 @@ class _Parser:
             if tok.value in ("short", "float", "double", "boolean", "char",
                              "octet", "long", "unsigned"):
                 return self._primitive_type()
-            raise self._error(f"unsupported type keyword {tok.value!r}")
+            raise self._error("unsupported type keyword")
         if tok.kind == "ident" or tok.value == "::":
             return NamedTypeRef(self._scoped_name())
         raise self._error("expected a type")
@@ -413,79 +356,3 @@ class _Parser:
         while self._accept("punct", "::"):
             parts.append(self._expect("ident").value)
         return "::".join(parts)
-
-    # -- constant expressions ----------------------------------------------
-    def _const_expr(self) -> Any:
-        return self._const_or()
-
-    def _const_or(self) -> Any:
-        left = self._const_and()
-        while self._peek().value == "|":
-            self._next()
-            left = ("|", left, self._const_and())
-        return left
-
-    def _const_and(self) -> Any:
-        left = self._const_shift()
-        while self._peek().value == "&":
-            self._next()
-            left = ("&", left, self._const_shift())
-        return left
-
-    def _const_shift(self) -> Any:
-        left = self._const_add()
-        while self._peek().value in ("<<", ">>"):
-            op = self._next().value
-            left = (op, left, self._const_add())
-        return left
-
-    def _const_add(self) -> Any:
-        left = self._const_mul()
-        while self._peek().value in ("+", "-"):
-            op = self._next().value
-            left = (op, left, self._const_mul())
-        return left
-
-    def _const_mul(self) -> Any:
-        left = self._const_unary()
-        while self._peek().value in ("*", "/", "%"):
-            op = self._next().value
-            left = (op, left, self._const_unary())
-        return left
-
-    def _const_unary(self) -> Any:
-        if self._accept("punct", "-"):
-            return ("neg", self._const_unary())
-        if self._accept("punct", "~"):
-            return ("~", self._const_unary())
-        return self._const_primary()
-
-    def _const_primary(self) -> Any:
-        tok = self._peek()
-        if tok.kind == "int":
-            self._next()
-            return int(tok.value, 0)
-        if tok.kind == "float":
-            self._next()
-            return float(tok.value)
-        if tok.kind == "string":
-            self._next()
-            return _unescape(tok.value[1:-1])
-        if tok.kind == "char":
-            self._next()
-            return _unescape(tok.value[1:-1])
-        if tok.kind == "keyword" and tok.value in ("TRUE", "FALSE"):
-            self._next()
-            return tok.value == "TRUE"
-        if tok.kind == "ident" or tok.value == "::":
-            return ("ref", self._scoped_name())
-        if self._accept("punct", "("):
-            expr = self._const_expr()
-            self._expect("punct", ")")
-            return expr
-        raise self._error("expected a constant expression")
-
-
-def _unescape(text: str) -> str:
-    return (text.replace(r"\n", "\n").replace(r"\t", "\t")
-            .replace(r"\"", '"').replace(r"\'", "'").replace(r"\\", "\\"))

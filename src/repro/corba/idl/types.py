@@ -335,100 +335,6 @@ class ArrayType(IdlType):
         return hash(("array", self.element, self.length))
 
 
-class UnionValue:
-    """A union instance: discriminator ``d`` selects the active member
-    held in ``v``."""
-
-    _union_type: "UnionType"
-
-    def __init__(self, d: Any, v: Any):
-        # enum discriminators normalise to member indices so equality
-        # and case selection are form-independent ("TEXT" == 1)
-        switch = self._union_type.switch_type
-        if isinstance(switch, EnumType):
-            try:
-                d = switch.index_of(d)
-            except IdlError:
-                pass  # invalid values surface via typecheck later
-        self.d = d
-        self.v = v
-
-    @property
-    def member(self) -> str | None:
-        """Name of the active member (None when an implicit default)."""
-        case = self._union_type.case_for(self.d)
-        return case[1] if case is not None else None
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, UnionValue) or \
-                other._union_type != self._union_type:
-            return NotImplemented
-        return other.d == self.d and _values_equal(other.v, self.v)
-
-    def __repr__(self) -> str:
-        return f"{self._union_type.name}(d={self.d!r}, v={self.v!r})"
-
-
-class UnionType(IdlType):
-    """IDL discriminated union.
-
-    ``cases`` is a list of ``(labels, member_name, member_type)`` where
-    ``labels`` is a tuple of discriminator values, or ``None`` for the
-    ``default:`` arm."""
-
-    __slots__ = ("name", "scoped_name", "switch_type", "cases",
-                 "value_class")
-
-    def __init__(self, name: str, scoped_name: str, switch_type: IdlType,
-                 cases: list[tuple[tuple | None, str, IdlType]]):
-        seen: set = set()
-        defaults = 0
-        for labels, _m, _t in cases:
-            if labels is None:
-                defaults += 1
-                continue
-            for label in labels:
-                if label in seen:
-                    raise IdlError(
-                        f"union {scoped_name}: duplicate case label "
-                        f"{label!r}")
-                seen.add(label)
-        if defaults > 1:
-            raise IdlError(f"union {scoped_name}: multiple default arms")
-        self.name = name
-        self.scoped_name = scoped_name
-        self.switch_type = switch_type
-        self.cases = list(cases)
-        self.value_class = type(name, (UnionValue,), {"_union_type": self})
-
-    def case_for(self, discriminator: Any
-                 ) -> tuple[tuple | None, str, IdlType] | None:
-        """The arm selected by ``discriminator`` (explicit or default)."""
-        default = None
-        for case in self.cases:
-            labels = case[0]
-            if labels is None:
-                default = case
-            elif discriminator in labels:
-                return case
-        return default
-
-    def make(self, d: Any, v: Any = None) -> UnionValue:
-        return self.value_class(d, v)
-
-    def typename(self) -> str:
-        return f"union {self.scoped_name}"
-
-    def __eq__(self, other: object) -> bool:
-        return (isinstance(other, UnionType)
-                and other.scoped_name == self.scoped_name
-                and other.switch_type == self.switch_type
-                and other.cases == self.cases)
-
-    def __hash__(self) -> int:
-        return hash(("union", self.scoped_name))
-
-
 class NamedTypeRef(IdlType):
     """Unresolved scoped-name reference; eliminated by the compiler."""
 
@@ -483,18 +389,6 @@ def typecheck(idl_type: IdlType, value: Any) -> None:
             typecheck(ftype, getattr(value, fname))
     elif isinstance(idl_type, EnumType):
         idl_type.index_of(value)
-    elif isinstance(idl_type, UnionType):
-        if not (isinstance(value, UnionValue)
-                and value._union_type == idl_type):
-            raise IdlError(f"expected {idl_type.typename()}, got {value!r}")
-        typecheck(idl_type.switch_type, value.d)
-        case = idl_type.case_for(value.d)
-        if case is not None:
-            typecheck(case[2], value.v)
-        elif value.v is not None:
-            raise IdlError(
-                f"union {idl_type.scoped_name}: discriminator {value.d!r} "
-                f"selects no member, so v must be None")
     elif isinstance(idl_type, (ObjRefType, AnyType)):
         pass  # checked structurally at marshal time
     elif isinstance(idl_type, NamedTypeRef):

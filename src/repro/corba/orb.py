@@ -41,8 +41,6 @@ from repro.corba.idl.types import (
     SequenceType,
     StringType,
     StructType,
-    UnionType,
-    UnionValue,
     UserExceptionBase,
     VOID,
 )
@@ -643,12 +641,6 @@ class Orb:
             for fname, ftype in idl_type.fields:
                 setattr(value, fname,
                         self._localise(getattr(value, fname), ftype))
-            return value
-        if isinstance(idl_type, UnionType) and \
-                isinstance(value, UnionValue):
-            case = idl_type.case_for(value.d)
-            if case is not None:
-                value.v = self._localise(value.v, case[2])
             return value
         if isinstance(idl_type, AnyType) and isinstance(value, tuple):
             inner_t, inner_v = value

@@ -33,7 +33,6 @@ from repro.core.distribution import (
 from repro.core.redistribution import (
     RedistributionPlan,
     Transfer,
-    choose_redistribution_site,
     redistribute_schedule,
 )
 from repro.core.parallelism import (
@@ -59,7 +58,6 @@ __all__ = [
     "Transfer",
     "RedistributionPlan",
     "redistribute_schedule",
-    "choose_redistribution_site",
     "ParallelismDescriptor",
     "ParallelOpSpec",
     "ParallelArgSpec",

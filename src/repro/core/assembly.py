@@ -25,8 +25,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
-from repro.ccm.component import ImplementationRepository
-from repro.ccm.deployment import DeployedApplication, DeploymentEngine
+from repro.ccm.deployment import (
+    DeployedApplication,
+    DeploymentEngine,
+    executor_factory,
+)
 from repro.ccm.descriptors import (
     AssemblyDescriptor,
     DescriptorError,
@@ -111,12 +114,8 @@ class HybridDeployer:
             if user_par:
                 raise DescriptorError(
                     f"connection {conn.user_instance!r}->"
-                    f"{conn.provider_instance!r}: uses/emits ports on "
+                    f"{conn.provider_instance!r}: receptacles on "
                     f"parallel instances are not supported yet")
-            if conn.kind != "interface":
-                raise DescriptorError(
-                    f"event connections to parallel instance "
-                    f"{conn.provider_instance!r} are not supported yet")
             comp = parallel[conn.provider_instance]
             proxy = self.engine.orb.adopt(
                 comp.proxy_refs.get(conn.provider_port))
@@ -142,19 +141,10 @@ class HybridDeployer:
                      inst: InstanceDecl) -> bool:
         return inst.nodes > 1
 
-    def _implementation(self, assembly: AssemblyDescriptor,
-                        inst: InstanceDecl):
-        pkg_name = assembly.componentfiles[inst.componentfile]
-        pkg = self.engine.packages.get(pkg_name)
-        if pkg is None:
-            raise DescriptorError(f"unknown software package {pkg_name!r}")
-        impl = pkg.implementations[0]
-        return impl.component, impl
-
     def _deploy_parallel(self, assembly: AssemblyDescriptor,
                          inst: InstanceDecl,
                          placement: dict[str, Any]) -> ParallelComponent:
-        component, impl = self._implementation(assembly, inst)
+        impl = self.engine.implementation(assembly, inst.componentfile)
         if impl.parallelism is None:
             raise DescriptorError(
                 f"instance {inst.id!r} requests {inst.nodes} nodes but "
@@ -167,11 +157,7 @@ class HybridDeployer:
                 f"parallel instance {inst.id!r} needs a placement list "
                 f"of exactly {inst.nodes} process names")
         processes = [self.runtime.process(p) for p in process_names]
-        declared, factory = ImplementationRepository.lookup(impl.impl_id)
-        if declared != component:
-            raise DescriptorError(
-                f"implementation {impl.impl_id!r} implements "
-                f"{declared!r}, not {component!r}")
+        factory = executor_factory(impl.impl_id, impl.component)
         try:
             return ParallelComponent.create(
                 self.runtime, inst.id, processes, self.idl_source,

@@ -15,10 +15,14 @@ client needs for every server node) comes from interval arithmetic on
 the block bounds, not from the transfers.  Planning therefore costs
 O(local length + ranks) per rank, never O(global length × ranks).
 
-§4.2.2: the redistribution *site* — client side, server side, or during
-communication — is a policy decision; :func:`choose_redistribution_site`
-implements the paper's feasibility (memory) / efficiency (network
-performance) heuristic.
+§4.2.2 leaves the redistribution *site* — client side, server side, or
+during communication — as a policy decision.  :mod:`repro.core.runtime`
+always redistributes during the communication: each client rank cuts
+its own chunk into the pieces every server node owns
+(``_CallEngine._wire_args``) and sends each piece straight to its
+owner, and each server node assembles its local block from the pieces
+it receives (``_ServerPortLayer._assemble``).  Neither side holds a
+rearranged copy of the whole argument.
 """
 
 from __future__ import annotations
@@ -271,47 +275,3 @@ def _senders(source: Distribution,
                             minlength=n * m).reshape(n, m)
         table = [np.flatnonzero(pairs[:, d]).tolist() for d in range(m)]
     return {d: tuple(srcs) for d, srcs in enumerate(table)}
-
-
-# ---------------------------------------------------------------------------
-# placement policy (§4.2.2)
-# ---------------------------------------------------------------------------
-
-CLIENT_SIDE = "client"
-SERVER_SIDE = "server"
-IN_TRANSIT = "in-transit"
-
-
-def choose_redistribution_site(nbytes: float,
-                               client_free_memory: float,
-                               server_free_memory: float,
-                               client_net_bandwidth: float,
-                               server_net_bandwidth: float,
-                               ) -> str:
-    """Where should the data be rearranged?
-
-    The paper: "It can perform a redistribution of the data on the
-    client side, on the server side or during the communication between
-    the client and the server.  The decision depends on several
-    constraints like feasibility (mainly memory requirements) and
-    efficiency (client network performance versus server network
-    performance)."
-
-    - rearranging on a side needs roughly one extra copy of the data in
-      that side's memory (feasibility);
-    - otherwise prefer rearranging on the side with the *faster*
-      internal network, since rearrangement costs intra-component
-      traffic there (efficiency);
-    - if neither side has the memory, stream pieces and rearrange
-      in-transit (no full extra copy, but per-piece overhead).
-    """
-    client_ok = client_free_memory >= nbytes
-    server_ok = server_free_memory >= nbytes
-    if not client_ok and not server_ok:
-        return IN_TRANSIT
-    if client_ok and not server_ok:
-        return CLIENT_SIDE
-    if server_ok and not client_ok:
-        return SERVER_SIDE
-    return (CLIENT_SIDE if client_net_bandwidth >= server_net_bandwidth
-            else SERVER_SIDE)

@@ -178,10 +178,6 @@ class Circuit:
             monitor.on_circuit(self, "close")
         self.closed = True
 
-    def deliver_nowait(self, dst_rank: int, src_rank: int, payload: Any,
-                       nbytes: float) -> None:
-        self._backend.deliver_nowait(dst_rank, src_rank, payload, nbytes)
-
     def __repr__(self) -> str:
         return (f"<Circuit {self.name} size={self.size} "
                 f"{self.mapping} on {self.fabric_name}>")

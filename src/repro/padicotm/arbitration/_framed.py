@@ -117,8 +117,3 @@ class FramedGroupTransport:
         it (probe semantics); returns a peek at the envelope."""
         return self._inbox[my_rank].wait_match(
             proc, self._predicate(source, where))
-
-    def deliver_nowait(self, dst_rank: int, src_rank: int, payload: Any,
-                       nbytes: float) -> None:
-        """Zero-time local delivery (used by kernel-context callbacks)."""
-        self._inbox[dst_rank].put((src_rank, payload, nbytes))

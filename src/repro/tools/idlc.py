@@ -58,10 +58,6 @@ def format_model(idl: CompiledIdl, repo_ids: bool = False) -> str:
         lines.append("types:")
         for name, t in sorted(idl.types.items()):
             lines.append(f"  {name} = {t.typename()}")
-    if idl.constants:
-        lines.append("constants:")
-        for name, value in sorted(idl.constants.items()):
-            lines.append(f"  {name} = {value!r}")
     return "\n".join(lines) + "\n"
 
 

@@ -13,25 +13,20 @@ module App {
         double work(in double x);
         sequence<double> transform(in sequence<double> data);
     };
-    eventtype Done { long steps; string origin; };
 
     component Worker {
         provides Compute service;
-        emits Done finished;
         attribute double gain;
     };
     home WorkerHome manages Worker {};
 
     component Driver {
         uses Compute backend;
-        consumes Done finished;
         attribute long iterations;
     };
     home DriverHome manages Driver {};
 
-    component Monitor {
-        consumes Done finished;
-    };
+    component Monitor {};
     home MonitorHome manages Monitor {};
 };
 """
@@ -57,20 +52,9 @@ class WorkerImpl(ComponentImpl):
         import numpy as np
         return np.asarray(data) * self.gain
 
-    def announce(self, steps):
-        done = self.context._instance.container.idl.type("App::Done")
-        self.context.push_event("finished", done.make(
-            steps=steps, origin="worker"))
-
 
 class DriverImpl(ComponentImpl):
     iterations = 1
-
-    def __init__(self):
-        self.received = []
-
-    def push_finished(self, event):
-        self.received.append((event.steps, event.origin))
 
     def run(self):
         backend = self.context.get_connection("backend")
@@ -79,11 +63,7 @@ class DriverImpl(ComponentImpl):
 
 
 class MonitorImpl(ComponentImpl):
-    def __init__(self):
-        self.received = []
-
-    def push_finished(self, event):
-        self.received.append(event.steps)
+    pass
 
 
 @pytest.fixture(autouse=True)

@@ -1,4 +1,4 @@
-"""Container, homes, ports, events — the CCM execution model."""
+"""Container, homes, ports — the CCM execution model."""
 
 import numpy as np
 import pytest
@@ -134,65 +134,6 @@ def test_connect_validates_port_and_duplicates(runtime):
     c0.process.spawn(main)
     runtime.run()
     assert out["ok"]
-
-
-def test_event_emit_to_consumer(runtime):
-    c0 = _container(runtime, "a0", "node0")
-    c1 = _container(runtime, "a1", "node1")
-    worker = c0.install_home("App::Worker", WorkerImpl).create()
-    driver = c1.install_home("App::Driver", DriverImpl).create()
-    out = {}
-
-    def main(proc):
-        sink = driver.sink_refs["finished"]
-        worker.ccm_ref.subscribe("finished", sink)
-        worker.executor.announce(7)
-        proc.sleep(0.001)
-        out["events"] = list(driver.executor.received)
-        # emits ports are single-connection
-        with pytest.raises(UserExceptionBase):
-            worker.ccm_ref.subscribe("finished", sink)
-        worker.ccm_ref.unsubscribe("finished", sink)
-        worker.executor.announce(8)  # nobody listening now
-        out["events2"] = list(driver.executor.received)
-
-    c0.process.spawn(main)
-    runtime.run()
-    assert out["events"] == [(7, "worker")]
-    assert out["events2"] == [(7, "worker")]
-
-
-def test_event_struct_crosses_the_wire(runtime):
-    """Event payloads travel as CORBA `any` over GIOP, not by reference."""
-    c0 = _container(runtime, "a0", "node0")
-    c1 = _container(runtime, "a1", "node1")
-    worker = c0.install_home("App::Worker", WorkerImpl).create()
-    driver = c1.install_home("App::Driver", DriverImpl).create()
-    out = {}
-
-    def main(proc):
-        worker.ccm_ref.subscribe("finished", driver.sink_refs["finished"])
-        t0 = runtime.kernel.now
-        worker.executor.announce(1)
-        out["elapsed"] = runtime.kernel.now - t0
-        out["events"] = list(driver.executor.received)
-
-    c0.process.spawn(main)
-    runtime.run()
-    assert out["events"] == [(1, "worker")]
-    assert out["elapsed"] > 10e-6  # paid a real network round trip
-
-
-def test_missing_sink_handler_rejected(runtime):
-    from repro.ccm import ComponentImpl
-
-    class BadMonitor(ComponentImpl):
-        pass  # no push_finished
-
-    c0 = _container(runtime)
-    home = c0.install_home("App::Monitor", BadMonitor)
-    with pytest.raises(CcmError):
-        home.create()
 
 
 def test_instance_keys_unique_and_removable(runtime):

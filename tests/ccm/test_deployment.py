@@ -51,10 +51,6 @@ ASSEMBLY = AssemblyDescriptor.parse("""
     <uses instance="driver0" port="backend"/>
     <provides instance="worker0" port="service"/>
   </connection>
-  <connectevent>
-    <emitter instance="worker0" port="finished"/>
-    <consumer instance="driver0" port="finished"/>
-  </connectevent>
   <property instance="worker0" name="gain" type="double" value="2.0"/>
   <property instance="driver0" name="iterations" type="long" value="5"/>
 </componentassembly>""")
@@ -100,12 +96,6 @@ def test_deploy_wires_and_activates(runtime):
         worker_inst = next(iter(containers[0]._instances.values()))
         out["gain"] = worker_inst.executor.gain
         out["activated"] = worker_inst.executor.activated
-        # event wiring worker -> driver: emit from the worker's node
-        emitter = containers[0].process.spawn(
-            lambda p: worker_inst.executor.announce(3), name="emitter")
-        proc.join(emitter)
-        proc.sleep(0.001)
-        out["events"] = list(driver_inst.executor.received)
         app.teardown()
         out["empty"] = not containers[0]._instances
 
@@ -116,7 +106,6 @@ def test_deploy_wires_and_activates(runtime):
     assert out["run"] == 2.0 * (0 + 1 + 2 + 3 + 4)
     assert out["gain"] == 2.0
     assert out["activated"] is True
-    assert out["events"] == [(3, "worker")]
     assert out["empty"]
 
 
@@ -183,6 +172,33 @@ def test_deploy_unknown_implementation_fails_remotely(runtime):
     deployer.spawn(main)
     runtime.run()
     assert "no implementation" in out["why"]
+
+
+def test_deploy_mismatched_implementation_fails_remotely(runtime):
+    containers, servers, deployer, engine = _grid(runtime)
+    out = {}
+    engine.packages["mislabelled"] = SoftwarePackage.parse("""
+    <softpkg name="mislabelled" version="1.0">
+      <implementation id="DCE:worker-1"><component>App::Driver</component>
+      </implementation>
+    </softpkg>""")
+    asm = AssemblyDescriptor.parse("""
+    <componentassembly id="x">
+      <componentfiles><componentfile id="m" softpkg="mislabelled"/>
+      </componentfiles>
+      <instance id="m0" componentfile="m" destination="node0"/>
+    </componentassembly>""")
+
+    def main(proc):
+        _register_all(proc, servers)
+        with pytest.raises(UserExceptionBase) as ei:
+            engine.deploy(asm)
+        out["why"] = ei.value.why
+
+    deployer.spawn(main)
+    runtime.run()
+    assert out["why"] == ("DescriptorError: implementation 'DCE:worker-1' "
+                          "implements 'App::Worker', not 'App::Driver'")
 
 
 def test_component_server_lists_homes(runtime):

@@ -35,10 +35,6 @@ ASM = """
     <uses instance="trans0" port="density"/>
     <provides instance="chem0" port="densities"/>
   </connection>
-  <connectevent>
-    <emitter instance="chem0" port="stepdone"/>
-    <consumer instance="trans0" port="tick"/>
-  </connectevent>
   <property instance="chem0" name="tolerance" type="double" value="0.01"/>
   <property instance="chem0" name="label" value="prod"/>
   <property instance="trans0" name="steps" type="long" value="12"/>
@@ -76,9 +72,7 @@ def test_parse_assembly():
     trans0 = asm.instance("trans0")
     assert trans0.destination is None
     assert trans0.constraints == ("company-x",)
-    kinds = [c.kind for c in asm.connections]
-    assert kinds == ["interface", "event"]
-    iface = asm.connections[0]
+    [iface] = asm.connections
     assert (iface.user_instance, iface.user_port) == ("trans0", "density")
     assert (iface.provider_instance, iface.provider_port) == \
         ("chem0", "densities")
@@ -114,6 +108,15 @@ def test_parse_assembly():
         <property instance="ghost" name="x" value="1"/>
         </componentassembly>""", "unknown instance"),
     ("not xml at all <", "malformed"),
+    ("""<componentassembly id="a">
+        <componentfiles><componentfile id="c" softpkg="p"/></componentfiles>
+        <instance id="i" componentfile="c"/>
+        <instance id="j" componentfile="c"/>
+        <connectevent>
+          <emitter instance="i" port="done"/>
+          <consumer instance="j" port="tick"/>
+        </connectevent>
+        </componentassembly>""", "(<connectevent>) are not supported"),
 ])
 def test_assembly_validation_errors(bad, msg):
     with pytest.raises(DescriptorError) as ei:

@@ -26,8 +26,6 @@ from repro.corba.idl.types import (
     SequenceType,
     StringType,
     StructType,
-    UnionType,
-    UnionValue,
 )
 from repro.corba.ior import IOR
 
@@ -253,7 +251,7 @@ def typed_values(draw, depth=2):
     """A random (IdlType, conforming value) pair."""
     choices = ["prim", "string", "octetseq", "numseq"]
     if depth > 0:
-        choices += ["listseq", "struct", "enum", "array", "union"]
+        choices += ["listseq", "struct", "enum", "array"]
     kind = draw(st.sampled_from(choices))
     if kind == "prim":
         pk = draw(st.sampled_from(sorted(_prim_values)))
@@ -285,25 +283,6 @@ def typed_values(draw, depth=2):
         length = draw(st.integers(1, 6))
         at = ArrayType(inner_t, length)
         return at, [draw(_value_for(inner_t)) for _ in range(length)]
-    if kind == "union":
-        n_arms = draw(st.integers(1, 3))
-        cases = []
-        arm_types = []
-        for i in range(n_arms):
-            at, _ = draw(typed_values(depth=0))
-            arm_types.append(at)
-            cases.append(((i,), f"m{i}", at))
-        has_default = draw(st.booleans())
-        if has_default:
-            dt, _ = draw(typed_values(depth=0))
-            arm_types.append(dt)
-            cases.append((None, "dflt", dt))
-        ut = UnionType("U", "U", PrimitiveType("long"), cases)
-        if has_default and draw(st.booleans()):
-            d = n_arms + 100  # falls to the default arm
-            return ut, ut.make(d, draw(_value_for(arm_types[-1])))
-        arm = draw(st.integers(0, n_arms - 1))
-        return ut, ut.make(arm, draw(_value_for(arm_types[arm])))
     # struct
     nfields = draw(st.integers(1, 4))
     fields = []
@@ -335,13 +314,6 @@ def _eq(t, a, b):
     if isinstance(t, ArrayType):
         return len(a) == len(b) and all(
             _eq(t.element, x, y) for x, y in zip(a, b))
-    if isinstance(t, UnionType):
-        if a.d != b.d:
-            return False
-        case = t.case_for(a.d)
-        if case is None:
-            return a.v is None and b.v is None
-        return _eq(case[2], a.v, b.v)
     if isinstance(t, SequenceType):
         elem = t.element
         if isinstance(elem, PrimitiveType) and elem.kind == "octet":

@@ -61,10 +61,6 @@ def test_compile_simple_module():
         enum Color { RED, GREEN, BLUE };
         typedef sequence<long> LongSeq;
         typedef sequence<long, 16> BoundedSeq;
-        const long ANSWER = 6 * 7;
-        const double PI2 = 6.28;
-        const boolean YES = TRUE;
-        const long MASK = (1 << 4) | 3;
         exception Oops { string why; };
         interface Thing {
             long op(in long a, inout double b, out string c);
@@ -72,9 +68,6 @@ def test_compile_simple_module():
         };
     };
     """)
-    assert idl.constants["Demo::ANSWER"] == 42
-    assert idl.constants["Demo::MASK"] == 19
-    assert idl.constants["Demo::YES"] is True
     pt = idl.type("Demo::Point")
     assert [f[0] for f in pt.fields] == ["x", "y"]
     seq = idl.type("Demo::LongSeq")
@@ -193,12 +186,9 @@ def test_component_declaration():
     idl = compile_idl("""
     module App {
         interface Port1 { void m(); };
-        eventtype Tick { long count; };
         component Worker {
             provides Port1 input;
             uses Port1 output;
-            emits Tick heartbeat;
-            consumes Tick alarm;
             attribute long size;
         };
         home WorkerHome manages Worker {
@@ -209,14 +199,49 @@ def test_component_declaration():
     comp = idl.component("App::Worker")
     assert comp.provides == {"input": "App::Port1"}
     assert comp.uses == {"output": "App::Port1"}
-    assert comp.emits == {"heartbeat": "App::Tick"}
-    assert comp.consumes == {"alarm": "App::Tick"}
     assert "size" in comp.attributes
     home = idl.home("App::WorkerHome")
     assert home.manages == "App::Worker"
     assert home.factories[0].name == "make"
     assert idl.home_for_component("App::Worker") is home
-    assert "App::Tick" in idl.events
+
+
+@pytest.mark.parametrize("construct,source,line", [
+    ("union", """module M {
+        union U switch (long) { case 1: long a; };
+    };""", 2),
+    ("const", """module M {
+        interface I {
+            const long N = 4;
+        };
+    };""", 3),
+    ("eventtype", """module M {
+        eventtype E { long n; };
+    };""", 2),
+    ("emits", """module M {
+        component C {
+            emits E done;
+        };
+        eventtype E { long n; };
+    };""", 3),
+    ("publishes", """module M {
+        component C {
+            publishes E done;
+        };
+        eventtype E { long n; };
+    };""", 3),
+    ("consumes", """module M {
+        component C {
+            consumes E done;
+        };
+        eventtype E { long n; };
+    };""", 3),
+], ids=["union", "const", "eventtype", "emits", "publishes", "consumes"])
+def test_removed_constructs_fail_at_their_line(construct, source, line):
+    with pytest.raises(IdlError) as ei:
+        compile_idl(source)
+    assert repr(construct) in str(ei.value)
+    assert f"(line {line}," in str(ei.value)
 
 
 def test_component_inheritance_merges_ports():

@@ -210,3 +210,34 @@ def test_hybrid_rejects_parallel_without_parallelism(stage):
     deployer_proc.spawn(main)
     rt.run()
     assert "no" in out["msg"] and "parallelism" in out["msg"]
+
+
+@pytest.mark.parametrize("softpkg,why", [
+    ("ghost", "unknown software package 'ghost'"),
+    ("solver", "implementation 'DCE:h-solver' implements 'H::Driver', "
+               "not 'H::Solver'"),
+], ids=["unknown-package", "wrong-component"])
+def test_hybrid_reports_a_bad_implementation_as_the_engine_does(
+        stage, softpkg, why):
+    """A parallel instance's implementation is looked up and checked by
+    the same helpers as a sequential one's."""
+    rt, seq_container, server, deployer_proc, deployer = stage
+    ImplementationRepository.unregister("DCE:h-solver")
+    ImplementationRepository.register("DCE:h-solver", "H::Driver",
+                                      DriverImpl)
+    asm = AssemblyDescriptor.parse(f"""
+    <componentassembly id="x">
+      <componentfiles><componentfile id="s" softpkg="{softpkg}"/>
+      </componentfiles>
+      <instance id="s0" componentfile="s" nodes="2"/>
+    </componentassembly>""")
+    out = {}
+
+    def main(proc):
+        with pytest.raises(DescriptorError) as ei:
+            deployer.deploy(asm, placement={"s0": ["par0", "par1"]})
+        out["msg"] = str(ei.value)
+
+    deployer_proc.spawn(main)
+    rt.run()
+    assert out["msg"] == why

@@ -11,13 +11,7 @@ from repro.core.distribution import (
     DistributionError,
     make_distribution,
 )
-from repro.core.redistribution import (
-    CLIENT_SIDE,
-    IN_TRANSIT,
-    SERVER_SIDE,
-    choose_redistribution_site,
-    redistribute_schedule,
-)
+from repro.core.redistribution import redistribute_schedule
 
 _dist_spec = st.one_of(
     st.tuples(st.just("block"), st.integers(1, 6)),
@@ -120,24 +114,3 @@ def test_apply_validates_input_count():
     with pytest.raises(DistributionError):
         plan.apply([np.zeros(4)])
 
-
-# ---------------------------------------------------------------------------
-# §4.2.2 placement policy
-# ---------------------------------------------------------------------------
-
-def test_site_choice_prefers_faster_network_when_memory_allows():
-    assert choose_redistribution_site(
-        1e6, 1e9, 1e9, client_net_bandwidth=240e6,
-        server_net_bandwidth=11e6) == CLIENT_SIDE
-    assert choose_redistribution_site(
-        1e6, 1e9, 1e9, client_net_bandwidth=11e6,
-        server_net_bandwidth=240e6) == SERVER_SIDE
-
-
-def test_site_choice_respects_memory_feasibility():
-    assert choose_redistribution_site(
-        1e9, 2e9, 1e6, 11e6, 240e6) == CLIENT_SIDE  # server lacks memory
-    assert choose_redistribution_site(
-        1e9, 1e6, 2e9, 240e6, 11e6) == SERVER_SIDE  # client lacks memory
-    assert choose_redistribution_site(
-        1e9, 1e6, 1e6, 240e6, 240e6) == IN_TRANSIT  # neither fits

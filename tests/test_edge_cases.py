@@ -5,7 +5,7 @@ import pytest
 
 from repro.corba import OMNIORB4, Orb, compile_idl
 from repro.net import Topology, build_cluster
-from repro.padicotm import Circuit, PadicoRuntime, VLink
+from repro.padicotm import PadicoRuntime, VLink
 from repro.sim import SimKernel
 
 
@@ -67,21 +67,6 @@ def rt():
     runtime = PadicoRuntime(topo)
     yield runtime
     runtime.shutdown()
-
-
-def test_circuit_deliver_nowait(rt):
-    procs = [rt.create_process(f"a{i}", f"p{i}") for i in range(2)]
-    circuit = Circuit.establish(rt, "c", procs)
-    got = []
-
-    def receiver(proc):
-        got.append(circuit.recv(proc, 1))
-
-    procs[1].spawn(receiver)
-    # kernel-context delivery (e.g. from a timer callback)
-    rt.kernel.schedule(0.5, circuit.deliver_nowait, 1, 0, "timer-msg", 9)
-    rt.run()
-    assert got == [(0, "timer-msg", 9)]
 
 
 def test_vlink_listener_poll_and_close(rt):

@@ -7,7 +7,6 @@ from repro.tools import gridccm_gen, idlc
 IDL = """
 module T {
     typedef sequence<double> Vec;
-    const long MAX = 16;
     exception Bad { string why; };
     interface Svc {
         double f(in Vec v) raises (Bad);
@@ -40,7 +39,6 @@ def test_idlc_summary(tmp_path, capsys):
     assert "readonly attribute long count" in out
     assert "provides T::Svc port0" in out
     assert "T::CompHome manages T::Comp" in out
-    assert "T::MAX = 16" in out
 
 
 def test_idlc_repo_ids(tmp_path, capsys):
