@@ -52,14 +52,6 @@ DEFAULT_LAYER_EXCEPTIONS: dict[tuple[str, str], str] = {
     ("src/repro/padicotm/arbitration/core.py", "repro.padicotm.runtime"):
         "TYPE_CHECKING only: annotates the PadicoProcess/runtime handles "
         "the facade passes down when it drives the arbitration core.",
-    # The framed-group transport annotates the process objects whose
-    # messages it frames; instances are injected from above at runtime.
-    ("src/repro/padicotm/arbitration/_framed.py", "repro.padicotm.runtime"):
-        "TYPE_CHECKING only: annotates injected PadicoProcess/PadicoRuntime "
-        "handles; the transport never constructs them.",
-    ("src/repro/padicotm/arbitration/madeleine.py", "repro.padicotm.runtime"):
-        "TYPE_CHECKING only: annotates the runtime and member processes "
-        "a Madeleine channel is opened over.",
     ("src/repro/padicotm/abstraction/circuit.py", "repro.padicotm.runtime"):
         "TYPE_CHECKING only: circuits annotate the runtime/process pair "
         "that owns them.",

@@ -40,15 +40,17 @@ tier computes bit-for-bit the same rates:
   A route mixing tagged and untagged fabrics *taints* the sites it
   touches; tainted shards, and the coupling tier always, go through the
   always-correct component walk.
-* Subsets of at least :data:`_VEC_MIN_FLOWS` flows — every whole-shard
-  solve, and any component walk that large — are filled by a
-  numpy-vectorised twin of the scalar loop
-  (:func:`_progressive_fill_vec`): same shares, same rounds, same
-  subtraction sequence, byte-identical results.  It fills *route
-  classes*: the flows of one route are fixed in the same round at the
-  same share, so a whole-shard solve hands it each distinct route once
-  — the route's first row, weighted by its flow count — and gives
-  every flow its route's rate; a walk hands it every flow, weight one.
+* Every whole-shard solve is filled by a numpy-vectorised twin of the
+  scalar loop (:func:`_progressive_fill_vec`): same shares, same
+  rounds, same subtraction sequence, byte-identical results.  It fills
+  *route classes*: the flows of one route are fixed in the same round
+  at the same share, so a whole-shard solve hands it each distinct
+  route once — the route's first row, weighted by its flow count — and
+  gives every flow its route's rate.  A component walk, whatever its
+  size, takes the scalar fill: the largest any workload makes is
+  ``flow_churn``'s one 2 000-flow walk per repetition, about 10 ms
+  dearer scalar, while ``gridccm_cyclic``'s 64-flow walks are cheaper
+  scalar than vectorised.
 * A lone dirty flow — no link on its route carries another live flow:
   most events on an idle network — is its own component, and a one-flow
   fill is one round: :meth:`FlowNetwork._solve_lone` writes that round's
@@ -78,10 +80,9 @@ from repro.sim.kernel import SimKernel, SimProcess, Timer
 #: (guards against floating-point drift in progress accounting).
 _EPS_BYTES = 1e-6
 
-#: Live flows a subset needs before the numpy fill's setup cost
-#: amortises over the saved per-round link scans — and before re-solving
-#: a whole shard (one dict lookup) beats the per-event component walk.
-#: One number for both: a whole-shard solve is always a vectorised one.
+#: Live flows a site shard needs before re-solving it whole (one dict
+#: lookup, then the numpy fill over its route classes) beats the
+#: per-event component walk and its scalar fill.
 _VEC_MIN_FLOWS = 64
 
 #: Live flows at which a network enters column form (:class:`_FlowTable`);
@@ -376,7 +377,7 @@ def _route_shard(route: Sequence[Link]) -> str | None:
 def _progressive_fill_vec(lens: np.ndarray, gids: np.ndarray,
                           mult: np.ndarray,
                           bandwidth: np.ndarray) -> tuple[np.ndarray, int]:
-    """Vectorised progressive fill for large flow sets.
+    """Vectorised progressive fill for whole-shard solves.
 
     Performs *bit-for-bit* the same computation as
     :func:`_progressive_fill` — identical bottleneck choices (ties
@@ -391,14 +392,14 @@ def _progressive_fill_vec(lens: np.ndarray, gids: np.ndarray,
     The input is given as *route classes*, in subset order of their
     first flow: ``lens`` their route lengths (int64), ``gids`` their
     routes' interned link ids end to end (int64) and ``mult`` how many
-    flows of the subset take each route (int64; all ones for a subset
-    of distinct flows); ``bandwidth`` is indexed by link id
-    (``FlowNetwork._link_bw``).  Filling the classes is filling their
-    flows: the flows of one route are fixed in the same round at the
-    same share, so a class's flows only ever count — ``m`` flows on a
-    link are ``m`` in its count and ``m`` equal subtractions from its
-    capacity when they are fixed.  Returns ``(rates, iterations)``,
-    ``rates`` a float64 array with one rate per class.
+    flows of the subset take each route (int64); ``bandwidth`` is
+    indexed by link id (``FlowNetwork._link_bw``).  Filling the classes
+    is filling their flows: the flows of one route are fixed in the
+    same round at the same share, so a class's flows only ever count —
+    ``m`` flows on a link are ``m`` in its count and ``m`` equal
+    subtractions from its capacity when they are fixed.  Returns
+    ``(rates, iterations)``, ``rates`` a float64 array with one rate per
+    class.
     """
     n = len(lens)
     n_ids = len(bandwidth)
@@ -551,7 +552,7 @@ class FlowNetwork:
 
     Rate re-solves are restricted to what a change can affect — the
     link-connected component of the changed flows, or their whole site
-    shard when the network is in column form — and large subsets go
+    shard when the network is in column form — and whole shards go
     through the vectorised fill (see the module docstring).  Every tier
     is bit-for-bit equal to a from-scratch :func:`maxmin_rates` solve
     over all live flows; which one runs is decided from the subset's
@@ -996,21 +997,11 @@ class FlowNetwork:
             flows[i]._rate = rate
 
     def _solve(self, subset: list[Flow]) -> None:
-        """One fill over a walked component; applies rates and counts
-        the work."""
-        if len(subset) >= _VEC_MIN_FLOWS:
-            ids = self._link_ids
-            rate_arr, iterations = _progressive_fill_vec(
-                np.array([len(f.route) for f in subset], dtype=np.int64),
-                np.array([ids[link] for f in subset for link in f.route],
-                         dtype=np.int64),
-                np.ones(len(subset), dtype=np.int64),
-                np.frombuffer(self._link_bw))
-            new_rates = rate_arr.tolist()
-        else:
-            rates, iterations = _progressive_fill(subset)
-            new_rates = [rates[f] for f in subset]
-        for f, new_rate in zip(subset, new_rates):
+        """One scalar fill over a walked component; applies rates and
+        counts the work."""
+        rates, iterations = _progressive_fill(subset)
+        for f in subset:
+            new_rate = rates[f]
             if new_rate != f._rate:
                 f.rate = new_rate
         self._count(len(subset), iterations)

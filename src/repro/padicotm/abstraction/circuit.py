@@ -1,11 +1,15 @@
 """Circuit: the parallel-oriented abstract interface (paper §4.3.2).
 
 A Circuit is a static group of PadicoTM processes with logical ranks and
-framed messaging — the abstraction MPI is implemented on.  The driver
-is selected automatically:
+framed messaging — the abstraction MPI is implemented on.  It holds one
+inbox per rank, claims its members' NICs when it is established and
+charges every message through the arbitrated driver's one message leg
+(:func:`~repro.padicotm.arbitration.drivers.send_leg` /
+:func:`~repro.padicotm.arbitration.drivers.recv_leg`).  The driver is
+selected automatically:
 
-- all members share a parallel fabric (Myrinet/SCI SAN) → a Madeleine
-  channel (**straight** mapping);
+- all members share a parallel fabric (Myrinet/SCI SAN) → the Madeleine
+  driver (**straight** mapping);
 - otherwise → the TCP driver over the best distributed fabric
   (**cross-paradigm** mapping: parallel interface on distributed
   hardware);
@@ -22,25 +26,46 @@ from repro.padicotm.abstraction.selector import (
     MappingChoice,
     select_group_fabric,
 )
-from repro.padicotm.arbitration._framed import ANY_SOURCE, FramedGroupTransport
-from repro.padicotm.arbitration.drivers import MADELEINE, TCP, driver_for
-from repro.padicotm.arbitration.madeleine import open_channel
+from repro.padicotm.arbitration.drivers import (
+    TCP,
+    driver_for,
+    recv_leg,
+    send_leg,
+)
 from repro.sim.kernel import SimProcess
+from repro.sim.sync import Mailbox
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.padicotm.runtime import PadicoProcess, PadicoRuntime
 
 __all__ = ["Circuit", "ANY_SOURCE"]
 
+#: Receive from any rank.
+ANY_SOURCE = -1
+
 
 class Circuit:
     """Parallel-oriented group communication abstraction."""
 
-    def __init__(self, name: str, backend: FramedGroupTransport,
-                 choice: MappingChoice):
+    def __init__(self, runtime: "PadicoRuntime", name: str,
+                 members: list["PadicoProcess"], choice: MappingChoice):
+        self.runtime = runtime
         self.name = name
-        self._backend = backend
+        self.members = list(members)
         self.choice = choice
+        #: the arbitrated driver carrying this circuit's messages; a
+        #: single-host circuit keeps TCP's per-message cost rather than
+        #: loopback's (known deviation, DESIGN.md §5)
+        self.driver = driver_for(choice.fabric) \
+            if choice.fabric is not None else TCP
+        self._hosts = [p.host.name for p in members]
+        self._ranks = {p.name: i for i, p in enumerate(members)}
+        if len(self._ranks) != len(members):
+            raise ValueError("duplicate process in group member list")
+        self._inbox = [Mailbox(runtime.kernel) for _ in members]
+        if choice.fabric is not None:
+            for p in members:
+                p.arbitration.claim_fabric(choice.fabric.name)
         self.closed = False
         self._subcircuits: list[Circuit] = []
 
@@ -67,17 +92,7 @@ class Circuit:
         hosts = [p.host.name for p in members]
         choice = select_group_fabric(runtime.topology, hosts, PARALLEL,
                                      forced_fabric=fabric)
-        # a single-host circuit keeps TCP's per-message cost rather than
-        # loopback's (known deviation, DESIGN.md §5)
-        driver = driver_for(choice.fabric) if choice.fabric is not None \
-            else TCP
-        if driver is MADELEINE:
-            backend = open_channel(runtime, f"circuit:{name}", members,
-                                   choice.fabric.name)
-        else:
-            backend = FramedGroupTransport(runtime, members,
-                                           choice.fabric_name, driver)
-        circuit = cls(name, backend, choice)
+        circuit = cls(runtime, name, members, choice)
         if runtime.monitor is not None:
             runtime.monitor.on_circuit(circuit, "establish")
         return circuit
@@ -87,15 +102,7 @@ class Circuit:
     # ------------------------------------------------------------------
     @property
     def size(self) -> int:
-        return self._backend.size
-
-    @property
-    def runtime(self) -> "PadicoRuntime":
-        return self._backend.runtime
-
-    @property
-    def members(self) -> list["PadicoProcess"]:
-        return self._backend.members
+        return len(self.members)
 
     @property
     def mapping(self) -> str:
@@ -107,16 +114,18 @@ class Circuit:
         return self.choice.fabric_name
 
     def rank_of(self, process: "PadicoProcess") -> int:
-        return self._backend.rank_of[process.name]
+        return self._ranks[process.name]
 
     def send(self, proc: SimProcess, my_rank: int, dst_rank: int,
              payload: Any, nbytes: float) -> None:
         """Send a framed message to ``dst_rank`` (blocking, timed).
 
-        Payloads are forwarded by reference end-to-end (``nbytes``
-        drives the timing); see
-        :meth:`FramedGroupTransport.send <repro.padicotm.arbitration._framed.FramedGroupTransport.send>`
-        for the zero-copy/rendezvous contract."""
+        ``payload`` is opaque and delivered by reference (zero-copy):
+        the timed transfer is driven by the ``nbytes`` float alone, so
+        staged ndarrays and ``WireBuffer`` segment lists cross the
+        circuit without being joined or copied.  Large-message senders
+        must not mutate the payload until the receiver consumes it
+        (rendezvous discipline enforced at the MPI layer)."""
         self._check_open("send")
         mon = self.runtime.monitor
         if mon is not None:
@@ -124,10 +133,25 @@ class Circuit:
                               nbytes=float(nbytes), dst=dst_rank,
                               mapping=self.mapping)
         try:
-            self._backend.send(proc, my_rank, dst_rank, payload, nbytes)
+            send_leg(proc, mon, self.runtime.network, self.driver,
+                     self.fabric_name, self._hosts[my_rank],
+                     self._hosts[dst_rank], nbytes)
+            self._inbox[dst_rank].put((my_rank, payload, nbytes))
         finally:
             if mon is not None:
                 mon.on_span_end("circuit.send")
+
+    @staticmethod
+    def _predicate(source: int, where) -> Any:
+        if source == ANY_SOURCE and where is None:
+            return None
+
+        def match(item) -> bool:
+            if source != ANY_SOURCE and item[0] != source:
+                return False
+            return where is None or where(item[1])
+
+        return match
 
     def recv(self, proc: SimProcess, my_rank: int,
              source: int = ANY_SOURCE, where=None) -> tuple[int, Any, float]:
@@ -139,22 +163,29 @@ class Circuit:
         if mon is not None:
             mon.on_span_start("circuit.recv", cat="abstraction")
         try:
-            return self._backend.recv(proc, my_rank, source, where)
+            item = self._inbox[my_rank].get(proc,
+                                            self._predicate(source, where))
+            recv_leg(proc, mon, self.driver, self.fabric_name,
+                     self._hosts[item[0]], self._hosts[my_rank], item[2])
+            return item
         finally:
             if mon is not None:
                 mon.on_span_end("circuit.recv")
 
     def poll(self, my_rank: int, source: int = ANY_SOURCE,
              where=None) -> bool:
+        """Non-blocking probe for a pending message."""
         self._check_open("poll")
-        return self._backend.poll(my_rank, source, where)
+        return self._inbox[my_rank].poll(self._predicate(source, where))
 
     def wait_message(self, proc: SimProcess, my_rank: int,
                      source: int = ANY_SOURCE,
                      where=None) -> tuple[int, Any, float]:
-        """Blocking probe: peek at the next matching message."""
+        """Blocking probe: peek at the next matching message without
+        consuming it."""
         self._check_open("probe")
-        return self._backend.wait_message(proc, my_rank, source, where)
+        return self._inbox[my_rank].wait_match(
+            proc, self._predicate(source, where))
 
     def subcircuit(self, name: str, ranks: list[int]) -> "Circuit":
         """Establish a circuit over the members at ``ranks`` (the

@@ -26,7 +26,12 @@ from repro.padicotm.abstraction.selector import (
     MappingChoice,
     select_pair_fabric,
 )
-from repro.padicotm.arbitration.drivers import driver_for, timed_move
+from repro.padicotm.arbitration.drivers import (
+    driver_for,
+    recv_leg,
+    send_leg,
+    timed_move,
+)
 from repro.sim.kernel import SimProcess
 from repro.sim.sync import Mailbox
 
@@ -89,8 +94,6 @@ class VLinkEndpoint:
         self.choice = choice
         #: the arbitrated driver carrying this stream
         self.driver = driver_for(choice.fabric)
-        self._label, self._wire = self.driver.wire(
-            choice.fabric_name, local.host.name, remote.host.name)
         if choice.fabric is not None:
             local.arbitration.claim_fabric(choice.fabric.name)
         self._inbox = Mailbox(runtime.kernel)
@@ -165,17 +168,9 @@ class VLinkEndpoint:
                 if self.security_policy.should_encrypt(self.fabric_name,
                                                        self.secure_wire):
                     self.encrypted_bytes += nbytes
-            if mon is not None:
-                mon.on_span_start("arbitration.send", cat="arbitration",
-                                  driver=self._label)
-                mon.on_driver_io(self._label, "send", float(nbytes))
-            try:
-                proc.sleep(self.driver.send_overhead + extra)
-                timed_move(proc, self.runtime.network, self.local.host.name,
-                           self.remote.host.name, self._wire, nbytes)
-            finally:
-                if mon is not None:
-                    mon.on_span_end("arbitration.send")
+            send_leg(proc, mon, self.runtime.network, self.driver,
+                     self.fabric_name, self.local.host.name,
+                     self.remote.host.name, nbytes, extra)
             self.sent_bytes += nbytes
             self.peer._deliver((payload, nbytes, extra))
         finally:
@@ -196,17 +191,9 @@ class VLinkEndpoint:
             if item is _EOF:
                 return None
             payload, nbytes, sender_extra = item
-            if mon is not None:
-                mon.on_span_start("arbitration.recv", cat="arbitration",
-                                  driver=self._label)
-                mon.on_driver_io(self._label, "recv", float(nbytes))
-            try:
-                # decryption costs the receiver what encryption cost the
-                # sender
-                proc.sleep(self.driver.recv_overhead + sender_extra)
-            finally:
-                if mon is not None:
-                    mon.on_span_end("arbitration.recv")
+            recv_leg(proc, mon, self.driver, self.fabric_name,
+                     self.remote.host.name, self.local.host.name, nbytes,
+                     sender_extra)
             return payload, nbytes
         finally:
             if mon is not None:

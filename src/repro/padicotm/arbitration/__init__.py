@@ -5,7 +5,8 @@ resources: network interfaces and threading policy.  It arbitrates one
 driver per low-level paradigm — Madeleine for parallel-oriented networks
 and the TCP stack for distributed-oriented links, plus shared memory
 between processes on one host — from one driver table
-(:mod:`~repro.padicotm.arbitration.drivers`), and a core that
+(:mod:`~repro.padicotm.arbitration.drivers`, which also holds the one
+message leg Circuit and VLink send and receive through), and a core that
 multiplexes NIC access and detects the conflicts the paper motivates
 (exclusive Myrinet drivers, incompatible thread policies)."""
 
@@ -16,7 +17,6 @@ from repro.padicotm.arbitration.core import (
     ThreadPolicyError,
 )
 from repro.padicotm.arbitration.drivers import LOOPBACK, MADELEINE, TCP, Driver
-from repro.padicotm.arbitration.madeleine import open_channel
 
 __all__ = [
     "ArbitrationCore",
@@ -27,5 +27,4 @@ __all__ = [
     "MADELEINE",
     "TCP",
     "LOOPBACK",
-    "open_channel",
 ]

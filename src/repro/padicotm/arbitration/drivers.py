@@ -7,12 +7,15 @@ each map onto one of them, straight or cross-paradigm, and a same-host
 stream uses shared memory.  This table is the one place their
 per-message software costs live, :meth:`Driver.wire` the one rule for
 which wire a message takes and what it is counted as, and
-:func:`timed_move` the one place its bytes are charged to the clock."""
+:func:`send_leg` / :func:`recv_leg` the one message leg both interfaces
+send and receive through: the ``arbitration.*`` span, the driver I/O
+count, the per-message overhead and (sending) :func:`timed_move`, the
+one place a message's bytes are charged to the clock."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any
 
 from repro.net import devices
 
@@ -73,3 +76,40 @@ def timed_move(proc: "SimProcess", network: "FlowNetwork", src_host: str,
                    + nbytes / devices.LOOPBACK.bandwidth)
     else:
         network.transfer(proc, src_host, dst_host, nbytes, fabric)
+
+
+def send_leg(proc: "SimProcess", monitor: Any, network: "FlowNetwork",
+             driver: Driver, fabric: str | None, src_host: str,
+             dst_host: str, nbytes: float, extra: float = 0.0) -> None:
+    """Charge sending one message under ``driver``: its per-message
+    overhead plus ``extra`` (e.g. encryption), then the move itself,
+    inside an ``arbitration.send`` span labelled by :meth:`Driver.wire`."""
+    label, wire = driver.wire(fabric, src_host, dst_host)
+    if monitor is not None:
+        monitor.on_span_start("arbitration.send", cat="arbitration",
+                              driver=label)
+        monitor.on_driver_io(label, "send", float(nbytes))
+    try:
+        proc.sleep(driver.send_overhead + extra)
+        timed_move(proc, network, src_host, dst_host, wire, nbytes)
+    finally:
+        if monitor is not None:
+            monitor.on_span_end("arbitration.send")
+
+
+def recv_leg(proc: "SimProcess", monitor: Any, driver: Driver,
+             fabric: str | None, src_host: str, dst_host: str,
+             nbytes: float, extra: float = 0.0) -> None:
+    """Charge receiving one message under ``driver``: its per-message
+    overhead plus ``extra`` (decryption costs what encryption did),
+    inside an ``arbitration.recv`` span."""
+    if monitor is not None:
+        label = driver.wire(fabric, src_host, dst_host)[0]
+        monitor.on_span_start("arbitration.recv", cat="arbitration",
+                              driver=label)
+        monitor.on_driver_io(label, "recv", float(nbytes))
+    try:
+        proc.sleep(driver.recv_overhead + extra)
+    finally:
+        if monitor is not None:
+            monitor.on_span_end("arbitration.recv")

@@ -14,7 +14,6 @@ from unittest import mock
 
 from repro.net import FlowNetwork, build_grid
 from repro.net import flows as flows_mod
-from repro.net.flows import _VEC_MIN_FLOWS
 from repro.sim import SimKernel
 
 SITES, HOSTS, FANOUT = 2, 64, 32
@@ -123,8 +122,7 @@ class _TierCensus(_FormCensus):
 
     def __init__(self, kernel, topology):
         super().__init__(kernel, topology)
-        self.tiers = {"shard": 0, "walk vec": 0, "walk scalar": 0,
-                      "lone": 0}
+        self.tiers = {"shard": 0, "walk": 0, "lone": 0}
         self.shard_fill = {"rows": 0, "flows": 0}
 
     def _solve_lone(self, flow):
@@ -146,8 +144,7 @@ class _TierCensus(_FormCensus):
         self.shard_fill["flows"] += self.solver_flows_resolved - flows
 
     def _solve(self, subset):
-        vec = len(subset) >= _VEC_MIN_FLOWS
-        self.tiers["walk vec" if vec else "walk scalar"] += 1
+        self.tiers["walk"] += 1
         super()._solve(subset)
 
 
@@ -172,9 +169,9 @@ def test_churn_budget():
     assert net.advances == {"object": 2, "column": 72}
     # whole shards from the third batch on; the first two batches are
     # walked before there is a table, the two WAN flows' batch is the
-    # coupling tier's (with the estimate: 138 / 6 / 1 / 0)
-    assert net.tiers == {"shard": 142, "walk vec": 2, "walk scalar": 1,
-                         "lone": 0}
+    # coupling tier's (with the estimate: 138 / 6 / 1 / 0); a walk takes
+    # the scalar fill whatever its size, so the three are one count
+    assert net.tiers == {"shard": 142, "walk": 3, "lone": 0}
     # ... and sees one row per route class: a host's three cross-leaf
     # flows share one route and its hub flow takes another, so 128 rows
     # stand for a full site's 256 flows (the per-flow fill: rows == flows)

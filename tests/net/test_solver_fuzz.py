@@ -12,8 +12,9 @@ network back out of column form and the shards below the whole-shard
 gate.  Everything runs under
 :class:`CheckedFlowNetwork` — a from-scratch ``maxmin_rates`` after
 every reallocation, values and order — and the test finally asserts
-that the examples really executed all three fills the pipeline selects
-between.
+that the examples really executed both fills the pipeline selects
+between: the vectorised one for whole shards, the scalar one for every
+component walk.
 
 A second, *sparse* profile fuzzes the other end: mostly idle links,
 where a dirty flow that shares no link takes the lone-flow closed form
@@ -214,10 +215,9 @@ def test_production_path_fuzz_reaches_every_fill(monkeypatch):
         def _solve(self, subset):
             before = vec_calls[0]
             super()._solve(subset)
-            vec = vec_calls[0] > before
-            # the fill is chosen by subset size at the real constant
-            assert vec == (len(subset) >= _VEC_MIN_FLOWS)
-            paths["walk", "vec" if vec else "scalar"] += 1
+            # a walk takes the scalar fill whatever its size
+            assert vec_calls[0] == before
+            paths["walk"] += 1
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @example(ALL_PATHS)
@@ -228,9 +228,8 @@ def test_production_path_fuzz_reaches_every_fill(monkeypatch):
 
     fuzz()
     assert set(paths) == {
-        "shard",              # whole shards, in column form
-        ("walk", "vec"),      # component walk, vectorised fill
-        ("walk", "scalar"),   # component walk, scalar fill
+        "shard",   # whole shards, in column form, vectorised fill
+        "walk",    # component walk, scalar fill
     }, paths
 
 

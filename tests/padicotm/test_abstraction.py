@@ -54,6 +54,21 @@ def test_circuit_message_roundtrip(cluster_runtime):
     assert got == [(1, {"hello": 1}, 100)]
 
 
+def test_circuits_with_the_same_name_keep_their_own_inboxes(cluster_runtime):
+    """Two circuits that share a name over the SAN are two circuits: a
+    message sent on the first is never pending on the second (as over
+    a LAN)."""
+    rt = cluster_runtime
+    procs = [rt.create_process(f"a{i}", f"p{i}") for i in range(2)]
+    first = Circuit.establish(rt, "x", procs)
+    second = Circuit.establish(rt, "x", procs)
+    assert first.fabric_name == second.fabric_name == "a-san"
+    procs[0].spawn(lambda proc: first.send(proc, 0, 1, b"x", 10))
+    rt.run()
+    assert first.poll(1)
+    assert not second.poll(1)
+
+
 def test_circuit_same_host_pair_is_loopback_on_both_sides():
     """A same-host pair inside a multi-host SAN circuit copies through
     shared memory, and both the send and the receive count as loopback."""

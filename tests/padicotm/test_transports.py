@@ -1,8 +1,8 @@
-"""Madeleine channels: framed group transport on the Madeleine driver."""
+"""Circuits over the SAN: a straight mapping onto the Madeleine driver."""
 
 import pytest
 
-from repro.padicotm.arbitration.madeleine import open_channel
+from repro.padicotm import Circuit
 
 
 def test_madeleine_pingpong_latency_is_11us(cluster_runtime):
@@ -11,7 +11,7 @@ def test_madeleine_pingpong_latency_is_11us(cluster_runtime):
     rt = cluster_runtime
     p0 = rt.create_process("a0", "p0")
     p1 = rt.create_process("a1", "p1")
-    ch = open_channel(rt, "ch", [p0, p1], "a-san")
+    ch = Circuit.establish(rt, "ch", [p0, p1])
     result = {}
 
     def client(proc):
@@ -34,7 +34,7 @@ def test_madeleine_bandwidth_reaches_240(cluster_runtime):
     rt = cluster_runtime
     p0 = rt.create_process("a0", "p0")
     p1 = rt.create_process("a1", "p1")
-    ch = open_channel(rt, "ch", [p0, p1], "a-san")
+    ch = Circuit.establish(rt, "ch", [p0, p1])
     size = 8_000_000
     result = {}
 
@@ -53,19 +53,11 @@ def test_madeleine_bandwidth_reaches_240(cluster_runtime):
     assert bw == pytest.approx(240e6, rel=0.01)
 
 
-def test_madeleine_channel_requires_parallel_fabric(cluster_runtime):
-    rt = cluster_runtime
-    p0 = rt.create_process("a0", "p0")
-    p1 = rt.create_process("a1", "p1")
-    with pytest.raises(ValueError):
-        open_channel(rt, "bad", [p0, p1], "a-lan")
-
-
 def test_madeleine_channel_claims_bip_cooperatively(cluster_runtime):
     rt = cluster_runtime
     p0 = rt.create_process("a0", "p0")
     p1 = rt.create_process("a1", "p1")
-    open_channel(rt, "ch", [p0, p1], "a-san")
+    Circuit.establish(rt, "ch", [p0, p1])
     claims = p0.arbitration.claims
     assert len(claims) == 1
     assert claims[0].driver == "BIP"
@@ -75,7 +67,7 @@ def test_madeleine_channel_claims_bip_cooperatively(cluster_runtime):
 def test_madeleine_selective_receive(cluster_runtime):
     rt = cluster_runtime
     procs = [rt.create_process(f"a{i}", f"p{i}") for i in range(3)]
-    ch = open_channel(rt, "ch", procs, "a-san")
+    ch = Circuit.establish(rt, "ch", procs)
     got = []
 
     def sender(proc, rank, delay):
@@ -93,13 +85,3 @@ def test_madeleine_selective_receive(cluster_runtime):
     rt.run()
     assert got == ["from2", "from1"]
 
-
-def test_madeleine_same_channel_id_returns_same_channel(cluster_runtime):
-    rt = cluster_runtime
-    p0 = rt.create_process("a0", "p0")
-    p1 = rt.create_process("a1", "p1")
-    c1 = open_channel(rt, "ch", [p0, p1], "a-san")
-    c2 = open_channel(rt, "ch", [p0, p1], "a-san")
-    assert c1 is c2
-    with pytest.raises(ValueError):
-        open_channel(rt, "ch", [p1, p0], "a-san")  # different member order
