@@ -9,12 +9,14 @@ Call path for a parallel invocation (paper Figures 3 & 4):
 2. the client layer agrees on global sizes (one small allgather on the
    client's own MPI world), computes the redistribution schedule, and
    sends each piece **directly** to the server node that owns it — one
-   internal CORBA invocation per target, issued concurrently from
-   helper threads;
+   internal CORBA invocation per target, each the body of its own
+   helper thread; the caller joins every helper in target order and,
+   if any failed, raises the lowest failing target's own exception;
 3. each server node's layer collects the pieces it expects, assembles
    the local block, and runs the user operation *once* (all handler
    threads of that invocation return its result);
-4. results combine client-side according to the declared policy.
+4. results combine client-side, in target order, according to the
+   declared policy.
 
 Sequential clients never see any of this: the :class:`ParallelProxy` on
 node 0 implements the original interface and performs the scatter
@@ -237,7 +239,7 @@ class _ServerPortLayer:
                     pend.result = method(*args)
                 finally:
                     self._exec_lock.release(proc)
-            except BaseException as exc:  # noqa: BLE001 → all callers
+            except Exception as exc:  # noqa: BLE001 → all callers
                 pend.error = exc
             pend.event.set()
         else:
@@ -467,22 +469,24 @@ class _CallEngine:
             mon.on_span_start("gridccm.scatter", cat="gridccm",
                               op=info.name, targets=len(my_targets),
                               nbytes=float(out_bytes))
-        results: dict[int, Any] = {}
-        errors: list[BaseException] = []
+        helpers: list[SimProcess] = []
         try:
-            workers = []
             for r in my_targets:
                 wire = self._wire_args(info, plans, dist_data, args, me, n,
                                        expected[r], request, r, mon)
-                workers.append(
-                    self._spawn_call(info, r, wire, results, errors))
-            for w in workers:
-                proc.join(w)
+                call = getattr(self.nodes[r], info.name)
+                helpers.append(self.orb.process.spawn(
+                    lambda _p, call=call, wire=wire: call(*wire),
+                    name=f"gridccm-{info.name}", daemon=True))
+            for h in helpers:
+                proc.join_any((h,))
         finally:
             if mon is not None:
                 mon.on_span_end("gridccm.scatter")
-        if errors:
-            raise errors[0]
+        for h in helpers:
+            if h.exc is not None:
+                raise h.exc
+        results = {r: h.result for r, h in zip(my_targets, helpers)}
         # several clients may have contacted the same server node and
         # all hold its (identical) result; for global reductions each
         # server result must count exactly once — the lowest-ranked
@@ -530,21 +534,6 @@ class _CallEngine:
             else:
                 wire.append(args[pos])
         return tuple(wire)
-
-    def _spawn_call(self, info: ParallelOpInfo, target: int, wire: tuple,
-                    results: dict[int, Any],
-                    errors: list[BaseException]) -> SimProcess:
-        stub = self.nodes[target]
-        opname = info.name
-
-        def worker(p: SimProcess) -> None:
-            try:
-                results[target] = getattr(stub, opname)(*wire)
-            except BaseException as exc:  # noqa: BLE001 → collected
-                errors.append(exc)
-
-        return self.orb.process.spawn(worker, name=f"gridccm-{opname}",
-                                      daemon=True)
 
     def _combine(self, info: ParallelOpInfo, results: dict[int, Any],
                  owned: dict[int, Any],

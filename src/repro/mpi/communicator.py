@@ -12,7 +12,8 @@ ranks are checked and :data:`PROC_NULL` completes at once; the codec
 ``_pickle`` / ``_decode``; ``_deliver``, the one copy of a buffer
 message into the receiver's array (a body of the wrong kind, count or
 type raises :class:`MpiError`); and ``_start``, which runs a blocking
-body on a helper thread for the nonblocking calls.
+body on a helper thread for the nonblocking calls — the helper is the
+:class:`Request`, whose ``wait()`` returns its result or raises its error.
 
 Cost model (charged to the virtual clock):
 
@@ -363,20 +364,8 @@ class Comm:
 
     def _start(self, name: str, fn: Callable[[SimProcess], Any]) -> Request:
         """Run ``fn`` on a helper thread (a Marcel thread in the real
-        runtime) named ``name``; the request completes with its result
-        or its error."""
-        req = Request(self)
-
-        def helper(p: SimProcess) -> None:
-            try:
-                value = fn(p)
-            except Exception as exc:  # noqa: BLE001 - surfaced by wait()
-                req._complete(error=exc)
-            else:
-                req._complete(value)
-
-        self.process.spawn(helper, name=name, daemon=True)
-        return req
+        runtime) named ``name``; the helper's outcome is the request's."""
+        return Request(self, self.process.spawn(fn, name=name, daemon=True))
 
     # ------------------------------------------------------------------
     # point-to-point: pickle path (lowercase)

@@ -4,8 +4,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any
 
-from repro.sim.kernel import SimKernel, SimProcess
-from repro.sim.sync import SimEvent
+from repro.sim.kernel import SimProcess
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.mpi.communicator import Comm
@@ -14,38 +13,29 @@ if TYPE_CHECKING:  # pragma: no cover
 class Request:
     """Handle for an in-flight ``isend``/``irecv`` operation.
 
-    Completion is driven by a helper thread (a Marcel thread in the real
-    runtime); :meth:`wait` blocks the owner rank until done.
+    The operation runs on a helper thread (a Marcel thread in the real
+    runtime), and the helper is the request: its return value or its
+    exception is the operation's outcome.
     """
 
-    def __init__(self, comm: "Comm"):
+    def __init__(self, comm: "Comm", helper: SimProcess):
         self._comm = comm
-        self._event = SimEvent(comm.kernel)
-        self._value: Any = None
-        self._error: Exception | None = None
+        self._helper = helper
 
-    # -- completion (called by the helper thread) -------------------------
-    def _complete(self, value: Any = None,
-                  error: Exception | None = None) -> None:
-        self._value = value
-        self._error = error
-        self._event.set()
-
-    # -- user API ----------------------------------------------------------
     def test(self) -> bool:
         """Non-blocking completion check."""
-        return self._event.is_set
+        return not self._helper.alive
 
     def wait(self) -> Any:
         """Block the owning rank until the operation completes.
 
         Returns the received object for ``irecv`` requests, None for
-        sends.  Re-raises any transport error.
+        sends.  Re-raises the helper's own error.
         """
-        self._event.wait(self._comm.proc)
-        if self._error is not None:
-            raise self._error
-        return self._value
+        helper = self._comm.proc.join_any((self._helper,))
+        if helper.exc is not None:
+            raise helper.exc
+        return helper.result
 
     @staticmethod
     def waitall(requests: list["Request"]) -> list[Any]:

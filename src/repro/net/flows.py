@@ -606,7 +606,7 @@ class FlowNetwork:
     # public API
     # ------------------------------------------------------------------
     def transfer(self, proc: SimProcess, src: str, dst: str, nbytes: float,
-                 fabric: str, extra_latency: float = 0.0) -> float:
+                 fabric: str) -> float:
         """Move ``nbytes`` from ``src`` to ``dst`` over ``fabric``.
 
         Blocks the calling process for propagation latency plus the
@@ -621,7 +621,7 @@ class FlowNetwork:
                               nbytes=float(nbytes), fabric=fabric)
         try:
             route = self.topology.route(src, dst, fabric)
-            latency = sum(l.latency for l in route) + extra_latency
+            latency = sum(l.latency for l in route)
             if latency > 0:
                 proc.sleep(latency)
             if nbytes > 0:

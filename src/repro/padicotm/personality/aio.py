@@ -2,8 +2,10 @@
 
 ``aio_write``/``aio_read`` return immediately with a control block; the
 operation proceeds on a helper thread (a Marcel thread in the paper's
-runtime); ``aio_suspend`` blocks until completion and ``aio_return``
-yields the result, mirroring POSIX.2 Aio semantics."""
+runtime), and the control block reads its outcome from that helper:
+``aio_error`` is in progress while it runs, ``aio_suspend`` blocks until
+any listed helper has ended and ``aio_return`` yields its result or
+raises its error, mirroring POSIX.2 Aio semantics."""
 
 from __future__ import annotations
 
@@ -11,7 +13,6 @@ from typing import TYPE_CHECKING, Any
 
 from repro.padicotm.abstraction.vlink import VLinkEndpoint
 from repro.sim.kernel import SimProcess
-from repro.sim.sync import SimEvent
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.padicotm.runtime import PadicoProcess
@@ -23,19 +24,10 @@ FAILED = "EIO"
 
 
 class AioControlBlock:
-    """The aiocb: tracks one asynchronous operation."""
+    """The aiocb: one asynchronous operation, run by ``helper``."""
 
-    def __init__(self, kernel) -> None:
-        self._event = SimEvent(kernel)
-        self.state = IN_PROGRESS
-        self.result: Any = None
-        self.error: Exception | None = None
-
-    def _complete(self, result: Any, error: Exception | None) -> None:
-        self.result = result
-        self.error = error
-        self.state = FAILED if error else DONE
-        self._event.set()
+    def __init__(self, helper: SimProcess) -> None:
+        self.helper = helper
 
 
 class AioPersonality:
@@ -47,52 +39,33 @@ class AioPersonality:
     def aio_write(self, endpoint: VLinkEndpoint, data: Any,
                   nbytes: float) -> AioControlBlock:
         """Queue an asynchronous send; returns immediately."""
-        cb = AioControlBlock(self.process.runtime.kernel)
+        def write(proc: SimProcess) -> float:
+            endpoint.send(proc, data, nbytes)
+            return nbytes
 
-        def worker(proc: SimProcess) -> None:
-            try:
-                endpoint.send(proc, data, nbytes)
-            except Exception as exc:  # noqa: BLE001 - surfaced via aiocb
-                cb._complete(None, exc)
-            else:
-                cb._complete(nbytes, None)
-
-        self.process.spawn(worker, name="aio-write", daemon=True)
-        return cb
+        return AioControlBlock(
+            self.process.spawn(write, name="aio-write", daemon=True))
 
     def aio_read(self, endpoint: VLinkEndpoint) -> AioControlBlock:
         """Queue an asynchronous receive; returns immediately."""
-        cb = AioControlBlock(self.process.runtime.kernel)
-
-        def worker(proc: SimProcess) -> None:
-            try:
-                item = endpoint.recv(proc)
-            except Exception as exc:  # noqa: BLE001 - surfaced via aiocb
-                cb._complete(None, exc)
-            else:
-                cb._complete(item, None)
-
-        self.process.spawn(worker, name="aio-read", daemon=True)
-        return cb
+        return AioControlBlock(self.process.spawn(
+            endpoint.recv, name="aio-read", daemon=True))
 
     @staticmethod
     def aio_error(cb: AioControlBlock) -> str:
-        return cb.state
+        if cb.helper.alive:
+            return IN_PROGRESS
+        return FAILED if cb.helper.exc is not None else DONE
 
     @staticmethod
     def aio_suspend(proc: SimProcess, cbs: list[AioControlBlock]) -> None:
         """Block until at least one of ``cbs`` completes."""
-        while all(cb.state == IN_PROGRESS for cb in cbs):
-            # wait on the first in-progress block; broadcast semantics
-            for cb in cbs:
-                if cb.state == IN_PROGRESS:
-                    cb._event.wait(proc)
-                    break
+        proc.join_any([cb.helper for cb in cbs])
 
     @staticmethod
     def aio_return(cb: AioControlBlock) -> Any:
-        if cb.state == IN_PROGRESS:
+        if cb.helper.alive:
             raise RuntimeError("operation still in progress")
-        if cb.error is not None:
-            raise cb.error
-        return cb.result
+        if cb.helper.exc is not None:
+            raise cb.helper.exc
+        return cb.helper.result

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import heapq
 import inspect
-from typing import Any, Callable
+from typing import Any, Callable, Sequence
 
 
 class SimShutdown(BaseException):
@@ -269,21 +269,35 @@ class SimProcess:
 
     def join(self, target: "SimProcess") -> Any:
         """Block until ``target`` finishes; returns its result."""
-        kernel = self.kernel
-        kernel._check_current(self)
-        if target.alive:
-            target._joiners.append(self)
-            self._waiting_on = target
-            try:
-                self.suspend()
-            finally:
-                self._waiting_on = None
-        tracer = kernel._tracer
-        if tracer is not None:
-            tracer.on_join(self, target)
+        self.join_any((target,))
         if target.exc is not None:
             raise SimProcessError(target, target.exc)
         return target.result
+
+    def join_any(self, targets: Sequence["SimProcess"]) -> "SimProcess":
+        """Block until one of ``targets`` has finished and return it —
+        the first listed, if several have.  A failed target is returned,
+        not raised: its outcome is its ``result`` / ``exc``."""
+        kernel = self.kernel
+        kernel._check_current(self)
+        if not targets:
+            raise ValueError("join_any needs at least one target")
+        while True:
+            for target in targets:
+                if not target.alive:
+                    if kernel._tracer is not None:
+                        kernel._tracer.on_join(self, target)
+                    return target
+            for target in targets:
+                target._joiners.append(self)
+            try:
+                self.suspend(targets[0] if len(targets) == 1
+                             else tuple(targets))
+            finally:
+                # a later exit must not wake us at another blocking point
+                for target in targets:
+                    if self in target._joiners:
+                        target._joiners.remove(self)
 
     # ------------------------------------------------------------------
     # control transfer internals

@@ -42,6 +42,9 @@ def _describe(target: Any, numbers: dict[int, int]) -> str:
         return f"suspend() awaiting {target}"
     if isinstance(target, SimProcess):
         return f"join on process {target.name!r} (state={target.state})"
+    if isinstance(target, tuple):  # join_any over several processes
+        names = ", ".join(repr(p.name) for p in target)
+        return f"join on any of processes {names}"
     label = _label(target, numbers)
     if isinstance(target, SimLock):
         holder = target.owner.name if target.owner is not None else None
@@ -59,7 +62,8 @@ def wait_edges(kernel: Any) -> list[tuple[Any, Any]]:
     """(blocked process, wait target) pairs, in process-creation order.
 
     The target is whatever the process registered when it blocked: a
-    sync primitive, a :class:`SimProcess` being joined, or a string
+    sync primitive, a :class:`SimProcess` being joined (a tuple of them
+    for :meth:`~repro.sim.kernel.SimProcess.join_any`), or a string
     waker hint (the ``"suspend"`` sentinel for a bare ``suspend()``).
     """
     return [(proc, proc._waiting_on)

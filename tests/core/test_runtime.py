@@ -286,6 +286,38 @@ def test_server_exception_propagates_to_all_clients(rt):
     assert sorted(caught) == [(0, True), (1, True)]
 
 
+def test_two_failing_targets_raise_the_lowest_targets_error(rt):
+    """Node 1 fails first, node 0 later: the caller still gets node 0's
+    error, after every helper has been joined."""
+    class LateFailingSolver(SolverImpl):
+        def norm2(self, values):
+            if self.grid_rank == 0:
+                self.mpi.proc.sleep(0.5)
+            raise RuntimeError(f"node {self.grid_rank} blew up")
+
+    comp = _deploy(rt, 2, impl=LateFailingSolver)
+    url = comp.proxy_url("input")
+    client = rt.create_process("a2", "cli")
+    caught = []
+
+    def body(proc):
+        from repro.corba import SystemException
+        idl, plan = _client_plan()
+        pc = ParallelClient.attach(Orb(client, OMNIORB4, idl), plan,
+                                   "input", url)
+        try:
+            pc.norm2(np.zeros(10))
+        except SystemException as e:
+            caught.append(e.detail)
+        caught.append([p.name for p in rt.kernel._processes
+                       if "gridccm-" in p.name and p.alive])
+
+    client.spawn(body)
+    rt.run()
+    assert "node 0 blew up" in caught[0]
+    assert caught[1] == []
+
+
 def test_gridccm_aggregate_bandwidth_scales(rt):
     """Figure-8 shape: n→n aggregate bandwidth grows ~linearly when each
     pair has its own host (one process per machine here)."""

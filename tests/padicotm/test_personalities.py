@@ -203,3 +203,34 @@ def test_aio_read_and_error_paths(cluster_runtime):
     client.spawn(cli)
     rt.run()
     assert got == [(b"data", 4)]
+
+
+def test_aio_suspend_returns_when_any_listed_block_completes(cluster_runtime):
+    """POSIX: ``aio_suspend`` returns once *any* block is done, not when
+    the first listed one is."""
+    rt = cluster_runtime
+    server, slow, fast = [rt.create_process(f"a{i}", f"p{i}")
+                          for i in range(3)]
+    listener = VLink.listen(server, "aio")
+    aio = AioPersonality(server)
+    seen = {}
+
+    def srv(proc):
+        eps = [listener.accept(proc), listener.accept(proc)]
+        cb1, cb2 = [aio.aio_read(ep) for ep in eps]
+        AioPersonality.aio_suspend(proc, [cb1, cb2])
+        seen["t"] = rt.kernel.now
+        seen["states"] = (AioPersonality.aio_error(cb1),
+                          AioPersonality.aio_error(cb2))
+
+    def client(proc, me, delay):
+        ep = VLink.connect(proc, me, "p0", "aio")
+        proc.sleep(delay)
+        ep.send(proc, me.name, 4)
+
+    server.spawn(srv)
+    slow.spawn(client, slow, 1.0)
+    fast.spawn(client, fast, 0.001, delay=0.0001)
+    rt.run()
+    assert seen["states"] == ("EINPROGRESS", "0")
+    assert seen["t"] < 0.5

@@ -15,7 +15,7 @@ from repro.sim import (
     SimTimeout,
     format_wait_graph,
 )
-from tests.sim.conftest import CountingTracer, no_thread_left
+from tests.sim.conftest import CountingTracer, HookLog, no_thread_left
 
 
 def test_clock_starts_at_zero():
@@ -144,6 +144,105 @@ def test_join_already_finished_process():
         j = k.spawn(waiter, w)
         k.run()
         assert j.result == "early"
+
+
+def test_join_any_returns_the_first_target_to_finish():
+    with SimKernel() as k:
+        slow = k.spawn(lambda p: p.sleep(2.0), name="slow")
+        fast = k.spawn(lambda p: p.sleep(1.0), name="fast")
+        got = []
+
+        def waiter(p):
+            got.append((p.join_any([slow, fast]), k.now))
+
+        k.spawn(waiter)
+        k.run()
+        assert got == [(fast, 1.0)]
+
+
+def test_join_any_returns_the_first_listed_of_several_finished():
+    with SimKernel() as k:
+        a = k.spawn(lambda p: p.sleep(2.0), name="a")
+        b = k.spawn(lambda p: p.sleep(1.0), name="b")
+        got = []
+
+        def waiter(p):
+            p.sleep(3.0)
+            got.append(p.join_any([a, b]))
+
+        k.spawn(waiter)
+        k.run()
+        assert got == [a]
+
+
+def test_join_any_returns_a_failed_target_without_raising():
+    with SimKernel() as k:
+        def bad(p):
+            p.sleep(1.0)
+            raise ValueError("boom")
+
+        failing = k.spawn(bad, daemon=True)
+        other = k.spawn(lambda p: p.sleep(5.0))
+        got = []
+        k.spawn(lambda p: got.append(p.join_any([other, failing])))
+        k.run()
+        assert got == [failing]
+        assert isinstance(failing.exc, ValueError)
+
+
+def test_join_any_leaves_no_wakeup_behind_for_the_other_targets():
+    """A target that exits after join_any returned must not cut short
+    whatever the joiner blocks on next."""
+    with SimKernel() as k:
+        first = k.spawn(lambda p: p.sleep(1.0), name="first")
+        second = k.spawn(lambda p: p.sleep(2.0), name="second")
+        woke = []
+
+        def waiter(p):
+            p.join_any([first, second])
+            p.sleep(5.0)
+            woke.append(k.now)
+
+        k.spawn(waiter)
+        k.run()
+        assert woke == [6.0]
+        assert second._joiners == []
+
+
+def test_join_any_reports_one_join_for_the_returned_target():
+    with SimKernel() as k:
+        log = HookLog()
+        k.attach_tracer(log)
+        a = k.spawn(lambda p: p.sleep(2.0), name="a")
+        b = k.spawn(lambda p: p.sleep(1.0), name="b")
+        k.spawn(lambda p: p.join_any([a, b]), name="w")
+        k.run()
+        assert [e for e in log.log if e[0] == "join"] == [("join", "w->b")]
+
+
+def test_join_any_rejects_an_empty_target_list():
+    with SimKernel() as k:
+        errors = []
+
+        def body(p):
+            with pytest.raises(ValueError):
+                p.join_any([])
+            errors.append("raised")
+
+        k.spawn(body)
+        k.run()
+        assert errors == ["raised"]
+
+
+def test_join_any_edge_in_wait_graph():
+    with SimKernel() as k:
+        a = k.spawn(lambda p: p.suspend(), name="a", daemon=True)
+        b = k.spawn(lambda p: p.suspend(), name="b", daemon=True)
+        k.spawn(lambda p: p.join_any([a, b]), name="joiner")
+        with pytest.raises(SimDeadlockError):
+            k.run()
+        assert "joiner waits on join on any of processes 'a', 'b'" \
+            in format_wait_graph(k)
 
 
 def test_nondaemon_failure_propagates():
