@@ -1,16 +1,16 @@
 # Developer gates.  `make check` is what CI runs: the static lint, the
 # tier-1 test suite (which regenerates BENCH_padico.json and
 # EXPERIMENTS.md's tables in memory and byte-compares them), the seeded
-# schedule-exploration smoke, and the repo benchmark smoke.
+# schedule-exploration smoke, the repo benchmark smoke, and the census.
 # Everything goes through PYTHONPATH=src so no install step is needed.
 
 PYTHON ?= python
 PYTHONPATH := src
 
 .PHONY: check lint lint-mutants test copy-budget \
-	schedule-smoke bench-e2e
+	schedule-smoke bench-e2e census
 
-check: lint lint-mutants test copy-budget schedule-smoke bench-e2e
+check: lint lint-mutants test copy-budget schedule-smoke bench-e2e census
 
 # The full run CI gates on; --stats prints per-checker wall time and
 # per-rule finding counts into the log.
@@ -45,3 +45,9 @@ bench-e2e:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m benchmarks.e2e --smoke \
 		--out BENCH_e2e_smoke.json
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest benchmarks/e2e -q
+
+# The reachability and option census behind DESIGN.md §8's tables:
+# which library functions the experiments, workloads and examples
+# enter, and which defaulted parameters they ever set.
+census:
+	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m benchmarks.census

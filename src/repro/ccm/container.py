@@ -238,11 +238,9 @@ class Container:
     the paper's MicoCCM vs OpenCCM comparison."""
 
     def __init__(self, process: "PadicoProcess", idl: CompiledIdl,
-                 profile: OrbProfile = OMNIORB4, orb: Orb | None = None,
-                 port: str | None = None):
+                 profile: OrbProfile = OMNIORB4, port: str | None = None):
         self.process = process
-        if orb is None:
-            orb = Orb(process, profile, idl, port=port)
+        orb = Orb(process, profile, idl, port=port)
         if "Components::CCMObject" not in orb.idl.interfaces:
             from repro.corba.idl.compiler import compile_idl
             orb.idl.merge(compile_idl(COMPONENTS_IDL))

@@ -390,14 +390,13 @@ class CdrInputStream:
             self.referenced_bytes += nbytes
         return out
 
-    def read_bulk_copy(self, nbytes: int, align: int = 1) -> bytes:
+    def read_bulk_copy(self, nbytes: int) -> bytes:
         """A bulk read deliberately materialised as ``bytes``.
 
         For consumers that need an owning, hashable buffer (octet
         sequences exposed to user code, GIOP principals).  The
         materialisation is one metered copy.
         """
-        self.align(align)
         before = self.copied_bytes
         out = self._take(nbytes)
         if self.copied_bytes == before:

@@ -59,14 +59,14 @@ _HEADER = struct.Struct("<4sBI")
 
 
 def pack_header(msg_type: int, body_size: int,
-                little_endian: bool = True,
-                version: tuple[int, int] = (1, 0)) -> bytes:
-    """Compact 8-byte header: magic(4) | ver:4,type:4 (1) | size (3)."""
+                little_endian: bool = True) -> bytes:
+    """Compact 8-byte header: magic(4) | ver:4,type:4 (1) | size (3),
+    version 1."""
     if not little_endian:
         raise CdrError("ESIOP is little-endian only")
     if body_size > MAX_BODY:
         raise CdrError(f"ESIOP body too large: {body_size} > {MAX_BODY}")
-    packed = (version[0] << 4) | (msg_type & 0x0F)
+    packed = (1 << 4) | (msg_type & 0x0F)
     return _HEADER.pack(MAGIC, packed, body_size)[:HEADER_SIZE]
 
 

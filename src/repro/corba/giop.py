@@ -49,14 +49,11 @@ _HEADER_BE = struct.Struct(">4sBBBBI")
 
 
 def pack_header(msg_type: int, body_size: int,
-                little_endian: bool = True,
-                version: tuple[int, int] = (1, 0)) -> bytes:
-    """The 12-byte GIOP message header."""
+                little_endian: bool = True) -> bytes:
+    """The 12-byte GIOP 1.0 message header."""
     if little_endian:
-        return _HEADER_LE.pack(MAGIC, version[0], version[1], 1, msg_type,
-                               body_size)
-    return _HEADER_BE.pack(MAGIC, version[0], version[1], 0, msg_type,
-                           body_size)
+        return _HEADER_LE.pack(MAGIC, 1, 0, 1, msg_type, body_size)
+    return _HEADER_BE.pack(MAGIC, 1, 0, 0, msg_type, body_size)
 
 
 def parse_header(header: bytes) -> tuple[int, int, bool, tuple[int, int]]:

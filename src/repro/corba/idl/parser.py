@@ -30,8 +30,8 @@ class _Parser:
         self._pos = 0
 
     # -- token utilities ---------------------------------------------------
-    def _peek(self, ahead: int = 0) -> Token:
-        return self._tokens[min(self._pos + ahead, len(self._tokens) - 1)]
+    def _peek(self) -> Token:
+        return self._tokens[min(self._pos, len(self._tokens) - 1)]
 
     def _next(self) -> Token:
         tok = self._peek()
@@ -39,8 +39,8 @@ class _Parser:
             self._pos += 1
         return tok
 
-    def _error(self, message: str, tok: Token | None = None) -> IdlParseError:
-        tok = tok or self._peek()
+    def _error(self, message: str) -> IdlParseError:
+        tok = self._peek()
         return IdlParseError(f"{message}, got {tok.value!r}",
                              tok.line, tok.column)
 

@@ -37,7 +37,6 @@ from repro.ccm.descriptors import (
 )
 from repro.core.runtime import GridCcmError, ParallelComponent
 from repro.corba.orb import ObjectRef
-from repro.corba.profiles import OMNIORB4, OrbProfile
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.padicotm.runtime import PadicoRuntime
@@ -72,11 +71,10 @@ class HybridDeployer:
     """Deploys assemblies mixing sequential and parallel instances."""
 
     def __init__(self, runtime: "PadicoRuntime", engine: DeploymentEngine,
-                 idl_source: str, profile: OrbProfile = OMNIORB4):
+                 idl_source: str):
         self.runtime = runtime
         self.engine = engine
         self.idl_source = idl_source
-        self.profile = profile
 
     # ------------------------------------------------------------------
     def deploy(self, assembly: AssemblyDescriptor,
@@ -161,7 +159,7 @@ class HybridDeployer:
         try:
             return ParallelComponent.create(
                 self.runtime, inst.id, processes, self.idl_source,
-                impl.parallelism, factory, profile=self.profile)
+                impl.parallelism, factory)
         except GridCcmError as exc:
             raise DescriptorError(
                 f"cannot deploy parallel instance {inst.id!r}: {exc}") \

@@ -639,8 +639,7 @@ class ParallelComponent:
                processes: list["PadicoProcess"], idl_source: str,
                parallelism_xml: str,
                executor_factory: Callable[[], ComponentImpl],
-               profile: OrbProfile = OMNIORB4,
-               fabric: str | None = None) -> "ParallelComponent":
+               profile: OrbProfile = OMNIORB4) -> "ParallelComponent":
         """Deploy the SPMD executor over ``processes``.
 
         Creates per node: a container (ORB with the given ``profile``),
@@ -648,8 +647,7 @@ class ParallelComponent:
         the MPI world binding the nodes together and the proxy on node 0.
         """
         descriptor = ParallelismDescriptor.parse(parallelism_xml)
-        world = create_world(runtime, f"gridccm:{name}", processes,
-                             fabric=fabric)
+        world = create_world(runtime, f"gridccm:{name}", processes)
         nodes: list[_NodeRuntime] = []
         plan0: ParallelPlan | None = None
         for rank, process in enumerate(processes):

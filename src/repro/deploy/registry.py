@@ -33,13 +33,10 @@ class MachineInfo:
     load: int = 0
 
     def satisfies(self, labels: Iterable[str] = (), site: str | None = None,
-                  fabric: str | None = None, min_cpus: int = 0,
-                  min_memory: float = 0.0) -> bool:
+                  fabric: str | None = None) -> bool:
         return (set(labels) <= self.labels
                 and (site is None or self.site == site)
-                and (fabric is None or fabric in self.fabrics)
-                and self.cpus >= min_cpus
-                and self.memory >= min_memory)
+                and (fabric is None or fabric in self.fabrics))
 
 
 class MachineRegistry:
@@ -51,23 +48,18 @@ class MachineRegistry:
 
     # -- advertisement --------------------------------------------------------
     def advertise(self, host: str, process: str,
-                  labels: Iterable[str] = (), memory: float = 512e6,
-                  ) -> MachineInfo:
+                  labels: Iterable[str] = ()) -> MachineInfo:
         """Register a machine; topology-derived facts are filled in."""
         if process in self._machines:
             raise ValueError(f"process {process!r} already advertised")
-        site, cpus, fabrics = "default", 2, frozenset()
-        extra_labels: frozenset[str] = frozenset()
+        site, fabrics = "default", frozenset()
         if self.topology is not None:
             if host not in self.topology.hosts:
                 raise ValueError(f"unknown host {host!r}")
             h = self.topology.hosts[host]
-            site, cpus = h.site, h.cpus
-            fabrics = frozenset(h.fabrics)
-            extra_labels = h.labels
-        info = MachineInfo(host, process, site,
-                           frozenset(labels) | extra_labels, cpus,
-                           memory, fabrics)
+            site, fabrics = h.site, frozenset(h.fabrics)
+        info = MachineInfo(host, process, site, frozenset(labels),
+                           fabrics=fabrics)
         self._machines[process] = info
         return info
 
@@ -86,15 +78,14 @@ class MachineRegistry:
 
     # -- discovery --------------------------------------------------------------
     def discover(self, labels: Iterable[str] = (), site: str | None = None,
-                 fabric: str | None = None, min_cpus: int = 0,
-                 min_memory: float = 0.0,
+                 fabric: str | None = None,
                  require: bool = True) -> list[MachineInfo]:
         """Machines matching every criterion, least-loaded first."""
         found = [m for m in self.machines()
-                 if m.satisfies(labels, site, fabric, min_cpus, min_memory)]
+                 if m.satisfies(labels, site, fabric)]
         found.sort(key=lambda m: (m.load, m.process))
         if require and not found:
             raise DiscoveryError(
                 f"no machine matches labels={sorted(labels)} site={site!r} "
-                f"fabric={fabric!r} min_cpus={min_cpus}")
+                f"fabric={fabric!r}")
         return found

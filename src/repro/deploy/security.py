@@ -37,14 +37,10 @@ MODES = ("wan-only", "always", "never")
 class GridSecurityPolicy:
     """VLink security hook: decide and charge encryption per wire."""
 
-    def __init__(self, mode: str = "wan-only",
-                 cipher_cost_per_byte: float = CIPHER_COST_PER_BYTE,
-                 cipher_setup: float = CIPHER_SETUP):
+    def __init__(self, mode: str = "wan-only"):
         if mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
         self.mode = mode
-        self.cipher_cost_per_byte = cipher_cost_per_byte
-        self.cipher_setup = cipher_setup
 
     def should_encrypt(self, fabric_name: str | None,
                        secure_wire: bool) -> bool:
@@ -58,7 +54,7 @@ class GridSecurityPolicy:
                        secure_wire: bool) -> float:
         if not self.should_encrypt(fabric_name, secure_wire):
             return 0.0
-        return self.cipher_setup + nbytes * self.cipher_cost_per_byte
+        return CIPHER_SETUP + nbytes * CIPHER_COST_PER_BYTE
 
     def __repr__(self) -> str:
         return f"<GridSecurityPolicy {self.mode}>"

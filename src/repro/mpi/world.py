@@ -41,27 +41,24 @@ class World:
 
 
 def create_world(runtime: "PadicoRuntime", name: str,
-                 processes: list["PadicoProcess"],
-                 fabric: str | None = None) -> World:
+                 processes: list["PadicoProcess"]) -> World:
     """Build an MPI world: one rank per PadicoTM process.
 
     Loads the MPI module into each process (idempotent per process) and
     establishes the underlying Circuit, letting the PadicoTM selector
-    pick the network unless ``fabric`` forces one.
+    pick the network.
     """
     for p in processes:
         if not p.modules.is_loaded(MpiModule.name):
             p.modules.load(MpiModule())
-    circuit = Circuit.establish(runtime, f"mpi:{name}", processes,
-                                fabric=fabric)
+    circuit = Circuit.establish(runtime, f"mpi:{name}", processes)
     group = list(range(len(processes)))
     comms = [Comm(circuit, group, r, f"mpi:{name}")
              for r in range(len(processes))]
     return World(circuit, comms)
 
 
-def spmd(world: World, fn: Callable, *args: Any,
-         name: str = "rank") -> list[SimProcess]:
+def spmd(world: World, fn: Callable, *args: Any) -> list[SimProcess]:
     """Run ``fn(proc, comm, *args)`` once per rank of ``world``.
 
     Returns the spawned simulated threads (their ``result`` attributes
@@ -74,5 +71,5 @@ def spmd(world: World, fn: Callable, *args: Any,
             comm.bind(proc)
             return fn(proc, comm, *args)
 
-        threads.append(comm.process.spawn(runner, name=f"{name}{rank}"))
+        threads.append(comm.process.spawn(runner, name=f"rank{rank}"))
     return threads

@@ -127,13 +127,14 @@ class NetworkReport:
         return "\n".join(lines)
 
 
-def format_timeline(network: FlowNetwork, width: int = 60,
-                    max_rows: int = 40) -> str:
-    """ASCII timeline of completed transfers (one row per flow).
+def format_timeline(network: FlowNetwork) -> str:
+    """ASCII timeline of completed transfers (one 60-column row per
+    flow, the first 40 flows).
 
     Rows show when each transfer occupied the network relative to the
     whole run — a poor man's Gantt chart for spotting serialisation
     (stairs) vs overlap (stacked bars)."""
+    width, max_rows = 60, 40
     log = network.flow_log[:max_rows]
     if not log:
         return "(no transfers recorded)"

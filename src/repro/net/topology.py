@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from itertools import count
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from repro.net.devices import ETHERNET_100, MYRINET_2000, WAN, NetworkTechnology
 
@@ -69,18 +69,10 @@ class Link:
 
 @dataclass
 class Host:
-    """A grid machine.
-
-    ``cpus`` models the paper's dual-Pentium III nodes: it bounds how
-    many simulated processes can burn CPU concurrently without slowdown
-    (the CPU model lives in the PadicoTM layer; here it is descriptive
-    metadata used by deployment planning).
-    """
+    """A grid machine: its site and the fabrics its NICs attach to."""
 
     name: str
-    cpus: int = 2
     site: str = "default"
-    labels: frozenset[str] = frozenset()
     fabrics: set[str] = field(default_factory=set)
 
     def __hash__(self) -> int:
@@ -240,11 +232,10 @@ class Topology:
         self.fabrics: dict[str, Fabric] = {}
 
     # -- construction ---------------------------------------------------
-    def add_host(self, name: str, cpus: int = 2, site: str = "default",
-                 labels: Iterable[str] = ()) -> Host:
+    def add_host(self, name: str, site: str = "default") -> Host:
         if name in self.hosts:
             raise ValueError(f"duplicate host {name!r}")
-        host = Host(name, cpus, site, frozenset(labels))
+        host = Host(name, site)
         self.hosts[name] = host
         return host
 
@@ -276,12 +267,10 @@ class Topology:
         self.hosts[hostname].fabrics.add(fab.name)
 
     def link_switches(self, fabric: str | Fabric, a: str, b: str,
-                      bandwidth: float | None = None,
                       latency: float | None = None) -> None:
         fab = self._fabric(fabric)
         tech = fab.technology
-        fab._add_edge(a, b,
-                      tech.bandwidth if bandwidth is None else bandwidth,
+        fab._add_edge(a, b, tech.bandwidth,
                       tech.latency if latency is None else latency)
 
     # -- queries ---------------------------------------------------------
@@ -329,11 +318,10 @@ class Topology:
 def build_cluster(topo: Topology, name: str, n_hosts: int,
                   san: NetworkTechnology | None = MYRINET_2000,
                   lan: NetworkTechnology | None = ETHERNET_100,
-                  cpus: int = 2, site: str | None = None,
-                  labels: Iterable[str] = (),
+                  site: str | None = None,
                   switch_fanout: int | None = None,
                   host_prefix: str | None = None) -> list[Host]:
-    """A cluster: ``n_hosts`` dual-CPU machines on a SAN and/or a LAN.
+    """A cluster: ``n_hosts`` machines on a SAN and/or a LAN.
 
     Mirrors the paper's testbed: every node has a Myrinet-2000 NIC into
     the SAN switch and a Fast-Ethernet NIC into the site LAN switch.
@@ -372,8 +360,7 @@ def build_cluster(topo: Topology, name: str, n_hosts: int,
     san_spine = _spine(san_fab, "san") if san_fab else None
     lan_spine = _spine(lan_fab, "lan") if lan_fab else None
     for i in range(n_hosts):
-        host = topo.add_host(f"{host_prefix}{i}", cpus=cpus, site=site,
-                             labels=labels)
+        host = topo.add_host(f"{host_prefix}{i}", site=site)
         leaf = f"{i // switch_fanout}" if fanned else ""
         if san_fab:
             topo.attach(host, san_fab, f"{san_spine}{leaf}")
@@ -383,67 +370,46 @@ def build_cluster(topo: Topology, name: str, n_hosts: int,
     return hosts
 
 
-def build_grid(topo: Topology | None = None, sites: int = 2,
-               hosts_per_site: int = 4,
+def build_grid(sites: int = 2, hosts_per_site: int = 4,
                san: NetworkTechnology | None = MYRINET_2000,
-               lan: NetworkTechnology | None = None,
-               site_techs: Sequence[NetworkTechnology] | None = None,
-               wan_tech: NetworkTechnology = WAN,
-               wan_bandwidth: float | None = None,
-               wan_latency: float | None = None,
-               uplink_bandwidth: float | None = None,
-               uplink_latency: float | None = None,
                switch_fanout: int | None = None,
-               name: str = "g") -> tuple[Topology, dict[str, list[Host]]]:
+               ) -> tuple[Topology, dict[str, list[Host]]]:
     """A multi-site grid: ``sites`` clusters joined by wide-area links.
 
     The paper's Figure-1 environment scaled up: every site is a
     high-performance cluster built with :func:`build_cluster` (its own
-    SAN fabric, tagged with the site name; ``switch_fanout`` spreads
-    large sites over leaf switches), and a single site-less ``{name}-wan``
-    fabric couples the sites — one router switch per site, all routers
-    cabled to a core switch at ``wan_bandwidth``/``wan_latency``
-    (defaulting to ``wan_tech``'s numbers), every host cabled to its
-    site router at Fast-Ethernet rates unless overridden.
+    ``san`` fabric, tagged with the site name, and no LAN;
+    ``switch_fanout`` spreads large sites over leaf switches), and a
+    single site-less ``g-wan`` fabric couples the sites — one router
+    switch per site, all routers cabled to a core switch at the WAN's
+    rates, every host cabled to its site router at Fast-Ethernet rates.
 
-    ``site_techs`` rotates SAN technologies across sites (e.g.
-    ``(MYRINET_2000, SCI)`` for alternating Myrinet and SCI islands);
-    when ``None`` every site uses ``san``.
-
-    Returns ``(topology, {site_name: hosts})``.  Site names are
-    ``{name}0`` … ``{name}{sites-1}``; intra-site traffic routes over
-    the site SAN, cross-site traffic over the WAN fabric only — the
-    decomposition seam the hierarchical max-min solver shards on.
+    Returns ``(topology, {site_name: hosts})``.  Site names are ``g0``
+    … ``g{sites-1}``; intra-site traffic routes over the site SAN,
+    cross-site traffic over the WAN fabric only — the decomposition
+    seam the hierarchical max-min solver shards on.
     """
     if sites < 1:
         raise ValueError("a grid needs at least one site")
-    topo = topo or Topology()
-    wan = topo.add_fabric(f"{name}-wan", wan_tech)
-    core = topo.add_switch(wan, f"{name}-wan-core")
-    if uplink_bandwidth is None:
-        uplink_bandwidth = ETHERNET_100.bandwidth
-    if uplink_latency is None:
-        uplink_latency = ETHERNET_100.latency
+    topo = Topology()
+    wan = topo.add_fabric("g-wan", WAN)
+    core = topo.add_switch(wan, "g-wan-core")
     site_hosts: dict[str, list[Host]] = {}
     for i in range(sites):
-        site = f"{name}{i}"
-        tech = site_techs[i % len(site_techs)] if site_techs else san
-        hosts = build_cluster(topo, site, hosts_per_site, san=tech, lan=lan,
+        site = f"g{i}"
+        hosts = build_cluster(topo, site, hosts_per_site, san=san, lan=None,
                               site=site, switch_fanout=switch_fanout,
                               host_prefix=f"{site}n")
-        router = topo.add_switch(wan, f"{name}-wan-r{i}")
-        topo.link_switches(wan, router, core,
-                           bandwidth=wan_bandwidth, latency=wan_latency)
+        router = topo.add_switch(wan, f"g-wan-r{i}")
+        topo.link_switches(wan, router, core)
         for h in hosts:
-            topo.attach(h, wan, router,
-                        bandwidth=uplink_bandwidth, latency=uplink_latency)
+            topo.attach(h, wan, router, bandwidth=ETHERNET_100.bandwidth,
+                        latency=ETHERNET_100.latency)
         site_hosts[site] = hosts
     return topo, site_hosts
 
 
-def build_two_site_grid(topo: Topology | None = None,
-                        n_per_site: int = 4,
-                        wan_tech: NetworkTechnology = WAN,
+def build_two_site_grid(n_per_site: int = 4,
                         ) -> tuple[Topology, list[Host], list[Host]]:
     """The paper's §2 deployment: two clusters joined by a wide-area link.
 
@@ -452,10 +418,10 @@ def build_two_site_grid(topo: Topology | None = None,
     router, WAN hop between routers), so cross-site traffic is slow and
     insecure while intra-site traffic can use the SAN.
     """
-    topo = topo or Topology()
+    topo = Topology()
     a_hosts = build_cluster(topo, "a", n_per_site, site="site-a")
     b_hosts = build_cluster(topo, "b", n_per_site, site="site-b")
-    wan = topo.add_fabric("wan", wan_tech)
+    wan = topo.add_fabric("wan", WAN)
     topo.add_switch(wan, "router-a")
     topo.add_switch(wan, "router-b")
     topo.link_switches(wan, "router-a", "router-b")

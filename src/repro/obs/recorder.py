@@ -35,7 +35,7 @@ from repro.obs.spans import CounterSample, FlowRecord, Span
 class TraceRecorder:
     """Collects spans, counters, gauges, flows and driver I/O totals."""
 
-    def __init__(self, kernel: Any = None):
+    def __init__(self) -> None:
         self._kernel: Any = None
         #: (events fired, context switches) up to the last detach
         self._counted = (0, 0)
@@ -56,8 +56,6 @@ class TraceRecorder:
         #: (driver, direction) -> [calls, bytes]
         self.driver_io: dict[tuple[str, str], list[float]] = {}
         self.fabric_bytes: dict[str, float] = {}
-        if kernel is not None:
-            self.bind(kernel)
 
     # -- attachment ---------------------------------------------------------
     def bind(self, kernel: Any) -> "TraceRecorder":

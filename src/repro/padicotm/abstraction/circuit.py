@@ -86,8 +86,8 @@ class Circuit:
                   fabric: str | None = None) -> "Circuit":
         """Collectively create a circuit over ``members``.
 
-        ``fabric`` forces a specific network (used by ablation benches);
-        by default the selector picks the best one.
+        ``fabric`` forces a specific network, for a caller that pins the
+        wire under test; by default the selector picks the best one.
         """
         hosts = [p.host.name for p in members]
         choice = select_group_fabric(runtime.topology, hosts, PARALLEL,

@@ -109,7 +109,6 @@ class VLinkEndpoint:
             getattr(local, "security_policy", None)
         #: bytes this end sent through an encrypting policy (telemetry)
         self.encrypted_bytes: float = 0.0
-        self.sent_bytes: float = 0.0
         if runtime.monitor is not None:
             runtime.monitor.on_vlink(self, "create")
 
@@ -171,7 +170,6 @@ class VLinkEndpoint:
             send_leg(proc, mon, self.runtime.network, self.driver,
                      self.fabric_name, self.local.host.name,
                      self.remote.host.name, nbytes, extra)
-            self.sent_bytes += nbytes
             self.peer._deliver((payload, nbytes, extra))
         finally:
             if mon is not None:
@@ -250,7 +248,8 @@ class VLink:
                 fabric: str | None = None) -> VLinkEndpoint:
         """Connect to ``target_process:port``; blocks for the handshake.
 
-        ``fabric`` forces a wire (ablation benches); the default lets the
+        ``fabric`` forces a wire, for a caller that compares wires side by
+        side (``examples/network_selection.py``); the default lets the
         selector choose, which is the paper's intended behaviour.
         """
         runtime = process.runtime

@@ -155,8 +155,8 @@ class PadicoRuntime:
         except KeyError:
             raise ValueError(f"no such PadicoTM process {name!r}") from None
 
-    def run(self, until: float | None = None) -> float:
-        return self.kernel.run(until=until)
+    def run(self) -> float:
+        return self.kernel.run()
 
     def shutdown(self) -> None:
         self.kernel.shutdown()

@@ -471,13 +471,13 @@ class SimKernel:
         resume at the current instant with ``value``."""
         self._schedule_wake(0.0, proc, proc._wake_token, value)
 
-    def _wake(self, proc: SimProcess, token: int, value: Any = None,
-              exc: BaseException | None = None) -> None:
+    def _wake(self, proc: SimProcess, token: int,
+              exc: BaseException) -> None:
         """Ask the loop to resume ``proc`` within the current event: it
         delivers once the calling timer callback (``WaitQueue._expire``,
         in tail position) returns, or :meth:`shutdown` drives it.  Wake
         *timers* never call this: the loop takes their arguments."""
-        self._woken = (proc, token, value, exc)
+        self._woken = (proc, token, None, exc)
 
     def _on_process_exit(self, proc: SimProcess) -> None:
         if self._tracer is not None:
@@ -614,12 +614,11 @@ class SimKernel:
             self._failure = exc
             return None
 
-    def run_until_complete(self, proc: SimProcess,
-                           until: float | None = None) -> Any:
+    def run_until_complete(self, proc: SimProcess) -> Any:
         """Run the simulation until ``proc`` finishes; return its result."""
-        self.run(until=until)
+        self.run()
         # run() already raised for a stranded non-daemon: what is left
-        # is a run bounded by ``until`` or a daemon target
+        # is a daemon target
         if proc.alive:
             from repro.sim.waitgraph import format_wait_graph
             raise SimDeadlockError(
@@ -648,7 +647,7 @@ class SimKernel:
             # ``finally:`` that sleeps) is shut down again, not re-parked
             while proc._state in (SimProcess._STATE_BLOCKED,
                                   SimProcess._STATE_READY):
-                self._wake(proc, proc._arm(), None, SimShutdown())
+                self._wake(proc, proc._arm(), SimShutdown())
                 self._drive()
 
     def __enter__(self) -> "SimKernel":

@@ -108,22 +108,22 @@ class WaitQueue:
         # tail call: the loop resumes ``proc`` as part of this event, and
         # drops the exception if ``token`` is stale, so an interrupt
         # armed after us always wins over the timeout
-        self.kernel._wake(proc, token, None,
+        self.kernel._wake(proc, token,
                           SimTimeout(f"timed out after {timeout} s"))
 
-    def wake_one(self, value: Any = None) -> bool:
+    def wake_one(self) -> bool:
         """Wake the longest-waiting process.  Returns False if empty."""
         if not self._waiters:
             return False
         entry = self._waiters.popleft()
         entry[1] = True
-        self.kernel.wake(entry[0], value)
+        self.kernel.wake(entry[0])
         return True
 
-    def wake_all(self, value: Any = None) -> int:
+    def wake_all(self) -> int:
         """Wake every waiting process; returns how many were woken."""
         count = 0
-        while self.wake_one(value):
+        while self.wake_one():
             count += 1
         return count
 
@@ -282,11 +282,10 @@ class Mailbox:
         gets only the budget that is left."""
         return self._await(proc, predicate, timeout, take=True)
 
-    def wait_match(self, proc: SimProcess, predicate=None,
-                   timeout: float | None = None) -> Any:
+    def wait_match(self, proc: SimProcess, predicate=None) -> Any:
         """Block until a matching item is queued; returns it WITHOUT
         removing it (MPI_Probe semantics)."""
-        return self._await(proc, predicate, timeout, take=False)
+        return self._await(proc, predicate, None, take=False)
 
     def poll(self, predicate=None) -> bool:
         """Non-destructive probe: is a matching item queued?"""

@@ -147,15 +147,14 @@ class SoapModule(PadicoModule):
 
 
 class SoapServer:
-    """Serves registered handlers at a VLink port."""
+    """Serves registered handlers at the process's ``http`` VLink port."""
 
-    def __init__(self, process: "PadicoProcess", port: str = "http"):
+    def __init__(self, process: "PadicoProcess"):
         if not process.modules.is_loaded(SoapModule.name):
             process.modules.load(SoapModule())
         self.process = process
-        self.port = port
         self._handlers: dict[str, Callable] = {}
-        self._listener = VLink.listen(process, port)
+        self._listener = VLink.listen(process, "http")
         process.spawn(self._acceptor, name="soap-acceptor", daemon=True)
 
     def register(self, operation: str, handler: Callable) -> None:
@@ -166,7 +165,7 @@ class SoapServer:
 
     @property
     def url(self) -> str:
-        return f"soap://{self.process.name}/{self.port}"
+        return f"soap://{self.process.name}/http"
 
     # -- internals ------------------------------------------------------------
     def _acceptor(self, proc: SimProcess) -> None:

@@ -6,9 +6,12 @@ mid-transfer."""
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
-from repro.net import Topology, build_grid
+from repro.net import MYRINET_2000, Topology, build_grid, \
+    build_two_site_grid
 from repro.net.flows import FlowNetwork, TransferError
 from repro.sim.kernel import SimKernel
 from tests.net.test_incremental_maxmin import CheckedFlowNetwork, \
@@ -57,6 +60,28 @@ def test_grid_host_names_cannot_collide_across_sites():
 def test_grid_needs_a_site():
     with pytest.raises(ValueError):
         build_grid(sites=0)
+
+
+def _links_digest(topo: Topology) -> tuple[int, str]:
+    links = [(link.name, link.bandwidth, link.latency)
+             for fab in topo.fabrics.values() for link in fab.links()]
+    return len(links), hashlib.sha256(repr(links).encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("build, expected", [
+    # grid_collectives' shape
+    (lambda: build_grid(sites=4, hosts_per_site=5, san=MYRINET_2000)[0],
+     (88, "864b437f5f9ce01e")),
+    # flow_churn's smoke shape: two sites over leaf switches
+    (lambda: build_grid(sites=2, hosts_per_site=64, switch_fanout=32)[0],
+     (524, "f09ee09c1d116ec3")),
+    (lambda: build_two_site_grid(n_per_site=2)[0], (26, "b77c2fddb230ad09")),
+], ids=["grid_collectives", "flow_churn_smoke", "two_site"])
+def test_builders_cable_the_same_links(build, expected):
+    """Every link's name, bandwidth and latency, in cabling order, is
+    what the builders produced before their unused knobs went: a
+    builder default that moves changes every run on it."""
+    assert _links_digest(build()) == expected
 
 
 # ---------------------------------------------------------------------------
