@@ -18,9 +18,11 @@ lint:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro.analysis.cli --stats \
 		src examples
 
-# Seeded-mutant gate: every ker-block-deep/obs-guard/perf-* corpus
-# defect must be caught, every good-corpus pattern must stay clean
-# (races, typestate and publish windows are sim-san's: tests/sanitizer)
+# Seeded-mutant gate: it scores perf-* only.  Every bad-corpus defect
+# must be caught, every good-corpus pattern must stay clean (races,
+# typestate and publish windows are sim-san's: tests/sanitizer; blocking
+# behind helpers is the tier-1 guard's: tests/conftest.py; hook guards
+# are the census's)
 lint-mutants:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro.analysis.mutants
 

@@ -1,12 +1,13 @@
-"""Reachability and option census: which library functions a whole run
-enters, and which of their defaulted parameters it ever sets.
+"""Reachability, option and hook census: which library functions a
+whole run enters, which of their defaulted parameters it ever sets, and
+which monitor hook guards it passes with no monitor attached.
 
 Usage::
 
     PYTHONPATH=src python -m benchmarks.census
 
-It takes no options.  A profiler hook (``sys.setprofile`` and
-``threading.setprofile``, so the simulated processes' threads are seen
+It takes no options.  A trace hook (``sys.settrace`` and
+``threading.settrace``, so the simulated processes' threads are seen
 too) records every function entered while
 
 1. ``benchmarks.run.collect()`` computes every ``BENCH_padico.json``
@@ -32,6 +33,18 @@ are compared on every resumption, so one that rebinds a parameter in
 its body reads as varied: the census may miss a never-varied parameter
 but never reports a varied one.
 
+The third table covers every monitor hook site: a call of one of the
+``on_*`` hooks that the monitors of ``repro.obs`` and
+``repro.sanitizer`` implement, outside ``obs/`` itself.  Each site has a
+*guard*: the nearest enclosing ``if`` whose test names the hook's
+receiver, or an earlier ``if`` on it whose body leaves the function (an
+early exit, as in ``if mon is None: return ...``).  A line trace of the
+functions holding guards records whether the run reached each guard and
+took the no-monitor branch, the one a hook that lost its guard would
+crash on.  A site that neither step reaches that way names the tier-1
+test that does (``TIER1_HOOK_TESTS``); one with no guard, or missed and
+unnamed, makes the census exit 1.
+
 The tooling packages (``analysis``, ``sanitizer``, ``tools``) are left
 out: they inspect a run rather than take part in one.
 """
@@ -49,6 +62,7 @@ import sys
 import tempfile
 import threading
 from pathlib import Path
+from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "repro"
@@ -56,6 +70,51 @@ PACKAGES = ("corba", "mpi", "padicotm", "ccm", "net", "sim", "core",
             "deploy", "soap", "obs")
 SEED = 1
 STEPS = (1, 2)
+#: where the monitors live: the hooks they implement are the ones counted
+MONITOR_PACKAGES = ("obs", "sanitizer")
+
+#: ``(module, function, hook)`` -> the tier-1 test that reaches the
+#: site's guard with no monitor, for the sites the census pass does not
+#: (closing, releasing, aborting and the BSD personality: paths no
+#: experiment, workload or example takes)
+TIER1_HOOK_TESTS: dict[tuple[str, str, str], str] = {
+    ("padicotm/abstraction/circuit.py", "Circuit.close", "on_circuit"):
+        "tests/padicotm/test_abstraction.py::"
+        "test_closed_circuit_refuses_traffic",
+    ("padicotm/abstraction/vlink.py", "VLinkListener.close", "on_unbind"):
+        "tests/test_edge_cases.py::test_vlink_listener_poll_and_close",
+    ("padicotm/abstraction/vlink.py", "VLinkEndpoint.close", "on_vlink"):
+        "tests/padicotm/test_abstraction.py::test_vlink_eof_semantics",
+    ("padicotm/arbitration/core.py", "ArbitrationCore.release_claims",
+     "on_release"):
+        "tests/padicotm/test_arbitration.py::test_release_claims",
+    **{("padicotm/personality/bsd.py", f"BsdSocket.{op}", hook):
+       "tests/padicotm/test_personalities.py::test_bsd_socket_roundtrip"
+       for op in ("send", "recv") for hook in ("on_span_start",
+                                               "on_span_end")},
+    ("net/flows.py", "FlowNetwork._abort_flow", "on_flow_end"):
+        "tests/net/test_flows.py::test_link_failure_aborts_inflight_transfer",
+    ("core/runtime.py", "_ServerPortLayer._assemble", "on_counter"):
+        "tests/core/test_2d_distribution.py::"
+        "test_2d_sequential_client_via_proxy",
+}
+
+
+class Guard(NamedTuple):
+    """The ``if`` that keeps a hook from running with no monitor."""
+
+    key: tuple[str, int]    # (module, line of the ``if``)
+    test_last: int          # last line of its test
+    body: tuple[int, int]   # first and last line of its body
+    exits: bool             # early exit: the body is the no-monitor branch
+
+
+class HookSite(NamedTuple):
+    module: str
+    line: int
+    hook: str
+    function: str           # qualified name of the enclosing function
+    guard: Guard | None
 
 
 def function_spans(path: Path) -> list[tuple[int, int]]:
@@ -129,6 +188,10 @@ class Recorder:
         #: calls profiled before :meth:`watch`, ``(code, arguments)``:
         #: a module's import-time calls precede its functions' listing
         self._early: list | None = []
+        #: guard key -> first step that took its no-monitor branch
+        self.unmonitored: dict = {}
+        self._guards: dict = {}     # real path -> {line: Guard}
+        self._code_guards: dict = {}  # code -> {line: Guard} or None
 
     def watch(self, functions) -> None:
         """Compare the defaulted parameters of ``functions``, in the
@@ -139,6 +202,51 @@ class Recorder:
         for code, bound in early:
             self._compare(code, bound)
 
+    def watch_guards(self, paths: dict[str, Path], sites) -> None:
+        """Line-trace the guards of ``sites`` (``paths``: module ->
+        file) to see which ones the run passes with no monitor."""
+        for site in sites:
+            if site.guard is not None:
+                real = os.path.realpath(paths[site.module])
+                self._guards.setdefault(real, {})[site.guard.key[1]] = \
+                    site.guard
+
+    def _guards_of(self, code) -> dict | None:
+        try:
+            return self._code_guards[code]
+        except KeyError:
+            pass
+        found = None
+        in_file = self._guards.get(os.path.realpath(code.co_filename))
+        if in_file:
+            lines = {line for _s, _e, line in code.co_lines()}
+            found = {line: guard for line, guard in in_file.items()
+                     if line in lines} or None
+        self._code_guards[code] = found
+        return found
+
+    def _line_tracer(self, guards: dict):
+        """A frame's local tracer: after a guard's test, the next line
+        says which branch ran (leaving the frame: not the body)."""
+        pending = None
+
+        def trace(frame, event, _arg):
+            nonlocal pending
+            line = frame.f_lineno
+            if pending is not None:
+                if event == "line" and pending.key[1] <= line \
+                        <= pending.test_last:
+                    return trace
+                taken = event == "line" and \
+                    pending.body[0] <= line <= pending.body[1]
+                if taken == pending.exits:
+                    self.unmonitored.setdefault(pending.key, self.step)
+                pending = None
+            if event == "line":
+                pending = guards.get(line)
+            return trace
+        return trace
+
     def _compare(self, code, bound: dict) -> None:
         pending = self._pending.get(code)
         if pending:
@@ -147,9 +255,10 @@ class Recorder:
                     self.varied[code, name] = self.step
                     del pending[name]
 
-    def _hook(self, frame, event, _arg) -> None:
-        if event != "call":
-            return
+    def _hook(self, frame, event, _arg):
+        """The global trace function: it sees every ``call`` (and each
+        resumption of a generator), and line-traces only frames of
+        functions with a guard some step has not yet seen unmonitored."""
         code = frame.f_code
         if code not in self.entered:
             self.entered[code] = self.step
@@ -157,17 +266,22 @@ class Recorder:
             self._early.append((code, dict(frame.f_locals)))
         else:
             self._compare(code, frame.f_locals)
+        guards = self._guards_of(code)
+        if guards is None or all(g.key in self.unmonitored
+                                 for g in guards.values()):
+            return None
+        return self._line_tracer(guards)
 
     @contextlib.contextmanager
     def profiling(self, step: int):
         self.step = step
-        threading.setprofile(self._hook)
-        sys.setprofile(self._hook)
+        threading.settrace(self._hook)
+        sys.settrace(self._hook)
         try:
             yield
         finally:
-            sys.setprofile(None)
-            threading.setprofile(None)
+            sys.settrace(None)
+            threading.settrace(None)
 
     def entered_lines(self, step: int) -> set[tuple[str, int]]:
         """``(file, first line)`` of every code object entered by the
@@ -217,10 +331,95 @@ def _import(module: str):
     return importlib.import_module(".".join(parts))
 
 
+def monitor_hooks() -> set[str]:
+    """The ``on_*`` names a monitor class of ``MONITOR_PACKAGES``
+    defines or assigns."""
+    hooks = set()
+    for package in MONITOR_PACKAGES:
+        for path in sorted((SRC / package).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text("utf-8"))):
+                if not isinstance(node, ast.ClassDef):
+                    continue
+                for item in node.body:
+                    names = ([item.name] if isinstance(item, ast.FunctionDef)
+                             else [t.id for t in getattr(item, "targets", ())
+                                   if isinstance(t, ast.Name)])
+                    hooks.update(n for n in names if n.startswith("on_"))
+    return hooks
+
+
+def _names(node) -> set[str]:
+    return {ast.unparse(n) for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute))}
+
+
+def _guard(module: str, receiver: str, chain: list) -> Guard | None:
+    """The guard of a call on ``receiver`` whose ancestors, innermost
+    first, are ``chain`` (pairs of a node and its child on the way)."""
+    for node, child in chain:
+        if isinstance(node, ast.If) and child in node.body \
+                and receiver in _names(node.test):
+            return _guard_of(module, node, exits=False)
+        block = next((b for b in (getattr(node, field, None) for field
+                                  in ("body", "orelse", "finalbody"))
+                      if isinstance(b, list) and child in b), None)
+        for stmt in reversed(block[:block.index(child)] if block else []):
+            if isinstance(stmt, ast.If) and ast.unparse(stmt.test) in (
+                    f"{receiver} is None", f"not {receiver}") \
+                    and isinstance(stmt.body[-1], (ast.Return, ast.Raise)):
+                return _guard_of(module, stmt, exits=True)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.Lambda)):
+            return None
+    return None
+
+
+def _guard_of(module: str, node: ast.If, exits: bool) -> Guard | None:
+    if node.body[0].lineno <= node.test.end_lineno:
+        return None     # a one-line guard: no line event tells its branch
+    return Guard((module, node.lineno), node.test.end_lineno,
+                 (node.body[0].lineno, node.body[-1].end_lineno), exits)
+
+
+def hook_sites(module: str, path: Path, hooks: set[str]) -> list[HookSite]:
+    """Every call of a monitor hook in one file, with its guard."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    parent: dict = {}
+    qualname: dict = {tree: ""}
+    for node in ast.walk(tree):
+        for child in ast.iter_child_nodes(node):
+            parent[child] = node
+            named = isinstance(node, (ast.ClassDef, ast.FunctionDef,
+                                      ast.AsyncFunctionDef))
+            qualname[child] = (f"{qualname[node]}.{node.name}".lstrip(".")
+                               if named else qualname[node])
+    sites = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in hooks):
+            continue
+        chain, child = [], node
+        while child in parent:
+            chain.append((parent[child], child))
+            child = parent[child]
+        sites.append(HookSite(module, node.lineno, node.func.attr,
+                              qualname[node],
+                              _guard(module, ast.unparse(node.func.value),
+                                     chain)))
+    return sorted(sites)
+
+
 def census():
-    """Both tables' rows (:func:`line_rows`, :func:`option_rows`)."""
+    """The three tables' rows (:func:`line_rows`, :func:`option_rows`,
+    :func:`hook_rows`)."""
     modules = library_modules()
+    hooks = monitor_hooks()
+    sites = [site for module, path in modules.items()
+             if module.split("/")[0] not in MONITOR_PACKAGES
+             for site in hook_sites(module, path, hooks)]
     recorder = Recorder()
+    recorder.watch_guards(modules, sites)
     with recorder.profiling(1):
         # imported here, as the run would, so import-time calls count
         functions = {module: module_functions(_import(module))
@@ -229,7 +428,8 @@ def census():
         run_experiments_and_workloads()
     with recorder.profiling(2):
         run_examples()
-    return line_rows(recorder, modules), option_rows(recorder, functions)
+    return (line_rows(recorder, modules), option_rows(recorder, functions),
+            hook_rows(recorder, sites))
 
 
 def line_rows(recorder: Recorder,
@@ -259,6 +459,14 @@ def option_rows(recorder: Recorder, functions: dict[str, list]) -> dict:
              func.__code__ in recorder.entered)
             for module, funcs in functions.items() for func in funcs
             for name in defaults(func)}
+
+
+def hook_rows(recorder: Recorder, sites) -> dict:
+    """Site -> the first step that passed its guard with no monitor
+    (``None`` if neither did, or if it has no guard)."""
+    return {site: (recorder.unmonitored.get(site.guard.key)
+                   if site.guard is not None else None)
+            for site in sites}
 
 
 def _pct(part: int, whole: int) -> str:
@@ -317,10 +525,42 @@ def render_options(options: dict) -> str:
     return "".join(out)
 
 
+def render_hooks(hooks: dict) -> tuple[str, bool]:
+    """The hook table, and whether every site is guarded and reached
+    with no monitor, by the census or by its named tier-1 test."""
+    counts: dict[str, list[int]] = {}
+    missed = []
+    for site, step in hooks.items():
+        row = counts.setdefault(site.module, [0, 0, 0])
+        row[0] += 1
+        row[1] += step is None or step > 1
+        row[2] += step is None
+        if step is None:
+            missed.append(site)
+    out = ["Monitor hook sites, by whether a run passed their guard with "
+           "no monitor:\n\n"]
+    out += _table("hook sites | never passed unmonitored", counts)
+    out.append("\nHook sites the census never passes unmonitored:\n\n"
+               "| site | hook | guard | tier-1 test |\n|---|---|---|---|\n")
+    ok = True
+    for site in missed:
+        test = TIER1_HOOK_TESTS.get((site.module, site.function, site.hook))
+        guard = ("**none**" if site.guard is None
+                 else f"line {site.guard.key[1]}"
+                 + (" (early exit)" if site.guard.exits else ""))
+        ok &= site.guard is not None and test is not None
+        out.append(f"| `{site.module}:{site.line}` (`{site.function}`) "
+                   f"| `{site.hook}` | {guard} "
+                   f"| {f'`{test}`' if test else '**none**'} |\n")
+    return "".join(out), ok
+
+
 def main() -> int:
-    lines, options = census()
-    sys.stdout.write(render_lines(lines) + "\n" + render_options(options))
-    return 0
+    lines, options, hooks = census()
+    text, ok = render_hooks(hooks)
+    sys.stdout.write(render_lines(lines) + "\n" + render_options(options)
+                     + "\n" + text)
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

@@ -9,16 +9,12 @@ checked rules (see ``docs/ANALYSIS.md``):
   (``lay-*``), plus semantic lint for IDL/parallelism specs
   (``idl-*``) and hot-path idioms (``perf-*``).
 
-The per-file families are complemented by an *interprocedural* engine
-— a project call graph (:mod:`repro.analysis.callgraph`) plus a
-summary fixpoint framework (:mod:`repro.analysis.dataflow`) — with
-two whole-program clients: ``ker-block-deep`` (transitive
-blocking-call reachability) and ``obs-guard`` (instrumentation
-dominated by non-None guards).
-
-Races, the VLink/Circuit lifecycle and zero-copy publish windows are
-checked at run time only, by sim-san (:mod:`repro.sanitizer`); the
-family audit in ``docs/ANALYSIS.md`` says why each family here stays.
+Every rule looks at one file at a time.  What only a whole run can
+show is checked at run time: races, the VLink/Circuit lifecycle and
+zero-copy publish windows by sim-san (:mod:`repro.sanitizer`); blocking
+calls under the run token, monitor hooks reached with no monitor and
+hash-seed dependence by the tier-1 suite.  The family audit in
+``docs/ANALYSIS.md`` says why each family here stays.
 
 Entry points: the ``repro-lint`` console script
 (:func:`repro.analysis.cli.main`) and :func:`run_analysis` for
@@ -28,12 +24,9 @@ programmatic use (the tier-1 gate test in ``tests/analysis``).
 from repro.analysis.base import (
     Checker,
     ModuleContext,
-    ProjectChecker,
     all_checkers,
-    all_project_checkers,
     all_rules,
     register_checker,
-    register_project_checker,
 )
 from repro.analysis.baseline import (
     DEFAULT_BASELINE_NAME,
@@ -57,11 +50,9 @@ __all__ = [
     "DEFAULT_CONFIG",
     "Finding",
     "ModuleContext",
-    "ProjectChecker",
     "Severity",
     "Suppressions",
     "all_checkers",
-    "all_project_checkers",
     "all_rules",
     "apply_baseline",
     "find_project_root",
@@ -70,7 +61,6 @@ __all__ = [
     "lint_parallelism_element",
     "load_baseline",
     "register_checker",
-    "register_project_checker",
     "run_analysis",
     "sort_findings",
 ]

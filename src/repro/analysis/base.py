@@ -82,50 +82,11 @@ class Checker:
         return ctx.tree is not None
 
 
-class ProjectChecker:
-    """A whole-program checker driven by the interprocedural engine.
-
-    Runs in two phases:
-
-    * :meth:`file_facts` reduces one parsed module to a fact blob (local
-      findings material, dataflow IR, seed facts).  It is the only phase
-      with AST access.
-    * :meth:`project_check` sees every file's facts plus the assembled
-      :class:`~repro.analysis.callgraph.CallGraph` and yields findings —
-      typically by running a summary fixpoint via
-      :mod:`repro.analysis.dataflow` and interpreting each function's
-      facts under the solved summaries.
-
-    Engine-side suppression / allowlist / disabled-rule filtering
-    applies to project findings exactly as to per-file ones.
-    """
-
-    name: str = "project-base"
-    rules: dict[str, str] = {}
-
-    def file_facts(self, ctx: ModuleContext,
-                   config: AnalysisConfig) -> object:
-        raise NotImplementedError
-
-    def project_check(self, facts: dict[str, object], graph,
-                      config: AnalysisConfig) -> Iterator[Finding]:
-        """``facts`` maps file path -> the blob from :meth:`file_facts`;
-        ``graph`` is the :class:`CallGraph` over every analysed file."""
-        raise NotImplementedError
-
-
 _REGISTRY: list[type[Checker]] = []
-_PROJECT_REGISTRY: list[type[ProjectChecker]] = []
 
 
 def register_checker(cls: type[Checker]) -> type[Checker]:
     _REGISTRY.append(cls)
-    return cls
-
-
-def register_project_checker(
-        cls: type[ProjectChecker]) -> type[ProjectChecker]:
-    _PROJECT_REGISTRY.append(cls)
     return cls
 
 
@@ -136,7 +97,6 @@ def _load_builtin_families() -> None:
         determinism,
         idllint,
         layering,
-        obsguard,
         perf,
     )
 
@@ -147,16 +107,8 @@ def all_checkers() -> list[type[Checker]]:
     return list(_REGISTRY)
 
 
-def all_project_checkers() -> list[type[ProjectChecker]]:
-    """Registered whole-program checker classes."""
-    _load_builtin_families()
-    return list(_PROJECT_REGISTRY)
-
-
 def all_rules() -> dict[str, str]:
     out: dict[str, str] = {}
     for cls in all_checkers():
-        out.update(cls.rules)
-    for cls in all_project_checkers():
         out.update(cls.rules)
     return out

@@ -19,16 +19,11 @@ simulation.  Hence:
 ``ker-subprocess``
     :mod:`subprocess` / ``os.system`` / ``os.fork`` — the simulation
     cannot checkpoint or replay external processes.
-``ker-block-deep``
-    The interprocedural closure of the four rules above: a call site
-    whose callee *transitively* reaches a real blocking primitive
-    through the project call graph.  The direct rules flag the helper
-    that wraps ``time.sleep``; this one flags every kernel-side call
-    site of that helper, with the root primitive and the call chain in
-    the message.  Facts are *sanitized* before propagation: a blocking
-    use that is inline-suppressed or config-allowlisted at its own site
-    (e.g. the kernel's lock hand-off) has been justified as safe
-    and must not poison its callers.
+
+A real blocking call reached *through a helper* is not this family's:
+tier-1 runs every simulated process under a guard (``tests/conftest.py``)
+that raises on the same primitives on any thread holding a kernel's run
+token, whatever the call chain.
 """
 
 from __future__ import annotations
@@ -36,15 +31,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.analysis import dataflow
-from repro.analysis.base import (
-    Checker,
-    ModuleContext,
-    ProjectChecker,
-    register_checker,
-    register_project_checker,
-)
-from repro.analysis.callgraph import CallGraph, enclosing_function, slice_for
+from repro.analysis.base import Checker, ModuleContext, register_checker
 from repro.analysis.config import AnalysisConfig
 from repro.analysis.findings import Finding
 
@@ -155,90 +142,3 @@ class BlockingChecker(Checker):
         visitor.visit(ctx.tree)
         yield from visitor.findings
 
-
-_CHAIN_CAP = 6
-
-
-@register_project_checker
-class DeepBlockingChecker(ProjectChecker):
-    """Summary-based transitive closure of the ``ker-*`` rules."""
-
-    name = "kernel-safety-deep"
-    rules = {
-        "ker-block-deep":
-            "call site whose callee transitively reaches a real "
-            "blocking primitive (sleep/socket/thread/subprocess)",
-    }
-
-    # -- fact pass -------------------------------------------------------
-    def file_facts(self, ctx: ModuleContext,
-                   config: AnalysisConfig) -> dict:
-        """Direct blocking facts per function, already sanitized:
-        suppressed / allowlisted / disabled direct uses do not seed
-        summaries (their justification covers their callers too)."""
-        visitor = _BlockingVisitor(ctx)
-        visitor.visit(ctx.tree)
-        slice_ = slice_for(ctx)
-        facts: dict[str, list] = {}
-        for finding in visitor.findings:
-            if finding.rule in config.disabled_rules:
-                continue
-            if ctx.suppressions.is_suppressed(finding.rule, finding.line):
-                continue
-            if config.is_allowed(ctx.path, finding.rule):
-                continue
-            fn = enclosing_function(slice_, finding.line)
-            # "time.sleep(): ..." / "import of 'socket': ..." — keep the
-            # leading token as the human-readable origin
-            origin = finding.message.split(":", 1)[0]
-            facts.setdefault(fn, []).append(
-                {"rule": finding.rule, "origin": origin,
-                 "site": f"{ctx.path}:{finding.line}"})
-        return facts
-
-    # -- interprocedural pass --------------------------------------------
-    def project_check(self, facts: dict[str, dict], graph: CallGraph,
-                      config: AnalysisConfig) -> Iterator[Finding]:
-        direct: dict[str, list] = {}
-        for blob in facts.values():
-            for fn, entries in blob.items():
-                direct.setdefault(fn, []).extend(entries)
-
-        def initial(node: str) -> dict:
-            summary: dict[str, dict] = {}
-            for entry in direct.get(node, ()):
-                summary.setdefault(entry["rule"], {
-                    "origin": entry["origin"], "site": entry["site"],
-                    "chain": ()})
-            return summary
-
-        def transfer(node: str, summaries: dict) -> dict:
-            summary = initial(node)
-            for _site, callee in graph.callees(node):
-                for rule, entry in summaries.get(callee, {}).items():
-                    if rule in summary:
-                        continue
-                    chain = (callee,) + tuple(entry["chain"])
-                    summary[rule] = {"origin": entry["origin"],
-                                     "site": entry["site"],
-                                     "chain": chain[:_CHAIN_CAP]}
-            return summary
-
-        adjacency = graph.adjacency()
-        summaries = dataflow.solve(graph.nodes(), adjacency,
-                                   initial, transfer)
-
-        for caller in sorted(graph.edges):
-            for site, callee in graph.callees(caller):
-                for rule in sorted(summaries.get(callee, {})):
-                    entry = summaries[callee][rule]
-                    chain = dataflow.reach_chain(
-                        (callee,) + tuple(entry["chain"]))
-                    yield Finding(
-                        "ker-block-deep",
-                        f"call reaches {entry['origin']} "
-                        f"[{rule} at {entry['site']}] via {chain}; "
-                        f"blocking primitives must not run on the "
-                        f"cooperative kernel",
-                        site.path, site.line, site.col,
-                        source_line=site.text)

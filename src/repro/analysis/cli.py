@@ -17,7 +17,7 @@ import json
 import sys
 from pathlib import Path
 
-from repro.analysis.base import all_checkers, all_project_checkers
+from repro.analysis.base import all_checkers
 from repro.analysis.baseline import (
     DEFAULT_BASELINE_NAME,
     apply_baseline,
@@ -65,7 +65,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
 
     if args.list_rules:
-        for cls in (*all_checkers(), *all_project_checkers()):
+        for cls in all_checkers():
             print(f"[{cls.name}]")
             for rule, desc in cls.rules.items():
                 print(f"  {rule:24} {desc}")

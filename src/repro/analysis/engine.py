@@ -1,14 +1,11 @@
 """Analysis engine: file discovery, checker dispatch, filtering.
 
 The engine walks the given roots for ``*.py`` and ``*.idl`` sources and
-produces one *analysis unit* per file: the per-file checkers' findings
-(already filtered through inline suppressions and the config
-allowlist), the file's inline suppressions, its call-graph slice, and
-each registered :class:`ProjectChecker`'s fact blob.
-
-After the per-file pass the *interprocedural phase* runs: the slices
-are assembled into a :class:`~repro.analysis.callgraph.CallGraph` and
-every project checker gets all facts plus the graph.
+runs every registered checker over each file on its own; a finding
+survives if no inline suppression, config allowlist entry or disabled
+rule covers it.  No rule looks across files: what only a whole run can
+show (blocking under the run token, unguarded monitor hooks, hash-seed
+dependence) is checked at run time by the tier-1 suite.
 
 Baseline filtering is the caller's concern (CLI and the tier-1 gate
 test both layer it on top via :mod:`.baseline`).
@@ -19,12 +16,7 @@ from __future__ import annotations
 import ast
 from pathlib import Path
 
-from repro.analysis import callgraph
-from repro.analysis.base import (
-    ModuleContext,
-    all_checkers,
-    all_project_checkers,
-)
+from repro.analysis.base import ModuleContext, all_checkers
 from repro.analysis.config import DEFAULT_CONFIG, AnalysisConfig
 from repro.analysis.findings import Finding, sort_findings
 from repro.analysis.stats import RunStats, clock
@@ -105,35 +97,24 @@ def _filtered(findings, ctx_suppressions: Suppressions,
 
 
 def _analyze_file(path: Path, project_root: Path,
-                  config: AnalysisConfig,
-                  checkers, project_checkers,
-                  stats: RunStats | None = None) -> dict:
-    """One file's analysis unit."""
+                  config: AnalysisConfig, checkers,
+                  stats: RunStats | None = None) -> list[Finding]:
+    """One file's surviving findings."""
     ctx = build_context(path, project_root)
-    unit: dict = {"findings": [], "suppressions": ctx.suppressions,
-                  "slice": None, "facts": {}}
     if ctx.tree is None and path.suffix == ".py":
         exc = getattr(ctx, "parse_error", None)
-        unit["findings"].append(Finding(
-            "parse-error", f"file does not parse: {exc}", ctx.path,
-            getattr(exc, "lineno", 0) or 0))
-        return unit
+        return [Finding("parse-error", f"file does not parse: {exc}",
+                        ctx.path, getattr(exc, "lineno", 0) or 0)]
+    findings: list[Finding] = []
     for checker in checkers:
         if not checker.applicable(ctx):
             continue
         start = clock()
         found = checker.check(ctx, config)
-        unit["findings"].extend(_filtered(found, ctx.suppressions, config))
+        findings.extend(_filtered(found, ctx.suppressions, config))
         if stats is not None:
             stats.add_file_time(checker.name, clock() - start)
-    if ctx.tree is not None:
-        unit["slice"] = callgraph.slice_for(ctx)
-        for checker in project_checkers:
-            start = clock()
-            unit["facts"][checker.name] = checker.file_facts(ctx, config)
-            if stats is not None:
-                stats.add_file_time(checker.name, clock() - start)
-    return unit
+    return findings
 
 
 def run_analysis(roots: list[Path],
@@ -150,37 +131,15 @@ def run_analysis(roots: list[Path],
         project_root = find_project_root(roots[0] if roots else Path("."))
     project_root = project_root.resolve()
     checkers = [cls() for cls in all_checkers()]
-    project_checkers = [cls() for cls in all_project_checkers()]
-
-    units: dict[str, dict] = {}
-    for path in collect_files(roots):
-        relpath = path.resolve().relative_to(project_root).as_posix()
-        units[relpath] = _analyze_file(path, project_root, config,
-                                       checkers, project_checkers, stats)
-    if stats is not None:
-        stats.files_analyzed = len(units)
 
     findings: list[Finding] = []
-    for unit in units.values():
-        findings.extend(unit["findings"])
-
-    # interprocedural phase over every file's summaries
-    slices = [u["slice"] for u in units.values()
-              if u["slice"] is not None]
-    graph = callgraph.CallGraph.from_slices(slices)
-    for checker in project_checkers:
-        facts = {path: unit["facts"].get(checker.name)
-                 for path, unit in units.items()
-                 if checker.name in unit["facts"]}
-        start = clock()
-        for finding in checker.project_check(facts, graph, config):
-            unit = units.get(finding.path)
-            suppressions = (unit["suppressions"] if unit is not None
-                            else Suppressions())
-            findings.extend(_filtered([finding], suppressions, config))
-        if stats is not None:
-            stats.add_project_time(checker.name, clock() - start)
+    # a file named twice (a root and a directory holding it) counts once
+    files = list(dict.fromkeys(p.resolve() for p in collect_files(roots)))
+    for path in files:
+        findings.extend(_analyze_file(path, project_root, config,
+                                      checkers, stats))
     findings = sort_findings(findings)
     if stats is not None:
+        stats.files_analyzed = len(files)
         stats.count_findings(findings)
     return findings

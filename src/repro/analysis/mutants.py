@@ -1,20 +1,18 @@
-"""Seeded-mutant harness for the interprocedural rule families.
+"""Seeded-mutant harness for the ``perf-*`` rule family.
 
 Golden corpora live under ``tests/analysis/corpus/<family>/{bad,good}``.
 Every ``bad`` file carries one ``# expect: <rule>`` trailing comment per
 seeded defect; the harness demands a finding with exactly that rule on
 exactly that line (catch rate must be 100%).  Every ``good`` file
 encodes a pattern the family must *not* flag (false-positive rate must
-be 0%) — these are the regression guards for the deliberately
-FP-averse choices (branch-local state, caller-guards contracts,
-sanitized suppressions).
+be 0%) — the regression guards for the family's deliberately narrow
+matching (a route whose endpoints change per iteration, an
+accumulation outside any loop).
 
 Each corpus directory is analysed as its own mini-project through the
-full engine (per-file pass + call graph + project checkers), so the
-interprocedural paths — transitive blocking chains, unguarded-param
-contracts — are exercised exactly as in a real run.  Findings are scoped to the family's rule prefixes so unrelated
-per-file rules (a corpus file is not simulated kernel code) cannot
-skew the score.
+full engine, exactly as in a real run.  Findings are scoped to the
+family's rule prefixes so unrelated rules (a corpus file is not
+simulated kernel code) cannot skew the score.
 
 Run as a gate::
 
@@ -33,8 +31,6 @@ from repro.analysis.engine import run_analysis
 
 #: family directory -> rule-id prefixes it is scored on
 FAMILIES = {
-    "blockdeep": ("ker-block-deep",),
-    "obsguard": ("obs-guard",),
     "perf": ("perf-",),
 }
 

@@ -1,8 +1,7 @@
 """``repro-lint --stats``: where does lint wall time actually go?
 
 The engine feeds one :class:`RunStats` per run: per-checker wall time
-split by phase (the per-file pass vs the interprocedural pass) and
-finding counts per rule.  The CI lint step prints the report so a slow
+and finding counts per rule.  The CI lint step prints the report so a slow
 rule is visible in the log instead of a mystery.
 
 This module is the one place the analysis reads the host clock — lint
@@ -27,11 +26,8 @@ def clock() -> float:
 class RunStats:
     """Accumulated timing/counting for one ``run_analysis`` call."""
 
-    #: checker name -> seconds spent in the per-file pass (check() +
-    #: file_facts() over every file)
+    #: checker name -> seconds spent in check() over every file
     file_seconds: dict[str, float] = field(default_factory=dict)
-    #: checker name -> seconds spent in project_check()
-    project_seconds: dict[str, float] = field(default_factory=dict)
     #: rule id -> surviving finding count (post suppression/allowlist)
     rule_counts: dict[str, int] = field(default_factory=dict)
     files_analyzed: int = 0
@@ -40,10 +36,6 @@ class RunStats:
     def add_file_time(self, checker: str, seconds: float) -> None:
         self.file_seconds[checker] = \
             self.file_seconds.get(checker, 0.0) + seconds
-
-    def add_project_time(self, checker: str, seconds: float) -> None:
-        self.project_seconds[checker] = \
-            self.project_seconds.get(checker, 0.0) + seconds
 
     def count_findings(self, findings) -> None:
         for finding in findings:
@@ -54,18 +46,11 @@ class RunStats:
     def render(self) -> str:
         lines = ["repro-lint --stats:"]
         lines.append(f"  files analysed: {self.files_analyzed}")
-        merged: dict[str, tuple[float, float]] = {}
-        for name, secs in self.file_seconds.items():
-            merged[name] = (secs, merged.get(name, (0.0, 0.0))[1])
-        for name, secs in self.project_seconds.items():
-            merged[name] = (merged.get(name, (0.0, 0.0))[0], secs)
-        if merged:
-            lines.append("  checker wall time (file-pass / project-pass):")
-            by_total = sorted(merged.items(),
-                              key=lambda kv: -(kv[1][0] + kv[1][1]))
-            for name, (fsec, psec) in by_total:
-                lines.append(f"    {name:16} {fsec * 1000:8.1f}ms"
-                             f" / {psec * 1000:8.1f}ms")
+        if self.file_seconds:
+            lines.append("  checker wall time:")
+            for name, secs in sorted(self.file_seconds.items(),
+                                     key=lambda kv: -kv[1]):
+                lines.append(f"    {name:16} {secs * 1000:8.1f}ms")
         if self.rule_counts:
             lines.append("  findings per rule:")
             for rule in sorted(self.rule_counts):

@@ -177,8 +177,12 @@ class CdrOutputStream:
         if prim is None:
             prim = PrimitiveType(kind)  # raises IdlError for unknown kinds
         self.align(prim.align)
+        # the trys cost nothing unless they catch (zero-cost exceptions)
         if kind == "char":
-            data = value.encode("latin-1")
+            try:
+                data = value.encode("latin-1")
+            except (UnicodeEncodeError, AttributeError) as exc:
+                raise CdrError(f"char is not Latin-1: {value!r}") from exc
             if len(data) != 1:
                 raise CdrError(f"char must encode to 1 byte: {value!r}")
         elif kind == "boolean":
@@ -186,7 +190,7 @@ class CdrOutputStream:
         else:
             try:
                 data = self._structs[kind].pack(value)
-            except struct.error as exc:
+            except (struct.error, OverflowError) as exc:
                 raise CdrError(f"cannot pack {value!r} as {kind}") from exc
         self._append_copied(data)
 
@@ -205,7 +209,10 @@ class CdrOutputStream:
         self.write_primitive("octet", value)
 
     def write_string(self, value: str) -> None:
-        data = value.encode("utf-8")
+        try:
+            data = value.encode("utf-8")
+        except (UnicodeEncodeError, AttributeError) as exc:
+            raise CdrError(f"cannot encode {value!r} as UTF-8") from exc
         self.write_ulong(len(data) + 1)
         self._append_copied(data + b"\x00")
 
@@ -443,7 +450,11 @@ def _encode(out: CdrOutputStream, t: IdlType, value: Any) -> None:
     elif isinstance(t, ObjRefType):
         _encode_objref(out, value)
     elif isinstance(t, AnyType):
-        inner_type, inner_value = value
+        try:
+            inner_type, inner_value = value
+        except (ValueError, TypeError) as exc:
+            raise CdrError(f"an any is a (type, value) pair, got "
+                           f"{value!r}") from exc
         typecheck(inner_type, inner_value)
         write_typecode(out, inner_type)
         _encode(out, inner_type, inner_value)
@@ -458,7 +469,7 @@ def _encode_sequence(out: CdrOutputStream, t: SequenceType,
         if isinstance(value, np.ndarray):
             view = memoryview(np.ascontiguousarray(value)).cast("B")
         elif isinstance(value, (list, tuple)):
-            view = memoryview(bytes(value))
+            view = memoryview(_octets(value))
         else:
             view = memoryview(value)
         out.write_ulong(view.nbytes)
@@ -466,7 +477,11 @@ def _encode_sequence(out: CdrOutputStream, t: SequenceType,
         return
     if isinstance(elem, PrimitiveType) and elem.kind in _NUMERIC_KINDS:
         order = "<" if out.little_endian else ">"
-        arr = np.asarray(value, dtype=order + elem.dtype)
+        try:
+            arr = np.asarray(value, dtype=order + elem.dtype)
+        except (ValueError, TypeError, OverflowError) as exc:
+            raise CdrError(f"cannot pack {value!r} as "
+                           f"{t.typename()}") from exc
         out.write_ulong(arr.size)
         out.write_bulk(arr, align=elem.align)
         return
@@ -475,17 +490,28 @@ def _encode_sequence(out: CdrOutputStream, t: SequenceType,
         _encode(out, elem, item)
 
 
+def _octets(value: list | tuple) -> bytes:
+    try:
+        return bytes(value)
+    except (ValueError, TypeError) as exc:
+        raise CdrError(f"cannot pack {value!r} as octets") from exc
+
+
 def _encode_array(out: CdrOutputStream, t: ArrayType, value: Any) -> None:
     """Fixed-size arrays: no length prefix on the wire."""
     elem = t.element
     if isinstance(elem, PrimitiveType) and elem.kind == "octet":
-        view = memoryview(bytes(value) if isinstance(value, (list, tuple))
+        view = memoryview(_octets(value) if isinstance(value, (list, tuple))
                           else value)
         out.write_bulk(view.cast("B"))
         return
     if isinstance(elem, PrimitiveType) and elem.kind in _NUMERIC_KINDS:
         order = "<" if out.little_endian else ">"
-        arr = np.asarray(value, dtype=order + elem.dtype)
+        try:
+            arr = np.asarray(value, dtype=order + elem.dtype)
+        except (ValueError, TypeError, OverflowError) as exc:
+            raise CdrError(f"cannot pack {value!r} as "
+                           f"{t.typename()}") from exc
         out.write_bulk(arr, align=elem.align)
         return
     for item in value:

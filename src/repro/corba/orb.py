@@ -34,6 +34,7 @@ from repro.corba.idl.compiler import (
     InterfaceDef,
     OperationDef,
 )
+from repro.corba.idl.errors import IdlError
 from repro.corba.idl.types import (
     AnyType,
     ObjRefType,
@@ -540,7 +541,7 @@ class Orb:
         for (pname, ptype), value in zip(opdef.in_params, args):
             try:
                 encode_value(out, ptype, value)
-            except Exception as exc:
+            except (CdrError, IdlError) as exc:  # rejected by type/codec
                 raise SystemException(
                     "MARSHAL", f"{opdef.name} arg {pname!r}: {exc}") from exc
         # two-way bodies leave as segment lists: bulk args ride by

@@ -1,12 +1,23 @@
 """Minimal SOAP 1.1-style RPC: XML envelopes over VLink.
 
 Value mapping: int/float/bool/str/None, lists, dicts with string keys,
-and 1D numeric numpy arrays (encoded as whitespace-separated text —
-deliberately faithful to how early SOAP toolkits shipped arrays, and the
-reason Web Services lose the Figure-7 race so badly)."""
+and boolean, integer or floating numpy arrays of any shape (encoded as
+whitespace-separated text — deliberately faithful to how early SOAP
+toolkits shipped arrays, and the reason Web Services lose the Figure-7
+race so badly).
+
+A value either round-trips exactly or :func:`encode_envelope` raises
+:class:`SoapError` naming it: strings may hold only XML 1.0 characters
+(``'\r'`` travels as a character reference, so end-of-line
+normalisation cannot turn it into ``'\n'``), names must be XML names,
+and an array keeps its shape and dtype (integers are written as
+integers, never through a float).  Two normalisations are by design: a
+tuple arrives as a list, and a numpy scalar as the Python scalar of its
+kind."""
 
 from __future__ import annotations
 
+import re
 import xml.etree.ElementTree as ET
 from typing import TYPE_CHECKING, Any, Callable
 
@@ -44,8 +55,35 @@ class SoapFault(RuntimeError):
 # envelope codec
 # ---------------------------------------------------------------------------
 
+#: a character outside XML 1.0's ``Char`` production
+_NOT_XML_CHAR = re.compile(
+    "[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
+_NAME_START = ("A-Z_a-z\xc0-\xd6\xd8-\xf6\xf8-\u02ff\u0370-\u037d"
+               "\u037f-\u1fff\u200c\u200d\u2070-\u218f\u2c00-\u2fef"
+               "\u3001-\ud7ff\uf900-\ufdcf\ufdf0-\ufffd"
+               "\U00010000-\U000effff")
+#: an XML name without a colon (a colon would need a namespace)
+_XML_NAME = re.compile(
+    f"[{_NAME_START}][{_NAME_START}\\-.0-9\xb7\u0300-\u036f"
+    f"\u203f\u2040]*")
+
+
+def _xml_text(text: str) -> str:
+    bad = _NOT_XML_CHAR.search(text)
+    if bad is not None:
+        raise SoapError(f"character {bad.group()!r} of {text!r} is not "
+                        f"allowed in XML")
+    return text
+
+
+def _element(parent: ET.Element, name: str) -> ET.Element:
+    if _XML_NAME.fullmatch(name) is None:
+        raise SoapError(f"{name!r} is not an XML name")
+    return ET.SubElement(parent, name)
+
+
 def _encode_value(parent: ET.Element, name: str, value: Any) -> None:
-    el = ET.SubElement(parent, name)
+    el = _element(parent, name)
     if value is None:
         el.set("nil", "true")
     elif isinstance(value, bool):
@@ -59,11 +97,18 @@ def _encode_value(parent: ET.Element, name: str, value: Any) -> None:
         el.text = repr(float(value))
     elif isinstance(value, str):
         el.set("type", "xsd:string")
-        el.text = value
+        el.text = _xml_text(value)
     elif isinstance(value, np.ndarray):
+        # booleans, integers and floats no wider than a double are
+        # the elements the text carries exactly
+        if value.dtype.kind not in "biuf" or value.dtype.itemsize > 8:
+            raise SoapError(f"cannot encode a {value.dtype} array as SOAP")
         el.set("type", "enc:Array")
         el.set("arrayType", str(value.dtype))
-        el.text = " ".join(repr(float(x)) for x in value.ravel())
+        if value.ndim != 1:
+            el.set("arrayShape", " ".join(map(str, value.shape)))
+        number = int if value.dtype.kind in "iu" else float
+        el.text = " ".join(repr(number(x)) for x in value.ravel())
     elif isinstance(value, (list, tuple)):
         el.set("type", "enc:List")
         for item in value:
@@ -92,10 +137,11 @@ def _decode_value(el: ET.Element) -> Any:
     if kind == "xsd:string":
         return text
     if kind == "enc:Array":
-        dtype = el.get("arrayType", "f8")
-        if not text.strip():
-            return np.zeros(0, dtype=dtype)
-        return np.array([float(x) for x in text.split()], dtype=dtype)
+        dtype = np.dtype(el.get("arrayType", "f8"))
+        shape = tuple(int(n) for n in el.get("arrayShape", "-1").split())
+        number = int if dtype.kind in "iu" else float
+        return np.array([number(x) for x in text.split()],
+                        dtype=dtype).reshape(shape)
     if kind == "enc:List":
         return [_decode_value(child) for child in el]
     if kind == "enc:Struct":
@@ -105,18 +151,25 @@ def _decode_value(el: ET.Element) -> Any:
 
 def encode_envelope(operation: str, payload: dict[str, Any],
                     fault: tuple[str, str] | None = None) -> bytes:
-    """Build a SOAP envelope; ``fault`` makes it a Fault response."""
+    """Build a SOAP envelope; ``fault`` makes it a Fault response.
+
+    Raises :class:`SoapError` for anything the envelope could not carry
+    back exactly (see the module docstring)."""
     env = ET.Element("Envelope")
     body = ET.SubElement(env, "Body")
     if fault is not None:
         f = ET.SubElement(body, "Fault")
-        ET.SubElement(f, "faultcode").text = fault[0]
-        ET.SubElement(f, "faultstring").text = fault[1]
+        ET.SubElement(f, "faultcode").text = _xml_text(fault[0])
+        ET.SubElement(f, "faultstring").text = _xml_text(fault[1])
+    elif operation == "Fault":
+        raise SoapError("operation 'Fault' would decode as a fault")
     else:
-        op = ET.SubElement(body, operation)
+        op = _element(body, operation)
         for name, value in payload.items():
             _encode_value(op, name, value)
-    return ET.tostring(env)
+    # element text is the one place a raw CR can be: a character
+    # reference keeps it from being normalised to LF when parsed
+    return ET.tostring(env).replace(b"\r", b"&#13;")
 
 
 def decode_envelope(data: bytes) -> tuple[str, dict[str, Any]]:
@@ -197,12 +250,13 @@ class SoapServer:
             result = handler(**payload)
             return encode_envelope(f"{operation}Response", result or {})
         except SoapFault as f:
-            return encode_envelope("Fault", {},
-                                   fault=(f.faultcode, f.faultstring))
+            fault = (f.faultcode, f.faultstring)
         except Exception as exc:  # noqa: BLE001 → server fault
-            return encode_envelope(
-                "Fault", {}, fault=("soap:Server",
-                                    f"{type(exc).__name__}: {exc}"))
+            fault = ("soap:Server", f"{type(exc).__name__}: {exc}")
+        # the fault always goes back: a character XML cannot carry in
+        # its text becomes U+FFFD
+        return encode_envelope("Fault", {}, fault=tuple(
+            _NOT_XML_CHAR.sub("\ufffd", text) for text in fault))
 
 
 class SoapClient:

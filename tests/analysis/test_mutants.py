@@ -9,15 +9,12 @@ from repro.analysis import mutants
 
 CORPUS = Path(__file__).parent / "corpus"
 
-#: a seeded transitive blocking call, as in corpus/blockdeep/bad
-_WRAPPED_SLEEP = ("import time\n"
-                  "\n"
-                  "def backoff(delay):\n"
-                  "    time.sleep(delay)\n"
-                  "\n"
-                  "def retry(task):\n"
-                  "    task()\n"
-                  "    backoff(0.1){expect}\n")
+#: a seeded quadratic drain, as in corpus/perf/bad
+_POP_FRONT = ("def drain(queue):\n"
+              "    out = []\n"
+              "    while queue:\n"
+              "        out.append(queue.pop(0)){expect}\n"
+              "    return out\n")
 
 
 def test_committed_corpora_score_perfectly():
@@ -42,8 +39,8 @@ def test_every_bad_file_is_annotated():
 
 
 def _family(tmp_path):
-    bad = tmp_path / "blockdeep" / "bad"
-    good = tmp_path / "blockdeep" / "good"
+    bad = tmp_path / "perf" / "bad"
+    good = tmp_path / "perf" / "good"
     bad.mkdir(parents=True)
     good.mkdir(parents=True)
     return bad, good
@@ -54,8 +51,8 @@ def test_harness_reports_missed_defects(tmp_path):
     bad, _good = _family(tmp_path)
     (bad / "nothing.py").write_text(
         "def f(x):\n"
-        "    return x  # expect: ker-block-deep\n")
-    failures = mutants.run_family("blockdeep", tmp_path, out=io.StringIO())
+        "    return x  # expect: perf-list-pop0\n")
+    failures = mutants.run_family("perf", tmp_path, out=io.StringIO())
     assert any("MISSED" in f for f in failures)
 
 
@@ -63,8 +60,8 @@ def test_harness_reports_false_positives(tmp_path):
     # a seeded defect placed in the good corpus must fail the gate
     bad, good = _family(tmp_path)
     (bad / "seed.py").write_text(
-        _WRAPPED_SLEEP.format(expect="  # expect: ker-block-deep"))
-    (good / "oops.py").write_text(_WRAPPED_SLEEP.format(expect=""))
-    failures = mutants.run_family("blockdeep", tmp_path, out=io.StringIO())
+        _POP_FRONT.format(expect="  # expect: perf-list-pop0"))
+    (good / "oops.py").write_text(_POP_FRONT.format(expect=""))
+    failures = mutants.run_family("perf", tmp_path, out=io.StringIO())
     assert any("FALSE POSITIVE" in f for f in failures)
     assert not any("MISSED" in f for f in failures)

@@ -16,8 +16,10 @@ from repro.corba.cdr import (
     read_typecode,
     write_typecode,
 )
+from repro.corba.idl.errors import IdlError
 from repro.corba.idl.types import (
     ANY,
+    PRIMITIVES,
     ArrayType,
     EnumType,
     ExceptionType,
@@ -26,6 +28,7 @@ from repro.corba.idl.types import (
     SequenceType,
     StringType,
     StructType,
+    typecheck,
 )
 from repro.corba.ior import IOR
 
@@ -39,6 +42,52 @@ def roundtrip(t, value, little=True, zero_copy=False):
 # ---------------------------------------------------------------------------
 # directed tests
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("kind,value", [
+    ("float", 1e300), ("float", -1e39), ("double", 2**2000),
+    ("char", "\u20ac"), ("char", "\ud800"),
+], ids=["float-overflow", "float-underflow", "huge-int", "euro", "surrogate"])
+def test_unencodable_primitive_is_a_cdr_error(kind, value):
+    with pytest.raises(CdrError):
+        CdrOutputStream().write_primitive(kind, value)
+
+
+def test_unencodable_string_is_a_cdr_error():
+    with pytest.raises(CdrError):
+        CdrOutputStream().write_string("a\ud800b")
+
+
+_CODEC_TYPES = [PrimitiveType(kind) for kind in PRIMITIVES] + [
+    StringType(), StringType(3), SequenceType(PrimitiveType("long")),
+    SequenceType(PrimitiveType("double")),
+    SequenceType(PrimitiveType("octet")), ArrayType(PrimitiveType("short"), 2),
+    SequenceType(StringType()), ANY]
+
+_scalars = st.one_of(st.integers(), st.floats(), st.text(max_size=3),
+                     st.booleans(), st.binary(max_size=3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(_CODEC_TYPES),
+       st.one_of(_scalars, st.lists(_scalars, max_size=3),
+                 st.tuples(_scalars, _scalars)))
+def test_every_rejected_value_raises_a_codec_error(t, value):
+    # the type check rejects with IdlError; anything it admits is
+    # either encoded or rejected by the codec with CdrError — no other
+    # exception leaves encode_value (the ORB maps these two to MARSHAL)
+    try:
+        typecheck(t, value)
+    except IdlError:
+        with pytest.raises(IdlError):
+            encode_value(CdrOutputStream(), t, value)
+        return
+    try:
+        encode_value(CdrOutputStream(), t, value)
+    except CdrError:
+        pass
+    except IdlError:
+        assert t == ANY  # the any's own type check, on its inner value
+
 
 @pytest.mark.parametrize("kind,value", [
     ("short", -123), ("unsigned short", 65535),

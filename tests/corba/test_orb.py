@@ -226,6 +226,29 @@ def test_wrong_arity_rejected_locally(runtime):
     assert _run_client(runtime, client, c_orb, url, body)["ok"]
 
 
+@pytest.mark.parametrize("call", [
+    lambda stub, point: stub.greet("lone \ud800 surrogate"),
+    lambda stub, point: stub.translate(point.make(x=0.0, y=0.0),
+                                       2**2000, 0.0),
+    lambda stub, point: stub.dot(["x"], [1.0]),
+    lambda stub, point: stub.add("1", 2),
+], ids=["string", "double", "sequence", "long"])
+def test_unmarshallable_argument_is_marshal(runtime, call):
+    # the codec's rejections (CdrError, or IdlError from the type check)
+    # surface as MARSHAL at the caller, before anything is sent
+    server, client, s_orb, c_orb, servant, url = _setup(runtime)
+    point = c_orb.idl.type("Demo::Point")
+
+    def body(proc, stub, out):
+        with pytest.raises(SystemException) as info:
+            call(stub, point)
+        out["minor"] = info.value.minor
+
+    assert _run_client(runtime, client, c_orb, url, body) == \
+        {"minor": "MARSHAL"}
+    assert servant.calls == 0
+
+
 def test_collocated_invocation_short_circuits(runtime):
     """Same-process calls skip GIOP entirely (collocation optimisation)."""
     server = runtime.create_process("a0", "server")

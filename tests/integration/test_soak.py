@@ -3,7 +3,15 @@
 16 hosts, two 4-node parallel components, a 4-rank parallel client
 group coupling them, background MPI traffic and SOAP control calls —
 all concurrently.  Checks numerical correctness and that the entire
-run is reproducible to the last virtual nanosecond."""
+run is reproducible to the last virtual nanosecond and the last
+context switch: in one interpreter, and across two interpreters under
+different ``PYTHONHASHSEED``s (which reorder every set of strings)."""
+
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -55,6 +63,18 @@ class StageB(ComponentImpl):
     def transform(self, values, factor):
         self.mpi.Barrier()
         return values + factor
+
+
+class _SwitchDigest:
+    """Kernel tracer hashing which process ran at which virtual instant,
+    in order: any change in the order of events changes it."""
+
+    def __init__(self, kernel):
+        self.kernel = kernel
+        self.hash = hashlib.sha256()
+
+    def on_switch(self, proc):
+        self.hash.update(f"{self.kernel.now!r} {proc.name}\n".encode())
 
 
 def _run_soak() -> dict:
@@ -141,8 +161,11 @@ def _run_soak() -> dict:
     spmd(world, pipeline_client)
     spmd(bg_world, background)
     soap_host.runtime.kernel.spawn(soap_poller, name="poller")
+    switches = _SwitchDigest(rt.kernel)
+    rt.kernel.attach_tracer(switches)
     rt.run()
     out["t_final"] = rt.kernel.now
+    out["switches"] = switches.hash.hexdigest()
     rt.shutdown()
     return out
 
@@ -158,3 +181,25 @@ def test_soak_correct_and_deterministic():
 
     second = _run_soak()
     assert second == first  # byte-identical replay, timings included
+
+
+def test_soak_replays_across_hash_seeds():
+    # DESIGN.md §7: the replay holds across PYTHONHASHSEED values, so a
+    # set iteration that feeds event order cannot hide in one process
+    root = Path(__file__).resolve().parents[2]
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join([str(root / "src"), str(root)]))
+    script = ("from tests.integration.test_soak import _run_soak; "
+              "print(repr(_run_soak()))")
+    runs = [subprocess.Popen([sys.executable, "-c", script], cwd=root,
+                             env=dict(env, PYTHONHASHSEED=seed),
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                             text=True)
+            for seed in ("0", "4242")]
+    outputs = []
+    for run in runs:
+        out, err = run.communicate(timeout=300)
+        assert run.returncode == 0, err
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
+    assert "'switches': '" in outputs[0]

@@ -54,6 +54,26 @@ def test_circuit_message_roundtrip(cluster_runtime):
     assert got == [(1, {"hello": 1}, 100)]
 
 
+def test_closed_circuit_refuses_traffic(cluster_runtime):
+    # no monitor attached: closing passes Circuit.close's hook guard
+    rt = cluster_runtime
+    procs = [rt.create_process(f"a{i}", f"p{i}") for i in range(2)]
+    circuit = Circuit.establish(rt, "c0", procs)
+    circuit.close()
+    assert circuit.closed
+    errors = []
+
+    def rank0(proc):
+        try:
+            circuit.send(proc, 0, 1, "late", 4)
+        except RuntimeError as exc:
+            errors.append(str(exc))
+
+    procs[0].spawn(rank0)
+    rt.run()
+    assert errors == ["Circuit 'c0' is closed (send after close)"]
+
+
 def test_circuits_with_the_same_name_keep_their_own_inboxes(cluster_runtime):
     """Two circuits that share a name over the SAN are two circuits: a
     message sent on the first is never pending on the second (as over

@@ -632,6 +632,10 @@ def test_many_processes_many_yields_leave_no_thread():
     assert no_thread_left(baseline)
 
 
+# The one test that blocks under the run token on purpose: its kernel
+# callback (on the ticker's sim:* thread) sleeps in real time between
+# SIGINTs until the caller, parked outside the kernel, has taken one.
+@pytest.mark.usefixtures("real_blocking_allowed")
 @pytest.mark.skipif(not hasattr(signal, "pthread_kill"), reason="POSIX")
 def test_keyboard_interrupt_in_run_takes_the_run_token_back():
     if threading.current_thread() is not threading.main_thread():

@@ -1,9 +1,12 @@
 """SOAP envelope codec and RPC over PadicoTM."""
 
+import re
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.net import Topology, build_cluster
 from repro.padicotm import PadicoRuntime
@@ -67,6 +70,8 @@ def test_fault_envelope_raises():
     with pytest.raises(SoapFault) as ei:
         decode_envelope(data)
     assert ei.value.faultstring == "boom"
+    with pytest.raises(SoapError):  # it would decode as a fault
+        encode_envelope("Fault", {})
 
 
 def test_malformed_envelope_rejected():
@@ -81,13 +86,59 @@ def test_unencodable_value_rejected():
         encode_envelope("op", {"x": object()})
     with pytest.raises(SoapError):
         encode_envelope("op", {"d": {1: "non-string key"}})
+    with pytest.raises(SoapError):
+        encode_envelope("my op", {})
+
+
+def test_carriage_return_survives_end_of_line_normalisation():
+    payload = {"s": "a\rb\r\nc\n"}
+    data = encode_envelope("op", payload)
+    assert b"&#13;" in data
+    assert decode_envelope(data)[1] == payload
+
+
+def test_arrays_keep_shape_and_integer_dtype():
+    big = np.array([[2**53 + 1, -2**63], [2**62 + 3, 7]], dtype="i8")
+    flat = np.arange(5, dtype="u1")
+    _op, back = decode_envelope(encode_envelope("op", {"m": big,
+                                                       "v": flat}))
+    for sent, got in ((big, back["m"]), (flat, back["v"])):
+        assert got.dtype == sent.dtype and got.shape == sent.shape
+        assert np.array_equal(got, sent)
+
+
+@pytest.mark.parametrize("payload", [
+    {"a": "\ufffe"}, {"a": "\x00"}, {"a": "\ud800"}, {"a b": 1},
+    {"1a": 1}, {"s": {"my key": 1}}, {"z": np.zeros(2, dtype=complex)},
+], ids=["nonchar", "nul", "surrogate", "space-name", "digit-name",
+        "struct-key", "complex-array"])
+def test_what_xml_cannot_carry_is_rejected_at_encode(payload):
+    with pytest.raises(SoapError):
+        encode_envelope("op", payload)
+
+
+#: XML 1.0's ``Char`` production, written independently of the codec
+def _xml_chars(text):
+    return all(c in "\t\n\r" or "\x20" <= c <= "\ud7ff"
+               or "\ue000" <= c <= "\ufffd" or c >= "\U00010000"
+               for c in text)
+
+
+def _leaf_strings(value):
+    if isinstance(value, str):
+        yield value
+    elif isinstance(value, list):
+        for item in value:
+            yield from _leaf_strings(item)
+    elif isinstance(value, dict):
+        for item in value.values():
+            yield from _leaf_strings(item)
 
 
 _values = st.recursive(
     st.one_of(st.integers(-2**31, 2**31 - 1), st.booleans(), st.none(),
               st.floats(allow_nan=False, allow_infinity=False),
-              st.text(alphabet=st.characters(
-                  blacklist_categories=("Cs", "Cc")), max_size=20)),
+              st.text(max_size=20)),
     lambda children: st.one_of(
         st.lists(children, max_size=4),
         st.dictionaries(st.text(alphabet="abcdef", min_size=1, max_size=6),
@@ -98,14 +149,65 @@ _values = st.recursive(
 @settings(max_examples=150, deadline=None)
 @given(st.dictionaries(st.text(alphabet="abcxyz", min_size=1, max_size=8),
                        _values, max_size=5))
+@example(payload={"a": "\ufffe"})
 def test_envelope_roundtrip_property(payload):
-    op, back = decode_envelope(encode_envelope("op", payload))
-    assert back == payload
+    # exact round trip, or SoapError at encode for exactly the payloads
+    # holding a character XML 1.0 cannot carry
+    if all(_xml_chars(s) for s in _leaf_strings(payload)):
+        op, back = decode_envelope(encode_envelope("op", payload))
+        assert back == payload
+    else:
+        with pytest.raises(SoapError):
+            encode_envelope("op", payload)
+
+
+#: an XML name without a colon, written independently of the codec
+_NAME = re.compile(r"[^\W\d]\w*(?:[-.]\w*)*")
+
+_arrays = hnp.arrays(
+    st.sampled_from(["i8", "u8", "i1", "u2", "f8", "f4", "?", "c16"]),
+    hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=3))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.text(alphabet="ab1-._ :", max_size=4), _arrays)
+def test_names_and_arrays_roundtrip_or_are_rejected(name, array):
+    ok = _NAME.fullmatch(name) is not None and array.dtype.kind != "c"
+    if not ok:
+        with pytest.raises(SoapError):
+            encode_envelope("op", {name: array})
+        return
+    _op, back = decode_envelope(encode_envelope("op", {name: array}))
+    got = back[name]
+    assert got.dtype == array.dtype and got.shape == array.shape
+    assert np.array_equal(got, array, equal_nan=True)
 
 
 # ---------------------------------------------------------------------------
 # RPC
 # ---------------------------------------------------------------------------
+
+def test_fault_text_xml_cannot_carry_still_reaches_the_client(runtime):
+    server_p = runtime.create_process("a0", "ws")
+    client_p = runtime.create_process("a1", "cli")
+    server = SoapServer(server_p)
+
+    def broken():
+        raise ValueError("bad \x00 byte")
+
+    server.register("broken", broken)
+    out = {}
+
+    def cli(proc):
+        client = SoapClient(client_p, server.url)
+        with pytest.raises(SoapFault) as info:
+            client.call(proc, "broken")
+        out["fault"] = info.value.faultstring
+
+    client_p.spawn(cli)
+    runtime.run()
+    assert out["fault"] == "ValueError: bad \ufffd byte"
+
 
 def test_soap_rpc_roundtrip(runtime):
     server_p = runtime.create_process("a0", "ws")
