@@ -45,6 +45,11 @@ crash on.  A site that neither step reaches that way names the tier-1
 test that does (``TIER1_HOOK_TESTS``); one with no guard, or missed and
 unnamed, makes the census exit 1.
 
+The fourth table is census A: for each repo-benchmark workload's
+smoke-size repetition of step 1, the kernel's events, process switches,
+OS-level hand-offs, OS threads started and processes spawned — exact
+counts, so a change to how the run token moves shows as a moved row.
+
 The tooling packages (``analysis``, ``sanitizer``, ``tools``) are left
 out: they inspect a run rather than take part in one.
 """
@@ -97,6 +102,18 @@ TIER1_HOOK_TESTS: dict[tuple[str, str, str], str] = {
     ("core/runtime.py", "_ServerPortLayer._assemble", "on_counter"):
         "tests/core/test_2d_distribution.py::"
         "test_2d_sequential_client_via_proxy",
+}
+
+
+#: the fourth table's columns: what a kernel counts, as plain ints that
+#: repeat exactly — a *switch* resumes a process, a *hand-off* is a
+#: switch that moves the run token to another OS thread
+SCHEDULING = {
+    "events": lambda k: k.events_processed,
+    "switches": lambda k: k.context_switches,
+    "hand-offs": lambda k: k.backend.handoffs,
+    "OS threads started": lambda k: k.backend.threads_started,
+    "processes spawned": lambda k: len(k._processes),
 }
 
 
@@ -290,12 +307,15 @@ class Recorder:
                 for c, first in self.entered.items() if first <= step}
 
 
-def run_experiments_and_workloads() -> None:
+def run_experiments_and_workloads() -> dict[str, list[int]]:
+    """Step 1's run; returns each workload's scheduling counts (the
+    fourth table's rows, :data:`SCHEDULING`), summed over its stages."""
     from benchmarks import run
     from benchmarks.e2e import inputs, spec, workloads
     from benchmarks.e2e.tracing import RecorderTracer
 
     run.collect()
+    counts: dict[str, list[int]] = {}
     for name, cls in workloads.WORKLOAD_CLASSES.items():
         const = spec.WORKLOADS[name]["smoke"]
         workload = cls(const, inputs.make_inputs(name, SEED, const))
@@ -303,6 +323,10 @@ def run_experiments_and_workloads() -> None:
         for stage in rep.stages:
             stage.drive()
         workload.check(rep)
+        kernels = [stage.kernel for stage in rep.stages]
+        counts[name] = [sum(count(k) for k in kernels)
+                        for count in SCHEDULING.values()]
+    return counts
 
 
 def run_examples() -> None:
@@ -411,8 +435,8 @@ def hook_sites(module: str, path: Path, hooks: set[str]) -> list[HookSite]:
 
 
 def census():
-    """The three tables' rows (:func:`line_rows`, :func:`option_rows`,
-    :func:`hook_rows`)."""
+    """The four tables' rows (:func:`line_rows`, :func:`option_rows`,
+    :func:`hook_rows`, then the workloads' scheduling counts)."""
     modules = library_modules()
     hooks = monitor_hooks()
     sites = [site for module, path in modules.items()
@@ -425,11 +449,11 @@ def census():
         functions = {module: module_functions(_import(module))
                      for module in modules}
         recorder.watch(f for funcs in functions.values() for f in funcs)
-        run_experiments_and_workloads()
+        scheduling = run_experiments_and_workloads()
     with recorder.profiling(2):
         run_examples()
     return (line_rows(recorder, modules), option_rows(recorder, functions),
-            hook_rows(recorder, sites))
+            hook_rows(recorder, sites), scheduling)
 
 
 def line_rows(recorder: Recorder,
@@ -555,11 +579,21 @@ def render_hooks(hooks: dict) -> tuple[str, bool]:
     return "".join(out), ok
 
 
+def render_scheduling(scheduling: dict[str, list[int]]) -> str:
+    out = [f"Scheduling, one smoke-size repetition per workload "
+           f"(seed {SEED}):\n\n| workload | "
+           + " | ".join(SCHEDULING) + " |\n"
+           + "|---" * (len(SCHEDULING) + 1) + "|\n"]
+    for name, row in scheduling.items():
+        out.append(f"| `{name}` | " + " | ".join(map(str, row)) + " |\n")
+    return "".join(out)
+
+
 def main() -> int:
-    lines, options, hooks = census()
+    lines, options, hooks, scheduling = census()
     text, ok = render_hooks(hooks)
     sys.stdout.write(render_lines(lines) + "\n" + render_options(options)
-                     + "\n" + text)
+                     + "\n" + text + "\n" + render_scheduling(scheduling))
     return 0 if ok else 1
 
 

@@ -476,18 +476,29 @@ def _encode_sequence(out: CdrOutputStream, t: SequenceType,
         out.write_bulk(view)
         return
     if isinstance(elem, PrimitiveType) and elem.kind in _NUMERIC_KINDS:
-        order = "<" if out.little_endian else ">"
-        try:
-            arr = np.asarray(value, dtype=order + elem.dtype)
-        except (ValueError, TypeError, OverflowError) as exc:
-            raise CdrError(f"cannot pack {value!r} as "
-                           f"{t.typename()}") from exc
+        arr = _numeric(out, t, value)
         out.write_ulong(arr.size)
         out.write_bulk(arr, align=elem.align)
         return
     out.write_ulong(len(value))
     for item in value:
         _encode(out, elem, item)
+
+
+def _numeric(out: CdrOutputStream, t: SequenceType | ArrayType,
+             value: Any) -> np.ndarray:
+    """``value`` cast to ``t``'s numeric element type in the stream's
+    byte order.  A finite value the cast would turn into ±inf (a float
+    beyond a ``float``'s range) raises, as a scalar ``float`` does; NaN
+    and ±inf themselves encode."""
+    order = "<" if out.little_endian else ">"
+    try:
+        with np.errstate(over="raise"):
+            return np.asarray(value, dtype=order + t.element.dtype)
+    except (ValueError, TypeError, OverflowError,
+            FloatingPointError) as exc:
+        raise CdrError(f"cannot pack {value!r} as "
+                       f"{t.typename()}") from exc
 
 
 def _octets(value: list | tuple) -> bytes:
@@ -506,13 +517,7 @@ def _encode_array(out: CdrOutputStream, t: ArrayType, value: Any) -> None:
         out.write_bulk(view.cast("B"))
         return
     if isinstance(elem, PrimitiveType) and elem.kind in _NUMERIC_KINDS:
-        order = "<" if out.little_endian else ">"
-        try:
-            arr = np.asarray(value, dtype=order + elem.dtype)
-        except (ValueError, TypeError, OverflowError) as exc:
-            raise CdrError(f"cannot pack {value!r} as "
-                           f"{t.typename()}") from exc
-        out.write_bulk(arr, align=elem.align)
+        out.write_bulk(_numeric(out, t, value), align=elem.align)
         return
     for item in value:
         _encode(out, elem, item)

@@ -88,6 +88,13 @@ class MpiError(RuntimeError):
     """MPI usage or transport error."""
 
 
+def _decode_charge(envelope: tuple) -> float | None:
+    """What :meth:`Comm._decode` charges for an envelope's body: the
+    deserialisation copy of a pickled one, nothing for a buffer."""
+    kind, data = envelope[2]
+    return len(data) * PICKLE_BYTE_COST if kind == "p" else None
+
+
 def _collective(op: str) -> Callable:
     """Wrap a collective in an ``mpi.<op>`` observability span.
 
@@ -307,18 +314,26 @@ class Comm:
                      nbytes)
 
     def _recv(self, proc: SimProcess, source: int, tag: int, ctx: str,
-              local: bool = False) -> tuple[int, int, Any, float]:
+              local: bool = False,
+              decode: bool = False) -> tuple[int, int, Any, float]:
         """Receive one envelope → ``(source, tag, body, nbytes)``, the
         source as a group rank.  Routing mirrors :meth:`_send`
         (``local=True`` with ``ANY_SOURCE`` matches any same-site sender
-        on the subcircuit)."""
+        on the subcircuit).  ``decode=True`` returns the object the body
+        carries, as :meth:`_decode` would, its deserialisation charged
+        in the receive leg's block."""
         if source == PROC_NULL:
             return PROC_NULL, ANY_TAG, None, 0.0
         circuit, ranks = self._channel(local)
         src, (_ctx, mtag, body), n = circuit.recv(
             proc, ranks[self._rank],
             source=self._peer(source, ranks, "source"),
-            where=self._matcher(ctx, tag))
+            where=self._matcher(ctx, tag),
+            charge=_decode_charge if decode else None)
+        if decode:
+            kind, body = body
+            if kind == "p":
+                body = pickle.loads(body)
         return ranks.index(src), mtag, body, n
 
     @staticmethod
@@ -341,6 +356,15 @@ class Comm:
             return data
         proc.sleep(len(data) * PICKLE_BYTE_COST)
         return pickle.loads(data)
+
+    @staticmethod
+    def _decode_all(proc: SimProcess, datas: list[bytes]) -> list[Any]:
+        """Unpickle a bundle's raw bodies: each its own deserialisation
+        charge, as :meth:`_decode` would make them one by one, but one
+        block for the whole bundle."""
+        if datas:
+            proc.sleep(*[len(data) * PICKLE_BYTE_COST for data in datas])
+        return [pickle.loads(data) for data in datas]
 
     def _deliver(self, out: np.ndarray, body: tuple[str, Any],
                  op: str) -> None:
@@ -384,9 +408,9 @@ class Comm:
 
     def _recv_obj(self, proc: SimProcess, source: int, tag: int, ctx: str,
                   status: Status | None = None) -> Any:
-        src, mtag, body, n = self._recv(proc, source, tag, ctx)
+        src, mtag, obj, n = self._recv(proc, source, tag, ctx, decode=True)
         self._fill(status, src, mtag, n)
-        return None if src == PROC_NULL else self._decode(proc, body)
+        return obj
 
     # ------------------------------------------------------------------
     # point-to-point: buffer path (uppercase, zero-copy)
@@ -614,9 +638,9 @@ class Comm:
                 break
             if v + mask < k:
                 src = parts[(v + mask + rootpos) % k]
-                _s, _t, body, _n = self._recv(self.proc, src, tag, ctx,
-                                              local=local)
-                acc = redop(acc, self._decode(self.proc, body))
+                _s, _t, other, _n = self._recv(self.proc, src, tag, ctx,
+                                               local=local, decode=True)
+                acc = redop(acc, other)
             mask <<= 1
         return acc
 
@@ -633,8 +657,8 @@ class Comm:
                        *self._pack(acc, buffered), ctx, op)
 
         def recv(j: int) -> Any:
-            return self._decode(
-                self.proc, self._recv(self.proc, parts[j], tag, ctx)[2])
+            return self._recv(self.proc, parts[j], tag, ctx,
+                              decode=True)[2]
 
         k, i = len(parts), parts.index(self._rank)
         p = 1 << (k.bit_length() - 1)
@@ -817,13 +841,14 @@ class Comm:
         out: list[Any] = [None] * self.size
         out[root] = obj
         for _ in range(len(members) - 1):
-            src, _t, body, _n = self._recv(self.proc, ANY_SOURCE, 26, ctx,
-                                           local=local)
-            out[src] = self._decode(self.proc, body)
+            src, _t, value, _n = self._recv(self.proc, ANY_SOURCE, 26, ctx,
+                                            local=local, decode=True)
+            out[src] = value
         for _ in range(sm.nsites - 1):
             _s, _t, body, _n = self._recv(self.proc, ANY_SOURCE, 27, ctx)
-            for src, data in body[1]:
-                out[src] = self._decode(self.proc, ("p", data))
+            values = self._decode_all(self.proc, [d for _r, d in body[1]])
+            for (src, _d), value in zip(body[1], values):
+                out[src] = value
         return out
 
     @_collective("scatter")
@@ -871,9 +896,8 @@ class Comm:
                                ctx, "scatter", local=local)
             return self._decode(self.proc, ("p", mine))
         # on the root's site the root is the leader
-        _s, _t, body, _n = self._recv(self.proc, leader, 29, ctx,
-                                      local=local)
-        return self._decode(self.proc, body)
+        return self._recv(self.proc, leader, 29, ctx, local=local,
+                          decode=True)[2]
 
     @_collective("allgather")
     def allgather(self, obj: Any) -> list[Any]:
@@ -896,7 +920,7 @@ class Comm:
         body, _n = self._bcast_body(body, nbytes, 0, ctx, "allgather",
                                     held=True)
         # one entry per rank, in rank order
-        return [self._decode(self.proc, ("p", raw)) for _r, raw in body[1]]
+        return self._decode_all(self.proc, [raw for _r, raw in body[1]])
 
     @_collective("alltoall")
     def alltoall(self, objs: Sequence[Any]) -> list[Any]:
@@ -935,11 +959,12 @@ class Comm:
             relayed = self._alltoall_relay(parts, sm, members, leader,
                                            ctx, local)
         for _ in range(len(members) - 1):
-            src, _t, body, _n = self._recv(self.proc, ANY_SOURCE, 5, ctx,
-                                           local=local)
-            out[src] = self._decode(self.proc, body)
-        for src, data in relayed:
-            out[src] = self._decode(self.proc, ("p", data))
+            src, _t, value, _n = self._recv(self.proc, ANY_SOURCE, 5, ctx,
+                                            local=local, decode=True)
+            out[src] = value
+        values = self._decode_all(self.proc, [data for _s, data in relayed])
+        for (src, _d), value in zip(relayed, values):
+            out[src] = value
         return out
 
     def _alltoall_relay(self, parts: dict[int, bytes], sm: SiteMap,
@@ -1045,8 +1070,8 @@ class Comm:
         ctx = self._coll_context("scan")
         acc = obj
         if self._rank > 0:
-            _s, _t, body, _n = self._recv(self.proc, self._rank - 1, 7, ctx)
-            acc = op(self._decode(self.proc, body), obj)
+            acc = op(self._recv(self.proc, self._rank - 1, 7, ctx,
+                                decode=True)[2], obj)
         if self._rank + 1 < self.size:
             self._send(self.proc, self._rank + 1, 7,
                        *self._pack(acc, False), ctx, "scan")

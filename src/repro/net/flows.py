@@ -106,20 +106,18 @@ class Flow:
     flow's :class:`_FlowTable` row.
     """
 
-    __slots__ = ("route", "size", "_remaining", "_rate", "_table", "waiter",
+    __slots__ = ("route", "size", "_remaining", "_rate", "_table",
                  "callback", "error", "done", "start_time", "fid", "seq",
                  "shard")
 
     def __init__(self, route: Sequence[Link], size: float,
-                 waiter: SimProcess | None, callback: Callable | None,
-                 start_time: float):
+                 callback: Callable[["Flow"], None], start_time: float):
         self.route = list(route)
         self.size = float(size)
         self._remaining = float(size)
         self._rate = 0.0
         #: the owning network's column form while this flow has a row
         self._table: _FlowTable | None = None
-        self.waiter = waiter
         self.callback = callback
         self.error: Exception | None = None
         self.done = False
@@ -606,47 +604,37 @@ class FlowNetwork:
     # public API
     # ------------------------------------------------------------------
     def transfer(self, proc: SimProcess, src: str, dst: str, nbytes: float,
-                 fabric: str) -> float:
+                 fabric: str, lead: float | None = None) -> float:
         """Move ``nbytes`` from ``src`` to ``dst`` over ``fabric``.
 
-        Blocks the calling process for propagation latency plus the
-        fluid transfer time; returns the elapsed virtual seconds.
-        Raises :class:`TransferError` if a link on the route goes down
-        mid-flight, and :class:`NoRouteError` if there is no live path.
+        Blocks the calling process once — for ``lead`` seconds first
+        when given (a sender's per-message overhead: the transfer starts
+        after it), then for propagation latency plus the fluid transfer
+        time, as one kernel chain (:class:`_Leg`); returns the elapsed
+        virtual seconds.  Raises :class:`TransferError` if a link on the
+        route goes down mid-flight, and :class:`NoRouteError` if there
+        is no live path.
         """
         t0 = self.kernel.now
-        mon = self.monitor
-        if mon is not None:
-            mon.on_span_start("net.transfer", cat="net", src=src, dst=dst,
-                              nbytes=float(nbytes), fabric=fabric)
+        leg = _Leg(self, proc, src, dst, nbytes, fabric)
+        flow = None  # what the caller is woken with once a flow lands
         try:
-            route = self.topology.route(src, dst, fabric)
-            latency = sum(l.latency for l in route)
-            if latency > 0:
-                proc.sleep(latency)
-            if nbytes > 0:
-                self.send_on_route(proc, route, nbytes)
-        finally:
-            if mon is not None:
-                mon.on_span_end("net.transfer")
-        return self.kernel.now - t0
-
-    def send_on_route(self, proc: SimProcess, route: Sequence[Link],
-                      nbytes: float) -> None:
-        """Blocking fluid transfer on an explicit route (no latency)."""
-        if nbytes <= 0:
-            return
-        if not route:  # same-host, zero-cost copy handled by caller
-            return
-        flow = self._add_flow(route, nbytes, waiter=proc)
-        try:
-            proc.suspend()
+            if lead is not None:
+                flow = proc.chain(lead, leg.begin)
+            else:
+                latency = leg.open()
+                if latency > 0:
+                    flow = proc.chain(latency, leg.admit)
+                elif leg.launch():
+                    flow = proc.suspend()
         except BaseException:
-            self._abort_flow(flow, TransferError("transfer cancelled"),
-                             wake=False)
+            leg.cancel()
             raise
-        if flow.error is not None:
+        finally:
+            leg.close()
+        if flow is not None and flow.error is not None:
             raise flow.error
+        return self.kernel.now - t0
 
     def start_flow(self, route: Sequence[Link], nbytes: float,
                    callback: Callable[[Flow], None]) -> Flow:
@@ -654,7 +642,7 @@ class FlowNetwork:
         (check ``flow.error``).  Used by event-driven transports."""
         if nbytes <= 0:
             raise ValueError("flow size must be positive")
-        return self._add_flow(route, nbytes, callback=callback)
+        return self._add_flow(route, nbytes, callback)
 
     def start_flows(self, requests: Sequence[
             tuple[Sequence[Link], float, Callable[[Flow], None]]],
@@ -678,7 +666,7 @@ class FlowNetwork:
             if nbytes <= 0:
                 raise ValueError("flow size must be positive")
             _check_up(route)
-        flows = [self._admit(route, nbytes, None, callback)
+        flows = [self._admit(route, nbytes, callback)
                  for route, nbytes, callback in reqs]
         if flows:
             self._reallocate(flows)
@@ -741,22 +729,20 @@ class FlowNetwork:
     # internals
     # ------------------------------------------------------------------
     def _add_flow(self, route: Sequence[Link], nbytes: float,
-                  waiter: SimProcess | None = None,
-                  callback: Callable | None = None) -> Flow:
+                  callback: Callable[[Flow], None]) -> Flow:
         _check_up(route)
-        flow = self._admit(route, nbytes, waiter, callback)
+        flow = self._admit(route, nbytes, callback)
         self._reallocate((flow,))
         self._notify_start(flow)
         return flow
 
     def _admit(self, route: Sequence[Link], nbytes: float,
-               waiter: SimProcess | None,
-               callback: Callable | None) -> Flow:
+               callback: Callable[[Flow], None]) -> Flow:
         """Create and index one flow whose route the caller checked is
         up — no re-solve, no monitor notification; callers compose those
         (see :meth:`start_flows`)."""
         self._advance()
-        flow = Flow(route, nbytes, waiter, callback, self.kernel.now)
+        flow = Flow(route, nbytes, callback, self.kernel.now)
         flow.shard = _route_shard(flow.route)
         ids = self._link_ids
         for link in flow.route:
@@ -1070,7 +1056,7 @@ class FlowNetwork:
             mon = self.monitor
             if mon is not None and f.fid is not None:
                 mon.on_flow_end(f.fid, ok=True, progress=1.0)
-            self._notify(f)
+            f.callback(f)
         self._reallocate(finished)
 
     def _abort_flow(self, flow: Flow, error: Exception, wake: bool,
@@ -1091,15 +1077,118 @@ class FlowNetwork:
         if mon is not None and flow.fid is not None:
             mon.on_flow_end(flow.fid, ok=False, progress=flow.progress)
         if wake:
-            self._notify(flow)
+            flow.callback(flow)
         if advance:
             self._reallocate((flow,))
 
-    def _notify(self, flow: Flow) -> None:
-        if flow.waiter is not None:
-            self.kernel.wake(flow.waiter, flow)
-        if flow.callback is not None:
-            flow.callback(flow)
+
+class _Leg:
+    """One :meth:`FlowNetwork.transfer`, run as a kernel chain on its
+    caller's behalf.
+
+    Its steps are the ones a caller once took itself, at the same
+    instants: open (the ``net.transfer`` span and the route lookup),
+    propagation latency, flow admission, flow completion.  The caller
+    blocks once; what happens while it is blocked runs in links of its
+    chain (:meth:`~repro.sim.kernel.SimProcess.chain`), and a span
+    boundary there names the caller as its explicit ``owner``.  The
+    span closes in the context that opened it — a link's span in a link
+    (or at the flow's completion), the caller's own on its return — so
+    an observer keyed on the running context sees matched pairs.  Only
+    an interrupt closes a link's span from the caller's side.
+    """
+
+    __slots__ = ("net", "proc", "src", "dst", "nbytes", "fabric", "route",
+                 "flow", "mon", "chained")
+
+    def __init__(self, net: FlowNetwork, proc: SimProcess, src: str,
+                 dst: str, nbytes: float, fabric: str):
+        self.net = net
+        self.proc = proc
+        self.src = src
+        self.dst = dst
+        self.nbytes = nbytes
+        self.fabric = fabric
+        self.route: Sequence[Link] = ()
+        self.flow: Flow | None = None
+        #: the monitor the open span was reported to (None: no span)
+        self.mon: Any = None
+        #: the span was opened by a link, not by the caller
+        self.chained = False
+
+    def open(self) -> float:
+        """Open the span and look the route up; returns its latency."""
+        mon = self.net.monitor
+        if mon is not None:
+            mon.on_span_start("net.transfer", cat="net", owner=self.proc,
+                              src=self.src, dst=self.dst,
+                              nbytes=float(self.nbytes), fabric=self.fabric)
+            self.mon = mon
+        self.route = self.net.topology.route(self.src, self.dst,
+                                             self.fabric)
+        return sum(l.latency for l in self.route)
+
+    def launch(self) -> bool:
+        """Admit the flow; False if there is nothing to move."""
+        if self.nbytes > 0 and self.route:
+            self.flow = self.net.start_flow(self.route, self.nbytes,
+                                            self.landed)
+            return True
+        return False
+
+    def begin(self) -> None:
+        """Link after the lead: open, then latency or admission."""
+        self.chained = True
+        try:
+            latency = self.open()
+        except BaseException:
+            self.settle()
+            raise
+        if latency > 0:
+            self.net.kernel.then(self.proc, latency, self.admit)
+        else:
+            self.admit()
+
+    def admit(self) -> None:
+        """Link after the latency: admit the flow — the caller waits
+        for it — or, with nothing to move, resume the caller now."""
+        try:
+            if self.launch():
+                return
+        except BaseException:
+            self.settle()
+            raise
+        self.settle()
+        proc = self.proc
+        self.net.kernel._wake(proc, proc._wake_token, None)
+
+    def landed(self, flow: Flow) -> None:
+        """The flow completed or was aborted: wake the caller with it
+        (it reads ``flow.error``).  The leg lets go of the flow first —
+        the flow's callback holds the leg, and a cycle would outlive the
+        transfer until a collection."""
+        self.flow = None
+        self.settle()
+        self.net.kernel.wake(self.proc, flow)
+
+    def settle(self) -> None:
+        """Close a link's span from kernel context."""
+        if self.chained:
+            self.close()
+
+    def close(self) -> None:
+        mon = self.mon
+        if mon is not None:
+            self.mon = None
+            mon.on_span_end("net.transfer", owner=self.proc)
+
+    def cancel(self) -> None:
+        """The caller was interrupted: abort an admitted flow (no one
+        is left to wake)."""
+        flow, self.flow = self.flow, None
+        if flow is not None:
+            self.net._abort_flow(flow, TransferError("transfer cancelled"),
+                                 wake=False)
 
 
 def _flow_seq_key(flow: Flow) -> int:

@@ -99,18 +99,23 @@ class TraceRecorder:
     def now(self) -> float:
         return 0.0 if self._kernel is None else self._kernel.now
 
-    def _where(self) -> tuple[Any, str, str]:
-        """(current process, pid label, tid label) for span stamping."""
-        proc = None if self._kernel is None else self._kernel.current
+    def _where(self, owner: Any = None) -> tuple[Any, str, str]:
+        """(process, pid label, tid label) for span stamping: ``owner``
+        when a kernel chain emits on its behalf, else the current
+        process."""
+        proc = owner
+        if proc is None and self._kernel is not None:
+            proc = self._kernel.current
         if proc is None:
             return None, "sim", "main"
-        owner = getattr(proc, "padico_process", None)
-        pid = getattr(owner, "name", None) or "sim"
+        padico = getattr(proc, "padico_process", None)
+        pid = getattr(padico, "name", None) or "sim"
         return proc, pid, getattr(proc, "name", "?") or "?"
 
     # -- spans --------------------------------------------------------------
-    def on_span_start(self, name: str, cat: str = "", **attrs: Any) -> Span:
-        proc, pid, tid = self._where()
+    def on_span_start(self, name: str, cat: str = "", owner: Any = None,
+                      **attrs: Any) -> Span:
+        proc, pid, tid = self._where(owner)
         stack = self._stacks.setdefault(id(proc), [])
         parent = stack[-1] if stack else None
         span = Span(index=len(self.spans), name=name, cat=cat,
@@ -120,16 +125,21 @@ class TraceRecorder:
         stack.append(span.index)
         return span
 
-    def on_span_end(self, name: str, **attrs: Any) -> None:
-        proc, _pid, _tid = self._where()
+    def on_span_end(self, name: str, owner: Any = None,
+                    at: float | None = None, **attrs: Any) -> None:
+        """Close ``name`` at ``at`` — the instant it ended, when a
+        process reports it after a later charge of the same block — or
+        now."""
+        proc, _pid, _tid = self._where(owner)
         stack = self._stacks.get(id(proc))
         if not stack:
             return
+        end = self.now if at is None else at
         # with try/finally discipline the top matches; tolerate skipped
         # ends by closing intermediates at the same instant
         while stack:
             span = self.spans[stack.pop()]
-            span.end = self.now
+            span.end = end
             if span.name == name:
                 span.attrs.update(attrs)
                 return

@@ -154,22 +154,29 @@ class Circuit:
         return match
 
     def recv(self, proc: SimProcess, my_rank: int,
-             source: int = ANY_SOURCE, where=None) -> tuple[int, Any, float]:
+             source: int = ANY_SOURCE, where=None,
+             charge=None) -> tuple[int, Any, float]:
         """Blocking selective receive → ``(src_rank, payload, nbytes)``.
 
-        ``where`` optionally filters on the payload (tag matching)."""
+        ``where`` optionally filters on the payload (tag matching).
+        ``charge(payload)`` may name the caller's next charge in seconds
+        (or None), which the receive leg takes in its own block."""
         self._check_open("recv")
         mon = self.runtime.monitor
         if mon is not None:
             mon.on_span_start("circuit.recv", cat="abstraction")
+        in_leg = False  # once the leg runs, it closes the span with it
         try:
             item = self._inbox[my_rank].get(proc,
                                             self._predicate(source, where))
+            after = None if charge is None else charge(item[1])
+            in_leg = True
             recv_leg(proc, mon, self.driver, self.fabric_name,
-                     self._hosts[item[0]], self._hosts[my_rank], item[2])
+                     self._hosts[item[0]], self._hosts[my_rank], item[2],
+                     after=after, within="circuit.recv")
             return item
         finally:
-            if mon is not None:
+            if mon is not None and not in_leg:
                 mon.on_span_end("circuit.recv")
 
     def poll(self, my_rank: int, source: int = ANY_SOURCE,

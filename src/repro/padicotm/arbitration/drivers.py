@@ -66,16 +66,21 @@ def driver_for(fabric: "Fabric | None") -> Driver:
 
 
 def timed_move(proc: "SimProcess", network: "FlowNetwork", src_host: str,
-               dst_host: str, fabric: str | None, nbytes: float) -> None:
-    """Charge moving ``nbytes`` from ``src_host`` to ``dst_host``.
+               dst_host: str, fabric: str | None, nbytes: float,
+               lead: float | None = None) -> None:
+    """Charge moving ``nbytes`` from ``src_host`` to ``dst_host``, after
+    ``lead`` seconds of sender overhead when given — one block for both.
 
     ``fabric`` is what :meth:`Driver.wire` resolved: ``None`` copies
     through shared memory, anything else is a network transfer."""
     if fabric is None:
-        proc.sleep(devices.LOOPBACK.latency
-                   + nbytes / devices.LOOPBACK.bandwidth)
+        copy = devices.LOOPBACK.latency + nbytes / devices.LOOPBACK.bandwidth
+        if lead is None:
+            proc.sleep(copy)
+        else:
+            proc.sleep(lead, copy)
     else:
-        network.transfer(proc, src_host, dst_host, nbytes, fabric)
+        network.transfer(proc, src_host, dst_host, nbytes, fabric, lead)
 
 
 def send_leg(proc: "SimProcess", monitor: Any, network: "FlowNetwork",
@@ -83,15 +88,16 @@ def send_leg(proc: "SimProcess", monitor: Any, network: "FlowNetwork",
              dst_host: str, nbytes: float, extra: float = 0.0) -> None:
     """Charge sending one message under ``driver``: its per-message
     overhead plus ``extra`` (e.g. encryption), then the move itself,
-    inside an ``arbitration.send`` span labelled by :meth:`Driver.wire`."""
+    inside an ``arbitration.send`` span labelled by :meth:`Driver.wire`.
+    The sender blocks once for the whole leg (a kernel chain)."""
     label, wire = driver.wire(fabric, src_host, dst_host)
     if monitor is not None:
         monitor.on_span_start("arbitration.send", cat="arbitration",
                               driver=label)
         monitor.on_driver_io(label, "send", float(nbytes))
     try:
-        proc.sleep(driver.send_overhead + extra)
-        timed_move(proc, network, src_host, dst_host, wire, nbytes)
+        timed_move(proc, network, src_host, dst_host, wire, nbytes,
+                   driver.send_overhead + extra)
     finally:
         if monitor is not None:
             monitor.on_span_end("arbitration.send")
@@ -99,17 +105,31 @@ def send_leg(proc: "SimProcess", monitor: Any, network: "FlowNetwork",
 
 def recv_leg(proc: "SimProcess", monitor: Any, driver: Driver,
              fabric: str | None, src_host: str, dst_host: str,
-             nbytes: float, extra: float = 0.0) -> None:
+             nbytes: float, extra: float = 0.0, after: float | None = None,
+             within: str | None = None) -> None:
     """Charge receiving one message under ``driver``: its per-message
     overhead plus ``extra`` (decryption costs what encryption did),
-    inside an ``arbitration.recv`` span."""
+    inside an ``arbitration.recv`` span.
+
+    ``after`` is the receiver's next charge (decoding the message),
+    taken in the same block; the span still ends with the overhead,
+    reported with that instant once the block is over, and so does
+    ``within``, a span the caller opened around the leg."""
     if monitor is not None:
         label = driver.wire(fabric, src_host, dst_host)[0]
         monitor.on_span_start("arbitration.recv", cat="arbitration",
                               driver=label)
         monitor.on_driver_io(label, "recv", float(nbytes))
+    charge = driver.recv_overhead + extra
+    end = proc.kernel.now + charge  # the overhead's wake-up instant
     try:
-        proc.sleep(driver.recv_overhead + extra)
+        if after is None:
+            proc.sleep(charge)
+        else:
+            proc.sleep(charge, after)
     finally:
         if monitor is not None:
-            monitor.on_span_end("arbitration.recv")
+            at = min(end, proc.kernel.now)
+            monitor.on_span_end("arbitration.recv", at=at)
+            if within is not None:
+                monitor.on_span_end(within, at=at)

@@ -223,27 +223,58 @@ class SimProcess:
     # ------------------------------------------------------------------
     # primitives usable from inside the process
     # ------------------------------------------------------------------
-    def sleep(self, duration: float) -> None:
-        """Advance this process's virtual time by ``duration`` seconds.
+    def sleep(self, duration: float, *more: float) -> None:
+        """Advance this process's virtual time by ``duration`` seconds,
+        then by each of ``more`` in turn.
+
+        The process blocks once for the whole sequence: each charge
+        after the first is a link of a kernel chain (:meth:`chain`), so
+        back-to-back costs take one switch, with the timers, instants
+        and ``seq`` numbers that as many single sleeps would take.
 
         This is the hottest leaf in the simulator (every cooperative
         switch goes through it), so the wake-timer scheduling is
         inlined here — :meth:`SimKernel._schedule_wake` with the
         current wake token; keep the two in step.
         """
-        if duration < 0:
-            raise ValueError(f"negative sleep duration {duration}")
+        if duration < 0 or (more and min(more) < 0):
+            raise ValueError(
+                f"negative sleep duration {min((duration,) + more)}")
         kernel = self.kernel
         if kernel._current is not self:
             kernel._check_current(self)  # raises with the full message
         self._wake_token = token = self._wake_token + 1
         kernel._seq = seq = kernel._seq + 1
         shuffle = 0 if kernel.seed is None else _mix(kernel.seed, seq)
-        timer = Timer(kernel.now + duration, seq, kernel._wake_fn,
-                      (self, token, None, None), shuffle)
+        if more:
+            timer = Timer(kernel.now + duration, seq, kernel._step,
+                          (self, token, kernel._charge, (self, more)),
+                          shuffle)
+        else:
+            timer = Timer(kernel.now + duration, seq, kernel._wake_fn,
+                          (self, token, None, None), shuffle)
         if kernel._tracer is not None:
             kernel._tracer.on_schedule(timer)
         heapq.heappush(kernel._heap, (timer._key, timer))
+        return kernel.backend.block(self)
+
+    def chain(self, delay: float, fn: Callable, *args: Any) -> Any:
+        """Block once; at ``now + delay`` run ``fn(*args)`` in kernel
+        context on this process's behalf — a *link* of its chain.
+
+        A link either pushes the next one (:meth:`SimKernel.then`),
+        resumes the process within its own event
+        (``kernel._wake(proc, proc._wake_token, None)``), or leaves it
+        blocked for an ordinary waker (``kernel.wake``).  A link that
+        raises delivers the exception to the process at that instant.
+        An interrupt or shutdown drops the links still pending.
+        Returns the value the process is resumed with.
+        """
+        if delay < 0:
+            raise ValueError(f"negative chain delay {delay}")
+        kernel = self.kernel
+        kernel._check_current(self)
+        kernel._schedule(delay, kernel._step, self, self._arm(), fn, args)
         return kernel.backend.block(self)
 
     def suspend(self, waiting_on: Any = None) -> Any:
@@ -470,6 +501,39 @@ class SimKernel:
         """Schedule ``proc`` (blocked in :meth:`SimProcess.suspend`) to
         resume at the current instant with ``value``."""
         self._schedule_wake(0.0, proc, proc._wake_token, value)
+
+    # ------------------------------------------------------------------
+    # chains: a blocked process's back-to-back charges
+    # ------------------------------------------------------------------
+    def then(self, proc: SimProcess, delay: float, fn: Callable,
+             *args: Any) -> None:
+        """From a link of ``proc``'s chain: push the next link,
+        ``fn(*args)`` at ``now + delay`` — the timer, instant and
+        ``seq`` the woken process would have pushed itself, since
+        nothing else can push between a timer's firing and its
+        process's next block."""
+        self._schedule(delay, self._step, proc, proc._wake_token, fn, args)
+
+    def _step(self, proc: SimProcess, token: int, fn: Callable,
+              args: tuple) -> None:
+        """Fire one link of ``proc``'s chain: advance its wake token as
+        the resumed process's next block would, then run the link.  A
+        stale token (an interrupt, a shutdown) drops the rest."""
+        if token != proc._wake_token or proc._state in ("done", "failed"):
+            return
+        proc._wake_token = token + 1
+        try:
+            fn(*args)
+        except Exception as exc:  # noqa: BLE001 - delivered to the owner
+            self._wake(proc, proc._wake_token, exc)
+
+    def _charge(self, proc: SimProcess, rest: tuple) -> None:
+        """The link after one charge of a multi-duration sleep: the
+        last charge is a plain wake timer."""
+        if len(rest) > 1:
+            self.then(proc, rest[0], self._charge, proc, rest[1:])
+        else:
+            self._schedule_wake(rest[0], proc, proc._wake_token)
 
     def _wake(self, proc: SimProcess, token: int,
               exc: BaseException) -> None:

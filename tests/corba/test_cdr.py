@@ -52,6 +52,23 @@ def test_unencodable_primitive_is_a_cdr_error(kind, value):
         CdrOutputStream().write_primitive(kind, value)
 
 
+@pytest.mark.parametrize("t", [SequenceType(PrimitiveType("float")),
+                               ArrayType(PrimitiveType("float"), 2)],
+                         ids=["sequence", "array"])
+@pytest.mark.parametrize("little", [True, False], ids=["le", "be"])
+def test_float_overflow_in_a_bulk_float_type_is_a_cdr_error(t, little):
+    # a finite value beyond a float's range must not reach the wire as
+    # inf: the bulk cast raises as the scalar path does
+    for value in ([1e300, 1.0], [1.0, -1e39], np.array([1.0, 1e300])):
+        with pytest.raises(CdrError):
+            encode_value(CdrOutputStream(little_endian=little), t, value)
+    # NaN and ±inf are float values: they still encode
+    got = roundtrip(t, [float("inf"), float("nan")], little=little)
+    assert got[0] == float("inf") and got[1] != got[1]
+    assert roundtrip(t, [float("-inf"), 3.5], little=little)[0] \
+        == float("-inf")
+
+
 def test_unencodable_string_is_a_cdr_error():
     with pytest.raises(CdrError):
         CdrOutputStream().write_string("a\ud800b")
@@ -59,8 +76,9 @@ def test_unencodable_string_is_a_cdr_error():
 
 _CODEC_TYPES = [PrimitiveType(kind) for kind in PRIMITIVES] + [
     StringType(), StringType(3), SequenceType(PrimitiveType("long")),
-    SequenceType(PrimitiveType("double")),
+    SequenceType(PrimitiveType("double")), SequenceType(PrimitiveType("float")),
     SequenceType(PrimitiveType("octet")), ArrayType(PrimitiveType("short"), 2),
+    ArrayType(PrimitiveType("float"), 2),
     SequenceType(StringType()), ANY]
 
 _scalars = st.one_of(st.integers(), st.floats(), st.text(max_size=3),

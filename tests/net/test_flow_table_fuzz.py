@@ -123,9 +123,9 @@ class ColumnForm(_Observed):
         super()._on_completion()
         self._completing = False
 
-    def _admit(self, route, nbytes, waiter, callback):
+    def _admit(self, route, nbytes, callback):
         self.nested += self._completing and self._table is not None
-        return super()._admit(route, nbytes, waiter, callback)
+        return super()._admit(route, nbytes, callback)
 
     def _advance(self):
         tabled = self._table is not None

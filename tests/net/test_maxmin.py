@@ -20,7 +20,7 @@ def _mklink(i: int, bandwidth: float) -> Link:
 
 
 def _mkflow(route):
-    return Flow(route, 1.0, None, None, 0.0)
+    return Flow(route, 1.0, None, 0.0)
 
 
 @st.composite

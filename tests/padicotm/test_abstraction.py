@@ -319,3 +319,115 @@ def test_selector_loopback_same_host(cluster_runtime):
     choice = select_pair_fabric(rt.topology, "a0", "a0", "distributed")
     assert choice.fabric is None
     assert choice.mapping == "loopback"
+
+
+def _receive_then_decode(chained, cut):
+    """A Circuit receive followed by a 2 µs decode charge — in the
+    receive leg's block (``charge``) or as its own sleep — with the
+    receiver interrupted at ``cut`` (None: not at all).  Returns the
+    spans the recorder saw, the receiver's outcome and the counts."""
+    from repro.sim import SimInterrupt
+
+    topo = Topology()
+    build_cluster(topo, "a", 2)
+    rt = PadicoRuntime(topo)
+    recorder = rt.observe(TraceRecorder())
+    procs = [rt.create_process(f"a{i}", f"p{i}") for i in range(2)]
+    circuit = Circuit.establish(rt, "c0", procs)
+    seen = []
+
+    def sender(proc):
+        circuit.send(proc, 0, 1, "payload", 4096)
+
+    def receiver(proc):
+        try:
+            if chained:
+                circuit.recv(proc, 1, charge=lambda payload: 2e-6)
+            else:
+                circuit.recv(proc, 1)
+                proc.sleep(2e-6)
+            seen.append(("done", rt.kernel.now))
+        except SimInterrupt:
+            seen.append(("interrupted", rt.kernel.now))
+
+    procs[0].spawn(sender)
+    rx = procs[1].spawn(receiver)
+    if cut is not None:
+        rt.kernel.schedule(cut, rx.interrupt)
+    rt.run()
+    spans = [(s.name, s.start, s.end, s.parent) for s in recorder.spans
+             if s.tid == rx.name]
+    kernel = rt.kernel
+    return spans, seen, (kernel.now, kernel.events_processed,
+                         kernel.events_skipped, rx._wake_token)
+
+
+@pytest.mark.parametrize("cut", [None, 5e-6, 2.75e-5, 2.9e-5, 3.2e-5],
+                         ids=["whole", "waiting", "overhead", "decode",
+                              "after"])
+def test_a_receive_leg_takes_the_next_charge_in_its_block(cut):
+    """The message is matched at 27.07 µs, its 1 µs overhead ends at
+    28.07 µs and the decode at 30.07 µs.  ``arbitration.recv`` and
+    ``circuit.recv`` still end with the overhead — reported with that
+    instant after the chained decode — and an interrupt at any step
+    leaves the spans, clock, counts and wake token of the
+    receive-then-sleep form."""
+    plain = _receive_then_decode(False, cut)
+    assert _receive_then_decode(True, cut) == plain
+    if cut != 5e-6:  # cut while waiting: no leg began
+        (_c, _s, leg_end, _p), (name, _start, end, _p) = plain[0]
+        assert (name, end) == ("arbitration.recv", leg_end)
+
+
+class _ContextStacks:
+    """A monitor that keys open spans on the running context, as a
+    wall-clock profiler does: the current process, or None in kernel
+    context.  An end that finds another span on top is a mismatch."""
+
+    def __init__(self, kernel):
+        self.kernel = kernel
+        self.stacks = {}
+        self.mismatches = []
+        self.contexts = {}
+
+    def on_span_start(self, name, cat="", **attrs):
+        where = self.kernel.current
+        self.stacks.setdefault(where, []).append(name)
+        self.contexts.setdefault(name, set()).add(where is None)
+
+    def on_span_end(self, name, **attrs):
+        stack = self.stacks.get(self.kernel.current)
+        top = stack.pop() if stack else None
+        if top != name:
+            self.mismatches.append((name, top))
+
+
+def test_every_span_closes_in_the_context_that_opened_it():
+    """A send leg opens ``net.transfer`` from a link of its chain and
+    closes it at the flow's completion, both in kernel context; every
+    other span opens and closes on its process — a byte-carrying and an
+    empty Circuit message, and a receive that takes its decode in the
+    leg's block, included."""
+    topo = Topology()
+    build_cluster(topo, "a", 2)
+    rt = PadicoRuntime(topo)
+    probe = rt.observe(_ContextStacks(rt.kernel))
+    procs = [rt.create_process(f"a{i}", f"p{i}") for i in range(2)]
+    circuit = Circuit.establish(rt, "c0", procs)
+
+    def sender(proc):
+        circuit.send(proc, 0, 1, "full", 4096)
+        circuit.send(proc, 0, 1, "empty", 0)
+
+    def receiver(proc):
+        circuit.recv(proc, 1, charge=lambda payload: 2e-6)
+        circuit.recv(proc, 1)
+
+    procs[0].spawn(sender)
+    procs[1].spawn(receiver)
+    rt.run()
+    assert probe.mismatches == []
+    assert all(not stack for stack in probe.stacks.values())
+    assert probe.contexts["net.transfer"] == {True}
+    assert probe.contexts["arbitration.send"] == {False}
+    assert probe.contexts["circuit.recv"] == {False}

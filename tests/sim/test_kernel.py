@@ -770,3 +770,218 @@ def test_batched_drain_honours_mid_batch_cancellation():
         k.run()
         assert fired == ["a", "b"]
         assert k.events_skipped == 1
+
+
+# ---------------------------------------------------------------------------
+# chains: one block for back-to-back charges
+# ---------------------------------------------------------------------------
+
+class _TimedLog(HookLog):
+    """HookLog with each timer's instant: ``(hook, seq, time)``."""
+
+    def on_schedule(self, timer):
+        self.log.append(("schedule", timer.seq, timer.time))
+
+    def on_fire(self, timer):
+        self.log.append(("fire", timer.seq, timer.time))
+
+
+def _charges_run(seed, chained):
+    """A sleeper charging 0.25, 0.5 and 0.125 s — as one chain or as
+    three sleeps — beside a ticker whose events tie with its instants.
+    Returns the hook log, the switch count, the hand-offs and the
+    sleeper's wake instants."""
+    log = _TimedLog()
+    woke = []
+    with SimKernel(seed=seed) as k:
+        k.attach_tracer(log)
+
+        def sleeper(p):
+            if chained:
+                p.sleep(0.25, 0.5, 0.125)
+            else:
+                p.sleep(0.25)
+                p.sleep(0.5)
+                p.sleep(0.125)
+            woke.append(k.now)
+
+        def ticker(p):
+            for _ in range(8):
+                p.sleep(0.125)
+
+        k.spawn(sleeper, name="sleeper")
+        k.spawn(ticker, name="ticker")
+        k.run()
+        counts = (k.context_switches, k.backend.handoffs,
+                  k.events_processed)
+    return log.log, counts, woke
+
+
+@pytest.mark.parametrize("seed", [None, 0, 1, 7, 12345])
+def test_a_chain_fires_the_timers_of_its_sleeps_with_two_switches_fewer(
+        seed):
+    chained, (switches, handoffs, events), woke = _charges_run(seed, True)
+    plain, (p_switches, p_handoffs, p_events), p_woke = \
+        _charges_run(seed, False)
+    # the same (seq, time) timers scheduled and fired in the same order;
+    # only the sleeper's two intermediate resumptions are gone
+    timers = [e for e in plain if e[0] != "switch"]
+    assert [e for e in chained if e[0] != "switch"] == timers
+    sleeper_switches = [i for i, e in enumerate(plain)
+                        if e == ("switch", "sleeper")]
+    assert len(sleeper_switches) == 4  # start + three wake-ups
+    dropped = set(sleeper_switches[1:3])
+    assert chained == [e for i, e in enumerate(plain) if i not in dropped]
+    assert woke == p_woke == [0.875]
+    assert events == p_events
+    assert switches == p_switches - 2
+    assert handoffs <= p_handoffs
+
+
+def test_a_negative_later_charge_raises_before_anything_is_scheduled():
+    log = HookLog()
+    with SimKernel() as k:
+        k.attach_tracer(log)
+        seen = {}
+
+        def proc(p):
+            before = (len(log.log), k._seq, len(k._heap))
+            with pytest.raises(ValueError):
+                p.sleep(1.0, 0.5, -0.25)
+            seen["after"] = (len(log.log), k._seq, len(k._heap))
+            seen["before"] = before
+            seen["now"] = k.now
+
+        k.spawn(proc)
+        k.run()
+        assert seen["after"] == seen["before"]
+        assert seen["now"] == 0.0
+
+
+def test_a_link_that_raises_resumes_its_owner_at_that_instant():
+    with SimKernel() as k:
+        got = []
+
+        def boom():
+            raise KeyError("link failed")
+
+        def proc(p):
+            try:
+                p.chain(0.5, boom)
+            except KeyError as exc:
+                got.append((k.now, exc.args[0]))
+
+        k.spawn(proc)
+        k.run()
+        assert got == [(0.5, "link failed")]
+        assert k.events_processed == 2  # the spawn and the link
+
+
+def _interrupted_charges(chained, at, shutdown):
+    """Charges 1 + 2 + 4 s, cut at ``at`` by an interrupt (or by a
+    shutdown once ``run(until=at)`` returns).  Returns what the sleeper
+    saw, the clock, the event counts and the wake token."""
+    seen = []
+    with SimKernel() as k:
+        def sleeper(p):
+            try:
+                if chained:
+                    p.sleep(1.0, 2.0, 4.0)
+                else:
+                    p.sleep(1.0)
+                    p.sleep(2.0)
+                    p.sleep(4.0)
+            except SimInterrupt:
+                seen.append(("interrupted", k.now))
+                p.sleep(10.0)  # a stale link must not end this early
+            seen.append(("done", k.now))
+
+        s = k.spawn(sleeper, name="sleeper")
+        if shutdown:
+            k.run(until=at)
+            k.shutdown()
+        else:
+            k.schedule(at, s.interrupt)
+            k.run()
+        state = (k.now, k.events_processed, k.events_skipped,
+                 s._wake_token, s.state)
+    return seen, state
+
+
+@pytest.mark.parametrize("shutdown", [False, True],
+                         ids=["interrupt", "shutdown"])
+@pytest.mark.parametrize("at", [0.5, 1.0, 2.5, 3.0, 5.0])
+def test_a_cut_chain_leaves_the_state_its_sleeps_leave(at, shutdown):
+    assert _interrupted_charges(True, at, shutdown) \
+        == _interrupted_charges(False, at, shutdown)
+
+
+def _stepwise_transfer(p, net, src, dst, nbytes, fabric, lead):
+    """A send leg the way its caller once took it: three blocks — the
+    overhead, the latency, the flow — and an interrupted sender aborts
+    its admitted flow."""
+    from repro.net import TransferError
+
+    p.sleep(lead)
+    route = net.topology.route(src, dst, fabric)
+    p.sleep(sum(l.latency for l in route))
+    flow = net.start_flow(route, nbytes, lambda f: net.kernel.wake(p, f))
+    try:
+        p.suspend()
+    except BaseException:
+        net._abort_flow(flow, TransferError("transfer cancelled"),
+                        wake=False)
+        raise
+    if flow.error is not None:
+        raise flow.error
+
+
+def _cut_leg(chained, at, shutdown):
+    from repro.net import FlowNetwork, Topology, build_cluster
+
+    topo = Topology()
+    build_cluster(topo, "a", 2)
+    seen = []
+    with SimKernel() as k:
+        net = FlowNetwork(k, topo)
+        log = _TimedLog()
+        k.attach_tracer(log)
+
+        def sender(p):
+            try:
+                if chained:
+                    net.transfer(p, "a0", "a1", 1_200_000, "a-san", 5e-6)
+                else:
+                    _stepwise_transfer(p, net, "a0", "a1", 1_200_000,
+                                       "a-san", 5e-6)
+            except SimInterrupt:
+                seen.append(("interrupted", k.now))
+            seen.append(("done", k.now))
+
+        s = k.spawn(sender, name="sender")
+        if shutdown:
+            k.run(until=at)
+            k.shutdown()
+        else:
+            k.schedule(at, s.interrupt)
+            k.run()
+        state = (k.now, k.events_processed, k.events_skipped,
+                 s._wake_token, len(net.active_flows), net.completed_flows,
+                 repr(net.flow_log))
+        timers = [e for e in log.log if e[0] != "switch"]
+    return seen, state, timers
+
+
+@pytest.mark.parametrize("shutdown", [False, True],
+                         ids=["interrupt", "shutdown"])
+@pytest.mark.parametrize("at", [2e-6, 5e-6, 1e-5, 1e-3, 6e-3],
+                         ids=["overhead", "overhead-end", "latency",
+                              "flow", "after"])
+def test_a_cut_send_leg_leaves_the_state_its_steps_leave(at, shutdown):
+    """Cut during the overhead, the latency or the flow (1.2 MB at
+    240 MB/s: 5 ms), the chained leg leaves the clock, the counts, the
+    wake token and the flow log its three blocks left — an admitted
+    flow aborted, none left live."""
+    chained = _cut_leg(True, at, shutdown)
+    assert chained == _cut_leg(False, at, shutdown)
+    assert chained[1][4] == 0
