@@ -48,8 +48,10 @@ bench-e2e:
 		--out BENCH_e2e_smoke.json
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest benchmarks/e2e -q
 
-# The reachability and option census behind DESIGN.md §8's tables:
+# The census behind DESIGN.md §8's tables and §5's constant sweep:
 # which library functions the experiments, workloads and examples
-# enter, and which defaulted parameters they ever set.
+# enter, which defaulted parameters they ever set, which hook guards
+# they pass unmonitored, what each workload costs the scheduler, and
+# which series each cost constant moves.
 census:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m benchmarks.census

@@ -1,6 +1,7 @@
-"""Reachability, option and hook census: which library functions a
-whole run enters, which of their defaulted parameters it ever sets, and
-which monitor hook guards it passes with no monitor attached.
+"""Reachability, option, hook and constant census: which library
+functions a whole run enters, which of their defaulted parameters it
+ever sets, which monitor hook guards it passes with no monitor attached,
+what it costs the scheduler, and which series each cost constant moves.
 
 Usage::
 
@@ -50,6 +51,22 @@ smoke-size repetition of step 1, the kernel's events, process switches,
 OS-level hand-offs, OS threads started and processes spawned — exact
 counts, so a change to how the run token moves shows as a moved row.
 
+The fifth table is the cost-constant sweep, run after the profiled
+steps and not under the trace hook.  A *cost constant* is a float a
+library module binds at module level: a public name assigned a float,
+or a float field written in the constructor call that builds a
+module-level dataclass instance (a technology, a driver, an ORB
+profile).  Each non-zero one is scaled by 1.1 alone, in every module
+that holds it, and ``benchmarks.run.collect()`` runs again; the row
+names the ``BENCH_padico.json`` series that moved and the largest
+relative move of any point, and tells a move of a few units in the last
+place (a reassociated sum) from a real dependency.  Every constant
+needs an entry in ``CONSTANT_VERDICTS`` — the paper number it is
+calibrated to, and why it stays — and after the sweep ``collect()``
+must give the first run's series bit for bit, so a constant left
+patched shows; a constant without a verdict, a verdict without a
+constant, or a run that does not repeat makes the census exit 1.
+
 The tooling packages (``analysis``, ``sanitizer``, ``tools``) are left
 out: they inspect a run rather than take part in one.
 """
@@ -58,16 +75,19 @@ from __future__ import annotations
 
 import ast
 import contextlib
+import dataclasses
 import importlib
 import inspect
 import io
+import math
 import os
 import runpy
 import sys
 import tempfile
 import threading
+import types
 from pathlib import Path
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "repro"
@@ -105,6 +125,105 @@ TIER1_HOOK_TESTS: dict[tuple[str, str, str], str] = {
 }
 
 
+#: the verdict on each ORB profile's client/server pair: the paper fixes
+#: only its sum, so it stays split where moving 1 µs from server to
+#: client, the sum fixed, moves a series (by a few bits, or more)
+_SPLIT = {
+    "OMNIORB3": ("Fig. 7 / §4.4: omniORB 3 240 MB/s, 20 µs",
+                 "split read: 1 µs moved to the client moves "
+                 "`corba.bandwidth.omniORB-3.0.2` by 5 ulp"),
+    "OMNIORB4": ("§4.4: omniORB 4 ~19 µs, 2 × 120 MB/s shared",
+                 "split read: 1 µs moved to the client moves "
+                 "`concurrent.sharing` by 5.0e-6"),
+    "MICO": ("§4.4: Mico 62 µs; Fig. 8 (MicoCCM)",
+             "split read: 1 µs moved to the client moves "
+             "`gridccm.n_to_n.4` by 11 ulp"),
+    "ORBACUS": ("§4.4: ORBacus 54 µs",
+                "split read: 1 µs moved to the client moves "
+                "`corba.bandwidth.ORBacus-4.0.5` by 4 ulp"),
+    "OPENCCM_JAVA": ("§4.4 Fast-Ethernet: OpenCCM 8.3 → 66.4 MB/s",
+                     "the one series holding OpenCCM's two numbers; "
+                     "moving 1 µs between its equal halves moves no "
+                     "series, and the pair stays as every profile's shape"),
+}
+_SCI = ("none (§2 names SCI)", "PAPER.md §2 names SCI; no run uses it")
+#: ``(module, constant)`` -> ``(paper anchor, verdict)`` for every cost
+#: constant of the fifth table: the paper number it is calibrated to
+#: ("none" if no paper number is), and why it stays.  One that moves no
+#: series stays only for a named tier-1 test, digest or paper mention
+CONSTANT_VERDICTS: dict[tuple[str, str], tuple[str, str]] = {
+    ("corba/esiop.py", "OVERHEAD_SCALE"):
+        ("none (§4.4 suggests ESIOP)", "A5, ESIOP's one point"),
+    ("corba/giop.py", "OVERHEAD_SCALE"):
+        ("none", "the unit ESIOP's scale is relative to: the ORB "
+                 "multiplies by its wire's scale, with no branch"),
+    ("corba/profiles.py", "COLLOCATED_OVERHEAD"):
+        ("none", "moves no series and no smoke digest; "
+                 "`test_collocated_invocation_short_circuits` times a "
+                 "collocated call at it"),
+    **{("corba/profiles.py", f"{profile}.{side}_overhead"): _SPLIT[profile]
+       for profile in _SPLIT for side in ("client", "server")},
+    ("corba/profiles.py", "MICO.copy_cost_per_byte"):
+        ("Fig. 7: Mico 55 MB/s", "pinned (A1 copies at Mico's price)"),
+    ("corba/profiles.py", "ORBACUS.copy_cost_per_byte"):
+        ("Fig. 7: ORBacus 63 MB/s", "pinned"),
+    ("corba/profiles.py", "OPENCCM_JAVA.copy_cost_per_byte"):
+        ("§4.4 Fast-Ethernet: OpenCCM 8.3 → 66.4 MB/s", "pinned"),
+    ("mpi/communicator.py", "PICKLE_BYTE_COST"):
+        ("none", "GridCCM's pickled MPI messages (Fig. 8 and the "
+                 "Fast-Ethernet series)"),
+    ("padicotm/arbitration/drivers.py", "MADELEINE.overhead"):
+        ("§4.4: MPI 11 µs = 1 + 9 + 1", "pinned"),
+    ("padicotm/arbitration/drivers.py", "TCP.overhead"):
+        ("none", "the Fast-Ethernet series, and `gridccm.n_to_n.2`: a "
+                 "one-host Circuit charges TCP (known deviation)"),
+    ("padicotm/arbitration/drivers.py", "LOOPBACK.overhead"):
+        ("none", "moves no series and no smoke digest; "
+                 "`test_mapping_table` pins a same-host VLink's cost"),
+    ("net/devices.py", "MYRINET_2000.bandwidth"):
+        ("Fig. 7: 240 MB/s = 96 % of the hardware", "pinned"),
+    ("net/devices.py", "MYRINET_2000.latency"):
+        ("§4.4: MPI 11 µs, 9 of them the wire", "pinned"),
+    ("net/devices.py", "MYRINET_2000.raw_bandwidth"):
+        ("Fig. 7: 250 MB/s hardware",
+         "`test_topology` pins the 96 % efficiency"),
+    ("net/devices.py", "SCI.bandwidth"): _SCI,
+    ("net/devices.py", "SCI.latency"): _SCI,
+    ("net/devices.py", "SCI.raw_bandwidth"): _SCI,
+    ("net/devices.py", "ETHERNET_100.bandwidth"):
+        ("Fig. 7: TCP/Ethernet-100 ≈ 11 MB/s", "pinned"),
+    ("net/devices.py", "ETHERNET_100.latency"):
+        ("none", "the Fast-Ethernet series and A4"),
+    ("net/devices.py", "ETHERNET_100.raw_bandwidth"):
+        ("§4.4 testbed: Fast-Ethernet, 100 Mb/s",
+         "the technology's own rate; only `efficiency` reads it"),
+    ("net/devices.py", "WAN.bandwidth"):
+        ("none", "A4, and `grid_collectives`' digest"),
+    ("net/devices.py", "WAN.latency"):
+        ("none", "A4, and `grid_collectives`' digest"),
+    ("net/devices.py", "LOOPBACK.bandwidth"):
+        ("none", "co-located ranks in Fig. 8 (ROADMAP item 8)"),
+    ("net/devices.py", "LOOPBACK.latency"):
+        ("none", "co-located ranks in Fig. 8 (ROADMAP item 8)"),
+    ("core/runtime.py", "GRIDCCM_COPY_COST"):
+        ("Fig. 8: 1→1 43 MB/s", "pinned"),
+    ("core/runtime.py", "GRIDCCM_CALL_OVERHEAD"):
+        ("none (Fig. 8's 62 µs is Mico's)", "Fig. 8 and the proxy "
+                                           "ablation"),
+    ("deploy/security.py", "CIPHER_COST_PER_BYTE"):
+        ("none (§6 leaves security open)", "A4"),
+    ("deploy/security.py", "CIPHER_SETUP"):
+        ("none (§6 leaves security open)", "A4"),
+    ("soap/soap.py", "SOAP_TEXT_COST"):
+        ("none", "moves no series or smoke digest; "
+                 "`test_soap_much_slower_than_corba_for_bulk` needs it "
+                 "(SOAP bulk goodput under 3 MB/s)"),
+    ("soap/soap.py", "SOAP_CALL_OVERHEAD"):
+        ("none", "moves no series, smoke digest or tier-1 test; PAPER.md "
+                 "§1 names SOAP, and a call costs more than its text"),
+}
+
+
 #: the fourth table's columns: what a kernel counts, as plain ints that
 #: repeat exactly — a *switch* resumes a process, a *hand-off* is a
 #: switch that moves the run token to another OS thread
@@ -115,6 +234,28 @@ SCHEDULING = {
     "OS threads started": lambda k: k.backend.threads_started,
     "processes spawned": lambda k: len(k._processes),
 }
+
+
+#: the sweep's scale factor, and the largest move, in units in the last
+#: place, that still reads as a reassociated sum rather than a dependency
+SCALE = 1.1
+LAST_BIT_ULPS = 64
+
+
+class Constant(NamedTuple):
+    """One cost constant: ``NAME`` or ``NAME.field`` of ``module``."""
+
+    module: str
+    name: str
+    value: float
+    owner: object           # the module (``NAME``) or instance (``.field``)
+
+
+class ConstantRow(NamedTuple):
+    constant: Constant
+    moved: tuple[str, ...]  # the series any point of which moved
+    relative: float         # largest relative move of a point
+    ulps: float             # … in units in the last place
 
 
 class Guard(NamedTuple):
@@ -434,9 +575,98 @@ def hook_sites(module: str, path: Path, hooks: set[str]) -> list[HookSite]:
     return sorted(sites)
 
 
+def cost_constants(module: str, path: Path, namespace) -> list[Constant]:
+    """The non-zero cost constants one module defines: public names it
+    assigns a float, and the float fields written in the call that
+    builds a module-level dataclass instance."""
+    found = []
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.Assign) and len(node.targets) == 1:
+            target = node.targets[0]
+        elif isinstance(node, ast.AnnAssign) and node.value is not None:
+            target = node.target
+        else:
+            continue
+        if not isinstance(target, ast.Name) or target.id.startswith("_"):
+            continue
+        value = getattr(namespace, target.id)
+        if isinstance(value, float):
+            if value:
+                found.append(Constant(module, target.id, value, namespace))
+        elif (dataclasses.is_dataclass(value) and not isinstance(value, type)
+              and isinstance(node.value, ast.Call)):
+            init = [f.name for f in dataclasses.fields(value) if f.init]
+            for name in (init[:len(node.value.args)]
+                         + [k.arg for k in node.value.keywords]):
+                field = getattr(value, name)
+                if isinstance(field, float) and field:
+                    found.append(Constant(module, f"{target.id}.{name}",
+                                          field, value))
+    return found
+
+
+@contextlib.contextmanager
+def scaled(constant: Constant):
+    """``constant`` times :data:`SCALE` for the block: the instance
+    field, or the module name in its module and in every loaded module
+    that imported the same object under the same name."""
+    new = constant.value * SCALE
+    if isinstance(constant.owner, types.ModuleType):
+        holders = [constant.owner] + [
+            m for m in list(sys.modules.values())
+            if m is not constant.owner
+            and getattr(m, "__dict__", {}).get(constant.name)
+            is constant.value]
+        for holder in holders:
+            setattr(holder, constant.name, new)
+        try:
+            yield
+        finally:
+            for holder in holders:
+                setattr(holder, constant.name, constant.value)
+    else:
+        field = constant.name.split(".", 1)[1]
+        object.__setattr__(constant.owner, field, new)
+        try:
+            yield
+        finally:
+            object.__setattr__(constant.owner, field, constant.value)
+
+
+def _moves(constant: Constant, base: list[dict], new: list[dict]
+           ) -> ConstantRow:
+    moved, relative, ulps = [], 0.0, 0.0
+    for before, after in zip(base, new):
+        changed = False
+        for (_x, old), (_x2, value) in zip(before["points"], after["points"]):
+            if value != old:
+                changed = True
+                relative = max(relative, abs(value - old) / abs(old)
+                               if old else math.inf)
+                ulps = max(ulps, abs(value - old) / math.ulp(old))
+        if changed:
+            moved.append(before["name"])
+    return ConstantRow(constant, tuple(moved), relative, ulps)
+
+
+def sweep(constants: list[Constant], collect: Callable[[], list]
+          ) -> tuple[list[ConstantRow], int, bool]:
+    """One row per constant, the number of series, and whether
+    ``collect()`` after the sweep gives the first run's series bit for
+    bit."""
+    base = [result.to_json() for result in collect()]
+    rows = []
+    for constant in constants:
+        with scaled(constant):
+            rows.append(_moves(constant, base,
+                               [result.to_json() for result in collect()]))
+    return rows, len(base), [result.to_json() for result in collect()] == base
+
+
 def census():
-    """The four tables' rows (:func:`line_rows`, :func:`option_rows`,
-    :func:`hook_rows`, then the workloads' scheduling counts)."""
+    """The five tables' rows (:func:`line_rows`, :func:`option_rows`,
+    :func:`hook_rows`, the workloads' scheduling counts, then the
+    constant sweep's rows and whether the run repeated after it)."""
     modules = library_modules()
     hooks = monitor_hooks()
     sites = [site for module, path in modules.items()
@@ -452,8 +682,13 @@ def census():
         scheduling = run_experiments_and_workloads()
     with recorder.profiling(2):
         run_examples()
+    from benchmarks import run
+    constants = [constant for module, path in modules.items()
+                 for constant in cost_constants(module, path,
+                                                _import(module))]
     return (line_rows(recorder, modules), option_rows(recorder, functions),
-            hook_rows(recorder, sites), scheduling)
+            hook_rows(recorder, sites), scheduling,
+            sweep(constants, run.collect))
 
 
 def line_rows(recorder: Recorder,
@@ -589,12 +824,64 @@ def render_scheduling(scheduling: dict[str, list[int]]) -> str:
     return "".join(out)
 
 
+def _series_cell(moved: tuple[str, ...], total: int) -> str:
+    """The moved series, grouped by their first two name parts."""
+    if not moved:
+        return "none"
+    if len(moved) == total:
+        return f"all {total}"
+    groups: dict[str, list[str]] = {}
+    for name in moved:
+        head, _, tail = name.partition(".")
+        mid, _, rest = tail.partition(".")
+        groups.setdefault(f"{head}.{mid}", []).append(rest)
+    cells = [f"`{head}`" if rests == [""] else
+             f"`{head}.{rests[0]}`" if len(rests) == 1 else
+             f"`{head}.{{{','.join(rests)}}}`"
+             for head, rests in groups.items()]
+    return f"{len(moved)}: " + ", ".join(cells)
+
+
+def render_constants(rows: list[ConstantRow], total: int, repeats: bool,
+                     verdicts: dict) -> tuple[str, bool]:
+    """The sweep's table, and whether every constant has a verdict in
+    ``verdicts``, every verdict a constant, and the run repeated after
+    the sweep."""
+    out = [f"Cost constants, each scaled by {SCALE} alone "
+           f"({total} series):\n\n"
+           "| constant | value | paper anchor | series moved "
+           "| largest move | verdict |\n|---|---|---|---|---|---|\n"]
+    ok = repeats
+    for row in rows:
+        c = row.constant
+        verdict = verdicts.get((c.module, c.name))
+        ok &= verdict is not None
+        anchor, reason = verdict or ("**none**", "**none**")
+        move = ("—" if not row.moved else
+                f"last bit ({row.ulps:.0f} ulp)"
+                if row.ulps <= LAST_BIT_ULPS else f"{row.relative:.1e}")
+        out.append(f"| `{c.module}` `{c.name}` | {c.value:g} | {anchor} "
+                   f"| {_series_cell(row.moved, total)} | {move} "
+                   f"| {reason} |\n")
+    named = {(row.constant.module, row.constant.name) for row in rows}
+    for module, name in sorted(set(verdicts) - named):
+        ok = False
+        out.append(f"\nA verdict names no constant: `{module}` `{name}`\n")
+    if not repeats:
+        out.append("\n`collect()` after the sweep differs from its first "
+                   "run: a constant was left scaled\n")
+    return "".join(out), ok
+
+
 def main() -> int:
-    lines, options, hooks, scheduling = census()
-    text, ok = render_hooks(hooks)
+    lines, options, hooks, scheduling, constants = census()
+    hook_text, hooks_ok = render_hooks(hooks)
+    constant_text, constants_ok = render_constants(*constants,
+                                                   CONSTANT_VERDICTS)
     sys.stdout.write(render_lines(lines) + "\n" + render_options(options)
-                     + "\n" + text + "\n" + render_scheduling(scheduling))
-    return 0 if ok else 1
+                     + "\n" + hook_text + "\n"
+                     + render_scheduling(scheduling) + "\n" + constant_text)
+    return 0 if hooks_ok and constants_ok else 1
 
 
 if __name__ == "__main__":

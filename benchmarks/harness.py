@@ -406,10 +406,10 @@ def fast_ethernet_scaling(name: str, profile: OrbProfile) -> BenchResult:
 
 def marshalling_strategy() -> BenchResult:
     """A1: the same ORB overheads, only the CDR discipline flips."""
-    copying = OrbProfile("omniORB-copying", "ablation", zero_copy=False,
+    copying = OrbProfile("omniORB-copying", "ablation",
                          client_overhead=OMNIORB4.client_overhead,
                          server_overhead=OMNIORB4.server_overhead,
-                         copy_cost_per_byte=7.0e-9)
+                         copy_cost_per_byte=MICO.copy_cost_per_byte)
     size = MARSHALLING_BYTES
     return BenchResult(
         name="ablation.marshalling", unit="MB/s",

@@ -386,7 +386,10 @@ class CdrInputStream:
     def read_string(self) -> str:
         n = self.read_ulong()
         raw = self._take(n)
-        return bytes(raw[:-1]).decode("utf-8")
+        try:
+            return bytes(raw[:-1]).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CdrError(f"string is not UTF-8: {exc}") from None
 
     def read_bulk(self, nbytes: int, align: int = 1) -> memoryview:
         """A zero-copy view over ``nbytes`` of the message buffer."""
@@ -569,7 +572,10 @@ def decode_value(inp: CdrInputStream, idl_type: IdlType) -> Any:
                   for fname, ftype in t.fields}
         return t.make(**fields)
     if isinstance(t, EnumType):
-        return t.index_of(inp.read_ulong())
+        index = inp.read_ulong()
+        if index >= len(t.members):
+            raise CdrError(f"enum {t.scoped_name} index {index} out of range")
+        return index
     if isinstance(t, ObjRefType):
         text = inp.read_string()
         return None if not text else IOR.destringify(text)
@@ -672,6 +678,8 @@ def read_typecode(inp: CdrInputStream) -> IdlType:
         return SequenceType(read_typecode(inp), bound or None)
     if kind == _TC_ARRAY:
         length = inp.read_ulong()
+        if not length:
+            raise CdrError("array TypeCode of length 0")
         return ArrayType(read_typecode(inp), length)
     if kind in (_TC_STRUCT, _TC_EXCEPT):
         scoped = inp.read_string()

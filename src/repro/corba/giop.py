@@ -96,8 +96,11 @@ def read_request(inp: CdrInputStream) -> tuple[int, bool, str, str, str]:
     object_key = inp.read_string()
     operation = inp.read_string()
     principal_len = inp.read_ulong()
-    principal = inp.read_bulk_copy(principal_len).decode("utf-8") \
-        if principal_len else ""
+    try:
+        principal = inp.read_bulk_copy(principal_len).decode("utf-8") \
+            if principal_len else ""
+    except UnicodeDecodeError as exc:
+        raise CdrError(f"principal is not UTF-8: {exc}") from None
     return request_id, response_expected, object_key, operation, principal
 
 

@@ -268,7 +268,11 @@ class EnumType(IdlType):
             except ValueError:
                 raise IdlError(f"{value!r} is not a member of enum "
                                f"{self.scoped_name}") from None
-        idx = int(value)
+        try:
+            idx = int(value)
+        except (TypeError, ValueError):
+            raise IdlError(f"{value!r} is not a member of enum "
+                           f"{self.scoped_name}") from None
         if not 0 <= idx < len(self.members):
             raise IdlError(f"enum {self.scoped_name} index {idx} out of range")
         return idx

@@ -266,7 +266,7 @@ class _ClientConnection:
             inp = CdrInputStream(body, little)
             try:
                 rid, status = wire.read_reply(inp)
-            except (CdrError, UnicodeDecodeError) as exc:
+            except CdrError as exc:
                 # a valid header over an unparseable reply: protocol
                 # error on this connection — pending callers raise, the
                 # next invocation reconnects
@@ -379,7 +379,7 @@ class Orb:
         #: pluggable wire protocol namespace (GIOP, or the PadicoTM
         #: environment-specific ESIOP with its leaner engine — §4.4)
         self.wire = giop if protocol == "giop" else esiop
-        self._ovh = getattr(self.wire, "OVERHEAD_SCALE", 1.0)
+        self._ovh = self.wire.OVERHEAD_SCALE
         self.idl = idl or CompiledIdl()
         # no ':' in the port — it must survive corbaloc stringification;
         # the protocol is part of the endpoint identity
@@ -600,6 +600,9 @@ class Orb:
             minor = inp.read_string()
             detail = inp.read_string()
             raise SystemException(minor, detail)
+        except CdrError as exc:  # a reply body that will not decode
+            raise SystemException(
+                "MARSHAL", f"{opdef.name} reply: {exc}") from exc
         finally:
             if mon is not None:
                 mon.on_counter("wire.copied_bytes.corba",
@@ -706,7 +709,7 @@ class Orb:
         try:
             request_id, expect_reply, key, opname, principal = \
                 self.wire.read_request(inp)
-        except (CdrError, UnicodeDecodeError):
+        except CdrError:
             # protocol error, as for a bad header: drop this connection
             # (a caller waiting on it gets COMM_FAILURE, not silence)
             endpoint.close()
@@ -777,7 +780,7 @@ class Orb:
                 return out
             servant = self.poa.lookup(key)
             if opname == "_is_a":
-                repo = decode_value(inp, StringType())
+                repo, = self._decode_in(inp, opname, [StringType()])
                 answer = self._servant_is_a(servant, repo)
                 out = fresh()
                 self.wire.start_reply(out, request_id,
@@ -785,14 +788,17 @@ class Orb:
                 encode_value(out, PrimitiveType("boolean"), answer)
                 return out
             opdef = self._find_operation(servant._idef, opname)
-            args = []
-            for pname, ptype in opdef.in_params:
-                args.append(self._localise(decode_value(inp, ptype), ptype))
+            args = self._decode_in(inp, opname,
+                                   [ptype for _p, ptype in opdef.in_params])
             result = _call_servant(servant, opdef, args)
             out = fresh()
             self.wire.start_reply(out, request_id,
                                   self.wire.REPLY_NO_EXCEPTION)
-            self._encode_results(out, opdef, result)
+            try:
+                self._encode_results(out, opdef, result)
+            except (CdrError, IdlError) as exc:  # rejected by type/codec
+                raise SystemException(
+                    "MARSHAL", f"{opname} result: {exc}") from exc
             return out
         except UserExceptionBase as ue:
             out = fresh()
@@ -814,6 +820,16 @@ class Orb:
             out.write_string("UNKNOWN")
             out.write_string(f"{type(exc).__name__}: {exc}")
             return out
+
+    def _decode_in(self, inp: CdrInputStream, opname: str,
+                   types: list) -> list:
+        """A request's in-arguments; ones that will not decode are
+        MARSHAL, like arguments the caller's codec rejects."""
+        try:
+            return [self._localise(decode_value(inp, t), t) for t in types]
+        except CdrError as exc:
+            raise SystemException(
+                "MARSHAL", f"{opname} arguments: {exc}") from exc
 
     @staticmethod
     def _servant_is_a(servant: Servant, repo: str) -> bool:

@@ -38,7 +38,6 @@ class OrbProfile:
 
     name: str
     version: str
-    zero_copy: bool
     client_overhead: float        # per-invocation client CPU, seconds
     server_overhead: float        # per-invocation server CPU, seconds
     copy_cost_per_byte: float     # marshalling copy cost, s/B per side
@@ -47,38 +46,43 @@ class OrbProfile:
     def key(self) -> str:
         return f"{self.name}-{self.version}"
 
+    @property
+    def zero_copy(self) -> bool:
+        """A product that copies nothing marshals bulk data by reference."""
+        return self.copy_cost_per_byte == 0.0
+
     def marshal_cost(self, copied_bytes: float) -> float:
         return copied_bytes * self.copy_cost_per_byte
 
     def unmarshal_cost(self, nbytes: float) -> float:
         # copying ORBs copy the whole message again on the way up
-        return 0.0 if self.zero_copy else nbytes * self.copy_cost_per_byte
+        return nbytes * self.copy_cost_per_byte
 
 
 #: AT&T omniORB 3.0.2 — zero-copy marshalling, the paper's fast ORB.
-OMNIORB3 = OrbProfile("omniORB", "3.0.2", zero_copy=True,
+OMNIORB3 = OrbProfile("omniORB", "3.0.2",
                       client_overhead=5.0e-6, server_overhead=4.0e-6,
                       copy_cost_per_byte=0.0)
 
 #: omniORB 4.0.0 — slightly leaner call path.
-OMNIORB4 = OrbProfile("omniORB", "4.0.0", zero_copy=True,
+OMNIORB4 = OrbProfile("omniORB", "4.0.0",
                       client_overhead=4.5e-6, server_overhead=3.5e-6,
                       copy_cost_per_byte=0.0)
 
 #: Mico 2.3.7 — always copies on marshal and unmarshal.
-MICO = OrbProfile("Mico", "2.3.7", zero_copy=False,
+MICO = OrbProfile("Mico", "2.3.7",
                   client_overhead=26.0e-6, server_overhead=25.0e-6,
                   copy_cost_per_byte=7.0e-9)
 
 #: ORBacus 4.0.5 — copying, but a little faster than Mico.
-ORBACUS = OrbProfile("ORBacus", "4.0.5", zero_copy=False,
+ORBACUS = OrbProfile("ORBacus", "4.0.5",
                      client_overhead=22.0e-6, server_overhead=21.0e-6,
                      copy_cost_per_byte=5.85e-9)
 
 #: OpenCCM's Java ORB stack (§4.4 Fast-Ethernet text: GridCCM on
 #: OpenCCM scales 8.3 → 66.4 MB/s vs MicoCCM's 9.8 → 78.4): JVM-era
 #: marshalling costs roughly double Mico's per-byte copy price.
-OPENCCM_JAVA = OrbProfile("OpenCCM", "0.4-java", zero_copy=False,
+OPENCCM_JAVA = OrbProfile("OpenCCM", "0.4-java",
                           client_overhead=45.0e-6,
                           server_overhead=45.0e-6,
                           copy_cost_per_byte=1.3e-8)

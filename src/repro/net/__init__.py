@@ -21,7 +21,6 @@ size.
 
 from repro.net.devices import (
     ETHERNET_100,
-    GIGABIT_ETHERNET,
     LOOPBACK,
     MYRINET_2000,
     SCI,
@@ -45,7 +44,6 @@ __all__ = [
     "MYRINET_2000",
     "SCI",
     "ETHERNET_100",
-    "GIGABIT_ETHERNET",
     "WAN",
     "LOOPBACK",
     "Topology",

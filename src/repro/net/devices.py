@@ -112,16 +112,6 @@ ETHERNET_100 = NetworkTechnology(
     secure=False,
 )
 
-#: Gigabit Ethernet (for what-if deployments beyond the paper's testbed).
-GIGABIT_ETHERNET = NetworkTechnology(
-    name="Gigabit-Ethernet",
-    bandwidth=112e6,
-    latency=20e-6,
-    raw_bandwidth=125e6,
-    paradigm=DISTRIBUTED,
-    secure=False,
-)
-
 #: Wide-area link between sites: 4 MB/s, 5 ms one-way, insecure.
 WAN = NetworkTechnology(
     name="WAN",

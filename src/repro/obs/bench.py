@@ -7,8 +7,10 @@ that never landed anywhere durable.  A :class:`BenchResult` is a frozen
 mapping (``result[1024]``, ``result.values()``) and serialised with
 :meth:`to_json`.  A set of results rolls up into a ``padico-bench/1``
 document (``BENCH_padico.json``) via :func:`bench_document` and
-:func:`bench_json_text`, and
-:func:`validate_bench_doc` is the schema gate CI runs against it.
+:func:`bench_json_text`; :func:`validate_bench_doc` checks a
+document's shape (``python -m repro.tools.trace bench``).  The gate on
+``BENCH_padico.json`` itself is tier-1's byte-compare of the committed
+file against a fresh run (``tests/test_paper_claims.py``).
 """
 
 from __future__ import annotations

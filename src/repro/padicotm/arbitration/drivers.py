@@ -29,9 +29,8 @@ if TYPE_CHECKING:  # pragma: no cover
 class Driver:
     """An arbitrated driver and its per-message software cost."""
 
-    label: str            # what spans and driver I/O totals call it
-    send_overhead: float  # seconds per message, sending side
-    recv_overhead: float  # seconds per message, receiving side
+    label: str        # what spans and driver I/O totals call it
+    overhead: float   # seconds per message, on each side
 
     def wire(self, fabric: str | None, src_host: str,
              dst_host: str) -> tuple[str, str | None]:
@@ -49,11 +48,11 @@ class Driver:
 #: Madeleine's user-level fast path, calibrated so MPI's one-way latency
 #: over Myrinet lands at the paper's 11 µs (1 µs send + 9 µs wire + 1 µs
 #: receive).
-MADELEINE = Driver("madeleine", 1.0e-6, 1.0e-6)
+MADELEINE = Driver("madeleine", 1.0e-6)
 #: The kernel TCP stack: noticeably dearer than the Madeleine fast path.
-TCP = Driver("tcp", 5.0e-6, 5.0e-6)
+TCP = Driver("tcp", 5.0e-6)
 #: Same-host shared memory.
-LOOPBACK = Driver("loopback", 0.5e-6, 0.5e-6)
+LOOPBACK = Driver("loopback", 0.5e-6)
 
 
 def driver_for(fabric: "Fabric | None") -> Driver:
@@ -97,7 +96,7 @@ def send_leg(proc: "SimProcess", monitor: Any, network: "FlowNetwork",
         monitor.on_driver_io(label, "send", float(nbytes))
     try:
         timed_move(proc, network, src_host, dst_host, wire, nbytes,
-                   driver.send_overhead + extra)
+                   driver.overhead + extra)
     finally:
         if monitor is not None:
             monitor.on_span_end("arbitration.send")
@@ -120,7 +119,7 @@ def recv_leg(proc: "SimProcess", monitor: Any, driver: Driver,
         monitor.on_span_start("arbitration.recv", cat="arbitration",
                               driver=label)
         monitor.on_driver_io(label, "recv", float(nbytes))
-    charge = driver.recv_overhead + extra
+    charge = driver.overhead + extra
     end = proc.kernel.now + charge  # the overhead's wake-up instant
     try:
         if after is None:

@@ -79,7 +79,9 @@ _CODEC_TYPES = [PrimitiveType(kind) for kind in PRIMITIVES] + [
     SequenceType(PrimitiveType("double")), SequenceType(PrimitiveType("float")),
     SequenceType(PrimitiveType("octet")), ArrayType(PrimitiveType("short"), 2),
     ArrayType(PrimitiveType("float"), 2),
-    SequenceType(StringType()), ANY]
+    SequenceType(StringType()), ANY, EnumType("E", "M::E", ["A", "B"]),
+    StructType("S", "M::S", [("n", PrimitiveType("long")),
+                             ("e", EnumType("E", "M::E", ["A", "B"]))])]
 
 _scalars = st.one_of(st.integers(), st.floats(), st.text(max_size=3),
                      st.booleans(), st.binary(max_size=3))
@@ -105,6 +107,26 @@ def test_every_rejected_value_raises_a_codec_error(t, value):
         pass
     except IdlError:
         assert t == ANY  # the any's own type check, on its inner value
+
+
+#: CDR-shaped garbage: small ulongs (lengths, enum indices, TypeCode
+#: kinds) in either byte order, between runs of arbitrary octets
+_WORDS = st.one_of(
+    st.tuples(st.integers(0, 24), st.sampled_from(["little", "big"])).map(
+        lambda w: w[0].to_bytes(4, w[1])),
+    st.binary(max_size=6))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.sampled_from(_CODEC_TYPES), st.lists(_WORDS, max_size=12),
+       st.booleans())
+def test_malformed_input_raises_only_cdr_error(t, words, little):
+    # whatever the octets, decoding returns a value or raises CdrError —
+    # the one exception the ORB turns into MARSHAL
+    try:
+        decode_value(CdrInputStream(b"".join(words), little), t)
+    except CdrError:
+        pass
 
 
 @pytest.mark.parametrize("kind,value", [

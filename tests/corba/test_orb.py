@@ -249,6 +249,55 @@ def test_unmarshallable_argument_is_marshal(runtime, call):
     assert servant.calls == 0
 
 
+def _skewed_client(rt, old, new):
+    """A server on DEMO_IDL and a client whose IDL declares one
+    operation differently: each side's codec reads what the other
+    wrote under another type."""
+    server, client, s_orb, _c_orb, servant, url = _setup(rt)
+    c_orb = Orb(client, OMNIORB4, compile_idl(DEMO_IDL.replace(old, new)))
+    return client, c_orb, servant, url
+
+
+def _minor(rt, client, c_orb, url, call):
+    def body(proc, stub, out):
+        with pytest.raises(SystemException) as info:
+            call(stub)
+        out["minor"] = info.value.minor
+        out["detail"] = info.value.detail
+
+    return _run_client(rt, client, c_orb, url, body)
+
+
+def test_undecodable_argument_is_marshal_at_the_server(runtime):
+    # a long where the server reads a string: its length runs past the
+    # body, so the request is answered MARSHAL and the servant never runs
+    client, c_orb, servant, url = _skewed_client(
+        runtime, "string greet(in string name)", "string greet(in long name)")
+    out = _minor(runtime, client, c_orb, url, lambda stub: stub.greet(10**6))
+    assert out["minor"] == "MARSHAL"
+    assert out["detail"].startswith("greet arguments: truncated")
+    assert servant.calls == 0
+
+
+def test_unencodable_result_is_marshal_at_the_server(runtime):
+    server, client, s_orb, c_orb, servant, url = _setup(runtime)
+    servant.greet = lambda name: "lone \ud800 surrogate"
+    out = _minor(runtime, client, c_orb, url, lambda stub: stub.greet("x"))
+    assert out["minor"] == "MARSHAL"
+    assert out["detail"].startswith("greet result: ")
+
+
+def test_undecodable_reply_is_marshal_at_the_client(runtime):
+    # the server answers a string; the client reads a Point, 16 bytes
+    # the reply does not hold
+    client, c_orb, servant, url = _skewed_client(
+        runtime, "string greet(in string name)", "Point greet(in string name)")
+    out = _minor(runtime, client, c_orb, url, lambda stub: stub.greet("x"))
+    assert out["minor"] == "MARSHAL"
+    assert out["detail"].startswith("greet reply: truncated")
+    assert servant.calls == 1
+
+
 def test_collocated_invocation_short_circuits(runtime):
     """Same-process calls skip GIOP entirely (collocation optimisation)."""
     server = runtime.create_process("a0", "server")

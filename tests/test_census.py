@@ -1,19 +1,29 @@
 """The census's recorders (``benchmarks.census``): which defaulted
-parameters a profiled step binds to another value, and which monitor
-hook guards it passes with no monitor attached."""
+parameters a profiled step binds to another value, which monitor hook
+guards it passes with no monitor attached, and what each cost constant
+moves."""
 
 import importlib.util
+import sys
+import types
 from pathlib import Path
 
 from benchmarks.census import (
+    CONSTANT_VERDICTS,
     TIER1_HOOK_TESTS,
     Recorder,
+    _import,
+    cost_constants,
     hook_rows,
     hook_sites,
+    library_modules,
     option_rows,
+    render_constants,
     render_hooks,
     render_options,
+    sweep,
 )
+from repro.obs import BenchResult
 
 
 def _callee(a, b=1, c=None, d=(1, 2)):
@@ -157,3 +167,104 @@ def test_every_named_hook_test_exists():
     for test in set(TIER1_HOOK_TESTS.values()):
         path, name = test.split("::")
         assert f"\ndef {name}(" in (root / path).read_text(), test
+
+
+_COSTS = """\
+from dataclasses import dataclass
+
+
+@dataclass(frozen=True)
+class Wire:
+    name: str
+    latency: float
+    spare: float = 0.0
+
+
+FAST = Wire("fast", 2.0)
+IDLE: float = 3.0
+TINY = 2e-15
+_PRIVATE = 5.0
+COUNT = 7
+"""
+
+
+def _load(tmp_path, name, text):
+    path = tmp_path / f"{name}.py"
+    path.write_text(text)
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return path, module
+
+
+def test_constant_sweep_tells_a_dependency_from_a_last_bit(tmp_path,
+                                                            monkeypatch):
+    path, costs = _load(tmp_path, "toy_costs", _COSTS)
+    # a second module holding TINY imported by name, as orb.py holds
+    # COLLOCATED_OVERHEAD: the sweep must scale it there too
+    user = types.ModuleType("toy_user")
+    user.TINY = costs.TINY
+    monkeypatch.setitem(sys.modules, "toy_user", user)
+    constants = cost_constants("toy.py", path, costs)
+    assert [(c.name, c.value) for c in constants] == [
+        ("FAST.latency", 2.0), ("IDLE", 3.0), ("TINY", 2e-15)]
+
+    def collect():
+        return [BenchResult("toy.a", "s", ((1, costs.FAST.latency * 2),
+                                           (2, 1.0))),
+                BenchResult("toy.b", "s", ((1, 1.0 + user.TINY),))]
+
+    rows, total, repeats = sweep(constants, collect)
+    assert total == 2 and repeats
+    assert [(r.moved, r.relative, r.ulps > 0) for r in rows[:2]] == [
+        (("toy.a",), 0.10000000000000009, True), ((), 0.0, False)]
+    assert rows[2].moved == ("toy.b",) and rows[2].ulps == 1.0
+    # every constant is back where it was
+    assert (costs.FAST.latency, costs.IDLE, costs.TINY, user.TINY) == \
+        (2.0, 3.0, 2e-15, 2e-15)
+
+    verdicts = {("toy.py", "FAST.latency"): ("Fig. 0: 4 s", "pinned"),
+                ("toy.py", "IDLE"): ("none", "a tier-1 test"),
+                ("toy.py", "TINY"): ("none", "rounding only")}
+    text, ok = render_constants(rows, total, repeats, verdicts)
+    assert ok
+    assert "| `toy.py` `FAST.latency` | 2 | Fig. 0: 4 s | 1: `toy.a` " \
+        "| 1.0e-01 | pinned |" in text
+    assert "| `toy.py` `IDLE` | 3 | none | none | — | a tier-1 test |" in text
+    assert "| `toy.py` `TINY` | 2e-15 | none | 1: `toy.b` " \
+        "| last bit (1 ulp) | rounding only |" in text
+
+    # a constant with no verdict, or a verdict with no constant: exit 1
+    missing = dict(verdicts)
+    del missing[("toy.py", "IDLE")]
+    text, ok = render_constants(rows, total, repeats, missing)
+    assert not ok and "| `toy.py` `IDLE` | 3 | **none** |" in text
+    stale = {**verdicts, ("toy.py", "GONE"): ("none", "deleted")}
+    text, ok = render_constants(rows, total, repeats, stale)
+    assert not ok and "A verdict names no constant: `toy.py` `GONE`" in text
+
+
+def test_sweep_reports_a_run_that_does_not_repeat(tmp_path):
+    path, costs = _load(tmp_path, "toy_costs2", _COSTS)
+    cache = {}
+
+    def collect():
+        # a cache that outlives the scaling leaves the constant scaled
+        if costs.IDLE != 3.0:
+            cache["idle"] = costs.IDLE
+        return [BenchResult("toy.a", "s",
+                            ((1, cache.get("idle", costs.IDLE)),))]
+
+    rows, total, repeats = sweep(cost_constants("toy.py", path, costs),
+                                 collect)
+    assert not repeats
+    text, ok = render_constants(rows, total, repeats, {
+        ("toy.py", name): ("none", "kept")
+        for name in ("FAST.latency", "IDLE", "TINY")})
+    assert not ok and "a constant was left scaled" in text
+
+
+def test_every_cost_constant_has_a_verdict():
+    found = {(c.module, c.name) for module, path in library_modules().items()
+             for c in cost_constants(module, path, _import(module))}
+    assert found == set(CONSTANT_VERDICTS)
