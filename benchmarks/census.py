@@ -159,8 +159,8 @@ CONSTANT_VERDICTS: dict[tuple[str, str], tuple[str, str]] = {
                  "multiplies by its wire's scale, with no branch"),
     ("corba/profiles.py", "COLLOCATED_OVERHEAD"):
         ("none", "moves no series and no smoke digest; "
-                 "`test_collocated_invocation_short_circuits` times a "
-                 "collocated call at it"),
+                 "`test_collocated_invocation_short_circuits` pins a "
+                 "collocated call's time, this charge alone, as a literal"),
     **{("corba/profiles.py", f"{profile}.{side}_overhead"): _SPLIT[profile]
        for profile in _SPLIT for side in ("client", "server")},
     ("corba/profiles.py", "MICO.copy_cost_per_byte"):
@@ -216,11 +216,12 @@ CONSTANT_VERDICTS: dict[tuple[str, str], tuple[str, str]] = {
         ("none (§6 leaves security open)", "A4"),
     ("soap/soap.py", "SOAP_TEXT_COST"):
         ("none", "moves no series or smoke digest; "
-                 "`test_soap_much_slower_than_corba_for_bulk` needs it "
-                 "(SOAP bulk goodput under 3 MB/s)"),
+                 "`test_soap_much_slower_than_corba_for_bulk` pins a bulk "
+                 "SOAP call's time as a literal (goodput under 3 MB/s)"),
     ("soap/soap.py", "SOAP_CALL_OVERHEAD"):
-        ("none", "moves no series, smoke digest or tier-1 test; PAPER.md "
-                 "§1 names SOAP, and a call costs more than its text"),
+        ("none", "moves no series or smoke digest; "
+                 "`test_soap_much_slower_than_corba_for_bulk` pins a bulk "
+                 "SOAP call's time, two of these in it, as a literal"),
 }
 
 

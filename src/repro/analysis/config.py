@@ -97,8 +97,6 @@ class AnalysisConfig:
         field(default_factory=lambda: dict(DEFAULT_LAYER_EXCEPTIONS))
     file_allow: dict[tuple[str, str], str] = \
         field(default_factory=lambda: dict(DEFAULT_FILE_ALLOW))
-    #: rule ids to skip entirely (e.g. a project without IDL)
-    disabled_rules: frozenset[str] = frozenset()
 
     def __post_init__(self) -> None:
         # longest-prefix-first lookup order, precomputed once

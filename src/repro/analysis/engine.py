@@ -86,8 +86,6 @@ def _filtered(findings, ctx_suppressions: Suppressions,
               config: AnalysisConfig) -> list[Finding]:
     out: list[Finding] = []
     for finding in findings:
-        if finding.rule in config.disabled_rules:
-            continue
         if ctx_suppressions.is_suppressed(finding.rule, finding.line):
             continue
         if config.is_allowed(finding.path, finding.rule):

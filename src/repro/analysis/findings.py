@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 
 
 class Severity(enum.IntEnum):
-    """Ordered severity; the CLI exit code keys off ERROR findings."""
+    """Ordered severity, for reports; the CLI exits 1 on any finding,
+    whatever its severity."""
 
     NOTE = 0
     WARNING = 1

@@ -24,11 +24,26 @@ directly over those segments, joining only the rare scalar read that
 straddles a segment boundary.  Both streams meter the two disciplines
 (:attr:`copied_bytes` vs :attr:`referenced_bytes`), feeding the
 ``wire.copied_bytes.*`` / ``wire.referenced_bytes.*`` obs counters.
+
+Which values an IDL type accepts is decided here, by the one walk that
+writes them: :func:`encode_value` checks each value where it marshals
+it, at every depth, and every rejection is a :class:`CdrError` (the ORB
+answers each with ``MARSHAL``).  Integer kinds refuse ``bool``,
+``boolean`` takes only ``bool`` / ``np.bool_``, a ``char`` is one
+Latin-1 character, strings and sequences keep their bounds, arrays
+their length, and a struct or exception value must be a value of that
+very type.  Bulk numeric and octet sequences (and ndarray-valued
+arrays) are not checked per element: numpy's cast converts them in one
+call, overflow still raises, and a Python check per element would undo
+the bulk path.  The stream primitives GIOP framing uses
+(:meth:`CdrOutputStream.write_ulong`, :meth:`~CdrOutputStream.write_primitive`)
+stay unchecked fast paths.
 """
 
 from __future__ import annotations
 
 import struct
+from collections.abc import Sequence as PySequence
 from typing import Any
 
 import numpy as np
@@ -45,8 +60,8 @@ from repro.corba.idl.types import (
     SequenceType,
     StringType,
     StructType,
+    StructValue,
     VoidType,
-    typecheck,
 )
 from repro.corba.ior import IOR
 
@@ -175,7 +190,7 @@ class CdrOutputStream:
     def write_primitive(self, kind: str, value: Any) -> None:
         prim = _PRIM_BY_KIND.get(kind)
         if prim is None:
-            prim = PrimitiveType(kind)  # raises IdlError for unknown kinds
+            prim = PrimitiveType(kind)  # an unknown kind raises here
         self.align(prim.align)
         # the trys cost nothing unless they catch (zero-cost exceptions)
         if kind == "char":
@@ -366,7 +381,7 @@ class CdrInputStream:
     def read_primitive(self, kind: str) -> Any:
         prim = _PRIM_BY_KIND.get(kind)
         if prim is None:
-            prim = PrimitiveType(kind)  # raises IdlError for unknown kinds
+            prim = PrimitiveType(kind)  # an unknown kind raises here
         self.align(prim.align)
         raw = self._take(prim.size)
         if kind == "char":
@@ -422,47 +437,71 @@ _NUMERIC_KINDS = frozenset(k for k in
                            ("short", "unsigned short", "long",
                             "unsigned long", "long long",
                             "unsigned long long", "float", "double"))
+#: kinds whose scalar packer would take a bool as 0 / 1
+_INT_KINDS = frozenset(("short", "unsigned short", "long", "unsigned long",
+                        "long long", "unsigned long long", "octet"))
 
 
-def encode_value(out: CdrOutputStream, idl_type: IdlType, value: Any) -> None:
-    """Marshal ``value`` as ``idl_type`` (typechecked)."""
-    typecheck(idl_type, value)
-    _encode(out, idl_type, value)
-
-
-def _encode(out: CdrOutputStream, t: IdlType, value: Any) -> None:
-    if isinstance(t, VoidType):
-        return
+def encode_value(out: CdrOutputStream, t: IdlType, value: Any) -> None:
+    """Marshal ``value`` as ``t``, checking each value where it is
+    written; a value ``t`` does not accept raises :class:`CdrError`."""
     if isinstance(t, PrimitiveType):
-        out.write_primitive(t.kind, value)
+        kind = t.kind
+        if kind == "boolean":
+            if not isinstance(value, (bool, np.bool_)):
+                raise CdrError(f"boolean expects a bool, got {value!r}")
+        elif isinstance(value, bool) and kind in _INT_KINDS:
+            raise CdrError(f"{kind} expects an int, got {value!r}")
+        out.write_primitive(kind, value)
     elif isinstance(t, StringType):
+        if not isinstance(value, str):
+            raise CdrError(f"string expected, got {value!r}")
+        if t.bound is not None and len(value) > t.bound:
+            raise CdrError(f"string longer than bound {t.bound}")
         out.write_string(value)
     elif isinstance(t, SequenceType):
         _encode_sequence(out, t, value)
     elif isinstance(t, ArrayType):
         _encode_array(out, t, value)
-    elif isinstance(t, ExceptionType):
-        out.write_string(t.repo_id)
+    elif isinstance(t, StructType):  # and ExceptionType
+        if not (isinstance(value, StructValue)
+                and value._struct_type == t):
+            raise CdrError(f"expected {t.typename()}, got {value!r}")
+        if isinstance(t, ExceptionType):
+            out.write_string(t.repo_id)
         for fname, ftype in t.fields:
-            _encode(out, ftype, getattr(value, fname))
-    elif isinstance(t, StructType):
-        for fname, ftype in t.fields:
-            _encode(out, ftype, getattr(value, fname))
+            encode_value(out, ftype, getattr(value, fname))
     elif isinstance(t, EnumType):
-        out.write_ulong(t.index_of(value))
+        try:
+            index = t.index_of(value)
+        except ValueError as exc:
+            raise CdrError(str(exc)) from None
+        out.write_ulong(index)
     elif isinstance(t, ObjRefType):
         _encode_objref(out, value)
+    elif isinstance(t, VoidType):
+        if value is not None:
+            raise CdrError(f"void value must be None, got {value!r}")
     elif isinstance(t, AnyType):
         try:
             inner_type, inner_value = value
         except (ValueError, TypeError) as exc:
             raise CdrError(f"an any is a (type, value) pair, got "
                            f"{value!r}") from exc
-        typecheck(inner_type, inner_value)
         write_typecode(out, inner_type)
-        _encode(out, inner_type, inner_value)
-    else:
+        encode_value(out, inner_type, inner_value)
+    else:  # an unresolved NamedTypeRef, or not a type at all
         raise CdrError(f"cannot encode type {t!r}")
+
+
+def _length(t: SequenceType | ArrayType, value: Any) -> int:
+    """The element count of ``value``, a container ``t`` accepts."""
+    if isinstance(value, np.ndarray):
+        if value.ndim:
+            return len(value)
+    elif isinstance(value, PySequence):
+        return len(value)
+    raise CdrError(f"{t.typename()} expects a sequence, got {value!r}")
 
 
 def _encode_sequence(out: CdrOutputStream, t: SequenceType,
@@ -473,19 +512,31 @@ def _encode_sequence(out: CdrOutputStream, t: SequenceType,
             view = memoryview(np.ascontiguousarray(value)).cast("B")
         elif isinstance(value, (list, tuple)):
             view = memoryview(_octets(value))
-        else:
+        elif isinstance(value, (bytes, bytearray, memoryview)):
             view = memoryview(value)
+        else:
+            raise CdrError(f"sequence<octet> expects bytes, got {value!r}")
+        _check_bound(t, view.nbytes)
         out.write_ulong(view.nbytes)
         out.write_bulk(view)
         return
     if isinstance(elem, PrimitiveType) and elem.kind in _NUMERIC_KINDS:
+        _length(t, value)
         arr = _numeric(out, t, value)
+        _check_bound(t, arr.size)
         out.write_ulong(arr.size)
         out.write_bulk(arr, align=elem.align)
         return
-    out.write_ulong(len(value))
+    n = _length(t, value)
+    _check_bound(t, n)
+    out.write_ulong(n)
     for item in value:
-        _encode(out, elem, item)
+        encode_value(out, elem, item)
+
+
+def _check_bound(t: SequenceType, n: int) -> None:
+    if t.bound is not None and n > t.bound:
+        raise CdrError(f"sequence of {n} longer than bound {t.bound}")
 
 
 def _numeric(out: CdrOutputStream, t: SequenceType | ArrayType,
@@ -512,18 +563,23 @@ def _octets(value: list | tuple) -> bytes:
 
 
 def _encode_array(out: CdrOutputStream, t: ArrayType, value: Any) -> None:
-    """Fixed-size arrays: no length prefix on the wire."""
+    """Fixed-size arrays: no length prefix on the wire.  An ndarray of
+    a numeric or octet element is cast in bulk; any other value is
+    walked element by element, which writes the same bytes."""
     elem = t.element
-    if isinstance(elem, PrimitiveType) and elem.kind == "octet":
-        view = memoryview(_octets(value) if isinstance(value, (list, tuple))
-                          else value)
-        out.write_bulk(view.cast("B"))
+    if isinstance(value, np.ndarray) and isinstance(elem, PrimitiveType) \
+            and (elem.kind in _NUMERIC_KINDS or elem.kind == "octet"):
+        arr = _numeric(out, t, value)
+        if arr.size != t.length:
+            raise CdrError(f"{t.typename()} takes {t.length} elements, "
+                           f"got {arr.size}")
+        out.write_bulk(arr, align=elem.align)
         return
-    if isinstance(elem, PrimitiveType) and elem.kind in _NUMERIC_KINDS:
-        out.write_bulk(_numeric(out, t, value), align=elem.align)
-        return
+    n = _length(t, value)
+    if n != t.length:
+        raise CdrError(f"{t.typename()} takes {t.length} elements, got {n}")
     for item in value:
-        _encode(out, elem, item)
+        encode_value(out, elem, item)
 
 
 def _decode_array(inp: CdrInputStream, t: ArrayType) -> Any:

@@ -38,7 +38,6 @@ from repro.corba.idl.types import (
     StringType,
     StructType,
     VoidType,
-    typecheck,
 )
 
 __all__ = [
@@ -71,5 +70,4 @@ __all__ = [
     "ObjRefType",
     "VoidType",
     "AnyType",
-    "typecheck",
 ]

@@ -6,7 +6,7 @@ shapes for stubs/skeletons.  Python value mapping:
 ==================  =========================================
 IDL                 Python
 ==================  =========================================
-short/long/...      int (range-checked)
+short/long/...      int (range-checked by the CDR codec)
 float/double        float
 boolean             bool
 char                 1-character str
@@ -23,7 +23,7 @@ interface           ObjectRef
 
 from __future__ import annotations
 
-from typing import Any, Sequence as PySequence
+from typing import Any
 
 import numpy as np
 
@@ -42,16 +42,6 @@ PRIMITIVES: dict[str, tuple[str, int, int, str]] = {
     "boolean": ("B", 1, 1, "u1"),
     "char": ("c", 1, 1, "S1"),
     "octet": ("B", 1, 1, "u1"),
-}
-
-_INT_RANGES = {
-    "short": (-2**15, 2**15 - 1),
-    "unsigned short": (0, 2**16 - 1),
-    "long": (-2**31, 2**31 - 1),
-    "unsigned long": (0, 2**32 - 1),
-    "long long": (-2**63, 2**63 - 1),
-    "unsigned long long": (0, 2**64 - 1),
-    "octet": (0, 255),
 }
 
 
@@ -84,7 +74,7 @@ ANY = AnyType()
 
 
 class PrimitiveType(IdlType):
-    __slots__ = ("kind", "fmt", "size", "align", "dtype", "int_range")
+    __slots__ = ("kind", "fmt", "size", "align", "dtype")
     _cache: dict[str, "PrimitiveType"] = {}
 
     def __new__(cls, kind: str) -> "PrimitiveType":
@@ -98,10 +88,6 @@ class PrimitiveType(IdlType):
             inst.size = size
             inst.align = align
             inst.dtype = dtype
-            #: (lo, hi) for integer kinds, None otherwise — typecheck
-            #: range-guards every scalar, so the bounds live on the
-            #: interned singleton instead of a per-call table lookup
-            inst.int_range = _INT_RANGES.get(kind)
             cls._cache[kind] = inst
         return cls._cache[kind]
 
@@ -262,19 +248,22 @@ class EnumType(IdlType):
         self.members = list(members)
 
     def index_of(self, value: Any) -> int:
+        """The member index of ``value`` (a member name or an index);
+        raises ValueError for anything else."""
         if isinstance(value, str):
             try:
                 return self.members.index(value)
             except ValueError:
-                raise IdlError(f"{value!r} is not a member of enum "
-                               f"{self.scoped_name}") from None
+                raise ValueError(f"{value!r} is not a member of enum "
+                                 f"{self.scoped_name}") from None
         try:
             idx = int(value)
-        except (TypeError, ValueError):
-            raise IdlError(f"{value!r} is not a member of enum "
-                           f"{self.scoped_name}") from None
+        except (TypeError, ValueError, OverflowError):
+            raise ValueError(f"{value!r} is not a member of enum "
+                             f"{self.scoped_name}") from None
         if not 0 <= idx < len(self.members):
-            raise IdlError(f"enum {self.scoped_name} index {idx} out of range")
+            raise ValueError(
+                f"enum {self.scoped_name} index {idx} out of range")
         return idx
 
     def typename(self) -> str:
@@ -349,96 +338,3 @@ class NamedTypeRef(IdlType):
 
     def typename(self) -> str:
         return f"?{self.name}"
-
-
-# ---------------------------------------------------------------------------
-# value checking
-# ---------------------------------------------------------------------------
-
-def typecheck(idl_type: IdlType, value: Any) -> None:
-    """Validate that ``value`` conforms to ``idl_type``; raises IdlError."""
-    if isinstance(idl_type, VoidType):
-        if value is not None:
-            raise IdlError(f"void value must be None, got {value!r}")
-    elif isinstance(idl_type, PrimitiveType):
-        _check_primitive(idl_type, value)
-    elif isinstance(idl_type, StringType):
-        if not isinstance(value, str):
-            raise IdlError(f"string value expected, got {type(value).__name__}")
-        if idl_type.bound is not None and len(value) > idl_type.bound:
-            raise IdlError(f"string longer than bound {idl_type.bound}")
-    elif isinstance(idl_type, SequenceType):
-        _check_sequence(idl_type, value)
-    elif isinstance(idl_type, ArrayType):
-        if not isinstance(value, (PySequence, np.ndarray, bytes,
-                                  bytearray)):
-            raise IdlError(f"array value expected, got {value!r}")
-        if len(value) != idl_type.length:
-            raise IdlError(
-                f"array of length {idl_type.length} expected, "
-                f"got {len(value)} elements")
-        if not (isinstance(idl_type.element, PrimitiveType)
-                and isinstance(value, np.ndarray)):
-            for item in value:
-                typecheck(idl_type.element, item)
-    elif isinstance(idl_type, ExceptionType):
-        if not (isinstance(value, StructValue)
-                and value._struct_type == idl_type):
-            raise IdlError(f"expected {idl_type.typename()}, got {value!r}")
-    elif isinstance(idl_type, StructType):
-        if not (isinstance(value, StructValue)
-                and value._struct_type == idl_type):
-            raise IdlError(f"expected {idl_type.typename()}, got {value!r}")
-        for fname, ftype in idl_type.fields:
-            typecheck(ftype, getattr(value, fname))
-    elif isinstance(idl_type, EnumType):
-        idl_type.index_of(value)
-    elif isinstance(idl_type, (ObjRefType, AnyType)):
-        pass  # checked structurally at marshal time
-    elif isinstance(idl_type, NamedTypeRef):
-        raise IdlError(f"unresolved type reference {idl_type.name!r}")
-    else:
-        raise IdlError(f"cannot typecheck {idl_type!r}")
-
-
-def _check_primitive(t: PrimitiveType, value: Any) -> None:
-    if t.kind in ("float", "double"):
-        if not isinstance(value, (int, float, np.floating)):
-            raise IdlError(f"{t.kind} expects a number, got {value!r}")
-    elif t.kind == "boolean":
-        if not isinstance(value, (bool, np.bool_)):
-            raise IdlError(f"boolean expects bool, got {value!r}")
-    elif t.kind == "char":
-        if not (isinstance(value, str) and len(value) == 1):
-            raise IdlError(f"char expects 1-char str, got {value!r}")
-    else:
-        if isinstance(value, bool) or not isinstance(
-                value, (int, np.integer)):
-            raise IdlError(f"{t.kind} expects an int, got {value!r}")
-        lo, hi = t.int_range
-        if not lo <= value <= hi:
-            raise IdlError(f"{value} out of range for {t.kind}")
-
-
-def _check_sequence(t: SequenceType, value: Any) -> None:
-    elem = t.element
-    if isinstance(elem, PrimitiveType) and elem.kind == "octet":
-        if not isinstance(value, (bytes, bytearray, memoryview, np.ndarray,
-                                  list, tuple)):
-            raise IdlError("sequence<octet> expects bytes-like")
-        n = len(value)
-    elif isinstance(elem, PrimitiveType) and elem.kind not in ("char",):
-        if isinstance(value, np.ndarray):
-            n = value.size
-        elif isinstance(value, PySequence):
-            n = len(value)
-        else:
-            raise IdlError(f"sequence value expected, got {value!r}")
-    else:
-        # general sequences: python sequences, or numpy arrays whose
-        # first axis is the sequence dimension (2D data as rows)
-        if not isinstance(value, (PySequence, np.ndarray)):
-            raise IdlError(f"sequence value expected, got {value!r}")
-        n = len(value)
-    if t.bound is not None and n > t.bound:
-        raise IdlError(f"sequence longer than bound {t.bound}")

@@ -34,9 +34,9 @@ from repro.corba.idl.compiler import (
     InterfaceDef,
     OperationDef,
 )
-from repro.corba.idl.errors import IdlError
 from repro.corba.idl.types import (
     AnyType,
+    IdlType,
     ObjRefType,
     PrimitiveType,
     SequenceType,
@@ -44,6 +44,7 @@ from repro.corba.idl.types import (
     StructType,
     UserExceptionBase,
     VOID,
+    VoidType,
 )
 from repro.corba.ior import IOR
 from repro.corba.profiles import COLLOCATED_OVERHEAD, OrbProfile, OrbModule
@@ -77,10 +78,11 @@ class SystemException(CorbaError):
         self.detail = detail
 
 
-_IS_A_OP = OperationDef("_is_a", PrimitiveType("boolean"),
-                        [("logical_type_id", "in", StringType())])
-_NON_EXISTENT_OP = OperationDef("_non_existent", PrimitiveType("boolean"),
-                                [])
+_BOOLEAN = PrimitiveType("boolean")
+_STRING = StringType()
+_IS_A_OP = OperationDef("_is_a", _BOOLEAN,
+                        [("logical_type_id", "in", _STRING)])
+_NON_EXISTENT_OP = OperationDef("_non_existent", _BOOLEAN, [])
 
 
 class ObjectRef:
@@ -541,7 +543,7 @@ class Orb:
         for (pname, ptype), value in zip(opdef.in_params, args):
             try:
                 encode_value(out, ptype, value)
-            except (CdrError, IdlError) as exc:  # rejected by type/codec
+            except CdrError as exc:  # rejected by the codec
                 raise SystemException(
                     "MARSHAL", f"{opdef.name} arg {pname!r}: {exc}") from exc
         # two-way bodies leave as segment lists: bulk args ride by
@@ -614,7 +616,7 @@ class Orb:
     def _decode_results(self, inp: CdrInputStream,
                         opdef: OperationDef) -> Any:
         results: list[Any] = []
-        if not isinstance(opdef.return_type, type(VOID)):
+        if not isinstance(opdef.return_type, VoidType):
             results.append(self._localise(
                 decode_value(inp, opdef.return_type), opdef.return_type))
         for pname, ptype in opdef.out_params:
@@ -676,6 +678,10 @@ class Orb:
     # ------------------------------------------------------------------
     def _invoke_collocated(self, proc: SimProcess, ref: ObjectRef,
                            opdef: OperationDef, args: tuple) -> Any:
+        """A same-process call: the servant runs on the caller's thread
+        with the arguments as given.  Nothing is marshalled, so nothing
+        passes the codec's acceptance check either — a value a remote
+        call would answer ``MARSHAL`` reaches the servant as is."""
         proc.sleep(COLLOCATED_OVERHEAD)
         if opdef.name == "_non_existent":
             return ref.ior.object_key not in self.poa._servants
@@ -765,61 +771,53 @@ class Orb:
         The servant executes *before* the reply header is written, so the
         header carries the final status and results are CDR-aligned
         relative to the true body start."""
-        def fresh() -> CdrOutputStream:
-            return CdrOutputStream(
-                little_endian=self.little_endian,
-                zero_copy=self.profile.zero_copy)
-
+        wire = self.wire
+        status = wire.REPLY_NO_EXCEPTION
         try:
-            if opname == "_non_existent":
-                out = fresh()
-                self.wire.start_reply(out, request_id,
-                                      self.wire.REPLY_NO_EXCEPTION)
-                encode_value(out, PrimitiveType("boolean"),
-                             key not in self.poa._servants)
-                return out
-            servant = self.poa.lookup(key)
-            if opname == "_is_a":
-                repo, = self._decode_in(inp, opname, [StringType()])
-                answer = self._servant_is_a(servant, repo)
-                out = fresh()
-                self.wire.start_reply(out, request_id,
-                                  self.wire.REPLY_NO_EXCEPTION)
-                encode_value(out, PrimitiveType("boolean"), answer)
-                return out
-            opdef = self._find_operation(servant._idef, opname)
-            args = self._decode_in(inp, opname,
-                                   [ptype for _p, ptype in opdef.in_params])
-            result = _call_servant(servant, opdef, args)
-            out = fresh()
-            self.wire.start_reply(out, request_id,
-                                  self.wire.REPLY_NO_EXCEPTION)
-            try:
-                self._encode_results(out, opdef, result)
-            except (CdrError, IdlError) as exc:  # rejected by type/codec
-                raise SystemException(
-                    "MARSHAL", f"{opname} result: {exc}") from exc
-            return out
+            values = self._dispatch(inp, key, opname)
         except UserExceptionBase as ue:
-            out = fresh()
-            self.wire.start_reply(out, request_id,
-                                  self.wire.REPLY_USER_EXCEPTION)
-            encode_value(out, ue._exception_type, ue)
-            return out
+            status = wire.REPLY_USER_EXCEPTION
+            values = [(ue._exception_type, ue)]
         except SystemException as se:
-            out = fresh()
-            self.wire.start_reply(out, request_id,
-                                  self.wire.REPLY_SYSTEM_EXCEPTION)
-            out.write_string(se.minor)
-            out.write_string(se.detail)
-            return out
+            status = wire.REPLY_SYSTEM_EXCEPTION
+            values = _system_exception(se.minor, se.detail)
         except Exception as exc:  # noqa: BLE001 - servant bug → UNKNOWN
-            out = fresh()
-            self.wire.start_reply(out, request_id,
-                                  self.wire.REPLY_SYSTEM_EXCEPTION)
-            out.write_string("UNKNOWN")
-            out.write_string(f"{type(exc).__name__}: {exc}")
-            return out
+            status = wire.REPLY_SYSTEM_EXCEPTION
+            values = _system_exception("UNKNOWN",
+                                       f"{type(exc).__name__}: {exc}")
+        try:
+            return self._reply_body(request_id, status, values)
+        except CdrError as exc:  # the codec rejects what the servant gave
+            what = ("result" if status == wire.REPLY_NO_EXCEPTION
+                    else "exception")
+            return self._reply_body(
+                request_id, wire.REPLY_SYSTEM_EXCEPTION,
+                _system_exception("MARSHAL", f"{opname} {what}: {exc}"))
+
+    def _reply_body(self, request_id: int, status: int,
+                    values: list[tuple[IdlType, Any]]) -> CdrOutputStream:
+        """The one place a reply body is built: header, then ``values``."""
+        out = CdrOutputStream(little_endian=self.little_endian,
+                              zero_copy=self.profile.zero_copy)
+        self.wire.start_reply(out, request_id, status)
+        for idl_type, value in values:
+            encode_value(out, idl_type, value)
+        return out
+
+    def _dispatch(self, inp: CdrInputStream, key: str,
+                  opname: str) -> list[tuple[IdlType, Any]]:
+        """Decode the arguments and run the operation; returns the typed
+        values of a normal reply."""
+        if opname == "_non_existent":
+            return [(_BOOLEAN, key not in self.poa._servants)]
+        servant = self.poa.lookup(key)
+        if opname == "_is_a":
+            repo, = self._decode_in(inp, opname, [_STRING])
+            return [(_BOOLEAN, self._servant_is_a(servant, repo))]
+        opdef = self._find_operation(servant._idef, opname)
+        args = self._decode_in(inp, opname,
+                               [ptype for _p, ptype in opdef.in_params])
+        return _result_values(opdef, _call_servant(servant, opdef, args))
 
     def _decode_in(self, inp: CdrInputStream, opname: str,
                    types: list) -> list:
@@ -860,30 +858,28 @@ class Orb:
         raise SystemException("BAD_OPERATION",
                               f"{idef.scoped_name} has no {opname!r}")
 
-    def _encode_results(self, out: CdrOutputStream, opdef: OperationDef,
-                        result: Any) -> None:
-        n_out = len(opdef.out_params)
-        has_ret = not isinstance(opdef.return_type, type(VOID))
-        expected = (1 if has_ret else 0) + n_out
-        if expected <= 1:
-            values = [result] if expected == 1 else []
-            if expected == 0 and result is not None:
-                raise SystemException(
-                    "MARSHAL", f"{opdef.name} is void but servant "
-                    f"returned {result!r}")
-        else:
-            if not isinstance(result, tuple) or len(result) != expected:
-                raise SystemException(
-                    "MARSHAL", f"{opdef.name} must return a {expected}-"
-                    f"tuple (return value + out parameters)")
-            values = list(result)
-        idx = 0
-        if has_ret:
-            encode_value(out, opdef.return_type, values[idx])
-            idx += 1
-        for pname, ptype in opdef.out_params:
-            encode_value(out, ptype, values[idx])
-            idx += 1
+
+def _result_values(opdef: OperationDef,
+                   result: Any) -> list[tuple[IdlType, Any]]:
+    """A servant's return value as the typed values of its reply: the
+    return value, then the out parameters.  An operation with one of
+    them (or none: ``void``, which the codec holds to ``None``) returns
+    it bare, one with more returns a tuple."""
+    types = [ptype for _p, ptype in opdef.out_params]
+    if not types or not isinstance(opdef.return_type, VoidType):
+        types.insert(0, opdef.return_type)
+    if len(types) == 1:
+        return [(types[0], result)]
+    if not isinstance(result, tuple) or len(result) != len(types):
+        raise SystemException(
+            "MARSHAL", f"{opdef.name} must return a {len(types)}-"
+            f"tuple (return value + out parameters)")
+    return list(zip(types, result))
+
+
+def _system_exception(minor: str,
+                      detail: str) -> list[tuple[IdlType, Any]]:
+    return [(_STRING, minor), (_STRING, detail)]
 
 
 def _call_servant(servant: Servant, opdef: OperationDef,

@@ -131,7 +131,8 @@ def _idl_text(t: IdlType) -> str:
     if isinstance(t, StringType):
         return f"string<{t.bound}>" if t.bound else "string"
     if isinstance(t, SequenceType):
-        return f"sequence<{_idl_text(t.element)}>"
+        bound = f",{t.bound}" if t.bound else ""
+        return f"sequence<{_idl_text(t.element)}{bound}>"
     if isinstance(t, (StructType, EnumType)):
         return t.scoped_name
     if isinstance(t, ObjRefType):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro.corba import OMNIORB4, Orb, compile_idl
 from repro.corba.cdr import (
+    CdrError,
     CdrInputStream,
     CdrOutputStream,
     decode_value,
@@ -78,9 +79,9 @@ def test_array_roundtrip_nested():
 def test_array_length_enforced():
     idl = _compiled()
     row = idl.type("A::Row")
-    with pytest.raises(IdlError):
+    with pytest.raises(CdrError):
         roundtrip(row, np.zeros(5))
-    with pytest.raises(IdlError):
+    with pytest.raises(CdrError):
         roundtrip(row, np.zeros(3))
 
 

@@ -16,19 +16,19 @@ from repro.corba.cdr import (
     read_typecode,
     write_typecode,
 )
-from repro.corba.idl.errors import IdlError
 from repro.corba.idl.types import (
     ANY,
     PRIMITIVES,
     ArrayType,
     EnumType,
     ExceptionType,
+    NamedTypeRef,
     ObjRefType,
     PrimitiveType,
     SequenceType,
     StringType,
     StructType,
-    typecheck,
+    VOID,
 )
 from repro.corba.ior import IOR
 
@@ -74,39 +74,99 @@ def test_unencodable_string_is_a_cdr_error():
         CdrOutputStream().write_string("a\ud800b")
 
 
+_ENUM = EnumType("E", "M::E", ["A", "B"])
+_POINT = StructType("P", "M::P", [("x", PrimitiveType("short")),
+                                  ("ok", PrimitiveType("boolean"))])
 _CODEC_TYPES = [PrimitiveType(kind) for kind in PRIMITIVES] + [
     StringType(), StringType(3), SequenceType(PrimitiveType("long")),
     SequenceType(PrimitiveType("double")), SequenceType(PrimitiveType("float")),
     SequenceType(PrimitiveType("octet")), ArrayType(PrimitiveType("short"), 2),
     ArrayType(PrimitiveType("float"), 2),
-    SequenceType(StringType()), ANY, EnumType("E", "M::E", ["A", "B"]),
-    StructType("S", "M::S", [("n", PrimitiveType("long")),
-                             ("e", EnumType("E", "M::E", ["A", "B"]))])]
+    SequenceType(StringType()), ANY, _ENUM,
+    StructType("S", "M::S", [("n", PrimitiveType("long")), ("e", _ENUM)]),
+    SequenceType(PrimitiveType("boolean")), SequenceType(_POINT),
+    ArrayType(_POINT, 2),
+    StructType("N", "M::N", [("names", SequenceType(StringType())),
+                             ("at", _POINT)])]
 
 _scalars = st.one_of(st.integers(), st.floats(), st.text(max_size=3),
                      st.booleans(), st.binary(max_size=3))
+_junk = st.one_of(_scalars, st.lists(_scalars, max_size=3),
+                  st.tuples(_scalars, _scalars))
+
+
+def _loose(t):
+    """Values shaped like ``t`` at every depth, with arbitrary leaves —
+    or plain junk in place of any of its parts."""
+    if isinstance(t, StructType):
+        names = [n for n, _f in t.fields]
+        shaped = st.tuples(*(_loose(ft) for _n, ft in t.fields)).map(
+            lambda vs: t.make(**dict(zip(names, vs))))
+        return st.one_of(_junk, shaped)
+    if isinstance(t, (SequenceType, ArrayType)) and \
+            isinstance(t.element, StructType):
+        return st.one_of(_junk, st.lists(_loose(t.element), max_size=3))
+    return _junk
+
+
+#: an IDL type of the table above and a value loosely shaped like it
+_codec_draws = st.sampled_from(_CODEC_TYPES).flatmap(
+    lambda t: st.tuples(st.just(t), _loose(t)))
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.sampled_from(_CODEC_TYPES),
-       st.one_of(_scalars, st.lists(_scalars, max_size=3),
-                 st.tuples(_scalars, _scalars)))
-def test_every_rejected_value_raises_a_codec_error(t, value):
-    # the type check rejects with IdlError; anything it admits is
-    # either encoded or rejected by the codec with CdrError — no other
-    # exception leaves encode_value (the ORB maps these two to MARSHAL)
+@given(_codec_draws)
+def test_every_rejected_value_raises_a_codec_error(tv):
+    # every value is either encoded or rejected with CdrError — no other
+    # exception leaves encode_value, at any depth (the ORB answers it
+    # with MARSHAL); what is encoded decodes
+    t, value = tv
+    out = CdrOutputStream()
     try:
-        typecheck(t, value)
-    except IdlError:
-        with pytest.raises(IdlError):
-            encode_value(CdrOutputStream(), t, value)
-        return
-    try:
-        encode_value(CdrOutputStream(), t, value)
+        encode_value(out, t, value)
     except CdrError:
-        pass
-    except IdlError:
-        assert t == ANY  # the any's own type check, on its inner value
+        return
+    decode_value(CdrInputStream(out.getvalue()), t)
+
+
+@pytest.mark.parametrize("t,value", [
+    (VOID, 0), (PrimitiveType("long"), True), (PrimitiveType("octet"), False),
+    (PrimitiveType("boolean"), 1), (PrimitiveType("boolean"), "no"),
+    (PrimitiveType("char"), "ab"), (PrimitiveType("double"), "1.0"),
+    (StringType(2), "abc"), (StringType(), b"abc"), (_ENUM, "C"),
+    (_ENUM, 2), (_ENUM, float("inf")), (NamedTypeRef("M::T"), 1),
+    (_POINT, StructType("P", "M::Q", _POINT.fields).make(x=1, ok=True)),
+    (_POINT, _POINT.make(x=1, ok="yes")),
+    (SequenceType(PrimitiveType("long"), 2), [1, 2, 3]),
+    (SequenceType(PrimitiveType("octet"), 2), b"abc"),
+    (SequenceType(PrimitiveType("octet")), "abc"),
+    (SequenceType(StringType()), 5), (ArrayType(_POINT, 2), [None]),
+], ids=["void", "long-bool", "octet-bool", "boolean-int", "boolean-str",
+        "char-2", "double-str", "string-bound", "string-bytes",
+        "enum-name", "enum-index", "enum-inf", "unresolved",
+        "struct-other-type", "struct-field", "seq-bound", "octets-bound",
+        "octets-str", "seq-scalar", "array-length"])
+def test_encoder_rejects_with_cdr_error(t, value):
+    with pytest.raises(CdrError):
+        encode_value(CdrOutputStream(), t, value)
+
+
+def test_nested_boolean_is_checked_as_a_boolean():
+    # checked where each element is written: a non-bool is refused,
+    # not written as True
+    t = SequenceType(PrimitiveType("boolean"))
+    with pytest.raises(CdrError, match="boolean expects a bool"):
+        encode_value(CdrOutputStream(), t, ["no"])
+    assert roundtrip(t, [True, np.bool_(False)]) == [True, False]
+
+
+def test_nested_struct_is_checked_as_a_struct():
+    # each element must be a value of the struct type: a plain int is
+    # a codec error, not an AttributeError
+    with pytest.raises(CdrError, match="expected struct M::P"):
+        encode_value(CdrOutputStream(), SequenceType(_POINT), [1, 2])
+    value = [_POINT.make(x=-3, ok=True)]
+    assert roundtrip(SequenceType(_POINT), value) == value
 
 
 #: CDR-shaped garbage: small ulongs (lengths, enum indices, TypeCode
@@ -143,11 +203,9 @@ def test_primitive_roundtrip(kind, value, little):
 
 
 def test_primitive_range_check():
-    from repro.corba.idl.errors import IdlError
-
-    with pytest.raises(IdlError):
+    with pytest.raises(CdrError):
         roundtrip(PrimitiveType("short"), 40000)
-    with pytest.raises(IdlError):
+    with pytest.raises(CdrError):
         roundtrip(PrimitiveType("octet"), -1)
 
 
@@ -167,9 +225,7 @@ def test_string_roundtrip_unicode():
 
 
 def test_string_bound_enforced():
-    from repro.corba.idl.errors import IdlError
-
-    with pytest.raises(IdlError):
+    with pytest.raises(CdrError):
         roundtrip(StringType(4), "too long")
 
 

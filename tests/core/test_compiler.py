@@ -124,6 +124,32 @@ def test_emit_internal_idl_text():
     assert "interface GridCCMProxy_Compute : App::Compute" in text
 
 
+def test_emit_internal_idl_keeps_sequence_bounds():
+    # the generated IDL is what a real ORB would compile: a bounded
+    # sequence must stay bounded there, at every depth
+    idl = compile_idl("""
+    module B {
+        typedef sequence<sequence<double,4> > Rows;
+        interface Tagged { void put(in Rows rows, in sequence<long,10> ids); };
+        component C { provides Tagged input; };
+        home H manages C {};
+    };
+    """)
+    desc = ParallelismDescriptor.parse("""
+    <parallelism component="B::C">
+      <port name="input">
+        <operation name="put">
+          <argument name="rows" distribution="block"/>
+          <result policy="none"/>
+        </operation>
+      </port>
+    </parallelism>
+    """)
+    text = GridCcmCompiler(idl, desc).compile().emit_internal_idl()
+    assert "in sequence<sequence<double,4>> rows_chunk" in text
+    assert "in sequence<long,10> ids" in text
+
+
 def test_original_interface_untouched():
     """Paper constraint: 'the IDL is not modified'."""
     idl, plan = _compile()
