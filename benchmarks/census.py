@@ -48,8 +48,10 @@ unnamed, makes the census exit 1.
 
 The fourth table is census A: for each repo-benchmark workload's
 smoke-size repetition of step 1, the kernel's events, process switches,
-OS-level hand-offs, OS threads started and processes spawned — exact
-counts, so a change to how the run token moves shows as a moved row.
+OS-level hand-offs, OS threads started and processes spawned, and the
+flow network's max-min solves — exact counts, so a change to how the
+run token moves, or to how often rates are solved, shows as a moved
+row.
 
 The fifth table is the cost-constant sweep, run after the profiled
 steps and not under the trace hook.  A *cost constant* is a float a
@@ -225,15 +227,17 @@ CONSTANT_VERDICTS: dict[tuple[str, str], tuple[str, str]] = {
 }
 
 
-#: the fourth table's columns: what a kernel counts, as plain ints that
-#: repeat exactly — a *switch* resumes a process, a *hand-off* is a
-#: switch that moves the run token to another OS thread
+#: the fourth table's columns: what a stage's kernel and flow network
+#: count, as plain ints that repeat exactly — a *switch* resumes a
+#: process, a *hand-off* is a switch that moves the run token to another
+#: OS thread, a *max-min solve* is one fill of the flow network's rates
 SCHEDULING = {
-    "events": lambda k: k.events_processed,
-    "switches": lambda k: k.context_switches,
-    "hand-offs": lambda k: k.backend.handoffs,
-    "OS threads started": lambda k: k.backend.threads_started,
-    "processes spawned": lambda k: len(k._processes),
+    "events": lambda s: s.kernel.events_processed,
+    "switches": lambda s: s.kernel.context_switches,
+    "hand-offs": lambda s: s.kernel.backend.handoffs,
+    "OS threads started": lambda s: s.kernel.backend.threads_started,
+    "processes spawned": lambda s: len(s.kernel._processes),
+    "max-min solves": lambda s: s.network.solver_solves,
 }
 
 
@@ -465,8 +469,7 @@ def run_experiments_and_workloads() -> dict[str, list[int]]:
         for stage in rep.stages:
             stage.drive()
         workload.check(rep)
-        kernels = [stage.kernel for stage in rep.stages]
-        counts[name] = [sum(count(k) for k in kernels)
+        counts[name] = [sum(count(stage) for stage in rep.stages)
                         for count in SCHEDULING.values()]
     return counts
 

@@ -52,7 +52,7 @@ def main() -> None:
             dst = site_hosts[sites[(i + 1) % len(sites)]][0].name
             batch.append((topo.route(src, dst, "g-wan"), FLOW_MB * 1e6,
                           lambda flow: None))
-        net.start_flows(batch)  # one re-solve for the whole ramp
+        net.start_flows(batch)  # one admission for the whole ramp
 
     kernel.schedule(0.0, ramp)
     kernel.schedule(5.0, ramp)  # second wave: same routes, cache hits

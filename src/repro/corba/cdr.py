@@ -30,12 +30,14 @@ writes them: :func:`encode_value` checks each value where it marshals
 it, at every depth, and every rejection is a :class:`CdrError` (the ORB
 answers each with ``MARSHAL``).  Integer kinds refuse ``bool``,
 ``boolean`` takes only ``bool`` / ``np.bool_``, a ``char`` is one
-Latin-1 character, strings and sequences keep their bounds, arrays
-their length, and a struct or exception value must be a value of that
-very type.  Bulk numeric and octet sequences (and ndarray-valued
-arrays) are not checked per element: numpy's cast converts them in one
-call, overflow still raises, and a Python check per element would undo
-the bulk path.  The stream primitives GIOP framing uses
+Latin-1 character, strings and sequences keep their bounds (decoding
+too), arrays their length, and a struct or exception value must be a
+value of that very type.  Bulk numeric and octet sequences (and
+ndarray-valued arrays) are not checked per element: numpy's cast
+converts them in one call, overflow still raises, and a Python check
+per element would undo the bulk path; a ``str`` or ``bytes`` value of
+a numeric sequence or array is refused before it, as numpy would parse
+the text.  The stream primitives GIOP framing uses
 (:meth:`CdrOutputStream.write_ulong`, :meth:`~CdrOutputStream.write_primitive`)
 stay unchecked fast paths.
 """
@@ -521,6 +523,7 @@ def _encode_sequence(out: CdrOutputStream, t: SequenceType,
         out.write_bulk(view)
         return
     if isinstance(elem, PrimitiveType) and elem.kind in _NUMERIC_KINDS:
+        _not_text(t, value)
         _length(t, value)
         arr = _numeric(out, t, value)
         _check_bound(t, arr.size)
@@ -532,6 +535,14 @@ def _encode_sequence(out: CdrOutputStream, t: SequenceType,
     out.write_ulong(n)
     for item in value:
         encode_value(out, elem, item)
+
+
+def _not_text(t: SequenceType | ArrayType, value: Any) -> None:
+    """Refuse text and raw bytes as numbers: numpy's cast would parse
+    ``"12"`` as ``[12]``, and a bytes value is not its octets' numbers
+    either."""
+    if isinstance(value, (str, bytes, bytearray)):
+        raise CdrError(f"{t.typename()} expects numbers, got {value!r}")
 
 
 def _check_bound(t: SequenceType, n: int) -> None:
@@ -567,6 +578,8 @@ def _encode_array(out: CdrOutputStream, t: ArrayType, value: Any) -> None:
     a numeric or octet element is cast in bulk; any other value is
     walked element by element, which writes the same bytes."""
     elem = t.element
+    if isinstance(elem, PrimitiveType) and elem.kind in _NUMERIC_KINDS:
+        _not_text(t, value)
     if isinstance(value, np.ndarray) and isinstance(elem, PrimitiveType) \
             and (elem.kind in _NUMERIC_KINDS or elem.kind == "octet"):
         arr = _numeric(out, t, value)
@@ -611,7 +624,11 @@ def decode_value(inp: CdrInputStream, idl_type: IdlType) -> Any:
     if isinstance(t, PrimitiveType):
         return inp.read_primitive(t.kind)
     if isinstance(t, StringType):
-        return inp.read_string()
+        text = inp.read_string()
+        if t.bound is not None and len(text) > t.bound:
+            raise CdrError(f"string of {len(text)} longer than bound "
+                           f"{t.bound}")
+        return text
     if isinstance(t, SequenceType):
         return _decode_sequence(inp, t)
     if isinstance(t, ArrayType):

@@ -578,9 +578,12 @@ class Comm:
     # ------------------------------------------------------------------
     def _seq_bcast(self, parts: list[int], rootpos: int, body: Any,
                    nbytes: float, tag: int, ctx: str, op: str,
-                   local: bool) -> tuple[Any, float]:
+                   local: bool, decode: bool = False) -> tuple[Any, float]:
         """Each participant receives once (from its parent in the
-        virtual-rank tree), then forwards down."""
+        virtual-rank tree), then forwards down.  ``decode=True`` returns
+        the object the body carries in place of the body: a leaf — a
+        rank that forwards nothing — decodes in its receive leg's block,
+        any other rank once it has forwarded."""
         k = len(parts)
         v = (parts.index(self._rank) - rootpos) % k
         mask = 1
@@ -592,9 +595,16 @@ class Comm:
                                op, local=local)
             elif v < mask << 1:
                 src = parts[(v - mask + rootpos) % k]
+                # the first child would be v + 2·mask
+                leaf = decode and v + (mask << 1) >= k
                 _s, _t, body, nbytes = self._recv(self.proc, src, tag,
-                                                  ctx, local=local)
+                                                  ctx, local=local,
+                                                  decode=leaf)
+                if leaf:
+                    return body, nbytes
             mask <<= 1
+        if decode:
+            body = self._decode(self.proc, body)
         return body, nbytes
 
     def _seq_gather_signal(self, parts: list[int], rootpos: int, tag: int,
@@ -746,8 +756,8 @@ class Comm:
         if self._rank == root:
             data = self._pickle(self.proc, obj)
             body, n = ("p", data), float(len(data))
-        body, _n = self._bcast_body(body, n, root, ctx, "bcast")
-        return self._decode(self.proc, body)
+        return self._bcast_body(body, n, root, ctx, "bcast",
+                                decode=True)[0]
 
     @_collective("Bcast")
     def Bcast(self, buf: np.ndarray, root: int = 0) -> None:
@@ -772,16 +782,19 @@ class Comm:
             self._deliver(buf, body, "Bcast")
 
     def _bcast_body(self, body: Any, nbytes: float, root: int, ctx: str,
-                    op: str, held: bool = False) -> tuple[Any, float]:
+                    op: str, held: bool = False,
+                    decode: bool = False) -> tuple[Any, float]:
         """Route a broadcast body: WAN tree over the leaders (skipped
-        when they all hold it, ``held``), then a tree inside each site."""
+        when they all hold it, ``held``), then a tree inside each site
+        (which decodes it, ``decode``: see :meth:`_seq_bcast`)."""
         sm, members, leader, local = self._hier(root)
         if self._rank == leader and not held:
             body, nbytes = self._seq_bcast(
                 sm.leaders(root), sm.site_of[root], body, nbytes, 20,
                 ctx, op, local=False)
         return self._seq_bcast(members, members.index(leader), body,
-                               nbytes, 21, ctx, op, local=local)
+                               nbytes, 21, ctx, op, local=local,
+                               decode=decode)
 
     def _leaders_exchange(self, sm: SiteMap, mine: list, ctx: str,
                           op: str) -> list:
@@ -1054,8 +1067,8 @@ class Comm:
             acc = self._seq_allreduce(sm.leaders(0), acc, redop, tag + 1,
                                       ctx, op, buffered)
             body, n = self._pack(acc, buffered)
-        body, _n = self._bcast_body(body, n, 0, ctx, op, held=sm.multi_site)
-        return self._decode(self.proc, body)
+        return self._bcast_body(body, n, 0, ctx, op, held=sm.multi_site,
+                                decode=True)[0]
 
     @_collective("allreduce")
     def allreduce(self, obj: Any, op: ReduceOp) -> Any:

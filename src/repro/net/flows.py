@@ -2,11 +2,12 @@
 
 A :class:`Flow` is one in-flight message occupying a route (a list of
 simplex :class:`~repro.net.topology.Link`).  Whenever the set of active
-flows changes, every flow's progress is advanced at its previous rate
-and rates are re-solved with the classic *progressive filling* (max-min
-fairness) algorithm: repeatedly find the most-loaded link, give each
-flow crossing it an equal share of that link's remaining capacity, fix
-those flows, and subtract what they consume elsewhere.
+flows changes, every flow's progress is advanced at its previous rate,
+and before the clock moves on rates are re-solved with the classic
+*progressive filling* (max-min fairness) algorithm: repeatedly find the
+most-loaded link, give each flow crossing it an equal share of that
+link's remaining capacity, fix those flows, and subtract what they
+consume elsewhere.
 
 This is the mechanism behind the paper's concurrency experiment
 ("Concurrent benchmarks (CORBA and MPI at the same time) show the
@@ -14,10 +15,21 @@ bandwidth is efficiently shared: each gets 120 MB/s"): two flows across
 one 240 MB/s Myrinet host link each receive exactly half.
 
 Scaling (see docs/PERFORMANCE.md): there is one solve pipeline,
-:meth:`FlowNetwork._reallocate`, and it picks its own tier from what it
+:meth:`FlowNetwork._settle`, and it picks its own tier from what it
 observes — no caller-facing switch selects among them, because every
 tier computes bit-for-bit the same rates:
 
+* Rates are solved once per virtual instant.  A change — admission,
+  completion, abort, link failure — is recorded
+  (:meth:`FlowNetwork._reallocate`), and the settle solves the
+  instant's changes together when its last event is done
+  (:meth:`~repro.sim.kernel.SimKernel.at_instant_end`), then re-times
+  the one completion timer.  No virtual time passes between two
+  changes of one instant, so the rates in between are never used: a
+  completion that refills its flows costs one solve, not two.  The
+  completion timer is pushed by the settle, so among events at its
+  exact time it fires after those pushed during the instant that set
+  it (docs/KERNEL.md, determinism item 4).
 * The solver state decomposes into *link-connected components* — flows
   in different components share no link, so progressive filling never
   couples them.  :class:`FlowNetwork` keeps a persistent link→flows
@@ -579,6 +591,9 @@ class FlowNetwork:
         #: the live-flow state in column form, while there are many
         self._table: _FlowTable | None = None
         self._last_update = kernel.now
+        #: flows added or removed since the last solve, at this instant;
+        #: :meth:`_settle` solves them when the instant ends
+        self._dirty: list[Flow] = []
         self._timer: Timer | None = None
         self._link_bytes: dict[Link, float] = {}
         self.completed_flows = 0
@@ -647,19 +662,14 @@ class FlowNetwork:
     def start_flows(self, requests: Sequence[
             tuple[Sequence[Link], float, Callable[[Flow], None]]],
     ) -> list[Flow]:
-        """Admit many ``(route, nbytes, callback)`` transfers in one
-        re-solve.
+        """Admit many ``(route, nbytes, callback)`` transfers at once.
 
         Bit-for-bit equivalent to calling :meth:`start_flow` on each
-        request back-to-back at one virtual instant: no virtual time
-        passes between admissions, so the intermediate allocations the
-        sequential form computes are unobservable — only the rates
-        after the last member joins matter, and those come out of the
-        same per-component solves either way.  What changes is the
-        cost: one re-solve for the whole batch instead of one per flow,
-        which is what makes ramping a grid to 100k concurrent flows
-        tractable.  Validation is atomic — a bad size or downed link
-        anywhere in the batch admits nothing.
+        request back-to-back at one virtual instant: either way the
+        instant's settle solves them together (only the rates after the
+        last member joins are ever used).  What the batch adds is
+        atomic validation — a bad size or downed link anywhere in the
+        batch admits nothing.
         """
         reqs = list(requests)
         for route, nbytes, _callback in reqs:
@@ -675,7 +685,9 @@ class FlowNetwork:
         return flows
 
     def current_rate(self, flow: Flow) -> float:
-        """Instantaneous fair-share rate of an active flow (bytes/s)."""
+        """Instantaneous fair-share rate of an active flow (bytes/s),
+        with this instant's changes settled first."""
+        self._settle()
         return flow.rate
 
     @property
@@ -888,7 +900,51 @@ class FlowNetwork:
         self._index_remove(flow)
 
     def _reallocate(self, dirty: Sequence[Flow]) -> None:
-        """Re-solve fair-share rates after a flow-set change.
+        """Take note of a flow-set change: ``dirty`` lists the flows
+        added or removed.
+
+        Rates are solved once per instant, by :meth:`_settle` when the
+        instant's last event is done: a solve that another change at
+        the same instant overwrites is one nothing could observe, since
+        no virtual time passes in between.  A change while the
+        completion timer is due at this very instant settles on the
+        spot: the solve may move the timer, and it must not fire first.
+        """
+        if not self._dirty and not dirty:
+            self._reschedule()  # a timer that found nothing due
+            return
+        self._dirty.extend(dirty)
+        timer = self._timer
+        if timer is not None and timer.time == self.kernel.now:
+            self._settle()
+        else:
+            # every change asks: each is a happens-before edge to the
+            # settle
+            self.kernel.at_instant_end(self._settle)
+
+    def _settle(self) -> None:
+        """Solve the instant's changes (:meth:`_solve_dirty`) — one
+        solve and one ``_reschedule`` however many changes there were.
+        Runs as the kernel's instant-end callback, and sooner, in the
+        caller's context, where a rate is read or the timer is due now;
+        with a monitor attached it is a ``net.settle`` span."""
+        dirty = self._dirty
+        if not dirty:
+            return
+        self._dirty = []
+        mon = self.monitor
+        if mon is None:
+            self._solve_dirty(dirty)
+            return
+        mon.on_span_start("net.settle", cat="net")
+        try:
+            self._solve_dirty(dirty)
+        finally:
+            mon.on_span_end("net.settle")
+
+    def _solve_dirty(self, dirty: list[Flow]) -> None:
+        """Re-solve fair-share rates after the instant's flow-set
+        changes, then re-time the completion timer.
 
         ``dirty`` lists the flows added/removed since the last solve;
         flows their change cannot reach keep their — provably unchanged

@@ -36,6 +36,11 @@ both are free when unused:
 
 Traced or not, a run takes the same path: every event, wake-ups
 included, is a fresh :class:`Timer`.
+
+:meth:`SimKernel.at_instant_end` registers work that runs once the
+current instant has no event left, before the clock moves: the flow
+network settles its rates there, once per instant, however many
+changes the instant brought.
 """
 
 from __future__ import annotations
@@ -404,6 +409,9 @@ class SimKernel:
         #: cancelled entries discarded by :meth:`run` without firing
         #: (lazy timer cancellation leaves them in the heap until popped)
         self.events_skipped = 0
+        #: instant-end callbacks pending (see :meth:`at_instant_end`);
+        #: an insertion-ordered dict used as an ordered set
+        self._instant_ends: dict[Callable, None] = {}
 
     # ------------------------------------------------------------------
     # spawning and scheduling
@@ -476,6 +484,33 @@ class SimKernel:
         if delay < 0:
             raise ValueError(f"negative delay {delay}")
         return self._schedule(delay, fn, *args)
+
+    def at_instant_end(self, fn: Callable[[], None]) -> None:
+        """Run ``fn()`` in kernel context once no event is left at the
+        current instant: before the clock moves on, before
+        :meth:`run` returns at ``until`` and when the heap drains.
+
+        It is not an event — it takes no ``seq`` and no
+        ``events_processed`` count — but it may push events, at ``now``
+        too, and the instant goes on with them.  Callbacks run in
+        registration order; registering one that is already pending
+        (``==``) folds into it.  Under a tracer every registration is a
+        ``hb_release`` and the call an ``hb_acquire`` of ``fn``, so the
+        callback happens after everything that asked for it.
+        """
+        self._instant_ends[fn] = None
+        if self._tracer is not None:
+            self._tracer.hb_release(fn)
+
+    def _end_instant(self) -> None:
+        """Run the pending instant-end callbacks, in registration order;
+        one a callback registers runs in the next round."""
+        ends = list(self._instant_ends)
+        self._instant_ends.clear()
+        for fn in ends:
+            if self._tracer is not None:
+                self._tracer.hb_acquire(fn)
+            fn()
 
     def _schedule(self, delay: float, fn: Callable, *args: Any) -> Timer:
         self._seq += 1
@@ -621,12 +656,15 @@ class SimKernel:
         hands over unless that is its own process — or None when the
         token goes back to the caller of :meth:`run` / :meth:`shutdown`:
         heap drained, ``until`` reached, no run in progress (any more),
-        or an exception, stored for :meth:`_drive`.
+        or an exception, stored for :meth:`_drive`.  Whenever no event
+        is left at ``now`` — the next one is later, or there is none —
+        the instant-end callbacks run first.
         """
         self._current = None
         heap = self._heap
         heappop = heapq.heappop
         wake_fn = self._wake_fn
+        ends = self._instant_ends
         until = self._until
         try:
             if exited is not None:
@@ -652,6 +690,10 @@ class SimKernel:
                 if not self._running:
                     return None
                 if not heap:
+                    if ends:
+                        self._end_instant()
+                        wake = self._woken
+                        continue
                     if until is not None and until > self.now:
                         self.now = until
                     return None
@@ -660,6 +702,11 @@ class SimKernel:
                     heappop(heap)
                     self.events_skipped += 1
                     wake = None
+                elif ends and key[0] > self.now:
+                    # the instant is over: its callbacks run before the
+                    # clock moves (and may push events at it again)
+                    self._end_instant()
+                    wake = self._woken
                 elif until is not None and key[0] > until:
                     self.now = until
                     return None

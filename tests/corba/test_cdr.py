@@ -254,6 +254,28 @@ def test_numeric_sequence_big_endian():
     assert np.allclose(back, arr)
 
 
+@pytest.mark.parametrize("t", [
+    SequenceType(PrimitiveType("long")), SequenceType(PrimitiveType("double")),
+    ArrayType(PrimitiveType("short"), 2), ArrayType(PrimitiveType("float"), 2),
+], ids=["seq-long", "seq-double", "short[2]", "float[2]"])
+@pytest.mark.parametrize("value", ["12", b"12", bytearray(b"12")],
+                         ids=["str", "bytes", "bytearray"])
+def test_numeric_container_refuses_text_and_bytes(t, value):
+    # numpy's cast parses "12" as [12], and a bytes value walked as an
+    # array is its octets' numbers: neither is a sequence of numbers
+    with pytest.raises(CdrError, match="expects numbers"):
+        encode_value(CdrOutputStream(), t, value)
+
+
+def test_string_bound_enforced_on_decode():
+    out = CdrOutputStream()
+    encode_value(out, StringType(), "toolong")
+    with pytest.raises(CdrError, match="longer than bound 3"):
+        decode_value(CdrInputStream(out.getvalue()), StringType(3))
+    assert decode_value(CdrInputStream(out.getvalue()), StringType(7)) \
+        == "toolong"
+
+
 def test_sequence_bound_enforced_on_decode():
     t_unbounded = SequenceType(PrimitiveType("long"))
     out = CdrOutputStream()

@@ -20,10 +20,10 @@ from tests.corba.conftest import DEMO_IDL, make_adder_servant
 
 
 def _setup(rt, client_profile=OMNIORB4, server_profile=OMNIORB4,
-           server_host="a0", client_host="a1"):
+           server_host="a0", client_host="a1", server_idl=DEMO_IDL):
     server = rt.create_process(server_host, "server")
     client = rt.create_process(client_host, "client")
-    s_orb = Orb(server, server_profile, compile_idl(DEMO_IDL))
+    s_orb = Orb(server, server_profile, compile_idl(server_idl))
     s_orb.start()
     c_orb = Orb(client, client_profile, compile_idl(DEMO_IDL))
     servant = make_adder_servant(s_orb)
@@ -312,6 +312,18 @@ def test_unencodable_user_exception_is_marshal_at_the_server(runtime):
     assert out["detail"].startswith("divide exception: ")
     assert out["qr"] == (3, 2)
     assert len(c_orb._connections) == 1
+
+
+def test_overlong_bounded_string_argument_is_marshal_at_the_server(runtime):
+    # the server bounds the parameter, the client does not: the server's
+    # codec refuses the longer string it reads, and the servant never runs
+    server, client, s_orb, c_orb, servant, url = _setup(
+        runtime, server_idl=DEMO_IDL.replace(
+            "string greet(in string name)", "string greet(in string<3> name)"))
+    out = _minor(runtime, client, c_orb, url, lambda stub: stub.greet("toolong"))
+    assert out["minor"] == "MARSHAL"
+    assert out["detail"].startswith("greet arguments: string of 7 longer")
+    assert servant.calls == 0
 
 
 def test_undecodable_reply_is_marshal_at_the_client(runtime):

@@ -159,6 +159,15 @@ def test_churn_budget():
     component-size estimate: the four column-form walks they replaced
     each covered whole shards, so both filled the same flows in the
     same rounds.
+
+    Solving once per instant moved the solver work and the timer counts
+    (and nothing else): each refill lands at its completion's instant,
+    and the completion's solve, which the refill's overwrote unseen, is
+    folded into the refill's — solves 145 → 75, rounds 600 → 342,
+    re-solved flows 42 085 → 21 762, whole-shard solves 142 → 72 — and
+    the completion timer is pushed once per instant, not by the
+    completion and then again by the refill: 47 reuses and 23 of the
+    27 cancelled entries were that second push.
     """
     assert _run()[1] == BUDGET
     net, counts = _run(_TierCensus)  # and again: counts, not clocks
@@ -169,22 +178,23 @@ def test_churn_budget():
     assert net.advances == {"object": 2, "column": 72}
     # whole shards from the third batch on; the first two batches are
     # walked before there is a table, the two WAN flows' batch is the
-    # coupling tier's (with the estimate: 138 / 6 / 1 / 0); a walk takes
-    # the scalar fill whatever its size, so the three are one count
-    assert net.tiers == {"shard": 142, "walk": 3, "lone": 0}
+    # coupling tier's (with the estimate: 138 / 6 / 1 / 0, solving per
+    # change: 142 / 3 / 0); a walk takes the scalar fill whatever its
+    # size, so the three are one count
+    assert net.tiers == {"shard": 72, "walk": 3, "lone": 0}
     # ... and sees one row per route class: a host's three cross-leaf
     # flows share one route and its hub flow takes another, so 128 rows
     # stand for a full site's 256 flows (the per-flow fill: rows == flows)
-    assert net.shard_fill == {"rows": 20599, "flows": 41699}
+    assert net.shard_fill == {"rows": 10542, "flows": 21376}
 
 
 BUDGET = {
     "events_processed": 145,
-    "events_skipped": 27,
-    "solver_solves": 145,
-    "solver_iterations": 600,
-    "solver_flows_resolved": 42085,
-    "timer_reuses": 47,
+    "events_skipped": 4,
+    "solver_solves": 75,
+    "solver_iterations": 342,
+    "solver_flows_resolved": 21762,
+    "timer_reuses": 0,
     "completed_flows": 157,      # flows finish in simultaneous groups
     "live_flows": 514,
     "now": "0.5340050000000004",

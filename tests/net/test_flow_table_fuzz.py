@@ -37,7 +37,8 @@ LEAVE = (3 * ENTER - 1) // 4
 class _Observed(FlowNetwork):
     """Snapshots everything observable after every reallocation — the
     end of every admission, completion, abort and link failure,
-    including the ones a callback nests inside a completion."""
+    including the ones a callback nests inside a completion — and after
+    every settle."""
 
     def __init__(self, kernel, topology):
         super().__init__(kernel, topology)
@@ -45,6 +46,13 @@ class _Observed(FlowNetwork):
 
     def _reallocate(self, dirty):
         super()._reallocate(dirty)
+        self._snapshot()
+
+    def _settle(self):
+        super()._settle()
+        self._snapshot()
+
+    def _snapshot(self):
         timer = self._timer
         # repr: exact for floats, and tells -0.0 from 0.0
         self.snapshots.append(repr((

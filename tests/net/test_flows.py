@@ -50,6 +50,25 @@ def test_zero_byte_transfer_costs_only_latency(grid):
     assert pr.result == pytest.approx(9e-6)
 
 
+def test_current_rate_settles_the_instant_first(grid):
+    # an admission waits for the instant's settle; a rate read does not
+    kernel, topo, net = grid
+    route = topo.route("a0", "a1", "a-san")
+    rates = []
+
+    def admit():
+        first = net.start_flow(route, 1e6, lambda flow: None)
+        second = net.start_flow(route, 1e6, lambda flow: None)
+        rates.append((first.rate, second.rate))  # recorded, not solved
+        rates.append((net.current_rate(first), net.current_rate(second)))
+
+    kernel.schedule(0.0, admit)
+    kernel.run()
+    assert rates == [(0.0, 0.0), (120e6, 120e6)]
+    # the read's settle, then both departures' settle
+    assert net.solver_solves == 2
+
+
 def test_two_flows_same_route_share_half_each(grid):
     """The paper's concurrency result: two streams on one Myrinet path
     each get 120 MB/s."""

@@ -6,16 +6,18 @@ a change is *exact* — bit-for-bit, not approximately.  The slow-but-
 obviously-right variants live here, on the test side, as two
 ``FlowNetwork`` subclasses, and the claim is checked three ways:
 
-1. :class:`CheckedFlowNetwork` asserts, after every single reallocation
-   of a randomised workload, that the live rates equal a from-scratch
-   :func:`maxmin_rates` solve — same values, same flow order;
-2. whole runs replayed on :class:`ScratchFlowNetwork` (every
-   reallocation re-solves every live flow with the scalar fill) must
+1. :class:`CheckedFlowNetwork` asserts, after every settle of a
+   randomised workload's rates, that the live rates equal a
+   from-scratch :func:`maxmin_rates` solve — same values, same flow
+   order;
+2. whole runs replayed on :class:`ScratchFlowNetwork` (every change
+   re-solves every live flow with the scalar fill, on the spot) must
    agree with production on the flow log, the final virtual clock, and
    per-link byte accounting;
 3. the concurrent CORBA+MPI sharing workload (the paper's §4.4
    experiment) must export the *identical* observability trace on
-   both.
+   both, but for production's ``net.settle`` spans (its own solves,
+   which the oracle makes elsewhere).
 """
 
 from __future__ import annotations
@@ -41,10 +43,14 @@ def assert_rate_stores_agree(net: FlowNetwork) -> None:
 
 
 class CheckedFlowNetwork(FlowNetwork):
-    """Asserts the exactness invariant after every reallocation."""
+    """Asserts the exactness invariant after every settle — never
+    between a recorded change and its settle."""
 
-    def _reallocate(self, dirty):
-        super()._reallocate(dirty)
+    def _settle(self):
+        super()._settle()
+        self._check()
+
+    def _check(self):
         expected = maxmin_rates(self._flows)
         # bit-for-bit: exact float equality AND identical flow order
         assert [(f, f.rate) for f in self._flows] == list(expected.items())
@@ -52,8 +58,9 @@ class CheckedFlowNetwork(FlowNetwork):
 
 
 class ScratchFlowNetwork(FlowNetwork):
-    """The from-scratch oracle: every reallocation ignores ``dirty`` and
-    re-solves *all* live flows with the scalar fill."""
+    """The from-scratch oracle, and the one per-change solve left: every
+    change ignores ``dirty`` and re-solves *all* live flows with the
+    scalar fill on the spot, so nothing is ever left to settle."""
 
     def _reallocate(self, dirty):
         rates, iterations = _progressive_fill(self._flows)
@@ -133,7 +140,7 @@ def run_schedule(spec, cls):
 @settings(max_examples=200, deadline=None)
 @given(schedules())
 def test_incremental_exactness_and_cross_mode_equality(spec):
-    # (1) invariant checked after every single reallocation
+    # (1) invariant checked after every settle
     net_inc, kernel_inc = run_schedule(spec, CheckedFlowNetwork)
     # (2) whole-run observables identical to the from-scratch solver
     net_ref, kernel_ref = run_schedule(spec, ScratchFlowNetwork)
@@ -172,6 +179,109 @@ def test_fail_link_matches_from_scratch():
     assert k_inc.now == k_ref.now
 
 
+def _admissions_at_one_instant(cls, k):
+    """A flow alone on a link, then ``k`` single admissions sharing it
+    at one later instant; returns the network, its kernel and the
+    solves that instant cost (read at the next instant, before any
+    completion)."""
+    topo = Topology()
+    build_cluster(topo, "c0", 2)
+    kernel = SimKernel()
+    net = cls(kernel, topo)
+    route = topo.route("c00", "c01", "c0-san")
+    marks = []
+
+    def admit(sizes):
+        marks.append(net.solver_solves)
+        for size in sizes:
+            net.start_flow(route, size, lambda flow: None)
+
+    kernel.schedule(0.0, admit, [1e6])
+    kernel.schedule(1e-3, admit, [2e5 * (i + 1) for i in range(k)])
+    kernel.schedule(2e-3, lambda: marks.append(net.solver_solves))
+    kernel.run()
+    return net, kernel, marks[2] - marks[1]
+
+
+def test_admissions_at_one_instant_cost_one_solve():
+    # the per-change oracle solves k times, the settle once; every
+    # observable agrees
+    net, kernel, solves = _admissions_at_one_instant(CheckedFlowNetwork, 5)
+    ref, ref_kernel, ref_solves = _admissions_at_one_instant(
+        ScratchFlowNetwork, 5)
+    assert (solves, ref_solves) == (1, 5)
+    assert net.flow_log == ref.flow_log
+    assert [(l.name, v) for l, v in net.link_bytes.items()] == \
+        [(l.name, v) for l, v in ref.link_bytes.items()]
+    assert kernel.now == ref_kernel.now
+
+
+def test_a_change_at_a_completion_instant_is_settled_before_it():
+    # the first flow's timer instant leaves it a few bytes short of done;
+    # a second flow admitted at that instant, before the timer fires,
+    # halves its rate, which moves its finish a little later — the
+    # per-change oracle re-times it so, and the settle must too before
+    # the stale timer completes it
+    size = 7646572.816333625
+    topo = Topology()
+    build_cluster(topo, "c0", 2)
+    bw = min(l.bandwidth for l in topo.route("c00", "c01", "c0-san"))
+    t = size / bw
+    assert size - bw * t > 0
+    spec = ([2], [("flow", 0.0, 0, 0, 1, "san", size),
+                  ("flow", t, 0, 0, 1, "san", 1e6)])
+    net_inc, k_inc = run_schedule(spec, CheckedFlowNetwork)
+    net_ref, k_ref = run_schedule(spec, ScratchFlowNetwork)
+    assert net_inc.flow_log == net_ref.flow_log
+    assert net_inc.flow_log[0][1] > t
+    assert (k_inc.events_processed, k_inc.events_skipped) == \
+        (k_ref.events_processed, k_ref.events_skipped)
+
+
+def _tie_at_completion(cls):
+    """Two flows admitted together halve one link; the admitting event
+    also schedules, for exactly their completion instant, an event that
+    notes whether they are done and admits a third flow on the link."""
+    size = 7646572.816333625
+    topo = Topology()
+    build_cluster(topo, "c0", 2)
+    route = topo.route("c00", "c01", "c0-san")
+    t = size / (min(l.bandwidth for l in route) / 2)
+    assert size - min(l.bandwidth for l in route) / 2 * t > 0
+    kernel = SimKernel()
+    net = cls(kernel, topo)
+    seen = []
+
+    def at_completion(pair):
+        seen.extend(f.done for f in pair)
+        net.start_flow(route, 1e6, lambda flow: None)
+
+    def admit():
+        pair = [net.start_flow(route, size, lambda flow: None)
+                for _ in range(2)]
+        kernel.schedule(t, at_completion, pair)
+
+    kernel.schedule(0.0, admit)
+    kernel.run()
+    return t, seen, net.flow_log
+
+
+def test_a_completion_timer_takes_its_place_when_the_instant_settles():
+    # the settle pushes the pair's completion timer at the instant's
+    # end, after the event their admission scheduled for that very
+    # instant, so that event fires first and finds both flows live, a
+    # few bytes short; its admission, solved on the spot (the timer is
+    # due), moves their finish a few ulps on.  The per-change oracle
+    # pushed its timer with the admissions, so there the pair is done
+    # first.  Only this tie differs (docs/KERNEL.md, determinism item 4)
+    t, seen, log = _tie_at_completion(CheckedFlowNetwork)
+    t_ref, seen_ref, log_ref = _tie_at_completion(ScratchFlowNetwork)
+    assert seen_ref == [True, True] and log_ref[0][1] == t_ref == t
+    assert seen == [False, False]
+    assert log[0][1] == log[1][1] > t
+    assert [e[2:] for e in log] == [e[2:] for e in log_ref]
+
+
 # ---------------------------------------------------------------------------
 # obs trace equality on the concurrent-sharing workload
 # ---------------------------------------------------------------------------
@@ -197,7 +307,19 @@ def _sharing_trace(scratch: bool) -> str:
     rt = PadicoRuntime(topo)
     if scratch:
         rt.network = ScratchFlowNetwork(rt.kernel, topo)
-    recorder = rt.observe(TraceRecorder())
+    class Recorder(TraceRecorder):
+        """Every span but ``net.settle``: production's once-per-instant
+        solve, where the oracle solves inside each change."""
+
+        def on_span_start(self, name, *args, **kwargs):
+            if name != "net.settle":
+                return super().on_span_start(name, *args, **kwargs)
+
+        def on_span_end(self, name, *args, **kwargs):
+            if name != "net.settle":
+                super().on_span_end(name, *args, **kwargs)
+
+    recorder = rt.observe(Recorder())
     p0 = rt.create_process("n0", "p0")
     p1 = rt.create_process("n1", "p1")
     s_orb = Orb(p1, OMNIORB4, compile_idl(idl))

@@ -283,3 +283,27 @@ def test_context_manager_raises_on_exit_when_racy():
             kernel.spawn(writer, 2, name="b")
             kernel.run()
     assert kernel.tracer is None  # uninstalled on the way out
+
+
+def test_an_instant_end_callback_happens_after_each_registration():
+    # two processes write at one instant and each asks for the callback
+    # that reads both writes: every registration is an edge to it, so
+    # the kernel-context reads race with neither write
+    kernel = SimKernel()
+    san = Sanitizer(kernel)
+    cells = {who: san.tracked({"t": None}, label=who) for who in "ab"}
+    seen = []
+
+    def settle():
+        seen.append([cells[who]["t"] for who in "ab"])
+
+    def change(p, who):
+        p.sleep(1.0)
+        cells[who]["t"] = kernel.now
+        kernel.at_instant_end(settle)
+
+    kernel.spawn(change, "a", name="a")
+    kernel.spawn(change, "b", name="b")
+    kernel.run()
+    assert seen == [[1.0, 1.0]]
+    san.check()

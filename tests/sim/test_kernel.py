@@ -985,3 +985,34 @@ def test_a_cut_send_leg_leaves_the_state_its_steps_leave(at, shutdown):
     chained = _cut_leg(True, at, shutdown)
     assert chained == _cut_leg(False, at, shutdown)
     assert chained[1][4] == 0
+
+
+def test_instant_end_callbacks_close_the_instant():
+    """An instant-end callback runs once no event is left at ``now``:
+    after the events pushed at that instant (and those it pushes
+    itself), before the clock moves, before ``run(until=)`` returns and
+    at drain — and it is not an event."""
+    k = SimKernel()
+    log = []
+
+    def settle():
+        log.append(("settle", k.now, k.events_processed))
+        if k.now == 1.0 and ("pushed", 1.0) not in log:
+            k.schedule(0.0, event, "pushed")  # the instant goes on
+
+    def event(name):
+        log.append((name, k.now))
+        k.at_instant_end(settle)  # asked twice at 1.0: runs once
+
+    k.schedule(1.0, event, "a")
+    k.schedule(1.0, event, "b")
+    k.schedule(3.0, event, "late")
+    k.run(until=2.0)
+    k.at_instant_end(settle)  # outside a run, at 2.0
+    k.run(until=2.5)
+    k.run()
+    assert log == [("a", 1.0), ("b", 1.0), ("settle", 1.0, 2),
+                   ("pushed", 1.0), ("settle", 1.0, 3),
+                   ("settle", 2.0, 3),
+                   ("late", 3.0), ("settle", 3.0, 4)]
+    assert (k.now, k.events_processed, k.events_skipped) == (3.0, 4, 0)
