@@ -92,13 +92,14 @@ class CdrError(Exception):
 class WireBuffer:
     """An iovec-style wire message: an ordered list of segments.
 
-    Segments are ``bytes`` (copied scalar headers) interleaved with
-    ``memoryview``s that still reference the caller's arrays — the
-    Madeleine gather list the paper's zero-copy argument rests on
-    (§4–§5).  ``len()`` / :attr:`nbytes` are O(1), so GIOP header
-    packing and flow sizing never force a join; :meth:`getvalue` joins
-    lazily (and caches) for consumers that genuinely need contiguous
-    bytes, e.g. tests or debugging dumps.
+    Segments are the stream's eager chunks (copied scalar headers and
+    small bulk values, as read-only views of the buffers they were
+    copied into) interleaved with ``memoryview``s that still reference
+    the caller's arrays — the Madeleine gather list the paper's
+    zero-copy argument rests on (§4–§5).  ``len()`` / :attr:`nbytes`
+    are O(1), so GIOP header packing and flow sizing never force a
+    join; :meth:`getvalue` joins lazily (and caches) for consumers that
+    genuinely need contiguous bytes, e.g. tests or debugging dumps.
 
     Because bulk segments alias live caller memory, a ``WireBuffer``
     is only valid while the sender blocks on the matching delivery —
@@ -131,9 +132,7 @@ class WireBuffer:
     def getvalue(self) -> bytes:
         """Join the segments into contiguous bytes (cached)."""
         if self._value is None:
-            self._value = b"".join(
-                bytes(s) if isinstance(s, memoryview) else s
-                for s in self._segments)
+            self._value = b"".join(self._segments)
         return self._value
 
     def __bytes__(self) -> bytes:
@@ -179,11 +178,16 @@ class CdrOutputStream:
         self.copied_bytes += len(data)
         self._value = None
 
+    def _seal(self) -> None:
+        """Close the eager buffer into a chunk: the chunk is a read-only
+        view of it, not a copy, and appends go to a fresh buffer."""
+        if self._buf:
+            self._chunks.append(memoryview(self._buf).toreadonly())
+            self._buf = bytearray()
+
     def _append_segment(self, view: memoryview) -> None:
         """Hand a buffer to the stream without copying (gather DMA)."""
-        if self._buf:
-            self._chunks.append(bytes(self._buf))
-            self._buf = bytearray()
+        self._seal()
         self._chunks.append(view)
         self._length += view.nbytes
         self.referenced_bytes += view.nbytes
@@ -266,14 +270,8 @@ class CdrOutputStream:
         """
         if self._value is not None:
             return self._value
-        if self._buf:
-            self._chunks.append(bytes(self._buf))
-            self._buf = bytearray()
-        if len(self._chunks) == 1:
-            out = bytes(self._chunks[0])
-        else:
-            out = b"".join(bytes(c) if isinstance(c, memoryview) else c
-                           for c in self._chunks)
+        self._seal()
+        out = b"".join(self._chunks)
         self._chunks = [out]
         self._value = out
         return out
@@ -286,9 +284,7 @@ class CdrOutputStream:
         as-is.  The join cache is deliberately untouched; a later
         :meth:`getvalue` still works.
         """
-        if self._buf:
-            self._chunks.append(bytes(self._buf))
-            self._buf = bytearray()
+        self._seal()
         return WireBuffer(list(self._chunks), self._length)
 
 

@@ -53,6 +53,17 @@ class Distribution:
         ``[lo, hi)`` — by interval arithmetic, without an index array."""
         raise NotImplementedError
 
+    def owned_in(self, part: int, lo: int,
+                 hi: int) -> tuple[slice | np.ndarray, slice]:
+        """Where the indices of ``[lo, hi)`` that ``part`` owns sit —
+        ``part`` being one of :meth:`owners_in` ``(lo, hi)``: as
+        ascending offsets from ``lo`` (a slice for a block or cyclic
+        distribution, an index array of runs for a block-cyclic one
+        unless they form one run) and as positions in ``part``'s local
+        array, which they always fill contiguously.  By arithmetic,
+        without visiting the interval."""
+        raise NotImplementedError
+
     # -- shared helpers ----------------------------------------------------
     def _check_part(self, part: int) -> None:
         if not 0 <= part < self.parts:
@@ -119,6 +130,11 @@ class BlockDistribution(Distribution):
     def owners_in(self, lo: int, hi: int) -> list[int]:
         return list(range(self.owner(lo), self.owner(hi - 1) + 1))
 
+    def owned_in(self, part, lo, hi):
+        t0, t1 = self.start(part), self.end(part)
+        a, b = max(lo, t0), min(hi, t1)
+        return slice(a - lo, b - lo), slice(a - t0, b - t0)
+
 
 class CyclicDistribution(Distribution):
     """Round-robin element distribution (HPF CYCLIC)."""
@@ -148,6 +164,16 @@ class CyclicDistribution(Distribution):
 
     def owners_in(self, lo: int, hi: int) -> list[int]:
         return _residues(lo, hi - 1, self.parts)
+
+    def owned_in(self, part, lo, hi):
+        p = self.parts
+        first = lo + (part - lo) % p
+        n = (hi - 1 - first) // p + 1
+        a, k = first - lo, (first - part) // p
+        # every p-th offset: a stepped slice, unit-stride when it can be
+        mine = slice(a, a + (n - 1) * p + 1, p) if n > 1 and p > 1 \
+            else slice(a, a + n)
+        return mine, slice(k, k + n)
 
 
 class BlockCyclicDistribution(Distribution):
@@ -196,6 +222,22 @@ class BlockCyclicDistribution(Distribution):
     def owners_in(self, lo: int, hi: int) -> list[int]:
         return _residues(lo // self.block_size, (hi - 1) // self.block_size,
                          self.parts)
+
+    def owned_in(self, part, lo, hi):
+        bs, p = self.block_size, self.parts
+        first, last = lo // bs, (hi - 1) // bs   # blocks [lo, hi) touches
+        b0 = first + (part - first) % p          # part's first and last
+        b1 = last - (last - part) % p            # blocks among them
+        a, e = max(lo, b0 * bs), min(hi, (b1 + 1) * bs)
+        k = b0 // p * bs + a - b0 * bs           # local position of a
+        if b0 == b1 or p == 1:
+            return slice(a - lo, e - lo), slice(k, k + e - a)
+        # bs-long runs every p·bs offsets; only the end runs may be cut
+        runs = np.arange(b0 * bs - lo, b1 * bs - lo + 1, p * bs,
+                         dtype=np.int64)
+        idx = (runs[:, None] + np.arange(bs, dtype=np.int64)).ravel()
+        idx = idx[a - b0 * bs:len(idx) - ((b1 + 1) * bs - e)]
+        return idx, slice(k, k + len(idx))
 
 
 def _residues(first: int, last: int, parts: int) -> list[int]:

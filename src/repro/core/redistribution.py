@@ -8,12 +8,22 @@ coordination — the paper's "all processes of a parallel component
 participate to inter-component communications, to avoid bottlenecks":
 a sending rank asks for its *row* (``src=rank``: what it sends), a
 receiving rank for its *column* (``dst=rank``: what it receives).
-Block→block is closed-form interval intersection and its transfers are
-slices; any other pair splits the calling rank's own indices by owner.
-Who sends to whom at all (:attr:`RedistributionPlan.senders`, which a
-client needs for every server node) comes from interval arithmetic on
-the block bounds, not from the transfers.  Planning therefore costs
-O(local length + ranks) per rank, never O(global length × ranks).
+
+A block source — every GridCCM client, whose arguments are canonical
+blocks — is planned in closed form whatever the target: each source
+part is one interval, and the target kind says where each of its parts'
+indices fall in it (``Distribution.owned_in``).  The receiver side of
+every such piece is one slice of the receiver's local array; the sender
+side is a slice for a block target, a stepped slice ``slice(a, b,
+parts)`` for a cyclic one, and for a block-cyclic one an index array of
+``block_size``-long runs built by arithmetic.  A row or column thus
+costs O(ranks) for block and cyclic targets and O(piece length) with no
+sort for block-cyclic ones.  Only a non-block source, which no GridCCM
+caller builds, splits the calling rank's own indices by owner with a
+stable argsort — O(local length · log) per rank.  Who sends to whom at
+all (:attr:`RedistributionPlan.senders`, which a client needs for every
+server node) comes from interval arithmetic on the block bounds, not
+from the transfers.  No plan costs O(global length × ranks).
 
 §4.2.2 leaves the redistribution *site* — client side, server side, or
 during communication — as a policy decision.  :mod:`repro.core.runtime`
@@ -44,9 +54,13 @@ class Transfer:
     """One message of a redistribution.
 
     ``src_index``/``dst_index`` select the moved elements in the source
-    part's and target part's local arrays: a ``slice`` when the set is
-    a unit-stride range (every block→block transfer), an index array
-    otherwise; both always select ``size`` elements.
+    part's and target part's local arrays, ``size`` of each, in the
+    same order: a ``slice`` or an index array, either of which indexes
+    a local array directly.  A unit-stride index array is stored as the
+    slice it equals.  From a block source the receiver side is always
+    one unit-stride slice; the sender side is one too for a block
+    target, a stepped ``slice(a, b, parts)`` for a cyclic one, and an
+    index array of ``block_size``-long runs for a block-cyclic one.
     """
 
     src: int
@@ -54,23 +68,31 @@ class Transfer:
     src_index: slice | np.ndarray
     dst_index: slice | np.ndarray
 
+    def __post_init__(self) -> None:
+        for name in ("src_index", "dst_index"):
+            idx = getattr(self, name)
+            if not isinstance(idx, slice) and \
+                    (sl := _as_slice(idx)) is not None:
+                object.__setattr__(self, name, sl)
+
     @property
     def size(self) -> int:
         idx = self.src_index
-        return idx.stop - idx.start if isinstance(idx, slice) else len(idx)
+        return len(range(idx.start, idx.stop, idx.step or 1)) \
+            if isinstance(idx, slice) else len(idx)
 
-    @cached_property
+    @property
     def src_slice(self) -> slice | None:
-        """``src_index`` as a slice, or None when it is not unit-stride.
+        """``src_index`` if it is a slice (stepped for a cyclic
+        target), else None."""
+        idx = self.src_index
+        return idx if isinstance(idx, slice) else None
 
-        Block→block plans always qualify, which is what lets the wire
-        path gather pieces as views instead of fancy-index copies."""
-        return _as_slice(self.src_index)
-
-    @cached_property
+    @property
     def dst_slice(self) -> slice | None:
-        """``dst_index`` as a slice, or None when it is not unit-stride."""
-        return _as_slice(self.dst_index)
+        """``dst_index`` if it is a slice, else None."""
+        idx = self.dst_index
+        return idx if isinstance(idx, slice) else None
 
     @cached_property
     def src_local(self) -> np.ndarray:
@@ -89,10 +111,8 @@ class Transfer:
                 and np.array_equal(other.dst_local, self.dst_local))
 
 
-def _as_slice(idx: slice | np.ndarray) -> slice | None:
+def _as_slice(idx: np.ndarray) -> slice | None:
     """A slice equivalent to ``idx``, or None if it is not unit-stride."""
-    if isinstance(idx, slice):
-        return idx
     idx = np.asarray(idx)
     n = len(idx)
     if n == 0:
@@ -108,15 +128,8 @@ def _as_slice(idx: slice | np.ndarray) -> slice | None:
 
 def _as_array(idx: slice | np.ndarray) -> np.ndarray:
     if isinstance(idx, slice):
-        return np.arange(idx.start, idx.stop, dtype=np.int64)
+        return np.arange(idx.start, idx.stop, idx.step or 1, dtype=np.int64)
     return idx
-
-
-def _compact(idx: np.ndarray) -> slice | np.ndarray:
-    """Non-empty, strictly ascending ``idx`` as a slice when its span
-    equals its length (which then makes it unit-stride), else as is."""
-    first, last = int(idx[0]), int(idx[-1])
-    return slice(first, last + 1) if last - first == len(idx) - 1 else idx
 
 
 @dataclass
@@ -157,7 +170,7 @@ class RedistributionPlan:
         out = [np.zeros(self.target.local_size(p), dtype=dtype)
                for p in range(self.target.parts)]
         for t in self.transfers:
-            out[t.dst][t.dst_local] = locals_in[t.src][t.src_local]
+            out[t.dst][t.dst_index] = locals_in[t.src][t.src_index]
         return out
 
 
@@ -176,39 +189,34 @@ def redistribute_schedule(source: Distribution, target: Distribution, *,
         source._check_part(src)
     if dst is not None:
         target._check_part(dst)
-    if isinstance(source, BlockDistribution) and \
-            isinstance(target, BlockDistribution):
-        transfers = _block_block(source, target, src, dst)
+    senders = _senders(source, target)
+    if isinstance(source, BlockDistribution):
+        transfers = _from_block(source, target, senders, src, dst)
     else:
         transfers = _generic(source, target, src, dst)
-    return RedistributionPlan(source, target, transfers,
-                              _senders(source, target))
+    return RedistributionPlan(source, target, transfers, senders)
 
 
-def _block_block(source: BlockDistribution, target: BlockDistribution,
-                 src: int | None = None,
-                 dst: int | None = None) -> list[Transfer]:
-    """Closed-form interval intersection: O(N + M) slice transfers."""
+def _from_block(source: BlockDistribution, target: Distribution,
+                senders: dict[int, tuple[int, ...]],
+                src: int | None = None,
+                dst: int | None = None) -> list[Transfer]:
+    """Closed form for a block source, whatever the target: each source
+    part is one interval, and the target says where its parts' indices
+    fall in it (:meth:`~repro.core.distribution.Distribution.owned_in`).
+    A row visits the owners of its interval, a column its senders."""
     if dst is None:
-        rows = range(source.parts)
-    elif target.local_size(dst):
-        rows = source.owners_in(target.start(dst), target.end(dst))
+        rows = range(source.parts) if src is None else (src,)
     else:
-        rows = ()
-    if src is not None:
-        rows = (src,) if src in rows else ()
+        rows = senders[dst] if src is None else \
+            (src,) if src in senders[dst] else ()
     transfers: list[Transfer] = []
     for s in rows:
         s0, s1 = source.start(s), source.end(s)
         if s0 == s1:
             continue
         for d in target.owners_in(s0, s1) if dst is None else (dst,):
-            t0, t1 = target.start(d), target.end(d)
-            lo, hi = max(s0, t0), min(s1, t1)
-            if lo >= hi:
-                continue
-            transfers.append(Transfer(s, d, slice(lo - s0, hi - s0),
-                                      slice(lo - t0, hi - t0)))
+            transfers.append(Transfer(s, d, *target.owned_in(d, s0, s1)))
     return transfers
 
 
@@ -219,7 +227,8 @@ def _generic(source: Distribution, target: Distribution,
     sender's indices split by receiver — or, for one receiver's column,
     that receiver's indices split by sender, which yields the same
     element order (ascending global index) without visiting any other
-    rank's indices."""
+    rank's indices.  Planning reaches it only for a non-block source;
+    for a block one it is the closed form's test reference."""
     if dst is not None:
         return [Transfer(peer, dst, theirs, mine)
                 for peer, mine, theirs in _split(target, source, dst)
@@ -251,8 +260,7 @@ def _split(own: Distribution, other: Distribution, part: int):
     for s, e in zip(starts, ends):
         sel = order[s:e]
         peer = int(sorted_owners[s])
-        yield (peer, _compact(sel),
-               _compact(other.local_of_global(peer, gidx[sel])))
+        yield peer, sel, other.local_of_global(peer, gidx[sel])
 
 
 def _senders(source: Distribution,

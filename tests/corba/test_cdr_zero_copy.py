@@ -10,6 +10,8 @@ values equal to a read over the joined contiguous bytes.
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -232,6 +234,28 @@ def test_eager_below_threshold_copies_and_counts():
     wire = out.getbuffer()
     arr[:] = 9
     assert wire.getvalue() == bytes(range(4))
+
+
+def test_getbuffer_hands_over_the_eager_buffer_without_a_copy():
+    """A 4 MiB eager stream becomes a WireBuffer without a second
+    copy: its eager segment is a read-only view of the stream's own
+    buffer, and ``getvalue()`` still returns the same bytes."""
+    payload = np.arange(4 * 1024 * 1024, dtype=np.uint8)
+    out = CdrOutputStream()  # copying discipline: everything eager
+    out.write_ulong(len(payload))
+    out.write_bulk(payload)
+    tracemalloc.start()
+    try:
+        wire = out.getbuffer()
+        _now, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+    (segment,) = wire.segments
+    assert isinstance(segment, memoryview) and segment.readonly
+    want = len(payload).to_bytes(4, "little") + payload.tobytes()
+    assert bytes(segment) == want
+    assert out.getvalue() == want == wire.getvalue()
 
 
 def test_read_bulk_counts_referenced_not_copied():

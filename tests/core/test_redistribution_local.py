@@ -138,12 +138,42 @@ def test_uneven_block_block_column_matches_full_plan_at_scale():
 
 def test_generic_transfers_store_slices_where_unit_stride():
     """Block → cyclic: each receiver's side is a contiguous run of its
-    local array (a slice, found without scanning); the sender's side is
-    strided (an index array)."""
+    local array and the sender's side every 4th element of its own —
+    both slices, found by arithmetic, the sender's stepped."""
     source = BlockDistribution(2, 40)
     target = make_distribution("cyclic", 4, 40)
     for t in redistribute_schedule(source, target, src=1).transfers:
         assert isinstance(t.dst_index, slice)
-        assert isinstance(t.src_index, np.ndarray)
-        assert t.dst_slice == t.dst_index and t.src_slice is None
-        assert t.size == len(t.src_local) == len(t.dst_local)
+        assert isinstance(t.src_index, slice) and t.src_index.step == 4
+        assert t.dst_slice == t.dst_index and t.src_slice == t.src_index
+        assert t.size == len(t.src_local) == len(t.dst_local) == 5
+
+
+def test_block_to_cyclic_plan_allocates_nothing_proportional_to_length():
+    """8→8 block→cyclic over 10^7 elements: each rank's row and column,
+    built and queried alone the way the GridCCM layers do, stays under
+    64 KiB of traced memory (one int64 index vector of a single piece
+    would be 10 MB), and nobody materialises an index array."""
+    length = 10 ** 7
+    source = BlockDistribution(8, length + 3)
+    target = make_distribution("cyclic", 8, length + 3)
+    moved = 0
+    for side in ("src", "dst"):
+        for r in range(8):
+            tracemalloc.start()
+            try:
+                plan = redistribute_schedule(source, target, **{side: r})
+                for t in plan.transfers:
+                    assert plan.transfer(t.src, t.dst) is t
+                    moved += t.size
+                slices = [(t.src_slice, t.dst_slice) for t in plan.transfers]
+                _now, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 64 * 1024
+            assert all(sl is not None for pair in slices for sl in pair)
+            assert plan.senders[7] == tuple(range(8))
+            for t in plan.transfers:
+                assert "src_local" not in vars(t)
+                assert "dst_local" not in vars(t)
+    assert moved == 2 * (length + 3)

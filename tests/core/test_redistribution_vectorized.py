@@ -5,16 +5,29 @@ distinct destination owner (``owners == dst`` per destination); the new
 one does a single stable argsort and cuts the runs.  The reference
 implementation below is the pre-optimisation code, kept verbatim so the
 equivalence is pinned against the real thing, not a paraphrase.
+
+``_generic`` is in turn the reference for the closed form that plans
+every block source (``_from_block``).
 """
 
 from __future__ import annotations
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.core.distribution import Distribution, make_distribution
-from repro.core.redistribution import Transfer, _as_slice, _generic
+from repro.core.distribution import (
+    BlockDistribution,
+    Distribution,
+    make_distribution,
+)
+from repro.core.redistribution import (
+    Transfer,
+    _as_slice,
+    _from_block,
+    _generic,
+    _senders,
+)
 
 
 def _generic_reference(source: Distribution,
@@ -67,8 +80,63 @@ def test_generic_equals_reference(src_spec, dst_spec, length):
         assert np.array_equal(t_new.dst_local, t_old.dst_local)
 
 
+def _same_index(new, old, stepped_ok: bool) -> bool:
+    """The same elements in the same order, in the same representation
+    — save that ``stepped_ok`` lets a stepped slice stand for ``old``'s
+    index array."""
+    if isinstance(old, slice):
+        return new == old
+    if isinstance(new, slice):
+        return stepped_ok and (new.step or 1) > 1 and np.array_equal(
+            np.arange(new.start, new.stop, new.step), old)
+    return np.array_equal(new, old)
+
+
+def _assert_same_plan(new: list[Transfer], old: list[Transfer],
+                      cyclic: bool) -> None:
+    assert [(t.src, t.dst, t.size) for t in new] == \
+        [(t.src, t.dst, t.size) for t in old]
+    for t_new, t_old in zip(new, old):
+        assert _same_index(t_new.src_index, t_old.src_index, cyclic)
+        assert _same_index(t_new.dst_index, t_old.dst_index, False)
+
+
+_target_spec = st.one_of(
+    st.tuples(st.just("block"), st.integers(1, 7)),
+    st.tuples(st.just("cyclic"), st.integers(1, 7)),
+    st.tuples(st.just("block-cyclic"), st.integers(1, 7),
+              st.integers(1, 9)),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.integers(1, 7), _target_spec, st.integers(0, 300))
+@example(7, ("cyclic", 5), 3)              # length < parts on both sides
+@example(3, ("block", 7), 5)               # empty target parts
+@example(4, ("block-cyclic", 3, 4), 29)    # short final block
+@example(2, ("block-cyclic", 3, 9), 7)     # block_size > length
+@example(5, ("block-cyclic", 2, 1), 41)    # runs of one element
+@example(1, ("cyclic", 1), 17)             # one part each: one run
+def test_block_source_closed_form_equals_generic(n, dst_spec, length):
+    """Every block-source plan — full, each row, each column — is
+    ``_generic``'s: the same transfers, order and element order, and
+    the same slices and arrays but for a cyclic target's sender side."""
+    source = BlockDistribution(n, length)
+    target = _make(dst_spec, length)
+    senders = _senders(source, target)
+    cyclic = target.kind == "cyclic"
+    _assert_same_plan(_from_block(source, target, senders),
+                      _generic(source, target), cyclic)
+    for r in range(n):
+        _assert_same_plan(_from_block(source, target, senders, src=r),
+                          _generic(source, target, src=r), cyclic)
+    for r in range(target.parts):
+        _assert_same_plan(_from_block(source, target, senders, dst=r),
+                          _generic(source, target, dst=r), cyclic)
+
+
 # ---------------------------------------------------------------------------
-# slice detection on Transfer (the wire path's view-vs-copy switch)
+# slice detection on Transfer (a unit-stride index array is stored as a slice)
 # ---------------------------------------------------------------------------
 
 def test_as_slice_unit_stride():

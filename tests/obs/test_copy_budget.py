@@ -139,7 +139,7 @@ _SCATTER_XML = """
 <parallelism component="Bench::Endpoint">
   <port name="input">
     <operation name="absorb">
-      <argument name="values" distribution="block"/>
+      <argument name="values" distribution="{dist}"/>
       <result policy="none"/>
     </operation>
   </port>
@@ -152,15 +152,16 @@ class _SinkImpl(ComponentImpl):
         self.mpi.Barrier()
 
 
-def _scatter_deltas() -> dict[str, float]:
+def _scatter_deltas(dist: str = "block") -> dict[str, float]:
     topo = Topology()
     build_cluster(topo, "h", 2 * _N, san=MYRINET_2000)
     rt = PadicoRuntime(topo)
     recorder = rt.observe(TraceRecorder())
     server_procs = [rt.create_process(f"h{i}", f"s{i}")
                     for i in range(_N)]
+    xml = _SCATTER_XML.format(dist=dist)
     comp = ParallelComponent.create(rt, "bench", server_procs,
-                                    _SCATTER_IDL, _SCATTER_XML, _SinkImpl,
+                                    _SCATTER_IDL, xml, _SinkImpl,
                                     profile=OMNIORB4)
     url = comp.proxy_url("input")
     client_procs = [rt.create_process(f"h{_N + i}", f"c{i}")
@@ -171,7 +172,7 @@ def _scatter_deltas() -> dict[str, float]:
     def main(proc, comm):
         idl = compile_idl(_SCATTER_IDL)
         plan = GridCcmCompiler(
-            idl, ParallelismDescriptor.parse(_SCATTER_XML)).compile()
+            idl, ParallelismDescriptor.parse(xml)).compile()
         orb = Orb(client_procs[comm.rank], OMNIORB4, idl)
         pc = ParallelClient.attach(orb, plan, "input", url, comm=comm)
         pc.absorb(np.zeros(1, dtype="i4"))  # warm-up: connections + plans
@@ -205,6 +206,19 @@ def test_gridccm_16mib_scatter_copy_budget():
     copied = (delta["wire.copied_bytes.gridccm"]
               + delta.get("wire.copied_bytes.mpi", 0.0))
     assert copied <= _PRE_PR_SCATTER_COPIED / 3
+
+
+def test_gridccm_16mib_cyclic_scatter_copy_budget():
+    """Block → cyclic: every piece is every 2nd element of a client's
+    block, so the client gathers it with exactly one copy (a strided
+    view made contiguous) and the server places it with one more; CDR
+    still carries the pieces by reference."""
+    delta = _scatter_deltas("cyclic")
+    assert delta["wire.copied_bytes.gridccm"] == 2 * _PAYLOAD
+    assert delta["wire.referenced_bytes.gridccm"] == 0
+    assert delta["wire.referenced_bytes.corba"] == 2 * _PAYLOAD
+    # four pieces now (each client to each server): twice the headers
+    assert delta["wire.copied_bytes.corba"] == 432
 
 
 # ---------------------------------------------------------------------------
