@@ -52,6 +52,8 @@ bench-e2e:
 # which library functions the experiments, workloads and examples
 # enter, which defaulted parameters they ever set, which hook guards
 # they pass unmonitored, what each workload costs the scheduler, and
-# which series each cost constant moves.
+# which series each cost constant moves.  It writes those tables into
+# the generated blocks of DESIGN.md and docs/PERFORMANCE.md (census A
+# at full size); `git diff` on the two files shows what moved.
 census:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m benchmarks.census

@@ -51,7 +51,9 @@ smoke-size repetition of step 1, the kernel's events, process switches,
 OS-level hand-offs, OS threads started and processes spawned, and the
 flow network's max-min solves — exact counts, so a change to how the
 run token moves, or to how often rates are solved, shows as a moved
-row.
+row.  After the profiled steps, and not under the trace hook, one
+full-size repetition of each workload runs the same way (seed 1) for
+the same table at full size.
 
 The fifth table is the cost-constant sweep, run after the profiled
 steps and not under the trace hook.  A *cost constant* is a float a
@@ -71,6 +73,14 @@ constant, or a run that does not repeat makes the census exit 1.
 
 The tooling packages (``analysis``, ``sanitizer``, ``tools``) are left
 out: they inspect a run rather than take part in one.
+
+The census prints every table, and writes them into the generated
+blocks (:mod:`benchmarks.blocks`) of the documents that quote them:
+DESIGN.md (the constant sweep in §5, then the line, option, hook and
+smoke-size census A tables of §8) and docs/PERFORMANCE.md (census A at
+full size).  It writes both unconditionally, as ``benchmarks.run``
+writes EXPERIMENTS.md; ``git diff`` shows what moved.  A document whose
+block names differ from the census's makes it exit 1 and write neither.
 """
 
 from __future__ import annotations
@@ -91,7 +101,11 @@ import types
 from pathlib import Path
 from typing import Callable, NamedTuple
 
+from benchmarks.blocks import render_blocks
+
 ROOT = Path(__file__).resolve().parent.parent
+DESIGN_PATH = ROOT / "DESIGN.md"
+PERFORMANCE_PATH = ROOT / "docs" / "PERFORMANCE.md"
 SRC = ROOT / "src" / "repro"
 PACKAGES = ("corba", "mpi", "padicotm", "ccm", "net", "sim", "core",
             "deploy", "soap", "obs")
@@ -453,17 +467,17 @@ class Recorder:
                 for c, first in self.entered.items() if first <= step}
 
 
-def run_experiments_and_workloads() -> dict[str, list[int]]:
-    """Step 1's run; returns each workload's scheduling counts (the
-    fourth table's rows, :data:`SCHEDULING`), summed over its stages."""
-    from benchmarks import run
+def run_workloads(size: str) -> dict[str, list[int]]:
+    """One repetition of each repo-benchmark workload at ``size``
+    (``"smoke"`` or ``"full"``, seed 1, ``TraceRecorder`` attached);
+    returns each one's scheduling counts (the fourth table's rows,
+    :data:`SCHEDULING`), summed over its stages."""
     from benchmarks.e2e import inputs, spec, workloads
     from benchmarks.e2e.tracing import RecorderTracer
 
-    run.collect()
     counts: dict[str, list[int]] = {}
     for name, cls in workloads.WORKLOAD_CLASSES.items():
-        const = spec.WORKLOADS[name]["smoke"]
+        const = spec.WORKLOADS[name][size]
         workload = cls(const, inputs.make_inputs(name, SEED, const))
         rep = workload.build(RecorderTracer().observe)
         for stage in rep.stages:
@@ -472,6 +486,14 @@ def run_experiments_and_workloads() -> dict[str, list[int]]:
         counts[name] = [sum(count(stage) for stage in rep.stages)
                         for count in SCHEDULING.values()]
     return counts
+
+
+def run_experiments_and_workloads() -> dict[str, list[int]]:
+    """Step 1's run; returns the smoke-size workloads' counts."""
+    from benchmarks import run
+
+    run.collect()
+    return run_workloads("smoke")
 
 
 def run_examples() -> None:
@@ -668,9 +690,10 @@ def sweep(constants: list[Constant], collect: Callable[[], list]
 
 
 def census():
-    """The five tables' rows (:func:`line_rows`, :func:`option_rows`,
-    :func:`hook_rows`, the workloads' scheduling counts, then the
-    constant sweep's rows and whether the run repeated after it)."""
+    """The tables' rows (:func:`line_rows`, :func:`option_rows`,
+    :func:`hook_rows`, the workloads' scheduling at smoke and at full
+    size, then the constant sweep's rows and whether the run repeated
+    after it)."""
     modules = library_modules()
     hooks = monitor_hooks()
     sites = [site for module, path in modules.items()
@@ -686,12 +709,13 @@ def census():
         scheduling = run_experiments_and_workloads()
     with recorder.profiling(2):
         run_examples()
+    full = run_workloads("full")
     from benchmarks import run
     constants = [constant for module, path in modules.items()
                  for constant in cost_constants(module, path,
                                                 _import(module))]
     return (line_rows(recorder, modules), option_rows(recorder, functions),
-            hook_rows(recorder, sites), scheduling,
+            hook_rows(recorder, sites), scheduling, full,
             sweep(constants, run.collect))
 
 
@@ -736,7 +760,7 @@ def _pct(part: int, whole: int) -> str:
     return f"{part} ({100 * part / whole:.0f} %)"
 
 
-def _table(header: str, rows: dict[str, list[int]]) -> list[str]:
+def _table(header: str, rows: dict[str, list[int]]) -> str:
     """Per-package sums of ``rows`` (three counts per module), largest
     second column first, and their total."""
     packages: dict[str, list[int]] = {}
@@ -751,22 +775,22 @@ def _table(header: str, rows: dict[str, list[int]]) -> list[str]:
         out.append(f"| `{package}/` | {count} | {never} | {rest} |\n")
     out.append(f"| total | {total[0]} | {_pct(total[1], total[0])} "
                f"| {_pct(total[2], total[0])} |\n")
-    return out
+    return "".join(out)
 
 
-def render_lines(lines: dict[str, list[int]]) -> str:
-    out = _table("function lines | never entered", lines)
-    out.append("\nModules with never-entered lines:\n\n"
-               "| module | function lines | never entered "
-               "| … with examples |\n|---|---|---|---|\n")
+def render_lines(lines: dict[str, list[int]]) -> tuple[str, str]:
+    """The per-package table, and the per-module one."""
+    out = ["| module | function lines | never entered "
+           "| … with examples |\n|---|---|---|---|\n"]
     for module, (count, never, rest) in sorted(
             lines.items(), key=lambda kv: (-kv[1][1], kv[0])):
         if never:
             out.append(f"| `{module}` | {count} | {never} | {rest} |\n")
-    return "".join(out)
+    return _table("function lines | never entered", lines), "".join(out)
 
 
-def render_options(options: dict) -> str:
+def render_options(options: dict) -> tuple[str, str]:
+    """The per-package table, and the never-varied parameters."""
     counts: dict[str, list[int]] = {}
     never: dict[tuple[str, str, bool], list[str]] = {}
     for (module, qualname, name), (step, called) in sorted(
@@ -777,15 +801,13 @@ def render_options(options: dict) -> str:
         row[2] += step is None
         if step is None:
             never.setdefault((module, qualname, called), []).append(name)
-    out = ["Defaulted parameters:\n\n"]
-    out += _table("defaulted parameters | never varied", counts)
-    out.append("\nParameters never varied, with the examples:\n\n"
-               "| module | function | parameters |\n|---|---|---|\n")
+    out = ["| module | function | parameters |\n|---|---|---|\n"]
     for (module, qualname, called), names in never.items():
         mark = "" if called else " (never called)"
         params = ", ".join(f"`{n}`" for n in names)
         out.append(f"| `{module}` | `{qualname}`{mark} | {params} |\n")
-    return "".join(out)
+    return (_table("defaulted parameters | never varied", counts),
+            "".join(out))
 
 
 def render_hooks(hooks: dict) -> tuple[str, bool]:
@@ -800,9 +822,7 @@ def render_hooks(hooks: dict) -> tuple[str, bool]:
         row[2] += step is None
         if step is None:
             missed.append(site)
-    out = ["Monitor hook sites, by whether a run passed their guard with "
-           "no monitor:\n\n"]
-    out += _table("hook sites | never passed unmonitored", counts)
+    out = [_table("hook sites | never passed unmonitored", counts)]
     out.append("\nHook sites the census never passes unmonitored:\n\n"
                "| site | hook | guard | tier-1 test |\n|---|---|---|---|\n")
     ok = True
@@ -819,9 +839,7 @@ def render_hooks(hooks: dict) -> tuple[str, bool]:
 
 
 def render_scheduling(scheduling: dict[str, list[int]]) -> str:
-    out = [f"Scheduling, one smoke-size repetition per workload "
-           f"(seed {SEED}):\n\n| workload | "
-           + " | ".join(SCHEDULING) + " |\n"
+    out = ["| workload | " + " | ".join(SCHEDULING) + " |\n"
            + "|---" * (len(SCHEDULING) + 1) + "|\n"]
     for name, row in scheduling.items():
         out.append(f"| `{name}` | " + " | ".join(map(str, row)) + " |\n")
@@ -851,9 +869,7 @@ def render_constants(rows: list[ConstantRow], total: int, repeats: bool,
     """The sweep's table, and whether every constant has a verdict in
     ``verdicts``, every verdict a constant, and the run repeated after
     the sweep."""
-    out = [f"Cost constants, each scaled by {SCALE} alone "
-           f"({total} series):\n\n"
-           "| constant | value | paper anchor | series moved "
+    out = ["| constant | value | paper anchor | series moved "
            "| largest move | verdict |\n|---|---|---|---|---|---|\n"]
     ok = repeats
     for row in rows:
@@ -877,14 +893,46 @@ def render_constants(rows: list[ConstantRow], total: int, repeats: bool,
     return "".join(out), ok
 
 
+def write_documents(documents: dict[Path, dict[str, str]]) -> None:
+    """Re-render each document's generated blocks; none is written
+    unless every one renders."""
+    texts = {path: render_blocks(path.read_text(encoding="utf-8"), blocks,
+                                 path.name)
+             for path, blocks in documents.items()}
+    for path, text in texts.items():
+        path.write_text(text, encoding="utf-8")
+
+
 def main() -> int:
-    lines, options, hooks, scheduling, constants = census()
-    hook_text, hooks_ok = render_hooks(hooks)
-    constant_text, constants_ok = render_constants(*constants,
-                                                   CONSTANT_VERDICTS)
-    sys.stdout.write(render_lines(lines) + "\n" + render_options(options)
-                     + "\n" + hook_text + "\n"
-                     + render_scheduling(scheduling) + "\n" + constant_text)
+    lines, options, hooks, scheduling, full, constants = census()
+    line_table, module_table = render_lines(lines)
+    option_table, never_varied = render_options(options)
+    hook_table, hooks_ok = render_hooks(hooks)
+    constant_table, constants_ok = render_constants(*constants,
+                                                    CONSTANT_VERDICTS)
+    smoke_table = render_scheduling(scheduling)
+    full_table = render_scheduling(full)
+    sys.stdout.write(
+        line_table + "\nModules with never-entered lines:\n\n"
+        + module_table + "\nDefaulted parameters:\n\n" + option_table
+        + "\nParameters never varied, with the examples:\n\n"
+        + never_varied + "\nMonitor hook sites, by whether a run passed "
+        "their guard with no monitor:\n\n" + hook_table
+        + f"\nScheduling, one smoke-size repetition per workload "
+        f"(seed {SEED}):\n\n" + smoke_table
+        + f"\nScheduling, one full-size repetition per workload "
+        f"(seed {SEED}):\n\n" + full_table
+        + f"\nCost constants, each scaled by {SCALE} alone "
+        f"({constants[1]} series):\n\n" + constant_table)
+    try:
+        write_documents({
+            DESIGN_PATH: {"constants": constant_table, "lines": line_table,
+                          "options": option_table, "hooks": hook_table,
+                          "census-a": smoke_table},
+            PERFORMANCE_PATH: {"census-a-full": full_table}})
+    except ValueError as exc:
+        print(f"census: {exc}", file=sys.stderr)
+        return 1
     return 0 if hooks_ok and constants_ok else 1
 
 

@@ -18,11 +18,11 @@ fast the simulator itself runs is the business of the repo benchmark
 
 from __future__ import annotations
 
-import re
 import sys
 from pathlib import Path
 
 from benchmarks import harness as h
+from benchmarks.blocks import render_blocks
 from repro.corba import MICO, OMNIORB3, OMNIORB4, ORBACUS
 from repro.obs import BenchResult, bench_json_text
 
@@ -173,18 +173,13 @@ BLOCKS = {"fig7": _fig7, "latency": _latency, "sharing": _sharing,
           "fig8": _fig8, "fast-ethernet": _fast_ethernet,
           "ablations": _ablations}
 
-_BLOCK = re.compile(
-    r"(<!-- generated: ([\w-]+) -->\n).*?(<!-- end generated -->)", re.S)
-
 
 def render_experiments(text: str, results: list[BenchResult]) -> str:
     """``text`` with every generated block re-rendered from ``results``."""
-    found = [m[2] for m in _BLOCK.finditer(text)]
-    if sorted(found) != sorted(BLOCKS):
-        raise ValueError(f"EXPERIMENTS.md blocks {found} != {sorted(BLOCKS)}")
     series = {r.name: r for r in results}
-    return _BLOCK.sub(
-        lambda m: f"{m[1]}\n{BLOCKS[m[2]](series)}\n{m[3]}", text)
+    return render_blocks(
+        text, {name: render(series) for name, render in BLOCKS.items()},
+        EXPERIMENTS_PATH.name)
 
 
 def main() -> int:

@@ -28,12 +28,6 @@ from repro.analysis.base import (
     all_rules,
     register_checker,
 )
-from repro.analysis.baseline import (
-    DEFAULT_BASELINE_NAME,
-    apply_baseline,
-    format_baseline,
-    load_baseline,
-)
 from repro.analysis.config import DEFAULT_CONFIG, AnalysisConfig
 from repro.analysis.engine import find_project_root, run_analysis
 from repro.analysis.findings import Finding, Severity, sort_findings
@@ -46,7 +40,6 @@ from repro.analysis.suppress import Suppressions
 __all__ = [
     "AnalysisConfig",
     "Checker",
-    "DEFAULT_BASELINE_NAME",
     "DEFAULT_CONFIG",
     "Finding",
     "ModuleContext",
@@ -54,12 +47,9 @@ __all__ = [
     "Suppressions",
     "all_checkers",
     "all_rules",
-    "apply_baseline",
     "find_project_root",
-    "format_baseline",
     "lint_compiled_idl",
     "lint_parallelism_element",
-    "load_baseline",
     "register_checker",
     "run_analysis",
     "sort_findings",

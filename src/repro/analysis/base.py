@@ -37,7 +37,6 @@ class ModuleContext:
     is_package: bool = False        # True for __init__.py
     suppressions: Suppressions = field(default_factory=Suppressions)
     _import_map: ImportMap | None = None
-    _lines: list[str] | None = None
 
     @property
     def import_map(self) -> ImportMap:
@@ -47,21 +46,13 @@ class ModuleContext:
                 self.tree, self.module, self.is_package)
         return self._import_map
 
-    def line_text(self, line: int) -> str:
-        if self._lines is None:
-            self._lines = self.source.splitlines()
-        if 1 <= line <= len(self._lines):
-            return self._lines[line - 1]
-        return ""
-
     def finding(self, rule: str, message: str, node: ast.AST | None = None,
                 line: int = 0, col: int = 0,
                 severity: Severity = Severity.ERROR) -> Finding:
         if node is not None:
             line = getattr(node, "lineno", line)
             col = getattr(node, "col_offset", col)
-        return Finding(rule, message, self.path, line, col, severity,
-                       self.line_text(line))
+        return Finding(rule, message, self.path, line, col, severity)
 
 
 class Checker:

@@ -6,9 +6,6 @@ survives if no inline suppression, config allowlist entry or disabled
 rule covers it.  No rule looks across files: what only a whole run can
 show (blocking under the run token, unguarded monitor hooks, hash-seed
 dependence) is checked at run time by the tier-1 suite.
-
-Baseline filtering is the caller's concern (CLI and the tier-1 gate
-test both layer it on top via :mod:`.baseline`).
 """
 
 from __future__ import annotations

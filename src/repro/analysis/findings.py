@@ -1,16 +1,12 @@
 """Finding and severity model for ``repro-lint``.
 
-A :class:`Finding` is one rule violation at one source location.  Its
-:attr:`~Finding.fingerprint` is content-addressed (file, rule, source
-line text) rather than line-number-addressed, so a committed baseline
-survives unrelated edits that merely shift line numbers.
+A :class:`Finding` is one rule violation at one source location.
 """
 
 from __future__ import annotations
 
 import enum
-import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 class Severity(enum.IntEnum):
@@ -35,14 +31,6 @@ class Finding:
     line: int                 # 1-based; 0 for whole-file findings
     col: int = 0
     severity: Severity = Severity.ERROR
-    source_line: str = field(default="", compare=False)
-
-    @property
-    def fingerprint(self) -> str:
-        """Content hash used by the baseline mechanism."""
-        normalized = " ".join(self.source_line.split())
-        blob = f"{self.path}|{self.rule}|{normalized}".encode()
-        return hashlib.sha1(blob).hexdigest()[:12]
 
     def render(self) -> str:
         return (f"{self.path}:{self.line}:{self.col}: "

@@ -41,8 +41,12 @@ unaffected): outgoing buffers below :data:`RENDEZVOUS_THRESHOLD` are
 staged through an eager copy, so the caller may reuse its buffer the
 moment the send returns; buffers at or above it ride the rendezvous
 path — the message references the caller's memory, which must stay
-unmutated until the matching receive has completed (the standard
-zero-copy send contract).  Both disciplines are metered through the
+unmutated until the matching receive has completed.  That is a known
+deviation from MPI, tracked as ROADMAP item 4: a blocking MPI send
+returns only once its buffer may be reused, and here a rendezvous
+``Send`` (or ``Bcast``, or an ``Isend``'s ``wait()``) returns before the
+receiver has copied it.  sim-san's publish-window watch reports a
+write in that window.  Both disciplines are metered through the
 ``wire.copied_bytes.mpi`` / ``wire.referenced_bytes.mpi`` obs counters,
 as is the delivery copy into the receiver's buffer.
 """
@@ -421,7 +425,10 @@ class Comm:
         Small sends are eager (the buffer is reusable immediately);
         sends of :data:`RENDEZVOUS_THRESHOLD` bytes or more reference
         the caller's buffer, which must stay unmutated until the
-        receiver has completed the matching receive."""
+        receiver has completed the matching receive.  MPI's blocking
+        send promises the opposite — the buffer is reusable when it
+        returns — so this is a known deviation (ROADMAP item 4), not a
+        contract."""
         arr = np.ascontiguousarray(buf)
         self._send(self.proc, dest, tag, ("b", self._stage(arr)),
                    arr.nbytes, self._p2p_context())

@@ -597,7 +597,7 @@ class FlowNetwork:
         self._timer: Timer | None = None
         self._link_bytes: dict[Link, float] = {}
         self.completed_flows = 0
-        #: completed-transfer records for timeline analysis:
+        #: completed-transfer records, one per flow that ended:
         #: (start time, end time, size bytes, first link name, ok)
         self.flow_log: list[tuple[float, float, float, str, bool]] = []
         #: observability hook surface (see repro.obs); pushed down by

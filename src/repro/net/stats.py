@@ -127,34 +127,6 @@ class NetworkReport:
         return "\n".join(lines)
 
 
-def format_timeline(network: FlowNetwork) -> str:
-    """ASCII timeline of completed transfers (one 60-column row per
-    flow, the first 40 flows).
-
-    Rows show when each transfer occupied the network relative to the
-    whole run — a poor man's Gantt chart for spotting serialisation
-    (stairs) vs overlap (stacked bars)."""
-    width, max_rows = 60, 40
-    log = network.flow_log[:max_rows]
-    if not log:
-        return "(no transfers recorded)"
-    t_end = max(end for _s, end, _b, _l, _ok in network.flow_log)
-    if t_end <= 0:
-        return "(no transfers recorded)"
-    lines = [f"transfer timeline, 0 .. {t_end * 1e3:.3f} ms "
-             f"({len(network.flow_log)} flows"
-             + (f", first {max_rows} shown" if len(network.flow_log)
-                > max_rows else "") + "):"]
-    for start, end, nbytes, link, ok in log:
-        a = int(start / t_end * (width - 1))
-        b = max(int(end / t_end * (width - 1)), a + 1)
-        bar = " " * a + ("#" if ok else "x") * (b - a)
-        bar = bar.ljust(width)
-        label = f"{nbytes / 1e6:8.2f} MB  {link}"
-        lines.append(f"|{bar}| {label}")
-    return "\n".join(lines)
-
-
 def collect_report(network: FlowNetwork,
                    elapsed: float | None = None) -> NetworkReport:
     """Build a :class:`NetworkReport` from a flow network's meters."""

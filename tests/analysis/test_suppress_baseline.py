@@ -1,4 +1,4 @@
-"""Suppression comments, the baseline mechanism, and the CLI."""
+"""Suppression comments and the CLI."""
 
 from __future__ import annotations
 
@@ -6,12 +6,6 @@ import json
 
 import pytest
 
-from repro.analysis import (
-    Finding,
-    apply_baseline,
-    format_baseline,
-    load_baseline,
-)
 from repro.analysis.cli import main as cli_main
 from tests.analysis.conftest import lint_text
 
@@ -112,62 +106,6 @@ def test_standalone_comment_pragma_covers_only_its_own_line():
 
 
 # ---------------------------------------------------------------------------
-# baseline mechanics
-# ---------------------------------------------------------------------------
-def _finding(line_text: str = "x = time.time()") -> Finding:
-    return Finding("det-wallclock", "msg", "src/repro/sim/x.py", 10,
-                   source_line=line_text)
-
-
-def test_fingerprint_is_content_addressed():
-    # moving the line does not change the fingerprint...
-    a = Finding("det-wallclock", "msg", "p.py", 10, source_line="x = 1")
-    b = Finding("det-wallclock", "msg", "p.py", 99, source_line="x = 1")
-    assert a.fingerprint == b.fingerprint
-    # ...but editing the line, the rule, or the file does
-    assert a.fingerprint != Finding("det-wallclock", "msg", "p.py", 10,
-                                    source_line="x = 2").fingerprint
-    assert a.fingerprint != Finding("det-random", "msg", "p.py", 10,
-                                    source_line="x = 1").fingerprint
-    assert a.fingerprint != Finding("det-wallclock", "msg", "q.py", 10,
-                                    source_line="x = 1").fingerprint
-
-
-def test_baseline_roundtrip(tmp_path):
-    f = _finding()
-    path = tmp_path / "baseline"
-    path.write_text(format_baseline([f]))
-    fingerprints = load_baseline(path)
-    assert f.fingerprint in fingerprints
-    fresh, stale = apply_baseline([f], fingerprints)
-    assert fresh == [] and stale == set()
-
-
-def test_baseline_lets_new_findings_through(tmp_path):
-    old = _finding()
-    path = tmp_path / "baseline"
-    path.write_text(format_baseline([old]))
-    new = Finding("ker-sleep", "msg", "src/repro/sim/y.py", 3,
-                  source_line="time.sleep(1)")
-    fresh, stale = apply_baseline([old, new], load_baseline(path))
-    assert fresh == [new]
-    assert stale == set()
-
-
-def test_baseline_reports_stale_entries(tmp_path):
-    path = tmp_path / "baseline"
-    path.write_text(format_baseline([_finding()]))
-    fresh, stale = apply_baseline([], load_baseline(path))
-    assert fresh == [] and len(stale) == 1
-
-
-def test_baseline_ignores_comments_and_blanks(tmp_path):
-    path = tmp_path / "baseline"
-    path.write_text("# header\n\nabc123def456  det-x  src/f.py:1  # why\n")
-    assert load_baseline(path) == {"abc123def456"}
-
-
-# ---------------------------------------------------------------------------
 # CLI end to end (against a synthetic project)
 # ---------------------------------------------------------------------------
 @pytest.fixture
@@ -188,27 +126,18 @@ def test_cli_exit_codes_and_baseline_cycle(project, capsys, monkeypatch):
     assert cli_main(["src"]) == 1
     out = capsys.readouterr().out
     assert "det-wallclock" in out and "app.py:5" in out
-    # accept it into the baseline -> exit 0
-    assert cli_main(["--update-baseline", "src"]) == 0
-    capsys.readouterr()
-    assert cli_main(["src"]) == 0
-    # --no-baseline still reports it
-    assert cli_main(["--no-baseline", "src"]) == 1
-    capsys.readouterr()
-    # fixing the file makes the entry stale but the tree clean
+    # fixing the file makes the tree clean
     (project / "src" / "repro" / "sim" / "app.py").write_text(
         "def tick(proc):\n    return proc.kernel.now\n")
     assert cli_main(["src"]) == 0
-    assert "stale" in capsys.readouterr().err
 
 
 def test_cli_json_output(project, monkeypatch, capsys):
     monkeypatch.chdir(project)
-    assert cli_main(["--json", "src"]) == 1
+    assert cli_main(["--format", "json", "src"]) == 1
     payload = json.loads(capsys.readouterr().out)
     assert payload[0]["rule"] == "det-wallclock"
     assert payload[0]["path"] == "src/repro/sim/app.py"
-    assert payload[0]["fingerprint"]
 
 
 def test_cli_list_rules(capsys):

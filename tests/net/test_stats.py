@@ -175,10 +175,6 @@ def test_flow_log_and_timeline(grid):
     assert (ok1, ok2) == (True, True)
     assert n1 == 2_400_000 and n2 == 1_200_000
     assert s2 == pytest.approx(0.002 + 9e-6)
-    from repro.net.stats import format_timeline
-    text = format_timeline(net)
-    assert "2 flows" in text
-    assert text.count("|") == 4  # two bar rows
 
 
 def test_flow_log_records_failures(grid):
@@ -200,11 +196,3 @@ def test_flow_log_records_failures(grid):
     kernel.run()
     assert len(net.flow_log) == 1
     assert net.flow_log[0][-1] is False  # aborted
-    from repro.net.stats import format_timeline
-    assert "x" in format_timeline(net)
-
-
-def test_timeline_empty(grid):
-    kernel, topo, net = grid
-    from repro.net.stats import format_timeline
-    assert "no transfers" in format_timeline(net)

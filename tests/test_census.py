@@ -1,13 +1,17 @@
 """The census's recorders (``benchmarks.census``): which defaulted
 parameters a profiled step binds to another value, which monitor hook
 guards it passes with no monitor attached, and what each cost constant
-moves."""
+moves; and the block writer (``benchmarks.blocks``) that puts its
+tables into the documents."""
 
 import importlib.util
 import sys
 import types
 from pathlib import Path
 
+import pytest
+
+from benchmarks.blocks import render_blocks
 from benchmarks.census import (
     CONSTANT_VERDICTS,
     TIER1_HOOK_TESTS,
@@ -50,7 +54,8 @@ def test_recorder_attributes_each_varied_default_to_its_step():
         ("toy.py", "_callee", "d"): (None, True),
         ("toy.py", "_never_called", "x"): (None, False),
     }
-    text = render_options(rows)
+    table, never = render_options(rows)
+    text = table + never
     assert "| `toy.py` | `_callee` | `d` |" in text
     assert "| `toy.py` | `_never_called` (never called) | `x` |" in text
     # 4 defaulted: 4 never varied after step 1, 2 after step 2
@@ -268,3 +273,42 @@ def test_every_cost_constant_has_a_verdict():
     found = {(c.module, c.name) for module, path in library_modules().items()
              for c in cost_constants(module, path, _import(module))}
     assert found == set(CONSTANT_VERDICTS)
+
+
+_DOC = """\
+# Toy
+
+Prose with a count nobody generates: 7.
+
+<!-- generated: counts -->
+| x | 1 |
+<!-- end generated -->
+
+Between the blocks.
+
+<!-- generated: total -->
+<!-- end generated -->
+"""
+
+
+def test_block_writer_owns_every_number_inside_a_block():
+    blocks = {"counts": "| x | 2 |\n", "total": "2\n"}
+    once = render_blocks(_DOC, blocks, "toy.md")
+    assert render_blocks(once, blocks, "toy.md") == once
+    assert once == _DOC.replace("| x | 1 |\n", "\n| x | 2 |\n\n") \
+        .replace("<!-- generated: total -->\n",
+                 "<!-- generated: total -->\n\n2\n\n")
+    # a hand edit inside a block is overwritten; prose outside is kept
+    edited = once.replace("| x | 2 |", "| x | 3 |").replace(": 7.", ": 8.")
+    assert render_blocks(edited, blocks, "toy.md") == \
+        once.replace(": 7.", ": 8.")
+
+
+@pytest.mark.parametrize("blocks", [
+    {"counts": ""},                              # the document has more
+    {"counts": "", "total": "", "extra": ""},    # the writer has more
+    {"counts": "", "totals": ""},                # one name differs
+])
+def test_block_writer_refuses_a_document_with_other_blocks(blocks):
+    with pytest.raises(ValueError, match="toy.md blocks"):
+        render_blocks(_DOC, blocks, "toy.md")
