@@ -78,9 +78,11 @@ The census prints every table, and writes them into the generated
 blocks (:mod:`benchmarks.blocks`) of the documents that quote them:
 DESIGN.md (the constant sweep in §5, then the line, option, hook and
 smoke-size census A tables of §8) and docs/PERFORMANCE.md (census A at
-full size).  It writes both unconditionally, as ``benchmarks.run``
-writes EXPERIMENTS.md; ``git diff`` shows what moved.  A document whose
-block names differ from the census's makes it exit 1 and write neither.
+full size).  It writes both on every run, as ``benchmarks.run`` writes
+EXPERIMENTS.md; ``git diff`` shows what moved.  A workload repetition
+that fails an operation (its census A row would not be the workload's),
+or a document whose block names differ from the census's, makes it
+print why, exit 1 and write neither.
 """
 
 from __future__ import annotations
@@ -467,11 +469,17 @@ class Recorder:
                 for c, first in self.entered.items() if first <= step}
 
 
+class FailedOperations(RuntimeError):
+    """A workload's repetition failed operations: its counts are not
+    the workload's."""
+
+
 def run_workloads(size: str) -> dict[str, list[int]]:
     """One repetition of each repo-benchmark workload at ``size``
     (``"smoke"`` or ``"full"``, seed 1, ``TraceRecorder`` attached);
     returns each one's scheduling counts (the fourth table's rows,
-    :data:`SCHEDULING`), summed over its stages."""
+    :data:`SCHEDULING`), summed over its stages.  A repetition with a
+    failed operation raises :class:`FailedOperations`."""
     from benchmarks.e2e import inputs, spec, workloads
     from benchmarks.e2e.tracing import RecorderTracer
 
@@ -482,7 +490,11 @@ def run_workloads(size: str) -> dict[str, list[int]]:
         rep = workload.build(RecorderTracer().observe)
         for stage in rep.stages:
             stage.drive()
-        workload.check(rep)
+        outcome = workload.check(rep)
+        if outcome.failed:
+            raise FailedOperations(
+                f"{name} ({size}): {outcome.failed} of {outcome.ops} "
+                f"operations failed")
         counts[name] = [sum(count(stage) for stage in rep.stages)
                         for count in SCHEDULING.values()]
     return counts
@@ -904,7 +916,11 @@ def write_documents(documents: dict[Path, dict[str, str]]) -> None:
 
 
 def main() -> int:
-    lines, options, hooks, scheduling, full, constants = census()
+    try:
+        lines, options, hooks, scheduling, full, constants = census()
+    except FailedOperations as exc:
+        print(f"census: {exc}", file=sys.stderr)
+        return 1
     line_table, module_table = render_lines(lines)
     option_table, never_varied = render_options(options)
     hook_table, hooks_ok = render_hooks(hooks)

@@ -16,7 +16,7 @@ install time (the paper's "deployment of components in binary form")."""
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Callable
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.ccm.container import CcmContext

@@ -6,8 +6,12 @@ A distribution maps the ``length`` global indices of a 1D array onto
 can automatically be applied"); multidimensional arrays map to nested
 sequences whose outer dimension is distributed.
 
-All index math is vectorised (numpy) so redistribution planning stays
-cheap even for large index spaces.
+Redistribution planning (:mod:`repro.core.redistribution`) asks a
+distribution two things, both answered by interval arithmetic without an
+index array: which parts own some index of an interval (``owners_in``)
+and where those indices sit on both sides (``owned_in``).
+``global_indices`` spells a part's share out in full, for checks and
+oracles.
 """
 
 from __future__ import annotations
@@ -20,7 +24,9 @@ class DistributionError(ValueError):
 
 
 class Distribution:
-    """Base class: a partition of ``range(length)`` into ``parts``."""
+    """Base class: a partition of ``range(length)`` into ``parts``.
+    Each kind also counts a part's indices, ``local_size(part)``, in
+    closed form."""
 
     kind = "abstract"
 
@@ -33,19 +39,8 @@ class Distribution:
         self.length = length
 
     # -- interface --------------------------------------------------------
-    def owner(self, index: int | np.ndarray) -> int | np.ndarray:
-        """Owning part of global index/indices."""
-        raise NotImplementedError
-
     def global_indices(self, part: int) -> np.ndarray:
         """Sorted global indices owned by ``part``."""
-        raise NotImplementedError
-
-    def local_size(self, part: int) -> int:
-        return len(self.global_indices(part))
-
-    def local_of_global(self, part: int, global_idx: np.ndarray) -> np.ndarray:
-        """Positions of ``global_idx`` within ``part``'s local array."""
         raise NotImplementedError
 
     def owners_in(self, lo: int, hi: int) -> list[int]:
@@ -106,29 +101,16 @@ class BlockDistribution(Distribution):
         self._check_part(part)
         return int(self._bounds[part + 1])
 
-    def owner(self, index):
-        if self.length == 0:
-            raise DistributionError("empty distribution has no owners")
-        if isinstance(index, np.ndarray):
-            bad = np.any((index < 0) | (index >= self.length))
-        else:  # a scalar: no array temporaries for the range check
-            bad = not 0 <= index < self.length
-        if bad:
-            raise DistributionError(f"index out of range: {index}")
-        out = np.searchsorted(self._bounds, index, side="right") - 1
-        return out if isinstance(index, np.ndarray) else int(out)
-
     def global_indices(self, part: int) -> np.ndarray:
         return np.arange(self.start(part), self.end(part), dtype=np.int64)
 
     def local_size(self, part: int) -> int:
         return self.end(part) - self.start(part)
 
-    def local_of_global(self, part: int, global_idx: np.ndarray) -> np.ndarray:
-        return np.asarray(global_idx, dtype=np.int64) - self.start(part)
-
     def owners_in(self, lo: int, hi: int) -> list[int]:
-        return list(range(self.owner(lo), self.owner(hi - 1) + 1))
+        first, last = np.searchsorted(self._bounds, (lo, hi - 1),
+                                      side="right") - 1
+        return list(range(first, last + 1))
 
     def owned_in(self, part, lo, hi):
         t0, t1 = self.start(part), self.end(part)
@@ -141,13 +123,6 @@ class CyclicDistribution(Distribution):
 
     kind = "cyclic"
 
-    def owner(self, index):
-        idx = np.asarray(index)
-        if np.any((idx < 0) | (idx >= self.length)):
-            raise DistributionError(f"index out of range: {index}")
-        out = idx % self.parts
-        return out if isinstance(index, np.ndarray) else int(out)
-
     def global_indices(self, part: int) -> np.ndarray:
         self._check_part(part)
         return np.arange(part, self.length, self.parts, dtype=np.int64)
@@ -157,10 +132,6 @@ class CyclicDistribution(Distribution):
         if part >= self.length:
             return 0
         return int((self.length - part - 1) // self.parts + 1)
-
-    def local_of_global(self, part: int, global_idx: np.ndarray) -> np.ndarray:
-        g = np.asarray(global_idx, dtype=np.int64)
-        return (g - part) // self.parts
 
     def owners_in(self, lo: int, hi: int) -> list[int]:
         return _residues(lo, hi - 1, self.parts)
@@ -188,13 +159,6 @@ class BlockCyclicDistribution(Distribution):
                 f"block_size must be >= 1, got {block_size}")
         self.block_size = block_size
 
-    def owner(self, index):
-        idx = np.asarray(index)
-        if np.any((idx < 0) | (idx >= self.length)):
-            raise DistributionError(f"index out of range: {index}")
-        out = (idx // self.block_size) % self.parts
-        return out if isinstance(index, np.ndarray) else int(out)
-
     def _key(self) -> tuple:
         return super()._key() + (self.block_size,)
 
@@ -212,12 +176,6 @@ class BlockCyclicDistribution(Distribution):
         mine = max(0, -(-(full - part) // self.parts))  # full blocks owned
         return mine * self.block_size + (rest if full % self.parts == part
                                          else 0)
-
-    def local_of_global(self, part: int, global_idx: np.ndarray) -> np.ndarray:
-        g = np.asarray(global_idx, dtype=np.int64)
-        block = g // self.block_size
-        round_idx = block // self.parts
-        return round_idx * self.block_size + g % self.block_size
 
     def owners_in(self, lo: int, hi: int) -> list[int]:
         return _residues(lo // self.block_size, (hi - 1) // self.block_size,

@@ -30,7 +30,7 @@ Cost model: the layer's split/assemble copies cost
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable
 
 import numpy as np
@@ -47,7 +47,7 @@ from repro.core.parallelism import ParallelismDescriptor
 from repro.core.redistribution import RedistributionPlan, redistribute_schedule
 from repro.corba.idl.compiler import compile_idl
 from repro.corba.ior import IOR
-from repro.corba.orb import ObjectRef, Orb, SystemException
+from repro.corba.orb import ObjectRef, Orb
 from repro.corba.profiles import OMNIORB4, OrbProfile
 from repro.mpi.communicator import Comm
 from repro.mpi.ops import SUM

@@ -8,7 +8,7 @@ technologies, processors, etc.) are not known statically."
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 from repro.net.topology import Topology

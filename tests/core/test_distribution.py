@@ -30,8 +30,8 @@ def _make(spec):
 @settings(max_examples=200, deadline=None)
 @given(DISTS)
 def test_partition_property(spec):
-    """Every global index is owned by exactly one part, and the owner
-    agrees with global_indices / local_of_global round-trips."""
+    """Every global index is owned by exactly one part, and each part's
+    sorted indices number its local size."""
     dist = _make(spec)
     seen = np.full(dist.length, -1, dtype=np.int64)
     total = 0
@@ -40,11 +40,7 @@ def test_partition_property(spec):
         assert dist.local_size(part) == len(gidx)
         total += len(gidx)
         assert np.all(np.diff(gidx) > 0)  # sorted, unique
-        if len(gidx):
-            assert np.all(dist.owner(gidx) == part)
-            local = dist.local_of_global(part, gidx)
-            assert np.array_equal(np.sort(local),
-                                  np.arange(len(gidx)))
+        assert np.all(seen[gidx] == -1)   # no other part owns them
         seen[gidx] = part
     assert total == dist.length
     assert np.all(seen >= 0)
@@ -58,17 +54,19 @@ def test_block_sizes_balanced():
 
 
 def test_block_owner_scalar_and_array():
+    """The owners of one index, and of an index range."""
     d = BlockDistribution(2, 10)
-    assert d.owner(0) == 0
-    assert d.owner(5) == 1
-    assert np.array_equal(d.owner(np.array([0, 4, 5, 9])), [0, 0, 1, 1])
+    assert d.owners_in(0, 1) == [0]
+    assert d.owners_in(5, 6) == [1]
+    assert d.owners_in(0, 5) == [0]
+    assert d.owners_in(4, 10) == [0, 1]
 
 
 def test_cyclic_round_robin():
     d = CyclicDistribution(3, 7)
     assert np.array_equal(d.global_indices(0), [0, 3, 6])
     assert np.array_equal(d.global_indices(2), [2, 5])
-    assert d.owner(4) == 1
+    assert d.owners_in(4, 5) == [1]
     assert d.local_size(0) == 3
     assert d.local_size(1) == 2
 
@@ -77,10 +75,11 @@ def test_block_cyclic():
     d = BlockCyclicDistribution(2, 10, block_size=2)
     # blocks: [0,1]->0 [2,3]->1 [4,5]->0 [6,7]->1 [8,9]->0
     assert np.array_equal(d.global_indices(0), [0, 1, 4, 5, 8, 9])
-    assert d.owner(3) == 1
-    assert np.array_equal(
-        d.local_of_global(0, np.array([0, 1, 4, 5, 8, 9])),
-        [0, 1, 2, 3, 4, 5])
+    assert d.owners_in(3, 4) == [1]
+    # part 0's share of [0, 10): offsets 0 1 4 5 8 9, its whole array
+    offsets, local = d.owned_in(0, 0, 10)
+    assert offsets.tolist() == [0, 1, 4, 5, 8, 9]
+    assert local == slice(0, 6)
 
 
 def test_validation():
@@ -91,7 +90,7 @@ def test_validation():
     with pytest.raises(DistributionError):
         BlockCyclicDistribution(2, 10, 0)
     with pytest.raises(DistributionError):
-        BlockDistribution(2, 10).owner(10)
+        CyclicDistribution(2, 10).local_size(2)
     with pytest.raises(DistributionError):
         BlockDistribution(2, 10).global_indices(2)
     with pytest.raises(DistributionError):
@@ -116,12 +115,10 @@ def test_equality_and_hash_survive_every_method_call():
                  lambda: BlockCyclicDistribution(3, 10, 2)):
         used, fresh = make(), make()
         for part in range(3):
-            gidx = used.global_indices(part)
-            used.owner(gidx)
-            used.owner(int(gidx[0]))
+            used.global_indices(part)
             used.local_size(part)
-            used.local_of_global(part, gidx)
-        used.owners_in(2, 9)
+        for part in used.owners_in(2, 9):
+            used.owned_in(part, 2, 9)
         if isinstance(used, BlockDistribution):
             used.start(1), used.end(1)
         used.scratch = np.arange(4)  # what a cached attribute looks like
@@ -153,23 +150,26 @@ def _check_against_definition(kind, parts, length, block_size):
     dist = make_distribution(kind, parts, length, block_size)
     owners = [_owner_by_definition(kind, parts, length, block_size, g)
               for g in range(length)]
-    if length:
-        assert dist.owner(np.arange(length)).tolist() == owners
-        assert [dist.owner(g) for g in (0, length // 2, length - 1)] == \
-            [owners[0], owners[length // 2], owners[length - 1]]
+    position = {}  # global index -> its place in its owner's local array
     for part in range(parts):
         mine = [g for g in range(length) if owners[g] == part]
         gidx = dist.global_indices(part)
         assert gidx.dtype == np.int64 and gidx.tolist() == mine
         assert dist.local_size(part) == len(mine)
-        assert dist.local_of_global(part, gidx).tolist() == \
-            list(range(len(mine)))
-    # interval ownership (the redistribution sender table rests on it)
+        position.update((g, k) for k, g in enumerate(mine))
+    # interval ownership: the redistribution plans rest on it alone
     for lo, hi in ((0, length), (length // 3, length // 3 + parts - 1),
                    (length // 2, length // 2 + 1),
                    (length // 4, length - length // 4)):
         if 0 <= lo < hi <= length:
             assert dist.owners_in(lo, hi) == sorted(set(owners[lo:hi]))
+            for part in dist.owners_in(lo, hi):
+                want = [g for g in range(lo, hi) if owners[g] == part]
+                offsets, local = dist.owned_in(part, lo, hi)
+                assert np.arange(hi - lo)[offsets].tolist() == \
+                    [g - lo for g in want]
+                assert np.arange(owners.count(part))[local].tolist() == \
+                    [position[g] for g in want]
 
 
 @pytest.mark.parametrize("parts", range(1, 8))

@@ -1,4 +1,5 @@
-"""Redistribution schedules: correctness for arbitrary distribution pairs."""
+"""Redistribution schedules: correctness from a block source to every
+target kind, and the refusal of any other source."""
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.distribution import (
+    BlockCyclicDistribution,
     BlockDistribution,
     CyclicDistribution,
     DistributionError,
@@ -27,19 +29,29 @@ def _make(spec, length):
     return make_distribution(kind, parts, length, bs)
 
 
+def _apply(plan, locals_in):
+    """Run ``plan`` in memory: ``locals_in[p]`` is source part p's local
+    array; returns the target parts' local arrays."""
+    out = [np.zeros(plan.target.local_size(p))
+           for p in range(plan.target.parts)]
+    for t in plan.transfers:
+        out[t.dst][t.dst_index] = locals_in[t.src][t.src_index]
+    return out
+
+
 @settings(max_examples=200, deadline=None)
-@given(_dist_spec, _dist_spec, st.integers(0, 150))
-def test_redistribution_moves_every_element_once(src_spec, dst_spec, length):
-    """Applying the schedule to distributed data reproduces the exact
+@given(st.integers(1, 6), _dist_spec, st.integers(0, 150))
+def test_redistribution_moves_every_element_once(n, dst_spec, length):
+    """Applying the schedule to the clients' blocks reproduces the exact
     target layout of the global array — the core GridCCM invariant."""
-    src = _make(src_spec, length)
+    src = BlockDistribution(n, length)
     dst = _make(dst_spec, length)
     plan = redistribute_schedule(src, dst)
 
     global_data = np.arange(length, dtype="f8") * 1.5 + 3.0
     locals_in = [global_data[src.global_indices(p)]
                  for p in range(src.parts)]
-    locals_out = plan.apply(locals_in)
+    locals_out = _apply(plan, locals_in)
     for p in range(dst.parts):
         assert np.array_equal(locals_out[p],
                               global_data[dst.global_indices(p)])
@@ -59,10 +71,7 @@ def test_block_block_transfer_count(n, m, length):
     assert len(plan.transfers) <= n + m - 1
     for t in plan.transfers:
         # contiguous pieces on both sides
-        assert np.array_equal(np.diff(t.src_local),
-                              np.ones(t.size - 1)) or t.size <= 1
-        assert np.array_equal(np.diff(t.dst_local),
-                              np.ones(t.size - 1)) or t.size <= 1
+        assert t.src_index.step is None and t.dst_index.step is None
 
 
 def test_identity_redistribution_is_node_to_node():
@@ -90,7 +99,7 @@ def test_block_to_cyclic():
     plan = redistribute_schedule(BlockDistribution(2, 6),
                                  CyclicDistribution(2, 6))
     data = np.array([10.0, 11, 12, 13, 14, 15])
-    out = plan.apply([data[:3], data[3:]])
+    out = _apply(plan, [data[:3], data[3:]])
     assert np.array_equal(out[0], [10, 12, 14])
     assert np.array_equal(out[1], [11, 13, 15])
 
@@ -102,15 +111,22 @@ def test_length_mismatch_rejected():
 
 
 def test_incoming_outgoing_views():
-    plan = redistribute_schedule(BlockDistribution(2, 10),
-                                 BlockDistribution(5, 10))
+    source, target = BlockDistribution(2, 10), BlockDistribution(5, 10)
+    plan = redistribute_schedule(source, target)
     assert {t.dst for t in plan.outgoing(0)} == {0, 1, 2}
-    assert all(t.src == 1 for t in plan.incoming(4))
+    column = redistribute_schedule(source, target, dst=4)
+    assert [t.src for t in column.transfers] == [1]
+    assert column.senders[4] == (1,)
 
 
-def test_apply_validates_input_count():
-    plan = redistribute_schedule(BlockDistribution(2, 4),
-                                 BlockDistribution(2, 4))
-    with pytest.raises(DistributionError):
-        plan.apply([np.zeros(4)])
+@pytest.mark.parametrize("source", [CyclicDistribution(2, 10),
+                                    BlockCyclicDistribution(2, 10, 3)],
+                         ids=lambda d: d.kind)
+def test_non_block_source_is_refused(source):
+    """Only a block source is planned — the layout every GridCCM
+    client's chunk has; any other kind is named in the refusal."""
+    with pytest.raises(DistributionError, match=f"not {source.kind}$"):
+        redistribute_schedule(source, BlockDistribution(3, 10))
+    with pytest.raises(DistributionError, match=f"not {source.kind}$"):
+        redistribute_schedule(source, CyclicDistribution(3, 10), dst=0)
 

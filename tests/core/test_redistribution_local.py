@@ -1,6 +1,8 @@
-"""Rank-local, slice-backed plans: a sender's row and a receiver's
-column must be the full plan's transfers, and block→block planning must
-allocate nothing proportional to the vector length."""
+"""Every plan against a brute-force oracle, and rank-local plans: a
+block source's full plan, each sender's row, each receiver's column and
+the sender table must be what ``global_indices`` alone says, and
+block→block and block→cyclic planning must allocate nothing
+proportional to the vector length."""
 
 from __future__ import annotations
 
@@ -8,7 +10,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.distribution import (
@@ -18,11 +20,11 @@ from repro.core.distribution import (
 )
 from repro.core.redistribution import redistribute_schedule
 
-_dist_spec = st.one_of(
-    st.tuples(st.just("block"), st.integers(1, 6)),
-    st.tuples(st.just("cyclic"), st.integers(1, 6)),
-    st.tuples(st.just("block-cyclic"), st.integers(1, 6),
-              st.integers(1, 7)),
+_target_spec = st.one_of(
+    st.tuples(st.just("block"), st.integers(1, 7)),
+    st.tuples(st.just("cyclic"), st.integers(1, 7)),
+    st.tuples(st.just("block-cyclic"), st.integers(1, 7),
+              st.integers(1, 9)),
 )
 
 
@@ -32,52 +34,81 @@ def _make(spec, length):
     return make_distribution(kind, parts, length, bs)
 
 
-def _assert_same_transfers(got, want):
-    assert [(t.src, t.dst) for t in got] == [(t.src, t.dst) for t in want]
-    for t_got, t_want in zip(got, want):
-        assert t_got.size == t_want.size
-        assert np.array_equal(t_got.src_local, t_want.src_local)
-        assert np.array_equal(t_got.dst_local, t_want.dst_local)
-        assert t_got.src_slice == t_want.src_slice
-        assert t_got.dst_slice == t_want.dst_slice
+def _oracle(source, target):
+    """``(src, dst, src positions, dst positions)`` for every pair that
+    shares an index, in the plan's order — from ``global_indices``
+    alone: the shared indices ascending, located on each side."""
+    out = []
+    for s in range(source.parts):
+        mine = source.global_indices(s)
+        for d in range(target.parts):
+            theirs = target.global_indices(d)
+            g = np.intersect1d(mine, theirs)
+            if len(g):
+                out.append((s, d, np.searchsorted(mine, g),
+                            np.searchsorted(theirs, g)))
+    return out
 
 
-@settings(max_examples=300, deadline=None)
-@given(_dist_spec, _dist_spec, st.integers(0, 150))
-def test_row_column_and_senders_equal_the_full_plan(src_spec, dst_spec,
-                                                    length):
-    source, target = _make(src_spec, length), _make(dst_spec, length)
-    full = redistribute_schedule(source, target)
-    senders = {d: tuple(sorted({t.src for t in full.incoming(d)}))
+def _assert_is_oracle(transfers, want, source, target):
+    assert [(t.src, t.dst) for t in transfers] == \
+        [(s, d) for s, d, _, _ in want]
+    for t, (s, d, src_pos, dst_pos) in zip(transfers, want):
+        assert t.size == len(src_pos)
+        assert np.array_equal(
+            np.arange(source.local_size(s))[t.src_index], src_pos)
+        assert np.array_equal(
+            np.arange(target.local_size(d))[t.dst_index], dst_pos)
+        # the receiver side is one run; the sender side an index array
+        # only for a block-cyclic target, and never a single run there
+        assert isinstance(t.dst_index, slice) and t.dst_index.step is None
+        if isinstance(t.src_index, slice):
+            assert t.src_index.step in (None, target.parts)
+        else:
+            assert target.kind == "block-cyclic"
+            assert np.any(np.diff(t.src_index) != 1)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.integers(1, 7), _target_spec, st.integers(0, 300))
+@example(7, ("cyclic", 5), 3)              # length < parts on both sides
+@example(3, ("block", 7), 5)               # empty target parts
+@example(4, ("block-cyclic", 3, 4), 29)    # short final block
+@example(2, ("block-cyclic", 3, 9), 7)     # block_size > length
+@example(5, ("block-cyclic", 2, 1), 41)    # runs of one element
+@example(1, ("cyclic", 1), 17)             # one part each: one run
+def test_row_column_and_senders_equal_the_full_plan(n, dst_spec, length):
+    """A block source to every target kind: the full plan, each row,
+    each column, each single pair and the sender table are the
+    oracle's — the same transfers, order and element order."""
+    source, target = BlockDistribution(n, length), _make(dst_spec, length)
+    want = _oracle(source, target)
+    senders = {d: tuple(s for s, dd, _, _ in want if dd == d)
                for d in range(target.parts)}
+    full = redistribute_schedule(source, target)
+    _assert_is_oracle(full.transfers, want, source, target)
     assert full.senders == senders
 
-    for r in range(source.parts):
+    for r in range(n):
         row = redistribute_schedule(source, target, src=r)
-        _assert_same_transfers(row.transfers, full.outgoing(r))
+        _assert_is_oracle(row.transfers, [w for w in want if w[0] == r],
+                          source, target)
         assert row.senders == senders
     for r in range(target.parts):
         col = redistribute_schedule(source, target, dst=r)
-        _assert_same_transfers(col.transfers, full.incoming(r))
+        _assert_is_oracle(col.transfers, [w for w in want if w[1] == r],
+                          source, target)
         assert col.senders == senders
-        for s in range(source.parts):
+        for s in range(n):
             one = redistribute_schedule(source, target, src=s, dst=r)
-            _assert_same_transfers(
-                one.transfers, [t for t in full.incoming(r) if t.src == s])
+            _assert_is_oracle(one.transfers, [w for w in want
+                                              if w[:2] == (s, r)],
+                              source, target)
 
-    # O(1) lookup agrees with the scans, and misses read None
+    # O(1) lookup finds each transfer, and misses read None
     for t in full.transfers:
         assert full.transfer(t.src, t.dst) is t
-    assert full.transfer(source.parts, 0) is None
-    assert len({(t.src, t.dst) for t in full.transfers}) == \
-        len(full.transfers)
-
-    # the rows together still move every element exactly once
-    data = np.arange(length, dtype="f8") * 1.5 + 3.0
-    out = full.apply([data[source.global_indices(p)]
-                      for p in range(source.parts)])
-    for p in range(target.parts):
-        assert np.array_equal(out[p], data[target.global_indices(p)])
+    assert full.transfer(n, 0) is None
 
 
 def test_restriction_is_keyword_only_and_validated():
@@ -109,8 +140,8 @@ def test_block_block_plan_allocates_nothing_proportional_to_length():
         for plan in plans:
             for t in plan.transfers:
                 assert plan.transfer(t.src, t.dst) is t
-                assert t.src_slice is not None and t.dst_slice is not None
-                assert t.src_slice.stop - t.src_slice.start == t.size
+                assert isinstance(t.src_index, slice)
+                assert t.src_index.stop - t.src_index.start == t.size
                 moved += t.size
             assert plan.senders[7] == (7,)
         _now, peak = tracemalloc.get_traced_memory()
@@ -118,9 +149,6 @@ def test_block_block_plan_allocates_nothing_proportional_to_length():
         tracemalloc.stop()
     assert moved == 3 * (length + 3)
     assert peak < 64 * 1024
-    for plan in plans:
-        for t in plan.transfers:
-            assert "src_local" not in vars(t) and "dst_local" not in vars(t)
 
 
 def test_uneven_block_block_column_matches_full_plan_at_scale():
@@ -131,9 +159,9 @@ def test_uneven_block_block_column_matches_full_plan_at_scale():
     full = redistribute_schedule(source, target)
     for r in range(7):
         col = redistribute_schedule(source, target, dst=r).transfers
-        want = full.incoming(r)
-        assert [(t.src, t.dst, t.src_slice, t.dst_slice) for t in col] == \
-            [(t.src, t.dst, t.src_slice, t.dst_slice) for t in want]
+        want = [t for t in full.transfers if t.dst == r]
+        assert [(t.src, t.dst, t.src_index, t.dst_index) for t in col] == \
+            [(t.src, t.dst, t.src_index, t.dst_index) for t in want]
 
 
 def test_generic_transfers_store_slices_where_unit_stride():
@@ -145,8 +173,8 @@ def test_generic_transfers_store_slices_where_unit_stride():
     for t in redistribute_schedule(source, target, src=1).transfers:
         assert isinstance(t.dst_index, slice)
         assert isinstance(t.src_index, slice) and t.src_index.step == 4
-        assert t.dst_slice == t.dst_index and t.src_slice == t.src_index
-        assert t.size == len(t.src_local) == len(t.dst_local) == 5
+        assert t.size == len(range(40)[t.src_index]) == \
+            len(range(40)[t.dst_index]) == 5
 
 
 def test_block_to_cyclic_plan_allocates_nothing_proportional_to_length():
@@ -166,14 +194,13 @@ def test_block_to_cyclic_plan_allocates_nothing_proportional_to_length():
                 for t in plan.transfers:
                     assert plan.transfer(t.src, t.dst) is t
                     moved += t.size
-                slices = [(t.src_slice, t.dst_slice) for t in plan.transfers]
+                indices = [(t.src_index, t.dst_index)
+                           for t in plan.transfers]
                 _now, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
             assert peak < 64 * 1024
-            assert all(sl is not None for pair in slices for sl in pair)
+            assert all(isinstance(idx, slice)
+                       for pair in indices for idx in pair)
             assert plan.senders[7] == tuple(range(8))
-            for t in plan.transfers:
-                assert "src_local" not in vars(t)
-                assert "dst_local" not in vars(t)
     assert moved == 2 * (length + 3)

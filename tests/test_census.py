@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from benchmarks import census
 from benchmarks.blocks import render_blocks
 from benchmarks.census import (
     CONSTANT_VERDICTS,
@@ -25,8 +26,10 @@ from benchmarks.census import (
     render_constants,
     render_hooks,
     render_options,
+    run_workloads,
     sweep,
 )
+from benchmarks.e2e import inputs, spec, workloads
 from repro.obs import BenchResult
 
 
@@ -312,3 +315,37 @@ def test_block_writer_owns_every_number_inside_a_block():
 def test_block_writer_refuses_a_document_with_other_blocks(blocks):
     with pytest.raises(ValueError, match="toy.md blocks"):
         render_blocks(_DOC, blocks, "toy.md")
+
+
+class _FailingWorkload:
+    """Builds nothing and reports 2 of its 5 operations failed."""
+
+    def __init__(self, const, inputs):
+        pass
+
+    def build(self, observe):
+        return types.SimpleNamespace(stages=[])
+
+    def check(self, rep):
+        return workloads.Outcome(ops=5, failed=2, op_times=[])
+
+
+def test_a_failed_operation_fails_the_census(monkeypatch, capsys):
+    """A repetition whose operations failed gives no census A row: the
+    census names the workload and the count, writes no document and
+    exits 1.  Only ``run_workloads`` runs, over a stub workload."""
+    monkeypatch.setattr(workloads, "WORKLOAD_CLASSES",
+                        {"stub": _FailingWorkload})
+    monkeypatch.setattr(spec, "WORKLOADS", {"stub": {"smoke": {}}})
+    monkeypatch.setattr(inputs, "make_inputs", lambda *args: {})
+    written = []
+
+    def stub_census():
+        run_workloads("smoke")
+        raise AssertionError("the failed repetition was counted")
+
+    monkeypatch.setattr(census, "census", stub_census)
+    monkeypatch.setattr(census, "write_documents", written.append)
+    assert census.main() == 1
+    assert written == []
+    assert "stub (smoke): 2 of 5 operations failed" in capsys.readouterr().err
