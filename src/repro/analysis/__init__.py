@@ -6,8 +6,7 @@ checked rules (see ``docs/ANALYSIS.md``):
 * the simulation kernel's *exact reproducibility* promise
   (``det-*`` and ``ker-*`` rule families), and
 * the paper's layered PadicoTM architecture as an import DAG
-  (``lay-*``), plus semantic lint for IDL/parallelism specs
-  (``idl-*``) and hot-path idioms (``perf-*``).
+  (``lay-*``), plus hot-path idioms (``perf-*``).
 
 Every rule looks at one file at a time.  What only a whole run can
 show is checked at run time: races, the VLink/Circuit lifecycle and
@@ -31,10 +30,6 @@ from repro.analysis.base import (
 from repro.analysis.config import DEFAULT_CONFIG, AnalysisConfig
 from repro.analysis.engine import find_project_root, run_analysis
 from repro.analysis.findings import Finding, Severity, sort_findings
-from repro.analysis.idllint import (
-    lint_compiled_idl,
-    lint_parallelism_element,
-)
 from repro.analysis.suppress import Suppressions
 
 __all__ = [
@@ -48,8 +43,6 @@ __all__ = [
     "all_checkers",
     "all_rules",
     "find_project_root",
-    "lint_compiled_idl",
-    "lint_parallelism_element",
     "register_checker",
     "run_analysis",
     "sort_findings",

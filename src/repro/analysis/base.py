@@ -32,7 +32,7 @@ class ModuleContext:
 
     path: str                       # project-relative, forward slashes
     source: str
-    tree: ast.AST | None            # None for non-Python files (.idl)
+    tree: ast.AST
     module: str | None = None       # dotted name for files under src/
     is_package: bool = False        # True for __init__.py
     suppressions: Suppressions = field(default_factory=Suppressions)
@@ -41,7 +41,6 @@ class ModuleContext:
     @property
     def import_map(self) -> ImportMap:
         if self._import_map is None:
-            assert self.tree is not None
             self._import_map = ImportMap.build(
                 self.tree, self.module, self.is_package)
         return self._import_map
@@ -62,15 +61,10 @@ class Checker:
     name: str = "base"
     #: rule id -> one-line description (drives ``repro-lint --list-rules``)
     rules: dict[str, str] = {}
-    #: set to True for checkers that also understand non-Python sources
-    handles_idl: bool = False
 
     def check(self, ctx: ModuleContext,
               config: AnalysisConfig) -> Iterator[Finding]:
         raise NotImplementedError
-
-    def applicable(self, ctx: ModuleContext) -> bool:
-        return ctx.tree is not None
 
 
 _REGISTRY: list[type[Checker]] = []
@@ -86,7 +80,6 @@ def _load_builtin_families() -> None:
     from repro.analysis import (  # noqa: F401
         blocking,
         determinism,
-        idllint,
         layering,
         perf,
     )

@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 #: wins over ``repro.padicotm``.  A module may import its own layer and
 #: any layer below it.
 DEFAULT_LAYERS: tuple[tuple[str, tuple[str, ...]], ...] = (
+    # the analyser reads the stack's source, never imports it
+    ("analysis",    ("repro.analysis",)),
     ("sim",         ("repro.sim",)),
     # sim-san instruments the kernel/sync layer only; it must never see
     # the stack above it (the runtime notifies its duck-typed monitor)
@@ -34,7 +36,7 @@ DEFAULT_LAYERS: tuple[tuple[str, tuple[str, ...]], ...] = (
     ("ccm",         ("repro.ccm",)),
     ("gridccm",     ("repro.core",)),
     ("deploy",      ("repro.deploy",)),
-    ("tools",       ("repro.tools", "repro.analysis")),
+    ("tools",       ("repro.tools",)),
 )
 
 #: Registered escape hatches: non-top-level upward references that are

@@ -1,7 +1,7 @@
 """Analysis engine: file discovery, checker dispatch, filtering.
 
-The engine walks the given roots for ``*.py`` and ``*.idl`` sources and
-runs every registered checker over each file on its own; a finding
+The engine walks the given roots for ``*.py`` sources and runs every
+registered checker over each file on its own; a finding
 survives if no inline suppression, config allowlist entry or disabled
 rule covers it.  No rule looks across files: what only a whole run can
 show (blocking under the run token, unguarded monitor hooks, hash-seed
@@ -39,7 +39,7 @@ def collect_files(roots: list[Path]) -> list[Path]:
             files.append(root)
             continue
         for path in sorted(root.rglob("*")):
-            if path.suffix not in (".py", ".idl"):
+            if path.suffix != ".py":
                 continue
             parts = set(path.parts)
             if parts & _SKIP_DIRS or any(p.endswith(".egg-info")
@@ -63,22 +63,6 @@ def module_name_for(relpath: str) -> tuple[str | None, bool]:
     return ".".join(parts), False
 
 
-def build_context(path: Path, project_root: Path) -> ModuleContext:
-    relpath = path.resolve().relative_to(project_root).as_posix()
-    source = path.read_text(encoding="utf-8", errors="replace")
-    if path.suffix == ".idl":
-        return ModuleContext(relpath, source, tree=None)
-    module, is_package = module_name_for(relpath)
-    try:
-        tree = ast.parse(source, filename=str(path))
-    except SyntaxError as exc:
-        ctx = ModuleContext(relpath, source, tree=None)
-        ctx.parse_error = exc  # type: ignore[attr-defined]
-        return ctx
-    return ModuleContext(relpath, source, tree, module, is_package,
-                         Suppressions.scan(source))
-
-
 def _filtered(findings, ctx_suppressions: Suppressions,
               config: AnalysisConfig) -> list[Finding]:
     out: list[Finding] = []
@@ -95,15 +79,18 @@ def _analyze_file(path: Path, project_root: Path,
                   config: AnalysisConfig, checkers,
                   stats: RunStats | None = None) -> list[Finding]:
     """One file's surviving findings."""
-    ctx = build_context(path, project_root)
-    if ctx.tree is None and path.suffix == ".py":
-        exc = getattr(ctx, "parse_error", None)
+    relpath = path.resolve().relative_to(project_root).as_posix()
+    source = path.read_text(encoding="utf-8", errors="replace")
+    try:
+        tree = ast.parse(source, filename=str(path))
+    except SyntaxError as exc:
         return [Finding("parse-error", f"file does not parse: {exc}",
-                        ctx.path, getattr(exc, "lineno", 0) or 0)]
+                        relpath, exc.lineno or 0)]
+    module, is_package = module_name_for(relpath)
+    ctx = ModuleContext(relpath, source, tree, module, is_package,
+                        Suppressions.scan(source))
     findings: list[Finding] = []
     for checker in checkers:
-        if not checker.applicable(ctx):
-            continue
         start = clock()
         found = checker.check(ctx, config)
         findings.extend(_filtered(found, ctx.suppressions, config))

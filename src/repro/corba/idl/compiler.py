@@ -161,6 +161,19 @@ class CompiledIdl:
         return self
 
 
+def _enter(members: dict[str, tuple[str, str]], owner: str, name: str,
+           kind: str, definer: str) -> None:
+    """Put one name into an interface's or component's scope (OMG IDL
+    allows one definition per name there).  A name already present is
+    legal only as the same inherited definition reached again through a
+    shared base."""
+    prev = members.get(name)
+    if prev is not None and (definer == owner or prev != (kind, definer)):
+        raise IdlError(f"{name!r} is defined twice in {owner}: as "
+                       f"{prev[0]} of {prev[1]} and as {kind} of {definer}")
+    members[name] = (kind, definer)
+
+
 def compile_idl(source: str | ast.Specification) -> CompiledIdl:
     """Compile IDL source (or a parsed AST) into a :class:`CompiledIdl`."""
     spec = parse_idl(source) if isinstance(source, str) else source
@@ -174,6 +187,9 @@ class _Compiler:
         self._raw: dict[str, tuple[str, Any]] = {}
         self._kinds: dict[str, str] = {}
         self._resolving: set[str] = set()
+        # interface / component scoped name -> its scope: every member
+        # name (own and inherited) -> (kind, defining scoped name)
+        self._scopes: dict[str, dict[str, tuple[str, str]]] = {}
 
     # -- pass 1: register declarations -------------------------------------
     def compile(self, spec: ast.Specification) -> CompiledIdl:
@@ -302,6 +318,7 @@ class _Compiler:
                            node: ast.InterfaceDecl) -> None:
         idef = InterfaceDef(node.name, full_name, repo_id(full_name))
         self.out.interfaces[full_name] = idef  # allow self-reference
+        members = self._scopes[full_name] = {}
         inner_scope = f"{full_name}::"
         for base_name in node.bases:
             base_full = self._lookup(base_name, scope)
@@ -309,16 +326,17 @@ class _Compiler:
             if not isinstance(base, InterfaceDef):
                 raise IdlError(f"{base_full!r} is not an interface")
             idef.bases.append(base_full)
+            for name, (kind, definer) in self._scopes[base_full].items():
+                _enter(members, full_name, name, kind, definer)
             idef.operations.update(base.operations)
             idef.attributes.update(base.attributes)
         for item in node.body:
             if isinstance(item, ast.OperationDecl):
                 op = self._resolve_operation(item, inner_scope)
-                if op.name in idef.operations:
-                    raise IdlError(f"duplicate operation {op.name!r} in "
-                                   f"{full_name}")
+                _enter(members, full_name, op.name, "operation", full_name)
                 idef.operations[op.name] = op
             elif isinstance(item, ast.AttributeDecl):
+                _enter(members, full_name, item.name, "attribute", full_name)
                 idef.attributes[item.name] = AttributeDef(
                     item.name, self._resolve_type(item.type_spec, inner_scope),
                     item.readonly)
@@ -346,12 +364,14 @@ class _Compiler:
                            node: ast.ComponentDecl) -> None:
         cdef = ComponentDef(node.name, full_name, repo_id(full_name))
         self.out.components[full_name] = cdef
+        members = self._scopes[full_name] = {}
         if node.base is not None:
             base_full = self._lookup(node.base, scope)
             base = self._resolve_symbol(base_full)
             if not isinstance(base, ComponentDef):
                 raise IdlError(f"{base_full!r} is not a component")
             cdef.base = base_full
+            members.update(self._scopes[base_full])
             cdef.provides.update(base.provides)
             cdef.uses.update(base.uses)
             cdef.attributes.update(base.attributes)
@@ -366,11 +386,11 @@ class _Compiler:
             if not isinstance(target, InterfaceDef):
                 raise IdlError(f"port {port.name!r}: {tfull!r} is not "
                                f"an interface")
-            table = getattr(cdef, port.kind)
-            if port.name in cdef.all_ports():
-                raise IdlError(f"duplicate port {port.name!r} in {full_name}")
-            table[port.name] = tfull
+            _enter(members, full_name, port.name, f"{port.kind} port",
+                   full_name)
+            getattr(cdef, port.kind)[port.name] = tfull
         for attr in node.attributes:
+            _enter(members, full_name, attr.name, "attribute", full_name)
             cdef.attributes[attr.name] = AttributeDef(
                 attr.name, self._resolve_type(attr.type_spec, scope),
                 attr.readonly)

@@ -100,27 +100,39 @@ class ParallelPlan:
         return [info for (p, _n), info in self.ops.items() if p == port]
 
     def emit_internal_idl(self) -> str:
-        """Render the generated interfaces as IDL text (documentation /
-        Figure 5 artefact; the runtime uses the in-memory definitions)."""
+        """Render the generated interfaces as IDL text (the Figure 5
+        artefact).  Each one is declared in its original's module, so
+        this text compiled next to the original IDL yields the very
+        definitions the runtime uses."""
         lines = ["// generated by the GridCCM compiler — do not edit"]
-        for port, idef in sorted(self.internal_interfaces.items()):
-            lines.append(f"// internal interface for port {port!r}")
-            lines.append(f"interface {idef.scoped_name.split('::')[-1]} {{")
-            for op in idef.operations.values():
-                params = ", ".join(
-                    f"{d} {_idl_text(t)} {n}" for n, d, t in op.params)
-                lines.append(f"    {_idl_text(op.return_type)} "
-                             f"{op.name}({params});")
-            lines.append("};")
-        for port, idef in sorted(self.proxy_interfaces.items()):
-            base = idef.bases[0] if idef.bases else ""
-            lines.append(f"// proxy interface for port {port!r}")
-            lines.append(
-                f"interface {idef.scoped_name.split('::')[-1]} : {base} {{")
-            lines.append("    unsigned long gridccm_size();")
-            lines.append("    Object gridccm_node(in unsigned long rank);")
-            lines.append("};")
+        for port, internal in sorted(self.internal_interfaces.items()):
+            proxy = self.proxy_interfaces[port]
+            lines += _in_module(internal.scoped_name, [
+                f"// internal interface for port {port!r}",
+                f"interface {internal.name} {{",
+                *(f"    {_op_text(op)}"
+                  for op in internal.operations.values()),
+                "};",
+                f"// proxy interface for port {port!r}",
+                f"interface {proxy.name} : {proxy.bases[0]} {{",
+                *(f"    {_op_text(proxy.operations[name])}"
+                  for name in ("gridccm_size", "gridccm_node")),
+                "};"])
         return "\n".join(lines) + "\n"
+
+
+def _in_module(scoped_name: str, body: list[str]) -> list[str]:
+    """``body`` wrapped in the modules enclosing ``scoped_name``."""
+    modules = scoped_name.split("::")[:-1]
+    return ([f"module {m} {{" for m in modules] + body
+            + ["};"] * len(modules))
+
+
+def _op_text(op: OperationDef) -> str:
+    params = ", ".join(f"{d} {_idl_text(t)} {n}" for n, d, t in op.params)
+    raises = (" raises (" + ", ".join(e.scoped_name for e in op.raises)
+              + ")" if op.raises else "")
+    return f"{_idl_text(op.return_type)} {op.name}({params}){raises};"
 
 
 def _idl_text(t: IdlType) -> str:

@@ -14,7 +14,12 @@ import sys
 from pathlib import Path
 
 from repro.corba.idl import IdlError, compile_idl
-from repro.corba.idl.compiler import CompiledIdl
+from repro.corba.idl.compiler import AttributeDef, CompiledIdl
+
+
+def _attribute_lines(attributes: dict[str, AttributeDef]) -> list[str]:
+    return [f"    {'readonly ' if a.readonly else ''}attribute "
+            f"{a.type.typename()} {a.name}" for a in attributes.values()]
 
 
 def format_model(idl: CompiledIdl, repo_ids: bool = False) -> str:
@@ -37,19 +42,14 @@ def format_model(idl: CompiledIdl, repo_ids: bool = False) -> str:
                     if op.raises else "")
                 lines.append(f"    {op.return_type.typename()} "
                              f"{op.name}({params}){raises}{suffix}")
-            for attr in idef.attributes.values():
-                ro = "readonly " if attr.readonly else ""
-                lines.append(f"    {ro}attribute "
-                             f"{attr.type.typename()} {attr.name}")
+            lines.extend(_attribute_lines(idef.attributes))
     if idl.components:
         lines.append("components:")
         for name, cdef in sorted(idl.components.items()):
             lines.append(f"  {tag(name, cdef.repo_id)}")
             for pname, (kind, tname) in sorted(cdef.all_ports().items()):
                 lines.append(f"    {kind} {tname} {pname}")
-            for attr in cdef.attributes.values():
-                lines.append(f"    attribute {attr.type.typename()} "
-                             f"{attr.name}")
+            lines.extend(_attribute_lines(cdef.attributes))
     if idl.homes:
         lines.append("homes:")
         for name, hdef in sorted(idl.homes.items()):

@@ -25,10 +25,7 @@ def lint_text(source: str, *, path: str = "src/repro/sim/snippet.py",
                         Suppressions.scan(source))
     findings = []
     for cls in all_checkers():
-        checker = cls()
-        if not checker.applicable(ctx):
-            continue
-        for f in checker.check(ctx, config):
+        for f in cls().check(ctx, config):
             if ctx.suppressions.is_suppressed(f.rule, f.line):
                 continue
             if config.is_allowed(f.path, f.rule):

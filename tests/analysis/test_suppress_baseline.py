@@ -143,8 +143,10 @@ def test_cli_json_output(project, monkeypatch, capsys):
 def test_cli_list_rules(capsys):
     assert cli_main(["--list-rules"]) == 0
     out = capsys.readouterr().out
-    for rule in ("det-wallclock", "ker-thread", "lay-upward", "idl-dup-op"):
+    for rule in ("det-wallclock", "ker-thread", "lay-upward",
+                 "perf-list-pop0"):
         assert rule in out
+    assert "idl-" not in out
 
 
 def test_cli_missing_path(capsys):

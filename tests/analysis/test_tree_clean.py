@@ -1,10 +1,9 @@
 """Tier-1 gate: the committed tree must be clean under repro-lint.
 
 This is the test that makes every future PR pass through the analyzer:
-a new wall-clock read, blocking primitive, upward import or broken
-IDL/parallelism pairing anywhere under ``src/`` or ``examples/`` fails
-the suite unless it is either fixed or inline-suppressed with a
-justification.
+a new wall-clock read, blocking primitive, upward import or hot-path
+idiom anywhere under ``src/`` or ``examples/`` fails the suite unless
+it is either fixed or inline-suppressed with a justification.
 """
 
 from __future__ import annotations

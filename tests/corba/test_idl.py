@@ -104,6 +104,59 @@ def test_interface_multiple_inheritance():
     assert set(idl.interface("AB").operations) == {"fa", "fb"}
 
 
+def test_shared_grandparent_diamond_compiles():
+    idl = compile_idl("""
+    module M {
+        interface Root { void ping(); attribute long n; };
+        interface A : Root { void fa(); };
+        interface B : Root { void fb(); };
+        interface AB : A, B {};
+    };
+    """)
+    ab = idl.interface("M::AB")
+    assert set(ab.operations) == {"ping", "fa", "fb"}
+    assert ab.operations["ping"] is idl.interface("M::Root").operations["ping"]
+    assert set(ab.attributes) == {"n"}
+
+
+@pytest.mark.parametrize("source,owner,first,second", [
+    ("interface A { void ping(); }; interface B { void ping(in long n); };"
+     "interface AB : A, B {};",
+     "M::AB", "operation of M::A", "operation of M::B"),
+    ("interface A { attribute long ping; };"
+     "interface B { readonly attribute long ping; };"
+     "interface AB : A, B {};",
+     "M::AB", "attribute of M::A", "attribute of M::B"),
+    ("interface A { attribute long ping; };"
+     "interface B : A { attribute double ping; };",
+     "M::B", "attribute of M::A", "attribute of M::B"),
+    ("interface A { void ping(); };"
+     "interface B : A { attribute long ping; };",
+     "M::B", "operation of M::A", "attribute of M::B"),
+    ("interface A { void ping(); attribute long ping; };",
+     "M::A", "operation of M::A", "attribute of M::A"),
+    ("interface A { attribute long ping; attribute long ping; };",
+     "M::A", "attribute of M::A", "attribute of M::A"),
+    ("interface P {}; component C { provides P ping; attribute long ping; };",
+     "M::C", "provides port of M::C", "attribute of M::C"),
+    ("interface P {}; component B { uses P ping; };"
+     "component C : B { attribute long ping; };",
+     "M::C", "uses port of M::B", "attribute of M::C"),
+    ("component B { attribute long ping; };"
+     "component C : B { attribute long ping; };",
+     "M::C", "attribute of M::B", "attribute of M::C"),
+], ids=["diamond-operation", "diamond-attribute", "attribute-redefined",
+        "attribute-over-inherited-operation", "operation-and-attribute",
+        "duplicate-attribute", "component-attribute-and-port",
+        "component-attribute-and-base-port",
+        "component-attribute-redefined"])
+def test_one_name_per_scope(source, owner, first, second):
+    with pytest.raises(IdlError) as ei:
+        compile_idl(f"module M {{ {source} }};")
+    assert str(ei.value) == (f"'ping' is defined twice in {owner}: "
+                             f"as {first} and as {second}")
+
+
 def test_cross_module_name_resolution():
     idl = compile_idl("""
     module Base { struct S { long v; }; };

@@ -14,9 +14,10 @@ IDL = """
 module App {
     typedef sequence<double> Vector;
     struct Meta { string name; };
+    exception Full { long used; };
     interface Compute {
         double norm2(in Vector values);
-        void store(in Vector values, in string tag);
+        void store(in Vector values, in string tag) raises (Full);
         Vector scale(in Vector values, in double factor);
         void notag(in Meta m);
         oneway void fire(in Vector values);
@@ -118,10 +119,33 @@ def test_proxy_interface_extends_original():
 def test_emit_internal_idl_text():
     _idl, plan = _compile()
     text = plan.emit_internal_idl()
+    assert "module App {\n// internal interface for port 'input'" in text
     assert "interface GridCCM_Compute" in text
     assert "gridccm_request" in text
     assert "sequence<double> values_chunk" in text
+    assert "in string tag) raises (App::Full);" in text
     assert "interface GridCCMProxy_Compute : App::Compute" in text
+    assert "App::GridCCM_Compute gridccm_node(in unsigned long rank);" \
+        in text
+
+
+def test_emitted_idl_compiles_to_the_plan():
+    """The Figure 5 text is the runtime's model: compiled next to the
+    original IDL it yields the plan's internal and proxy interfaces."""
+    _idl, plan = _compile()
+    recompiled = compile_idl(IDL + plan.emit_internal_idl())
+    generated = [*plan.internal_interfaces.values(),
+                 *plan.proxy_interfaces.values()]
+    assert len(generated) == 2
+    for idef in generated:
+        got = recompiled.interface(idef.scoped_name)
+        assert (got.repo_id, got.bases) == (idef.repo_id, idef.bases)
+        assert list(got.operations) == list(idef.operations)
+        for name, op in idef.operations.items():
+            mine = got.operations[name]
+            assert mine.params == op.params
+            assert mine.return_type == op.return_type
+            assert mine.raises == op.raises
 
 
 def test_emit_internal_idl_keeps_sequence_bounds():

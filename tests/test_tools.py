@@ -12,7 +12,10 @@ module T {
         double f(in Vec v) raises (Bad);
         readonly attribute long count;
     };
-    component Comp { provides Svc port0; };
+    component Comp {
+        provides Svc port0;
+        readonly attribute long nodes;
+    };
     home CompHome manages Comp {};
 };
 """
@@ -38,6 +41,7 @@ def test_idlc_summary(tmp_path, capsys):
     assert "double f(in sequence<double> v) raises(T::Bad)" in out
     assert "readonly attribute long count" in out
     assert "provides T::Svc port0" in out
+    assert "readonly attribute long nodes" in out
     assert "T::CompHome manages T::Comp" in out
 
 
@@ -62,6 +66,14 @@ def test_idlc_multiple_files_and_errors(tmp_path, capsys):
     assert idlc.main([str(bad)]) == 1
     assert "bad.idl" in capsys.readouterr().err
 
+    diamond = tmp_path / "diamond.idl"
+    diamond.write_text("interface L { void ping(); };"
+                       "interface R { void ping(in long n); };"
+                       "interface LR : L, R {};")
+    assert idlc.main([str(a), str(diamond)]) == 1
+    err = capsys.readouterr().err
+    assert "diamond.idl" in err and "'ping' is defined twice in LR" in err
+
     assert idlc.main([str(tmp_path / "missing.idl")]) == 2
 
 
@@ -72,10 +84,12 @@ def test_gridccm_gen_stdout(tmp_path, capsys):
     fx.write_text(XML)
     assert gridccm_gen.main([str(fi), str(fx)]) == 0
     out = capsys.readouterr().out
+    assert "module T {" in out
     assert "interface GridCCM_Svc" in out
     assert "gridccm_request" in out
-    assert "sequence<double> v_chunk" in out
+    assert "sequence<double> v_chunk) raises (T::Bad);" in out
     assert "GridCCMProxy_Svc : T::Svc" in out
+    assert "T::GridCCM_Svc gridccm_node(in unsigned long rank);" in out
 
 
 def test_gridccm_gen_output_file(tmp_path):
