@@ -7,24 +7,16 @@
 PYTHON ?= python
 PYTHONPATH := src
 
-.PHONY: check lint lint-mutants test copy-budget \
-	schedule-smoke bench-e2e census
+.PHONY: check lint test copy-budget schedule-smoke bench-e2e census
 
-check: lint lint-mutants test copy-budget schedule-smoke bench-e2e census
+check: lint test copy-budget schedule-smoke bench-e2e census
 
-# The full run CI gates on; --stats prints per-checker wall time and
-# per-rule finding counts into the log.
+# The full run CI gates on: exit 1 on any finding.  The rules' own
+# cases are tier-1 tests (tests/analysis); races, typestate and publish
+# windows are sim-san's (tests/sanitizer), blocking behind helpers is
+# the tier-1 guard's (tests/conftest.py), hook guards are the census's.
 lint:
-	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro.analysis.cli --stats \
-		src examples
-
-# Seeded-mutant gate: it scores perf-* only.  Every bad-corpus defect
-# must be caught, every good-corpus pattern must stay clean (races,
-# typestate and publish windows are sim-san's: tests/sanitizer; blocking
-# behind helpers is the tier-1 guard's: tests/conftest.py; hook guards
-# are the census's)
-lint-mutants:
-	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro.analysis.mutants
+	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro.analysis.cli src examples
 
 test:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest -x -q

@@ -16,34 +16,29 @@ hash-seed dependence by the tier-1 suite.  The family audit in
 ``docs/ANALYSIS.md`` says why each family here stays.
 
 Entry points: the ``repro-lint`` console script
-(:func:`repro.analysis.cli.main`) and :func:`run_analysis` for
-programmatic use (the tier-1 gate test in ``tests/analysis``).
+(:func:`repro.analysis.cli.main`), :func:`run_analysis` over files (the
+tier-1 gate test in ``tests/analysis``) and :func:`check_source` over
+one file's text.
 """
 
-from repro.analysis.base import (
-    Checker,
-    ModuleContext,
-    all_checkers,
-    all_rules,
-    register_checker,
-)
+from repro.analysis.base import Checker, ModuleContext
 from repro.analysis.config import DEFAULT_CONFIG, AnalysisConfig
-from repro.analysis.engine import find_project_root, run_analysis
-from repro.analysis.findings import Finding, Severity, sort_findings
-from repro.analysis.suppress import Suppressions
+from repro.analysis.engine import (
+    CHECKERS,
+    check_source,
+    find_project_root,
+    run_analysis,
+)
+from repro.analysis.findings import Finding
 
 __all__ = [
     "AnalysisConfig",
+    "CHECKERS",
     "Checker",
     "DEFAULT_CONFIG",
     "Finding",
     "ModuleContext",
-    "Severity",
-    "Suppressions",
-    "all_checkers",
-    "all_rules",
+    "check_source",
     "find_project_root",
-    "register_checker",
     "run_analysis",
-    "sort_findings",
 ]

@@ -1,29 +1,20 @@
-"""Checker plugin model for ``repro-lint``.
+"""Checker model for ``repro-lint``.
 
 A checker is a class with a ``rules`` table and a ``check(ctx, config)``
 method yielding :class:`~repro.analysis.findings.Finding` objects for
-one file.  Registration is decorator-based so new families plug in
-without touching the engine::
-
-    @register_checker
-    class MyChecker(Checker):
-        name = "my-family"
-        rules = {"my-rule": "what it catches"}
-
-        def check(self, ctx, config):
-            ...
+one file.  The engine runs the classes listed in
+:data:`repro.analysis.engine.CHECKERS`.
 """
 
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
 from repro.analysis.config import AnalysisConfig
-from repro.analysis.findings import Finding, Severity
+from repro.analysis.findings import Finding
 from repro.analysis.imports import ImportMap
-from repro.analysis.suppress import Suppressions
 
 
 @dataclass
@@ -31,11 +22,9 @@ class ModuleContext:
     """Everything a checker may want to know about one source file."""
 
     path: str                       # project-relative, forward slashes
-    source: str
     tree: ast.AST
     module: str | None = None       # dotted name for files under src/
     is_package: bool = False        # True for __init__.py
-    suppressions: Suppressions = field(default_factory=Suppressions)
     _import_map: ImportMap | None = None
 
     @property
@@ -46,12 +35,11 @@ class ModuleContext:
         return self._import_map
 
     def finding(self, rule: str, message: str, node: ast.AST | None = None,
-                line: int = 0, col: int = 0,
-                severity: Severity = Severity.ERROR) -> Finding:
+                line: int = 0, col: int = 0) -> Finding:
         if node is not None:
             line = getattr(node, "lineno", line)
             col = getattr(node, "col_offset", col)
-        return Finding(rule, message, self.path, line, col, severity)
+        return Finding(rule, message, self.path, line, col)
 
 
 class Checker:
@@ -65,34 +53,3 @@ class Checker:
     def check(self, ctx: ModuleContext,
               config: AnalysisConfig) -> Iterator[Finding]:
         raise NotImplementedError
-
-
-_REGISTRY: list[type[Checker]] = []
-
-
-def register_checker(cls: type[Checker]) -> type[Checker]:
-    _REGISTRY.append(cls)
-    return cls
-
-
-def _load_builtin_families() -> None:
-    # import for side effect: built-in families self-register
-    from repro.analysis import (  # noqa: F401
-        blocking,
-        determinism,
-        layering,
-        perf,
-    )
-
-
-def all_checkers() -> list[type[Checker]]:
-    """Registered per-file checker classes, in registration order."""
-    _load_builtin_families()
-    return list(_REGISTRY)
-
-
-def all_rules() -> dict[str, str]:
-    out: dict[str, str] = {}
-    for cls in all_checkers():
-        out.update(cls.rules)
-    return out

@@ -31,7 +31,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.analysis.base import Checker, ModuleContext, register_checker
+from repro.analysis.base import Checker, ModuleContext
 from repro.analysis.config import AnalysisConfig
 from repro.analysis.findings import Finding
 
@@ -126,7 +126,6 @@ class _BlockingVisitor(ast.NodeVisitor):
         self.generic_visit(node)
 
 
-@register_checker
 class BlockingChecker(Checker):
     name = "kernel-safety"
     rules = {

@@ -68,9 +68,9 @@ DEFAULT_LAYER_EXCEPTIONS: dict[tuple[str, str], str] = {
         "PadicoProcess.",
 }
 
-#: (project-relative file path, rule id) pairs exempted wholesale.
-#: Keep this list short and justified — it is the config-level analogue
-#: of an inline ``# repro-lint: disable=`` comment.
+#: (project-relative file path, rule id) pairs exempted wholesale, each
+#: with its reason.  This is the one way to exempt a finding: keep it
+#: short and justified.
 DEFAULT_FILE_ALLOW: dict[tuple[str, str], str] = {
     # The cooperative kernel's lock hand-off is the one place real
     # threading primitives are legal: each SimProcess is an OS thread
@@ -81,12 +81,6 @@ DEFAULT_FILE_ALLOW: dict[tuple[str, str], str] = {
     ("src/repro/sim/backends.py", "ker-thread"):
         "ThreadBackend is the one-at-a-time lock hand-off (baton passing) "
         "between the run() caller and the process threads",
-    # The linter measures its own wall time for --stats; that is
-    # tooling latency, not simulated time, and the clock reads are
-    # confined to stats.clock() (same reasoning that keeps the
-    # benchmarks/ tree outside the linted roots).
-    ("src/repro/analysis/stats.py", "det-wallclock"):
-        "--stats measures the linter's own wall time",
 }
 
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.analysis.base import Checker, ModuleContext, register_checker
+from repro.analysis.base import Checker, ModuleContext
 from repro.analysis.config import AnalysisConfig
 from repro.analysis.findings import Finding
 
@@ -220,7 +220,6 @@ class _DeterminismVisitor(ast.NodeVisitor):
         self.generic_visit(node)
 
 
-@register_checker
 class DeterminismChecker(Checker):
     name = "determinism"
     rules = {

@@ -1,11 +1,12 @@
 """Analysis engine: file discovery, checker dispatch, filtering.
 
 The engine walks the given roots for ``*.py`` sources and runs every
-registered checker over each file on its own; a finding
-survives if no inline suppression, config allowlist entry or disabled
-rule covers it.  No rule looks across files: what only a whole run can
-show (blocking under the run token, unguarded monitor hooks, hash-seed
-dependence) is checked at run time by the tier-1 suite.
+checker of :data:`CHECKERS` over each file on its own
+(:func:`check_source`); a finding survives unless its (file, rule) pair
+has a ``DEFAULT_FILE_ALLOW`` entry.  No rule looks across files: what
+only a whole run can show (blocking under the run token, unguarded
+monitor hooks, hash-seed dependence) is checked at run time by the
+tier-1 suite.
 """
 
 from __future__ import annotations
@@ -13,11 +14,21 @@ from __future__ import annotations
 import ast
 from pathlib import Path
 
-from repro.analysis.base import ModuleContext, all_checkers
+from repro.analysis.base import Checker, ModuleContext
+from repro.analysis.blocking import BlockingChecker
 from repro.analysis.config import DEFAULT_CONFIG, AnalysisConfig
-from repro.analysis.findings import Finding, sort_findings
-from repro.analysis.stats import RunStats, clock
-from repro.analysis.suppress import Suppressions
+from repro.analysis.determinism import DeterminismChecker
+from repro.analysis.findings import Finding
+from repro.analysis.layering import LayeringChecker
+from repro.analysis.perf import PerfChecker
+
+#: The rule families, in ``--list-rules`` order.
+CHECKERS: tuple[Checker, ...] = (
+    BlockingChecker(),
+    DeterminismChecker(),
+    LayeringChecker(),
+    PerfChecker(),
+)
 
 _SKIP_DIRS = {"__pycache__", ".git", ".hg", "build", "dist", "node_modules"}
 
@@ -63,65 +74,39 @@ def module_name_for(relpath: str) -> tuple[str | None, bool]:
     return ".".join(parts), False
 
 
-def _filtered(findings, ctx_suppressions: Suppressions,
-              config: AnalysisConfig) -> list[Finding]:
-    out: list[Finding] = []
-    for finding in findings:
-        if ctx_suppressions.is_suppressed(finding.rule, finding.line):
-            continue
-        if config.is_allowed(finding.path, finding.rule):
-            continue
-        out.append(finding)
-    return out
+def check_source(source: str, relpath: str,
+                 config: AnalysisConfig = DEFAULT_CONFIG) -> list[Finding]:
+    """One file's surviving findings, in checker order.
 
-
-def _analyze_file(path: Path, project_root: Path,
-                  config: AnalysisConfig, checkers,
-                  stats: RunStats | None = None) -> list[Finding]:
-    """One file's surviving findings."""
-    relpath = path.resolve().relative_to(project_root).as_posix()
-    source = path.read_text(encoding="utf-8", errors="replace")
+    ``relpath`` is the file's project-relative posix path: it names the
+    module (files under ``src/``) and keys the ``DEFAULT_FILE_ALLOW``
+    entries."""
     try:
-        tree = ast.parse(source, filename=str(path))
+        tree = ast.parse(source, filename=relpath)
     except SyntaxError as exc:
         return [Finding("parse-error", f"file does not parse: {exc}",
                         relpath, exc.lineno or 0)]
     module, is_package = module_name_for(relpath)
-    ctx = ModuleContext(relpath, source, tree, module, is_package,
-                        Suppressions.scan(source))
-    findings: list[Finding] = []
-    for checker in checkers:
-        start = clock()
-        found = checker.check(ctx, config)
-        findings.extend(_filtered(found, ctx.suppressions, config))
-        if stats is not None:
-            stats.add_file_time(checker.name, clock() - start)
-    return findings
+    ctx = ModuleContext(relpath, tree, module, is_package)
+    return [finding
+            for checker in CHECKERS
+            for finding in checker.check(ctx, config)
+            if not config.is_allowed(finding.path, finding.rule)]
 
 
 def run_analysis(roots: list[Path],
                  config: AnalysisConfig = DEFAULT_CONFIG,
-                 project_root: Path | None = None,
-                 stats: RunStats | None = None) -> list[Finding]:
-    """Run every registered checker over the roots; returns findings
-    that survive inline suppressions and the config allowlist.
-
-    With ``stats`` set, per-checker wall time and per-rule finding
-    counts are accumulated onto it.
-    """
+                 project_root: Path | None = None) -> list[Finding]:
+    """Run every checker over the roots; returns the findings no
+    ``DEFAULT_FILE_ALLOW`` entry exempts, sorted by location."""
     if project_root is None:
         project_root = find_project_root(roots[0] if roots else Path("."))
     project_root = project_root.resolve()
-    checkers = [cls() for cls in all_checkers()]
 
     findings: list[Finding] = []
     # a file named twice (a root and a directory holding it) counts once
-    files = list(dict.fromkeys(p.resolve() for p in collect_files(roots)))
-    for path in files:
-        findings.extend(_analyze_file(path, project_root, config,
-                                      checkers, stats))
-    findings = sort_findings(findings)
-    if stats is not None:
-        stats.files_analyzed = len(files)
-        stats.count_findings(findings)
-    return findings
+    for path in dict.fromkeys(p.resolve() for p in collect_files(roots)):
+        relpath = path.relative_to(project_root).as_posix()
+        source = path.read_text(encoding="utf-8", errors="replace")
+        findings.extend(check_source(source, relpath, config))
+    return sorted(findings, key=Finding.sort_key)

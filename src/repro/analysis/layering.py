@@ -23,9 +23,9 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.analysis.base import Checker, ModuleContext, register_checker
+from repro.analysis.base import Checker, ModuleContext
 from repro.analysis.config import AnalysisConfig
-from repro.analysis.findings import Finding, Severity
+from repro.analysis.findings import Finding
 from repro.analysis.imports import resolve_from
 
 _TOPLEVEL = "toplevel"
@@ -64,7 +64,6 @@ def _collect_imports(tree: ast.AST):
     yield from walk(tree, _TOPLEVEL)
 
 
-@register_checker
 class LayeringChecker(Checker):
     name = "layering"
     rules = {
@@ -84,7 +83,7 @@ class LayeringChecker(Checker):
                     "lay-unknown",
                     f"module {ctx.module!r} maps to no layer; add its "
                     f"package to the layer table in repro.analysis.config",
-                    line=1, severity=Severity.WARNING)
+                    line=1)
             return
         my_rank, my_name = my_layer
         for node, target, context in _collect_imports(ctx.tree):
@@ -101,8 +100,7 @@ class LayeringChecker(Checker):
                         "lay-unknown",
                         f"imported module {imported!r} maps to no layer; "
                         f"add it to the layer table in "
-                        f"repro.analysis.config", node,
-                        severity=Severity.WARNING)
+                        f"repro.analysis.config", node)
                 continue
             their_rank, their_name = their_layer
             if their_rank <= my_rank:

@@ -39,9 +39,9 @@ that have actually bitten this codebase:
     loop, or an expression the checker cannot prove invariant (calls,
     comprehensions), keeps the rule silent.
 
-Like every family, findings are suppressible with
-``# repro-lint: disable=perf-...`` where the pattern is deliberate
-(e.g. a bounded two-element list).
+Where a pattern is deliberate, fix the code or give the (file, rule)
+pair a ``DEFAULT_FILE_ALLOW`` entry with its reason
+(:mod:`repro.analysis.config`); none is needed today.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.analysis.base import Checker, ModuleContext, register_checker
+from repro.analysis.base import Checker, ModuleContext
 from repro.analysis.config import AnalysisConfig
 from repro.analysis.findings import Finding
 
@@ -309,7 +309,6 @@ class _PerfVisitor(ast.NodeVisitor):
         self.generic_visit(node)
 
 
-@register_checker
 class PerfChecker(Checker):
     name = "performance"
     rules = {

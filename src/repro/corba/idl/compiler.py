@@ -161,6 +161,12 @@ class CompiledIdl:
         return self
 
 
+#: declarations an interface body may nest, by the kind a scope error
+#: names
+_NESTED_KINDS = {ast.StructDecl: "struct", ast.EnumDecl: "enum",
+                 ast.TypedefDecl: "typedef", ast.ExceptionDecl: "exception"}
+
+
 def _enter(members: dict[str, tuple[str, str]], owner: str, name: str,
            kind: str, definer: str) -> None:
     """Put one name into an interface's or component's scope (OMG IDL
@@ -186,9 +192,10 @@ class _Compiler:
         # raw declarations awaiting resolution: scoped name -> (scope, node)
         self._raw: dict[str, tuple[str, Any]] = {}
         self._kinds: dict[str, str] = {}
-        self._resolving: set[str] = set()
-        # interface / component scoped name -> its scope: every member
-        # name (own and inherited) -> (kind, defining scoped name)
+        # declarations being resolved, outermost first
+        self._resolving: list[str] = []
+        # interface / component scoped name -> the members a derived one
+        # inherits: name -> (kind, defining scoped name)
         self._scopes: dict[str, dict[str, tuple[str, str]]] = {}
 
     # -- pass 1: register declarations -------------------------------------
@@ -213,9 +220,7 @@ class _Compiler:
             if isinstance(node, ast.InterfaceDecl):
                 nested_scope = f"{name}::"
                 for item in node.body:
-                    if isinstance(item, (ast.StructDecl, ast.EnumDecl,
-                                         ast.TypedefDecl,
-                                         ast.ExceptionDecl)):
+                    if isinstance(item, tuple(_NESTED_KINDS)):
                         nname = f"{nested_scope}{item.name}"
                         if nname in self._kinds:
                             raise IdlError(f"duplicate definition {nname!r}")
@@ -251,8 +256,10 @@ class _Compiler:
                 or full_name in self.out.homes:
             return self._resolved_entry(full_name)
         if full_name in self._resolving:
-            raise IdlError(f"circular definition involving {full_name!r}")
-        self._resolving.add(full_name)
+            cycle = self._resolving[self._resolving.index(full_name):]
+            raise IdlError("circular definition: "
+                           + " -> ".join([*cycle, full_name]))
+        self._resolving.append(full_name)
         try:
             scope, node = self._raw[full_name]
             if isinstance(node, ast.StructDecl):
@@ -280,7 +287,7 @@ class _Compiler:
             else:
                 raise IdlError(f"cannot resolve {type(node).__name__}")
         finally:
-            self._resolving.discard(full_name)
+            self._resolving.pop()
         return self._resolved_entry(full_name)
 
     def _resolved_entry(self, full_name: str) -> Any:
@@ -295,12 +302,10 @@ class _Compiler:
             if t.name == "Object":  # CORBA::Object — any object reference
                 return ObjRefType("")
             full = self._lookup(t.name, scope)
-            kind = self._kinds[full]
-            if kind == "InterfaceDecl":
-                self._resolve_symbol(full)
-                return ObjRefType(full)
-            if kind == "ComponentDecl":
-                self._resolve_symbol(full)
+            # a reference needs only the name: the interface or component
+            # resolves in its own turn, so only a base list can reach one
+            # being resolved, and then it is a cycle
+            if self._kinds[full] in ("InterfaceDecl", "ComponentDecl"):
                 return ObjRefType(full)
             resolved = self._resolve_symbol(full)
             if not isinstance(resolved, IdlType):
@@ -317,11 +322,13 @@ class _Compiler:
     def _resolve_interface(self, full_name: str, scope: str,
                            node: ast.InterfaceDecl) -> None:
         idef = InterfaceDef(node.name, full_name, repo_id(full_name))
-        self.out.interfaces[full_name] = idef  # allow self-reference
-        members = self._scopes[full_name] = {}
+        members: dict[str, tuple[str, str]] = {}
         inner_scope = f"{full_name}::"
         for base_name in node.bases:
             base_full = self._lookup(base_name, scope)
+            if base_full in idef.bases:
+                raise IdlError(f"{full_name} names the base {base_full} "
+                               f"twice")
             base = self._resolve_symbol(base_full)
             if not isinstance(base, InterfaceDef):
                 raise IdlError(f"{base_full!r} is not an interface")
@@ -340,7 +347,17 @@ class _Compiler:
                 idef.attributes[item.name] = AttributeDef(
                     item.name, self._resolve_type(item.type_spec, inner_scope),
                     item.readonly)
-            # nested type declarations were registered in pass 1
+            else:
+                # a nested type resolves as its own declaration, but its
+                # name shares the interface's scope
+                _enter(members, full_name, item.name,
+                       _NESTED_KINDS[type(item)], full_name)
+        # derived interfaces inherit operations and attributes; they may
+        # redefine an inherited type name
+        self._scopes[full_name] = {
+            name: entry for name, entry in members.items()
+            if entry[0] in ("operation", "attribute")}
+        self.out.interfaces[full_name] = idef
 
     def _resolve_operation(self, op: ast.OperationDecl,
                            scope: str) -> OperationDef:
@@ -363,8 +380,7 @@ class _Compiler:
     def _resolve_component(self, full_name: str, scope: str,
                            node: ast.ComponentDecl) -> None:
         cdef = ComponentDef(node.name, full_name, repo_id(full_name))
-        self.out.components[full_name] = cdef
-        members = self._scopes[full_name] = {}
+        members: dict[str, tuple[str, str]] = {}
         if node.base is not None:
             base_full = self._lookup(node.base, scope)
             base = self._resolve_symbol(base_full)
@@ -394,6 +410,8 @@ class _Compiler:
             cdef.attributes[attr.name] = AttributeDef(
                 attr.name, self._resolve_type(attr.type_spec, scope),
                 attr.readonly)
+        self._scopes[full_name] = members
+        self.out.components[full_name] = cdef
 
     def _resolve_home(self, full_name: str, scope: str,
                       node: ast.HomeDecl) -> None:

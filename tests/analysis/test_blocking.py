@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import ast
+from pathlib import Path
+
 import pytest
 
-from repro.analysis import DEFAULT_CONFIG
+import repro.analysis
+from repro.analysis.config import DEFAULT_FILE_ALLOW
 from tests.analysis.conftest import lint_text
 
 KER_RULES = {"ker-thread", "ker-sleep", "ker-socket", "ker-subprocess"}
@@ -48,20 +52,29 @@ def test_true_negative(source):
 def test_backend_file_is_allowlisted():
     """backends.py holds one class, ThreadBackend — the lock hand-off
     (baton passing) every simulated process yields through.  It is
-    exempt in that file only, and only for ker-thread."""
+    exempt in that file only, and only for ker-thread: the single
+    ``DEFAULT_FILE_ALLOW`` entry, the one way to exempt a finding."""
     source = """
         import threading
         sem = threading.Semaphore(0)
     """
     assert ker(source) == ["ker-thread"]
-    assert ker(source, path="src/repro/sim/backends.py",
-               module="repro.sim.backends") == []
+    assert ker(source, path="src/repro/sim/backends.py") == []
     # kernel.py is threading-free and not exempt
-    assert ker(source, path="src/repro/sim/kernel.py",
-               module="repro.sim.kernel") == ["ker-thread"]
+    assert ker(source, path="src/repro/sim/kernel.py") == ["ker-thread"]
     # the exemption is per-rule: a time.sleep in backends.py still fires
     assert ker("import time\ntime.sleep(1)",
-               path="src/repro/sim/backends.py",
-               module="repro.sim.backends") == ["ker-sleep"]
-    assert DEFAULT_CONFIG.file_allow[("src/repro/sim/backends.py",
-                                      "ker-thread")]
+               path="src/repro/sim/backends.py") == ["ker-sleep"]
+    assert set(DEFAULT_FILE_ALLOW) == {("src/repro/sim/backends.py",
+                                        "ker-thread")}
+    assert DEFAULT_FILE_ALLOW[("src/repro/sim/backends.py", "ker-thread")]
+    # the analyser itself reads no host clock
+    package = Path(repro.analysis.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        imported = set()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported.update(a.name.split(".")[0] for a in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                imported.add((node.module or "").split(".")[0])
+        assert "time" not in imported, path.name

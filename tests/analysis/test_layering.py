@@ -10,63 +10,53 @@ from tests.analysis.conftest import lint_text
 LAY_RULES = {"lay-upward", "lay-escape", "lay-unknown"}
 
 
-def lay(source: str, *, path: str, module: str,
-        config=DEFAULT_CONFIG) -> list[str]:
-    return [f.rule for f in lint_text(source, path=path, module=module,
-                                      rules=LAY_RULES, config=config)]
+def lay(source: str, *, path: str, config=DEFAULT_CONFIG) -> list[str]:
+    return [f.rule for f in lint_text(source, path=path, rules=LAY_RULES,
+                                      config=config)]
 
 
 # ---------------------------------------------------------------------------
 # upward imports are rejected
 # ---------------------------------------------------------------------------
-@pytest.mark.parametrize("module,path,source", [
-    ("repro.sim.evil", "src/repro/sim/evil.py",
-     "from repro.ccm.container import Container"),
-    ("repro.sim.evil", "src/repro/sim/evil.py",
-     "import repro.ccm.container"),
-    ("repro.net.evil", "src/repro/net/evil.py",
+@pytest.mark.parametrize("path,source", [
+    ("src/repro/sim/evil.py", "from repro.ccm.container import Container"),
+    ("src/repro/sim/evil.py", "import repro.ccm.container"),
+    ("src/repro/net/evil.py",
      "from repro.padicotm.runtime import PadicoRuntime"),
-    ("repro.padicotm.arbitration.evil",
-     "src/repro/padicotm/arbitration/evil.py",
+    ("src/repro/padicotm/arbitration/evil.py",
      "from repro.padicotm.abstraction.vlink import VLink"),
-    ("repro.padicotm.abstraction.evil",
-     "src/repro/padicotm/abstraction/evil.py",
+    ("src/repro/padicotm/abstraction/evil.py",
      "from repro.padicotm.personality.bsd import BsdSocket"),
-    ("repro.corba.evil", "src/repro/corba/evil.py",
+    ("src/repro/corba/evil.py",
      "from repro.ccm.component import ComponentImpl"),
-    ("repro.ccm.evil", "src/repro/ccm/evil.py",
+    ("src/repro/ccm/evil.py",
      "from repro.deploy.planner import DeploymentPlanner"),
 ], ids=["sim->ccm", "sim->ccm-import", "net->padicotm", "arb->abs",
         "abs->personality", "corba->ccm", "ccm->deploy"])
-def test_upward_import_rejected(module, path, source):
-    assert lay(source, path=path, module=module) == ["lay-upward"]
+def test_upward_import_rejected(path, source):
+    assert lay(source, path=path) == ["lay-upward"]
 
 
-@pytest.mark.parametrize("module,path,source", [
+@pytest.mark.parametrize("path,source", [
     # downward and same-layer imports are the architecture working
-    ("repro.ccm.ok", "src/repro/ccm/ok.py",
-     "from repro.corba.orb import Orb"),
-    ("repro.padicotm.personality.ok", "src/repro/padicotm/personality/ok.py",
+    ("src/repro/ccm/ok.py", "from repro.corba.orb import Orb"),
+    ("src/repro/padicotm/personality/ok.py",
      "from repro.padicotm.abstraction.vlink import VLink"),
-    ("repro.net.ok", "src/repro/net/ok.py",
-     "from repro.sim.kernel import SimKernel"),
-    ("repro.sim.ok", "src/repro/sim/ok.py",
-     "from repro.sim.sync import SimLock"),
-    ("repro.corba.ok", "src/repro/corba/ok.py",
+    ("src/repro/net/ok.py", "from repro.sim.kernel import SimKernel"),
+    ("src/repro/sim/ok.py", "from repro.sim.sync import SimLock"),
+    ("src/repro/corba/ok.py",
      "from repro.mpi.world import World"),  # same layer: corba <-> mpi
 ], ids=["ccm->corba", "personality->abs", "net->sim", "sim->sim",
         "corba<->mpi"])
-def test_downward_import_allowed(module, path, source):
-    assert lay(source, path=path, module=module) == []
+def test_downward_import_allowed(path, source):
+    assert lay(source, path=path) == []
 
 
 def test_stdlib_and_unlayered_files_ignored():
-    assert lay("import heapq\nimport numpy", path="src/repro/sim/x.py",
-               module="repro.sim.x") == []
+    assert lay("import heapq\nimport numpy", path="src/repro/sim/x.py") == []
     # examples/tests have no module name: they sit above the stack
     assert lint_text("from repro.ccm.container import Container",
-                     path="examples/demo.py", module=None,
-                     rules=LAY_RULES) == []
+                     path="examples/demo.py", rules=LAY_RULES) == []
 
 
 # ---------------------------------------------------------------------------
@@ -90,7 +80,6 @@ _LAZY_SRC = """
 def test_unregistered_escape_hatch_rejected(source):
     empty = AnalysisConfig(layer_exceptions={})
     assert lay(source, path="src/repro/padicotm/arbitration/new.py",
-               module="repro.padicotm.arbitration.new",
                config=empty) == ["lay-escape"]
 
 
@@ -101,7 +90,6 @@ def test_registered_escape_hatch_accepted():
     })
     for source in (_TYPE_CHECKING_SRC, _LAZY_SRC):
         assert lay(source, path="src/repro/padicotm/arbitration/new.py",
-                   module="repro.padicotm.arbitration.new",
                    config=cfg) == []
 
 
@@ -114,7 +102,6 @@ def test_escape_hatch_never_covers_module_level():
     })
     assert lay("from repro.padicotm.runtime import PadicoRuntime",
                path="src/repro/padicotm/arbitration/new.py",
-               module="repro.padicotm.arbitration.new",
                config=cfg) == ["lay-upward"]
 
 
@@ -132,5 +119,4 @@ def test_existing_hatches_are_registered_and_real():
 
 def test_unknown_layer_warns():
     assert lay("from repro.newpkg.thing import X",
-               path="src/repro/sim/x.py",
-               module="repro.sim.x") == ["lay-unknown"]
+               path="src/repro/sim/x.py") == ["lay-unknown"]

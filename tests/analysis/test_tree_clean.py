@@ -3,7 +3,8 @@
 This is the test that makes every future PR pass through the analyzer:
 a new wall-clock read, blocking primitive, upward import or hot-path
 idiom anywhere under ``src/`` or ``examples/`` fails the suite unless
-it is either fixed or inline-suppressed with a justification.
+it is either fixed or its (file, rule) pair gets a ``DEFAULT_FILE_ALLOW``
+entry with a justification (``repro.analysis.config``).
 """
 
 from __future__ import annotations
@@ -19,8 +20,9 @@ def test_src_and_examples_are_clean():
     findings = run_analysis([REPO_ROOT / "src", REPO_ROOT / "examples"],
                             project_root=REPO_ROOT)
     assert not findings, (
-        "repro-lint found findings; fix them (preferred) or suppress "
-        "with '# repro-lint: disable=<rule>' plus a reason:\n"
+        "repro-lint found findings; fix them (preferred) or exempt the "
+        "(file, rule) pair in DEFAULT_FILE_ALLOW "
+        "(repro.analysis.config) with a reason:\n"
         + "\n".join(f.render() for f in findings))
 
 

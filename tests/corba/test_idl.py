@@ -119,42 +119,71 @@ def test_shared_grandparent_diamond_compiles():
     assert set(ab.attributes) == {"n"}
 
 
-@pytest.mark.parametrize("source,owner,first,second", [
+def test_inheritance_cycle_rejected():
+    for source, cycle in [
+        ("interface A : A { void f(); };", "M::A -> M::A"),
+        ("interface A : B { void a(); }; interface B : A { void b(); };",
+         "M::A -> M::B -> M::A"),
+    ]:
+        with pytest.raises(IdlError) as ei:
+            compile_idl(f"module M {{ {source} }};")
+        assert str(ei.value) == f"circular definition: {cycle}"
+    # naming its own interface (or a derived one) in a signature is no
+    # cycle, and a base is read only once it is complete
+    idl = compile_idl("""
+    interface Node { Node next(); attribute Node peer; void f(in Leaf l); };
+    interface Leaf : Node {};
+    """)
+    node = idl.interface("Node")
+    assert node.operations["next"].return_type == ObjRefType("Node")
+    assert node.attributes["peer"].type == ObjRefType("Node")
+    assert set(idl.interface("Leaf").operations) == {"next", "f"}
+
+
+def _twice(owner: str, first: str, second: str) -> str:
+    return f"'ping' is defined twice in {owner}: as {first} and as {second}"
+
+
+@pytest.mark.parametrize("source,message", [
     ("interface A { void ping(); }; interface B { void ping(in long n); };"
      "interface AB : A, B {};",
-     "M::AB", "operation of M::A", "operation of M::B"),
+     _twice("M::AB", "operation of M::A", "operation of M::B")),
     ("interface A { attribute long ping; };"
      "interface B { readonly attribute long ping; };"
      "interface AB : A, B {};",
-     "M::AB", "attribute of M::A", "attribute of M::B"),
+     _twice("M::AB", "attribute of M::A", "attribute of M::B")),
     ("interface A { attribute long ping; };"
      "interface B : A { attribute double ping; };",
-     "M::B", "attribute of M::A", "attribute of M::B"),
+     _twice("M::B", "attribute of M::A", "attribute of M::B")),
     ("interface A { void ping(); };"
      "interface B : A { attribute long ping; };",
-     "M::B", "operation of M::A", "attribute of M::B"),
+     _twice("M::B", "operation of M::A", "attribute of M::B")),
     ("interface A { void ping(); attribute long ping; };",
-     "M::A", "operation of M::A", "attribute of M::A"),
+     _twice("M::A", "operation of M::A", "attribute of M::A")),
     ("interface A { attribute long ping; attribute long ping; };",
-     "M::A", "attribute of M::A", "attribute of M::A"),
+     _twice("M::A", "attribute of M::A", "attribute of M::A")),
     ("interface P {}; component C { provides P ping; attribute long ping; };",
-     "M::C", "provides port of M::C", "attribute of M::C"),
+     _twice("M::C", "provides port of M::C", "attribute of M::C")),
     ("interface P {}; component B { uses P ping; };"
      "component C : B { attribute long ping; };",
-     "M::C", "uses port of M::B", "attribute of M::C"),
+     _twice("M::C", "uses port of M::B", "attribute of M::C")),
     ("component B { attribute long ping; };"
      "component C : B { attribute long ping; };",
-     "M::C", "attribute of M::B", "attribute of M::C"),
+     _twice("M::C", "attribute of M::B", "attribute of M::C")),
+    ("interface B { void ping(); }; interface A : B, B {};",
+     "M::A names the base M::B twice"),
+    ("interface A { struct ping { long x; }; void ping(); };",
+     _twice("M::A", "struct of M::A", "operation of M::A")),
 ], ids=["diamond-operation", "diamond-attribute", "attribute-redefined",
         "attribute-over-inherited-operation", "operation-and-attribute",
         "duplicate-attribute", "component-attribute-and-port",
         "component-attribute-and-base-port",
-        "component-attribute-redefined"])
-def test_one_name_per_scope(source, owner, first, second):
+        "component-attribute-redefined", "duplicate-base",
+        "nested-type-and-operation"])
+def test_one_name_per_scope(source, message):
     with pytest.raises(IdlError) as ei:
         compile_idl(f"module M {{ {source} }};")
-    assert str(ei.value) == (f"'ping' is defined twice in {owner}: "
-                             f"as {first} and as {second}")
+    assert str(ei.value) == message
 
 
 def test_cross_module_name_resolution():
