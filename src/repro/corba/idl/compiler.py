@@ -216,8 +216,9 @@ class _Compiler:
                 raise IdlError(f"duplicate definition {name!r}")
             self._raw[name] = (scope, node)
             self._kinds[name] = type(node).__name__
-            # nested declarations inside interfaces live in their scope
-            if isinstance(node, ast.InterfaceDecl):
+            # nested declarations inside interfaces and homes live in
+            # their scope
+            if isinstance(node, (ast.InterfaceDecl, ast.HomeDecl)):
                 nested_scope = f"{name}::"
                 for item in node.body:
                     if isinstance(item, tuple(_NESTED_KINDS)):
@@ -421,14 +422,24 @@ class _Compiler:
                            f"which is not a component")
         hdef = HomeDef(node.name, full_name, repo_id(full_name),
                        manages_full)
-        self.out.homes[full_name] = hdef
+        members: dict[str, tuple[str, str]] = {}
+        inner_scope = f"{full_name}::"
         for item in node.body:
             if isinstance(item, ast.OperationDecl):
+                kind = "operation"
                 # factory operations return the managed component
                 if isinstance(item.return_type, NamedTypeRef) and \
                         item.return_type.name == "__managed__":
+                    kind = "factory"
                     item = ast.OperationDecl(
                         item.name, NamedTypeRef(manages_full),
                         item.params, item.raises, item.oneway)
+                _enter(members, full_name, item.name, kind, full_name)
                 hdef.factories.append(
-                    self._resolve_operation(item, scope))
+                    self._resolve_operation(item, inner_scope))
+            elif isinstance(item, ast.AttributeDecl):
+                _enter(members, full_name, item.name, "attribute", full_name)
+            else:
+                _enter(members, full_name, item.name,
+                       _NESTED_KINDS[type(item)], full_name)
+        self.out.homes[full_name] = hdef

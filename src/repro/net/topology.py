@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
-from itertools import count
 from typing import Iterable
 
 from repro.net.devices import ETHERNET_100, MYRINET_2000, WAN, NetworkTechnology
@@ -107,9 +106,15 @@ class Fabric:
         #: or not the cache hits; benchmarks republish them post-run
         self.route_cache_hits = 0
         self.route_cache_misses = 0
+        #: per search direction, a switch's live steps
+        #: (:meth:`_live_steps`), compiled when Dijkstra first expands
+        #: it and dropped with the route cache
+        self._steps: tuple[dict, dict] = ({}, {})
 
     def _invalidate_routes(self) -> None:
         self._route_cache.clear()
+        for steps in self._steps:
+            steps.clear()
 
     def _add_edge(self, a: str, b: str, bandwidth: float,
                   latency: float) -> None:
@@ -162,46 +167,106 @@ class Fabric:
         (what ``shortest_path(G, src, dst, weight=...)`` runs), so every
         route, flow and digest is the one that code produced: the two
         searches alternate, forward first, over heaps of ``(distance,
-        counter, node)`` sharing one counter; neighbours are scanned in
+        tick, node)`` sharing one tick counter; neighbours are scanned in
         cabling order; a predecessor is replaced only by a strictly
         shorter distance; a down link is hidden; the meeting node is the
         first to strictly improve the best total, and the search stops
-        when one node is settled from both ends.  Pinned against
-        networkx by ``tests/net/test_routing_oracle.py``.
+        when one node is settled from both ends.
+
+        Dead ends — nodes with one cabled neighbour, neither ``src`` nor
+        ``dst`` (the hosts of a leaf switch) — are not pushed one by one.
+        The consecutive same-latency dead ends one expansion meets (a
+        *run*, :meth:`_live_steps`) take one heap entry that holds their
+        count and the first of their consecutive ticks; each pop of it
+        is one no-op turn of its direction, the entry leaving the heap
+        with the run's last member.  That is exactly what networkx does
+        with them: no other entry sorts between ticks pushed in a row
+        at one distance; settling a dead end relaxes nothing, since its
+        one neighbour is settled already; no path crosses one; and the
+        other search could meet one only by settling that neighbour,
+        where the search stops.  A run holding ``src`` or ``dst`` is
+        cut around it (:func:`_split`), so the endpoints are met as
+        any node on a path is.  Pinned against networkx by
+        ``tests/net/test_routing_oracle.py``.
         """
         adj = self._adj
+        compiled = self._steps
+        ends = (src, dst)
+        hubs = [next(iter(adj[end])) for end in ends if len(adj[end]) == 1]
         dists: tuple[dict, dict] = ({}, {})
         preds: tuple[dict, dict] = ({src: None}, {dst: None})
         seen: tuple[dict, dict] = ({src: 0}, {dst: 0})
-        tick = count()
-        fringe = ([(0, next(tick), src)], [(0, next(tick), dst)])
+        fringe: tuple[list, list] = ([(0, 0, src)], [(0, 1, dst)])
+        tick = 2
         best = meet = None
         way = 1
         while fringe[0] and fringe[1]:
             way = 1 - way
-            dist, _, node = heappop(fringe[way])
+            heap = fringe[way]
+            dist, _, node = heap[0]
+            if node.__class__ is list:
+                # a run of dead ends: one no-op turn per member
+                node[0] -= 1
+                if not node[0]:
+                    heappop(heap)
+                continue
+            heappop(heap)
             done = dists[way]
             if node in done:
                 continue
             done[node] = dist
             if node in dists[1 - way]:
                 return self._meet_path(preds, meet)
-            near, far = seen[way], seen[1 - way]
-            for peer, out in adj[node].items():
-                link = out if way == 0 else adj[peer][node]
-                if not link.up or peer in done:
-                    continue
-                d = dist + link.latency
-                if peer not in near or d < near[peer]:
+            steps = compiled[way].get(node)
+            if steps is None:
+                steps = self._live_steps(node, way)
+                if len(adj[node]) > 1:
+                    compiled[way][node] = steps
+            if node in hubs:
+                steps = _split(steps, ends)
+            near, far, pred = seen[way], seen[1 - way], preds[way]
+            for peer, latency, run in steps:
+                d = dist + latency
+                if run is not None:
+                    heappush(heap, (d, tick, [len(run)]))
+                    tick += len(run)
+                elif peer not in done and (peer not in near
+                                           or d < near[peer]):
                     near[peer] = d
-                    heappush(fringe[way], (d, next(tick), peer))
-                    preds[way][peer] = node
+                    heappush(heap, (d, tick, peer))
+                    tick += 1
+                    pred[peer] = node
                     if peer in far:
                         total = d + far[peer]
                         if best is None or best > total:
                             best, meet = total, peer
         raise NoRouteError(
             f"no live path {src!r}->{dst!r} on fabric {self.name!r}")
+
+    def _live_steps(self, node: str, way: int) -> list[tuple]:
+        """``node``'s live neighbours as search ``way`` (0 from the
+        source, 1 from the target) meets them, in cabling order.
+
+        Each step is ``(peer, latency, None)``, or ``(None, latency,
+        run)`` for a run: the consecutive dead ends (one cabled
+        neighbour) behind links of one latency, listed by name.  A down
+        link is left out, so a run may span one.
+        """
+        adj = self._adj
+        steps: list[tuple] = []
+        for peer, out in adj[node].items():
+            link = out if way == 0 else adj[peer][node]
+            if not link.up:
+                continue
+            latency = link.latency
+            if len(adj[peer]) > 1:
+                steps.append((peer, latency, None))
+            elif steps and steps[-1][2] is not None \
+                    and steps[-1][1] == latency:
+                steps[-1][2].append(peer)
+            else:
+                steps.append((None, latency, [peer]))
+        return steps
 
     def _meet_path(self, preds: tuple[dict, dict], meet: str) -> list[Link]:
         nodes = _walk(preds[0], meet)[::-1] + _walk(preds[1], preds[1][meet])
@@ -213,6 +278,25 @@ class Fabric:
     def __repr__(self) -> str:
         return (f"<Fabric {self.name} ({self.technology.name}) "
                 f"{len(self._adj)} nodes>")
+
+
+def _split(steps: list[tuple], ends: tuple[str, str]) -> list[tuple]:
+    """``steps`` with each run that holds an endpoint cut around it."""
+    out: list[tuple] = []
+    for peer, latency, run in steps:
+        cuts = sorted(run.index(end) for end in ends
+                      if end in run) if run else ()
+        start = 0
+        for cut in cuts:
+            if cut > start:
+                out.append((None, latency, run[start:cut]))
+            out.append((run[cut], latency, None))
+            start = cut + 1
+        if not cuts:
+            out.append((peer, latency, run))
+        elif start < len(run):
+            out.append((None, latency, run[start:]))
+    return out
 
 
 def _walk(pred: dict, node: str | None) -> list[str]:

@@ -19,7 +19,7 @@ def project(tmp_path):
     return tmp_path
 
 
-def test_cli_exit_codes_and_baseline_cycle(project, capsys, monkeypatch):
+def test_cli_exit_codes(project, capsys, monkeypatch):
     monkeypatch.chdir(project)
     # dirty tree -> exit 1, finding on stdout
     assert cli_main(["src"]) == 1

@@ -174,12 +174,17 @@ def _twice(owner: str, first: str, second: str) -> str:
      "M::A names the base M::B twice"),
     ("interface A { struct ping { long x; }; void ping(); };",
      _twice("M::A", "struct of M::A", "operation of M::A")),
+    ("component C {}; home H manages C { void ping(); void ping(); };",
+     _twice("M::H", "operation of M::H", "operation of M::H")),
+    ("component C {}; home H manages C { factory ping(); void ping(); };",
+     _twice("M::H", "factory of M::H", "operation of M::H")),
 ], ids=["diamond-operation", "diamond-attribute", "attribute-redefined",
         "attribute-over-inherited-operation", "operation-and-attribute",
         "duplicate-attribute", "component-attribute-and-port",
         "component-attribute-and-base-port",
         "component-attribute-redefined", "duplicate-base",
-        "nested-type-and-operation"])
+        "nested-type-and-operation", "home-operation",
+        "home-factory-and-operation"])
 def test_one_name_per_scope(source, message):
     with pytest.raises(IdlError) as ei:
         compile_idl(f"module M {{ {source} }};")
@@ -350,6 +355,24 @@ def test_home_must_manage_component():
         interface I { void f(); };
         home H manages I {};
         """)
+
+
+def test_home_nested_declarations_resolve_in_its_scope():
+    idl = compile_idl("""
+    module M {
+        component C {};
+        home H manages C {
+            struct S { long x; };
+            void f(in S s);
+            factory make(in S s);
+        };
+    };
+    """)
+    inner = idl.type("M::H::S")
+    f, make = idl.home("M::H").factories
+    assert f.params[0][2] is inner
+    assert make.params[0][2] is inner
+    assert make.return_type == ObjRefType("M::C")
 
 
 def test_nested_interface_types():

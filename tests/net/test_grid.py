@@ -7,9 +7,11 @@ mid-transfer."""
 from __future__ import annotations
 
 import hashlib
+import heapq
 
 import pytest
 
+from repro.net import topology
 from repro.net import MYRINET_2000, Topology, build_grid, \
     build_two_site_grid
 from repro.net.flows import FlowNetwork, TransferError
@@ -115,6 +117,30 @@ def test_route_cache_invalidated_by_link_state():
     net.restore_link(fab.link("g0n0", "g0-san-sw"))
     assert topo.route("g0n0", "g0n1", "g0-san") == cached
     assert fab.route_cache_hits == 0  # every lookup re-resolved
+
+
+def test_build_routes_heap_pushes(monkeypatch):
+    """``flow_churn``'s smoke build: per host, the route one leaf over
+    and the route to its site hub, on 2 sites x 64 hosts, 32 per leaf
+    switch.  A leaf's hosts are dead ends, pushed as runs: 2 008 heap
+    pushes for the 256 routes (14 906 when every host was pushed
+    alone)."""
+    pushes = [0]
+
+    def counting(heap, item):
+        pushes[0] += 1
+        heapq.heappush(heap, item)
+
+    monkeypatch.setattr(topology, "heappush", counting)
+    topo, sites = build_grid(sites=2, hosts_per_site=64, switch_fanout=32)
+    routes = 0
+    for site, hosts in sites.items():
+        names = [h.name for h in hosts]
+        for i, name in enumerate(names):
+            topo.route(name, names[(i + 32) % len(names)], f"{site}-san")
+            topo.route(name, names[0] if i else names[1], f"{site}-san")
+            routes += 2
+    assert (routes, pushes[0]) == (256, 2008)
 
 
 # ---------------------------------------------------------------------------
