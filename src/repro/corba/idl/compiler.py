@@ -103,11 +103,16 @@ class ComponentDef:
 
 @dataclass
 class HomeDef:
+    """Resolved IDL3 home: factories (returning the managed component),
+    plain operations and attributes."""
+
     name: str
     scoped_name: str
     repo_id: str
     manages: str = ""
     factories: list[OperationDef] = field(default_factory=list)
+    operations: dict[str, OperationDef] = field(default_factory=dict)
+    attributes: dict[str, AttributeDef] = field(default_factory=dict)
 
 
 @dataclass
@@ -426,19 +431,26 @@ class _Compiler:
         inner_scope = f"{full_name}::"
         for item in node.body:
             if isinstance(item, ast.OperationDecl):
-                kind = "operation"
                 # factory operations return the managed component
                 if isinstance(item.return_type, NamedTypeRef) and \
                         item.return_type.name == "__managed__":
-                    kind = "factory"
-                    item = ast.OperationDecl(
-                        item.name, NamedTypeRef(manages_full),
-                        item.params, item.raises, item.oneway)
-                _enter(members, full_name, item.name, kind, full_name)
-                hdef.factories.append(
-                    self._resolve_operation(item, inner_scope))
+                    _enter(members, full_name, item.name, "factory",
+                           full_name)
+                    hdef.factories.append(self._resolve_operation(
+                        ast.OperationDecl(item.name,
+                                          NamedTypeRef(manages_full),
+                                          item.params, item.raises,
+                                          item.oneway), inner_scope))
+                else:
+                    _enter(members, full_name, item.name, "operation",
+                           full_name)
+                    hdef.operations[item.name] = self._resolve_operation(
+                        item, inner_scope)
             elif isinstance(item, ast.AttributeDecl):
                 _enter(members, full_name, item.name, "attribute", full_name)
+                hdef.attributes[item.name] = AttributeDef(
+                    item.name, self._resolve_type(item.type_spec, inner_scope),
+                    item.readonly)
             else:
                 _enter(members, full_name, item.name,
                        _NESTED_KINDS[type(item)], full_name)

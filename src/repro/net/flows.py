@@ -63,6 +63,13 @@ tier computes bit-for-bit the same rates:
   ``flow_churn``'s one 2 000-flow walk per repetition, about 10 ms
   dearer scalar, while ``gridccm_cyclic``'s 64-flow walks are cheaper
   scalar than vectorised.
+* A whole-shard solve whose shards hold the same route classes, in the
+  same order of first rows and with the same multiplicities, as at
+  their last fill reuses that fill's rates (``_FlowTable.fills``): the
+  fill is a pure function of those, a class id names one route for the
+  table's life and link bandwidths never change.  A completion
+  refilled on its own route at its instant is such a solve; the
+  solver counters count it as the fill it stands for.
 * A lone dirty flow — no link on its route carries another live flow:
   most events on an idle network — is its own component, and a one-flow
   fill is one round: :meth:`FlowNetwork._solve_lone` writes that round's
@@ -193,7 +200,9 @@ class _FlowTable:
     A *route class* is one distinct route: ``classes`` maps the tuple of
     a route's link ids to a dense id, assigned on first sight and kept
     for the table's life, and the ``cls`` column gives each row its
-    route's id.
+    route's id.  ``fills`` keeps, per set of shards solved together,
+    the last whole-shard fill: its classes in fill order, their
+    multiplicities, its per-class rates and its round count.
 
     The passes a network makes over every live flow at every event run
     here on NumPy views of the columns: the per-object loops' arithmetic
@@ -203,7 +212,7 @@ class _FlowTable:
     """
 
     __slots__ = ("seqs", "rem", "rates", "lens", "ids", "shards", "tags",
-                 "cls", "classes", "acc", "credited")
+                 "cls", "classes", "fills", "acc", "credited")
 
     def __init__(self, flows: Sequence[Flow], link_bytes: dict[Link, float],
                  link_ids: dict[Link, int]):
@@ -214,6 +223,8 @@ class _FlowTable:
         self.tags: dict[str | None, int] = {}
         self.cls = array("q")
         self.classes: dict[tuple[int, ...], int] = {}
+        self.fills: dict[tuple[str, ...], tuple[
+            np.ndarray, np.ndarray, np.ndarray, int]] = {}
         self.acc = array("d", bytes(8 * len(link_ids)))
         for link, moved in link_bytes.items():
             self.acc[link_ids[link]] = moved
@@ -250,12 +261,13 @@ class _FlowTable:
 
     def route_classes(self, shards: Sequence[str]) -> tuple[
             np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """What the whole-shard fill reads for the rows of ``shards``.
+        """What the whole-shard fill reads for the rows of ``shards``,
+        but their links (:meth:`class_links`).
 
         Returns the rows, ascending; where each row's class sits among
         the classes present, which are taken in order of their first
-        row; and per class, its row count (the multiplicity), its route
-        length and its link ids, end to end, read from that first row.
+        row; and per class, its first row, its class id and its row
+        count (the multiplicity).
         """
         col = np.frombuffer(self.shards, dtype=np.int64)
         keep = np.isin(col, [self.tags[s] for s in shards])
@@ -271,11 +283,17 @@ class _FlowTable:
         slot[cls[heads]] = np.arange(len(heads), dtype=np.int64)
         of_row = slot[cls]
         mult = np.bincount(of_row, minlength=len(heads))
-        head = np.zeros(len(col), dtype=bool)
-        head[rows[heads]] = True
+        return rows, of_row, rows[heads], cls[heads], mult
+
+    def class_links(self, firsts: np.ndarray) -> tuple[np.ndarray,
+                                                        np.ndarray]:
+        """Route lengths and link ids, end to end, of the rows
+        ``firsts`` (ascending)."""
         lens = np.frombuffer(self.lens, dtype=np.int64)
+        head = np.zeros(len(lens), dtype=bool)
+        head[firsts] = True
         ids = np.frombuffer(self.ids, dtype=np.int64)
-        return rows, of_row, mult, lens[head], ids[np.repeat(head, lens)]
+        return lens[head], ids[np.repeat(head, lens)]
 
     def advance(self, dt: float, flows: Sequence[Flow],
                 link_bytes: dict[Link, float], n_ids: int) -> None:
@@ -1019,15 +1037,34 @@ class FlowNetwork:
         fills' arithmetic and pays the setup once per event.  The fill
         sees one row per route class — the class's first row, weighted
         by its row count — and each class's rate is every one of its
-        rows' rate.  New rates are diffed against the rate column and
-        written — to the column and to ``Flow._rate`` — only where they
-        compare unequal: the walk's ``!=`` guard, ``-0.0 == 0.0``
-        included, so the two stores never disagree.
+        rows' rate.
+
+        The fill is a pure function of its classes' routes, their
+        multiplicities and link bandwidths; a class id names one route
+        for the table's life and a link's bandwidth never changes.  So
+        when the classes, in fill order, and their multiplicities equal
+        those of the last fill of the same shards (``_FlowTable.fills``)
+        — a completion refilled on its own route at its instant — that
+        fill's rates and round count stand for this one, and the links
+        are not gathered.  Either way the counters count one fill.
+
+        New rates are diffed against the rate column and written — to
+        the column and to ``Flow._rate`` — only where they compare
+        unequal: the walk's ``!=`` guard, ``-0.0 == 0.0`` included, so
+        the two stores never disagree.
         """
         table = self._table
-        rows, of_row, mult, lens, gids = table.route_classes(shards)
-        by_class, iterations = _progressive_fill_vec(
-            lens, gids, mult, np.frombuffer(self._link_bw))
+        rows, of_row, firsts, classes, mult = table.route_classes(shards)
+        key = tuple(sorted(shards))
+        last = table.fills.get(key)
+        if last is not None and np.array_equal(classes, last[0]) \
+                and np.array_equal(mult, last[1]):
+            by_class, iterations = last[2], last[3]
+        else:
+            lens, gids = table.class_links(firsts)
+            by_class, iterations = _progressive_fill_vec(
+                lens, gids, mult, np.frombuffer(self._link_bw))
+            table.fills[key] = classes, mult, by_class, iterations
         new = by_class[of_row]
         rates = np.frombuffer(table.rates)
         changed = np.flatnonzero(new != rates[rows])

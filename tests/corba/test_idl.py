@@ -10,6 +10,7 @@ from repro.corba.idl import (
     tokenize,
 )
 from repro.corba.idl.types import (
+    VOID,
     ObjRefType,
     PrimitiveType,
     SequenceType,
@@ -369,10 +370,41 @@ def test_home_nested_declarations_resolve_in_its_scope():
     };
     """)
     inner = idl.type("M::H::S")
-    f, make = idl.home("M::H").factories
-    assert f.params[0][2] is inner
+    home = idl.home("M::H")
+    (make,) = home.factories
+    assert home.operations["f"].params[0][2] is inner
     assert make.params[0][2] is inner
     assert make.return_type == ObjRefType("M::C")
+
+
+def test_home_keeps_attributes_and_operations_apart_from_factories():
+    idl = compile_idl("""
+    module M {
+        component C {};
+        home H manages C {
+            typedef long Count;
+            attribute Count x;
+            readonly attribute string y;
+            void f();
+            factory make();
+        };
+    };
+    """)
+    home = idl.home("M::H")
+    assert [op.name for op in home.factories] == ["make"]
+    assert list(home.operations) == ["f"]
+    assert home.operations["f"].return_type is VOID
+    x, y = home.attributes["x"], home.attributes["y"]
+    assert (x.type, x.readonly) == (idl.type("M::H::Count"), False)
+    assert (y.type, y.readonly) == (StringType(), True)
+
+
+def test_home_attribute_of_unknown_type_rejected():
+    with pytest.raises(IdlError, match="Nope"):
+        compile_idl("""
+        component C {};
+        home H manages C { readonly attribute Nope y; };
+        """)
 
 
 def test_nested_interface_types():

@@ -10,6 +10,9 @@ attaching a :class:`~repro.obs.TraceRecorder` moves none of them.  The
 pins the same counts where almost every switch is a hand-off.
 """
 
+import sys
+import threading
+
 import numpy as np
 
 from repro.corba import OMNIORB4, Orb, compile_idl
@@ -164,6 +167,46 @@ def test_recorder_leaves_the_kernel_path_alone():
     # the detached recorder did not follow
     assert kernel.context_switches > recorder.context_switches
     assert recorder.spans and recorder.now == kernel.now
+
+
+def _net_calls() -> tuple[int, int]:
+    """Calls into ``repro.net`` during one :func:`_run`, counted by a
+    profile hook on every thread (the simulated processes' too), and
+    the flows the run completed."""
+    calls = [0]
+
+    def hook(frame, event, _arg):
+        if event == "call":
+            module = frame.f_globals.get("__name__", "")
+            calls[0] += module == "repro.net" or module.startswith(
+                "repro.net.")
+
+    threading.setprofile(hook)
+    sys.setprofile(hook)
+    try:
+        budget, _ = _run()
+    finally:
+        sys.setprofile(None)
+        threading.setprofile(None)
+    return calls[0], budget["completed_flows"]
+
+
+def test_net_calls_per_transfer():
+    """What a lone message costs the flow network, as Python calls.
+
+    Each of the 360 settles (an admission or a completion of one of 180
+    flows) asks the lone closed form first, and all but 22 of them,
+    which find a link shared and walk, are solved by it.  Around that
+    solve a transfer pays its leg (open, admit, launch, settle, close),
+    a route lookup, admission and indexing, and per change a
+    registration at the instant's end, a settle, a ``_solve_dirty`` and
+    a re-timing of the completion timer.  The count is the baseline
+    for cutting that fixed work: 8 723 calls, 48.5 per flow (each
+    comprehension is a call of its own on Python 3.11).  Like every
+    count here it repeats exactly; a change that moves it did so on
+    purpose."""
+    assert _net_calls() == (8723, 180)
+    assert _net_calls() == (8723, 180)  # counts, not clocks
 
 
 BUDGET = {

@@ -6,15 +6,17 @@ The schedules here are built on :func:`build_grid` and sized so the
 pipeline's other tiers run *at the real* ``_VEC_MIN_FLOWS``: a
 ``start_flows`` ramp puts more than 64 flows into at least one site
 shard, later events add batches (per site, across all sites, over the
-WAN), single flows, *mixed* SAN+WAN routes (which taint a site until
+WAN), closed loops (batches whose completions refill their own routes),
+single flows, *mixed* SAN+WAN routes (which taint a site until
 they complete) and link failures, and the drain at the end takes the
 network back out of column form and the shards below the whole-shard
 gate.  Everything runs under
 :class:`CheckedFlowNetwork` — a from-scratch ``maxmin_rates`` after
 every reallocation, values and order — and the test finally asserts
 that the examples really executed both fills the pipeline selects
-between: the vectorised one for whole shards, the scalar one for every
-component walk.
+between — the vectorised one for whole shards, the scalar one for every
+component walk — and a whole-shard solve that reused its shards' last
+fill.
 
 A second, *sparse* profile fuzzes the other end: mostly idle links,
 where a dirty flow that shares no link takes the lone-flow closed form
@@ -72,6 +74,8 @@ def grid_schedules(draw):
         events.append((t,) + draw(st.one_of(
             st.tuples(st.just("batch"), site, st.integers(1, 40),
                       san_size, salt),
+            st.tuples(st.just("loop"), site, st.integers(1, 40),
+                      san_size, salt, st.integers(1, 3)),
             st.tuples(st.just("flow"), site, host, hop, san_size),
             st.tuples(st.just("spread"), host, hop, san_size),
             st.tuples(st.just("wan"), site, st.integers(1, 80), other,
@@ -99,15 +103,31 @@ def grid_events(topo, net, n_sites):
     def wan(s, a, s2, b):
         return route(f"g{s}n{a}", f"g{s2}n{b}", "g-wan")
 
-    def admit(routes_and_sizes):
-        net.start_flows([(r, size, lambda flow: None)
+    def admit(routes_and_sizes, callback=lambda r, size: lambda flow: None):
+        net.start_flows([(r, size, callback(r, size))
                          for r, size in routes_and_sizes if r is not None])
+
+    def refilled(gens):
+        """Completion callbacks that start a flow of the same size on the
+        same route at the completion's instant, ``gens`` times over."""
+        def callback(r, size, left=gens):
+            def done(flow):
+                if flow.error is None and left:
+                    net.start_flow(r, size, callback(r, size, left - 1))
+            return done
+        return callback
 
     def fire(kind, *args):
         if kind == "batch":
             s, count, base, salt = args
             admit([(san(s, a, b), size)
                    for a, b, size in _batch(count, base, salt)])
+        elif kind == "loop":
+            # a closed loop: a batch whose completions are refilled
+            s, count, base, salt, gens = args
+            admit([(san(s, a, b), size)
+                   for a, b, size in _batch(count, base, salt)],
+                  refilled(gens))
         elif kind == "flow":
             s, a, hop, size = args
             admit([(san(s, a, (a + hop) % HOSTS), size)])
@@ -192,6 +212,13 @@ TAINT_DEPARTS = (3, [(0.0, "batch", 0, 62, 46746.83260039316, 20),
                      (0.004078020802700825, "mixed", 2, 2, 2, 2, 2, 1000.0)])
 
 
+#: a closed loop past the column threshold: once a fill has run on the
+#: table, a completion refilled on its own route at its instant leaves
+#: the shard's classes, their order and multiplicities as they were
+LOOP = (2, [(0.0, "loop", 0, _TABLE_MIN_FLOWS + 10, 1e5, 0, 2),
+            (1e-4, "flow", 0, 0, 1, 5e4)])
+
+
 def test_production_path_fuzz_reaches_every_fill(monkeypatch):
     fill_vec = flows_mod._progressive_fill_vec
     vec_calls = [0]
@@ -209,8 +236,10 @@ def test_production_path_fuzz_reaches_every_fill(monkeypatch):
             assert self._table is not None  # whole shards: column form only
             before = vec_calls[0]
             super()._solve_shards(shards)
-            assert vec_calls[0] == before + 1
-            paths["shard"] += 1
+            # one fill at most: none where the shards' classes, their
+            # order and multiplicities are those of their last fill
+            assert vec_calls[0] in (before, before + 1)
+            paths["shard" if vec_calls[0] > before else "reuse"] += 1
 
         def _solve(self, subset):
             before = vec_calls[0]
@@ -222,6 +251,7 @@ def test_production_path_fuzz_reaches_every_fill(monkeypatch):
     @settings(max_examples=40, deadline=None, derandomize=True)
     @example(ALL_PATHS)
     @example(TAINT_DEPARTS)
+    @example(LOOP)
     @given(grid_schedules())
     def fuzz(spec):
         run_grid_schedule(spec, Recording)
@@ -229,6 +259,7 @@ def test_production_path_fuzz_reaches_every_fill(monkeypatch):
     fuzz()
     assert set(paths) == {
         "shard",   # whole shards, in column form, vectorised fill
+        "reuse",   # whole shards, the last fill of the same shards
         "walk",    # component walk, scalar fill
     }, paths
 
